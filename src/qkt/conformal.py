@@ -48,15 +48,12 @@ class ConformalFactor:
 
     def value(self, p: np.ndarray) -> float:
         v = float(self.func(p))
-        if v < MIN_FACTOR:
-            raise GeometryError(f"conformal factor {v!r} not positive at {p}")
+        if not (np.isfinite(v) and v >= MIN_FACTOR):
+            raise GeometryError(f"conformal factor {v!r} not finite and positive at {p}")
         return v
 
     def grad(self, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
         return gradient(lambda q: float(self.func(q)), p, scheme)
-
-    def dln(self, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
-        return self.grad(p, scheme) / self.value(p)
 
 
 def _as_factor(f) -> ConformalFactor:

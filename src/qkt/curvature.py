@@ -15,6 +15,7 @@ R4(X, Y, e_i, J_a e_i).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,7 +27,6 @@ from .quaternionic import CYCLIC, frame_trace_pair
 from .tensor_core import (
     ConnectionField,
     FDScheme,
-    FormField,
     TensorField,
     codifferential,
     covariant_derivative_array,
@@ -43,7 +43,6 @@ class CurvatureValue:
 
     R13: np.ndarray   # R13[l, k, i, j]
     R4: np.ndarray    # R4[X, Y, Z, V]
-    source: str       # "qkt" | "levi-civita" | "weyl"
 
     def pair_antisymmetry(self) -> tuple[float, float]:
         first = float(np.max(np.abs(self.R4 + np.swapaxes(self.R4, 0, 1))))
@@ -66,8 +65,7 @@ class RicciData:
 def curvature_tensor(conn: ConnectionField,
                      metric: Callable[[np.ndarray], np.ndarray],
                      p: np.ndarray,
-                     scheme: FDScheme,
-                     source: str = "qkt") -> CurvatureValue:
+                     scheme: FDScheme) -> CurvatureValue:
     """Curvature of a connection field by differencing its coefficients."""
     gamma = conn(p)
     dG = gradient(conn.func, p, scheme, nested=conn.nested)  # dG[a, l, i, j]
@@ -78,7 +76,7 @@ def curvature_tensor(conn: ConnectionField,
     R13 = term_i - term_j + quad_i - quad_j
     g = np.asarray(metric(p), dtype=float)
     R4 = np.einsum("lkij,lv->ijkv", R13, g)
-    return CurvatureValue(R13=R13, R4=R4, source=source)
+    return CurvatureValue(R13=R13, R4=R4)
 
 
 def ricci_forms(curv: CurvatureValue,
@@ -89,7 +87,7 @@ def ricci_forms(curv: CurvatureValue,
     ginv = np.linalg.inv(np.asarray(metric(p), dtype=float))
     J = hyper.matrices(p)
     return np.stack([
-        0.5 * np.einsum("xyab,am,bm->xy", curv.R4, ginv, J[a]) for a in range(3)
+        0.5 * frame_trace_pair(curv.R4, ginv, J[a]) for a in range(3)
     ])
 
 
@@ -106,7 +104,9 @@ class _CurvatureContext:
     """Lazy shared quantities for the curvature identities at one point."""
 
     def __init__(self, struct: QKTStructure, p: np.ndarray, scheme: FDScheme):
-        self.struct = struct
+        # held weakly: contexts live in struct.caches, and a cycle would keep
+        # every cached array alive until a full garbage-collection pass
+        self.struct = weakref.proxy(struct)
         self.p = np.asarray(p, dtype=float)
         self.scheme = scheme
         self._vals: dict = {}
@@ -140,14 +140,13 @@ class _CurvatureContext:
     def curv(self) -> CurvatureValue:
         return self._get("curv", lambda: curvature_tensor(
             self.struct.connection, self.struct.data.patch.metric,
-            self.p, self.scheme, source="qkt"))
+            self.p, self.scheme))
 
     @property
     def curv_g(self) -> CurvatureValue:
         return self._get("curv_g", lambda: curvature_tensor(
             levi_civita_field(self.struct.patch, self.scheme),
-            self.struct.data.patch.metric, self.p, self.scheme,
-            source="levi-civita"))
+            self.struct.data.patch.metric, self.p, self.scheme))
 
     @property
     def rho(self):
@@ -186,8 +185,9 @@ class _CurvatureContext:
     @property
     def gTT(self):
         """gTT[x,y,z,u] = g(T(X,Y), T(Z,U))."""
-        return self._get("gTT", lambda: np.einsum(
-            "xym,mk,zuk->xyzu", self.T, self.ginv, self.T))
+        d = self.struct.dim
+        return self._get("gTT", lambda: (self.T.reshape(d * d, d) @ self.ginv
+                                         @ self.T.reshape(d * d, d).T).reshape((d,) * 4))
 
     @property
     def P(self):
@@ -211,10 +211,6 @@ class _CurvatureContext:
         ]))
 
     @property
-    def t_field(self) -> FormField:
-        return self._get("t_field", lambda: self.struct.torsion_one_form_field())
-
-    @property
     def t(self):
         return self._get("t", lambda: torsion_one_forms(self.struct, self.p)[3])
 
@@ -223,7 +219,7 @@ class _CurvatureContext:
         """(nabla^g_X t)(Y) as a (d, d) matrix."""
         return self._get("nabla_g_t", lambda: covariant_derivative_array(
             levi_civita(self.struct.data.patch.metric, self.p, self.scheme),
-            TensorField("d", self.t_field.func, nested=True),
+            TensorField("d", self.struct.torsion_one_form_field().func, nested=True),
             self.p, self.scheme))
 
     @property
@@ -234,7 +230,7 @@ class _CurvatureContext:
     @property
     def dt(self):
         return self._get("dt", lambda: exterior_derivative(
-            self.t_field, self.scheme)(self.p))
+            self.struct.torsion_one_form_field(), self.scheme)(self.p))
 
 
 def _context(struct: QKTStructure, p: np.ndarray, scheme: FDScheme | None) -> _CurvatureContext:
@@ -514,8 +510,7 @@ def weyl_correspondence(struct: QKTStructure,
     )
     qw = float(np.max(np.abs(nabla_w_g + np.einsum("i,jk->ijk", ctx.t, g))))
 
-    curv_w = curvature_tensor(conn_w, struct.data.patch.metric, p, scheme_eff,
-                              source="weyl")
+    curv_w = curvature_tensor(conn_w, struct.data.patch.metric, p, scheme_eff)
     ric_w = ricci_tensor(curv_w)
     sym_ric_w = 0.5 * (ric_w + ric_w.T)
     K = ctx.P.sum(axis=0)

@@ -213,13 +213,17 @@ def _eval(node, point) -> float:
             raise ExpressionError("division by zero")
         return a / b
     if isinstance(node, Pow):
-        return _eval(node.base, point) ** node.exponent
+        x = _eval(node.base, point)
+        try:
+            return x ** node.exponent
+        except (OverflowError, ZeroDivisionError):
+            raise ExpressionError(f"{x!r}^{node.exponent} is not a finite number") from None
     if isinstance(node, Call):
         x = _eval(node.arg, point)
         try:
             return FUNCTIONS[node.name](x)
-        except ValueError:
-            raise ExpressionError(f"{node.name}({x!r}) outside the function domain") from None
+        except (ValueError, OverflowError):
+            raise ExpressionError(f"{node.name}({x!r}) has no finite real value") from None
     raise TypeError(f"not an AST node: {node!r}")
 
 

@@ -27,6 +27,7 @@ from .quaternionic import (
     HypercomplexField,
     QuaternionicHermitianData,
     frame_trace_pair,
+    j_apply_form,
     j_apply_oneform,
     kaehler_field,
     lee_form,
@@ -88,9 +89,7 @@ def _section2_bundle(data: QuaternionicHermitianData,
             theta_cross[a, b] = -0.5 * frame_trace_pair(dF_plus[a], ginv, J[b])
 
     # twisted derivatives d_a F_a and their (1,2)+(2,1) parts
-    dcF = np.stack([
-        -np.einsum("ai,bj,ck,abc->ijk", J[a], J[a], J[a], dF[a]) for a in range(3)
-    ])
+    dcF = np.stack([j_apply_form(J[a], dF[a]) for a in range(3)])
     dcF_plus = np.stack([project_plus_3form(dcF[a], J[a]) for a in range(3)])
 
     bundle = {
@@ -224,10 +223,13 @@ def _assemble(data: QuaternionicHermitianData,
               scheme: FDScheme,
               kind: str,
               nested_torsion: bool = True) -> QKTStructure:
+    # the closures hold the inner dicts, not ``caches``, which stores
+    # omega_bundle: a cycle would outlive the structure until a full gc pass
     caches: dict = {"T": {}, "Gamma": {}, "omega": {}}
+    t_cache, gamma_cache, omega_cache = caches["T"], caches["Gamma"], caches["omega"]
 
     def torsion_memo(p):
-        return _memoized(caches["T"], p, torsion_at)
+        return _memoized(t_cache, p, torsion_at)
 
     torsion_field = FormField(3, torsion_memo, nested=nested_torsion)
 
@@ -238,7 +240,7 @@ def _assemble(data: QuaternionicHermitianData,
             gamma_g = levi_civita(data.patch.metric, q, scheme)
             return gamma_g + 0.5 * np.einsum("ijm,ml->lij", torsion_memo(q), ginv)
 
-        return _memoized(caches["Gamma"], p, compute)
+        return _memoized(gamma_cache, p, compute)
 
     connection = ConnectionField(gamma_at, nested=True)
 
@@ -246,7 +248,7 @@ def _assemble(data: QuaternionicHermitianData,
         def compute(q):
             return _extract_sp1(data, connection, q, scheme)
 
-        return _memoized(caches["omega"], p, compute)
+        return _memoized(omega_cache, p, compute)
 
     def omega_field(alpha):
         return FormField(1, lambda q: omega_bundle(q)[0][alpha], nested=True)
@@ -462,7 +464,6 @@ def nijenhuis_via_connection(struct: QKTStructure, alpha: int, p: np.ndarray) ->
     theta, J = bundle["theta"], bundle["J"]
     A = j_apply_oneform(J[b], theta[c] - theta[b])
     JA = j_apply_oneform(J[a], A)
-    eye = np.eye(struct.dim)
     Jb, Jc = J[b], J[c]
     return (
         np.einsum("j,ki->kij", A, Jb)

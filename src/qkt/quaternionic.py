@@ -155,13 +155,19 @@ def j_apply_oneform(J: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def j_apply_form(J: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """(J psi)(X_1..X_r) = (-1)^r psi(J X_1, ..., J X_r)."""
+    """(J psi)(X_1..X_r) = (-1)^r psi(J X_1, ..., J X_r): J on every slot, with sign."""
     out = np.asarray(arr, dtype=float)
     r = out.ndim
-    for axis in range(r):
+    for _ in range(r):
         out = np.tensordot(out, J, axes=([0], [0]))
         # contracting the leading axis appends the new one; r passes restore order
     return ((-1.0) ** r) * out
+
+
+def j_apply_pair(J: np.ndarray, arr: np.ndarray, slots: tuple, upper: bool = False) -> np.ndarray:
+    """J on slots (i, j), no sign: arr(.., J X_i, .., J X_j, ..); ``upper``: slot i is an upper index."""
+    x = np.moveaxis(arr, slots, (-2, -1))
+    return np.moveaxis((J if upper else J.T) @ x @ J, (-2, -1), slots)
 
 
 def lee_form(data: QuaternionicHermitianData,
@@ -176,7 +182,8 @@ def lee_form(data: QuaternionicHermitianData,
 
 def frame_trace_pair(arr: np.ndarray, ginv: np.ndarray, J: np.ndarray) -> np.ndarray:
     """sum_i arr(..., e_i, J e_i) over a g-orthonormal frame, last two slots."""
-    return np.einsum("...ab,am,bm->...", arr, ginv, J)
+    d = J.shape[0]
+    return arr.reshape(arr.shape[:-2] + (d * d,)) @ (ginv @ J.T).ravel()
 
 
 def project_plus_3form(psi: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -185,10 +192,8 @@ def project_plus_3form(psi: np.ndarray, J: np.ndarray) -> np.ndarray:
     The image satisfies psi(X,Y,Z) = psi(JX,JY,Z) + psi(JX,Y,JZ) + psi(X,JY,JZ)
     exactly; the kernel is the (3,0)+(0,3) part.
     """
-    jj_xy = np.einsum("ai,bj,abk->ijk", J, J, psi)
-    jj_xz = np.einsum("ai,ck,ajc->ijk", J, J, psi)
-    jj_yz = np.einsum("bj,ck,ibc->ijk", J, J, psi)
-    return 0.25 * (3.0 * psi + jj_xy + jj_xz + jj_yz)
+    jj = [j_apply_pair(J, psi, slots) for slots in ((0, 1), (0, 2), (1, 2))]
+    return 0.25 * (3.0 * psi + jj[0] + jj[1] + jj[2])
 
 
 def torsion_02_part(T: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -196,9 +201,9 @@ def torsion_02_part(T: np.ndarray, J: np.ndarray) -> np.ndarray:
 
     Computes (T(X,Y) - T(JX,JY) + J T(JX,Y) + J T(X,JY)) / 4.
     """
-    t_jj = np.einsum("kab,ai,bj->kij", T, J, J)
-    jt_jx = np.einsum("km,maj,ai->kij", J, T, J)
-    jt_xj = np.einsum("km,mib,bj->kij", J, T, J)
+    t_jj = j_apply_pair(J, T, (1, 2))
+    jt_jx = j_apply_pair(J, T, (0, 1), upper=True)
+    jt_xj = j_apply_pair(J, T, (0, 2), upper=True)
     return 0.25 * (T - t_jj + jt_jx + jt_xj)
 
 
@@ -225,8 +230,7 @@ def dc_3form(data: QuaternionicHermitianData,
     Applied to F_b this yields d_a F_b.
     """
     d_psi = exterior_derivative(two_form, scheme)(p)
-    J = data.j_at(alpha, p)
-    return -np.einsum("ai,bj,ck,abc->ijk", J, J, J, d_psi)
+    return j_apply_form(data.j_at(alpha, p), d_psi)
 
 
 def nijenhuis_bracket(data: QuaternionicHermitianData,
@@ -261,8 +265,6 @@ def dT_type22_residual(data: QuaternionicHermitianData,
     worst = 0.0
     for a in range(3):
         J = data.j_at(a, p)
-        jj_xy = np.einsum("ai,bj,abkl->ijkl", J, J, dT)
-        jj_xz = np.einsum("ai,ck,ajcl->ijkl", J, J, dT)
-        jj_yz = np.einsum("bj,ck,ibcl->ijkl", J, J, dT)
-        worst = max(worst, float(np.max(np.abs(dT - jj_xy - jj_xz - jj_yz))))
+        jj = [j_apply_pair(J, dT, slots) for slots in ((0, 1), (0, 2), (1, 2))]
+        worst = max(worst, float(np.max(np.abs(dT - jj[0] - jj[1] - jj[2]))))
     return worst

@@ -41,6 +41,7 @@ from .qkt_connection import (
 )
 from .quaternionic import (
     CYCLIC,
+    frame_trace_pair,
     j_apply_oneform,
     nijenhuis_bracket,
     torsion_02_part,
@@ -347,7 +348,7 @@ def _dim4_structural(env: SuiteEnv, p, acc):
     for a in range(3):
         J = struct.j_at(a, p)
         # sum_i (nabla_Z T)(J X, e_i, J e_i) = 2 (nabla_Z t)(X)
-        traced = np.einsum("zxab,am,bm->zx", nab_T, ginv, J)
+        traced = frame_trace_pair(nab_T, ginv, J)
         acc("ser2", np.max(np.abs(traced @ J - 2.0 * nab_t)))
 
 

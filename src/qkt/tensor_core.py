@@ -24,6 +24,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -266,6 +267,16 @@ def _perm_sign(perm: Sequence[int]) -> float:
     return sign
 
 
+@functools.lru_cache(maxsize=None)
+def _shuffles(p: int, q: int) -> tuple:
+    """(sign, transpose axes) of every (p, q) shuffle; outer axis s lands at dest[s]."""
+    out = []
+    for positions in itertools.combinations(range(p + q), p):
+        dest = list(positions) + [ax for ax in range(p + q) if ax not in positions]
+        out.append((_perm_sign(dest), tuple(np.argsort(dest))))
+    return tuple(out)
+
+
 def wedge_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Wedge of antisymmetric component arrays, shuffle-sum normalization."""
     a = np.asarray(a, dtype=float)
@@ -274,12 +285,9 @@ def wedge_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if p == 0 or q == 0:
         return a * b
     outer = np.multiply.outer(a, b)
-    total = p + q
     result = np.zeros(outer.shape)
-    for positions in itertools.combinations(range(total), p):
-        rest = [ax for ax in range(total) if ax not in positions]
-        dest = list(positions) + rest
-        result += _perm_sign(dest) * np.moveaxis(outer, range(total), dest)
+    for sign, axes in _shuffles(p, q):
+        result += sign * outer.transpose(axes)
     return result
 
 
@@ -424,13 +432,3 @@ def codifferential(omega: FormField,
     )
     ginv = np.linalg.inv(np.asarray(metric(p), dtype=float))
     return -np.tensordot(ginv, nabla, axes=([0, 1], [0, 1]))
-
-
-def codifferential_field(omega: FormField,
-                         metric: Callable[[np.ndarray], np.ndarray],
-                         scheme: FDScheme) -> FormField:
-    return FormField(
-        omega.degree - 1,
-        lambda p: codifferential(omega, metric, p, scheme),
-        nested=True,
-    )

@@ -139,6 +139,12 @@ def test_lchkt_residual_cases():
     assert lchkt_residual(rescaled, POINT8) <= 1e-4
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_nonfinite_factor_rejected(bad):
+    with pytest.raises(GeometryError):
+        ConformalFactor(lambda p: bad).value(POINT8)
+
+
 def test_nonpositive_factor_rejected():
     base = flat_struct(2)
     with pytest.raises(GeometryError):

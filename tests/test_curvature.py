@@ -106,6 +106,34 @@ def test_pair_antisymmetry(conformal_struct):
     assert last <= 1e-4
 
 
+def test_gTT_matches_einsum(conformal_struct):
+    from qkt.curvature import _context
+    ctx = _context(conformal_struct, POINT8, None)
+    expected = np.einsum("xym,mk,zuk->xyzu", ctx.T, ctx.ginv, ctx.T)
+    assert np.max(np.abs(ctx.gTT - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_structures_freed_without_gc():
+    # memo caches must not form reference cycles with the structure: a cycle
+    # keeps every cached array alive until a full garbage-collection pass
+    import gc
+    import weakref
+    from qkt.curvature import _context
+    gc.disable()
+    try:
+        base = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
+                              constant_form(1, np.array([0.5, 0.0, 0.0, 0.0])), SCHEME)
+        struct = conformal_rescale(base, ConformalFactor(lambda p: np.exp(p[0])), SCHEME)
+        struct.caches["omega_bundle"](POINT4)
+        assert np.isfinite(_context(struct, POINT4, None).dt).all()
+        assert struct.caches["curvature_ctx"] and struct.caches["T"]
+        refs = [weakref.ref(base), weakref.ref(struct)]
+        del base, struct
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_ricci_forms_flat():
     patch = flat_patch(2)
     conn = levi_civita_field(patch, SCHEME)

@@ -50,6 +50,13 @@ def test_domain_error_at_evaluation():
         expr(np.array([-1.0]))
 
 
+@pytest.mark.parametrize("text", ["exp(20000*x1^2)", "(10*x1)^400", "x1^-1"])
+def test_overflow_and_zero_power_at_evaluation(text):
+    point = np.array([0.0 if text == "x1^-1" else 1.0])
+    with pytest.raises(ExpressionError):
+        parse_expression(text)(point)
+
+
 ROUND_TRIP_CORPUS = [
     "exp(x1)", "1+x1^2+x3^2", "1/(x1^2+x2^2+x3^2+x4^2)", "sin(x2)",
     "cos(x3)*sin(x4)", "sqrt(1+x1^2)", "x1*x2*x3", "x1/(1+x2^2)",

@@ -9,8 +9,10 @@ from qkt.quaternionic import (
     cross_lee_form,
     dT_type22_residual,
     dc_3form,
+    frame_trace_pair,
     j_apply_form,
     j_apply_oneform,
+    j_apply_pair,
     kaehler_field,
     kaehler_form,
     lee_form,
@@ -20,7 +22,14 @@ from qkt.quaternionic import (
     rotated_hypercomplex,
     torsion_02_part,
 )
-from qkt.tensor_core import CoordinatePatch, FDScheme, constant_form, wedge_arrays
+from qkt.tensor_core import (
+    CoordinatePatch,
+    FDScheme,
+    FormField,
+    constant_form,
+    exterior_derivative,
+    wedge_arrays,
+)
 
 SCHEME = FDScheme()
 RNG = np.random.default_rng(11)
@@ -338,3 +347,114 @@ def test_dT_type22_residual_zero_cases():
     dx = np.eye(4)
     T = wedge_arrays(wedge_arrays(dx[1], dx[2]), dx[3])
     assert dT_type22_residual(data, constant_form(3, 0.7 * T), np.zeros(4), SCHEME) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# J-twist kernels against the einsum specs they replace
+# ---------------------------------------------------------------------------
+
+def assert_rel_close(got, ref, rel=1e-12):
+    assert np.shape(got) == np.shape(ref)
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+def random_j(d, seed):
+    # a generic invertible matrix: the kernels must not rely on J^2 = -1
+    return np.random.default_rng(seed).normal(size=(d, d))
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_j_apply_form_matches_einsum(d):
+    rng = np.random.default_rng(d)
+    J = random_j(d, d + 1)
+    two = rng.normal(size=(d, d))
+    three = rng.normal(size=(d, d, d))
+    assert_rel_close(j_apply_form(J, two), np.einsum("ai,bj,ab->ij", J, J, two))
+    assert_rel_close(j_apply_form(J, three),
+                     -np.einsum("ai,bj,ck,abc->ijk", J, J, J, three))
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_j_apply_pair_matches_einsum(d):
+    rng = np.random.default_rng(d)
+    J = random_j(d, d + 2)
+    three = rng.normal(size=(d, d, d))
+    four = rng.normal(size=(d, d, d, d))
+    cases = [
+        (three, (0, 1), False, "ai,bj,abk->ijk"),
+        (three, (0, 2), False, "ai,ck,ajc->ijk"),
+        (three, (1, 2), False, "bj,ck,ibc->ijk"),
+        (three, (0, 1), True, "km,ai,maj->kij"),
+        (three, (0, 2), True, "km,bj,mib->kij"),
+        (four, (0, 1), False, "ai,bj,abkl->ijkl"),
+        (four, (0, 2), False, "ai,ck,ajcl->ijkl"),
+        (four, (1, 2), False, "bj,ck,ibcl->ijkl"),
+    ]
+    for arr, slots, upper, spec in cases:
+        assert_rel_close(j_apply_pair(J, arr, slots, upper=upper),
+                         np.einsum(spec, J, J, arr))
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_projectors_match_einsum(d):
+    rng = np.random.default_rng(d)
+    J = random_j(d, d + 3)
+    psi = rng.normal(size=(d, d, d))
+    plus = 0.25 * (
+        3.0 * psi
+        + np.einsum("ai,bj,abk->ijk", J, J, psi)
+        + np.einsum("ai,ck,ajc->ijk", J, J, psi)
+        + np.einsum("bj,ck,ibc->ijk", J, J, psi)
+    )
+    assert_rel_close(project_plus_3form(psi, J), plus)
+    T = rng.normal(size=(d, d, d))
+    part = 0.25 * (
+        T
+        - np.einsum("kab,ai,bj->kij", T, J, J)
+        + np.einsum("km,maj,ai->kij", J, T, J)
+        + np.einsum("km,mib,bj->kij", J, T, J)
+    )
+    assert_rel_close(torsion_02_part(T, J), part)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_twisted_derivatives_match_einsum(n):
+    d = 4 * n
+    data = conformal_data(n)
+    p = np.full(d, 0.1)
+    rng = np.random.default_rng(n)
+    base = rng.normal(size=(d, d, d))
+    A = sum(s * np.transpose(base, perm) for perm, s in [
+        ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+        ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)])
+    v = rng.normal(size=d)
+    T_field = FormField(3, lambda q: np.exp(q @ v) * A)
+    dT = exterior_derivative(T_field, SCHEME)(p)
+    worst = 0.0
+    for a in range(3):
+        J = data.j_at(a, p)
+        defect = (dT
+                  - np.einsum("ai,bj,abkl->ijkl", J, J, dT)
+                  - np.einsum("ai,ck,ajcl->ijkl", J, J, dT)
+                  - np.einsum("bj,ck,ibcl->ijkl", J, J, dT))
+        worst = max(worst, float(np.max(np.abs(defect))))
+    got = dT_type22_residual(data, T_field, p, SCHEME)
+    assert worst > 0.0
+    assert abs(got - worst) <= 1e-12 * worst
+    F = kaehler_field(data, 1)
+    dF = exterior_derivative(F, SCHEME)(p)
+    J = data.j_at(2, p)
+    assert_rel_close(dc_3form(data, 2, F, p, SCHEME),
+                     -np.einsum("ai,bj,ck,abc->ijk", J, J, J, dF))
+
+
+@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 5)])
+def test_frame_trace_pair_matches_einsum(d, lead):
+    rng = np.random.default_rng(d + len(lead))
+    arr = rng.normal(size=lead + (d, d))
+    root = rng.normal(size=(d, d))
+    ginv = np.linalg.inv(root @ root.T + d * np.eye(d))
+    J = random_j(d, 7)
+    assert_rel_close(frame_trace_pair(arr, ginv, J),
+                     np.einsum("...ab,am,bm->...", arr, ginv, J))

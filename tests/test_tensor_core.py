@@ -144,6 +144,23 @@ def test_wedge_one_two_expansion():
         assert w[x, y, z] == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)])
+def test_wedge_matches_shuffle_sum(p, q):
+    # the cached shuffle table reproduces the moveaxis shuffle sum bit for bit
+    import itertools
+    from qkt.tensor_core import _perm_sign
+    rng = np.random.default_rng(10 * p + q)
+    a = rng.normal(size=(4,) * p)
+    b = rng.normal(size=(4,) * q)
+    outer = np.multiply.outer(a, b)
+    total = p + q
+    expected = np.zeros(outer.shape)
+    for positions in itertools.combinations(range(total), p):
+        dest = list(positions) + [ax for ax in range(total) if ax not in positions]
+        expected += _perm_sign(dest) * np.moveaxis(outer, range(total), dest)
+    assert np.array_equal(wedge_arrays(a, b), expected)
+
+
 def test_wedge_dx1_with_kaehler_like_form():
     F = np.zeros((4, 4))
     F[0, 1], F[1, 0] = -1.0, 1.0

@@ -196,6 +196,15 @@ def test_cli_rejects_bad_expression(capsys):
     assert code == 2
 
 
+def test_cli_rejects_overflowing_factor(capsys):
+    code = cli.main([
+        "verify", "--manifold", "conformal_flat", "--n", "1",
+        "--f", "exp(20000*x1^2)",
+    ])
+    assert code == 2
+    assert "exp(" in capsys.readouterr().err
+
+
 def test_cli_tol_override(capsys):
     code = cli.main([
         "verify", "--manifold", "conformal_flat", "--n", "2", "--f", "exp(x1)",
