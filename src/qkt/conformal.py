@@ -32,6 +32,7 @@ from .tensor_core import (
     CoordinatePatch,
     FDScheme,
     FormField,
+    MemoizedMetric,
     exterior_derivative,
     gradient,
     wedge_arrays,
@@ -74,7 +75,7 @@ def conformal_rescale(struct: QKTStructure, f, scheme: FDScheme | None = None) -
         n=base_patch.n,
         lo=base_patch.lo,
         hi=base_patch.hi,
-        metric=new_metric,
+        metric=MemoizedMetric(new_metric),
         orientation=base_patch.orientation,
     )
     data = QuaternionicHermitianData(patch, struct.data.hyper)

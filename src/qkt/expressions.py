@@ -261,7 +261,10 @@ class Expression:
     source: str
 
     def __call__(self, point) -> float:
-        return _eval(self.ast, point)
+        value = _eval(self.ast, point)
+        if not math.isfinite(value):
+            raise ExpressionError(f"{self.source!r} evaluates to {value!r}, not a finite number")
+        return value
 
     def __str__(self) -> str:
         return _to_text(self.ast)

@@ -42,6 +42,7 @@ from .tensor_core import (
     FDScheme,
     FormField,
     TensorField,
+    antisymmetrized_gradient,
     covariant_derivative_array,
     exterior_derivative,
     gradient,
@@ -67,17 +68,22 @@ def _section2_bundle(data: QuaternionicHermitianData,
     ginv = np.linalg.inv(g)
     J = data.hyper.matrices(p)
     gamma_g = levi_civita(data.patch.metric, p, scheme)
-
-    F_fields = [kaehler_field(data, a) for a in range(3)]
     F = np.stack([g @ J[a] for a in range(3)])
-    dF = np.stack([exterior_derivative(F_fields[a], scheme)(p) for a in range(3)])
-    dF_plus = np.stack([project_plus_3form(dF[a], J[a]) for a in range(3)])
 
-    # Lee forms theta_a = (delta F_a) o J_a
     theta = np.zeros((3, data.dim))
+    dF_plus = np.zeros((3,) + (data.dim,) * 3)
+    dcF_plus = np.zeros_like(dF_plus)
     for a in range(3):
+        # one stencil of F_a serves both dF_a and nabla^g F_a
+        F_field = kaehler_field(data, a)
+        grad_f = gradient(F_field.func, p, scheme, nested=F_field.nested)
+        dF = antisymmetrized_gradient(grad_f)
+        dF_plus[a] = project_plus_3form(dF, J[a])
+        # twisted derivative d_a F_a and its (1,2)+(2,1) part
+        dcF_plus[a] = project_plus_3form(j_apply_form(J[a], dF), J[a])
+        # Lee form theta_a = (delta F_a) o J_a
         nabla_f = covariant_derivative_array(
-            gamma_g, TensorField("dd", F_fields[a].func), p, scheme
+            gamma_g, TensorField("dd", F_field.func), p, scheme, grad=grad_f
         )
         delta_f = -np.tensordot(ginv, nabla_f, axes=([0, 1], [0, 1]))
         theta[a] = delta_f @ J[a]
@@ -88,15 +94,9 @@ def _section2_bundle(data: QuaternionicHermitianData,
         for b in range(3):
             theta_cross[a, b] = -0.5 * frame_trace_pair(dF_plus[a], ginv, J[b])
 
-    # twisted derivatives d_a F_a and their (1,2)+(2,1) parts
-    dcF = np.stack([j_apply_form(J[a], dF[a]) for a in range(3)])
-    dcF_plus = np.stack([project_plus_3form(dcF[a], J[a]) for a in range(3)])
-
     bundle = {
-        "g": g, "ginv": ginv, "J": J, "gamma_g": gamma_g,
-        "F": F, "dF": dF, "dF_plus": dF_plus,
-        "theta": theta, "theta_cross": theta_cross,
-        "dcF": dcF, "dcF_plus": dcF_plus,
+        "g": g, "J": J, "F": F,
+        "theta": theta, "theta_cross": theta_cross, "dcF_plus": dcF_plus,
     }
 
     if data.n >= 2:
@@ -112,7 +112,6 @@ def _section2_bundle(data: QuaternionicHermitianData,
                 wedge_arrays(jk, F[c]) + wedge_arrays(K[a], F[b])
             )
             versions.append(t_a)
-        bundle["torsion_versions"] = versions
         bundle["torsion"] = (versions[0] + versions[1] + versions[2]) / 3.0
         bundle["alpha_agreement"] = max(
             float(np.max(np.abs(versions[i] - versions[j])))
@@ -147,12 +146,17 @@ def compute_K(data: QuaternionicHermitianData,
 
 def existence_residual(data: QuaternionicHermitianData,
                        p: np.ndarray,
-                       scheme: FDScheme) -> float:
-    """Worst defect of the pairwise compatibility condition at ``p``."""
+                       scheme: FDScheme,
+                       bundles: dict | None = None) -> float:
+    """Worst defect of the pairwise compatibility condition at ``p``.
+
+    ``bundles`` is a point-keyed memo of first-order bundles to read and fill.
+    """
     if data.n < 2:
         raise DimensionError("the existence condition applies to n >= 2 only")
     data.patch.require_interior(p, scheme.margin)
-    return _section2_bundle(data, p, scheme)["existence"]
+    bundles = {} if bundles is None else bundles
+    return _memoized(bundles, p, lambda q: _section2_bundle(data, q, scheme))["existence"]
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +200,8 @@ class QKTStructure:
 
     def bundle_at(self, p: np.ndarray) -> dict:
         """Memoized first-order bundle (n >= 2 structures carry torsion data)."""
-        key = np.asarray(p, dtype=float).tobytes()
-        store = self.caches.setdefault("bundle", {})
-        if key not in store:
-            store[key] = _section2_bundle(self.data, p, self.scheme)
-        return store[key]
+        return _memoized(self.caches.setdefault("bundle", {}), p,
+                         lambda q: _section2_bundle(self.data, q, self.scheme))
 
     def torsion_one_form_field(self) -> FormField:
         """The common 1-form J_a t_a derived from the stored torsion."""
@@ -316,6 +317,8 @@ def build_qkt(data: QuaternionicHermitianData,
     if check_points is None:
         check_points = [data.patch.center()]
 
+    # the check-point bundles seed the structure's bundle cache
+    bundle_cache: dict = {}
     worst_alg = 0.0
     worst_exist = 0.0
     for p in check_points:
@@ -323,7 +326,7 @@ def build_qkt(data: QuaternionicHermitianData,
         residuals = quaternionic_residuals(data, p)
         worst_alg = max(worst_alg, residuals["algebra"], residuals["square"],
                         residuals["hermitian"])
-        worst_exist = max(worst_exist, existence_residual(data, p, scheme))
+        worst_exist = max(worst_exist, existence_residual(data, p, scheme, bundle_cache))
     if worst_alg > ALGEBRA_TOL or worst_exist > existence_tol:
         err = NotQKTError(
             f"no compatible torsion connection: existence residual "
@@ -333,8 +336,6 @@ def build_qkt(data: QuaternionicHermitianData,
         )
         err.details = {"eq4": worst_exist, "algebra": worst_alg}
         raise err
-
-    bundle_cache: dict = {}
 
     def torsion_at(p):
         return _memoized(
@@ -376,29 +377,35 @@ def build_qkt_dim4(patch: CoordinatePatch,
 # derived quantities
 # ---------------------------------------------------------------------------
 
+def _torsion_traces(struct: QKTStructure, p: np.ndarray):
+    """Memoized read-only (t_alpha, J_a t_a, t) at ``p``, stacked over alpha."""
+
+    def compute(q):
+        T = struct.torsion(q)
+        ginv = np.linalg.inv(struct.metric_at(q))
+        t_alpha = np.zeros((3, struct.dim))
+        images = np.zeros((3, struct.dim))
+        for a in range(3):
+            J = struct.j_at(a, q)
+            t_alpha[a] = -0.5 * frame_trace_pair(T, ginv, J)
+            images[a] = j_apply_oneform(J, t_alpha[a])
+        t = images.mean(axis=0)
+        for arr in (t_alpha, images, t):
+            arr.flags.writeable = False
+        return t_alpha, images, t
+
+    return _memoized(struct.caches.setdefault("t_forms", {}), p, compute)
+
+
 def torsion_one_forms(struct: QKTStructure, p: np.ndarray):
     """(t_1, t_2, t_3, t): the torsion traces and their common J-image."""
-    T = struct.torsion(p)
-    g = struct.metric_at(p)
-    ginv = np.linalg.inv(g)
-    t_alpha = np.zeros((3, struct.dim))
-    images = np.zeros((3, struct.dim))
-    for a in range(3):
-        J = struct.j_at(a, p)
-        t_alpha[a] = -0.5 * frame_trace_pair(T, ginv, J)
-        images[a] = j_apply_oneform(J, t_alpha[a])
-    t = images.mean(axis=0)
+    t_alpha, _, t = _torsion_traces(struct, p)
     return t_alpha[0], t_alpha[1], t_alpha[2], t
 
 
 def torsion_one_form_spread(struct: QKTStructure, p: np.ndarray) -> float:
     """max_{a,b} |J_a t_a - J_b t_b| -- zero when the torsion is pure."""
-    T = struct.torsion(p)
-    ginv = np.linalg.inv(struct.metric_at(p))
-    images = []
-    for a in range(3):
-        J = struct.j_at(a, p)
-        images.append(j_apply_oneform(J, -0.5 * frame_trace_pair(T, ginv, J)))
+    _, images, _ = _torsion_traces(struct, p)
     return max(
         float(np.max(np.abs(images[i] - images[j])))
         for i in range(3) for j in range(i + 1, 3)

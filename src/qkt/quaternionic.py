@@ -124,14 +124,10 @@ def quaternionic_residuals(data: QuaternionicHermitianData, p: np.ndarray) -> di
     algebra = max(
         np.max(np.abs(J[a] @ J[b] - J[c])) for a, b, c in CYCLIC
     )
-    anticommute = max(
-        np.max(np.abs(J[a] @ J[b] + J[b] @ J[a])) for a, b, _ in CYCLIC
-    )
     hermitian = max(np.max(np.abs(J[a].T @ g @ J[a] - g)) for a in range(3))
     return {
         "square": square,
         "algebra": algebra,
-        "anticommute": anticommute,
         "hermitian": hermitian,
     }
 

@@ -340,9 +340,7 @@ def _dim4_structural(env: SuiteEnv, p, acc):
 
     # trace link between nabla T and nabla t (both via the torsion connection)
     gamma = struct.connection(p)
-    nab_T = covariant_derivative_array(
-        gamma, TensorField("ddd", struct.torsion.func, struct.torsion.nested),
-        p, scheme)
+    nab_T = _context(struct, p, scheme).nabla_T
     nab_t = covariant_derivative_array(
         gamma, TensorField("d", t_field.func, nested=True), p, scheme)
     for a in range(3):

@@ -57,13 +57,10 @@ class FDScheme:
 
     h: float = 1e-4
     h2: float = 1e-3
-    order: int = 2
 
     def __post_init__(self):
         if self.h <= 0 or self.h2 <= 0:
             raise ValueError("finite-difference steps must be positive")
-        if self.order != 2:
-            raise ValueError("only the order-2 central scheme is implemented")
 
     def step(self, nested: bool) -> float:
         return self.h2 if nested else self.h
@@ -234,6 +231,14 @@ def gradient(field: Callable[[np.ndarray], np.ndarray],
 # exterior calculus
 # ---------------------------------------------------------------------------
 
+def antisymmetrized_gradient(grad: np.ndarray) -> np.ndarray:
+    """d(omega) from the gradient of a k-form, derivative axis first."""
+    out = grad.copy()
+    for j in range(1, grad.ndim):
+        out += ((-1.0) ** j) * np.moveaxis(grad, 0, j)
+    return out
+
+
 def exterior_derivative(omega: FormField, scheme: FDScheme) -> FormField:
     """d(omega); the result's evaluations run finite differences."""
 
@@ -241,11 +246,8 @@ def exterior_derivative(omega: FormField, scheme: FDScheme) -> FormField:
         k = _omega.degree
         if k >= len(p):
             raise DegreeError(f"cannot raise degree {k} past the dimension {len(p)}")
-        grad = gradient(_omega.func, p, _scheme, nested=_omega.nested)
-        out = grad.copy()
-        for j in range(1, k + 1):
-            out += ((-1.0) ** j) * np.moveaxis(grad, 0, j)
-        return out
+        return antisymmetrized_gradient(
+            gradient(_omega.func, p, _scheme, nested=_omega.nested))
 
     return FormField(omega.degree + 1, d_at, nested=True)
 
@@ -351,10 +353,49 @@ def hodge_star_4d(omega: FormField,
 # metric machinery
 # ---------------------------------------------------------------------------
 
+class MemoizedMetric:
+    """A metric field that evaluates each point once.
+
+    ``g(p)`` is kept per point and the Christoffel symbols per (point,
+    scheme), which :func:`levi_civita` reads through.  Stored arrays are
+    read-only, so a caller cannot alter what later callers receive.
+    """
+
+    __slots__ = ("func", "_g", "_gamma")
+
+    def __init__(self, func: Callable[[np.ndarray], np.ndarray]):
+        self.func = func
+        self._g: dict = {}
+        self._gamma: dict = {}
+
+    def __call__(self, p: np.ndarray) -> np.ndarray:
+        key = np.asarray(p, dtype=float).tobytes()
+        g = self._g.get(key)
+        if g is None:
+            g = np.array(self.func(p), dtype=float)
+            g.flags.writeable = False
+            self._g[key] = g
+        return g
+
+
 def levi_civita(metric: Callable[[np.ndarray], np.ndarray],
                 p: np.ndarray,
                 scheme: FDScheme) -> np.ndarray:
     """Christoffel symbols Gamma[l, i, j] of the metric field at ``p``."""
+    if isinstance(metric, MemoizedMetric):
+        key = (np.asarray(p, dtype=float).tobytes(), scheme)
+        gamma = metric._gamma.get(key)
+        if gamma is None:
+            gamma = _christoffel(metric, p, scheme)
+            gamma.flags.writeable = False
+            metric._gamma[key] = gamma
+        return gamma
+    return _christoffel(metric, p, scheme)
+
+
+def _christoffel(metric: Callable[[np.ndarray], np.ndarray],
+                 p: np.ndarray,
+                 scheme: FDScheme) -> np.ndarray:
     g = np.asarray(metric(p), dtype=float)
     if np.linalg.eigvalsh(g)[0] < MIN_METRIC_EIGENVALUE:
         raise DegenerateMetricError(f"metric nearly degenerate at {p}")
@@ -375,9 +416,13 @@ def levi_civita_field(patch: CoordinatePatch, scheme: FDScheme) -> ConnectionFie
 def covariant_derivative_array(gamma: np.ndarray,
                                tensor: TensorField,
                                p: np.ndarray,
-                               scheme: FDScheme) -> np.ndarray:
-    """Components of nabla(tensor) at ``p``; derivative axis comes first."""
-    out = gradient(tensor.func, p, scheme, nested=tensor.nested)
+                               scheme: FDScheme,
+                               grad: np.ndarray | None = None) -> np.ndarray:
+    """Components of nabla(tensor) at ``p``; derivative axis comes first.
+
+    ``grad`` may supply the tensor's already computed :func:`gradient` at ``p``.
+    """
+    out = gradient(tensor.func, p, scheme, nested=tensor.nested) if grad is None else grad.copy()
     base = tensor(p)
     for slot, variance in enumerate(tensor.signature):
         if variance == "u":

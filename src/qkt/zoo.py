@@ -16,7 +16,13 @@ from .quaternionic import (
     build_standard_hypercomplex,
     rotated_hypercomplex,
 )
-from .tensor_core import CoordinatePatch, FDScheme, FormField, constant_form
+from .tensor_core import (
+    CoordinatePatch,
+    FDScheme,
+    FormField,
+    MemoizedMetric,
+    constant_form,
+)
 
 KINDS = ("flat", "conformal_flat", "dim4_torsion", "hopf_local")
 
@@ -205,7 +211,7 @@ def build_manifold(spec: ManifoldSpec,
         def metric(p, _f=factor, _d=spec.dim):
             return _f.value(p) * np.eye(_d)
 
-        patch = CoordinatePatch(n=spec.n, lo=lo, hi=hi, metric=metric)
+        patch = CoordinatePatch(n=spec.n, lo=lo, hi=hi, metric=MemoizedMetric(metric))
         data = QuaternionicHermitianData(patch, _hypercomplex(spec))
         return build_qkt(data, scheme, check_points=check_points)
 

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import qkt.qkt_connection as qkt_connection
 from qkt.errors import DimensionError, NotQKTError
 from qkt.qkt_connection import (
+    _section2_bundle,
     auxiliary_one_forms,
     build_qkt,
     build_qkt_dim4,
@@ -19,17 +23,24 @@ from qkt.quaternionic import (
     CYCLIC,
     QuaternionicHermitianData,
     build_standard_hypercomplex,
+    cross_lee_form,
+    j_apply_form,
     j_apply_oneform,
+    kaehler_field,
+    lee_form,
     nijenhuis_bracket,
+    project_plus_3form,
     rotated_hypercomplex,
 )
 from qkt.tensor_core import (
     CoordinatePatch,
     FDScheme,
     FormField,
+    MemoizedMetric,
     TensorField,
     constant_form,
     covariant_derivative_array,
+    exterior_derivative,
     levi_civita,
     wedge_arrays,
 )
@@ -122,6 +133,51 @@ def test_existence_residual_detects_incompatible_j2():
     data = QuaternionicHermitianData(
         conformal_data().patch, rotated_hypercomplex(2, 5.0))
     assert existence_residual(data, POINT8, SCHEME) > 1e-2
+
+
+@pytest.mark.parametrize("memoized", [False, True])
+def test_bundle_matches_standalone_formulas_exactly(memoized):
+    # one stencil of F_a feeds both dF_a and nabla^g F_a: the shared gradient
+    # must reproduce the separate exterior-derivative and Lee-form paths bit for bit
+    data = conformal_data()
+    if memoized:
+        patch = dataclasses.replace(data.patch, metric=MemoizedMetric(data.patch.metric))
+        data = QuaternionicHermitianData(patch, data.hyper)
+    bundle = _section2_bundle(data, POINT8, SCHEME)
+    J = bundle["J"]
+    for a in range(3):
+        dF = exterior_derivative(kaehler_field(data, a), SCHEME)(POINT8)
+        assert np.array_equal(bundle["dcF_plus"][a],
+                              project_plus_3form(j_apply_form(J[a], dF), J[a]))
+        assert np.array_equal(bundle["theta"][a], lee_form(data, a, POINT8, SCHEME))
+        for b in range(3):
+            assert np.array_equal(bundle["theta_cross"][a, b],
+                                  cross_lee_form(data, a, b, POINT8, SCHEME))
+
+
+def test_bundle_keeps_only_the_keys_read_elsewhere(conformal_struct, sine_dim4):
+    common = {"g", "J", "F", "theta", "theta_cross", "dcF_plus"}
+    assert set(conformal_struct.bundle_at(POINT8)) == common | {
+        "K", "torsion", "alpha_agreement", "existence"}
+    assert set(sine_dim4.bundle_at(POINT4)) == common
+
+
+def test_build_reuses_check_point_bundles(monkeypatch):
+    built = []
+    original = qkt_connection._section2_bundle
+
+    def counting(data, p, scheme):
+        built.append(np.asarray(p).tobytes())
+        return original(data, p, scheme)
+
+    monkeypatch.setattr(qkt_connection, "_section2_bundle", counting)
+    points = [POINT8, -POINT8]
+    struct = build_qkt(conformal_data(), SCHEME, check_points=points)
+    assert len(built) == 2
+    for p in points:
+        struct.torsion(p)
+        assert struct.bundle_at(p)["existence"] <= 1e-4
+    assert len(built) == 2
 
 
 def test_existence_residual_rejects_dim4():
@@ -294,6 +350,15 @@ def test_torsion_one_form_conformal_value(conformal_struct):
 def test_common_one_form_spread(conformal_struct, sine_dim4):
     assert torsion_one_form_spread(conformal_struct, POINT8) <= 1e-8
     assert torsion_one_form_spread(sine_dim4, POINT4) <= 1e-8
+
+
+def test_torsion_one_forms_memoized_read_only(conformal_struct):
+    first = torsion_one_forms(conformal_struct, POINT8)
+    again = torsion_one_forms(conformal_struct, POINT8.copy())
+    assert all(np.shares_memory(x, y) for x, y in zip(first, again))
+    for value in first:
+        with pytest.raises(ValueError):
+            value[0] = 1.0
 
 
 def test_sp1_forms_flat(flat_struct_n2):

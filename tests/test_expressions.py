@@ -57,6 +57,13 @@ def test_overflow_and_zero_power_at_evaluation(text):
         parse_expression(text)(point)
 
 
+@pytest.mark.parametrize("text", ["exp(700)*exp(700)*x1", "exp(700)*exp(700)*(x1-x1)",
+                                  "1e308 + 1e308"])
+def test_non_finite_result_at_evaluation(text):
+    with pytest.raises(ExpressionError):
+        parse_expression(text)(np.array([0.5]))
+
+
 ROUND_TRIP_CORPUS = [
     "exp(x1)", "1+x1^2+x3^2", "1/(x1^2+x2^2+x3^2+x4^2)", "sin(x2)",
     "cos(x3)*sin(x4)", "sqrt(1+x1^2)", "x1*x2*x3", "x1/(1+x2^2)",

@@ -12,12 +12,15 @@ from qkt.tensor_core import (
     CoordinatePatch,
     FDScheme,
     FormField,
+    MemoizedMetric,
     TensorField,
+    antisymmetrized_gradient,
     codifferential,
     constant_form,
     covariant_derivative,
     covariant_derivative_array,
     exterior_derivative,
+    gradient,
     hodge_star_array,
     hodge_star_4d,
     levi_civita,
@@ -68,8 +71,6 @@ def test_partial_derivative_matches_analytic_exponential():
 def test_scheme_validation():
     with pytest.raises(ValueError):
         FDScheme(h=-1e-4)
-    with pytest.raises(ValueError):
-        FDScheme(order=4)
 
 
 def test_boundary_guard():
@@ -387,3 +388,62 @@ def test_patch_validation():
         metric=lambda p: np.diag([1.0, 1.0, 1.0, -1.0]))
     with pytest.raises(DegenerateMetricError):
         patch.validate_metric_at(np.zeros(4))
+
+
+# ---------------------------------------------------------------------------
+# memoized metric fields and shared stencils
+# ---------------------------------------------------------------------------
+
+def _conformal_metric(calls):
+    def metric(p):
+        calls.append(np.asarray(p, dtype=float).tobytes())
+        return np.exp(p[0] + 0.5 * p[2]) * np.eye(4)
+
+    return metric
+
+
+def test_memoized_metric_evaluates_each_point_once():
+    calls = []
+    memo = MemoizedMetric(_conformal_metric(calls))
+    p = np.array([0.1, -0.2, 0.3, 0.05])
+    first = memo(p)
+    assert memo(p.copy()) is first
+    gamma = levi_civita(memo, p, SCHEME)
+    assert levi_civita(memo, p, SCHEME) is gamma
+    # a second scheme differentiates on other stencil points
+    levi_civita(memo, p, FDScheme(h=2e-4))
+    assert len(calls) == len(set(calls)) == 1 + 2 * 4 + 2 * 4
+
+
+def test_memoized_metric_matches_plain_field_exactly():
+    plain = _conformal_metric([])
+    memo = MemoizedMetric(_conformal_metric([]))
+    p = np.array([0.1, -0.2, 0.3, 0.05])
+    assert np.array_equal(memo(p), plain(p))
+    assert np.array_equal(levi_civita(memo, p, SCHEME), levi_civita(plain, p, SCHEME))
+
+
+def test_memoized_values_are_read_only():
+    memo = MemoizedMetric(_conformal_metric([]))
+    p = np.array([0.1, -0.2, 0.3, 0.05])
+    with pytest.raises(ValueError):
+        memo(p)[0, 0] = 2.0
+    gamma = levi_civita(memo, p, SCHEME)
+    with pytest.raises(ValueError):
+        gamma += 1.0
+    assert np.array_equal(gamma, levi_civita(memo, p, SCHEME))
+
+
+def test_shared_gradient_gives_identical_derivatives():
+    omega = FormField(2, lambda q: np.outer(q, q[::-1]) - np.outer(q[::-1], q))
+    p = np.array([0.1, -0.2, 0.3, 0.05])
+    grad = gradient(omega.func, p, SCHEME)
+    assert np.array_equal(antisymmetrized_gradient(grad),
+                          exterior_derivative(omega, SCHEME)(p))
+    gamma = levi_civita(_conformal_metric([]), p, SCHEME)
+    field = TensorField("dd", omega.func)
+    before = grad.copy()
+    assert np.array_equal(
+        covariant_derivative_array(gamma, field, p, SCHEME, grad=grad),
+        covariant_derivative_array(gamma, field, p, SCHEME))
+    assert np.array_equal(grad, before)

@@ -5,6 +5,7 @@ import pytest
 
 import qkt.cli as cli
 from qkt.errors import DimensionError
+from qkt.expressions import Expression
 from qkt.suite import CATALOGUE, run_suite
 from qkt.zoo import ManifoldSpec, build_manifold, halton_points, sample_points
 
@@ -160,6 +161,25 @@ def test_corrupted_structure_reports_failure():
     assert row.max_residual > 1e-2
 
 
+@pytest.mark.parametrize("suite", ["connection", "curvature"])
+def test_metric_expression_evaluated_once_per_point(monkeypatch, suite):
+    # neither suite evaluates the conformal factor outside the metric, so
+    # every expression call here comes from the memoized patch metric
+    calls = []
+    original = Expression.__call__
+
+    def recording(self, point):
+        calls.append((id(self), np.asarray(point, dtype=float).tobytes()))
+        return original(self, point)
+
+    monkeypatch.setattr(Expression, "__call__", recording)
+    spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=2, seed=3)
+    report = run_suite(spec, suite)
+    assert report.all_pass
+    assert len({owner for owner, _ in calls}) == 1
+    assert len(calls) == len(set(calls)) > 100
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -203,6 +223,16 @@ def test_cli_rejects_overflowing_factor(capsys):
     ])
     assert code == 2
     assert "exp(" in capsys.readouterr().err
+
+
+def test_cli_rejects_overflowing_torsion_product(capsys):
+    # a float product that overflows to inf must not turn into 0.0 residuals
+    code = cli.main([
+        "verify", "--manifold", "dim4_torsion", "--n", "1",
+        "--t", "exp(700)*exp(700)*x1,0,0,0", "--points", "2",
+    ])
+    assert code == 2
+    assert "not a finite number" in capsys.readouterr().err
 
 
 def test_cli_tol_override(capsys):
