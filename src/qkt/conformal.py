@@ -21,21 +21,22 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GeometryError
+from .curvature import _context
 from .qkt_connection import (
     QKTStructure,
     _assemble,
     auxiliary_one_forms,
     torsion_one_forms,
 )
-from .quaternionic import CYCLIC, QuaternionicHermitianData, j_apply_oneform
+from .quaternionic import CYC_A, CYC_B, CYC_C, QuaternionicHermitianData, j_apply_oneform
 from .tensor_core import (
     CoordinatePatch,
     FDScheme,
-    FormField,
     MemoizedMetric,
-    exterior_derivative,
+    antisymmetrized_gradient,
     gradient,
     wedge_arrays,
+    worst,
 )
 
 MIN_FACTOR = 1e-8
@@ -83,11 +84,8 @@ def conformal_rescale(struct: QKTStructure, f, scheme: FDScheme | None = None) -
     def torsion_at(p):
         g = np.asarray(base_metric(p), dtype=float)
         J = struct.data.hyper.matrices(p)
-        df = factor.grad(p, scheme)
-        out = factor.value(p) * struct.torsion(p)
-        for a in range(3):
-            out = out + wedge_arrays(j_apply_oneform(J[a], df), g @ J[a])
-        return out
+        w = wedge_arrays(j_apply_oneform(J, factor.grad(p, scheme)), g @ J, stack=1)
+        return factor.value(p) * struct.torsion(p) + w[0] + w[1] + w[2]
 
     rescaled = _assemble(data, torsion_at, scheme, kind=f"rescaled-{struct.kind}")
     rescaled.caches["conformal_base"] = struct
@@ -122,10 +120,8 @@ def conformal_law_residuals(struct: QKTStructure,
     if n < 2:
         out["z3_K"] = None
 
-    t_base_field = base.torsion_one_form_field()
-    t_bar_field = barred.torsion_one_form_field()
-    dt_base = exterior_derivative(t_base_field, scheme)
-    dt_bar = exterior_derivative(t_bar_field, scheme)
+    def acc(key, residual):
+        out[key] = worst(out[key], np.max(np.abs(residual)))
 
     for p in points:
         fval = factor.value(p)
@@ -135,53 +131,33 @@ def conformal_law_residuals(struct: QKTStructure,
         bun1 = barred.bundle_at(p)
         J = bun0["J"]
         g = bun0["g"]
-        F = bun0["F"]
+        # (J_a df) ^ F_a, stacked over a
+        wedges = wedge_arrays(j_apply_oneform(J, df), bun0["F"], stack=1)
 
         # d_a F_a^+ law
-        for a in range(3):
-            predicted = wedge_arrays(j_apply_oneform(J[a], df), F[a]) \
-                + fval * bun0["dcF_plus"][a]
-            out["z2_dcf"] = max(out["z2_dcf"], float(np.max(np.abs(
-                bun1["dcF_plus"][a] - predicted))))
+        acc("z2_dcf", bun1["dcF_plus"] - (wedges + fval * bun0["dcF_plus"]))
 
         # Lee forms and cross Lee forms
-        for a, b, c in CYCLIC:
-            out["z2_theta"] = max(out["z2_theta"], float(np.max(np.abs(
-                bun1["theta"][a] - bun0["theta"][a] - (2 * n - 1) * dlnf))))
-            out["z2_cross"] = max(out["z2_cross"], float(np.max(np.abs(
-                bun1["theta_cross"][a, c] - bun0["theta_cross"][a, c]
-                + j_apply_oneform(J[b], dlnf)))))
-
+        acc("z2_theta", bun1["theta"] - bun0["theta"] - (2 * n - 1) * dlnf)
+        acc("z2_cross", bun1["theta_cross"][CYC_A, CYC_C] - bun0["theta_cross"][CYC_A, CYC_C]
+            + j_apply_oneform(J[CYC_B], dlnf))
         if n >= 2:
-            for a, b, c in CYCLIC:
-                out["z3_K"] = max(out["z3_K"], float(np.max(np.abs(
-                    bun1["K"][a] - bun0["K"][a]
-                    + 2.0 * j_apply_oneform(J[b], dlnf)))))
+            acc("z3_K", bun1["K"] - bun0["K"] + 2.0 * j_apply_oneform(J[CYC_B], dlnf))
 
-        aux0 = auxiliary_one_forms(base, p)
-        aux1 = auxiliary_one_forms(barred, p)
-        out["z3_A"] = max(out["z3_A"], float(np.max(np.abs(aux1.A - aux0.A))))
+        acc("z3_A", auxiliary_one_forms(barred, p).A - auxiliary_one_forms(base, p).A)
 
         omegas0, _ = base.caches["omega_bundle"](p)
         omegas1, _ = barred.caches["omega_bundle"](p)
-        for a in range(3):
-            out["z3_omega"] = max(out["z3_omega"], float(np.max(np.abs(
-                omegas1[a] - omegas0[a] + j_apply_oneform(J[a], dlnf)))))
+        acc("z3_omega", omegas1 - omegas0 + j_apply_oneform(J, dlnf))
 
-        predicted_T = fval * base.torsion(p)
-        for a in range(3):
-            predicted_T = predicted_T + wedge_arrays(
-                j_apply_oneform(J[a], df), F[a])
-        out["z4"] = max(out["z4"], float(np.max(np.abs(
-            barred.torsion(p) - predicted_T))))
+        acc("z4", barred.torsion(p)
+            - (fval * base.torsion(p) + wedges[0] + wedges[1] + wedges[2]))
 
         *_, t0 = torsion_one_forms(base, p)
         *_, t1 = torsion_one_forms(barred, p)
-        out["z5"] = max(out["z5"], float(np.max(np.abs(
-            t1 - t0 + (2 * n + 1) * dlnf))))
+        acc("z5", t1 - t0 + (2 * n + 1) * dlnf)
 
-        out["dt_invariance"] = max(out["dt_invariance"], float(np.max(np.abs(
-            dt_bar(p) - dt_base(p)))))
+        acc("dt_invariance", _context(barred, p, scheme).dt - _context(base, p, scheme).dt)
 
         # connection transport law
         gamma0 = base.connection(p)
@@ -193,11 +169,8 @@ def conformal_law_residuals(struct: QKTStructure,
             + np.einsum("j,im->ijm", df, g)
             - np.einsum("m,ij->ijm", df, g)
         )
-        wedge_part = np.zeros_like(lowered0)
-        for a in range(3):
-            wedge_part += wedge_arrays(j_apply_oneform(J[a], df), F[a])
-        predicted = fval * lowered0 + sym + 0.5 * wedge_part
-        out["z1"] = max(out["z1"], float(np.max(np.abs(lowered1 - predicted))))
+        predicted = fval * lowered0 + sym + 0.5 * (wedges[0] + wedges[1] + wedges[2])
+        acc("z1", lowered1 - predicted)
 
     return out
 
@@ -209,29 +182,21 @@ def lcqk_residual(struct: QKTStructure, p: np.ndarray, scheme: FDScheme | None =
     torsion 1-form.  In dimension 4 the shape part vanishes identically,
     so only |dt| is informative there.
     """
-    scheme = scheme or struct.scheme
-    t1, t2, t3, _ = torsion_one_forms(struct, p)
-    g = struct.metric_at(p)
-    shape = np.zeros_like(struct.torsion(p))
-    for a, t_a in enumerate((t1, t2, t3)):
-        shape = shape + wedge_arrays(t_a, g @ struct.j_at(a, p))
-    shape_residual = float(np.max(np.abs(
-        struct.torsion(p) - shape / (2.0 * struct.n + 1.0))))
-    dt = exterior_derivative(struct.torsion_one_form_field(), scheme)(p)
-    return max(shape_residual, float(np.max(np.abs(dt))))
+    t_alpha = np.stack(torsion_one_forms(struct, p)[:3])
+    w = wedge_arrays(t_alpha, struct.metric_at(p) @ struct.data.hyper.matrices(p), stack=1)
+    shape_residual = np.max(np.abs(
+        struct.torsion(p) - (w[0] + w[1] + w[2]) / (2.0 * struct.n + 1.0)))
+    return worst(shape_residual, np.max(np.abs(_context(struct, p, scheme).dt)))
 
 
 def lchkt_residual(struct: QKTStructure, p: np.ndarray, scheme: FDScheme | None = None) -> float:
     """max_a |d(theta_a - J_b theta_{a,c})| -- zero for locally conformal
     structures with all three complex structures integrable."""
-    scheme = scheme or struct.scheme
-    worst = 0.0
-    for a, b, c in CYCLIC:
-        def candidate(q, _a=a, _b=b, _c=c):
-            bundle = struct.bundle_at(q)
-            return bundle["theta"][_a] - j_apply_oneform(
-                bundle["J"][_b], bundle["theta_cross"][_a, _c])
+    def candidates(q):
+        bundle = struct.bundle_at(q)
+        J, cross = bundle["J"], bundle["theta_cross"]
+        return bundle["theta"] - j_apply_oneform(J[CYC_B], cross[CYC_A, CYC_C])
 
-        d_cand = exterior_derivative(FormField(1, candidate, nested=True), scheme)(p)
-        worst = max(worst, float(np.max(np.abs(d_cand))))
-    return worst
+    # one stencil of the three candidates
+    grad = gradient(candidates, p, scheme or struct.scheme, nested=True)
+    return float(np.max(np.abs(antisymmetrized_gradient(np.moveaxis(grad, 0, 1), degree=1))))

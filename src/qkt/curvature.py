@@ -23,17 +23,18 @@ import numpy as np
 
 from .errors import DimensionError
 from .qkt_connection import QKTStructure, torsion_one_forms
-from .quaternionic import CYCLIC, frame_trace_pair
+from .quaternionic import CYC_B, CYC_C, frame_trace_pair
 from .tensor_core import (
     ConnectionField,
     FDScheme,
     TensorField,
-    codifferential,
+    antisymmetrized_gradient,
     covariant_derivative_array,
-    exterior_derivative,
     gradient,
     levi_civita,
     levi_civita_field,
+    trace_codifferential,
+    wedge_arrays,
 )
 
 
@@ -85,10 +86,7 @@ def ricci_forms(curv: CurvatureValue,
                 p: np.ndarray) -> np.ndarray:
     """The three Ricci 2-forms rho[a, X, Y] of a curvature value."""
     ginv = np.linalg.inv(np.asarray(metric(p), dtype=float))
-    J = hyper.matrices(p)
-    return np.stack([
-        0.5 * frame_trace_pair(curv.R4, ginv, J[a]) for a in range(3)
-    ])
+    return 0.5 * frame_trace_pair(curv.R4[None], ginv, hyper.matrices(p))
 
 
 def ricci_tensor(curv: CurvatureValue) -> np.ndarray:
@@ -130,7 +128,7 @@ class _CurvatureContext:
 
     @property
     def F(self):
-        return self._get("F", lambda: np.stack([self.g @ self.J[a] for a in range(3)]))
+        return self._get("F", lambda: self.g @ self.J)
 
     @property
     def T(self):
@@ -162,25 +160,39 @@ class _CurvatureContext:
         return self._get("Ric_g", lambda: ricci_tensor(self.curv_g))
 
     @property
+    def gamma_g(self):
+        return self._get("gamma_g", lambda: levi_civita(
+            self.struct.data.patch.metric, self.p, self.scheme))
+
+    def _nabla(self, gamma, field, grad):
+        return covariant_derivative_array(gamma, field, self.p, self.scheme, grad=grad)
+
+    def _torsion_derivatives(self) -> dict:
+        """dT, nabla T and nabla^g T, computed together from one stencil of T."""
+
+        def compute():
+            T = self.struct.torsion
+            grad = gradient(T.func, self.p, self.scheme, nested=T.nested)
+            field = TensorField("ddd", T.func, T.nested)
+            return {"dT4": antisymmetrized_gradient(grad),
+                    "nabla_T": self._nabla(self.struct.connection(self.p), field, grad),
+                    "nabla_g_T": self._nabla(self.gamma_g, field, grad)}
+
+        return self._get("T_derivatives", compute)
+
+    @property
     def nabla_T(self):
         """(nabla_X T)(Y, Z, U) under the torsion connection."""
-        return self._get("nabla_T", lambda: covariant_derivative_array(
-            self.struct.connection(self.p),
-            TensorField("ddd", self.struct.torsion.func, self.struct.torsion.nested),
-            self.p, self.scheme))
+        return self._torsion_derivatives()["nabla_T"]
 
     @property
     def nabla_g_T(self):
         """(nabla^g_X T)(Y, Z, U) under Levi-Civita."""
-        return self._get("nabla_g_T", lambda: covariant_derivative_array(
-            levi_civita(self.struct.data.patch.metric, self.p, self.scheme),
-            TensorField("ddd", self.struct.torsion.func, self.struct.torsion.nested),
-            self.p, self.scheme))
+        return self._torsion_derivatives()["nabla_g_T"]
 
     @property
     def dT4(self):
-        return self._get("dT4", lambda: exterior_derivative(
-            self.struct.torsion, self.scheme)(self.p))
+        return self._torsion_derivatives()["dT4"]
 
     @property
     def gTT(self):
@@ -192,35 +204,38 @@ class _CurvatureContext:
     @property
     def P(self):
         """P[a, x, y] = rho_a(X, J_a Y)."""
-        return self._get("P", lambda: np.stack([
-            np.einsum("xm,my->xy", self.rho[a], self.J[a]) for a in range(3)
-        ]))
+        return self._get("P", lambda: self.rho @ self.J)
 
     @property
     def dTa(self):
         """dTa[a, x, y] = sum_i dT(X, Y, e_i, J_a e_i)."""
-        return self._get("dTa", lambda: np.stack([
-            frame_trace_pair(self.dT4, self.ginv, self.J[a]) for a in range(3)
-        ]))
+        return self._get("dTa", lambda: frame_trace_pair(self.dT4[None], self.ginv, self.J))
 
     @property
     def nabla_Ta(self):
         """nabla_Ta[a, x, y] = sum_i (nabla_X T)(Y, e_i, J_a e_i)."""
-        return self._get("nabla_Ta", lambda: np.stack([
-            frame_trace_pair(self.nabla_T, self.ginv, self.J[a]) for a in range(3)
-        ]))
+        return self._get("nabla_Ta", lambda: frame_trace_pair(
+            self.nabla_T[None], self.ginv, self.J))
 
     @property
     def t(self):
         return self._get("t", lambda: torsion_one_forms(self.struct, self.p)[3])
 
     @property
+    def grad_t(self):
+        """The one stencil of the torsion 1-form behind dt, nabla t and nabla^g t."""
+        return self._get("grad_t", lambda: gradient(
+            self.struct.torsion_one_form_field().func, self.p, self.scheme, nested=True))
+
+    def nabla_t(self, gamma):
+        """(nabla_X t)(Y) as a (d, d) matrix under the connection ``gamma``."""
+        return self._nabla(gamma, TensorField("d", self.struct.torsion_one_form_field().func,
+                                              nested=True), self.grad_t)
+
+    @property
     def nabla_g_t(self):
         """(nabla^g_X t)(Y) as a (d, d) matrix."""
-        return self._get("nabla_g_t", lambda: covariant_derivative_array(
-            levi_civita(self.struct.data.patch.metric, self.p, self.scheme),
-            TensorField("d", self.struct.torsion_one_form_field().func, nested=True),
-            self.p, self.scheme))
+        return self._get("nabla_g_t", lambda: self.nabla_t(self.gamma_g))
 
     @property
     def delta_t(self) -> float:
@@ -229,8 +244,7 @@ class _CurvatureContext:
 
     @property
     def dt(self):
-        return self._get("dt", lambda: exterior_derivative(
-            self.struct.torsion_one_form_field(), self.scheme)(self.p))
+        return self._get("dt", lambda: antisymmetrized_gradient(self.grad_t))
 
 
 def _context(struct: QKTStructure, p: np.ndarray, scheme: FDScheme | None) -> _CurvatureContext:
@@ -262,24 +276,19 @@ def sp1_curvature_residuals(struct: QKTStructure,
     """
     ctx = _context(struct, p, scheme)
     n = struct.n
-    eq11 = 0.0
-    R13 = ctx.curv.R13
-    for a, b, c in CYCLIC:
-        lie = np.einsum("lmij,mk->lkij", R13, ctx.J[a]) \
-            - np.einsum("lm,mkij->lkij", ctx.J[a], R13)
-        rhs = (np.einsum("ij,lk->lkij", ctx.rho[c], ctx.J[b])
-               - np.einsum("ij,lk->lkij", ctx.rho[b], ctx.J[c])) / n
-        eq11 = max(eq11, float(np.max(np.abs(lie - rhs))))
+    R13, J, rho = ctx.curv.R13, ctx.J, ctx.rho
+    lie = np.einsum("lmij,amk->alkij", R13, J) - np.einsum("alm,mkij->alkij", J, R13)
+    rhs = (np.einsum("aij,alk->alkij", rho[CYC_C], J[CYC_B])
+           - np.einsum("aij,alk->alkij", rho[CYC_B], J[CYC_C])) / n
+    eq11 = float(np.max(np.abs(lie - rhs)))
 
-    omegas, _ = struct.caches["omega_bundle"](p)
-    scheme_eff = scheme or struct.scheme
-    eq12 = 0.0
-    for a, b, c in CYCLIC:
-        omega_field = struct.sp1_forms[a]
-        d_omega = exterior_derivative(omega_field, scheme_eff)(p)
-        wedge_bc = np.outer(omegas[b], omegas[c]) - np.outer(omegas[c], omegas[b])
-        eq12 = max(eq12, float(np.max(np.abs(
-            ctx.rho[a] - n * (d_omega + wedge_bc)))))
+    omega_bundle = struct.caches["omega_bundle"]
+    omegas, _ = omega_bundle(p)
+    # one stencil of the three sp(1) forms
+    grad = gradient(lambda q: omega_bundle(q)[0], p, scheme or struct.scheme, nested=True)
+    d_omega = antisymmetrized_gradient(np.moveaxis(grad, 0, 1), degree=1)
+    wedge_bc = wedge_arrays(omegas[CYC_B], omegas[CYC_C], stack=1)
+    eq12 = float(np.max(np.abs(rho - n * (d_omega + wedge_bc))))
     return {"eq11": eq11, "eq12": eq12}
 
 
@@ -330,7 +339,7 @@ def bianchi_and_symmetry_residuals(struct: QKTStructure,
     sof = float(np.max(np.abs(ctx.nabla_g_T - (nab + 0.5 * cyc_gtt))))
 
     # Ric(X,Y) - Ric(Y,X) = -delta T(X,Y)
-    delta_T = codifferential(struct.torsion, struct.data.patch.metric, p, scheme_eff)
+    delta_T = trace_codifferential(ctx.nabla_g_T, ctx.ginv)
     remark3 = float(np.max(np.abs(ctx.Ric - ctx.Ric.T + delta_T)))
 
     return {"eq13": eq13, "eq14": eq14, "eq15": eq15,
@@ -351,29 +360,21 @@ def trace_identity_residuals(struct: QKTStructure,
     n = struct.n
     P, dTa, nTa = ctx.P, ctx.dTa, ctx.nabla_Ta
 
-    dTa_j = np.stack([dTa[a] @ ctx.J[a] for a in range(3)])
-    nTa_j = np.stack([nTa[a] @ ctx.J[a] for a in range(3)])
+    dTa_j = dTa @ ctx.J
+    nTa_j = nTa @ ctx.J
 
-    ti20 = 0.0
-    for a, b, c in CYCLIC:
-        lhs = n * P[a] + P[b] + P[c]
-        rhs = -n * ctx.Ric + (n / 4.0) * dTa_j[a] + (n / 2.0) * nTa_j[a]
-        ti20 = max(ti20, float(np.max(np.abs(lhs - rhs))))
-
-    out = {"ti20": ti20}
+    lhs = n * P + P[CYC_B] + P[CYC_C]
+    rhs = -n * ctx.Ric + (n / 4.0) * dTa_j + (n / 2.0) * nTa_j
+    out = {"ti20": float(np.max(np.abs(lhs - rhs)))}
     if n >= 2:
-        eq22 = 0.0
-        for a, b, c in CYCLIC:
-            lhs = (n - 1.0) * P[a]
-            rhs = (
-                -(n * (n - 1.0) / (n + 2.0)) * ctx.Ric
-                + (n / (4.0 * (n + 2.0))) * (
-                    (n + 1.0) * dTa_j[a] - dTa_j[b] - dTa_j[c])
-                + (n / (2.0 * (n + 2.0))) * (
-                    (n + 1.0) * nTa_j[a] - nTa_j[b] - nTa_j[c])
-            )
-            eq22 = max(eq22, float(np.max(np.abs(lhs - rhs))))
-        out["eq22"] = eq22
+        rhs = (
+            -(n * (n - 1.0) / (n + 2.0)) * ctx.Ric
+            + (n / (4.0 * (n + 2.0))) * (
+                (n + 1.0) * dTa_j - dTa_j[CYC_B] - dTa_j[CYC_C])
+            + (n / (2.0 * (n + 2.0))) * (
+                (n + 1.0) * nTa_j - nTa_j[CYC_B] - nTa_j[CYC_C])
+        )
+        out["eq22"] = float(np.max(np.abs((n - 1.0) * P - rhs)))
 
     lam = float(np.einsum("axy,xy->", P, ctx.g) / (3.0 * np.einsum("xy,xy->", ctx.g, ctx.g)))
     fit = float(np.max(np.abs(P - lam * ctx.g[None, :, :])))
@@ -388,15 +389,9 @@ def dT_trace_equalities(struct: QKTStructure,
     """Trace consequences of a (2,2)-type dT: equality of the three traces
     and their (1,1)-form property."""
     ctx = _context(struct, p, scheme)
-    dTa_j = np.stack([ctx.dTa[a] @ ctx.J[a] for a in range(3)])
-    eq24 = max(
-        float(np.max(np.abs(dTa_j[i] - dTa_j[j])))
-        for i in range(3) for j in range(i + 1, 3)
-    )
-    eq24p = max(
-        float(np.max(np.abs(dTa_j[a] + ctx.J[a].T @ ctx.dTa[a])))
-        for a in range(3)
-    )
+    dTa_j = ctx.dTa @ ctx.J
+    eq24 = float(np.max(np.abs(dTa_j - dTa_j[CYC_B])))
+    eq24p = float(np.max(np.abs(dTa_j + np.swapaxes(ctx.J, 1, 2) @ ctx.dTa)))
     return {"eq24": eq24, "eq24_prime": eq24p}
 
 
@@ -432,12 +427,9 @@ def dim4_einstein_suite(struct: QKTStructure,
 
     # Skew(Ric) = (1/4) sum_i dt(e_i, J_a e_i) F_a + (1/2) dt(J_a ., J_a .)
     skew_ric = 0.5 * (ctx.Ric - ctx.Ric.T)
-    eq568 = 0.0
-    for a in range(3):
-        s_a = float(frame_trace_pair(ctx.dt, ctx.ginv, ctx.J[a]))
-        dt_jj = ctx.J[a].T @ ctx.dt @ ctx.J[a]
-        predicted = 0.25 * s_a * ctx.F[a] + 0.5 * dt_jj
-        eq568 = max(eq568, float(np.max(np.abs(skew_ric - predicted))))
+    s = frame_trace_pair(ctx.dt[None], ctx.ginv, ctx.J)[:, None, None]
+    dt_jj = np.swapaxes(ctx.J, 1, 2) @ ctx.dt @ ctx.J
+    eq568 = float(np.max(np.abs(skew_ric - (0.25 * s * ctx.F + 0.5 * dt_jj))))
 
     # Ric^g = Sym(Ric) + (|t|^2 g - t (x) t) / 2
     sym_ric = 0.5 * (ctx.Ric + ctx.Ric.T)

@@ -23,13 +23,15 @@ import numpy as np
 
 from .errors import DimensionError, NotQKTError
 from .quaternionic import (
+    CYC_A,
+    CYC_B,
+    CYC_C,
     CYCLIC,
     HypercomplexField,
     QuaternionicHermitianData,
     frame_trace_pair,
     j_apply_form,
     j_apply_oneform,
-    kaehler_field,
     lee_form,
     cross_lee_form,
     project_plus_3form,
@@ -44,11 +46,12 @@ from .tensor_core import (
     TensorField,
     antisymmetrized_gradient,
     covariant_derivative_array,
-    exterior_derivative,
     gradient,
     hodge_star_array,
     levi_civita,
+    trace_codifferential,
     wedge_arrays,
+    worst,
 )
 
 DEFAULT_EXISTENCE_TOL = 1e-4
@@ -62,37 +65,32 @@ ALGEBRA_TOL = 1e-8
 def _section2_bundle(data: QuaternionicHermitianData,
                      p: np.ndarray,
                      scheme: FDScheme) -> dict:
-    """All first-order objects needed by the torsion formula at one point."""
+    """All first-order objects needed by the torsion formula at one point.
+
+    Every quantity carries the quaternionic index as its leading axis.
+    """
     p = np.asarray(p, dtype=float)
     g = data.metric_at(p)
     ginv = np.linalg.inv(g)
     J = data.hyper.matrices(p)
     gamma_g = levi_civita(data.patch.metric, p, scheme)
-    F = np.stack([g @ J[a] for a in range(3)])
+    F = g @ J
 
-    theta = np.zeros((3, data.dim))
-    dF_plus = np.zeros((3,) + (data.dim,) * 3)
-    dcF_plus = np.zeros_like(dF_plus)
-    for a in range(3):
-        # one stencil of F_a serves both dF_a and nabla^g F_a
-        F_field = kaehler_field(data, a)
-        grad_f = gradient(F_field.func, p, scheme, nested=F_field.nested)
-        dF = antisymmetrized_gradient(grad_f)
-        dF_plus[a] = project_plus_3form(dF, J[a])
-        # twisted derivative d_a F_a and its (1,2)+(2,1) part
-        dcF_plus[a] = project_plus_3form(j_apply_form(J[a], dF), J[a])
-        # Lee form theta_a = (delta F_a) o J_a
-        nabla_f = covariant_derivative_array(
-            gamma_g, TensorField("dd", F_field.func), p, scheme, grad=grad_f
-        )
-        delta_f = -np.tensordot(ginv, nabla_f, axes=([0, 1], [0, 1]))
-        theta[a] = delta_f @ J[a]
+    # one stencil of the stacked F serves both dF and nabla^g F
+    def kaehler_stack(q):
+        return data.metric_at(q) @ data.hyper.matrices(q)
 
+    grad_f = gradient(kaehler_stack, p, scheme)
+    dF = antisymmetrized_gradient(np.moveaxis(grad_f, 0, 1), degree=2)
+    dF_plus = project_plus_3form(dF, J)
+    # twisted derivatives d_a F_a and their (1,2)+(2,1) parts
+    dcF_plus = project_plus_3form(j_apply_form(J, dF), J)
+    # Lee forms theta_a = (delta F_a) o J_a
+    nabla_f = covariant_derivative_array(
+        gamma_g, TensorField("dd", kaehler_stack), p, scheme, grad=grad_f)
+    theta = -j_apply_oneform(J, trace_codifferential(nabla_f, ginv, degree=2))
     # cross Lee forms theta[a, b](X) = -1/2 sum_i dF_a^+(X, e_i, J_b e_i)
-    theta_cross = np.zeros((3, 3, data.dim))
-    for a in range(3):
-        for b in range(3):
-            theta_cross[a, b] = -0.5 * frame_trace_pair(dF_plus[a], ginv, J[b])
+    theta_cross = -0.5 * frame_trace_pair(dF_plus[:, None], ginv, J[None])
 
     bundle = {
         "g": g, "J": J, "F": F,
@@ -100,34 +98,21 @@ def _section2_bundle(data: QuaternionicHermitianData,
     }
 
     if data.n >= 2:
-        K = np.zeros((3, data.dim))
-        for a, b, c in CYCLIC:
-            K[a] = (j_apply_oneform(J[b], theta[a]) + theta_cross[a, c]) / (1.0 - data.n)
+        K = (j_apply_oneform(J[CYC_B], theta) + theta_cross[CYC_A, CYC_C]) / (1.0 - data.n)
         bundle["K"] = K
 
-        versions = []
-        for a, b, c in CYCLIC:
-            jk = j_apply_oneform(J[a], K[a])
-            t_a = dcF_plus[a] - 0.5 * (
-                wedge_arrays(jk, F[c]) + wedge_arrays(K[a], F[b])
-            )
-            versions.append(t_a)
+        JK = j_apply_oneform(J, K)
+        K_Fb = wedge_arrays(K, F[CYC_B], stack=1)
+        versions = dcF_plus - 0.5 * (wedge_arrays(JK, F[CYC_C], stack=1) + K_Fb)
         bundle["torsion"] = (versions[0] + versions[1] + versions[2]) / 3.0
-        bundle["alpha_agreement"] = max(
-            float(np.max(np.abs(versions[i] - versions[j])))
-            for i in range(3) for j in range(i + 1, 3)
-        )
+        bundle["alpha_agreement"] = float(np.max(np.abs(versions - versions[CYC_B])))
 
-        worst = 0.0
-        for a, b, c in CYCLIC:
-            lhs = dcF_plus[a] - dcF_plus[b]
-            rhs = 0.5 * (
-                wedge_arrays(K[a], F[b])
-                - wedge_arrays(j_apply_oneform(J[b], K[b]), F[a])
-                - wedge_arrays(K[b] - j_apply_oneform(J[a], K[a]), F[c])
-            )
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        bundle["existence"] = worst
+        rhs = 0.5 * (
+            K_Fb
+            - wedge_arrays(JK[CYC_B], F, stack=1)
+            - wedge_arrays(K[CYC_B] - JK, F[CYC_C], stack=1)
+        )
+        bundle["existence"] = float(np.max(np.abs(dcF_plus - dcF_plus[CYC_B] - rhs)))
 
     return bundle
 
@@ -278,28 +263,25 @@ def _extract_sp1(data: QuaternionicHermitianData,
     disagreement between the two recoveries.
     """
     dim = data.dim
-    gamma = connection(p)
     J = data.hyper.matrices(p)
+    # gamma_dir[i] = Gamma[:, i, :]: nabla_i J_a = d_i J_a + [Gamma_i, J_a], all i and a at once
+    gamma_dir = np.swapaxes(connection(p), 0, 1)[:, None]
+    dJ = data.hyper.gradient(p, scheme)
+    nabla_j = dJ + gamma_dir @ J - J @ gamma_dir             # [i, a, k, j]
     estimates = [[] for _ in range(3)]
     residual = 0.0
     for a, b, c in CYCLIC:
-        dJ = gradient(data.hyper.funcs[a], p, scheme, nested=data.hyper.nested)
         design = np.stack([-J[c].ravel(), J[b].ravel()], axis=1)
-        omega_b = np.zeros(dim)
-        omega_c = np.zeros(dim)
-        for i in range(dim):
-            nabla_j = dJ[i] + gamma[:, i, :] @ J[a] - J[a] @ gamma[:, i, :]
-            coeffs, res, *_ = np.linalg.lstsq(design, nabla_j.ravel(), rcond=None)
-            omega_b[i], omega_c[i] = coeffs
-            fit = design @ coeffs - nabla_j.ravel()
-            residual = max(residual, float(np.max(np.abs(fit))))
-        estimates[b].append(omega_b)
-        estimates[c].append(omega_c)
+        rhs = nabla_j[:, a].reshape(dim, dim * dim).T        # one column per direction
+        coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+        residual = worst(residual, np.max(np.abs(design @ coeffs - rhs)))
+        estimates[b].append(coeffs[0])
+        estimates[c].append(coeffs[1])
     omegas = np.zeros((3, dim))
     for k in range(3):
         pair = np.stack(estimates[k])
         omegas[k] = pair.mean(axis=0)
-        residual = max(residual, float(np.max(np.abs(pair[0] - pair[1]))))
+        residual = worst(residual, np.max(np.abs(pair[0] - pair[1])))
     return omegas, residual
 
 
@@ -324,15 +306,15 @@ def build_qkt(data: QuaternionicHermitianData,
     for p in check_points:
         data.patch.validate_metric_at(p)
         residuals = quaternionic_residuals(data, p)
-        worst_alg = max(worst_alg, residuals["algebra"], residuals["square"],
-                        residuals["hermitian"])
-        worst_exist = max(worst_exist, existence_residual(data, p, scheme, bundle_cache))
-    if worst_alg > ALGEBRA_TOL or worst_exist > existence_tol:
+        worst_alg = worst(worst_alg, residuals["algebra"], residuals["square"],
+                          residuals["hermitian"])
+        worst_exist = worst(worst_exist, existence_residual(data, p, scheme, bundle_cache))
+    if not (worst_alg <= ALGEBRA_TOL and worst_exist <= existence_tol):
         err = NotQKTError(
             f"no compatible torsion connection: existence residual "
             f"{worst_exist:.3e} (tolerance {existence_tol:.1e}), quaternionic "
             f"algebra residual {worst_alg:.3e}",
-            residual=max(worst_exist, worst_alg),
+            residual=worst(worst_exist, worst_alg),
         )
         err.details = {"eq4": worst_exist, "algebra": worst_alg}
         raise err
@@ -357,7 +339,7 @@ def build_qkt_dim4(patch: CoordinatePatch,
     data = QuaternionicHermitianData(patch, hyper)
     patch.validate_metric_at(patch.center())
     residuals = quaternionic_residuals(data, patch.center())
-    if max(residuals["algebra"], residuals["square"], residuals["hermitian"]) > ALGEBRA_TOL:
+    if not worst(residuals["algebra"], residuals["square"], residuals["hermitian"]) <= ALGEBRA_TOL:
         err = NotQKTError(
             f"hypercomplex triple incompatible with the metric: "
             f"algebra residual {residuals['algebra']:.3e}",
@@ -383,12 +365,9 @@ def _torsion_traces(struct: QKTStructure, p: np.ndarray):
     def compute(q):
         T = struct.torsion(q)
         ginv = np.linalg.inv(struct.metric_at(q))
-        t_alpha = np.zeros((3, struct.dim))
-        images = np.zeros((3, struct.dim))
-        for a in range(3):
-            J = struct.j_at(a, q)
-            t_alpha[a] = -0.5 * frame_trace_pair(T, ginv, J)
-            images[a] = j_apply_oneform(J, t_alpha[a])
+        J = struct.data.hyper.matrices(q)
+        t_alpha = -0.5 * frame_trace_pair(T[None], ginv, J)
+        images = j_apply_oneform(J, t_alpha)
         t = images.mean(axis=0)
         for arr in (t_alpha, images, t):
             arr.flags.writeable = False
@@ -406,10 +385,7 @@ def torsion_one_forms(struct: QKTStructure, p: np.ndarray):
 def torsion_one_form_spread(struct: QKTStructure, p: np.ndarray) -> float:
     """max_{a,b} |J_a t_a - J_b t_b| -- zero when the torsion is pure."""
     _, images, _ = _torsion_traces(struct, p)
-    return max(
-        float(np.max(np.abs(images[i] - images[j])))
-        for i in range(3) for j in range(i + 1, 3)
-    )
+    return float(np.max(np.abs(images - images[CYC_B])))
 
 
 @dataclass(frozen=True)
@@ -431,12 +407,10 @@ def sp1_forms(struct: QKTStructure, p: np.ndarray, scheme: FDScheme | None = Non
     if struct.n >= 2:
         bundle = struct.bundle_at(p)
         theta, cross, J = bundle["theta"], bundle["theta_cross"], bundle["J"]
-        c7 = 0.0
-        for a, b, c in CYCLIC:
-            closed_form = 0.5 * j_apply_oneform(
-                J[b], theta[c] - theta[b] + theta[a] / (1.0 - struct.n)
-            ) + cross[a, c] / (2.0 * (1.0 - struct.n))
-            c7 = max(c7, float(np.max(np.abs(closed_form - omegas[b]))))
+        closed_form = 0.5 * j_apply_oneform(
+            J[CYC_B], theta[CYC_C] - theta[CYC_B] + theta / (1.0 - struct.n)
+        ) + cross[CYC_A, CYC_C] / (2.0 * (1.0 - struct.n))
+        c7 = float(np.max(np.abs(closed_form - omegas[CYC_B])))
     return Sp1Forms(omegas=omegas, eq1_residual=residual, c7_residual=c7)
 
 
@@ -453,15 +427,11 @@ class AuxiliaryOneForms:
 
 def auxiliary_one_forms(struct: QKTStructure, p: np.ndarray) -> AuxiliaryOneForms:
     omegas, _ = struct.caches["omega_bundle"](p)
-    J = struct.data.hyper.matrices(p)
-    A = np.zeros((3, struct.dim))
-    C = np.zeros((3, struct.dim))
-    for a, b, c in CYCLIC:
-        A[a] = omegas[b] + j_apply_oneform(J[a], omegas[c])
-        C[a] = omegas[b] - j_apply_oneform(J[a], omegas[c])
-    t1, t2, t3, t = torsion_one_forms(struct, p)
+    J_omega = j_apply_oneform(struct.data.hyper.matrices(p), omegas[CYC_C])
+    t_alpha, _, t = _torsion_traces(struct, p)
     K = struct.bundle_at(p)["K"] if struct.n >= 2 else None
-    return AuxiliaryOneForms(K=K, A=A, C=C, t_alpha=np.stack([t1, t2, t3]), t=t)
+    return AuxiliaryOneForms(K=K, A=omegas[CYC_B] + J_omega, C=omegas[CYC_B] - J_omega,
+                             t_alpha=t_alpha, t=t)
 
 
 def nijenhuis_via_connection(struct: QKTStructure, alpha: int, p: np.ndarray) -> np.ndarray:
@@ -485,8 +455,8 @@ def structure_invariant_residuals(struct: QKTStructure, p: np.ndarray) -> dict:
     T = struct.torsion(p)
     g = struct.metric_at(p)
     ginv = np.linalg.inv(g)
-    skew = float(np.max(np.abs(T + np.swapaxes(T, 0, 1))))
-    skew = max(skew, float(np.max(np.abs(T + np.swapaxes(T, 1, 2)))))
+    skew = worst(np.max(np.abs(T + np.swapaxes(T, 0, 1))),
+                 np.max(np.abs(T + np.swapaxes(T, 1, 2))))
 
     gamma = struct.connection(p)
     g_field = TensorField("dd", struct.data.patch.metric)
@@ -494,10 +464,7 @@ def structure_invariant_residuals(struct: QKTStructure, p: np.ndarray) -> dict:
     metricity = float(np.max(np.abs(nabla_g)))
 
     T12 = np.einsum("ijm,mk->kij", T, ginv)
-    purity = max(
-        float(np.max(np.abs(torsion_02_part(T12, struct.j_at(a, p)))))
-        for a in range(3)
-    )
+    purity = float(np.max(np.abs(torsion_02_part(T12[None], struct.data.hyper.matrices(p)))))
 
     _, eq1_residual = struct.caches["omega_bundle"](p)
     quat = quaternionic_residuals(struct.data, p)
@@ -506,7 +473,7 @@ def structure_invariant_residuals(struct: QKTStructure, p: np.ndarray) -> dict:
         "metricity": metricity,
         "torsion_purity": purity,
         "eq1": eq1_residual,
-        "quaternionic": max(quat["square"], quat["algebra"]),
+        "quaternionic": worst(quat["square"], quat["algebra"]),
         "hermitian": quat["hermitian"],
     }
 
@@ -535,42 +502,23 @@ def classify(struct: QKTStructure,
              curvature_tol: float = 1e-4) -> Classification:
     """Structure flags with their witnessing residuals over sample points."""
     scheme = scheme or struct.scheme
+    from .curvature import _context
     from .quaternionic import dT_type22_residual as _dt22
 
-    integ = 0.0
+    integ = parallel = strong = dt22 = 0.0
     hkt = 0.0 if struct.n >= 2 else None
-    parallel = 0.0
-    strong = 0.0
-    dt22 = 0.0
-    dT_field = exterior_derivative(struct.torsion, scheme)
     for p in points:
-        bundle = struct.bundle_at(p) if struct.n >= 2 else None
-        if struct.n >= 2:
-            theta = bundle["theta"]
-            integ = max(integ, max(
-                float(np.max(np.abs(theta[a] - theta[b])))
-                for a in range(3) for b in range(a + 1, 3)
-            ))
-            J = bundle["J"]
-            for a, b, c in CYCLIC:
-                dev = theta[a] - j_apply_oneform(J[b], bundle["theta_cross"][c, a])
-                hkt = max(hkt, float(np.max(np.abs(dev))))
-        else:
-            theta = np.stack([
-                lee_form(struct.data, a, p, scheme) for a in range(3)
-            ])
-            integ = max(integ, max(
-                float(np.max(np.abs(theta[a] - theta[b])))
-                for a in range(3) for b in range(a + 1, 3)
-            ))
-        gamma = struct.connection(p)
-        nabla_T = covariant_derivative_array(
-            gamma, TensorField("ddd", struct.torsion.func, struct.torsion.nested),
-            p, scheme,
-        )
-        parallel = max(parallel, float(np.max(np.abs(nabla_T))))
-        strong = max(strong, float(np.max(np.abs(dT_field(p)))))
-        dt22 = max(dt22, _dt22(struct.data, struct.torsion, p, scheme))
+        bundle = struct.bundle_at(p)
+        theta = bundle["theta"]
+        integ = worst(integ, np.max(np.abs(theta - theta[CYC_B])))
+        if hkt is not None:
+            # theta_a - J_b theta_{c,a} over the cyclic triples
+            J, cross = bundle["J"], bundle["theta_cross"]
+            hkt = worst(hkt, np.max(np.abs(theta - j_apply_oneform(J[CYC_B], cross[CYC_C, CYC_A]))))
+        ctx = _context(struct, p, scheme)
+        parallel = worst(parallel, np.max(np.abs(ctx.nabla_T)))
+        strong = worst(strong, np.max(np.abs(ctx.dT4)))
+        dt22 = worst(dt22, _dt22(struct.data, struct.torsion, p, scheme, dT=ctx.dT4))
 
     return Classification(
         is_hkt=(hkt <= first_order_tol) if hkt is not None else None,

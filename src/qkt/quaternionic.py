@@ -8,11 +8,17 @@ tensor computed from coordinate Lie brackets.
 The action of an almost complex structure on an r-form is
 ``(J psi)(X_1, ..., X_r) = (-1)^r psi(J X_1, ..., J X_r)``; on 1-forms in
 particular ``(J psi)(X) = -psi(J X)``.
+
+Stack convention of the J kernels: ``J`` may have shape ``(..., d, d)``.
+Its leading axes form a stack, and the tensor's leading axes are matched
+against them (numpy broadcasting; pass ``T[None]`` to apply three J's to
+one tensor).  Tensor slots are addressed from the end, so slot 0 is the
+first slot after the stack.  A plain ``(d, d)`` J has an empty stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +34,8 @@ from .tensor_core import (
 
 # cyclic permutations (alpha, beta, gamma) of (1, 2, 3), 0-indexed
 CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+# the same triples as index arrays over a quaternionic stack axis: a, b and c
+CYC_A, CYC_B, CYC_C = (list(column) for column in zip(*CYCLIC))
 
 # quaternion action on one coordinate block: J1: e1->e2, e3->e4;
 # J2: e1->e3, e2->-e4; J3 = J1 J2: e1->e4, e2->e3  (columns are images)
@@ -60,22 +68,44 @@ class HypercomplexField:
     def matrix(self, alpha: int, p: np.ndarray) -> np.ndarray:
         return np.asarray(self.funcs[alpha](p), dtype=float)
 
+    def gradient(self, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
+        """dJ[i, alpha] = d_i J_alpha at ``p``, one stencil for all three."""
+        return gradient(self.matrices, p, scheme, nested=self.nested)
 
-def build_standard_hypercomplex(n: int) -> HypercomplexField:
+
+@dataclass(frozen=True, init=False)
+class ConstantHypercomplexField(HypercomplexField):
+    """Three constant structures, held as one read-only stack.
+
+    Every point gets the same stack, and the derivatives vanish exactly,
+    without a stencil.
+    """
+
+    stack: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __init__(self, j1, j2, j3):
+        stack = np.array([j1, j2, j3], dtype=float)
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "funcs", tuple(lambda p, _m=m: _m for m in stack))
+        object.__setattr__(self, "nested", False)
+
+    def matrices(self, p: np.ndarray) -> np.ndarray:
+        return self.stack
+
+    def gradient(self, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
+        return np.zeros((len(p),) + self.stack.shape)
+
+
+def build_standard_hypercomplex(n: int) -> ConstantHypercomplexField:
     """The constant hypercomplex structure of H^n, block-diagonal per quadruple."""
     if n < 1:
         raise DimensionError(f"need n >= 1, got {n}")
-    mats = []
-    for block in (_J1_BLOCK, _J2_BLOCK, _J3_BLOCK):
-        full = np.kron(np.eye(n), block)
-        mats.append(full)
-    j1, j2, j3 = (np.asarray(m) for m in mats)
-    return HypercomplexField(
-        funcs=(lambda p, _m=j1: _m, lambda p, _m=j2: _m, lambda p, _m=j3: _m)
-    )
+    return ConstantHypercomplexField(
+        *(np.kron(np.eye(n), block) for block in (_J1_BLOCK, _J2_BLOCK, _J3_BLOCK)))
 
 
-def rotated_hypercomplex(n: int, tilt_degrees: float) -> HypercomplexField:
+def rotated_hypercomplex(n: int, tilt_degrees: float) -> ConstantHypercomplexField:
     """Standard structure with J2 conjugated by a rotation; J3 kept.
 
     A nonzero tilt destroys the quaternionic identity J1 J2 = J3, giving a
@@ -88,9 +118,8 @@ def rotated_hypercomplex(n: int, tilt_degrees: float) -> HypercomplexField:
     rot[0, 0] = rot[1, 1] = np.cos(angle)
     rot[0, 1] = -np.sin(angle)
     rot[1, 0] = np.sin(angle)
-    p0 = np.zeros(4 * n)
-    j2 = rot @ base.matrix(1, p0) @ rot.T
-    return HypercomplexField(funcs=(base.funcs[0], lambda p, _m=j2: _m, base.funcs[2]))
+    j2 = rot @ base.stack[1] @ rot.T
+    return ConstantHypercomplexField(base.stack[0], j2, base.stack[2])
 
 
 @dataclass(frozen=True)
@@ -119,12 +148,9 @@ def quaternionic_residuals(data: QuaternionicHermitianData, p: np.ndarray) -> di
     """Pointwise defects of the quaternionic and hermitian identities."""
     g = data.metric_at(p)
     J = data.hyper.matrices(p)
-    eye = np.eye(data.dim)
-    square = max(np.max(np.abs(J[a] @ J[a] + eye)) for a in range(3))
-    algebra = max(
-        np.max(np.abs(J[a] @ J[b] - J[c])) for a, b, c in CYCLIC
-    )
-    hermitian = max(np.max(np.abs(J[a].T @ g @ J[a] - g)) for a in range(3))
+    square = float(np.max(np.abs(J @ J + np.eye(data.dim))))
+    algebra = float(np.max(np.abs(J @ J[CYC_B] - J[CYC_C])))
+    hermitian = float(np.max(np.abs(np.swapaxes(J, 1, 2) @ g @ J - g)))
     return {
         "square": square,
         "algebra": algebra,
@@ -146,24 +172,31 @@ def kaehler_field(data: QuaternionicHermitianData, alpha: int) -> FormField:
 
 
 def j_apply_oneform(J: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """(J psi)(X) = -psi(J X)."""
-    return -psi @ J
+    """(J psi)(X) = -psi(J X); J ``(..., d, d)`` against psi ``(..., d)``."""
+    return -((psi[..., None, :] @ J)[..., 0, :])
 
 
 def j_apply_form(J: np.ndarray, arr: np.ndarray) -> np.ndarray:
     """(J psi)(X_1..X_r) = (-1)^r psi(J X_1, ..., J X_r): J on every slot, with sign."""
     out = np.asarray(arr, dtype=float)
-    r = out.ndim
+    s = J.ndim - 2
+    r = out.ndim - s
     for _ in range(r):
-        out = np.tensordot(out, J, axes=([0], [0]))
-        # contracting the leading axis appends the new one; r passes restore order
+        # move the first slot last and contract it: r passes restore the order
+        moved = np.moveaxis(out, s, -1)
+        out = (moved.reshape(moved.shape[:s] + (-1, J.shape[-1])) @ J).reshape(moved.shape)
     return ((-1.0) ** r) * out
 
 
 def j_apply_pair(J: np.ndarray, arr: np.ndarray, slots: tuple, upper: bool = False) -> np.ndarray:
     """J on slots (i, j), no sign: arr(.., J X_i, .., J X_j, ..); ``upper``: slot i is an upper index."""
-    x = np.moveaxis(arr, slots, (-2, -1))
-    return np.moveaxis((J if upper else J.T) @ x @ J, (-2, -1), slots)
+    r = arr.ndim - (J.ndim - 2)
+    i, j = (arr.ndim - r + slot for slot in slots)
+    # the two slots last, J^T (or J) @ x @ J, then the slots back in place
+    order = [axis for axis in range(arr.ndim) if axis not in (i, j)] + [i, j]
+    J = J.reshape(J.shape[:-2] + (1,) * (r - 2) + J.shape[-2:])
+    out = (J if upper else np.swapaxes(J, -1, -2)) @ arr.transpose(order) @ J
+    return out.transpose(np.argsort(order))
 
 
 def lee_form(data: QuaternionicHermitianData,
@@ -177,13 +210,23 @@ def lee_form(data: QuaternionicHermitianData,
 
 
 def frame_trace_pair(arr: np.ndarray, ginv: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """sum_i arr(..., e_i, J e_i) over a g-orthonormal frame, last two slots."""
-    d = J.shape[0]
-    return arr.reshape(arr.shape[:-2] + (d * d,)) @ (ginv @ J.T).ravel()
+    """sum_i arr(..., e_i, J e_i) over a g-orthonormal frame, last two slots.
+
+    The leading axes of ``arr`` broadcast against a stack of J's:
+    ``arr[:, None]`` against ``J[None]`` traces every (tensor, J) pair.
+    """
+    d = J.shape[-1]
+    stack = J.shape[:-2]
+    weights = (ginv @ np.swapaxes(J, -1, -2)).reshape(stack + (d * d, 1))
+    lead, middle = arr.shape[:len(stack)], arr.shape[len(stack):-2]
+    traced = arr.reshape(lead + (-1, d * d)) @ weights
+    return traced.reshape(np.broadcast_shapes(lead, stack) + middle)
 
 
 def project_plus_3form(psi: np.ndarray, J: np.ndarray) -> np.ndarray:
     """Projection of a 3-form onto its (1,2)+(2,1) part with respect to J.
+
+    A stack of J's projects the matching stack of 3-forms.
 
     The image satisfies psi(X,Y,Z) = psi(JX,JY,Z) + psi(JX,Y,JZ) + psi(X,JY,JZ)
     exactly; the kernel is the (3,0)+(0,3) part.
@@ -232,12 +275,16 @@ def dc_3form(data: QuaternionicHermitianData,
 def nijenhuis_bracket(data: QuaternionicHermitianData,
                       alpha: int,
                       p: np.ndarray,
-                      scheme: FDScheme) -> np.ndarray:
-    """Nijenhuis tensor N[k, i, j] of J_a from coordinate Lie brackets."""
+                      scheme: FDScheme,
+                      dJ: np.ndarray | None = None) -> np.ndarray:
+    """Nijenhuis tensor N[k, i, j] of J_a from coordinate Lie brackets.
+
+    ``dJ`` may supply the gradient dJ[a, k, j] of J_a at ``p``.
+    """
     data.patch.require_interior(p, scheme.h)
-    jfun = data.hyper.funcs[alpha]
     J = data.j_at(alpha, p)
-    dJ = gradient(jfun, p, scheme, nested=data.hyper.nested)  # dJ[a, k, j]
+    if dJ is None:
+        dJ = data.hyper.gradient(p, scheme)[:, alpha]
     # For coordinate fields: [JX, JY]^k = J^m_i d_m J^k_j - J^m_j d_m J^k_i,
     # [JX, Y]^k = -d_j J^k_i, [X, JY]^k = d_i J^k_j, [X, Y] = 0.
     return (
@@ -251,16 +298,16 @@ def nijenhuis_bracket(data: QuaternionicHermitianData,
 def dT_type22_residual(data: QuaternionicHermitianData,
                        T_field: FormField,
                        p: np.ndarray,
-                       scheme: FDScheme) -> float:
+                       scheme: FDScheme,
+                       dT: np.ndarray | None = None) -> float:
     """Largest defect of the (2,2)-type identity of d(T) over the three J's.
 
     Zero exactly when dT(X,Y,Z,U) = dT(JX,JY,Z,U) + dT(JX,Y,JZ,U)
-    + dT(X,JY,JZ,U) for each structure.
+    + dT(X,JY,JZ,U) for each structure.  ``dT`` may supply d(T) at ``p``.
     """
-    dT = exterior_derivative(T_field, scheme)(p)
-    worst = 0.0
-    for a in range(3):
-        J = data.j_at(a, p)
-        jj = [j_apply_pair(J, dT, slots) for slots in ((0, 1), (0, 2), (1, 2))]
-        worst = max(worst, float(np.max(np.abs(dT - jj[0] - jj[1] - jj[2]))))
-    return worst
+    dT = exterior_derivative(T_field, scheme)(p) if dT is None else dT
+    J = data.hyper.matrices(p)
+    defect = np.repeat(dT[None], 3, axis=0)
+    for slots in ((0, 1), (0, 2), (1, 2)):
+        defect -= j_apply_pair(J, dT[None], slots)
+    return float(np.max(np.abs(defect)))

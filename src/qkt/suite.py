@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,6 +33,7 @@ from .curvature import (
 from .errors import NotQKTError
 from .qkt_connection import (
     QKTStructure,
+    auxiliary_one_forms,
     classify,
     nijenhuis_via_connection,
     sp1_forms,
@@ -40,7 +42,9 @@ from .qkt_connection import (
     torsion_one_forms,
 )
 from .quaternionic import (
-    CYCLIC,
+    CYC_A,
+    CYC_B,
+    CYC_C,
     frame_trace_pair,
     j_apply_oneform,
     nijenhuis_bracket,
@@ -48,13 +52,10 @@ from .quaternionic import (
 )
 from .tensor_core import (
     FDScheme,
-    TensorField,
-    codifferential,
-    covariant_derivative_array,
-    exterior_derivative,
-    gradient,
     hodge_star_array,
+    trace_codifferential,
     wedge_arrays,
+    worst,
 )
 from .zoo import ManifoldSpec, build_manifold, conformal_ingredients, sample_points
 
@@ -219,14 +220,21 @@ class SuiteEnv:
         return self._groups[name]
 
 
+def _accumulator(out: dict):
+    """acc(key, value) folds a residual into out[key]; None values are skipped."""
+
+    def acc(key, value):
+        if value is not None:
+            out[key] = worst(out.get(key, 0.0), value)
+
+    return acc
+
+
 def _eval_structural(env: SuiteEnv) -> dict:
     struct, scheme = env.struct, env.scheme
     n = struct.n
     out: dict = {}
-
-    def acc(key, value):
-        out[key] = max(out.get(key, 0.0), float(value))
-
+    acc = _accumulator(out)
     for p in env.points:
         inv = structure_invariant_residuals(struct, p)
         acc("quaternionic", inv["quaternionic"])
@@ -241,31 +249,30 @@ def _eval_structural(env: SuiteEnv) -> dict:
         theta, cross, J = bundle["theta"], bundle["theta_cross"], bundle["J"]
         gamma = struct.connection(p)
 
-        for a in range(3):
-            acc("theta_self", np.max(np.abs(cross[a, a] - theta[a])))
-        for a, b, c in CYCLIC:
-            acc("tt1", np.max(np.abs(
-                j_apply_oneform(J[b], cross[a, c])
-                + j_apply_oneform(J[c], cross[a, b]))))
-            acc("per1", np.max(np.abs(
-                (n * n + n) * theta[a] - n * theta[b] - n * n * theta[c]
-                + j_apply_oneform(J[c], cross[b, a])
-                + n * j_apply_oneform(J[a], cross[c, b])
-                - (n + 1) * j_apply_oneform(J[b], cross[a, c]))))
-            acc("c6", np.max(np.abs(
-                (n - 1.0) * j_apply_oneform(J[b], _c_form(env, p, a))
-                - (theta[a] - j_apply_oneform(J[b], cross[a, c])))))
-            acc("c5", np.max(np.abs(
-                _a_form(env, p, a) - j_apply_oneform(J[b], theta[c] - theta[b]))))
+        acc("theta_self", np.max(np.abs(cross[CYC_A, CYC_A] - theta)))
+        acc("tt1", np.max(np.abs(
+            j_apply_oneform(J[CYC_B], cross[CYC_A, CYC_C])
+            + j_apply_oneform(J[CYC_C], cross[CYC_A, CYC_B]))))
+        acc("per1", np.max(np.abs(
+            (n * n + n) * theta - n * theta[CYC_B] - n * n * theta[CYC_C]
+            + j_apply_oneform(J[CYC_C], cross[CYC_B, CYC_A])
+            + n * j_apply_oneform(J, cross[CYC_C, CYC_B])
+            - (n + 1) * j_apply_oneform(J[CYC_B], cross[CYC_A, CYC_C]))))
+        aux = auxiliary_one_forms(struct, p)
+        acc("c6", np.max(np.abs(
+            (n - 1.0) * j_apply_oneform(J[CYC_B], aux.C)
+            - (theta - j_apply_oneform(J[CYC_B], cross[CYC_A, CYC_C])))))
+        acc("c5", np.max(np.abs(aux.A - j_apply_oneform(J[CYC_B], theta[CYC_C] - theta[CYC_B]))))
 
-        # Nijenhuis comparisons
+        # Nijenhuis comparisons, all from one stencil of the three J's
         T12 = struct.torsion_12_at(p)
+        dJ = struct.data.hyper.gradient(p, scheme)
         for a in range(3):
-            n_bracket = nijenhuis_bracket(struct.data, a, p, scheme)
+            n_bracket = nijenhuis_bracket(struct.data, a, p, scheme, dJ=dJ[:, a])
             acc("eq6", np.max(np.abs(
                 n_bracket - nijenhuis_via_connection(struct, a, p))))
             acc("eq2", np.max(np.abs(
-                n_bracket - _nijenhuis_eq2(struct, a, p, gamma, T12))))
+                n_bracket - _nijenhuis_eq2(struct, a, p, gamma, T12, dJ[:, a]))))
 
         if n >= 2:
             acc("eq4", bundle["existence"])
@@ -276,29 +283,9 @@ def _eval_structural(env: SuiteEnv) -> dict:
     return out
 
 
-def _omegas(env, p):
-    return env.struct.caches["omega_bundle"](p)[0]
-
-
-def _a_form(env, p, alpha):
-    a, b, c = CYCLIC[alpha]
-    omegas = _omegas(env, p)
-    J = env.struct.data.hyper.matrices(p)
-    return omegas[b] + j_apply_oneform(J[a], omegas[c])
-
-
-def _c_form(env, p, alpha):
-    a, b, c = CYCLIC[alpha]
-    omegas = _omegas(env, p)
-    J = env.struct.data.hyper.matrices(p)
-    return omegas[b] - j_apply_oneform(J[a], omegas[c])
-
-
-def _nijenhuis_eq2(struct, alpha, p, gamma, T12):
-    """4 T^{0,2}_a plus the nabla-J terms of the bracket formula."""
+def _nijenhuis_eq2(struct, alpha, p, gamma, T12, dJ):
+    """4 T^{0,2}_a plus the nabla-J terms of the bracket formula; dJ = d J_a at p."""
     J = struct.j_at(alpha, p)
-    dJ = gradient(struct.data.hyper.funcs[alpha], p, struct.scheme,
-                  nested=struct.data.hyper.nested)
     # (nabla_i J)[k, j] = d_i J[k,j] + Gamma[k,i,m] J[m,j] - Gamma[m,i,j] J[k,m]
     nab_j = dJ + np.einsum("kim,mj->ikj", gamma, J) - np.einsum("mij,km->ikj", gamma, J)
     t02 = torsion_02_part(T12, J)
@@ -312,49 +299,36 @@ def _nijenhuis_eq2(struct, alpha, p, gamma, T12):
 
 
 def _dim4_structural(env: SuiteEnv, p, acc):
-    struct, scheme = env.struct, env.scheme
-    g = struct.metric_at(p)
-    ginv = np.linalg.inv(g)
+    struct = env.struct
+    ctx = _context(struct, p, env.scheme)
+    g, ginv, J, F = ctx.g, ctx.ginv, ctx.J, ctx.F
     ori = struct.patch.orientation
     T = struct.torsion(p)
-    t1, t2, t3, t = torsion_one_forms(struct, p)
-    t_alpha = (t1, t2, t3)
+    *t_alpha, t = torsion_one_forms(struct, p)
 
     # star identity on 1-form probes, and the torsion shape
-    probes = [np.eye(4)[i] for i in range(4)] + [t]
-    for a in range(3):
-        J = struct.j_at(a, p)
-        F = g @ J
-        for psi in probes:
-            acc("tri1", np.max(np.abs(
-                hodge_star_array(psi, g, ori)
-                + wedge_arrays(j_apply_oneform(J, psi), F))))
-        acc("v1", np.max(np.abs(T - wedge_arrays(t_alpha[a], F))))
+    for psi in list(np.eye(4)) + [t]:
+        acc("tri1", np.max(np.abs(
+            hodge_star_array(psi, g, ori) + wedge_arrays(j_apply_oneform(J, psi), F, stack=1))))
+    acc("v1", np.max(np.abs(T - wedge_arrays(np.stack(t_alpha), F, stack=1))))
     acc("v1", np.max(np.abs(T - hodge_star_array(t, g, ori))))
 
     # *dT = -delta t
-    t_field = struct.torsion_one_form_field()
-    dT = exterior_derivative(struct.torsion, scheme)(p)
-    delta_t = codifferential(t_field, struct.data.patch.metric, p, scheme)
-    acc("star_dT", np.abs(hodge_star_array(dT, g, ori) + delta_t))
+    delta_t = trace_codifferential(ctx.nabla_g_t, ginv)
+    acc("star_dT", np.abs(hodge_star_array(ctx.dT4, g, ori) + delta_t))
 
-    # trace link between nabla T and nabla t (both via the torsion connection)
-    gamma = struct.connection(p)
-    nab_T = _context(struct, p, scheme).nabla_T
-    nab_t = covariant_derivative_array(
-        gamma, TensorField("d", t_field.func, nested=True), p, scheme)
-    for a in range(3):
-        J = struct.j_at(a, p)
-        # sum_i (nabla_Z T)(J X, e_i, J e_i) = 2 (nabla_Z t)(X)
-        traced = frame_trace_pair(nab_T, ginv, J)
-        acc("ser2", np.max(np.abs(traced @ J - 2.0 * nab_t)))
+    # trace link between nabla T and nabla t (both via the torsion connection):
+    # sum_i (nabla_Z T)(J X, e_i, J e_i) = 2 (nabla_Z t)(X)
+    traced = frame_trace_pair(ctx.nabla_T[None], ginv, J)
+    acc("ser2", np.max(np.abs(traced @ J - 2.0 * ctx.nabla_t(struct.connection(p)))))
 
 
 def _eval_lc(env: SuiteEnv) -> dict:
     out = {"u3": 0.0, "lchkt": 0.0}
+    acc = _accumulator(out)
     for p in env.points:
-        out["u3"] = max(out["u3"], lcqk_residual(env.struct, p, env.scheme))
-        out["lchkt"] = max(out["lchkt"], lchkt_residual(env.struct, p, env.scheme))
+        acc("u3", lcqk_residual(env.struct, p, env.scheme))
+        acc("lchkt", lchkt_residual(env.struct, p, env.scheme))
     return out
 
 
@@ -367,12 +341,7 @@ def _eval_conformal(env: SuiteEnv) -> dict:
 
 def _eval_curvature(env: SuiteEnv) -> dict:
     out: dict = {}
-
-    def acc(key, value):
-        if value is None:
-            return
-        out[key] = max(out.get(key, 0.0), float(value))
-
+    acc = _accumulator(out)
     for p in env.points:
         for key, val in sp1_curvature_residuals(env.struct, p, env.scheme).items():
             acc(key, val)
@@ -383,19 +352,20 @@ def _eval_curvature(env: SuiteEnv) -> dict:
         if "eq22" in traces:
             acc("eq22", traces["eq22"])
         ctx = _context(env.struct, p, env.scheme)
-        acc("pair_antisym", max(ctx.curv.pair_antisymmetry()))
+        acc("pair_antisym", worst(*ctx.curv.pair_antisymmetry()))
     return out
 
 
 def _eval_dim4(env: SuiteEnv) -> dict:
     out: dict = {}
+    acc = _accumulator(out)
     for p in env.points:
         for key, val in dim4_einstein_suite(env.struct, p, env.scheme).items():
             if key in ("eq5.67", "eq5.68", "eq5.69"):
-                out[key] = max(out.get(key, 0.0), val)
+                acc(key, val)
         for key, val in weyl_correspondence(env.struct, p, env.scheme).items():
             if key in ("qw", "qkw_sym", "wzl1"):
-                out[key] = max(out.get(key, 0.0), val)
+                acc(key, val)
     return out
 
 
@@ -428,27 +398,20 @@ def _diagnostics(env: SuiteEnv, suites: set) -> dict:
         "dT_type22_residual": cls.dT_type22_residual,
     }
     if "curvature" in suites or "all" in suites:
-        lam = fit = 0.0
-        eq24 = eq24p = 0.0
+        acc = _accumulator(diag)
         for p in env.points:
             traces = trace_identity_residuals(struct, p, env.scheme)
-            lam = traces["eq27_lambda"]
-            fit = max(fit, traces["eq27_fit"])
+            diag["eq27_lambda_last"] = traces["eq27_lambda"]
+            acc("eq27_fit", traces["eq27_fit"])
             equalities = dT_trace_equalities(struct, p, env.scheme)
-            eq24 = max(eq24, equalities["eq24"])
-            eq24p = max(eq24p, equalities["eq24_prime"])
-        diag["eq27_lambda_last"] = lam
-        diag["eq27_fit"] = fit
-        diag["eq24_trace_equality"] = eq24
-        diag["eq24_prime_11_form"] = eq24p
+            acc("eq24_trace_equality", equalities["eq24"])
+            acc("eq24_prime_11_form", equalities["eq24_prime"])
     if struct.n == 1 and ("dim4" in suites or "all" in suites):
-        dev_e = dev_s = 0.0
+        acc = _accumulator(diag)
         for p in env.points:
             record = dim4_einstein_suite(struct, p, env.scheme)
-            dev_e = max(dev_e, record["einstein_deviation"])
-            dev_s = max(dev_s, record["sp1_einstein_deviation"])
-        diag["einstein_deviation"] = dev_e
-        diag["sp1_einstein_deviation"] = dev_s
+            acc("einstein_deviation", record["einstein_deviation"])
+            acc("sp1_einstein_deviation", record["sp1_einstein_deviation"])
     if struct.n == 1:
         # the torsion-shape half of the l.c. check is trivial in dimension 4
         diag["lcqk_note"] = "dimension 4: the torsion-shape residual vanishes identically"
@@ -495,7 +458,8 @@ class VerificationReport:
         }
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        """Strict JSON; a non-finite number is written as "nan", "inf" or "-inf"."""
+        return json.dumps(_finite_json(self.to_dict()), indent=indent, allow_nan=False)
 
     def summary_lines(self) -> list:
         width = max((len(r.identity_id) for r in self.results), default=10)
@@ -510,6 +474,16 @@ class VerificationReport:
                 f"{r.max_residual:>13.3e} {r.tolerance:>10.1e}  {status}"
             )
         return lines
+
+
+def _finite_json(value):
+    if isinstance(value, dict):
+        return {key: _finite_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    return value
 
 
 def _meta(spec: ManifoldSpec, suite: str, extra: dict | None = None) -> dict:

@@ -199,6 +199,11 @@ def constant_form(degree: int, components) -> FormField:
     return FormField(degree, lambda p, _a=arr: _a)
 
 
+def worst(*values) -> float:
+    """The largest residual; NaN wins, so a failed evaluation cannot read as a pass."""
+    return float(np.max(values))
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
@@ -231,11 +236,16 @@ def gradient(field: Callable[[np.ndarray], np.ndarray],
 # exterior calculus
 # ---------------------------------------------------------------------------
 
-def antisymmetrized_gradient(grad: np.ndarray) -> np.ndarray:
-    """d(omega) from the gradient of a k-form, derivative axis first."""
+def antisymmetrized_gradient(grad: np.ndarray, degree: int | None = None) -> np.ndarray:
+    """d(omega) from the gradient of a k-form, derivative axis first.
+
+    With ``degree`` given, axes ahead of the derivative axis form a stack:
+    ``grad[..., a, i_1, ..., i_k]`` holds d_a omega_{i_1..i_k}.
+    """
+    k = grad.ndim - 1 if degree is None else degree
     out = grad.copy()
-    for j in range(1, grad.ndim):
-        out += ((-1.0) ** j) * np.moveaxis(grad, 0, j)
+    for j in range(1, k + 1):
+        out += ((-1.0) ** j) * np.moveaxis(grad, -k - 1, j - k - 1)
     return out
 
 
@@ -279,17 +289,23 @@ def _shuffles(p: int, q: int) -> tuple:
     return tuple(out)
 
 
-def wedge_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Wedge of antisymmetric component arrays, shuffle-sum normalization."""
+def wedge_arrays(a: np.ndarray, b: np.ndarray, stack: int = 0) -> np.ndarray:
+    """Wedge of antisymmetric component arrays, shuffle-sum normalization.
+
+    The first ``stack`` axes of both arrays form a stack (numpy broadcasting)
+    and are wedged elementwise.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    p, q = a.ndim, b.ndim
+    p, q = a.ndim - stack, b.ndim - stack
     if p == 0 or q == 0:
         return a * b
-    outer = np.multiply.outer(a, b)
+    outer = a.reshape(a.shape + (1,) * q) \
+        * b.reshape(b.shape[:stack] + (1,) * p + b.shape[stack:])
+    lead = tuple(range(stack))
     result = np.zeros(outer.shape)
     for sign, axes in _shuffles(p, q):
-        result += sign * outer.transpose(axes)
+        result += sign * outer.transpose(lead + tuple(stack + ax for ax in axes))
     return result
 
 
@@ -421,9 +437,16 @@ def covariant_derivative_array(gamma: np.ndarray,
     """Components of nabla(tensor) at ``p``; derivative axis comes first.
 
     ``grad`` may supply the tensor's already computed :func:`gradient` at ``p``.
+    Values with axes ahead of the signature's slots are a stack; the result
+    keeps the stack first, then the derivative axis, then the slots.
     """
     out = gradient(tensor.func, p, scheme, nested=tensor.nested) if grad is None else grad.copy()
     base = tensor(p)
+    lead = base.ndim - len(tensor.signature)
+    if lead:
+        # stack axes ride behind the slots, where the slot loop carries them along
+        base = np.moveaxis(base, range(lead), range(-lead, 0))
+        out = np.moveaxis(out, range(1, lead + 1), range(-lead, 0))
     for slot, variance in enumerate(tensor.signature):
         if variance == "u":
             # +Gamma^k_{a m} T[..., m at slot, ...]
@@ -436,7 +459,7 @@ def covariant_derivative_array(gamma: np.ndarray,
             out -= np.moveaxis(term, 1, slot + 1)
         else:
             raise ValueError(f"bad variance letter {variance!r}")
-    return out
+    return np.moveaxis(out, range(-lead, 0), range(lead)) if lead else out
 
 
 def covariant_derivative(conn: ConnectionField,
@@ -475,5 +498,18 @@ def codifferential(omega: FormField,
     nabla = covariant_derivative_array(
         gamma, TensorField("d" * omega.degree, omega.func, omega.nested), p, scheme
     )
-    ginv = np.linalg.inv(np.asarray(metric(p), dtype=float))
-    return -np.tensordot(ginv, nabla, axes=([0, 1], [0, 1]))
+    return trace_codifferential(nabla, np.linalg.inv(np.asarray(metric(p), dtype=float)))
+
+
+def trace_codifferential(nabla: np.ndarray,
+                         ginv: np.ndarray,
+                         degree: int | None = None) -> np.ndarray:
+    """delta(omega) from nabla^g omega (derivative axis first): minus its metric trace.
+
+    With ``degree`` given, axes ahead of the derivative axis form a stack.
+    """
+    k = nabla.ndim - 1 if degree is None else degree
+    d = ginv.shape[0]
+    lead, rest = nabla.shape[:nabla.ndim - k - 1], nabla.shape[nabla.ndim - k + 1:]
+    traced = ginv.reshape(1, d * d) @ nabla.reshape(lead + (d * d, -1))
+    return -traced.reshape(lead + rest)

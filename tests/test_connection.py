@@ -1,11 +1,14 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
 import qkt.qkt_connection as qkt_connection
+import qkt.tensor_core as tensor_core
 from qkt.errors import DimensionError, NotQKTError
 from qkt.qkt_connection import (
+    _extract_sp1,
     _section2_bundle,
     auxiliary_one_forms,
     build_qkt,
@@ -21,6 +24,7 @@ from qkt.qkt_connection import (
 )
 from qkt.quaternionic import (
     CYCLIC,
+    HypercomplexField,
     QuaternionicHermitianData,
     build_standard_hypercomplex,
     cross_lee_form,
@@ -178,6 +182,52 @@ def test_build_reuses_check_point_bundles(monkeypatch):
         struct.torsion(p)
         assert struct.bundle_at(p)["existence"] <= 1e-4
     assert len(built) == 2
+
+
+def count_calls(monkeypatch, original):
+    """Wrap ``original`` in every qkt namespace that holds it; returns the call log."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "qkt" or name.startswith("qkt."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_bundle_takes_one_stencil_of_the_three_kaehler_forms(monkeypatch):
+    # a fresh point costs two stencils: the metric (Gamma^g) and the stacked F
+    calls = count_calls(monkeypatch, tensor_core.gradient)
+    _section2_bundle(conformal_data(), POINT8, SCHEME)
+    assert len(calls) == 2
+
+
+def test_extract_sp1_one_stencil_and_three_solves(monkeypatch):
+    data = conformal_data()
+    varying = QuaternionicHermitianData(data.patch, HypercomplexField(data.hyper.funcs))
+    points = [POINT8, -POINT8]
+    structs = [build_qkt(data, SCHEME, check_points=points),
+               build_qkt(varying, SCHEME, check_points=points)]
+    for struct in structs:
+        for p in points:
+            struct.connection(p)
+    grads = count_calls(monkeypatch, tensor_core.gradient)
+    solves = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(a) or lstsq(*a, **k))
+    constant, sampled = ([_extract_sp1(s.data, s.connection, p, SCHEME) for p in points]
+                         for s in structs)
+    # the standard structure is constant: its derivative is exactly zero, no stencil
+    assert len(grads) == len(points)
+    assert len(solves) == 3 * 2 * len(points)
+    for (omegas_c, residual_c), (omegas_s, residual_s) in zip(constant, sampled):
+        assert np.array_equal(omegas_c, omegas_s)
+        assert residual_c == residual_s
 
 
 def test_existence_residual_rejects_dim4():

@@ -66,6 +66,16 @@ def test_quaternion_algebra(n):
     assert res["hermitian"] <= 1e-15
 
 
+def test_constant_triple_shares_one_read_only_stack():
+    H = build_standard_hypercomplex(2)
+    J = H.matrices(np.zeros(8))
+    assert H.matrices(np.ones(8)) is J
+    assert np.array_equal(J, np.stack([f(np.zeros(8)) for f in H.funcs]))
+    with pytest.raises(ValueError):
+        J[0, 0, 0] = 1.0
+    assert np.array_equal(H.gradient(np.zeros(8), SCHEME), np.zeros((8, 3, 8, 8)))
+
+
 def test_j3_action_on_first_vector():
     H = build_standard_hypercomplex(1)
     J1, J2, J3 = H.matrices(np.zeros(4))
@@ -460,3 +470,66 @@ def test_frame_trace_pair_matches_einsum(d, lead):
     J = random_j(d, 7)
     assert_rel_close(frame_trace_pair(arr, ginv, J),
                      np.einsum("...ab,am,bm->...", arr, ginv, J))
+
+
+# ---------------------------------------------------------------------------
+# stacked J kernels: a (3, d, d) J against the per-structure loop
+# ---------------------------------------------------------------------------
+
+def assert_stack_matches(stacked, looped, exact):
+    looped = np.stack(looped)
+    assert stacked.shape == looped.shape
+    if exact:
+        assert np.array_equal(stacked, looped)
+    else:
+        assert np.max(np.abs(stacked - looped)) <= 1e-12 * np.max(np.abs(looped))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("tilt", [0.0, 5.0])
+def test_stacked_kernels_match_per_structure_loop(n, tilt):
+    d = 4 * n
+    J = rotated_hypercomplex(n, tilt).matrices(np.zeros(d))
+    exact = tilt == 0.0        # signed permutations: every product is exact
+    rng = np.random.default_rng(n)
+    root = rng.normal(size=(d, d))
+    ginv = np.linalg.inv(root @ root.T + d * np.eye(d))
+    one, two = rng.normal(size=(3, d)), rng.normal(size=(3, d, d))
+    three, four = rng.normal(size=(3, d, d, d)), rng.normal(size=(3, d, d, d, d))
+    single = rng.normal(size=(d, d, d))
+
+    assert_stack_matches(j_apply_oneform(J, one),
+                         [j_apply_oneform(J[a], one[a]) for a in range(3)], exact)
+    for arr in (one, two, three):
+        assert_stack_matches(j_apply_form(J, arr),
+                             [j_apply_form(J[a], arr[a]) for a in range(3)], exact)
+    for arr, slots, upper in [(three, (0, 1), False), (three, (0, 2), True),
+                              (three, (1, 2), False), (four, (0, 2), False),
+                              (four, (1, 2), True)]:
+        assert_stack_matches(j_apply_pair(J, arr, slots, upper=upper),
+                             [j_apply_pair(J[a], arr[a], slots, upper=upper)
+                              for a in range(3)], exact)
+    assert_stack_matches(project_plus_3form(three, J),
+                         [project_plus_3form(three[a], J[a]) for a in range(3)], exact)
+    assert_stack_matches(torsion_02_part(three, J),
+                         [torsion_02_part(three[a], J[a]) for a in range(3)], exact)
+    assert_stack_matches(frame_trace_pair(three, ginv, J),
+                         [frame_trace_pair(three[a], ginv, J[a]) for a in range(3)], exact)
+    # one tensor against all three structures, and all nine (a, b) pairs
+    assert_stack_matches(frame_trace_pair(single[None], ginv, J),
+                         [frame_trace_pair(single, ginv, J[a]) for a in range(3)], exact)
+    assert_stack_matches(frame_trace_pair(three[:, None], ginv, J[None]),
+                         [[frame_trace_pair(three[a], ginv, J[b]) for b in range(3)]
+                          for a in range(3)], exact)
+    assert_stack_matches(wedge_arrays(one, two, stack=1),
+                         [wedge_arrays(one[a], two[a]) for a in range(3)], True)
+
+
+def test_dT_type22_residual_takes_precomputed_dT():
+    data = conformal_data(1)
+    T_field = FormField(3, lambda q: np.exp(q[0]) * wedge_arrays(
+        wedge_arrays(np.eye(4)[1], np.eye(4)[2]), np.sin(q[3]) * np.eye(4)[0]))
+    p = np.array([0.1, -0.2, 0.3, 0.05])
+    dT = exterior_derivative(T_field, SCHEME)(p)
+    assert dT_type22_residual(data, T_field, p, SCHEME, dT=dT) == \
+        dT_type22_residual(data, T_field, p, SCHEME)

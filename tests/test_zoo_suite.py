@@ -1,12 +1,16 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import qkt.cli as cli
+import qkt.suite as suite_module
+import qkt.tensor_core as tensor_core
 from qkt.errors import DimensionError
 from qkt.expressions import Expression
-from qkt.suite import CATALOGUE, run_suite
+from qkt.suite import CATALOGUE, IdentityResult, VerificationReport, run_suite
+from qkt.tensor_core import worst
 from qkt.zoo import ManifoldSpec, build_manifold, halton_points, sample_points
 
 FAST = dict(point_count=4, seed=42)
@@ -233,6 +237,64 @@ def test_cli_rejects_overflowing_torsion_product(capsys):
     ])
     assert code == 2
     assert "not a finite number" in capsys.readouterr().err
+
+
+def reject_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_non_finite_residuals_fail(tmp_path, capsys):
+    # exp(709)*x1 is finite, but its curvature overflows: each row that
+    # computed NaN or inf must FAIL instead of reading 0.0
+    out = tmp_path / "report.json"
+    code = cli.main([
+        "verify", "--manifold", "dim4_torsion", "--n", "1",
+        "--t", "exp(709)*x1,0,0,0", "--points", "2", "--report", str(out),
+    ])
+    assert code == 1
+    assert "15/34 identities pass" in capsys.readouterr().out
+    rows = json.loads(out.read_text(), parse_constant=reject_constant)["results"]
+    assert len(rows) == 34 and sum(row["pass"] for row in rows) == 15
+    non_finite = [row for row in rows if isinstance(row["max_residual"], str)]
+    assert {row["max_residual"] for row in non_finite} == {"nan", "inf"}
+    assert not any(row["pass"] for row in non_finite)
+
+
+def test_worst_lets_nan_win():
+    assert worst(0.5, 2.0, 1.0) == 2.0
+    assert np.isnan(worst(0.0, float("nan"))) and np.isnan(worst(np.nan, 3.0))
+
+
+def test_report_json_spells_out_non_finite_numbers():
+    report = VerificationReport(
+        meta={"lam": float("-inf"), "nested": {"fit": np.float64("nan")}},
+        results=(IdentityResult("row", "eq", 1, float("inf"), 1e-3, False),))
+    payload = json.loads(report.to_json(), parse_constant=reject_constant)
+    assert payload["meta"] == {"lam": "-inf", "nested": {"fit": "nan"}}
+    assert payload["results"][0]["max_residual"] == "inf"
+
+
+def test_torsion_differentiated_once_per_point(monkeypatch):
+    built = []
+    build = suite_module.build_manifold
+    monkeypatch.setattr(suite_module, "build_manifold",
+                        lambda *args, **kwargs: built.append(build(*args, **kwargs)) or built[-1])
+    calls = []
+    gradient = tensor_core.gradient
+
+    def recording(field, p, *args, **kwargs):
+        calls.append((field, np.asarray(p).tobytes()))
+        return gradient(field, p, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qkt.") and getattr(module, "gradient", None) is gradient:
+            monkeypatch.setattr(module, "gradient", recording)
+    spec = ManifoldSpec(kind="hopf_local", n=1, point_count=3, seed=5)
+    assert run_suite(spec, "all").all_pass
+    torsion = built[0].torsion.func
+    points = [key for field, key in calls if field is torsion]
+    assert len(points) == len(set(points)) == 3
 
 
 def test_cli_tol_override(capsys):
