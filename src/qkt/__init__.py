@@ -15,25 +15,15 @@ from .tensor_core import (
     FDScheme,
     FormField,
     TensorField,
-    TensorFieldValue,
-    codifferential,
-    covariant_derivative,
     exterior_derivative,
-    hodge_star_4d,
     levi_civita,
-    orthonormal_frame,
     partial_derivative,
-    wedge,
 )
 from .quaternionic import (
     HypercomplexField,
     QuaternionicHermitianData,
     build_standard_hypercomplex,
-    cross_lee_form,
     dT_type22_residual,
-    dc_3form,
-    kaehler_form,
-    lee_form,
     nijenhuis_bracket,
     project_plus_3form,
     torsion_02_part,
@@ -45,7 +35,6 @@ from .qkt_connection import (
     build_qkt,
     build_qkt_dim4,
     classify,
-    compute_K,
     existence_residual,
     nijenhuis_via_connection,
     sp1_forms,
@@ -60,11 +49,9 @@ from .conformal import (
 )
 from .curvature import (
     CurvatureValue,
-    RicciData,
     bianchi_and_symmetry_residuals,
     curvature_tensor,
     dim4_einstein_suite,
-    ricci_data,
     ricci_forms,
     sp1_curvature_residuals,
     trace_identity_residuals,

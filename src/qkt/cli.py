@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ExpressionError, GeometryError
+from .errors import ExpressionError, GeometryError, InputError
 from .suite import SUITES, run_suite
 from .zoo import KINDS, ManifoldSpec
 
@@ -13,11 +13,11 @@ from .zoo import KINDS, ManifoldSpec
 def _parse_tol_overrides(pairs):
     overrides = {}
     for pair in pairs or ():
-        if "=" not in pair:
-            raise argparse.ArgumentTypeError(
-                f"--tol-override expects id=value, got {pair!r}")
         key, _, value = pair.partition("=")
-        overrides[key.strip()] = float(value)
+        try:
+            overrides[key.strip()] = float(value)
+        except ValueError:
+            raise InputError(f"--tol-override expects id=number, got {pair!r}") from None
     return overrides
 
 
@@ -72,7 +72,7 @@ def main(argv=None) -> int:
             j2_tilt_degrees=args.j2_tilt,
         )
         report = run_suite(spec, suite=args.suite)
-    except (ExpressionError, GeometryError, ValueError) as err:
+    except (ExpressionError, GeometryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

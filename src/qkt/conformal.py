@@ -34,6 +34,7 @@ from .tensor_core import (
     FDScheme,
     MemoizedMetric,
     antisymmetrized_gradient,
+    first_point,
     gradient,
     wedge_arrays,
     worst,
@@ -46,16 +47,22 @@ MIN_FACTOR = 1e-8
 class ConformalFactor:
     """A positive scalar field; the gradient comes from central differences."""
 
-    func: Callable[[np.ndarray], float]
+    func: Callable[[np.ndarray], np.ndarray]
 
-    def value(self, p: np.ndarray) -> float:
-        v = float(self.func(p))
-        if not (np.isfinite(v) and v >= MIN_FACTOR):
-            raise GeometryError(f"conformal factor {v!r} not finite and positive at {p}")
+    def _values(self, p: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(np.asarray(self.func(p), dtype=float), np.shape(p)[:-1])
+
+    def value(self, p: np.ndarray) -> np.ndarray:
+        """f at the points ``p`` (..., d), shape (...)."""
+        v = self._values(p)
+        bad = ~(np.isfinite(v) & (v >= MIN_FACTOR))
+        if np.any(bad):
+            raise GeometryError(f"conformal factor {float(v[bad].flat[0])!r} not finite "
+                                f"and positive at {first_point(bad, p)}")
         return v
 
     def grad(self, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
-        return gradient(lambda q: float(self.func(q)), p, scheme)
+        return gradient(self._values, p, scheme)
 
 
 def _as_factor(f) -> ConformalFactor:
@@ -70,7 +77,7 @@ def conformal_rescale(struct: QKTStructure, f, scheme: FDScheme | None = None) -
     base_metric = base_patch.metric
 
     def new_metric(p, _f=factor, _g=base_metric):
-        return _f.value(p) * np.asarray(_g(p), dtype=float)
+        return _f.value(p)[..., None, None] * np.asarray(_g(p), dtype=float)
 
     patch = CoordinatePatch(
         n=base_patch.n,
@@ -84,8 +91,9 @@ def conformal_rescale(struct: QKTStructure, f, scheme: FDScheme | None = None) -
     def torsion_at(p):
         g = np.asarray(base_metric(p), dtype=float)
         J = struct.data.hyper.matrices(p)
-        w = wedge_arrays(j_apply_oneform(J, factor.grad(p, scheme)), g @ J, stack=1)
-        return factor.value(p) * struct.torsion(p) + w[0] + w[1] + w[2]
+        df = factor.grad(p, scheme)[..., None, :]
+        w = wedge_arrays(j_apply_oneform(J, df), g[..., None, :, :] @ J, stack=J.ndim - 2)
+        return factor.value(p)[..., None, None, None] * struct.torsion(p) + w.sum(axis=-4)
 
     rescaled = _assemble(data, torsion_at, scheme, kind=f"rescaled-{struct.kind}")
     rescaled.caches["conformal_base"] = struct
@@ -195,7 +203,7 @@ def lchkt_residual(struct: QKTStructure, p: np.ndarray, scheme: FDScheme | None 
     def candidates(q):
         bundle = struct.bundle_at(q)
         J, cross = bundle["J"], bundle["theta_cross"]
-        return bundle["theta"] - j_apply_oneform(J[CYC_B], cross[CYC_A, CYC_C])
+        return bundle["theta"] - j_apply_oneform(J[..., CYC_B, :, :], cross[..., CYC_A, CYC_C, :])
 
     # one stencil of the three candidates
     grad = gradient(candidates, p, scheme or struct.scheme, nested=True)

@@ -33,6 +33,7 @@ from .tensor_core import (
     gradient,
     levi_civita,
     levi_civita_field,
+    metric_gradient,
     trace_codifferential,
     wedge_arrays,
 )
@@ -49,18 +50,6 @@ class CurvatureValue:
         first = float(np.max(np.abs(self.R4 + np.swapaxes(self.R4, 0, 1))))
         last = float(np.max(np.abs(self.R4 + np.swapaxes(self.R4, 2, 3))))
         return first, last
-
-
-@dataclass(frozen=True)
-class RicciData:
-    """The curvature traces of a dimension-4 structure (K only for n = 1)."""
-
-    rho: np.ndarray          # (3, d, d) Ricci forms
-    Ric: np.ndarray          # (d, d), torsion connection
-    Ric_g: np.ndarray        # (d, d), Levi-Civita
-    Scal: float
-    K: np.ndarray | None     # (d, d) sp(1) trace, n = 1 only
-    Scal_K: float | None
 
 
 def curvature_tensor(conn: ConnectionField,
@@ -399,18 +388,6 @@ def dT_trace_equalities(struct: QKTStructure,
 # dimension 4
 # ---------------------------------------------------------------------------
 
-def ricci_data(struct: QKTStructure, p: np.ndarray, scheme: FDScheme | None = None) -> RicciData:
-    ctx = _context(struct, p, scheme)
-    scal = float(np.einsum("jk,jk->", ctx.ginv, ctx.Ric))
-    K = None
-    scal_k = None
-    if struct.n == 1:
-        K = ctx.P.sum(axis=0)
-        scal_k = float(np.einsum("jk,jk->", ctx.ginv, K))
-    return RicciData(rho=ctx.rho, Ric=ctx.Ric, Ric_g=ctx.Ric_g, Scal=scal,
-                     K=K, Scal_K=scal_k)
-
-
 def dim4_einstein_suite(struct: QKTStructure,
                         p: np.ndarray,
                         scheme: FDScheme | None = None) -> dict:
@@ -463,13 +440,13 @@ def weyl_connection_field(struct: QKTStructure, scheme: FDScheme) -> ConnectionF
         ginv = np.linalg.inv(g)
         gamma = levi_civita(_struct.data.patch.metric, p, _scheme)
         t = torsion_one_forms(_struct, p)[3]
-        t_up = ginv @ t
+        t_up = (ginv @ t[..., None])[..., 0]
         eye = np.eye(_struct.dim)
         return (
             gamma
-            + 0.5 * np.einsum("i,lj->lij", t, eye)
-            + 0.5 * np.einsum("j,li->lij", t, eye)
-            - 0.5 * np.einsum("ij,l->lij", g, t_up)
+            + 0.5 * np.einsum("...i,lj->...lij", t, eye)
+            + 0.5 * np.einsum("...j,li->...lij", t, eye)
+            - 0.5 * np.einsum("...ij,...l->...lij", g, t_up)
         )
 
     return ConnectionField(gamma_w, nested=True)
@@ -494,7 +471,7 @@ def weyl_correspondence(struct: QKTStructure,
 
     gamma_w = conn_w(p)
     g = ctx.g
-    dg = gradient(struct.data.patch.metric, p, scheme_eff)
+    dg = metric_gradient(struct.data.patch.metric, p, scheme_eff)
     nabla_w_g = (
         dg
         - np.einsum("mij,mk->ijk", gamma_w, g)

@@ -21,6 +21,10 @@ class DegreeError(GeometryError):
     """Form degree out of range for the requested operation."""
 
 
+class InputError(GeometryError, ValueError):
+    """A user-supplied setting is out of range (scheme, box, manifold spec, tolerance)."""
+
+
 class NotQKTError(GeometryError):
     """The compatibility condition for a torsion connection failed.
 

@@ -13,22 +13,28 @@ Grammar (EBNF)::
 "/" are left-associative.  As a convenience superset of the grammar a
 unary "-" is accepted in base position.  Printing produces a canonical
 text whose re-parse yields an equal AST.
+
+An expression evaluates a whole point array ``(..., d)`` at once with
+numpy ufuncs.  A point fails where the scalar tree walk would raise:
+division by zero, a power or function with no finite real value, or a
+non-finite result; the error names the first failing point.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ExpressionError
 
 FUNCTIONS = {
-    "exp": math.exp,
-    "ln": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sqrt": math.sqrt,
+    "exp": np.exp,
+    "ln": np.log,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sqrt": np.sqrt,
 }
 
 _TOKEN_RE = re.compile(
@@ -191,39 +197,57 @@ class _Parser:
         raise ExpressionError(f"expected a value, found {tok.text or 'end of input'!r}", tok.offset)
 
 
-def _eval(node, point) -> float:
+class _Failures:
+    """Where the scalar tree walk would raise: each row fails at its first
+    failing node in walk order; ``first`` is (row, message) of the lowest row."""
+
+    def __init__(self, shape):
+        self.ok = np.ones(shape, dtype=bool)
+        self.first = (self.ok.size, "")
+
+    def record(self, mask, message, values=0.0):
+        if mask.any():
+            new = mask & self.ok
+            row = int(np.argmax(new)) if new.any() else self.ok.size
+            if row < self.first[0]:
+                self.first = (row, message.format(float(np.broadcast_to(values, new.shape).flat[row])))
+            self.ok &= ~new
+
+
+def _eval(node, x, fails: _Failures):
     if isinstance(node, Num):
-        return node.value
+        return np.float64(node.value)
     if isinstance(node, Var):
-        if node.index > len(point):
-            raise ExpressionError(f"x{node.index} out of range for a {len(point)}-dimensional point")
-        return float(point[node.index - 1])
+        if node.index > x.shape[-1]:
+            raise ExpressionError(f"x{node.index} out of range for a {x.shape[-1]}-dimensional point")
+        return x[..., node.index - 1]
     if isinstance(node, Neg):
-        return -_eval(node.arg, point)
+        return -_eval(node.arg, x, fails)
     if isinstance(node, BinOp):
-        a = _eval(node.left, point)
-        b = _eval(node.right, point)
+        a = _eval(node.left, x, fails)
+        b = _eval(node.right, x, fails)
         if node.op == "+":
             return a + b
         if node.op == "-":
             return a - b
         if node.op == "*":
             return a * b
-        if b == 0.0:
-            raise ExpressionError("division by zero")
+        fails.record(b == 0.0, "division by zero")
         return a / b
     if isinstance(node, Pow):
-        x = _eval(node.base, point)
-        try:
-            return x ** node.exponent
-        except (OverflowError, ZeroDivisionError):
-            raise ExpressionError(f"{x!r}^{node.exponent} is not a finite number") from None
+        v = _eval(node.base, x, fails)
+        out = v ** node.exponent
+        fails.record(np.isfinite(v) & ~np.isfinite(out),
+                     "{!r}^" + f"{node.exponent} is not a finite number", v)
+        return out
     if isinstance(node, Call):
-        x = _eval(node.arg, point)
-        try:
-            return FUNCTIONS[node.name](x)
-        except (ValueError, OverflowError):
-            raise ExpressionError(f"{node.name}({x!r}) has no finite real value") from None
+        v = _eval(node.arg, x, fails)
+        out = FUNCTIONS[node.name](v)
+        # math raises on a domain error (NaN from a non-NaN argument) and on
+        # an overflow or pole (infinity from a finite argument)
+        fails.record(~np.isnan(v) & (np.isnan(out) | (np.isinf(out) & np.isfinite(v))),
+                     f"{node.name}" + "({!r}) has no finite real value", v)
+        return out
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -260,11 +284,19 @@ class Expression:
     ast: object
     source: str
 
-    def __call__(self, point) -> float:
-        value = _eval(self.ast, point)
-        if not math.isfinite(value):
-            raise ExpressionError(f"{self.source!r} evaluates to {value!r}, not a finite number")
-        return value
+    def __call__(self, points) -> np.ndarray:
+        """Values at the points ``points`` (..., d): an array of shape (...)."""
+        x = np.asarray(points, dtype=float)
+        fails = _Failures(x.shape[:-1])
+        with np.errstate(all="ignore"):
+            value = np.broadcast_to(_eval(self.ast, x, fails), x.shape[:-1])
+        fails.record(~np.isfinite(value), f"{self.source!r} evaluates to " + "{!r}, not a finite number",
+                     value)
+        row, message = fails.first
+        if row < value.size:
+            point = [float(c) for c in x.reshape(-1, x.shape[-1])[row]]
+            raise ExpressionError(f"{message} at point {point} (row {row})")
+        return np.array(value)[()]
 
     def __str__(self) -> str:
         return _to_text(self.ast)

@@ -32,8 +32,6 @@ from .quaternionic import (
     frame_trace_pair,
     j_apply_form,
     j_apply_oneform,
-    lee_form,
-    cross_lee_form,
     project_plus_3form,
     quaternionic_residuals,
     torsion_02_part,
@@ -49,6 +47,7 @@ from .tensor_core import (
     gradient,
     hodge_star_array,
     levi_civita,
+    metric_gradient,
     trace_codifferential,
     wedge_arrays,
     worst,
@@ -65,32 +64,37 @@ ALGEBRA_TOL = 1e-8
 def _section2_bundle(data: QuaternionicHermitianData,
                      p: np.ndarray,
                      scheme: FDScheme) -> dict:
-    """All first-order objects needed by the torsion formula at one point.
+    """All first-order objects needed by the torsion formula at the points ``p``.
 
-    Every quantity carries the quaternionic index as its leading axis.
+    Every quantity carries the point axes first, then the quaternionic index;
+    the two residuals are per point.
     """
     p = np.asarray(p, dtype=float)
     g = data.metric_at(p)
     ginv = np.linalg.inv(g)
     J = data.hyper.matrices(p)
     gamma_g = levi_civita(data.patch.metric, p, scheme)
-    F = g @ J
+    F = g[..., None, :, :] @ J
 
     # one stencil of the stacked F serves both dF and nabla^g F
     def kaehler_stack(q):
-        return data.metric_at(q) @ data.hyper.matrices(q)
+        return data.metric_at(q)[..., None, :, :] @ data.hyper.matrices(q)
 
     grad_f = gradient(kaehler_stack, p, scheme)
-    dF = antisymmetrized_gradient(np.moveaxis(grad_f, 0, 1), degree=2)
-    dF_plus = project_plus_3form(dF, J)
-    # twisted derivatives d_a F_a and their (1,2)+(2,1) parts
-    dcF_plus = project_plus_3form(j_apply_form(J, dF), J)
     # Lee forms theta_a = (delta F_a) o J_a
     nabla_f = covariant_derivative_array(
         gamma_g, TensorField("dd", kaehler_stack), p, scheme, grad=grad_f)
     theta = -j_apply_oneform(J, trace_codifferential(nabla_f, ginv, degree=2))
+    dF = antisymmetrized_gradient(np.moveaxis(grad_f, -4, -3), degree=2)
+    # the 3-form arrays of a stencil batch are the largest temporaries: drop each when done
+    del grad_f, nabla_f
+    # twisted derivatives d_a F_a and their (1,2)+(2,1) parts
+    dcF_plus = project_plus_3form(j_apply_form(J, dF), J)
+    dF_plus = project_plus_3form(dF, J)
+    del dF
     # cross Lee forms theta[a, b](X) = -1/2 sum_i dF_a^+(X, e_i, J_b e_i)
-    theta_cross = -0.5 * frame_trace_pair(dF_plus[:, None], ginv, J[None])
+    theta_cross = -0.5 * frame_trace_pair(dF_plus[..., None, :, :, :], ginv, J[..., None, :, :, :])
+    del dF_plus
 
     bundle = {
         "g": g, "J": J, "F": F,
@@ -98,35 +102,31 @@ def _section2_bundle(data: QuaternionicHermitianData,
     }
 
     if data.n >= 2:
-        K = (j_apply_oneform(J[CYC_B], theta) + theta_cross[CYC_A, CYC_C]) / (1.0 - data.n)
+        K = (j_apply_oneform(J[..., CYC_B, :, :], theta)
+             + theta_cross[..., CYC_A, CYC_C, :]) / (1.0 - data.n)
         bundle["K"] = K
 
+        stack = K.ndim - 1
         JK = j_apply_oneform(J, K)
-        K_Fb = wedge_arrays(K, F[CYC_B], stack=1)
-        versions = dcF_plus - 0.5 * (wedge_arrays(JK, F[CYC_C], stack=1) + K_Fb)
-        bundle["torsion"] = (versions[0] + versions[1] + versions[2]) / 3.0
-        bundle["alpha_agreement"] = float(np.max(np.abs(versions - versions[CYC_B])))
+        F_b, F_c = F[..., CYC_B, :, :], F[..., CYC_C, :, :]
+        K_Fb = wedge_arrays(K, F_b, stack=stack)
+        versions = dcF_plus - 0.5 * (wedge_arrays(JK, F_c, stack=stack) + K_Fb)
+        bundle["torsion"] = versions.sum(axis=-4) / 3.0
+        slots = (-4, -3, -2, -1)
+        bundle["alpha_agreement"] = np.max(np.abs(versions - versions[..., CYC_B, :, :, :]),
+                                           axis=slots)
+        del versions
 
-        rhs = 0.5 * (
-            K_Fb
-            - wedge_arrays(JK[CYC_B], F, stack=1)
-            - wedge_arrays(K[CYC_B] - JK, F[CYC_C], stack=1)
-        )
-        bundle["existence"] = float(np.max(np.abs(dcF_plus - dcF_plus[CYC_B] - rhs)))
+        # the existence defect, accumulated in place over K ^ F_b
+        rhs = K_Fb
+        rhs -= wedge_arrays(JK[..., CYC_B, :], F, stack=stack)
+        rhs -= wedge_arrays(K[..., CYC_B, :] - JK, F_c, stack=stack)
+        rhs *= 0.5
+        defect = dcF_plus - dcF_plus[..., CYC_B, :, :, :]
+        defect -= rhs
+        bundle["existence"] = np.max(np.abs(defect), axis=slots)
 
     return bundle
-
-
-def compute_K(data: QuaternionicHermitianData,
-              alpha: int,
-              p: np.ndarray,
-              scheme: FDScheme) -> np.ndarray:
-    """The compatibility 1-form K_a = (J_b theta_a + theta_{a,c}) / (1-n)."""
-    if data.n < 2:
-        raise DimensionError("K is defined for n >= 2; dimension 4 uses the star path")
-    _, b, c = CYCLIC[alpha]
-    jb_theta = j_apply_oneform(data.j_at(b, p), lee_form(data, alpha, p, scheme))
-    return (jb_theta + cross_lee_form(data, alpha, c, p, scheme)) / (1.0 - data.n)
 
 
 def existence_residual(data: QuaternionicHermitianData,
@@ -198,6 +198,7 @@ class QKTStructure:
 
 
 def _memoized(cache: dict, p: np.ndarray, compute: Callable[[np.ndarray], np.ndarray]):
+    """``compute(p)``, kept per point array: a shared stencil batch is one entry."""
     key = np.asarray(p, dtype=float).tobytes()
     if key not in cache:
         cache[key] = compute(np.asarray(p, dtype=float))
@@ -221,10 +222,9 @@ def _assemble(data: QuaternionicHermitianData,
 
     def gamma_at(p):
         def compute(q):
-            g = data.metric_at(q)
-            ginv = np.linalg.inv(g)
+            ginv = np.linalg.inv(data.metric_at(q))
             gamma_g = levi_civita(data.patch.metric, q, scheme)
-            return gamma_g + 0.5 * np.einsum("ijm,ml->lij", torsion_memo(q), ginv)
+            return gamma_g + 0.5 * np.einsum("...ijm,...ml->...lij", torsion_memo(q), ginv)
 
         return _memoized(gamma_cache, p, compute)
 
@@ -237,7 +237,7 @@ def _assemble(data: QuaternionicHermitianData,
         return _memoized(omega_cache, p, compute)
 
     def omega_field(alpha):
-        return FormField(1, lambda q: omega_bundle(q)[0][alpha], nested=True)
+        return FormField(1, lambda q: omega_bundle(q)[0][..., alpha, :], nested=True)
 
     struct = QKTStructure(
         data=data,
@@ -256,32 +256,37 @@ def _extract_sp1(data: QuaternionicHermitianData,
                  connection: ConnectionField,
                  p: np.ndarray,
                  scheme: FDScheme):
-    """Solve nabla J_a = -omega_b (x) J_c + omega_c (x) J_b for the omegas.
+    """Solve nabla J_a = -omega_b (x) J_c + omega_c (x) J_b for the omegas at the points ``p``.
 
     Each omega is recovered from both equations containing it; the returned
-    residual tracks the worst least-squares defect and the worst
+    per-point residual tracks the worst least-squares defect and the worst
     disagreement between the two recoveries.
     """
     dim = data.dim
+    points = np.shape(p)[:-1]
     J = data.hyper.matrices(p)
-    # gamma_dir[i] = Gamma[:, i, :]: nabla_i J_a = d_i J_a + [Gamma_i, J_a], all i and a at once
-    gamma_dir = np.swapaxes(connection(p), 0, 1)[:, None]
+    # gamma_dir[..., i] = Gamma[..., :, i, :]: nabla_i J_a = d_i J_a + [Gamma_i, J_a]
+    gamma_dir = np.swapaxes(connection(p), -3, -2)[..., None, :, :]
     dJ = data.hyper.gradient(p, scheme)
-    nabla_j = dJ + gamma_dir @ J - J @ gamma_dir             # [i, a, k, j]
-    estimates = [[] for _ in range(3)]
-    residual = 0.0
-    for a, b, c in CYCLIC:
-        design = np.stack([-J[c].ravel(), J[b].ravel()], axis=1)
-        rhs = nabla_j[:, a].reshape(dim, dim * dim).T        # one column per direction
-        coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-        residual = worst(residual, np.max(np.abs(design @ coeffs - rhs)))
-        estimates[b].append(coeffs[0])
-        estimates[c].append(coeffs[1])
-    omegas = np.zeros((3, dim))
-    for k in range(3):
-        pair = np.stack(estimates[k])
-        omegas[k] = pair.mean(axis=0)
-        residual = worst(residual, np.max(np.abs(pair[0] - pair[1])))
+    J_i = J[..., None, :, :, :]
+    nabla_j = gamma_dir @ J_i                                    # [..., i, a, k, j]
+    nabla_j += dJ
+    nabla_j -= J_i @ gamma_dir
+    # per cyclic triple (a, b, c): design [-J_c, J_b] with one column per
+    # direction on the right, solved through the stacked 2x2 normal equations
+    # (general, since the columns are orthogonal only for a compatible triple)
+    flat = J.reshape(points + (3, dim * dim))
+    design = np.stack([-flat[..., CYC_C, :], flat[..., CYC_B, :]], axis=-1)
+    rhs = np.moveaxis(nabla_j.reshape(points + (dim, 3, dim * dim)), -3, -1)  # [..., a, kj, i]
+    design_t = np.swapaxes(design, -1, -2)
+    coeffs = np.linalg.solve(design_t @ design, design_t @ rhs)  # [..., a, 2, i]
+    defect = design @ coeffs
+    defect -= rhs
+    residual = np.max(np.abs(defect, out=defect), axis=(-3, -2, -1))
+    # omega_k comes from the triple with b = k and the triple with c = k
+    from_b, from_c = coeffs[..., CYC_C, 0, :], coeffs[..., CYC_B, 1, :]
+    omegas = (from_b + from_c) / 2.0
+    residual = np.maximum(residual, np.max(np.abs(from_b - from_c), axis=(-2, -1)))
     return omegas, residual
 
 
@@ -360,15 +365,15 @@ def build_qkt_dim4(patch: CoordinatePatch,
 # ---------------------------------------------------------------------------
 
 def _torsion_traces(struct: QKTStructure, p: np.ndarray):
-    """Memoized read-only (t_alpha, J_a t_a, t) at ``p``, stacked over alpha."""
+    """Memoized read-only (t_alpha, J_a t_a, t) at the points ``p``, stacked over alpha."""
 
     def compute(q):
         T = struct.torsion(q)
         ginv = np.linalg.inv(struct.metric_at(q))
         J = struct.data.hyper.matrices(q)
-        t_alpha = -0.5 * frame_trace_pair(T[None], ginv, J)
+        t_alpha = -0.5 * frame_trace_pair(T[..., None, :, :, :], ginv, J)
         images = j_apply_oneform(J, t_alpha)
-        t = images.mean(axis=0)
+        t = images.mean(axis=-2)
         for arr in (t_alpha, images, t):
             arr.flags.writeable = False
         return t_alpha, images, t
@@ -379,7 +384,7 @@ def _torsion_traces(struct: QKTStructure, p: np.ndarray):
 def torsion_one_forms(struct: QKTStructure, p: np.ndarray):
     """(t_1, t_2, t_3, t): the torsion traces and their common J-image."""
     t_alpha, _, t = _torsion_traces(struct, p)
-    return t_alpha[0], t_alpha[1], t_alpha[2], t
+    return t_alpha[..., 0, :], t_alpha[..., 1, :], t_alpha[..., 2, :], t
 
 
 def torsion_one_form_spread(struct: QKTStructure, p: np.ndarray) -> float:
@@ -459,8 +464,9 @@ def structure_invariant_residuals(struct: QKTStructure, p: np.ndarray) -> dict:
                  np.max(np.abs(T + np.swapaxes(T, 1, 2))))
 
     gamma = struct.connection(p)
-    g_field = TensorField("dd", struct.data.patch.metric)
-    nabla_g = covariant_derivative_array(gamma, g_field, p, struct.scheme)
+    metric = struct.data.patch.metric
+    nabla_g = covariant_derivative_array(gamma, TensorField("dd", metric), p, struct.scheme,
+                                         grad=metric_gradient(metric, p, struct.scheme))
     metricity = float(np.max(np.abs(nabla_g)))
 
     T12 = np.einsum("ijm,mk->kij", T, ginv)

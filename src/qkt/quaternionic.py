@@ -1,9 +1,10 @@
 """Almost hypercomplex structures and their first-order invariants.
 
 Carries the triple of anticommuting almost complex structures, the
-associated Kaehler 2-forms F_a(X, Y) = g(X, J_a Y), Lee forms, cross Lee
-forms, type projectors for 3-forms and torsion tensors, and the Nijenhuis
-tensor computed from coordinate Lie brackets.
+kernels that apply them to forms and tensors, type projectors for 3-forms
+and torsion tensors, and the Nijenhuis tensor computed from coordinate Lie
+brackets.  The Kaehler 2-forms F_a(X, Y) = g(X, J_a Y) and their Lee and
+cross Lee forms are part of the first-order bundle in ``qkt_connection``.
 
 The action of an almost complex structure on an r-form is
 ``(J psi)(X_1, ..., X_r) = (-1)^r psi(J X_1, ..., J X_r)``; on 1-forms in
@@ -14,6 +15,7 @@ Its leading axes form a stack, and the tensor's leading axes are matched
 against them (numpy broadcasting; pass ``T[None]`` to apply three J's to
 one tensor).  Tensor slots are addressed from the end, so slot 0 is the
 first slot after the stack.  A plain ``(d, d)`` J has an empty stack.
+Point axes, when present, lead the stack: ``J[..., alpha, k, j]``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .tensor_core import (
     CoordinatePatch,
     FDScheme,
     FormField,
-    codifferential,
     exterior_derivative,
     gradient,
 )
@@ -62,14 +63,14 @@ class HypercomplexField:
     nested: bool = False
 
     def matrices(self, p: np.ndarray) -> np.ndarray:
-        """All three structures at ``p``, stacked as J[alpha, k, j]."""
-        return np.stack([np.asarray(f(p), dtype=float) for f in self.funcs])
+        """All three structures at the points ``p``, stacked as J[..., alpha, k, j]."""
+        return np.stack([np.asarray(f(p), dtype=float) for f in self.funcs], axis=-3)
 
     def matrix(self, alpha: int, p: np.ndarray) -> np.ndarray:
         return np.asarray(self.funcs[alpha](p), dtype=float)
 
     def gradient(self, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
-        """dJ[i, alpha] = d_i J_alpha at ``p``, one stencil for all three."""
+        """dJ[..., i, alpha] = d_i J_alpha at the points ``p``, one stencil for all three."""
         return gradient(self.matrices, p, scheme, nested=self.nested)
 
 
@@ -87,14 +88,16 @@ class ConstantHypercomplexField(HypercomplexField):
         stack = np.array([j1, j2, j3], dtype=float)
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "funcs", tuple(lambda p, _m=m: _m for m in stack))
+        object.__setattr__(self, "funcs", tuple(
+            lambda p, _m=m: np.broadcast_to(_m, np.shape(p)[:-1] + _m.shape) for m in stack))
         object.__setattr__(self, "nested", False)
 
     def matrices(self, p: np.ndarray) -> np.ndarray:
-        return self.stack
+        points = np.shape(p)[:-1]
+        return np.broadcast_to(self.stack, points + self.stack.shape) if points else self.stack
 
     def gradient(self, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
-        return np.zeros((len(p),) + self.stack.shape)
+        return np.broadcast_to(0.0, np.shape(p) + self.stack.shape)
 
 
 def build_standard_hypercomplex(n: int) -> ConstantHypercomplexField:
@@ -159,17 +162,8 @@ def quaternionic_residuals(data: QuaternionicHermitianData, p: np.ndarray) -> di
 
 
 # ---------------------------------------------------------------------------
-# forms attached to the structure
+# J kernels
 # ---------------------------------------------------------------------------
-
-def kaehler_form(data: QuaternionicHermitianData, alpha: int, p: np.ndarray) -> np.ndarray:
-    """F_a(X, Y) = g(X, J_a Y) as an antisymmetric matrix."""
-    return data.metric_at(p) @ data.j_at(alpha, p)
-
-
-def kaehler_field(data: QuaternionicHermitianData, alpha: int) -> FormField:
-    return FormField(2, lambda p: kaehler_form(data, alpha, p), nested=False)
-
 
 def j_apply_oneform(J: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """(J psi)(X) = -psi(J X); J ``(..., d, d)`` against psi ``(..., d)``."""
@@ -199,25 +193,18 @@ def j_apply_pair(J: np.ndarray, arr: np.ndarray, slots: tuple, upper: bool = Fal
     return out.transpose(np.argsort(order))
 
 
-def lee_form(data: QuaternionicHermitianData,
-             alpha: int,
-             p: np.ndarray,
-             scheme: FDScheme) -> np.ndarray:
-    """Lee form theta_a = (delta F_a) o J_a at ``p``."""
-    data.patch.require_interior(p, scheme.h)
-    delta_f = codifferential(kaehler_field(data, alpha), data.patch.metric, p, scheme)
-    return delta_f @ data.j_at(alpha, p)
-
-
 def frame_trace_pair(arr: np.ndarray, ginv: np.ndarray, J: np.ndarray) -> np.ndarray:
     """sum_i arr(..., e_i, J e_i) over a g-orthonormal frame, last two slots.
 
     The leading axes of ``arr`` broadcast against a stack of J's:
     ``arr[:, None]`` against ``J[None]`` traces every (tensor, J) pair.
+    The leading axes of ``ginv`` are point axes, the first axes of J's stack.
     """
     d = J.shape[-1]
-    stack = J.shape[:-2]
-    weights = (ginv @ np.swapaxes(J, -1, -2)).reshape(stack + (d * d, 1))
+    ginv = ginv.reshape(ginv.shape[:-2] + (1,) * (J.ndim - ginv.ndim) + (d, d))
+    weights = ginv @ np.swapaxes(J, -1, -2)
+    stack = weights.shape[:-2]
+    weights = weights.reshape(stack + (d * d, 1))
     lead, middle = arr.shape[:len(stack)], arr.shape[len(stack):-2]
     traced = arr.reshape(lead + (-1, d * d)) @ weights
     return traced.reshape(np.broadcast_shapes(lead, stack) + middle)
@@ -231,8 +218,11 @@ def project_plus_3form(psi: np.ndarray, J: np.ndarray) -> np.ndarray:
     The image satisfies psi(X,Y,Z) = psi(JX,JY,Z) + psi(JX,Y,JZ) + psi(X,JY,JZ)
     exactly; the kernel is the (3,0)+(0,3) part.
     """
-    jj = [j_apply_pair(J, psi, slots) for slots in ((0, 1), (0, 2), (1, 2))]
-    return 0.25 * (3.0 * psi + jj[0] + jj[1] + jj[2])
+    out = 3.0 * psi
+    for slots in ((0, 1), (0, 2), (1, 2)):
+        out += j_apply_pair(J, psi, slots)
+    out *= 0.25
+    return out
 
 
 def torsion_02_part(T: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -244,32 +234,6 @@ def torsion_02_part(T: np.ndarray, J: np.ndarray) -> np.ndarray:
     jt_jx = j_apply_pair(J, T, (0, 1), upper=True)
     jt_xj = j_apply_pair(J, T, (0, 2), upper=True)
     return 0.25 * (T - t_jj + jt_jx + jt_xj)
-
-
-def cross_lee_form(data: QuaternionicHermitianData,
-                   alpha: int,
-                   beta: int,
-                   p: np.ndarray,
-                   scheme: FDScheme) -> np.ndarray:
-    """theta_{a,b}(X) = -1/2 sum_i dF_a^+(X, e_i, J_b e_i)."""
-    data.patch.require_interior(p, scheme.margin)
-    dF = exterior_derivative(kaehler_field(data, alpha), scheme)(p)
-    dF_plus = project_plus_3form(dF, data.j_at(alpha, p))
-    ginv = np.linalg.inv(data.metric_at(p))
-    return -0.5 * frame_trace_pair(dF_plus, ginv, data.j_at(beta, p))
-
-
-def dc_3form(data: QuaternionicHermitianData,
-             alpha: int,
-             two_form: FormField,
-             p: np.ndarray,
-             scheme: FDScheme) -> np.ndarray:
-    """The twisted derivative -(d psi)(J_a ., J_a ., J_a .) of a 2-form field.
-
-    Applied to F_b this yields d_a F_b.
-    """
-    d_psi = exterior_derivative(two_form, scheme)(p)
-    return j_apply_form(data.j_at(alpha, p), d_psi)
 
 
 def nijenhuis_bracket(data: QuaternionicHermitianData,

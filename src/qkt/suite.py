@@ -30,7 +30,7 @@ from .curvature import (
     trace_identity_residuals,
     weyl_correspondence,
 )
-from .errors import NotQKTError
+from .errors import InputError, NotQKTError
 from .qkt_connection import (
     QKTStructure,
     auxiliary_one_forms,
@@ -502,7 +502,7 @@ def _meta(spec: ManifoldSpec, suite: str, extra: dict | None = None) -> dict:
 def run_suite(spec: ManifoldSpec, suite: str = "all") -> VerificationReport:
     """Evaluate the selected identities on the manifold described by ``spec``."""
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+        raise InputError(f"unknown suite {suite!r}; choose from {SUITES}")
     scheme = spec.scheme()
     points = sample_points(spec)
 

@@ -8,6 +8,12 @@ curvature step ``h2`` (truncation/rounding balance).
 
 Conventions used throughout the package:
 
+* point arrays: a field maps points of shape ``(..., d)`` to values of
+  shape ``(..., *value_shape)``; the leading axes are point axes, and a
+  single point is the empty batch.  :func:`gradient` evaluates a field
+  once, on the ``(..., 2d, d)`` stencil array, and returns
+  ``(..., d, *value_shape)``: the derivative axis sits right after the
+  point axes;
 * metric ``g[i, j]``; connection coefficients ``Gamma[l, i, j]``, the l-th
   component of the derivative of the j-th coordinate field along the i-th
   direction;
@@ -37,6 +43,7 @@ from .errors import (
     DegenerateMetricError,
     DegreeError,
     DimensionError,
+    InputError,
 )
 
 MIN_METRIC_EIGENVALUE = 1e-8
@@ -60,7 +67,7 @@ class FDScheme:
 
     def __post_init__(self):
         if self.h <= 0 or self.h2 <= 0:
-            raise ValueError("finite-difference steps must be positive")
+            raise InputError("finite-difference steps must be positive")
 
     def step(self, nested: bool) -> float:
         return self.h2 if nested else self.h
@@ -94,9 +101,9 @@ class CoordinatePatch:
         if lo.shape != (self.dim,) or hi.shape != (self.dim,):
             raise DimensionError("domain bounds must have length 4n")
         if not np.all(hi > lo):
-            raise ValueError("domain box must have positive volume")
+            raise InputError("domain box must have positive volume")
         if self.orientation not in (+1, -1):
-            raise ValueError("orientation must be +1 or -1")
+            raise InputError("orientation must be +1 or -1")
 
     @property
     def dim(self) -> int:
@@ -117,42 +124,39 @@ class CoordinatePatch:
 
     def metric_at(self, p: np.ndarray) -> np.ndarray:
         g = np.asarray(self.metric(p), dtype=float)
-        if g.shape != (self.dim, self.dim):
+        if g.shape != np.shape(p)[:-1] + (self.dim, self.dim):
             raise DimensionError("metric field returned a wrongly shaped matrix")
         return g
 
     def validate_metric_at(self, p: np.ndarray) -> None:
         g = self.metric_at(p)
-        if np.max(np.abs(g - g.T)) > 1e-12:
-            raise DegenerateMetricError(f"metric not symmetric at {p}")
-        if np.linalg.eigvalsh(g)[0] < MIN_METRIC_EIGENVALUE:
-            raise DegenerateMetricError(
-                f"metric closer than {MIN_METRIC_EIGENVALUE} to degenerate at {p}"
-            )
+        _require_nondegenerate(g, p)
+        skew = np.max(np.abs(g - np.swapaxes(g, -1, -2)), axis=(-2, -1)) > 1e-12
+        if np.any(skew):
+            raise DegenerateMetricError(f"metric not symmetric at {first_point(skew, p)}")
+
+
+def first_point(mask: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The first point of the batch ``p`` (..., d) where ``mask`` (...) holds."""
+    p = np.asarray(p, dtype=float)
+    return p.reshape(-1, p.shape[-1])[np.flatnonzero(mask)[0]]
+
+
+def _require_nondegenerate(g: np.ndarray, p: np.ndarray) -> None:
+    """Raise DegenerateMetricError at the first point where g is not finite or
+    its smallest eigenvalue is below MIN_METRIC_EIGENVALUE."""
+    bad = ~np.all(np.isfinite(g), axis=(-2, -1))
+    if np.any(bad):
+        raise DegenerateMetricError(f"metric not finite at {first_point(bad, p)}")
+    bad = np.linalg.eigvalsh(g)[..., 0] < MIN_METRIC_EIGENVALUE
+    if np.any(bad):
+        raise DegenerateMetricError(
+            f"metric closer than {MIN_METRIC_EIGENVALUE} to degenerate at {first_point(bad, p)}")
 
 
 # ---------------------------------------------------------------------------
 # field carriers
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TensorFieldValue:
-    """Components of a tensor at one point, with declared index variances.
-
-    ``signature`` is a string over {'u', 'd'} (contravariant/covariant),
-    one letter per array axis.
-    """
-
-    signature: str
-    components: np.ndarray
-    base_point: np.ndarray
-
-    def __post_init__(self):
-        if self.components.ndim != len(self.signature):
-            raise DimensionError("array rank does not match the index signature")
-        if not np.all(np.isfinite(self.components)):
-            raise ValueError("tensor components must be finite")
-
 
 @dataclass(frozen=True)
 class TensorField:
@@ -176,9 +180,10 @@ class FormField:
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
         value = np.asarray(self.func(p), dtype=float)
-        if value.ndim != self.degree:
+        rank = value.ndim - (np.ndim(p) - 1)
+        if rank != self.degree:
             raise DimensionError(
-                f"form of degree {self.degree} evaluated to a rank-{value.ndim} array"
+                f"form of degree {self.degree} evaluated to a rank-{rank} array"
             )
         return value
 
@@ -196,7 +201,7 @@ class ConnectionField:
 
 def constant_form(degree: int, components) -> FormField:
     arr = np.asarray(components, dtype=float)
-    return FormField(degree, lambda p, _a=arr: _a)
+    return FormField(degree, lambda p, _a=arr: np.broadcast_to(_a, np.shape(p)[:-1] + _a.shape))
 
 
 def worst(*values) -> float:
@@ -213,9 +218,10 @@ def partial_derivative(field: Callable[[np.ndarray], np.ndarray],
                        p: np.ndarray,
                        scheme: FDScheme,
                        nested: bool = False) -> np.ndarray:
-    """Order-2 central difference of an array-valued field along one axis."""
+    """Order-2 central difference of a field along one axis at the points ``p``."""
     h = scheme.step(nested)
-    e = np.zeros(len(p))
+    p = np.asarray(p, dtype=float)
+    e = np.zeros(p.shape[-1])
     e[direction] = h
     plus = np.asarray(field(p + e), dtype=float)
     minus = np.asarray(field(p - e), dtype=float)
@@ -226,10 +232,21 @@ def gradient(field: Callable[[np.ndarray], np.ndarray],
              p: np.ndarray,
              scheme: FDScheme,
              nested: bool = False) -> np.ndarray:
-    """Stack of partial derivatives; axis 0 is the derivative direction."""
-    return np.stack([
-        partial_derivative(field, a, p, scheme, nested) for a in range(len(p))
-    ])
+    """All partial derivatives at the points ``p`` (..., d), from one field call.
+
+    The field is evaluated once, on the (..., 2d, d) stencil array; the
+    result is (..., d, *value_shape), the derivative axis right after the
+    point axes.
+    """
+    p = np.asarray(p, dtype=float)
+    d = p.shape[-1]
+    h = scheme.step(nested)
+    step = h * np.eye(d)
+    values = np.asarray(field(p[..., None, :] + np.concatenate([step, -step])), dtype=float)
+    head = (slice(None),) * (p.ndim - 1)
+    out = values[head + (slice(d),)] - values[head + (slice(d, None),)]
+    out /= 2.0 * h
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +271,11 @@ def exterior_derivative(omega: FormField, scheme: FDScheme) -> FormField:
 
     def d_at(p, _omega=omega, _scheme=scheme):
         k = _omega.degree
-        if k >= len(p):
-            raise DegreeError(f"cannot raise degree {k} past the dimension {len(p)}")
+        d = np.shape(p)[-1]
+        if k >= d:
+            raise DegreeError(f"cannot raise degree {k} past the dimension {d}")
         return antisymmetrized_gradient(
-            gradient(_omega.func, p, _scheme, nested=_omega.nested))
+            gradient(_omega.func, p, _scheme, nested=_omega.nested), degree=k)
 
     return FormField(omega.degree + 1, d_at, nested=True)
 
@@ -305,15 +323,12 @@ def wedge_arrays(a: np.ndarray, b: np.ndarray, stack: int = 0) -> np.ndarray:
     lead = tuple(range(stack))
     result = np.zeros(outer.shape)
     for sign, axes in _shuffles(p, q):
-        result += sign * outer.transpose(lead + tuple(stack + ax for ax in axes))
+        term = outer.transpose(lead + tuple(stack + ax for ax in axes))
+        if sign > 0:
+            result += term
+        else:
+            result -= term
     return result
-
-
-def wedge(a: FormField, b: FormField) -> FormField:
-    def wedge_at(p, _a=a, _b=b):
-        return wedge_arrays(_a(p), _b(p))
-
-    return FormField(a.degree + b.degree, wedge_at, nested=a.nested or b.nested)
 
 
 def _levi_civita_symbol_4() -> np.ndarray:
@@ -326,43 +341,39 @@ def _levi_civita_symbol_4() -> np.ndarray:
 EPSILON_4 = _levi_civita_symbol_4()
 
 _STAR_SPECS = {
-    1: "a,abcd->bcd",
-    2: "ab,abcd->cd",
-    3: "abc,abcd->d",
-    4: "abcd,abcd->",
+    1: "...a,abcd->...bcd",
+    2: "...ab,abcd->...cd",
+    3: "...abc,abcd->...d",
+    4: "...abcd,abcd->...",
 }
 
 
 def hodge_star_array(arr: np.ndarray, g: np.ndarray, orientation: int = 1) -> np.ndarray:
-    """Hodge star of a k-form component array in dimension 4."""
+    """Hodge star of k-form component arrays in dimension 4.
+
+    The leading axes of ``g`` are point axes, and ``arr`` carries the same
+    point axes ahead of its k slots.
+    """
     g = np.asarray(g, dtype=float)
-    if g.shape != (4, 4):
+    if g.shape[-2:] != (4, 4):
         raise DimensionError("the Hodge star is implemented for 4n = 4 only")
     arr = np.asarray(arr, dtype=float)
-    k = arr.ndim
+    lead = g.ndim - 2
+    k = arr.ndim - lead
     vol = float(orientation) * np.sqrt(np.linalg.det(g))
     if k == 0:
-        return float(arr) * vol * EPSILON_4
+        return (arr * vol)[..., None, None, None, None] * EPSILON_4
     if k > 4:
         raise DegreeError(f"no {k}-forms in dimension 4")
     ginv = np.linalg.inv(g)
     raised = arr
     for _ in range(k):
-        # contract the leading axis, new contravariant axis lands at the end;
+        # contract the first slot, new contravariant axis lands at the end;
         # k passes restore the original axis order with all indices raised
-        raised = np.tensordot(raised, ginv, axes=([0], [0]))
+        moved = np.moveaxis(raised, lead, -1)
+        raised = (moved.reshape(moved.shape[:lead] + (-1, 4)) @ ginv).reshape(moved.shape)
+    vol = np.reshape(vol, np.shape(vol) + (1,) * (4 - k))
     return vol * np.einsum(_STAR_SPECS[k], raised, EPSILON_4) / math.factorial(k)
-
-
-def hodge_star_4d(omega: FormField,
-                  metric: Callable[[np.ndarray], np.ndarray],
-                  orientation: int = 1) -> FormField:
-    """Metric/orientation-compatible star of a form field, dimension 4."""
-
-    def star_at(p, _omega=omega, _metric=metric, _ori=orientation):
-        return hodge_star_array(_omega(p), np.asarray(_metric(p), dtype=float), _ori)
-
-    return FormField(4 - omega.degree, star_at, nested=omega.nested)
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +381,12 @@ def hodge_star_4d(omega: FormField,
 # ---------------------------------------------------------------------------
 
 class MemoizedMetric:
-    """A metric field that evaluates each point once.
+    """A metric field that evaluates each point array once.
 
-    ``g(p)`` is kept per point and the Christoffel symbols per (point,
-    scheme), which :func:`levi_civita` reads through.  Stored arrays are
-    read-only, so a caller cannot alter what later callers receive.
+    ``g(p)`` is kept per point array (keyed on its bytes, so a shared
+    stencil batch is one entry) and the Christoffel symbols per (point
+    array, scheme), which :func:`levi_civita` reads through.  Stored arrays
+    are read-only views, so a caller cannot alter what later callers receive.
     """
 
     __slots__ = ("func", "_g", "_gamma")
@@ -388,16 +400,49 @@ class MemoizedMetric:
         key = np.asarray(p, dtype=float).tobytes()
         g = self._g.get(key)
         if g is None:
-            g = np.array(self.func(p), dtype=float)
+            # a read-only view: no copy of the (possibly large) batch values
+            g = np.asarray(self.func(p), dtype=float).view()
             g.flags.writeable = False
             self._g[key] = g
         return g
 
 
+class ConstantMetric:
+    """A metric field that is the same matrix at every point.
+
+    Every point gets a read-only view of one matrix, and the Christoffel
+    symbols vanish exactly, without a stencil.
+    """
+
+    __slots__ = ("g",)
+
+    def __init__(self, g):
+        g = np.array(g, dtype=float)
+        if not (np.all(np.isfinite(g)) and np.linalg.eigvalsh(g)[0] >= MIN_METRIC_EIGENVALUE):
+            raise DegenerateMetricError("constant metric is not finite and positive definite")
+        g.flags.writeable = False
+        self.g = g
+
+    def __call__(self, p: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self.g, np.shape(p)[:-1] + self.g.shape)
+
+
+def metric_gradient(metric: Callable[[np.ndarray], np.ndarray],
+                    p: np.ndarray,
+                    scheme: FDScheme) -> np.ndarray:
+    """dg[..., a, i, j] = d_a g_ij at the points ``p``; exact zeros, without a
+    stencil, for a :class:`ConstantMetric`."""
+    if isinstance(metric, ConstantMetric):
+        return np.zeros(np.shape(p) + metric.g.shape)
+    return gradient(metric, p, scheme)
+
+
 def levi_civita(metric: Callable[[np.ndarray], np.ndarray],
                 p: np.ndarray,
                 scheme: FDScheme) -> np.ndarray:
-    """Christoffel symbols Gamma[l, i, j] of the metric field at ``p``."""
+    """Christoffel symbols Gamma[..., l, i, j] of the metric field at the points ``p``."""
+    if isinstance(metric, ConstantMetric):
+        return np.zeros(np.shape(p)[:-1] + metric.g.shape[-1:] * 3)
     if isinstance(metric, MemoizedMetric):
         key = (np.asarray(p, dtype=float).tobytes(), scheme)
         gamma = metric._gamma.get(key)
@@ -413,16 +458,11 @@ def _christoffel(metric: Callable[[np.ndarray], np.ndarray],
                  p: np.ndarray,
                  scheme: FDScheme) -> np.ndarray:
     g = np.asarray(metric(p), dtype=float)
-    if np.linalg.eigvalsh(g)[0] < MIN_METRIC_EIGENVALUE:
-        raise DegenerateMetricError(f"metric nearly degenerate at {p}")
+    _require_nondegenerate(g, p)
     ginv = np.linalg.inv(g)
-    dg = gradient(metric, p, scheme)  # dg[a, i, j] = d_a g_{ij}
-    lowered = 0.5 * (
-        dg
-        + np.einsum("jim->ijm", dg)
-        - np.einsum("mij->ijm", dg)
-    )
-    return np.einsum("lm,ijm->lij", ginv, lowered)
+    dg = gradient(metric, p, scheme)  # dg[..., a, i, j] = d_a g_{ij}
+    lowered = 0.5 * (dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1))
+    return np.einsum("...lm,...ijm->...lij", ginv, lowered)
 
 
 def levi_civita_field(patch: CoordinatePatch, scheme: FDScheme) -> ConnectionField:
@@ -434,82 +474,54 @@ def covariant_derivative_array(gamma: np.ndarray,
                                p: np.ndarray,
                                scheme: FDScheme,
                                grad: np.ndarray | None = None) -> np.ndarray:
-    """Components of nabla(tensor) at ``p``; derivative axis comes first.
+    """Components of nabla(tensor) at the points ``p`` (..., d).
 
-    ``grad`` may supply the tensor's already computed :func:`gradient` at ``p``.
-    Values with axes ahead of the signature's slots are a stack; the result
-    keeps the stack first, then the derivative axis, then the slots.
+    ``gamma`` is the connection at ``p``; ``grad`` may supply the tensor's
+    already computed :func:`gradient` there.  Value axes between the point
+    axes and the signature's slots are a stack; the result is (points,
+    stack, derivative, slots).
     """
+    p = np.asarray(p, dtype=float)
+    pts, d, points = p.ndim - 1, p.shape[-1], p.shape[:-1]
     out = gradient(tensor.func, p, scheme, nested=tensor.nested) if grad is None else grad.copy()
     base = tensor(p)
-    lead = base.ndim - len(tensor.signature)
-    if lead:
-        # stack axes ride behind the slots, where the slot loop carries them along
-        base = np.moveaxis(base, range(lead), range(-lead, 0))
-        out = np.moveaxis(out, range(1, lead + 1), range(-lead, 0))
+    lead = base.ndim - pts - len(tensor.signature)
+    head = list(range(pts))
+    # the derivative axis moves behind the stack: (points, stack, derivative, slots)
+    out = out.transpose(head + list(range(pts + 1, pts + 1 + lead)) + [pts]
+                        + list(range(pts + 1 + lead, out.ndim)))
+    # rows (k, a) of Gamma^k_{a m} for an upper slot, (a, j) of Gamma^m_{a j} for a lower one
+    rows = {"u": gamma, "d": gamma.transpose(head + [pts + 1, pts + 2, pts])}
     for slot, variance in enumerate(tensor.signature):
-        if variance == "u":
-            # +Gamma^k_{a m} T[..., m at slot, ...]
-            term = np.tensordot(gamma, base, axes=([2], [slot]))  # (k, a, rest)
-            term = np.moveaxis(term, 1, 0)                        # (a, k, rest)
-            out += np.moveaxis(term, 1, slot + 1)
-        elif variance == "d":
-            # -Gamma^m_{a j} T[..., m at slot, ...]
-            term = np.tensordot(gamma, base, axes=([0], [slot]))  # (a, j, rest)
-            out -= np.moveaxis(term, 1, slot + 1)
-        else:
+        if variance not in rows:
             raise ValueError(f"bad variance letter {variance!r}")
-    return np.moveaxis(out, range(-lead, 0), range(lead)) if lead else out
-
-
-def covariant_derivative(conn: ConnectionField,
-                         tensor: TensorField,
-                         p: np.ndarray,
-                         scheme: FDScheme) -> TensorFieldValue:
-    """Covariant derivative of a tensor field; new index is covariant, first."""
-    arr = covariant_derivative_array(conn(p), tensor, p, scheme)
-    return TensorFieldValue("d" + tensor.signature, arr, np.asarray(p, dtype=float))
-
-
-def orthonormal_frame(g: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
-    """Gram-Schmidt of the coordinate basis; column i is the i-th frame vector."""
-    g = np.asarray(g, dtype=float)
-    if np.linalg.eigvalsh(g)[0] < MIN_METRIC_EIGENVALUE:
-        raise DegenerateMetricError(f"metric nearly degenerate at {p}")
-    d = g.shape[0]
-    frame = np.zeros((d, d))
-    for i in range(d):
-        v = np.zeros(d)
-        v[i] = 1.0
-        for j in range(i):
-            v = v - (frame[:, j] @ g @ v) * frame[:, j]
-        frame[:, i] = v / np.sqrt(v @ g @ v)
-    return frame
-
-
-def codifferential(omega: FormField,
-                   metric: Callable[[np.ndarray], np.ndarray],
-                   p: np.ndarray,
-                   scheme: FDScheme) -> np.ndarray:
-    """delta(omega) at ``p``: minus the metric trace of nabla^g omega."""
-    if omega.degree < 1:
-        raise DegreeError("the codifferential needs a form of degree >= 1")
-    gamma = levi_civita(metric, p, scheme)
-    nabla = covariant_derivative_array(
-        gamma, TensorField("d" * omega.degree, omega.func, omega.nested), p, scheme
-    )
-    return trace_codifferential(nabla, np.linalg.inv(np.asarray(metric(p), dtype=float)))
+        axis = pts + lead + slot
+        moved = base.transpose(head + [axis] + [i for i in range(pts, base.ndim) if i != axis])
+        term = (rows[variance].reshape(points + (d * d, d)) @ moved.reshape(points + (d, -1))) \
+            .reshape(points + (d, d) + moved.shape[pts + 1:])
+        # term: points, the two row indices, stack, the other slots
+        rest = list(range(pts + 2, term.ndim))
+        derivative, index = (pts + 1, pts) if variance == "u" else (pts, pts + 1)
+        perm = head + rest[:lead] + [derivative] + rest[lead:lead + slot] + [index] + rest[lead + slot:]
+        if variance == "u":
+            out += term.transpose(perm)
+        else:
+            out -= term.transpose(perm)
+    return out
 
 
 def trace_codifferential(nabla: np.ndarray,
                          ginv: np.ndarray,
                          degree: int | None = None) -> np.ndarray:
-    """delta(omega) from nabla^g omega (derivative axis first): minus its metric trace.
+    """delta(omega) from nabla^g omega (points, stack, derivative, slots): minus its metric trace.
 
-    With ``degree`` given, axes ahead of the derivative axis form a stack.
+    The leading axes of ``ginv`` are the point axes.  Without ``degree``
+    there is no stack.
     """
-    k = nabla.ndim - 1 if degree is None else degree
-    d = ginv.shape[0]
+    pts = ginv.ndim - 2
+    k = nabla.ndim - pts - 1 if degree is None else degree
+    d = ginv.shape[-1]
     lead, rest = nabla.shape[:nabla.ndim - k - 1], nabla.shape[nabla.ndim - k + 1:]
-    traced = ginv.reshape(1, d * d) @ nabla.reshape(lead + (d * d, -1))
+    weights = ginv.reshape(ginv.shape[:-2] + (1,) * (len(lead) - pts) + (1, d * d))
+    traced = weights @ nabla.reshape(lead + (d * d, -1))
     return -traced.reshape(lead + rest)

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .conformal import ConformalFactor, conformal_rescale
-from .errors import DimensionError, GeometryError
+from .errors import DimensionError, GeometryError, InputError
 from .expressions import parse_expression
 from .qkt_connection import QKTStructure, build_qkt, build_qkt_dim4
 from .quaternionic import (
@@ -17,6 +17,7 @@ from .quaternionic import (
     rotated_hypercomplex,
 )
 from .tensor_core import (
+    ConstantMetric,
     CoordinatePatch,
     FDScheme,
     FormField,
@@ -48,18 +49,21 @@ class ManifoldSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown manifold kind {self.kind!r}")
+            raise InputError(f"unknown manifold kind {self.kind!r}")
+        if self.n < 1:
+            raise DimensionError(f"quaternionic dimension must be >= 1, got {self.n}")
         if self.kind == "conformal_flat" and self.f is None:
-            raise ValueError("conformal_flat needs a conformal factor expression --f")
+            raise InputError("conformal_flat needs a conformal factor expression --f")
         if self.kind == "dim4_torsion":
             if self.n != 1:
                 raise DimensionError("dim4_torsion needs n = 1")
             if self.t_components is None or len(self.t_components) != 4:
-                raise ValueError("dim4_torsion needs 4 torsion 1-form components --t")
+                raise InputError("dim4_torsion needs 4 torsion 1-form components --t")
         if self.kind == "hopf_local" and self.n != 1:
             raise DimensionError("hopf_local is a dimension-4 model (n = 1)")
         if self.point_count < 1:
-            raise ValueError("point_count must be positive")
+            raise InputError("point_count must be positive")
+        self.scheme()
 
     @property
     def dim(self) -> int:
@@ -156,9 +160,7 @@ def sample_points(spec: ManifoldSpec) -> list:
 # ---------------------------------------------------------------------------
 
 def _flat_patch(n: int, lo: np.ndarray, hi: np.ndarray) -> CoordinatePatch:
-    dim = 4 * n
-    eye = np.eye(dim)
-    return CoordinatePatch(n=n, lo=lo, hi=hi, metric=lambda p, _e=eye: _e)
+    return CoordinatePatch(n=n, lo=lo, hi=hi, metric=ConstantMetric(np.eye(4 * n)))
 
 
 def _hypercomplex(spec: ManifoldSpec):
@@ -171,7 +173,7 @@ def _torsion_form(spec: ManifoldSpec) -> FormField:
     exprs = [parse_expression(text) for text in spec.t_components]
 
     def t_at(q, _exprs=exprs):
-        return np.array([e(q) for e in _exprs])
+        return np.stack([e(q) for e in _exprs], axis=-1)
 
     return FormField(1, t_at, nested=False)
 
@@ -209,7 +211,7 @@ def build_manifold(spec: ManifoldSpec,
     factor = ConformalFactor(parse_expression(f_text))
     if spec.n >= 2:
         def metric(p, _f=factor, _d=spec.dim):
-            return _f.value(p) * np.eye(_d)
+            return _f.value(p)[..., None, None] * np.eye(_d)
 
         patch = CoordinatePatch(n=spec.n, lo=lo, hi=hi, metric=MemoizedMetric(metric))
         data = QuaternionicHermitianData(patch, _hypercomplex(spec))

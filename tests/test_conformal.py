@@ -17,7 +17,7 @@ from qkt.qkt_connection import (
     torsion_one_forms,
 )
 from qkt.quaternionic import QuaternionicHermitianData, build_standard_hypercomplex
-from qkt.tensor_core import CoordinatePatch, FDScheme, FormField, constant_form
+from qkt.tensor_core import ConstantMetric, CoordinatePatch, FDScheme, FormField, constant_form
 
 SCHEME = FDScheme()
 
@@ -26,7 +26,7 @@ def flat_struct(n, lo=-0.6, hi=0.6):
     dim = 4 * n
     eye = np.eye(dim)
     patch = CoordinatePatch(n=n, lo=lo * np.ones(dim), hi=hi * np.ones(dim),
-                            metric=lambda p: eye)
+                            metric=ConstantMetric(eye))
     if n == 1:
         return build_qkt_dim4(patch, build_standard_hypercomplex(1),
                               constant_form(1, np.zeros(4)), SCHEME)
@@ -79,7 +79,7 @@ def test_laws_against_independently_built_structure():
     # satisfies the same transport laws
     base = flat_struct(2)
     dim = 8
-    metric = lambda p: np.exp(p[0]) * np.eye(dim)
+    metric = lambda p: np.exp(p[..., 0, None, None]) * np.eye(dim)
     patch = CoordinatePatch(n=2, lo=-0.6 * np.ones(dim), hi=0.6 * np.ones(dim),
                             metric=metric)
     independent = build_qkt(
@@ -95,7 +95,7 @@ def test_rescale_composition():
     f = ConformalFactor(parse_expression("exp(x1)"))
     h = ConformalFactor(parse_expression("1+x2^2"))
     two_step = conformal_rescale(conformal_rescale(base, f, SCHEME), h, SCHEME)
-    product = ConformalFactor(lambda p: np.exp(p[0]) * (1 + p[1] ** 2))
+    product = ConformalFactor(lambda p: np.exp(p[..., 0]) * (1 + p[..., 1] ** 2))
     one_step = conformal_rescale(base, product, SCHEME)
     assert np.max(np.abs(two_step.torsion(POINT8) - one_step.torsion(POINT8))) <= 1e-5
 
@@ -104,7 +104,7 @@ def test_hopf_one_form_value():
     # t for the rescale of flat R^4 by 1/|x|^2 equals -3 d ln f
     dim = 4
     patch = CoordinatePatch(n=1, lo=0.7 * np.ones(dim), hi=1.3 * np.ones(dim),
-                            metric=lambda p: np.eye(dim))
+                            metric=ConstantMetric(np.eye(dim)))
     base = build_qkt_dim4(patch, build_standard_hypercomplex(1),
                           constant_form(1, np.zeros(4)), SCHEME)
     factor = ConformalFactor(parse_expression("1/(x1^2+x2^2+x3^2+x4^2)"))
@@ -123,7 +123,7 @@ def test_lcqk_residual_cases():
 
 
 def test_lcqk_shape_trivial_in_dim4():
-    t_form = FormField(1, lambda q: np.array([np.sin(q[1]), 0.0, 0.0, 0.0]))
+    t_form = FormField(1, lambda q: np.sin(q[..., 1, None]) * np.eye(4)[0])
     dim4 = build_qkt_dim4(flat_struct(1).patch, build_standard_hypercomplex(1),
                           t_form, SCHEME)
     # torsion-shape part vanishes identically; the residual is |dt|

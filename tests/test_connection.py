@@ -14,7 +14,6 @@ from qkt.qkt_connection import (
     build_qkt,
     build_qkt_dim4,
     classify,
-    compute_K,
     existence_residual,
     nijenhuis_via_connection,
     sp1_forms,
@@ -27,16 +26,14 @@ from qkt.quaternionic import (
     HypercomplexField,
     QuaternionicHermitianData,
     build_standard_hypercomplex,
-    cross_lee_form,
     j_apply_form,
     j_apply_oneform,
-    kaehler_field,
-    lee_form,
     nijenhuis_bracket,
     project_plus_3form,
     rotated_hypercomplex,
 )
 from qkt.tensor_core import (
+    ConstantMetric,
     CoordinatePatch,
     FDScheme,
     FormField,
@@ -48,6 +45,7 @@ from qkt.tensor_core import (
     levi_civita,
     wedge_arrays,
 )
+from reference import codifferential, compute_K, cross_lee_form, kaehler_field, lee_form
 
 SCHEME = FDScheme()
 
@@ -56,12 +54,12 @@ def flat_patch(n):
     dim = 4 * n
     eye = np.eye(dim)
     return CoordinatePatch(n=n, lo=-0.6 * np.ones(dim), hi=0.6 * np.ones(dim),
-                           metric=lambda p: eye)
+                           metric=ConstantMetric(eye))
 
 
 def conformal_data(n=2):
     dim = 4 * n
-    metric = lambda p: np.exp(p[0]) * np.eye(dim)
+    metric = lambda p: np.exp(p[..., 0, None, None]) * np.eye(dim)
     patch = CoordinatePatch(n=n, lo=-0.6 * np.ones(dim), hi=0.6 * np.ones(dim),
                             metric=metric)
     return QuaternionicHermitianData(patch, build_standard_hypercomplex(n))
@@ -80,7 +78,7 @@ def flat_struct_n2():
 
 @pytest.fixture(scope="module")
 def sine_dim4():
-    t_form = FormField(1, lambda q: np.array([np.sin(q[1]), 0.0, 0.0, 0.0]))
+    t_form = FormField(1, lambda q: np.sin(q[..., 1, None]) * np.eye(4)[0])
     return build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1), t_form, SCHEME)
 
 
@@ -114,7 +112,7 @@ def test_compute_K_scales_with_lee_data():
     one = conformal_data()
     two = QuaternionicHermitianData(
         CoordinatePatch(n=2, lo=-0.6 * np.ones(dim), hi=0.6 * np.ones(dim),
-                        metric=lambda p: np.exp(2.0 * p[0]) * np.eye(dim)),
+                        metric=lambda p: np.exp(2.0 * p[..., 0, None, None]) * np.eye(dim)),
         build_standard_hypercomplex(2))
     k_one = compute_K(one, 0, POINT8, SCHEME)
     k_two = compute_K(two, 0, POINT8, SCHEME)
@@ -207,7 +205,7 @@ def test_bundle_takes_one_stencil_of_the_three_kaehler_forms(monkeypatch):
     assert len(calls) == 2
 
 
-def test_extract_sp1_one_stencil_and_three_solves(monkeypatch):
+def test_extract_sp1_one_stencil_and_one_solve(monkeypatch):
     data = conformal_data()
     varying = QuaternionicHermitianData(data.patch, HypercomplexField(data.hyper.funcs))
     points = [POINT8, -POINT8]
@@ -218,13 +216,16 @@ def test_extract_sp1_one_stencil_and_three_solves(monkeypatch):
             struct.connection(p)
     grads = count_calls(monkeypatch, tensor_core.gradient)
     solves = []
-    lstsq = np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(a) or lstsq(*a, **k))
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(a) or solve(*a, **k))
+    monkeypatch.setattr(np.linalg, "lstsq", None)
     constant, sampled = ([_extract_sp1(s.data, s.connection, p, SCHEME) for p in points]
                          for s in structs)
     # the standard structure is constant: its derivative is exactly zero, no stencil
     assert len(grads) == len(points)
-    assert len(solves) == 3 * 2 * len(points)
+    # one batched solve of the stacked 2x2 normal equations per call, all three triples
+    assert len(solves) == 2 * len(points)
+    assert all(normal.shape == (3, 2, 2) for normal, _ in solves)
     for (omegas_c, residual_c), (omegas_s, residual_s) in zip(constant, sampled):
         assert np.array_equal(omegas_c, omegas_s)
         assert residual_c == residual_s
@@ -308,9 +309,8 @@ def test_torsion_recovered_from_connection_difference(conformal_struct):
 def test_dim4_lee_identities_with_nonzero_theta():
     # theta_a = J_b theta_{a,c} = -J_c theta_{a,b} on a dimension-4 model
     # whose Lee forms do not vanish (conformally flat metric)
-    from qkt.quaternionic import cross_lee_form, lee_form
     dim = 4
-    metric = lambda p: np.exp(p[0]) * np.eye(dim)
+    metric = lambda p: np.exp(p[..., 0, None, None]) * np.eye(dim)
     patch = CoordinatePatch(n=1, lo=-0.6 * np.ones(dim), hi=0.6 * np.ones(dim),
                             metric=metric)
     data = QuaternionicHermitianData(patch, build_standard_hypercomplex(1))
@@ -366,10 +366,10 @@ def test_dim4_requires_n_one():
 
 
 def test_dim4_star_dT_equals_minus_delta_t(sine_dim4):
-    from qkt.tensor_core import codifferential, exterior_derivative, hodge_star_array
+    from qkt.tensor_core import exterior_derivative, hodge_star_array
     struct = sine_dim4
     # t = sin(x1) dx1 makes both sides nonzero; rebuild with that form
-    t_form = FormField(1, lambda q: np.array([np.sin(q[0]), 0.0, 0.0, 0.0]))
+    t_form = FormField(1, lambda q: np.sin(q[..., 0, None]) * np.eye(4)[0])
     nontrivial = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
                                 t_form, SCHEME)
     for built, form in ((struct, struct.torsion_one_form_field()), (nontrivial, t_form)):

@@ -7,7 +7,6 @@ from qkt.curvature import (
     curvature_tensor,
     dT_trace_equalities,
     dim4_einstein_suite,
-    ricci_data,
     ricci_forms,
     sp1_curvature_residuals,
     trace_identity_residuals,
@@ -20,12 +19,14 @@ from qkt.qkt_connection import build_qkt, build_qkt_dim4, classify
 from qkt.quaternionic import QuaternionicHermitianData, build_standard_hypercomplex
 from qkt.tensor_core import (
     ConnectionField,
+    ConstantMetric,
     CoordinatePatch,
     FDScheme,
     FormField,
     constant_form,
     levi_civita_field,
 )
+from reference import ricci_data
 
 SCHEME = FDScheme()
 POINT8 = np.array([0.05, -0.1, 0.2, 0.0, 0.11, -0.02, 0.3, -0.2])
@@ -36,13 +37,13 @@ def flat_patch(n):
     dim = 4 * n
     eye = np.eye(dim)
     return CoordinatePatch(n=n, lo=-0.6 * np.ones(dim), hi=0.6 * np.ones(dim),
-                           metric=lambda p: eye)
+                           metric=ConstantMetric(eye))
 
 
 @pytest.fixture(scope="module")
 def conformal_struct():
     dim = 8
-    metric = lambda p: np.exp(p[0]) * np.eye(dim)
+    metric = lambda p: np.exp(p[..., 0, None, None]) * np.eye(dim)
     patch = CoordinatePatch(n=2, lo=-0.6 * np.ones(dim), hi=0.6 * np.ones(dim),
                             metric=metric)
     return build_qkt(
@@ -57,7 +58,7 @@ def const_dim4():
 
 @pytest.fixture(scope="module")
 def sine_dim4():
-    t_form = FormField(1, lambda q: np.array([np.sin(q[1]), 0.0, 0.0, 0.0]))
+    t_form = FormField(1, lambda q: np.sin(q[..., 1, None]) * np.eye(4)[0])
     return build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
                           t_form, SCHEME)
 
@@ -77,7 +78,7 @@ def test_conformal_curvature_against_analytic_connection():
     # for g = exp(x1) * delta the Christoffel symbols are constant, so an
     # exact analytic connection field provides an independent curvature path
     dim = 4
-    metric = lambda p: np.exp(p[0]) * np.eye(dim)
+    metric = lambda p: np.exp(p[..., 0, None, None]) * np.eye(dim)
     sigma = np.zeros(dim)
     sigma[0] = 0.5  # gradient of (1/2) x1
     gamma_exact = np.zeros((dim, dim, dim))
@@ -88,7 +89,8 @@ def test_conformal_curvature_against_analytic_connection():
                     (k == i) * sigma[j] + (k == j) * sigma[i]
                     - (i == j) * sigma[k]
                 )
-    exact_conn = ConnectionField(lambda p: gamma_exact, nested=False)
+    exact_conn = ConnectionField(
+        lambda p: np.broadcast_to(gamma_exact, p.shape[:-1] + gamma_exact.shape), nested=False)
     p = np.array([0.2, -0.1, 0.3, 0.05])
     analytic = curvature_tensor(exact_conn, metric, p, SCHEME)
     patch = flat_patch(1)
@@ -123,7 +125,7 @@ def test_structures_freed_without_gc():
     try:
         base = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
                               constant_form(1, np.array([0.5, 0.0, 0.0, 0.0])), SCHEME)
-        struct = conformal_rescale(base, ConformalFactor(lambda p: np.exp(p[0])), SCHEME)
+        struct = conformal_rescale(base, ConformalFactor(lambda p: np.exp(p[..., 0])), SCHEME)
         struct.caches["omega_bundle"](POINT4)
         assert np.isfinite(_context(struct, POINT4, None).dt).all()
         assert struct.caches["curvature_ctx"] and struct.caches["T"]

@@ -9,26 +9,30 @@ from qkt.errors import (
     DimensionError,
 )
 from qkt.tensor_core import (
+    ConstantMetric,
     CoordinatePatch,
     FDScheme,
     FormField,
     MemoizedMetric,
     TensorField,
     antisymmetrized_gradient,
-    codifferential,
     constant_form,
-    covariant_derivative,
     covariant_derivative_array,
     exterior_derivative,
     gradient,
     hodge_star_array,
-    hodge_star_4d,
     levi_civita,
     levi_civita_field,
-    orthonormal_frame,
     partial_derivative,
-    wedge,
     wedge_arrays,
+)
+from reference import (
+    TensorFieldValue,
+    codifferential,
+    covariant_derivative,
+    hodge_star_4d,
+    orthonormal_frame,
+    wedge,
 )
 
 SCHEME = FDScheme()
@@ -36,9 +40,10 @@ RNG = np.random.default_rng(7)
 
 
 def flat_patch(dim=4):
+    # a plain field, so the calculus below differentiates it like any other
     eye = np.eye(dim)
     return CoordinatePatch(n=dim // 4, lo=-np.ones(dim), hi=np.ones(dim),
-                           metric=lambda p: eye)
+                           metric=lambda p: np.broadcast_to(eye, np.shape(p)[:-1] + eye.shape))
 
 
 def dx(i, dim=4):
@@ -89,7 +94,7 @@ def test_d_of_constant_one_form_vanishes():
 
 
 def test_d_of_x1_dx2():
-    omega = FormField(1, lambda p: np.array([0.0, p[0], 0.0, 0.0]))
+    omega = FormField(1, lambda p: p[..., 0, None] * np.eye(4)[1])
     d_omega = exterior_derivative(omega, SCHEME)(np.zeros(4))
     expected = wedge_arrays(dx(0), dx(1))
     assert np.max(np.abs(d_omega - expected)) <= 1e-10
@@ -99,14 +104,14 @@ def test_d_of_x1_dx2():
 def test_d_squared_is_zero():
     # nested central differences commute exactly, so d(d omega) vanishes
     # to rounding rather than to truncation
-    omega = FormField(1, lambda p: np.array([np.sin(p[1]), 0.0, 0.0, 0.0]))
+    omega = FormField(1, lambda p: np.sin(p[..., 1, None]) * np.eye(4)[0])
     dd = exterior_derivative(exterior_derivative(omega, SCHEME), SCHEME)
     assert np.max(np.abs(dd(np.array([0.1, 0.2, -0.3, 0.05])))) <= 1e-6
 
 
 def test_exterior_derivative_is_order_two():
     # against the analytic derivative the defect scales like h^2
-    omega = FormField(1, lambda p: np.array([np.sin(p[1]), 0.0, 0.0, 0.0]))
+    omega = FormField(1, lambda p: np.sin(p[..., 1, None]) * np.eye(4)[0])
     p = np.array([0.1, 0.2, -0.3, 0.05])
     analytic = np.zeros((4, 4))
     analytic[1, 0] = np.cos(p[1])
@@ -258,7 +263,7 @@ def test_codifferential_constant_coefficients():
 
 def test_codifferential_linear_coefficient():
     patch = flat_patch()
-    omega = FormField(1, lambda p: np.array([p[0], 0.0, 0.0, 0.0]))
+    omega = FormField(1, lambda p: p[..., 0, None] * np.eye(4)[0])
     value = codifferential(omega, patch.metric, np.full(4, 0.2), SCHEME)
     assert float(value) == pytest.approx(-1.0, abs=1e-9)
 
@@ -271,9 +276,9 @@ def test_codifferential_degree_zero_rejected():
 
 def test_codifferential_equals_minus_star_d_star():
     patch = flat_patch()
-    psi = FormField(1, lambda p: np.array([
-        np.sin(p[1]), np.cos(p[2]), p[3] ** 2, p[0] * p[1],
-    ]))
+    psi = FormField(1, lambda p: np.stack([
+        np.sin(p[..., 1]), np.cos(p[..., 2]), p[..., 3] ** 2, p[..., 0] * p[..., 1],
+    ], axis=-1))
     p = np.array([0.2, -0.1, 0.3, 0.15])
     delta = codifferential(psi, patch.metric, p, SCHEME)
     starred = hodge_star_4d(psi, patch.metric)
@@ -294,7 +299,7 @@ def test_levi_civita_flat_vanishes():
 
 def test_levi_civita_conformal_components():
     # g = exp(2 x1) * identity: Gamma^1_11 = 1, Gamma^1_22 = -1, Gamma^2_12 = 1
-    metric = lambda p: np.exp(2 * p[0]) * np.eye(4)
+    metric = lambda p: np.exp(2 * p[..., 0, None, None]) * np.eye(4)
     gamma = levi_civita(metric, np.array([0.1, 0.0, 0.2, 0.0]), SCHEME)
     assert gamma[0, 0, 0] == pytest.approx(1.0, abs=1e-8)
     assert gamma[0, 1, 1] == pytest.approx(-1.0, abs=1e-8)
@@ -302,20 +307,20 @@ def test_levi_civita_conformal_components():
 
 
 def test_levi_civita_symmetry_random_conformal():
-    metric = lambda p: (1.0 + p[0] ** 2 + 0.5 * np.sin(p[2])) * np.eye(4)
+    metric = lambda p: (1.0 + p[..., 0] ** 2 + 0.5 * np.sin(p[..., 2]))[..., None, None] * np.eye(4)
     gamma = levi_civita(metric, np.array([0.3, -0.2, 0.1, 0.4]), SCHEME)
     assert np.max(np.abs(gamma - gamma.transpose(0, 2, 1))) <= 1e-8
 
 
 def test_levi_civita_rejects_degenerate_metric():
-    metric = lambda p: np.diag([1.0, 1.0, 1.0, 1e-12])
+    metric = lambda p: np.broadcast_to(np.diag([1.0, 1.0, 1.0, 1e-12]), p.shape[:-1] + (4, 4))
     with pytest.raises(DegenerateMetricError):
         levi_civita(metric, np.zeros(4), SCHEME)
 
 
 def test_metric_compatibility_conformally_flat_r8():
     dim = 8
-    metric = lambda p: np.exp(p[0]) * np.eye(dim)
+    metric = lambda p: np.exp(p[..., 0, None, None]) * np.eye(dim)
     patch = CoordinatePatch(n=2, lo=-np.ones(dim), hi=np.ones(dim), metric=metric)
     conn = levi_civita_field(patch, SCHEME)
     p = np.full(dim, 0.1)
@@ -327,7 +332,7 @@ def test_metric_compatibility_conformally_flat_r8():
 def test_covariant_derivative_constant_vector_flat():
     patch = flat_patch()
     conn = levi_civita_field(patch, SCHEME)
-    field = TensorField("u", lambda p: np.array([1.0, 2.0, 3.0, 4.0]))
+    field = TensorField("u", lambda p: np.broadcast_to([1.0, 2.0, 3.0, 4.0], p.shape))
     value = covariant_derivative(conn, field, np.zeros(4), SCHEME)
     assert np.max(np.abs(value.components)) == 0.0
 
@@ -335,16 +340,16 @@ def test_covariant_derivative_constant_vector_flat():
 def test_covariant_derivative_parallel_one_form_flat():
     patch = flat_patch()
     conn = levi_civita_field(patch, SCHEME)
-    field = TensorField("d", lambda p: dx(0))
+    field = TensorField("d", lambda p: np.broadcast_to(dx(0), p.shape))
     value = covariant_derivative(conn, field, np.zeros(4), SCHEME)
     assert np.max(np.abs(value.components)) == 0.0
 
 
 def test_covariant_derivative_mixed_tensor_conformal():
     # nabla of the identity endomorphism vanishes for any connection
-    metric = lambda p: np.exp(p[0]) * np.eye(4)
+    metric = lambda p: np.exp(p[..., 0, None, None]) * np.eye(4)
     gamma = levi_civita(metric, np.full(4, 0.2), SCHEME)
-    field = TensorField("ud", lambda p: np.eye(4))
+    field = TensorField("ud", lambda p: np.broadcast_to(np.eye(4), p.shape[:-1] + (4, 4)))
     value = covariant_derivative_array(gamma, field, np.full(4, 0.2), SCHEME)
     assert np.max(np.abs(value)) <= 1e-12
 
@@ -373,7 +378,6 @@ def test_frame_random_spd():
 
 
 def test_tensor_field_value_rejects_nonfinite():
-    from qkt.tensor_core import TensorFieldValue
     with pytest.raises(ValueError):
         TensorFieldValue("d", np.array([1.0, np.nan, 0.0, 0.0]), np.zeros(4))
     with pytest.raises(DimensionError):
@@ -396,8 +400,9 @@ def test_patch_validation():
 
 def _conformal_metric(calls):
     def metric(p):
-        calls.append(np.asarray(p, dtype=float).tobytes())
-        return np.exp(p[0] + 0.5 * p[2]) * np.eye(4)
+        p = np.asarray(p, dtype=float)
+        calls.extend(row.tobytes() for row in p.reshape(-1, p.shape[-1]))
+        return np.exp(p[..., 0] + 0.5 * p[..., 2])[..., None, None] * np.eye(4)
 
     return metric
 
@@ -410,7 +415,8 @@ def test_memoized_metric_evaluates_each_point_once():
     assert memo(p.copy()) is first
     gamma = levi_civita(memo, p, SCHEME)
     assert levi_civita(memo, p, SCHEME) is gamma
-    # a second scheme differentiates on other stencil points
+    # a second scheme differentiates on other stencil points; calls holds
+    # one entry per evaluated point (batch row)
     levi_civita(memo, p, FDScheme(h=2e-4))
     assert len(calls) == len(set(calls)) == 1 + 2 * 4 + 2 * 4
 
@@ -435,7 +441,7 @@ def test_memoized_values_are_read_only():
 
 
 def test_shared_gradient_gives_identical_derivatives():
-    omega = FormField(2, lambda q: np.outer(q, q[::-1]) - np.outer(q[::-1], q))
+    omega = FormField(2, lambda q: q[..., :, None] * q[..., None, ::-1] - q[..., ::-1, None] * q[..., None, :])
     p = np.array([0.1, -0.2, 0.3, 0.05])
     grad = gradient(omega.func, p, SCHEME)
     assert np.array_equal(antisymmetrized_gradient(grad),
@@ -447,3 +453,50 @@ def test_shared_gradient_gives_identical_derivatives():
         covariant_derivative_array(gamma, field, p, SCHEME, grad=grad),
         covariant_derivative_array(gamma, field, p, SCHEME))
     assert np.array_equal(grad, before)
+
+
+# ---------------------------------------------------------------------------
+# point arrays
+# ---------------------------------------------------------------------------
+
+def test_gradient_batch_matches_single_points():
+    # one field call on the (..., 2d, d) stencil; the derivative axis follows the point axes
+    calls = []
+    omega = lambda q: calls.append(q.shape) or np.stack([np.sin(q[..., 1]) * q[..., 0],
+                                                         np.exp(q[..., 2])], axis=-1)
+    points = RNG.uniform(-0.5, 0.5, size=(2, 3, 4))
+    batch = gradient(omega, points, SCHEME)
+    assert calls == [(2, 3, 8, 4)] and batch.shape == (2, 3, 4, 2)
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(batch[index], gradient(omega, points[index], SCHEME))
+
+
+def test_constant_metric_has_no_stencil():
+    metric = ConstantMetric(2.0 * np.eye(4))
+    points = np.zeros((5, 4))
+    assert metric(points).shape == (5, 4, 4)
+    assert np.array_equal(levi_civita(metric, points, SCHEME), np.zeros((5, 4, 4, 4)))
+    with pytest.raises(DegenerateMetricError):
+        ConstantMetric(np.diag([1.0, 1.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_metric_is_degenerate(bad):
+    # the first offending point of the batch is named, and eigvalsh never sees it
+    def metric(p):
+        g = np.broadcast_to(np.eye(4), p.shape[:-1] + (4, 4)).copy()
+        g[p[..., 0] > 0.25] = bad
+        return g
+
+    patch = CoordinatePatch(n=1, lo=-np.ones(4), hi=np.ones(4), metric=metric)
+    points = np.array([[0.1, 0, 0, 0], [0.3, 0, 0, 0], [0.5, 0, 0, 0]])
+    with pytest.raises(DegenerateMetricError, match=r"not finite at \[0\.3 0\.  0\.  0\. \]"):
+        patch.validate_metric_at(points)
+    with pytest.raises(DegenerateMetricError, match="not finite"):
+        levi_civita(metric, np.array([0.3, 0.0, 0.0, 0.0]), SCHEME)
+    nan_patch = CoordinatePatch(n=1, lo=-np.ones(4), hi=np.ones(4),
+                                metric=lambda p: np.full((4, 4), np.nan))
+    with pytest.raises(DegenerateMetricError):
+        nan_patch.validate_metric_at(np.zeros(4))
+    with pytest.raises(DegenerateMetricError):
+        levi_civita(nan_patch.metric, np.zeros(4), SCHEME)
