@@ -14,7 +14,6 @@ from .tensor_core import (
     ConnectionField,
     FDScheme,
     FormField,
-    TensorField,
     exterior_derivative,
     levi_civita,
     partial_derivative,
@@ -30,6 +29,7 @@ from .quaternionic import (
 )
 from .qkt_connection import (
     AuxiliaryOneForms,
+    QKTContext,
     QKTStructure,
     Sp1Forms,
     build_qkt,

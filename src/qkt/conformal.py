@@ -16,23 +16,16 @@ residuals rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import GeometryError
-from .curvature import _context
-from .qkt_connection import (
-    QKTStructure,
-    _assemble,
-    auxiliary_one_forms,
-    torsion_one_forms,
-)
+from .qkt_connection import QKTContext, QKTStructure, auxiliary_one_forms
 from .quaternionic import CYC_A, CYC_B, CYC_C, QuaternionicHermitianData, j_apply_oneform
 from .tensor_core import (
     CoordinatePatch,
     FDScheme,
-    MemoizedMetric,
     antisymmetrized_gradient,
     first_point,
     gradient,
@@ -83,128 +76,91 @@ def conformal_rescale(struct: QKTStructure, f, scheme: FDScheme | None = None) -
         n=base_patch.n,
         lo=base_patch.lo,
         hi=base_patch.hi,
-        metric=MemoizedMetric(new_metric),
+        metric=new_metric,
         orientation=base_patch.orientation,
     )
     data = QuaternionicHermitianData(patch, struct.data.hyper)
 
-    def torsion_at(p):
+    def torsion_rule(ctx):
+        p, J = ctx.x, ctx.J
         g = np.asarray(base_metric(p), dtype=float)
-        J = struct.data.hyper.matrices(p)
-        df = factor.grad(p, scheme)[..., None, :]
+        df = factor.grad(p, ctx.scheme)[..., None, :]
         w = wedge_arrays(j_apply_oneform(J, df), g[..., None, :, :] @ J, stack=J.ndim - 2)
         return factor.value(p)[..., None, None, None] * struct.torsion(p) + w.sum(axis=-4)
 
-    rescaled = _assemble(data, torsion_at, scheme, kind=f"rescaled-{struct.kind}")
-    rescaled.caches["conformal_base"] = struct
-    rescaled.caches["conformal_factor"] = factor
-    return rescaled
+    return QKTStructure(data, scheme, f"rescaled-{struct.kind}", torsion_rule)
 
 
 # ---------------------------------------------------------------------------
-# transformation-law residuals
+# transformation-law residuals, each read off single-point contexts
 # ---------------------------------------------------------------------------
 
-def conformal_law_residuals(struct: QKTStructure,
-                            f,
-                            scheme: FDScheme,
-                            points: Sequence[np.ndarray],
-                            rescaled: QKTStructure | None = None) -> dict:
-    """Max residuals of the transformation laws between ``struct`` and its rescale.
+def conformal_law_residuals(base: QKTContext, barred: QKTContext, f) -> dict:
+    """Residuals of the transformation laws at one point.
 
-    ``rescaled`` may supply an independently built structure on the metric
-    f*g (for example one assembled from its own compatibility data), in
-    which case the laws genuinely test that conformal transport lands on
-    the same connection.
+    ``base`` and ``barred`` are contexts at the same point of a structure
+    and of one on the metric f*g: its :func:`conformal_rescale`, or an
+    independently built structure (for example one assembled from its own
+    compatibility data), in which case the laws genuinely test that
+    conformal transport lands on the same connection.
     """
     factor = _as_factor(f)
-    base = struct
-    barred = rescaled if rescaled is not None else conformal_rescale(base, factor, scheme)
-    n = base.n
+    p, n = base.x, base.struct.n
+    fval = factor.value(p)
+    df = factor.grad(p, base.scheme)
+    dlnf = df / fval
+    bun0, bun1 = base.bundle, barred.bundle
+    J = bun0["J"]
+    g = bun0["g"]
+    # (J_a df) ^ F_a, stacked over a
+    wedges = wedge_arrays(j_apply_oneform(J, df), bun0["F"], stack=1)
 
-    out = {key: 0.0 for key in
-           ("z1", "z2_dcf", "z2_theta", "z2_cross", "z3_K", "z3_A",
-            "z3_omega", "z4", "z5", "dt_invariance")}
-    if n < 2:
-        out["z3_K"] = None
+    def worst_of(residual):
+        return float(np.max(np.abs(residual)))
 
-    def acc(key, residual):
-        out[key] = worst(out[key], np.max(np.abs(residual)))
+    # connection transport law
+    lowered1 = np.einsum("lij,lm->ijm", barred.Gamma, bun1["g"])
+    lowered0 = np.einsum("lij,lm->ijm", base.Gamma, g)
+    sym = 0.5 * (
+        np.einsum("i,jm->ijm", df, g)
+        + np.einsum("j,im->ijm", df, g)
+        - np.einsum("m,ij->ijm", df, g)
+    )
+    predicted = fval * lowered0 + sym + 0.5 * (wedges[0] + wedges[1] + wedges[2])
 
-    for p in points:
-        fval = factor.value(p)
-        df = factor.grad(p, scheme)
-        dlnf = df / fval
-        bun0 = base.bundle_at(p)
-        bun1 = barred.bundle_at(p)
-        J = bun0["J"]
-        g = bun0["g"]
-        # (J_a df) ^ F_a, stacked over a
-        wedges = wedge_arrays(j_apply_oneform(J, df), bun0["F"], stack=1)
-
+    return {
         # d_a F_a^+ law
-        acc("z2_dcf", bun1["dcF_plus"] - (wedges + fval * bun0["dcF_plus"]))
-
+        "z2_dcf": worst_of(bun1["dcF_plus"] - (wedges + fval * bun0["dcF_plus"])),
         # Lee forms and cross Lee forms
-        acc("z2_theta", bun1["theta"] - bun0["theta"] - (2 * n - 1) * dlnf)
-        acc("z2_cross", bun1["theta_cross"][CYC_A, CYC_C] - bun0["theta_cross"][CYC_A, CYC_C]
-            + j_apply_oneform(J[CYC_B], dlnf))
-        if n >= 2:
-            acc("z3_K", bun1["K"] - bun0["K"] + 2.0 * j_apply_oneform(J[CYC_B], dlnf))
-
-        acc("z3_A", auxiliary_one_forms(barred, p).A - auxiliary_one_forms(base, p).A)
-
-        omegas0, _ = base.caches["omega_bundle"](p)
-        omegas1, _ = barred.caches["omega_bundle"](p)
-        acc("z3_omega", omegas1 - omegas0 + j_apply_oneform(J, dlnf))
-
-        acc("z4", barred.torsion(p)
-            - (fval * base.torsion(p) + wedges[0] + wedges[1] + wedges[2]))
-
-        *_, t0 = torsion_one_forms(base, p)
-        *_, t1 = torsion_one_forms(barred, p)
-        acc("z5", t1 - t0 + (2 * n + 1) * dlnf)
-
-        acc("dt_invariance", _context(barred, p, scheme).dt - _context(base, p, scheme).dt)
-
-        # connection transport law
-        gamma0 = base.connection(p)
-        gamma1 = barred.connection(p)
-        lowered1 = np.einsum("lij,lm->ijm", gamma1, bun1["g"])
-        lowered0 = np.einsum("lij,lm->ijm", gamma0, g)
-        sym = 0.5 * (
-            np.einsum("i,jm->ijm", df, g)
-            + np.einsum("j,im->ijm", df, g)
-            - np.einsum("m,ij->ijm", df, g)
-        )
-        predicted = fval * lowered0 + sym + 0.5 * (wedges[0] + wedges[1] + wedges[2])
-        acc("z1", lowered1 - predicted)
-
-    return out
+        "z2_theta": worst_of(bun1["theta"] - bun0["theta"] - (2 * n - 1) * dlnf),
+        "z2_cross": worst_of(bun1["theta_cross"][CYC_A, CYC_C] - bun0["theta_cross"][CYC_A, CYC_C]
+                             + j_apply_oneform(J[CYC_B], dlnf)),
+        "z3_K": (worst_of(bun1["K"] - bun0["K"] + 2.0 * j_apply_oneform(J[CYC_B], dlnf))
+                 if n >= 2 else None),
+        "z3_A": worst_of(auxiliary_one_forms(barred).A - auxiliary_one_forms(base).A),
+        "z3_omega": worst_of(barred.omega - base.omega + j_apply_oneform(J, dlnf)),
+        "z4": worst_of(barred.T - (fval * base.T + wedges[0] + wedges[1] + wedges[2])),
+        "z5": worst_of(barred.t - base.t + (2 * n + 1) * dlnf),
+        "dt_invariance": worst_of(barred.dt - base.dt),
+        "z1": worst_of(lowered1 - predicted),
+    }
 
 
-def lcqk_residual(struct: QKTStructure, p: np.ndarray, scheme: FDScheme | None = None) -> float:
+def lcqk_residual(ctx: QKTContext) -> float:
     """Defect of the locally-conformally-torsion-free shape of the torsion.
 
     Checks T = (sum_a t_a ^ F_a) / (2n+1) together with closedness of the
     torsion 1-form.  In dimension 4 the shape part vanishes identically,
     so only |dt| is informative there.
     """
-    t_alpha = np.stack(torsion_one_forms(struct, p)[:3])
-    w = wedge_arrays(t_alpha, struct.metric_at(p) @ struct.data.hyper.matrices(p), stack=1)
-    shape_residual = np.max(np.abs(
-        struct.torsion(p) - (w[0] + w[1] + w[2]) / (2.0 * struct.n + 1.0)))
-    return worst(shape_residual, np.max(np.abs(_context(struct, p, scheme).dt)))
+    w = wedge_arrays(ctx.t_alpha, ctx.F, stack=1)
+    shape_residual = np.max(np.abs(ctx.T - (w[0] + w[1] + w[2]) / (2.0 * ctx.struct.n + 1.0)))
+    return worst(shape_residual, np.max(np.abs(ctx.dt)))
 
 
-def lchkt_residual(struct: QKTStructure, p: np.ndarray, scheme: FDScheme | None = None) -> float:
+def lchkt_residual(ctx: QKTContext) -> float:
     """max_a |d(theta_a - J_b theta_{a,c})| -- zero for locally conformal
     structures with all three complex structures integrable."""
-    def candidates(q):
-        bundle = struct.bundle_at(q)
-        J, cross = bundle["J"], bundle["theta_cross"]
-        return bundle["theta"] - j_apply_oneform(J[..., CYC_B, :, :], cross[..., CYC_A, CYC_C, :])
-
     # one stencil of the three candidates
-    grad = gradient(candidates, p, scheme or struct.scheme, nested=True)
+    grad = ctx.derivative("lchkt_candidates", nested=True)
     return float(np.max(np.abs(antisymmetrized_gradient(np.moveaxis(grad, 0, 1), degree=1))))

@@ -12,23 +12,32 @@ holds.  In dimension 4 the torsion is instead the Hodge dual of a freely
 chosen 1-form.  Either way the connection is nabla^g + T/2 and the sp(1)
 connection 1-forms are recovered by solving nabla J_a = -omega_b (x) J_c
 + omega_c (x) J_b pointwise.
+
+Every quantity of a built structure is a layer of a :class:`QKTContext`,
+the lazy evaluation context that ``QKTStructure.at(x)`` returns for one
+point array ``x``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import types
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .curvature import CurvatureValue, curvature_tensor, ricci_forms, ricci_tensor
 from .errors import DimensionError, NotQKTError
 from .quaternionic import (
     CYC_A,
     CYC_B,
     CYC_C,
     CYCLIC,
+    ConstantHypercomplexField,
     HypercomplexField,
     QuaternionicHermitianData,
+    dT_type22_residual,
     frame_trace_pair,
     j_apply_form,
     j_apply_oneform,
@@ -38,17 +47,20 @@ from .quaternionic import (
 )
 from .tensor_core import (
     ConnectionField,
+    ConstantMetric,
     CoordinatePatch,
     FDScheme,
     FormField,
-    TensorField,
     antisymmetrized_gradient,
+    christoffel,
     covariant_derivative_array,
+    fold,
     gradient,
     hodge_star_array,
-    levi_civita,
-    metric_gradient,
+    require_nondegenerate,
+    stencil,
     trace_codifferential,
+    validate_metric,
     wedge_arrays,
     worst,
 )
@@ -58,36 +70,292 @@ ALGEBRA_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
+# the evaluation context
+# ---------------------------------------------------------------------------
+
+def _read_only(value):
+    """``value`` with every array in it behind a read-only view."""
+    if isinstance(value, np.ndarray):
+        value = value.view()
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        value = tuple(_read_only(item) for item in value)
+    elif isinstance(value, dict):
+        value = types.MappingProxyType({key: _read_only(item) for key, item in value.items()})
+    elif isinstance(value, CurvatureValue):
+        value = CurvatureValue(R13=_read_only(value.R13), R4=_read_only(value.R4))
+    return value
+
+
+def _layer(compute):
+    """A context layer: computed on first read, then kept and handed out read-only."""
+
+    @functools.wraps(compute)
+    def read_only(ctx):
+        return _read_only(compute(ctx))
+
+    return functools.cached_property(read_only)
+
+
+class QKTContext:
+    """The layers of one structure on one point array ``x`` (..., d).
+
+    Each layer has one definition below, is computed on first read and is
+    kept, read-only, for the life of the context.  A derivative differences
+    a layer of one of two stencil sub-contexts, each built at most once: at
+    step ``h`` for g, F_a (and a torsion built without finite differences),
+    at step ``h2`` for the torsion, Gamma, t, the sp(1) forms and everything
+    else built from finite differences.  Every layer takes a leading point
+    axis; the identity records read single-point contexts.
+    """
+
+    def __init__(self, struct: QKTStructure, x: np.ndarray, scheme: FDScheme):
+        x = np.asarray(x, dtype=float).view()
+        x.flags.writeable = False
+        vars(self).update(struct=struct, x=x, scheme=scheme)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"context layer {name!r} is read-only")
+
+    @functools.cached_property
+    def _stencil_h(self) -> "QKTContext":
+        return QKTContext(self.struct, stencil(self.x, self.scheme.h), self.scheme)
+
+    @functools.cached_property
+    def _stencil_h2(self) -> "QKTContext":
+        return QKTContext(self.struct, stencil(self.x, self.scheme.h2), self.scheme)
+
+    def derivative(self, layer: str, nested: bool) -> np.ndarray:
+        """The gradient of ``layer`` at x, step h2 when ``nested``, else h.
+
+        One :func:`gradient` call; its field returns the layer of the stencil
+        sub-context, which sits on the very stencil array ``gradient`` builds.
+        On a constant structure every layer is the same at every point, so
+        the gradient is exact zeros, without a stencil.
+        """
+        if self.struct.constant:
+            shape, points = np.shape(getattr(self, layer)), self.x.ndim - 1
+            return np.zeros(shape[:points] + self.x.shape[-1:] + shape[points:])
+        sub = self._stencil_h2 if nested else self._stencil_h
+        return gradient(lambda _: getattr(sub, layer), self.x, self.scheme, nested)
+
+    # -- metric and hypercomplex data -------------------------------------
+
+    @_layer
+    def g(self):
+        return self.struct.data.metric_at(self.x)
+
+    @_layer
+    def ginv(self):
+        return np.linalg.inv(self.g)
+
+    @_layer
+    def J(self):
+        """J[..., alpha, k, j]."""
+        return self.struct.data.hyper.matrices(self.x)
+
+    @_layer
+    def F(self):
+        """The Kaehler forms F[..., alpha] = g J_alpha."""
+        return self.g[..., None, :, :] @ self.J
+
+    @property
+    def _g_and_F(self):
+        return np.concatenate([self.g[..., None, :, :], self.F], axis=-3)
+
+    @_layer
+    def _d_g_and_F(self):
+        """d g and d F_a from one stencil: [..., a, 0] = d_a g, [..., a, 1:] = d_a F."""
+        return self.derivative("_g_and_F", nested=False)
+
+    @property
+    def dg(self):
+        """dg[..., a, i, j] = d_a g_ij."""
+        return self._d_g_and_F[..., 0, :, :]
+
+    @_layer
+    def dJ(self):
+        """dJ[..., i, alpha] = d_i J_alpha."""
+        return self.struct.data.hyper.gradient(self.x, self.scheme)
+
+    @_layer
+    def gamma_g(self):
+        """Christoffel symbols of g; exact zeros for a constant metric."""
+        if isinstance(self.struct.patch.metric, ConstantMetric):
+            return np.zeros(self.g.shape[:-2] + self.g.shape[-1:] * 3)
+        require_nondegenerate(self.g, self.x)
+        return christoffel(self.ginv, self.dg)
+
+    # -- first order ------------------------------------------------------
+
+    @_layer
+    def bundle(self):
+        return _section2_bundle(self)
+
+    @_layer
+    def T(self):
+        """The torsion 3-form, from the structure's torsion rule."""
+        return self.struct.torsion_rule(self)
+
+    @_layer
+    def T12(self):
+        """The torsion as a (1,2) tensor T12[..., k, i, j]."""
+        return np.einsum("...ijm,...mk->...kij", self.T, self.ginv)
+
+    @_layer
+    def Gamma(self):
+        """The torsion connection nabla^g + T/2."""
+        return self.gamma_g + 0.5 * np.einsum("...ijm,...ml->...lij", self.T, self.ginv)
+
+    @_layer
+    def sp1(self):
+        """(omega[..., alpha], eq1 residual) from nabla J_a."""
+        return _extract_sp1(self.J, self.Gamma, self.dJ)
+
+    @property
+    def omega(self):
+        return self.sp1[0]
+
+    @property
+    def eq1(self):
+        return self.sp1[1]
+
+    @_layer
+    def t_alpha(self):
+        """The torsion traces t_alpha[..., alpha]."""
+        return -0.5 * frame_trace_pair(self.T[..., None, :, :, :], self.ginv, self.J)
+
+    @_layer
+    def t_images(self):
+        """J_a t_a[..., alpha]."""
+        return j_apply_oneform(self.J, self.t_alpha)
+
+    @_layer
+    def t(self):
+        """The torsion 1-form, the mean of the J_a t_a."""
+        return self.t_images.mean(axis=-2)
+
+    @_layer
+    def lchkt_candidates(self):
+        """theta_a - J_b theta_{a,c}, closed on locally conformally HKT structures."""
+        bundle = self.bundle
+        J, cross = bundle["J"], bundle["theta_cross"]
+        return bundle["theta"] - j_apply_oneform(J[..., CYC_B, :, :], cross[..., CYC_A, CYC_C, :])
+
+    # -- derivatives of the torsion and its 1-form ----------------------------
+
+    @_layer
+    def _grad_T(self):
+        return self.derivative("T", self.struct.nested_torsion)
+
+    @_layer
+    def dT(self):
+        return antisymmetrized_gradient(self._grad_T, degree=3)
+
+    @_layer
+    def nabla_T(self):
+        """(nabla_X T)(Y, Z, U) under the torsion connection."""
+        return covariant_derivative_array(self.Gamma, "ddd", self.T, self._grad_T)
+
+    @_layer
+    def nabla_g_T(self):
+        """(nabla^g_X T)(Y, Z, U) under Levi-Civita."""
+        return covariant_derivative_array(self.gamma_g, "ddd", self.T, self._grad_T)
+
+    @_layer
+    def _grad_t(self):
+        return self.derivative("t", nested=True)
+
+    @_layer
+    def dt(self):
+        return antisymmetrized_gradient(self._grad_t, degree=1)
+
+    @_layer
+    def nabla_t(self):
+        """(nabla_X t)(Y) under the torsion connection."""
+        return covariant_derivative_array(self.Gamma, "d", self.t, self._grad_t)
+
+    @_layer
+    def nabla_g_t(self):
+        """(nabla^g_X t)(Y) under Levi-Civita."""
+        return covariant_derivative_array(self.gamma_g, "d", self.t, self._grad_t)
+
+    @_layer
+    def delta_t(self):
+        return -np.einsum("...ab,...ab->...", self.ginv, self.nabla_g_t)
+
+    # -- curvature --------------------------------------------------------
+
+    @_layer
+    def curv(self) -> CurvatureValue:
+        return curvature_tensor(self.Gamma, self.derivative("Gamma", True), self.g)
+
+    @_layer
+    def curv_g(self) -> CurvatureValue:
+        return curvature_tensor(self.gamma_g, self.derivative("gamma_g", True), self.g)
+
+    @_layer
+    def rho(self):
+        return ricci_forms(self.curv, self.ginv, self.J)
+
+    @_layer
+    def Ric(self):
+        return ricci_tensor(self.curv)
+
+    @_layer
+    def Ric_g(self):
+        return ricci_tensor(self.curv_g)
+
+    @_layer
+    def gTT(self):
+        """gTT[..., x, y, z, u] = g(T(X,Y), T(Z,U))."""
+        d, points = self.x.shape[-1], self.x.shape[:-1]
+        flat = self.T.reshape(points + (d * d, d))
+        return (flat @ self.ginv @ np.swapaxes(flat, -1, -2)).reshape(points + (d,) * 4)
+
+    @_layer
+    def P(self):
+        """P[..., a, x, y] = rho_a(X, J_a Y)."""
+        return self.rho @ self.J
+
+    @_layer
+    def dTa(self):
+        """dTa[..., a, x, y] = sum_i dT(X, Y, e_i, J_a e_i)."""
+        return frame_trace_pair(self.dT[..., None, :, :, :, :], self.ginv, self.J)
+
+    @_layer
+    def gamma_w(self):
+        """The torsion-free Weyl connection with nabla g = -t (x) g."""
+        t_up = (self.ginv @ self.t[..., None])[..., 0]
+        eye = np.eye(self.x.shape[-1])
+        return (
+            self.gamma_g
+            + 0.5 * np.einsum("...i,lj->...lij", self.t, eye)
+            + 0.5 * np.einsum("...j,li->...lij", self.t, eye)
+            - 0.5 * np.einsum("...ij,...l->...lij", self.g, t_up)
+        )
+
+
+# ---------------------------------------------------------------------------
 # pointwise first-order bundle
 # ---------------------------------------------------------------------------
 
-def _section2_bundle(data: QuaternionicHermitianData,
-                     p: np.ndarray,
-                     scheme: FDScheme) -> dict:
-    """All first-order objects needed by the torsion formula at the points ``p``.
+def _section2_bundle(ctx: QKTContext) -> dict:
+    """All first-order objects needed by the torsion formula at the points ``ctx.x``.
 
     Every quantity carries the point axes first, then the quaternionic index;
     the two residuals are per point.
     """
-    p = np.asarray(p, dtype=float)
-    g = data.metric_at(p)
-    ginv = np.linalg.inv(g)
-    J = data.hyper.matrices(p)
-    gamma_g = levi_civita(data.patch.metric, p, scheme)
-    F = g[..., None, :, :] @ J
-
-    # one stencil of the stacked F serves both dF and nabla^g F
-    def kaehler_stack(q):
-        return data.metric_at(q)[..., None, :, :] @ data.hyper.matrices(q)
-
-    grad_f = gradient(kaehler_stack, p, scheme)
+    g, ginv, J, F = ctx.g, ctx.ginv, ctx.J, ctx.F
+    n = ctx.struct.n
+    # the one stencil of g and the stacked F serves Gamma^g, dF and nabla^g F
+    grad_f = ctx._d_g_and_F[..., 1:, :, :]
     # Lee forms theta_a = (delta F_a) o J_a
-    nabla_f = covariant_derivative_array(
-        gamma_g, TensorField("dd", kaehler_stack), p, scheme, grad=grad_f)
+    nabla_f = covariant_derivative_array(ctx.gamma_g, "dd", F, grad_f)
     theta = -j_apply_oneform(J, trace_codifferential(nabla_f, ginv, degree=2))
     dF = antisymmetrized_gradient(np.moveaxis(grad_f, -4, -3), degree=2)
     # the 3-form arrays of a stencil batch are the largest temporaries: drop each when done
-    del grad_f, nabla_f
+    del nabla_f
     # twisted derivatives d_a F_a and their (1,2)+(2,1) parts
     dcF_plus = project_plus_3form(j_apply_form(J, dF), J)
     dF_plus = project_plus_3form(dF, J)
@@ -101,9 +369,9 @@ def _section2_bundle(data: QuaternionicHermitianData,
         "theta": theta, "theta_cross": theta_cross, "dcF_plus": dcF_plus,
     }
 
-    if data.n >= 2:
+    if n >= 2:
         K = (j_apply_oneform(J[..., CYC_B, :, :], theta)
-             + theta_cross[..., CYC_A, CYC_C, :]) / (1.0 - data.n)
+             + theta_cross[..., CYC_A, CYC_C, :]) / (1.0 - n)
         bundle["K"] = K
 
         stack = K.ndim - 1
@@ -129,145 +397,18 @@ def _section2_bundle(data: QuaternionicHermitianData,
     return bundle
 
 
-def existence_residual(data: QuaternionicHermitianData,
-                       p: np.ndarray,
-                       scheme: FDScheme,
-                       bundles: dict | None = None) -> float:
-    """Worst defect of the pairwise compatibility condition at ``p``.
+def _extract_sp1(J: np.ndarray, gamma: np.ndarray, dJ: np.ndarray):
+    """Solve nabla J_a = -omega_b (x) J_c + omega_c (x) J_b for the omegas.
 
-    ``bundles`` is a point-keyed memo of first-order bundles to read and fill.
-    """
-    if data.n < 2:
-        raise DimensionError("the existence condition applies to n >= 2 only")
-    data.patch.require_interior(p, scheme.margin)
-    bundles = {} if bundles is None else bundles
-    return _memoized(bundles, p, lambda q: _section2_bundle(data, q, scheme))["existence"]
-
-
-# ---------------------------------------------------------------------------
-# the structure object
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QKTStructure:
-    """A built torsion connection: immutable fields plus per-point memo caches."""
-
-    data: QuaternionicHermitianData
-    scheme: FDScheme
-    torsion: FormField
-    connection: ConnectionField
-    sp1_forms: tuple
-    kind: str
-    caches: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def n(self) -> int:
-        return self.data.n
-
-    @property
-    def dim(self) -> int:
-        return self.data.dim
-
-    @property
-    def patch(self) -> CoordinatePatch:
-        return self.data.patch
-
-    def metric_at(self, p: np.ndarray) -> np.ndarray:
-        return self.data.metric_at(p)
-
-    def j_at(self, alpha: int, p: np.ndarray) -> np.ndarray:
-        return self.data.j_at(alpha, p)
-
-    def torsion_12_at(self, p: np.ndarray) -> np.ndarray:
-        """Torsion as a (1,2) tensor, raised from the stored 3-form."""
-        ginv = np.linalg.inv(self.metric_at(p))
-        return np.einsum("ijm,mk->kij", self.torsion(p), ginv)
-
-    def bundle_at(self, p: np.ndarray) -> dict:
-        """Memoized first-order bundle (n >= 2 structures carry torsion data)."""
-        return _memoized(self.caches.setdefault("bundle", {}), p,
-                         lambda q: _section2_bundle(self.data, q, self.scheme))
-
-    def torsion_one_form_field(self) -> FormField:
-        """The common 1-form J_a t_a derived from the stored torsion."""
-
-        def t_at(q):
-            return torsion_one_forms(self, q)[3]
-
-        return FormField(1, t_at, nested=True)
-
-
-def _memoized(cache: dict, p: np.ndarray, compute: Callable[[np.ndarray], np.ndarray]):
-    """``compute(p)``, kept per point array: a shared stencil batch is one entry."""
-    key = np.asarray(p, dtype=float).tobytes()
-    if key not in cache:
-        cache[key] = compute(np.asarray(p, dtype=float))
-    return cache[key]
-
-
-def _assemble(data: QuaternionicHermitianData,
-              torsion_at: Callable[[np.ndarray], np.ndarray],
-              scheme: FDScheme,
-              kind: str,
-              nested_torsion: bool = True) -> QKTStructure:
-    # the closures hold the inner dicts, not ``caches``, which stores
-    # omega_bundle: a cycle would outlive the structure until a full gc pass
-    caches: dict = {"T": {}, "Gamma": {}, "omega": {}}
-    t_cache, gamma_cache, omega_cache = caches["T"], caches["Gamma"], caches["omega"]
-
-    def torsion_memo(p):
-        return _memoized(t_cache, p, torsion_at)
-
-    torsion_field = FormField(3, torsion_memo, nested=nested_torsion)
-
-    def gamma_at(p):
-        def compute(q):
-            ginv = np.linalg.inv(data.metric_at(q))
-            gamma_g = levi_civita(data.patch.metric, q, scheme)
-            return gamma_g + 0.5 * np.einsum("...ijm,...ml->...lij", torsion_memo(q), ginv)
-
-        return _memoized(gamma_cache, p, compute)
-
-    connection = ConnectionField(gamma_at, nested=True)
-
-    def omega_bundle(p):
-        def compute(q):
-            return _extract_sp1(data, connection, q, scheme)
-
-        return _memoized(omega_cache, p, compute)
-
-    def omega_field(alpha):
-        return FormField(1, lambda q: omega_bundle(q)[0][..., alpha, :], nested=True)
-
-    struct = QKTStructure(
-        data=data,
-        scheme=scheme,
-        torsion=torsion_field,
-        connection=connection,
-        sp1_forms=(omega_field(0), omega_field(1), omega_field(2)),
-        kind=kind,
-        caches=caches,
-    )
-    caches["omega_bundle"] = omega_bundle
-    return struct
-
-
-def _extract_sp1(data: QuaternionicHermitianData,
-                 connection: ConnectionField,
-                 p: np.ndarray,
-                 scheme: FDScheme):
-    """Solve nabla J_a = -omega_b (x) J_c + omega_c (x) J_b for the omegas at the points ``p``.
-
+    ``J``, the connection ``gamma`` and ``dJ`` carry the same point axes.
     Each omega is recovered from both equations containing it; the returned
     per-point residual tracks the worst least-squares defect and the worst
     disagreement between the two recoveries.
     """
-    dim = data.dim
-    points = np.shape(p)[:-1]
-    J = data.hyper.matrices(p)
+    dim = J.shape[-1]
+    points = J.shape[:-3]
     # gamma_dir[..., i] = Gamma[..., :, i, :]: nabla_i J_a = d_i J_a + [Gamma_i, J_a]
-    gamma_dir = np.swapaxes(connection(p), -3, -2)[..., None, :, :]
-    dJ = data.hyper.gradient(p, scheme)
+    gamma_dir = np.swapaxes(gamma, -3, -2)[..., None, :, :]
     J_i = J[..., None, :, :, :]
     nabla_j = gamma_dir @ J_i                                    # [..., i, a, k, j]
     nabla_j += dJ
@@ -291,8 +432,90 @@ def _extract_sp1(data: QuaternionicHermitianData,
 
 
 # ---------------------------------------------------------------------------
+# the structure object
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class QKTStructure:
+    """A built torsion connection: its data, scheme and kind, and the rule
+    that computes the torsion from a context.  Every quantity is evaluated
+    through :meth:`at`; nothing is cached on the structure."""
+
+    data: QuaternionicHermitianData
+    scheme: FDScheme
+    kind: str
+    torsion_rule: Callable[[QKTContext], np.ndarray]
+    nested_torsion: bool = True     # T is differenced at h2, else at h
+
+    # perfbench/layertrace.py's Tracer.cache_sizes() reads per-structure
+    # caches here; a structure keeps none, so the mapping stays empty
+    caches = types.MappingProxyType({})
+
+    @property
+    def n(self) -> int:
+        return self.data.n
+
+    @property
+    def dim(self) -> int:
+        return self.data.dim
+
+    @property
+    def patch(self) -> CoordinatePatch:
+        return self.data.patch
+
+    @property
+    def constant(self) -> bool:
+        """Constant metric and triple, and the torsion built from them alone:
+        every layer is the same at every point."""
+        return (isinstance(self.patch.metric, ConstantMetric)
+                and isinstance(self.data.hyper, ConstantHypercomplexField)
+                and self.torsion_rule is _bundle_torsion)
+
+    def at(self, x: np.ndarray, scheme: FDScheme | None = None) -> QKTContext:
+        """The lazy evaluation context of this structure on the point array ``x``."""
+        return QKTContext(self, x, scheme or self.scheme)
+
+    @property
+    def torsion(self) -> FormField:
+        return FormField(3, lambda q: self.at(q).T, nested=self.nested_torsion)
+
+    @property
+    def connection(self) -> ConnectionField:
+        return ConnectionField(lambda q: self.at(q).Gamma, nested=True)
+
+    @property
+    def sp1_forms(self) -> tuple:
+        return tuple(FormField(1, lambda q, a=a: self.at(q).omega[..., a, :], nested=True)
+                     for a in range(3))
+
+    def bundle_at(self, p: np.ndarray):
+        """The first-order bundle at the points ``p``."""
+        return self.at(p).bundle
+
+
+def _bundle_torsion(ctx: QKTContext) -> np.ndarray:
+    return ctx.bundle["torsion"]
+
+
+def existence_residual(data: QuaternionicHermitianData,
+                       p: np.ndarray,
+                       scheme: FDScheme) -> float:
+    """Worst defect of the pairwise compatibility condition at the points ``p``."""
+    if data.n < 2:
+        raise DimensionError("the existence condition applies to n >= 2 only")
+    data.patch.require_interior(p, scheme.margin)
+    return worst(QKTStructure(data, scheme, "generic", _bundle_torsion).at(p).bundle["existence"])
+
+
+# ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
+
+def _check_algebra(ctx: QKTContext) -> dict:
+    """Validate the metric at the context's points; the quaternionic residuals there."""
+    validate_metric(ctx.g, ctx.x)
+    return quaternionic_residuals(ctx.g, ctx.J)
+
 
 def build_qkt(data: QuaternionicHermitianData,
               scheme: FDScheme,
@@ -303,17 +526,15 @@ def build_qkt(data: QuaternionicHermitianData,
         raise DimensionError("build_qkt needs n >= 2; use build_qkt_dim4 for n = 1")
     if check_points is None:
         check_points = [data.patch.center()]
-
-    # the check-point bundles seed the structure's bundle cache
-    bundle_cache: dict = {}
-    worst_alg = 0.0
-    worst_exist = 0.0
     for p in check_points:
-        data.patch.validate_metric_at(p)
-        residuals = quaternionic_residuals(data, p)
-        worst_alg = worst(worst_alg, residuals["algebra"], residuals["square"],
-                          residuals["hermitian"])
-        worst_exist = worst(worst_exist, existence_residual(data, p, scheme, bundle_cache))
+        data.patch.require_interior(p, scheme.margin)
+
+    struct = QKTStructure(data, scheme, "generic", _bundle_torsion)
+    # all check points in one context
+    ctx = struct.at(np.array(check_points, dtype=float))
+    residuals = _check_algebra(ctx)
+    worst_alg = worst(residuals["algebra"], residuals["square"], residuals["hermitian"])
+    worst_exist = worst(ctx.bundle["existence"])
     if not (worst_alg <= ALGEBRA_TOL and worst_exist <= existence_tol):
         err = NotQKTError(
             f"no compatible torsion connection: existence residual "
@@ -323,14 +544,6 @@ def build_qkt(data: QuaternionicHermitianData,
         )
         err.details = {"eq4": worst_exist, "algebra": worst_alg}
         raise err
-
-    def torsion_at(p):
-        return _memoized(
-            bundle_cache, p, lambda q: _section2_bundle(data, q, scheme)
-        )["torsion"]
-
-    struct = _assemble(data, torsion_at, scheme, kind="generic")
-    struct.caches["bundle"] = bundle_cache
     return struct
 
 
@@ -341,9 +554,13 @@ def build_qkt_dim4(patch: CoordinatePatch,
     """Build the dimension-4 structure with torsion the Hodge dual of ``t_form``."""
     if patch.n != 1:
         raise DimensionError("build_qkt_dim4 needs n = 1")
-    data = QuaternionicHermitianData(patch, hyper)
-    patch.validate_metric_at(patch.center())
-    residuals = quaternionic_residuals(data, patch.center())
+
+    def torsion_rule(ctx):
+        return hodge_star_array(t_form(ctx.x), ctx.g, patch.orientation)
+
+    struct = QKTStructure(QuaternionicHermitianData(patch, hyper), scheme, "dim4",
+                          torsion_rule, nested_torsion=t_form.nested)
+    residuals = _check_algebra(struct.at(patch.center()))
     if not worst(residuals["algebra"], residuals["square"], residuals["hermitian"]) <= ALGEBRA_TOL:
         err = NotQKTError(
             f"hypercomplex triple incompatible with the metric: "
@@ -352,44 +569,23 @@ def build_qkt_dim4(patch: CoordinatePatch,
         )
         err.details = {"algebra": residuals["algebra"]}
         raise err
-
-    def torsion_at(p):
-        return hodge_star_array(t_form(p), patch.metric_at(p), patch.orientation)
-
-    return _assemble(data, torsion_at, scheme, kind="dim4",
-                     nested_torsion=t_form.nested)
+    return struct
 
 
 # ---------------------------------------------------------------------------
-# derived quantities
+# derived quantities, each read off a single-point context
 # ---------------------------------------------------------------------------
-
-def _torsion_traces(struct: QKTStructure, p: np.ndarray):
-    """Memoized read-only (t_alpha, J_a t_a, t) at the points ``p``, stacked over alpha."""
-
-    def compute(q):
-        T = struct.torsion(q)
-        ginv = np.linalg.inv(struct.metric_at(q))
-        J = struct.data.hyper.matrices(q)
-        t_alpha = -0.5 * frame_trace_pair(T[..., None, :, :, :], ginv, J)
-        images = j_apply_oneform(J, t_alpha)
-        t = images.mean(axis=-2)
-        for arr in (t_alpha, images, t):
-            arr.flags.writeable = False
-        return t_alpha, images, t
-
-    return _memoized(struct.caches.setdefault("t_forms", {}), p, compute)
-
 
 def torsion_one_forms(struct: QKTStructure, p: np.ndarray):
     """(t_1, t_2, t_3, t): the torsion traces and their common J-image."""
-    t_alpha, _, t = _torsion_traces(struct, p)
-    return t_alpha[..., 0, :], t_alpha[..., 1, :], t_alpha[..., 2, :], t
+    ctx = struct.at(p)
+    t_alpha = ctx.t_alpha
+    return t_alpha[..., 0, :], t_alpha[..., 1, :], t_alpha[..., 2, :], ctx.t
 
 
-def torsion_one_form_spread(struct: QKTStructure, p: np.ndarray) -> float:
+def torsion_one_form_spread(ctx: QKTContext) -> float:
     """max_{a,b} |J_a t_a - J_b t_b| -- zero when the torsion is pure."""
-    _, images, _ = _torsion_traces(struct, p)
+    images = ctx.t_images
     return float(np.max(np.abs(images - images[CYC_B])))
 
 
@@ -402,19 +598,17 @@ class Sp1Forms:
     c7_residual: float | None   # None for n = 1
 
 
-def sp1_forms(struct: QKTStructure, p: np.ndarray, scheme: FDScheme | None = None) -> Sp1Forms:
-    """Extract the sp(1) connection forms; for n >= 2 cross-check the closed formula."""
-    if scheme is None or scheme == struct.scheme:
-        omegas, residual = struct.caches["omega_bundle"](p)
-    else:
-        omegas, residual = _extract_sp1(struct.data, struct.connection, p, scheme)
+def sp1_forms(ctx: QKTContext) -> Sp1Forms:
+    """The sp(1) connection forms; for n >= 2 cross-check the closed formula."""
+    omegas, residual = ctx.sp1
     c7 = None
-    if struct.n >= 2:
-        bundle = struct.bundle_at(p)
+    n = ctx.struct.n
+    if n >= 2:
+        bundle = ctx.bundle
         theta, cross, J = bundle["theta"], bundle["theta_cross"], bundle["J"]
         closed_form = 0.5 * j_apply_oneform(
-            J[CYC_B], theta[CYC_C] - theta[CYC_B] + theta / (1.0 - struct.n)
-        ) + cross[CYC_A, CYC_C] / (2.0 * (1.0 - struct.n))
+            J[CYC_B], theta[CYC_C] - theta[CYC_B] + theta / (1.0 - n)
+        ) + cross[CYC_A, CYC_C] / (2.0 * (1.0 - n))
         c7 = float(np.max(np.abs(closed_form - omegas[CYC_B])))
     return Sp1Forms(omegas=omegas, eq1_residual=residual, c7_residual=c7)
 
@@ -430,19 +624,18 @@ class AuxiliaryOneForms:
     t: np.ndarray           # (4n,)
 
 
-def auxiliary_one_forms(struct: QKTStructure, p: np.ndarray) -> AuxiliaryOneForms:
-    omegas, _ = struct.caches["omega_bundle"](p)
-    J_omega = j_apply_oneform(struct.data.hyper.matrices(p), omegas[CYC_C])
-    t_alpha, _, t = _torsion_traces(struct, p)
-    K = struct.bundle_at(p)["K"] if struct.n >= 2 else None
+def auxiliary_one_forms(ctx: QKTContext) -> AuxiliaryOneForms:
+    omegas = ctx.omega
+    J_omega = j_apply_oneform(ctx.J, omegas[CYC_C])
+    K = ctx.bundle["K"] if ctx.struct.n >= 2 else None
     return AuxiliaryOneForms(K=K, A=omegas[CYC_B] + J_omega, C=omegas[CYC_B] - J_omega,
-                             t_alpha=t_alpha, t=t)
+                             t_alpha=ctx.t_alpha, t=ctx.t)
 
 
-def nijenhuis_via_connection(struct: QKTStructure, alpha: int, p: np.ndarray) -> np.ndarray:
+def nijenhuis_via_connection(ctx: QKTContext, alpha: int) -> np.ndarray:
     """Nijenhuis tensor rebuilt from the Lee-form difference 1-forms."""
     a, b, c = CYCLIC[alpha]
-    bundle = struct.bundle_at(p)
+    bundle = ctx.bundle
     theta, J = bundle["theta"], bundle["J"]
     A = j_apply_oneform(J[b], theta[c] - theta[b])
     JA = j_apply_oneform(J[a], A)
@@ -455,30 +648,19 @@ def nijenhuis_via_connection(struct: QKTStructure, alpha: int, p: np.ndarray) ->
     )
 
 
-def structure_invariant_residuals(struct: QKTStructure, p: np.ndarray) -> dict:
+def structure_invariant_residuals(ctx: QKTContext) -> dict:
     """Defining invariants of the built structure at one point."""
-    T = struct.torsion(p)
-    g = struct.metric_at(p)
-    ginv = np.linalg.inv(g)
+    T = ctx.T
     skew = worst(np.max(np.abs(T + np.swapaxes(T, 0, 1))),
                  np.max(np.abs(T + np.swapaxes(T, 1, 2))))
-
-    gamma = struct.connection(p)
-    metric = struct.data.patch.metric
-    nabla_g = covariant_derivative_array(gamma, TensorField("dd", metric), p, struct.scheme,
-                                         grad=metric_gradient(metric, p, struct.scheme))
-    metricity = float(np.max(np.abs(nabla_g)))
-
-    T12 = np.einsum("ijm,mk->kij", T, ginv)
-    purity = float(np.max(np.abs(torsion_02_part(T12[None], struct.data.hyper.matrices(p)))))
-
-    _, eq1_residual = struct.caches["omega_bundle"](p)
-    quat = quaternionic_residuals(struct.data, p)
+    metricity = float(np.max(np.abs(covariant_derivative_array(ctx.Gamma, "dd", ctx.g, ctx.dg))))
+    purity = float(np.max(np.abs(torsion_02_part(ctx.T12[None], ctx.J))))
+    quat = quaternionic_residuals(ctx.g, ctx.J)
     return {
         "torsion_skew": skew,
         "metricity": metricity,
         "torsion_purity": purity,
-        "eq1": eq1_residual,
+        "eq1": ctx.eq1,
         "quaternionic": worst(quat["square"], quat["algebra"]),
         "hermitian": quat["hermitian"],
     }
@@ -500,6 +682,42 @@ class Classification:
     strong_residual: float
     dT_type22_residual: float
 
+    @classmethod
+    def of(cls, residuals: dict, first_order_tol: float = 1e-5,
+           curvature_tol: float = 1e-4) -> "Classification":
+        """The flags from the worst :func:`classification_residuals` over sample points."""
+        hkt = residuals.get("hkt")
+        integ, parallel, strong = (residuals.get(key, 0.0)
+                                   for key in ("integrable", "parallel", "strong"))
+        return cls(
+            is_hkt=(hkt <= first_order_tol) if hkt is not None else None,
+            hkt_residual=hkt,
+            is_integrable=integ <= first_order_tol,
+            integrable_residual=integ,
+            is_parallel_torsion=parallel <= curvature_tol,
+            parallel_residual=parallel,
+            is_strong=strong <= curvature_tol,
+            strong_residual=strong,
+            dT_type22_residual=residuals.get("dT_type22", 0.0),
+        )
+
+
+def classification_residuals(ctx: QKTContext) -> dict:
+    """The residuals behind the structure flags at one point."""
+    bundle = ctx.bundle
+    theta = bundle["theta"]
+    out = {
+        "integrable": np.max(np.abs(theta - theta[CYC_B])),
+        "parallel": np.max(np.abs(ctx.nabla_T)),
+        "strong": np.max(np.abs(ctx.dT)),
+        "dT_type22": dT_type22_residual(ctx.dT, ctx.J),
+    }
+    if ctx.struct.n >= 2:
+        # theta_a - J_b theta_{c,a} over the cyclic triples
+        J, cross = bundle["J"], bundle["theta_cross"]
+        out["hkt"] = np.max(np.abs(theta - j_apply_oneform(J[CYC_B], cross[CYC_C, CYC_A])))
+    return out
+
 
 def classify(struct: QKTStructure,
              points: Sequence[np.ndarray],
@@ -507,33 +725,7 @@ def classify(struct: QKTStructure,
              first_order_tol: float = 1e-5,
              curvature_tol: float = 1e-4) -> Classification:
     """Structure flags with their witnessing residuals over sample points."""
-    scheme = scheme or struct.scheme
-    from .curvature import _context
-    from .quaternionic import dT_type22_residual as _dt22
-
-    integ = parallel = strong = dt22 = 0.0
-    hkt = 0.0 if struct.n >= 2 else None
+    residuals = {"hkt": 0.0} if struct.n >= 2 else {}
     for p in points:
-        bundle = struct.bundle_at(p)
-        theta = bundle["theta"]
-        integ = worst(integ, np.max(np.abs(theta - theta[CYC_B])))
-        if hkt is not None:
-            # theta_a - J_b theta_{c,a} over the cyclic triples
-            J, cross = bundle["J"], bundle["theta_cross"]
-            hkt = worst(hkt, np.max(np.abs(theta - j_apply_oneform(J[CYC_B], cross[CYC_C, CYC_A]))))
-        ctx = _context(struct, p, scheme)
-        parallel = worst(parallel, np.max(np.abs(ctx.nabla_T)))
-        strong = worst(strong, np.max(np.abs(ctx.dT4)))
-        dt22 = worst(dt22, _dt22(struct.data, struct.torsion, p, scheme, dT=ctx.dT4))
-
-    return Classification(
-        is_hkt=(hkt <= first_order_tol) if hkt is not None else None,
-        hkt_residual=hkt,
-        is_integrable=integ <= first_order_tol,
-        integrable_residual=integ,
-        is_parallel_torsion=parallel <= curvature_tol,
-        parallel_residual=parallel,
-        is_strong=strong <= curvature_tol,
-        strong_residual=strong,
-        dT_type22_residual=dt22,
-    )
+        fold(residuals, classification_residuals(struct.at(p, scheme)))
+    return Classification.of(residuals, first_order_tol, curvature_tol)

@@ -25,13 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .tensor_core import (
-    CoordinatePatch,
-    FDScheme,
-    FormField,
-    exterior_derivative,
-    gradient,
-)
+from .tensor_core import CoordinatePatch, FDScheme, gradient
 
 # cyclic permutations (alpha, beta, gamma) of (1, 2, 3), 0-indexed
 CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -65,9 +59,6 @@ class HypercomplexField:
     def matrices(self, p: np.ndarray) -> np.ndarray:
         """All three structures at the points ``p``, stacked as J[..., alpha, k, j]."""
         return np.stack([np.asarray(f(p), dtype=float) for f in self.funcs], axis=-3)
-
-    def matrix(self, alpha: int, p: np.ndarray) -> np.ndarray:
-        return np.asarray(self.funcs[alpha](p), dtype=float)
 
     def gradient(self, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
         """dJ[..., i, alpha] = d_i J_alpha at the points ``p``, one stencil for all three."""
@@ -144,16 +135,16 @@ class QuaternionicHermitianData:
         return self.patch.metric_at(p)
 
     def j_at(self, alpha: int, p: np.ndarray) -> np.ndarray:
-        return self.hyper.matrix(alpha, p)
+        return self.hyper.matrices(p)[..., alpha, :, :]
 
 
-def quaternionic_residuals(data: QuaternionicHermitianData, p: np.ndarray) -> dict:
-    """Pointwise defects of the quaternionic and hermitian identities."""
-    g = data.metric_at(p)
-    J = data.hyper.matrices(p)
-    square = float(np.max(np.abs(J @ J + np.eye(data.dim))))
-    algebra = float(np.max(np.abs(J @ J[CYC_B] - J[CYC_C])))
-    hermitian = float(np.max(np.abs(np.swapaxes(J, 1, 2) @ g @ J - g)))
+def quaternionic_residuals(g: np.ndarray, J: np.ndarray) -> dict:
+    """Worst defects of the quaternionic and hermitian identities of J[..., alpha, k, j]
+    against the metric g[..., k, j], over all points."""
+    square = float(np.max(np.abs(J @ J + np.eye(J.shape[-1]))))
+    algebra = float(np.max(np.abs(J @ J[..., CYC_B, :, :] - J[..., CYC_C, :, :])))
+    hermitian = float(np.max(np.abs(np.swapaxes(J, -1, -2) @ g[..., None, :, :] @ J
+                                    - g[..., None, :, :])))
     return {
         "square": square,
         "algebra": algebra,
@@ -236,19 +227,9 @@ def torsion_02_part(T: np.ndarray, J: np.ndarray) -> np.ndarray:
     return 0.25 * (T - t_jj + jt_jx + jt_xj)
 
 
-def nijenhuis_bracket(data: QuaternionicHermitianData,
-                      alpha: int,
-                      p: np.ndarray,
-                      scheme: FDScheme,
-                      dJ: np.ndarray | None = None) -> np.ndarray:
-    """Nijenhuis tensor N[k, i, j] of J_a from coordinate Lie brackets.
-
-    ``dJ`` may supply the gradient dJ[a, k, j] of J_a at ``p``.
-    """
-    data.patch.require_interior(p, scheme.h)
-    J = data.j_at(alpha, p)
-    if dJ is None:
-        dJ = data.hyper.gradient(p, scheme)[:, alpha]
+def nijenhuis_bracket(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
+    """Nijenhuis tensor N[k, i, j] of one structure J[k, j] from coordinate Lie
+    brackets, given its gradient dJ[i, k, j] = d_i J[k, j]."""
     # For coordinate fields: [JX, JY]^k = J^m_i d_m J^k_j - J^m_j d_m J^k_i,
     # [JX, Y]^k = -d_j J^k_i, [X, JY]^k = d_i J^k_j, [X, Y] = 0.
     return (
@@ -259,18 +240,12 @@ def nijenhuis_bracket(data: QuaternionicHermitianData,
     )
 
 
-def dT_type22_residual(data: QuaternionicHermitianData,
-                       T_field: FormField,
-                       p: np.ndarray,
-                       scheme: FDScheme,
-                       dT: np.ndarray | None = None) -> float:
-    """Largest defect of the (2,2)-type identity of d(T) over the three J's.
+def dT_type22_residual(dT: np.ndarray, J: np.ndarray) -> float:
+    """Largest defect of the (2,2)-type identity of the 4-form dT over the three J's.
 
     Zero exactly when dT(X,Y,Z,U) = dT(JX,JY,Z,U) + dT(JX,Y,JZ,U)
-    + dT(X,JY,JZ,U) for each structure.  ``dT`` may supply d(T) at ``p``.
+    + dT(X,JY,JZ,U) for each structure.
     """
-    dT = exterior_derivative(T_field, scheme)(p) if dT is None else dT
-    J = data.hyper.matrices(p)
     defect = np.repeat(dT[None], 3, axis=0)
     for slots in ((0, 1), (0, 2), (1, 2)):
         defect -= j_apply_pair(J, dT[None], slots)

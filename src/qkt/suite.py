@@ -14,7 +14,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .conformal import conformal_law_residuals, lchkt_residual, lcqk_residual
 from .curvature import (
-    _context,
     bianchi_and_symmetry_residuals,
     dT_trace_equalities,
     dim4_einstein_suite,
@@ -32,14 +31,15 @@ from .curvature import (
 )
 from .errors import InputError, NotQKTError
 from .qkt_connection import (
+    Classification,
+    QKTContext,
     QKTStructure,
     auxiliary_one_forms,
-    classify,
+    classification_residuals,
     nijenhuis_via_connection,
     sp1_forms,
     structure_invariant_residuals,
     torsion_one_form_spread,
-    torsion_one_forms,
 )
 from .quaternionic import (
     CYC_A,
@@ -51,7 +51,7 @@ from .quaternionic import (
     torsion_02_part,
 )
 from .tensor_core import (
-    FDScheme,
+    fold,
     hodge_star_array,
     trace_codifferential,
     wedge_arrays,
@@ -204,91 +204,67 @@ CATALOGUE = (
 # evaluation environment and group evaluators
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteEnv:
     spec: ManifoldSpec
-    struct: QKTStructure
-    points: list
-    scheme: FDScheme
-    base: QKTStructure | None = None
-    factor: object | None = None
-    _groups: dict = field(default_factory=dict)
+    base: QKTStructure | None = None     # the unscaled structure of a conformal kind
+    factor: object | None = None         # and its conformal factor
 
-    def group(self, name: str) -> dict:
-        if name not in self._groups:
-            self._groups[name] = _GROUP_EVALUATORS[name](self)
-        return self._groups[name]
 
+# Each group evaluator reads the context of one sample point and returns
+# that point's residuals; run_suite folds them into maxima over the points.
 
 def _accumulator(out: dict):
     """acc(key, value) folds a residual into out[key]; None values are skipped."""
-
-    def acc(key, value):
-        if value is not None:
-            out[key] = worst(out.get(key, 0.0), value)
-
-    return acc
+    return lambda key, value: fold(out, {key: value})
 
 
-def _eval_structural(env: SuiteEnv) -> dict:
-    struct, scheme = env.struct, env.scheme
-    n = struct.n
-    out: dict = {}
+def _eval_structural(env: SuiteEnv, ctx: QKTContext) -> dict:
+    n = ctx.struct.n
+    inv = structure_invariant_residuals(ctx)
+    out = {key: inv[key] for key in ("quaternionic", "hermitian", "torsion_skew",
+                                     "metricity", "torsion_purity", "eq1")}
     acc = _accumulator(out)
-    for p in env.points:
-        inv = structure_invariant_residuals(struct, p)
-        acc("quaternionic", inv["quaternionic"])
-        acc("hermitian", inv["hermitian"])
-        acc("torsion_skew", inv["torsion_skew"])
-        acc("metricity", inv["metricity"])
-        acc("torsion_purity", inv["torsion_purity"])
-        acc("eq1", inv["eq1"])
-        acc("l1", torsion_one_form_spread(struct, p))
+    acc("l1", torsion_one_form_spread(ctx))
 
-        bundle = struct.bundle_at(p)
-        theta, cross, J = bundle["theta"], bundle["theta_cross"], bundle["J"]
-        gamma = struct.connection(p)
+    bundle = ctx.bundle
+    theta, cross, J = bundle["theta"], bundle["theta_cross"], bundle["J"]
+    acc("theta_self", np.max(np.abs(cross[CYC_A, CYC_A] - theta)))
+    acc("tt1", np.max(np.abs(
+        j_apply_oneform(J[CYC_B], cross[CYC_A, CYC_C])
+        + j_apply_oneform(J[CYC_C], cross[CYC_A, CYC_B]))))
+    acc("per1", np.max(np.abs(
+        (n * n + n) * theta - n * theta[CYC_B] - n * n * theta[CYC_C]
+        + j_apply_oneform(J[CYC_C], cross[CYC_B, CYC_A])
+        + n * j_apply_oneform(J, cross[CYC_C, CYC_B])
+        - (n + 1) * j_apply_oneform(J[CYC_B], cross[CYC_A, CYC_C]))))
+    aux = auxiliary_one_forms(ctx)
+    acc("c6", np.max(np.abs(
+        (n - 1.0) * j_apply_oneform(J[CYC_B], aux.C)
+        - (theta - j_apply_oneform(J[CYC_B], cross[CYC_A, CYC_C])))))
+    acc("c5", np.max(np.abs(aux.A - j_apply_oneform(J[CYC_B], theta[CYC_C] - theta[CYC_B]))))
 
-        acc("theta_self", np.max(np.abs(cross[CYC_A, CYC_A] - theta)))
-        acc("tt1", np.max(np.abs(
-            j_apply_oneform(J[CYC_B], cross[CYC_A, CYC_C])
-            + j_apply_oneform(J[CYC_C], cross[CYC_A, CYC_B]))))
-        acc("per1", np.max(np.abs(
-            (n * n + n) * theta - n * theta[CYC_B] - n * n * theta[CYC_C]
-            + j_apply_oneform(J[CYC_C], cross[CYC_B, CYC_A])
-            + n * j_apply_oneform(J, cross[CYC_C, CYC_B])
-            - (n + 1) * j_apply_oneform(J[CYC_B], cross[CYC_A, CYC_C]))))
-        aux = auxiliary_one_forms(struct, p)
-        acc("c6", np.max(np.abs(
-            (n - 1.0) * j_apply_oneform(J[CYC_B], aux.C)
-            - (theta - j_apply_oneform(J[CYC_B], cross[CYC_A, CYC_C])))))
-        acc("c5", np.max(np.abs(aux.A - j_apply_oneform(J[CYC_B], theta[CYC_C] - theta[CYC_B]))))
+    # Nijenhuis comparisons, all from one stencil of the three J's
+    for a in range(3):
+        n_bracket = nijenhuis_bracket(J[a], ctx.dJ[:, a])
+        acc("eq6", np.max(np.abs(n_bracket - nijenhuis_via_connection(ctx, a))))
+        acc("eq2", np.max(np.abs(n_bracket - _nijenhuis_eq2(ctx, a))))
 
-        # Nijenhuis comparisons, all from one stencil of the three J's
-        T12 = struct.torsion_12_at(p)
-        dJ = struct.data.hyper.gradient(p, scheme)
-        for a in range(3):
-            n_bracket = nijenhuis_bracket(struct.data, a, p, scheme, dJ=dJ[:, a])
-            acc("eq6", np.max(np.abs(
-                n_bracket - nijenhuis_via_connection(struct, a, p))))
-            acc("eq2", np.max(np.abs(
-                n_bracket - _nijenhuis_eq2(struct, a, p, gamma, T12, dJ[:, a]))))
-
-        if n >= 2:
-            acc("eq4", bundle["existence"])
-            acc("eq5_agreement", bundle["alpha_agreement"])
-            acc("c7", sp1_forms(struct, p).c7_residual)
-        else:
-            _dim4_structural(env, p, acc)
+    if n >= 2:
+        acc("eq4", bundle["existence"])
+        acc("eq5_agreement", bundle["alpha_agreement"])
+        acc("c7", sp1_forms(ctx).c7_residual)
+    else:
+        _dim4_structural(ctx, acc)
     return out
 
 
-def _nijenhuis_eq2(struct, alpha, p, gamma, T12, dJ):
-    """4 T^{0,2}_a plus the nabla-J terms of the bracket formula; dJ = d J_a at p."""
-    J = struct.j_at(alpha, p)
+def _nijenhuis_eq2(ctx: QKTContext, alpha: int):
+    """4 T^{0,2}_a plus the nabla-J terms of the bracket formula."""
+    J, gamma, dJ = ctx.J[alpha], ctx.Gamma, ctx.dJ[:, alpha]
     # (nabla_i J)[k, j] = d_i J[k,j] + Gamma[k,i,m] J[m,j] - Gamma[m,i,j] J[k,m]
     nab_j = dJ + np.einsum("kim,mj->ikj", gamma, J) - np.einsum("mij,km->ikj", gamma, J)
-    t02 = torsion_02_part(T12, J)
+    t02 = torsion_02_part(ctx.T12, J)
     return (
         4.0 * t02
         + np.einsum("mi,mkj->kij", J, nab_j)
@@ -298,75 +274,49 @@ def _nijenhuis_eq2(struct, alpha, p, gamma, T12, dJ):
     )
 
 
-def _dim4_structural(env: SuiteEnv, p, acc):
-    struct = env.struct
-    ctx = _context(struct, p, env.scheme)
+def _dim4_structural(ctx: QKTContext, acc):
     g, ginv, J, F = ctx.g, ctx.ginv, ctx.J, ctx.F
-    ori = struct.patch.orientation
-    T = struct.torsion(p)
-    *t_alpha, t = torsion_one_forms(struct, p)
+    ori = ctx.struct.patch.orientation
+    T, t = ctx.T, ctx.t
 
     # star identity on 1-form probes, and the torsion shape
     for psi in list(np.eye(4)) + [t]:
         acc("tri1", np.max(np.abs(
             hodge_star_array(psi, g, ori) + wedge_arrays(j_apply_oneform(J, psi), F, stack=1))))
-    acc("v1", np.max(np.abs(T - wedge_arrays(np.stack(t_alpha), F, stack=1))))
+    acc("v1", np.max(np.abs(T - wedge_arrays(ctx.t_alpha, F, stack=1))))
     acc("v1", np.max(np.abs(T - hodge_star_array(t, g, ori))))
 
     # *dT = -delta t
     delta_t = trace_codifferential(ctx.nabla_g_t, ginv)
-    acc("star_dT", np.abs(hodge_star_array(ctx.dT4, g, ori) + delta_t))
+    acc("star_dT", np.abs(hodge_star_array(ctx.dT, g, ori) + delta_t))
 
     # trace link between nabla T and nabla t (both via the torsion connection):
     # sum_i (nabla_Z T)(J X, e_i, J e_i) = 2 (nabla_Z t)(X)
     traced = frame_trace_pair(ctx.nabla_T[None], ginv, J)
-    acc("ser2", np.max(np.abs(traced @ J - 2.0 * ctx.nabla_t(struct.connection(p)))))
+    acc("ser2", np.max(np.abs(traced @ J - 2.0 * ctx.nabla_t)))
 
 
-def _eval_lc(env: SuiteEnv) -> dict:
-    out = {"u3": 0.0, "lchkt": 0.0}
-    acc = _accumulator(out)
-    for p in env.points:
-        acc("u3", lcqk_residual(env.struct, p, env.scheme))
-        acc("lchkt", lchkt_residual(env.struct, p, env.scheme))
+def _eval_lc(env: SuiteEnv, ctx: QKTContext) -> dict:
+    return {"u3": lcqk_residual(ctx), "lchkt": lchkt_residual(ctx)}
+
+
+def _eval_conformal(env: SuiteEnv, ctx: QKTContext) -> dict:
+    return conformal_law_residuals(env.base.at(ctx.x, ctx.scheme), ctx, env.factor)
+
+
+def _eval_curvature(env: SuiteEnv, ctx: QKTContext) -> dict:
+    out = {**sp1_curvature_residuals(ctx), **bianchi_and_symmetry_residuals(ctx)}
+    traces = trace_identity_residuals(ctx)
+    out["ti20"] = traces["ti20"]
+    out["eq22"] = traces.get("eq22")
+    out["pair_antisym"] = worst(*ctx.curv.pair_antisymmetry())
     return out
 
 
-def _eval_conformal(env: SuiteEnv) -> dict:
-    if env.base is None:
-        return {}
-    return conformal_law_residuals(
-        env.base, env.factor, env.scheme, env.points, rescaled=env.struct)
-
-
-def _eval_curvature(env: SuiteEnv) -> dict:
-    out: dict = {}
-    acc = _accumulator(out)
-    for p in env.points:
-        for key, val in sp1_curvature_residuals(env.struct, p, env.scheme).items():
-            acc(key, val)
-        for key, val in bianchi_and_symmetry_residuals(env.struct, p, env.scheme).items():
-            acc(key, val)
-        traces = trace_identity_residuals(env.struct, p, env.scheme)
-        acc("ti20", traces["ti20"])
-        if "eq22" in traces:
-            acc("eq22", traces["eq22"])
-        ctx = _context(env.struct, p, env.scheme)
-        acc("pair_antisym", worst(*ctx.curv.pair_antisymmetry()))
-    return out
-
-
-def _eval_dim4(env: SuiteEnv) -> dict:
-    out: dict = {}
-    acc = _accumulator(out)
-    for p in env.points:
-        for key, val in dim4_einstein_suite(env.struct, p, env.scheme).items():
-            if key in ("eq5.67", "eq5.68", "eq5.69"):
-                acc(key, val)
-        for key, val in weyl_correspondence(env.struct, p, env.scheme).items():
-            if key in ("qw", "qkw_sym", "wzl1"):
-                acc(key, val)
-    return out
+def _eval_dim4(env: SuiteEnv, ctx: QKTContext) -> dict:
+    einstein, weyl = dim4_einstein_suite(ctx), weyl_correspondence(ctx)
+    return {**{key: einstein[key] for key in ("eq5.67", "eq5.68", "eq5.69")},
+            **{key: weyl[key] for key in ("qw", "qkw_sym", "wzl1")}}
 
 
 _GROUP_EVALUATORS = {
@@ -382,11 +332,25 @@ _GROUP_EVALUATORS = {
 # diagnostics (reported, not gated)
 # ---------------------------------------------------------------------------
 
-def _diagnostics(env: SuiteEnv, suites: set) -> dict:
-    struct = env.struct
-    diag: dict = {}
-    cls = classify(struct, env.points, env.scheme)
-    diag["classification"] = {
+def _diagnostics(ctx: QKTContext, suites: set, diag: dict) -> None:
+    """Fold the diagnostics of one sample point into ``diag``."""
+    fold(diag.setdefault("classification", {}), classification_residuals(ctx))
+    if "curvature" in suites or "all" in suites:
+        traces = trace_identity_residuals(ctx)
+        diag["eq27_lambda_last"] = traces["eq27_lambda"]
+        equalities = dT_trace_equalities(ctx)
+        fold(diag, {"eq27_fit": traces["eq27_fit"],
+                    "eq24_trace_equality": equalities["eq24"],
+                    "eq24_prime_11_form": equalities["eq24_prime"]})
+    if ctx.struct.n == 1 and ("dim4" in suites or "all" in suites):
+        record = dim4_einstein_suite(ctx)
+        fold(diag, {"einstein_deviation": record["einstein_deviation"],
+                    "sp1_einstein_deviation": record["sp1_einstein_deviation"]})
+
+
+def _classification_report(residuals: dict) -> dict:
+    cls = Classification.of(residuals)
+    return {
         "is_hkt": cls.is_hkt,
         "hkt_residual": cls.hkt_residual,
         "is_integrable": cls.is_integrable,
@@ -397,25 +361,6 @@ def _diagnostics(env: SuiteEnv, suites: set) -> dict:
         "strong_residual": cls.strong_residual,
         "dT_type22_residual": cls.dT_type22_residual,
     }
-    if "curvature" in suites or "all" in suites:
-        acc = _accumulator(diag)
-        for p in env.points:
-            traces = trace_identity_residuals(struct, p, env.scheme)
-            diag["eq27_lambda_last"] = traces["eq27_lambda"]
-            acc("eq27_fit", traces["eq27_fit"])
-            equalities = dT_trace_equalities(struct, p, env.scheme)
-            acc("eq24_trace_equality", equalities["eq24"])
-            acc("eq24_prime_11_form", equalities["eq24_prime"])
-    if struct.n == 1 and ("dim4" in suites or "all" in suites):
-        acc = _accumulator(diag)
-        for p in env.points:
-            record = dim4_einstein_suite(struct, p, env.scheme)
-            acc("einstein_deviation", record["einstein_deviation"])
-            acc("sp1_einstein_deviation", record["sp1_einstein_deviation"])
-    if struct.n == 1:
-        # the torsion-shape half of the l.c. check is trivial in dimension 4
-        diag["lcqk_note"] = "dimension 4: the torsion-shape residual vanishes identically"
-    return diag
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +445,18 @@ def _meta(spec: ManifoldSpec, suite: str, extra: dict | None = None) -> dict:
 
 
 def run_suite(spec: ManifoldSpec, suite: str = "all") -> VerificationReport:
-    """Evaluate the selected identities on the manifold described by ``spec``."""
+    """Evaluate the selected identities on the manifold described by ``spec``.
+
+    Non-finite intermediate values raise no numpy warnings: they reach the
+    residuals, and their rows fail.
+    """
     if suite not in SUITES:
         raise InputError(f"unknown suite {suite!r}; choose from {SUITES}")
-    scheme = spec.scheme()
+    with np.errstate(all="ignore"):
+        return _run_suite(spec, suite)
+
+
+def _run_suite(spec: ManifoldSpec, suite: str) -> VerificationReport:
     points = sample_points(spec)
 
     try:
@@ -530,15 +483,28 @@ def run_suite(spec: ManifoldSpec, suite: str = "all") -> VerificationReport:
     if spec.kind in ("conformal_flat", "hopf_local"):
         base, factor = conformal_ingredients(spec)
 
-    env = SuiteEnv(spec=spec, struct=struct, points=points, scheme=scheme,
-                   base=base, factor=factor)
+    env = SuiteEnv(spec=spec, base=base, factor=factor)
 
     selected = set(SUITES[1:]) if suite == "all" else {suite}
+    checks = [check for check in CATALOGUE
+              if check.suite in selected and check.applies(env)]
+    groups = {check.group: {} for check in checks}
+    diagnostics: dict = {}
+    # one context per sample point, read by every group and diagnostic; the
+    # next point's context replaces it before computing any layer
+    for p in points:
+        ctx = struct.at(p)
+        for name, values in groups.items():
+            fold(values, _GROUP_EVALUATORS[name](env, ctx))
+        _diagnostics(ctx, selected, diagnostics)
+    diagnostics["classification"] = _classification_report(diagnostics["classification"])
+    if struct.n == 1:
+        # the torsion-shape half of the l.c. check is trivial in dimension 4
+        diagnostics["lcqk_note"] = "dimension 4: the torsion-shape residual vanishes identically"
+
     results = []
-    for check in CATALOGUE:
-        if check.suite not in selected or not check.applies(env):
-            continue
-        value = env.group(check.group).get(check.key)
+    for check in checks:
+        value = groups[check.group].get(check.key)
         if value is None:
             continue
         tol = float(spec.tol_overrides.get(check.identity_id, check.tolerance))
@@ -551,7 +517,6 @@ def run_suite(spec: ManifoldSpec, suite: str = "all") -> VerificationReport:
             passed=bool(value <= tol),
         ))
 
-    diagnostics = _diagnostics(env, selected)
     return VerificationReport(
         meta=_meta(spec, suite, {"diagnostics": diagnostics}),
         results=tuple(results),

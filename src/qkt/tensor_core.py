@@ -14,6 +14,14 @@ Conventions used throughout the package:
   once, on the ``(..., 2d, d)`` stencil array, and returns
   ``(..., d, *value_shape)``: the derivative axis sits right after the
   point axes;
+* evaluation contexts: a built structure evaluates its layers (g, J, the
+  first-order bundle, T, Gamma, the sp(1) forms, the torsion traces and the
+  curvature) through ``QKTStructure.at(x)``, one lazy context per point
+  array.  Each layer is computed at most once per context and handed out
+  read-only, and a derivative reads the same layer off one of two stencil
+  sub-contexts, built on :func:`stencil` at step ``h`` or ``h2``, so each
+  point set of a context is evaluated once.  Nothing is cached on a
+  structure or across point arrays: dropping the context frees its arrays;
 * metric ``g[i, j]``; connection coefficients ``Gamma[l, i, j]``, the l-th
   component of the derivative of the j-th coordinate field along the i-th
   direction;
@@ -129,11 +137,16 @@ class CoordinatePatch:
         return g
 
     def validate_metric_at(self, p: np.ndarray) -> None:
-        g = self.metric_at(p)
-        _require_nondegenerate(g, p)
-        skew = np.max(np.abs(g - np.swapaxes(g, -1, -2)), axis=(-2, -1)) > 1e-12
-        if np.any(skew):
-            raise DegenerateMetricError(f"metric not symmetric at {first_point(skew, p)}")
+        validate_metric(self.metric_at(p), p)
+
+
+def validate_metric(g: np.ndarray, p: np.ndarray) -> None:
+    """Raise DegenerateMetricError unless g (..., d, d) at the points ``p`` is
+    finite, symmetric and positive definite."""
+    require_nondegenerate(g, p)
+    skew = np.max(np.abs(g - np.swapaxes(g, -1, -2)), axis=(-2, -1)) > 1e-12
+    if np.any(skew):
+        raise DegenerateMetricError(f"metric not symmetric at {first_point(skew, p)}")
 
 
 def first_point(mask: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -142,7 +155,7 @@ def first_point(mask: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p.reshape(-1, p.shape[-1])[np.flatnonzero(mask)[0]]
 
 
-def _require_nondegenerate(g: np.ndarray, p: np.ndarray) -> None:
+def require_nondegenerate(g: np.ndarray, p: np.ndarray) -> None:
     """Raise DegenerateMetricError at the first point where g is not finite or
     its smallest eigenvalue is below MIN_METRIC_EIGENVALUE."""
     bad = ~np.all(np.isfinite(g), axis=(-2, -1))
@@ -157,18 +170,6 @@ def _require_nondegenerate(g: np.ndarray, p: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # field carriers
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TensorField:
-    """A tensor field: index signature plus a point evaluator."""
-
-    signature: str
-    func: Callable[[np.ndarray], np.ndarray]
-    nested: bool = False
-
-    def __call__(self, p: np.ndarray) -> np.ndarray:
-        return np.asarray(self.func(p), dtype=float)
-
 
 @dataclass(frozen=True)
 class FormField:
@@ -209,6 +210,14 @@ def worst(*values) -> float:
     return float(np.max(values))
 
 
+def fold(out: dict, values: dict) -> dict:
+    """Fold ``values`` into the running maxima ``out`` (NaN wins); None values are skipped."""
+    for key, value in values.items():
+        if value is not None:
+            out[key] = worst(out.get(key, 0.0), value)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
@@ -228,21 +237,27 @@ def partial_derivative(field: Callable[[np.ndarray], np.ndarray],
     return (plus - minus) / (2.0 * h)
 
 
+def stencil(p: np.ndarray, h: float) -> np.ndarray:
+    """The (..., 2d, d) central-difference points of ``p`` (..., d): p + h e_i, then p - h e_i."""
+    p = np.asarray(p, dtype=float)
+    step = h * np.eye(p.shape[-1])
+    return p[..., None, :] + np.concatenate([step, -step])
+
+
 def gradient(field: Callable[[np.ndarray], np.ndarray],
              p: np.ndarray,
              scheme: FDScheme,
              nested: bool = False) -> np.ndarray:
     """All partial derivatives at the points ``p`` (..., d), from one field call.
 
-    The field is evaluated once, on the (..., 2d, d) stencil array; the
-    result is (..., d, *value_shape), the derivative axis right after the
-    point axes.
+    The field is evaluated once, on the (..., 2d, d) :func:`stencil` array;
+    the result is (..., d, *value_shape), the derivative axis right after
+    the point axes.
     """
     p = np.asarray(p, dtype=float)
     d = p.shape[-1]
     h = scheme.step(nested)
-    step = h * np.eye(d)
-    values = np.asarray(field(p[..., None, :] + np.concatenate([step, -step])), dtype=float)
+    values = np.asarray(field(stencil(p, h)), dtype=float)
     head = (slice(None),) * (p.ndim - 1)
     out = values[head + (slice(d),)] - values[head + (slice(d, None),)]
     out /= 2.0 * h
@@ -380,33 +395,6 @@ def hodge_star_array(arr: np.ndarray, g: np.ndarray, orientation: int = 1) -> np
 # metric machinery
 # ---------------------------------------------------------------------------
 
-class MemoizedMetric:
-    """A metric field that evaluates each point array once.
-
-    ``g(p)`` is kept per point array (keyed on its bytes, so a shared
-    stencil batch is one entry) and the Christoffel symbols per (point
-    array, scheme), which :func:`levi_civita` reads through.  Stored arrays
-    are read-only views, so a caller cannot alter what later callers receive.
-    """
-
-    __slots__ = ("func", "_g", "_gamma")
-
-    def __init__(self, func: Callable[[np.ndarray], np.ndarray]):
-        self.func = func
-        self._g: dict = {}
-        self._gamma: dict = {}
-
-    def __call__(self, p: np.ndarray) -> np.ndarray:
-        key = np.asarray(p, dtype=float).tobytes()
-        g = self._g.get(key)
-        if g is None:
-            # a read-only view: no copy of the (possibly large) batch values
-            g = np.asarray(self.func(p), dtype=float).view()
-            g.flags.writeable = False
-            self._g[key] = g
-        return g
-
-
 class ConstantMetric:
     """A metric field that is the same matrix at every point.
 
@@ -427,72 +415,46 @@ class ConstantMetric:
         return np.broadcast_to(self.g, np.shape(p)[:-1] + self.g.shape)
 
 
-def metric_gradient(metric: Callable[[np.ndarray], np.ndarray],
-                    p: np.ndarray,
-                    scheme: FDScheme) -> np.ndarray:
-    """dg[..., a, i, j] = d_a g_ij at the points ``p``; exact zeros, without a
-    stencil, for a :class:`ConstantMetric`."""
-    if isinstance(metric, ConstantMetric):
-        return np.zeros(np.shape(p) + metric.g.shape)
-    return gradient(metric, p, scheme)
-
-
 def levi_civita(metric: Callable[[np.ndarray], np.ndarray],
                 p: np.ndarray,
                 scheme: FDScheme) -> np.ndarray:
     """Christoffel symbols Gamma[..., l, i, j] of the metric field at the points ``p``."""
     if isinstance(metric, ConstantMetric):
         return np.zeros(np.shape(p)[:-1] + metric.g.shape[-1:] * 3)
-    if isinstance(metric, MemoizedMetric):
-        key = (np.asarray(p, dtype=float).tobytes(), scheme)
-        gamma = metric._gamma.get(key)
-        if gamma is None:
-            gamma = _christoffel(metric, p, scheme)
-            gamma.flags.writeable = False
-            metric._gamma[key] = gamma
-        return gamma
-    return _christoffel(metric, p, scheme)
-
-
-def _christoffel(metric: Callable[[np.ndarray], np.ndarray],
-                 p: np.ndarray,
-                 scheme: FDScheme) -> np.ndarray:
     g = np.asarray(metric(p), dtype=float)
-    _require_nondegenerate(g, p)
-    ginv = np.linalg.inv(g)
-    dg = gradient(metric, p, scheme)  # dg[..., a, i, j] = d_a g_{ij}
+    require_nondegenerate(g, p)
+    return christoffel(np.linalg.inv(g), gradient(metric, p, scheme))
+
+
+def christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma[..., l, i, j] from g^{-1} and dg[..., a, i, j] = d_a g_ij."""
     lowered = 0.5 * (dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1))
     return np.einsum("...lm,...ijm->...lij", ginv, lowered)
 
 
-def levi_civita_field(patch: CoordinatePatch, scheme: FDScheme) -> ConnectionField:
-    return ConnectionField(lambda p: levi_civita(patch.metric, p, scheme), nested=True)
-
-
 def covariant_derivative_array(gamma: np.ndarray,
-                               tensor: TensorField,
-                               p: np.ndarray,
-                               scheme: FDScheme,
-                               grad: np.ndarray | None = None) -> np.ndarray:
-    """Components of nabla(tensor) at the points ``p`` (..., d).
+                               signature: str,
+                               value: np.ndarray,
+                               grad: np.ndarray) -> np.ndarray:
+    """Components of nabla(tensor) from its value and :func:`gradient` at some points.
 
-    ``gamma`` is the connection at ``p``; ``grad`` may supply the tensor's
-    already computed :func:`gradient` there.  Value axes between the point
-    axes and the signature's slots are a stack; the result is (points,
-    stack, derivative, slots).
+    ``gamma`` (points, d, d, d) is the connection there and ``signature``
+    the tensor's index variances ('u' or 'd' per slot).  Value axes between
+    the point axes and the slots are a stack; the result is (points, stack,
+    derivative, slots).
     """
-    p = np.asarray(p, dtype=float)
-    pts, d, points = p.ndim - 1, p.shape[-1], p.shape[:-1]
-    out = gradient(tensor.func, p, scheme, nested=tensor.nested) if grad is None else grad.copy()
-    base = tensor(p)
-    lead = base.ndim - pts - len(tensor.signature)
+    pts, d = gamma.ndim - 3, gamma.shape[-1]
+    points = gamma.shape[:pts]
+    base = np.asarray(value, dtype=float)
+    out = np.array(grad, dtype=float)
+    lead = base.ndim - pts - len(signature)
     head = list(range(pts))
     # the derivative axis moves behind the stack: (points, stack, derivative, slots)
     out = out.transpose(head + list(range(pts + 1, pts + 1 + lead)) + [pts]
                         + list(range(pts + 1 + lead, out.ndim)))
     # rows (k, a) of Gamma^k_{a m} for an upper slot, (a, j) of Gamma^m_{a j} for a lower one
     rows = {"u": gamma, "d": gamma.transpose(head + [pts + 1, pts + 2, pts])}
-    for slot, variance in enumerate(tensor.signature):
+    for slot, variance in enumerate(signature):
         if variance not in rows:
             raise ValueError(f"bad variance letter {variance!r}")
         axis = pts + lead + slot

@@ -21,7 +21,6 @@ from .tensor_core import (
     CoordinatePatch,
     FDScheme,
     FormField,
-    MemoizedMetric,
     constant_form,
 )
 
@@ -213,7 +212,7 @@ def build_manifold(spec: ManifoldSpec,
         def metric(p, _f=factor, _d=spec.dim):
             return _f.value(p)[..., None, None] * np.eye(_d)
 
-        patch = CoordinatePatch(n=spec.n, lo=lo, hi=hi, metric=MemoizedMetric(metric))
+        patch = CoordinatePatch(n=spec.n, lo=lo, hi=hi, metric=metric)
         data = QuaternionicHermitianData(patch, _hypercomplex(spec))
         return build_qkt(data, scheme, check_points=check_points)
 

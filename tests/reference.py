@@ -4,8 +4,9 @@ Each one computes a quantity by its textbook formula, one structure or one
 form at a time, on a single point: the Kaehler forms, the codifferential,
 the Lee forms and cross Lee forms from their own stencils, K from them,
 the twisted derivative of one 2-form, a Gram-Schmidt frame, the Ricci data
-of a structure, and thin field wrappers around the array kernels.  The
-library computes the same objects stacked and over point arrays.
+of a structure, and thin field wrappers around the array kernels (tensor
+fields, their covariant derivative, the Levi-Civita connection field).
+The library computes the same objects stacked and over point arrays.
 """
 
 from dataclasses import dataclass
@@ -13,9 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from qkt.curvature import _context
 from qkt.errors import DegenerateMetricError, DegreeError, DimensionError
-from qkt.qkt_connection import QKTStructure
 from qkt.quaternionic import (
     CYCLIC,
     QuaternionicHermitianData,
@@ -29,14 +28,26 @@ from qkt.tensor_core import (
     ConnectionField,
     FDScheme,
     FormField,
-    TensorField,
     covariant_derivative_array,
     exterior_derivative,
+    gradient,
     hodge_star_array,
     levi_civita,
     trace_codifferential,
     wedge_arrays,
 )
+
+
+@dataclass(frozen=True)
+class TensorField:
+    """A tensor field: index signature plus a point evaluator."""
+
+    signature: str
+    func: Callable[[np.ndarray], np.ndarray]
+    nested: bool = False
+
+    def __call__(self, p: np.ndarray) -> np.ndarray:
+        return np.asarray(self.func(p), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -64,8 +75,21 @@ def covariant_derivative(conn: ConnectionField,
                          p: np.ndarray,
                          scheme: FDScheme) -> TensorFieldValue:
     """Covariant derivative of a tensor field; new index is covariant, first."""
-    arr = covariant_derivative_array(conn(p), tensor, p, scheme)
-    return TensorFieldValue("d" + tensor.signature, arr, np.asarray(p, dtype=float))
+    return TensorFieldValue("d" + tensor.signature, nabla_array(conn(p), tensor, p, scheme),
+                            np.asarray(p, dtype=float))
+
+
+def nabla_array(gamma: np.ndarray, tensor: TensorField, p: np.ndarray,
+                scheme: FDScheme) -> np.ndarray:
+    """nabla(tensor) at ``p`` under the connection ``gamma`` there, from the
+    tensor field's own stencil."""
+    grad = gradient(tensor.func, p, scheme, nested=tensor.nested)
+    return covariant_derivative_array(gamma, tensor.signature, tensor(p), grad)
+
+
+def levi_civita_field(patch, scheme: FDScheme) -> ConnectionField:
+    """The Levi-Civita connection of the patch metric as a field."""
+    return ConnectionField(lambda p: levi_civita(patch.metric, p, scheme), nested=True)
 
 
 def wedge(a: FormField, b: FormField) -> FormField:
@@ -94,9 +118,7 @@ def codifferential(omega: FormField,
     if omega.degree < 1:
         raise DegreeError("the codifferential needs a form of degree >= 1")
     gamma = levi_civita(metric, p, scheme)
-    nabla = covariant_derivative_array(
-        gamma, TensorField("d" * omega.degree, omega.func, omega.nested), p, scheme
-    )
+    nabla = nabla_array(gamma, TensorField("d" * omega.degree, omega.func, omega.nested), p, scheme)
     ginv = np.linalg.inv(np.asarray(metric(p), dtype=float))
     return trace_codifferential(nabla, ginv, degree=omega.degree)
 
@@ -186,12 +208,12 @@ class RicciData:
     Scal_K: float | None
 
 
-def ricci_data(struct: QKTStructure, p: np.ndarray, scheme: FDScheme | None = None) -> RicciData:
-    ctx = _context(struct, p, scheme)
+def ricci_data(ctx) -> RicciData:
+    """The Ricci data of a structure at the single-point context ``ctx``."""
     scal = float(np.einsum("jk,jk->", ctx.ginv, ctx.Ric))
     K = None
     scal_k = None
-    if struct.n == 1:
+    if ctx.struct.n == 1:
         K = ctx.P.sum(axis=0)
         scal_k = float(np.einsum("jk,jk->", ctx.ginv, K))
     return RicciData(rho=ctx.rho, Ric=ctx.Ric, Ric_g=ctx.Ric_g, Scal=scal,

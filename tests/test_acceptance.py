@@ -211,9 +211,9 @@ def test_criterion_08_classification_coherence(spec_conf_exp, report_conf_exp,
     assert flat_cls["is_hkt"] is True
     flat = build_manifold(ManifoldSpec(kind="flat", n=2, **DEFAULTS))
     p = np.zeros(8)
-    curv = curvature_tensor(flat.connection, flat.data.patch.metric, p,
-                            flat.scheme)
-    rho = ricci_forms(curv, flat.data.hyper, flat.data.patch.metric, p)
+    ctx = flat.at(p)
+    curv = curvature_tensor(ctx.Gamma, ctx.derivative("Gamma", nested=True), ctx.g)
+    rho = ricci_forms(curv, ctx.ginv, ctx.J)
     assert np.max(np.abs(rho)) <= 1e-3
     _criterion(8, True,
                "conformal structures integrable, non-HKT with the stated deviation "

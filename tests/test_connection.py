@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 
 import numpy as np
@@ -8,8 +7,9 @@ import qkt.qkt_connection as qkt_connection
 import qkt.tensor_core as tensor_core
 from qkt.errors import DimensionError, NotQKTError
 from qkt.qkt_connection import (
+    QKTStructure,
+    _bundle_torsion,
     _extract_sp1,
-    _section2_bundle,
     auxiliary_one_forms,
     build_qkt,
     build_qkt_dim4,
@@ -37,15 +37,20 @@ from qkt.tensor_core import (
     CoordinatePatch,
     FDScheme,
     FormField,
-    MemoizedMetric,
-    TensorField,
     constant_form,
-    covariant_derivative_array,
     exterior_derivative,
     levi_civita,
     wedge_arrays,
 )
-from reference import codifferential, compute_K, cross_lee_form, kaehler_field, lee_form
+from reference import (
+    TensorField,
+    codifferential,
+    compute_K,
+    cross_lee_form,
+    kaehler_field,
+    lee_form,
+    nabla_array,
+)
 
 SCHEME = FDScheme()
 
@@ -55,6 +60,16 @@ def flat_patch(n):
     eye = np.eye(dim)
     return CoordinatePatch(n=n, lo=-0.6 * np.ones(dim), hi=0.6 * np.ones(dim),
                            metric=ConstantMetric(eye))
+
+
+def bundle_of(data, p):
+    """The first-order bundle of ``data`` at ``p``, read off a fresh context."""
+    return QKTStructure(data, SCHEME, "generic", _bundle_torsion).at(p).bundle
+
+
+def t_field(struct):
+    """The torsion 1-form of a built structure as a field."""
+    return FormField(1, lambda q: struct.at(q).t, nested=True)
 
 
 def conformal_data(n=2):
@@ -137,15 +152,17 @@ def test_existence_residual_detects_incompatible_j2():
     assert existence_residual(data, POINT8, SCHEME) > 1e-2
 
 
-@pytest.mark.parametrize("memoized", [False, True])
-def test_bundle_matches_standalone_formulas_exactly(memoized):
-    # one stencil of F_a feeds both dF_a and nabla^g F_a: the shared gradient
-    # must reproduce the separate exterior-derivative and Lee-form paths bit for bit
+@pytest.mark.parametrize("batched", [False, True])
+def test_bundle_matches_standalone_formulas_exactly(batched):
+    # one stencil of g and F_a feeds Gamma^g, dF_a and nabla^g F_a: the shared
+    # gradient must reproduce the separate exterior-derivative and Lee-form
+    # paths bit for bit, also when the point sits in a batch
     data = conformal_data()
-    if memoized:
-        patch = dataclasses.replace(data.patch, metric=MemoizedMetric(data.patch.metric))
-        data = QuaternionicHermitianData(patch, data.hyper)
-    bundle = _section2_bundle(data, POINT8, SCHEME)
+    if batched:
+        bundle = {key: value[1] for key, value in
+                  bundle_of(data, np.stack([-POINT8, POINT8])).items()}
+    else:
+        bundle = bundle_of(data, POINT8)
     J = bundle["J"]
     for a in range(3):
         dF = exterior_derivative(kaehler_field(data, a), SCHEME)(POINT8)
@@ -164,22 +181,23 @@ def test_bundle_keeps_only_the_keys_read_elsewhere(conformal_struct, sine_dim4):
     assert set(sine_dim4.bundle_at(POINT4)) == common
 
 
-def test_build_reuses_check_point_bundles(monkeypatch):
+def test_build_checks_all_check_points_in_one_context(monkeypatch):
+    # one batched bundle over the (k, d) check points; the structure keeps none
     built = []
     original = qkt_connection._section2_bundle
 
-    def counting(data, p, scheme):
-        built.append(np.asarray(p).tobytes())
-        return original(data, p, scheme)
+    def counting(ctx):
+        built.append(ctx.x.shape)
+        return original(ctx)
 
     monkeypatch.setattr(qkt_connection, "_section2_bundle", counting)
     points = [POINT8, -POINT8]
     struct = build_qkt(conformal_data(), SCHEME, check_points=points)
-    assert len(built) == 2
+    assert built == [(2, 8)]
+    assert struct.caches == {}
     for p in points:
-        struct.torsion(p)
         assert struct.bundle_at(p)["existence"] <= 1e-4
-    assert len(built) == 2
+    assert built == [(2, 8), (8,), (8,)]
 
 
 def count_calls(monkeypatch, original):
@@ -199,10 +217,10 @@ def count_calls(monkeypatch, original):
 
 
 def test_bundle_takes_one_stencil_of_the_three_kaehler_forms(monkeypatch):
-    # a fresh point costs two stencils: the metric (Gamma^g) and the stacked F
+    # a fresh point costs one stencil: the metric (Gamma^g) and the stacked F together
     calls = count_calls(monkeypatch, tensor_core.gradient)
-    _section2_bundle(conformal_data(), POINT8, SCHEME)
-    assert len(calls) == 2
+    bundle_of(conformal_data(), POINT8)
+    assert len(calls) == 1
 
 
 def test_extract_sp1_one_stencil_and_one_solve(monkeypatch):
@@ -211,16 +229,16 @@ def test_extract_sp1_one_stencil_and_one_solve(monkeypatch):
     points = [POINT8, -POINT8]
     structs = [build_qkt(data, SCHEME, check_points=points),
                build_qkt(varying, SCHEME, check_points=points)]
-    for struct in structs:
-        for p in points:
-            struct.connection(p)
+    contexts = [[struct.at(p) for p in points] for struct in structs]
+    for ctx in contexts[0] + contexts[1]:
+        ctx.Gamma
     grads = count_calls(monkeypatch, tensor_core.gradient)
     solves = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(a) or solve(*a, **k))
     monkeypatch.setattr(np.linalg, "lstsq", None)
-    constant, sampled = ([_extract_sp1(s.data, s.connection, p, SCHEME) for p in points]
-                         for s in structs)
+    constant, sampled = ([_extract_sp1(ctx.J, ctx.Gamma, ctx.dJ) for ctx in row]
+                         for row in contexts)
     # the standard structure is constant: its derivative is exactly zero, no stencil
     assert len(grads) == len(points)
     # one batched solve of the stacked 2x2 normal equations per call, all three triples
@@ -229,6 +247,66 @@ def test_extract_sp1_one_stencil_and_one_solve(monkeypatch):
     for (omegas_c, residual_c), (omegas_s, residual_s) in zip(constant, sampled):
         assert np.array_equal(omegas_c, omegas_s)
         assert residual_c == residual_s
+
+
+def test_point_and_one_point_batch_do_not_share_layers(conformal_struct, sine_dim4):
+    # a point (d,) and the batch (1, d) of the same coordinates are two point
+    # arrays: every layer of the batch is the point's layer with a leading axis
+    import functools
+
+    from qkt.qkt_connection import QKTContext
+
+    T = conformal_struct.torsion(POINT8)
+    assert T.shape == (8, 8, 8)
+    assert conformal_struct.torsion(POINT8[None]).shape == (1, 8, 8, 8)
+    names = [name for name, attr in vars(QKTContext).items()
+             if isinstance(attr, (functools.cached_property, property))
+             and not name.startswith("_stencil")]
+    assert {"g", "bundle", "T", "Gamma", "sp1", "t", "curv", "curv_g", "rho", "dt"} <= set(names)
+
+    def assert_leading_axis(single, batch, name):
+        if hasattr(single, "keys"):
+            assert set(single) == set(batch), name
+            for key in single:
+                assert_leading_axis(single[key], batch[key], f"{name}[{key}]")
+        elif isinstance(single, tuple):
+            for a, b in zip(single, batch):
+                assert_leading_axis(a, b, name)
+        elif hasattr(single, "R4"):
+            assert_leading_axis(single.R4, batch.R4, name)
+            assert_leading_axis(single.R13, batch.R13, name)
+        else:
+            batch = np.asarray(batch)
+            assert batch.shape == (1,) + np.shape(single), name
+            assert np.array_equal(batch[0], single), name
+
+    for struct, p in ((conformal_struct, POINT8), (sine_dim4, POINT4)):
+        single, batch = struct.at(p), struct.at(p[None])
+        for name in names:
+            assert_leading_axis(getattr(single, name), getattr(batch, name), name)
+
+
+def test_constant_structure_takes_no_stencil(monkeypatch, flat_struct_n2):
+    # constant metric and triple: every derivative is exactly zero without a
+    # stencil, equal to what the stencils of the same geometry give
+    stenciled = build_qkt(QuaternionicHermitianData(
+        flat_struct_n2.patch, HypercomplexField(flat_struct_n2.data.hyper.funcs)), SCHEME)
+    assert flat_struct_n2.constant and not stenciled.constant
+    layers = ("bundle", "curv", "curv_g", "dT", "nabla_T", "dt", "nabla_g_t", "gamma_w")
+    reference = stenciled.at(POINT8)
+    for layer in layers:
+        getattr(reference, layer)
+    calls = count_calls(monkeypatch, tensor_core.gradient)
+    ctx = flat_struct_n2.at(POINT8)
+    for layer in layers:
+        getattr(ctx, layer)
+    assert calls == []
+    for name in ("theta", "theta_cross", "torsion"):
+        assert np.array_equal(ctx.bundle[name], reference.bundle[name])
+    for name in ("dT", "nabla_T", "dt", "nabla_g_t", "gamma_w"):
+        assert np.array_equal(getattr(ctx, name), getattr(reference, name)), name
+    assert np.array_equal(ctx.curv.R4, reference.curv.R4)
+    assert np.array_equal(ctx.derivative("omega", True), reference.derivative("omega", True))
 
 
 def test_existence_residual_rejects_dim4():
@@ -246,7 +324,7 @@ def test_flat_build_is_levi_civita(flat_struct_n2):
     p = np.full(8, 0.1)
     assert np.max(np.abs(struct.torsion(p))) == 0.0
     assert np.max(np.abs(struct.connection(p))) == 0.0
-    omegas, residual = struct.caches["omega_bundle"](p)
+    omegas, residual = struct.at(p).sp1
     assert np.max(np.abs(omegas)) <= 1e-12
     assert residual <= 1e-12
 
@@ -280,7 +358,7 @@ def test_conformal_torsion_matches_transport_formula(conformal_struct):
 
 
 def test_structure_invariants(conformal_struct):
-    inv = structure_invariant_residuals(conformal_struct, POINT8)
+    inv = structure_invariant_residuals(conformal_struct.at(POINT8))
     assert inv["torsion_skew"] <= 1e-10
     assert inv["metricity"] <= 1e-5
     assert inv["torsion_purity"] <= 1e-5
@@ -291,8 +369,8 @@ def test_structure_invariants(conformal_struct):
 def test_torsion_12_raised_consistently(conformal_struct):
     struct = conformal_struct
     T3 = struct.torsion(POINT8)
-    T12 = struct.torsion_12_at(POINT8)
-    g = struct.metric_at(POINT8)
+    T12 = struct.at(POINT8).T12
+    g = struct.data.metric_at(POINT8)
     assert np.max(np.abs(np.einsum("kij,km->ijm", T12, g) - T3)) <= 1e-12
 
 
@@ -301,7 +379,7 @@ def test_torsion_recovered_from_connection_difference(conformal_struct):
     struct = conformal_struct
     gamma = struct.connection(POINT8)
     gamma_g = levi_civita(struct.data.patch.metric, POINT8, SCHEME)
-    g = struct.metric_at(POINT8)
+    g = struct.data.metric_at(POINT8)
     recovered = 2.0 * np.einsum("lij,lm->ijm", gamma - gamma_g, g)
     assert np.max(np.abs(recovered - struct.torsion(POINT8))) <= 1e-10
 
@@ -353,9 +431,9 @@ def test_dim4_recovers_input_one_form(sine_dim4):
     expected = np.array([np.sin(POINT4[1]), 0.0, 0.0, 0.0])
     assert np.max(np.abs(t - expected)) <= 1e-10
     # each t_a ^ F_a reproduces the torsion
-    g = sine_dim4.metric_at(POINT4)
+    g = sine_dim4.data.metric_at(POINT4)
     for a, t_a in enumerate((t1, t2, t3)):
-        F = g @ sine_dim4.j_at(a, POINT4)
+        F = g @ sine_dim4.data.j_at(a, POINT4)
         assert np.max(np.abs(sine_dim4.torsion(POINT4) - wedge_arrays(t_a, F))) <= 1e-10
 
 
@@ -372,10 +450,10 @@ def test_dim4_star_dT_equals_minus_delta_t(sine_dim4):
     t_form = FormField(1, lambda q: np.sin(q[..., 0, None]) * np.eye(4)[0])
     nontrivial = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
                                 t_form, SCHEME)
-    for built, form in ((struct, struct.torsion_one_form_field()), (nontrivial, t_form)):
+    for built, form in ((struct, t_field(struct)), (nontrivial, t_form)):
         p = POINT4
         dT = exterior_derivative(built.torsion, SCHEME)(p)
-        star_dT = hodge_star_array(dT, built.metric_at(p), built.patch.orientation)
+        star_dT = hodge_star_array(dT, built.data.metric_at(p), built.patch.orientation)
         delta_t = codifferential(form, built.data.patch.metric, p, SCHEME)
         assert abs(float(star_dT) + float(delta_t)) <= 1e-5
     delta = codifferential(t_form, nontrivial.data.patch.metric, POINT4, SCHEME)
@@ -398,28 +476,36 @@ def test_torsion_one_form_conformal_value(conformal_struct):
 
 
 def test_common_one_form_spread(conformal_struct, sine_dim4):
-    assert torsion_one_form_spread(conformal_struct, POINT8) <= 1e-8
-    assert torsion_one_form_spread(sine_dim4, POINT4) <= 1e-8
+    assert torsion_one_form_spread(conformal_struct.at(POINT8)) <= 1e-8
+    assert torsion_one_form_spread(sine_dim4.at(POINT4)) <= 1e-8
 
 
 def test_torsion_one_forms_memoized_read_only(conformal_struct):
-    first = torsion_one_forms(conformal_struct, POINT8)
-    again = torsion_one_forms(conformal_struct, POINT8.copy())
-    assert all(np.shares_memory(x, y) for x, y in zip(first, again))
+    # a context computes each layer once and hands it out read-only
+    ctx = conformal_struct.at(POINT8)
+    first = (ctx.t_alpha, ctx.t_images, ctx.t, ctx.bundle["theta"])
+    again = (ctx.t_alpha, ctx.t_images, ctx.t, ctx.bundle["theta"])
+    assert all(x is y for x, y in zip(first, again))
     for value in first:
         with pytest.raises(ValueError):
             value[0] = 1.0
+    with pytest.raises(TypeError):
+        ctx.bundle["theta"] = first[0]
+    with pytest.raises(AttributeError):
+        ctx.t = first[2]
+    values = torsion_one_forms(conformal_struct, POINT8)
+    assert all(np.array_equal(x, y) for x, y in zip(values, (*ctx.t_alpha, ctx.t)))
 
 
 def test_sp1_forms_flat(flat_struct_n2):
-    record = sp1_forms(flat_struct_n2, np.zeros(8))
+    record = sp1_forms(flat_struct_n2.at(np.zeros(8)))
     assert np.max(np.abs(record.omegas)) <= 1e-12
     assert record.eq1_residual <= 1e-12
     assert record.c7_residual <= 1e-12
 
 
 def test_sp1_forms_conformal(conformal_struct):
-    record = sp1_forms(conformal_struct, POINT8)
+    record = sp1_forms(conformal_struct.at(POINT8))
     J = conformal_struct.data.hyper.matrices(POINT8)
     for a in range(3):
         expected = -j_apply_oneform(J[a], DX1_8)
@@ -431,7 +517,7 @@ def test_sp1_forms_conformal(conformal_struct):
 def test_auxiliary_forms_relations(conformal_struct):
     # A_a = J_b(theta_c - theta_b) and (n-1) J_b C_a = theta_a - J_b theta_{a,c}
     struct = conformal_struct
-    aux = auxiliary_one_forms(struct, POINT8)
+    aux = auxiliary_one_forms(struct.at(POINT8))
     bundle = struct.bundle_at(POINT8)
     theta, cross, J = bundle["theta"], bundle["theta_cross"], bundle["J"]
     for a, b, c in CYCLIC:
@@ -450,14 +536,15 @@ def test_auxiliary_forms_relations(conformal_struct):
 def test_nijenhuis_via_connection_flat(flat_struct_n2):
     for a in range(3):
         assert np.max(np.abs(
-            nijenhuis_via_connection(flat_struct_n2, a, np.zeros(8)))) <= 1e-12
+            nijenhuis_via_connection(flat_struct_n2.at(np.zeros(8)), a))) <= 1e-12
 
 
 def test_nijenhuis_reconstruction_matches_bracket(conformal_struct, sine_dim4):
     for struct, p in ((conformal_struct, POINT8), (sine_dim4, POINT4)):
+        ctx = struct.at(p)
         for a in range(3):
-            rebuilt = nijenhuis_via_connection(struct, a, p)
-            bracket = nijenhuis_bracket(struct.data, a, p, struct.scheme)
+            rebuilt = nijenhuis_via_connection(ctx, a)
+            bracket = nijenhuis_bracket(ctx.J[a], ctx.dJ[:, a])
             assert np.max(np.abs(rebuilt - bracket)) <= 1e-5
 
 
@@ -484,7 +571,6 @@ def test_classify_dim4_constant_torsion():
     assert record.is_hkt is None
     # parallel torsion <=> the 1-form is Levi-Civita parallel (here: constant)
     gamma_g = levi_civita(struct.data.patch.metric, POINT4, SCHEME)
-    nabla_t = covariant_derivative_array(
-        gamma_g, TensorField("d", struct.torsion_one_form_field().func, nested=True),
-        POINT4, SCHEME)
+    nabla_t = nabla_array(gamma_g, TensorField("d", t_field(struct).func, nested=True),
+                          POINT4, SCHEME)
     assert np.max(np.abs(nabla_t)) <= 1e-8

@@ -10,7 +10,6 @@ from qkt.curvature import (
     ricci_forms,
     sp1_curvature_residuals,
     trace_identity_residuals,
-    weyl_connection_field,
     weyl_correspondence,
 )
 from qkt.errors import DimensionError
@@ -24,9 +23,9 @@ from qkt.tensor_core import (
     FDScheme,
     FormField,
     constant_form,
-    levi_civita_field,
+    gradient,
 )
-from reference import ricci_data
+from reference import levi_civita_field, ricci_data
 
 SCHEME = FDScheme()
 POINT8 = np.array([0.05, -0.1, 0.2, 0.0, 0.11, -0.02, 0.3, -0.2])
@@ -67,10 +66,16 @@ def sine_dim4():
 # curvature tensor basics
 # ---------------------------------------------------------------------------
 
+def field_curvature(conn, metric, p):
+    """The curvature of a connection field from its own stencil."""
+    return curvature_tensor(conn(p), gradient(conn.func, p, SCHEME, nested=conn.nested),
+                            np.asarray(metric(p), dtype=float))
+
+
 def test_flat_curvature_vanishes():
     patch = flat_patch(2)
     conn = levi_civita_field(patch, SCHEME)
-    curv = curvature_tensor(conn, patch.metric, np.zeros(8), SCHEME)
+    curv = field_curvature(conn, patch.metric, np.zeros(8))
     assert np.max(np.abs(curv.R4)) == 0.0
 
 
@@ -92,46 +97,45 @@ def test_conformal_curvature_against_analytic_connection():
     exact_conn = ConnectionField(
         lambda p: np.broadcast_to(gamma_exact, p.shape[:-1] + gamma_exact.shape), nested=False)
     p = np.array([0.2, -0.1, 0.3, 0.05])
-    analytic = curvature_tensor(exact_conn, metric, p, SCHEME)
+    analytic = field_curvature(exact_conn, metric, p)
     patch = flat_patch(1)
     patch = CoordinatePatch(n=1, lo=patch.lo, hi=patch.hi, metric=metric)
-    fd = curvature_tensor(levi_civita_field(patch, SCHEME), metric, p, SCHEME)
+    fd = field_curvature(levi_civita_field(patch, SCHEME), metric, p)
     assert np.max(np.abs(fd.R4 - analytic.R4)) <= 1e-3
     assert np.max(np.abs(analytic.R4)) > 1e-2  # genuinely curved
 
 
 def test_pair_antisymmetry(conformal_struct):
-    from qkt.curvature import _context
-    ctx = _context(conformal_struct, POINT8, None)
+    ctx = conformal_struct.at(POINT8)
     first, last = ctx.curv.pair_antisymmetry()
     assert first <= 1e-6
     assert last <= 1e-4
 
 
 def test_gTT_matches_einsum(conformal_struct):
-    from qkt.curvature import _context
-    ctx = _context(conformal_struct, POINT8, None)
+    ctx = conformal_struct.at(POINT8)
     expected = np.einsum("xym,mk,zuk->xyzu", ctx.T, ctx.ginv, ctx.T)
     assert np.max(np.abs(ctx.gTT - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_structures_freed_without_gc():
-    # memo caches must not form reference cycles with the structure: a cycle
-    # keeps every cached array alive until a full garbage-collection pass
+    # contexts must not form reference cycles with their structure or their
+    # stencil sub-contexts: a cycle keeps every layer alive until a full
+    # garbage-collection pass
     import gc
     import weakref
-    from qkt.curvature import _context
     gc.disable()
     try:
         base = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
                               constant_form(1, np.array([0.5, 0.0, 0.0, 0.0])), SCHEME)
         struct = conformal_rescale(base, ConformalFactor(lambda p: np.exp(p[..., 0])), SCHEME)
-        struct.caches["omega_bundle"](POINT4)
-        assert np.isfinite(_context(struct, POINT4, None).dt).all()
-        assert struct.caches["curvature_ctx"] and struct.caches["T"]
-        refs = [weakref.ref(base), weakref.ref(struct)]
-        del base, struct
-        assert [ref() for ref in refs] == [None, None]
+        ctx = struct.at(POINT4)
+        assert np.isfinite(ctx.omega).all() and np.isfinite(ctx.dt).all()
+        assert np.isfinite(ctx.curv.R4).all()
+        refs = [weakref.ref(obj) for obj in
+                (base, struct, ctx, ctx._stencil_h, ctx._stencil_h2, ctx._stencil_h2._stencil_h)]
+        del base, struct, ctx
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
 
@@ -139,8 +143,8 @@ def test_structures_freed_without_gc():
 def test_ricci_forms_flat():
     patch = flat_patch(2)
     conn = levi_civita_field(patch, SCHEME)
-    curv = curvature_tensor(conn, patch.metric, np.zeros(8), SCHEME)
-    rho = ricci_forms(curv, build_standard_hypercomplex(2), patch.metric, np.zeros(8))
+    curv = field_curvature(conn, patch.metric, np.zeros(8))
+    rho = ricci_forms(curv, np.eye(8), build_standard_hypercomplex(2).matrices(np.zeros(8)))
     assert np.max(np.abs(rho)) == 0.0
 
 
@@ -150,9 +154,10 @@ def test_hkt_flat_has_vanishing_ricci_forms():
     struct = build_qkt(data, SCHEME)
     record = classify(struct, [np.zeros(8)])
     assert record.is_hkt
-    curv = curvature_tensor(struct.connection, struct.data.patch.metric,
-                            np.zeros(8), SCHEME)
-    rho = ricci_forms(curv, struct.data.hyper, struct.data.patch.metric, np.zeros(8))
+    ctx = struct.at(np.zeros(8))
+    curv = field_curvature(struct.connection, struct.data.patch.metric, np.zeros(8))
+    rho = ricci_forms(curv, ctx.ginv, ctx.J)
+    assert np.array_equal(rho, ctx.rho)
     assert np.max(np.abs(rho)) <= 1e-3
 
 
@@ -162,7 +167,7 @@ def test_hkt_flat_has_vanishing_ricci_forms():
 
 def test_sp1_curvature_residuals(conformal_struct, const_dim4):
     for struct, p in ((conformal_struct, POINT8), (const_dim4, POINT4)):
-        out = sp1_curvature_residuals(struct, p)
+        out = sp1_curvature_residuals(struct.at(p))
         assert out["eq11"] <= 1e-3
         assert out["eq12"] <= 1e-3
 
@@ -170,25 +175,24 @@ def test_sp1_curvature_residuals(conformal_struct, const_dim4):
 def test_bianchi_and_symmetry(conformal_struct, const_dim4, sine_dim4):
     for struct, p in ((conformal_struct, POINT8), (const_dim4, POINT4),
                       (sine_dim4, POINT4)):
-        out = bianchi_and_symmetry_residuals(struct, p)
+        out = bianchi_and_symmetry_residuals(struct.at(p))
         for key, value in out.items():
             assert value <= 1e-3, (key, value)
 
 
 def test_skew_ricci_detects_coclosure(sine_dim4):
     # t = sin(x2) dx1 has delta T != 0, so Ric must fail to be symmetric
-    from qkt.curvature import _context
-    ctx = _context(sine_dim4, POINT4, None)
+    ctx = sine_dim4.at(POINT4)
     skew = 0.5 * np.max(np.abs(ctx.Ric - ctx.Ric.T))
     assert skew > 1e-2
-    assert bianchi_and_symmetry_residuals(sine_dim4, POINT4)["remark3"] <= 1e-3
+    assert bianchi_and_symmetry_residuals(sine_dim4.at(POINT4))["remark3"] <= 1e-3
 
 
 def test_trace_identities(conformal_struct, const_dim4):
-    out = trace_identity_residuals(conformal_struct, POINT8)
+    out = trace_identity_residuals(conformal_struct.at(POINT8))
     assert out["ti20"] <= 1e-3
     assert out["eq22"] <= 1e-3
-    out4 = trace_identity_residuals(const_dim4, POINT4)
+    out4 = trace_identity_residuals(const_dim4.at(POINT4))
     assert out4["ti20"] <= 1e-3
     assert "eq22" not in out4
 
@@ -196,13 +200,13 @@ def test_trace_identities(conformal_struct, const_dim4):
 def test_eq27_flat_lambda_zero():
     data = QuaternionicHermitianData(flat_patch(2), build_standard_hypercomplex(2))
     struct = build_qkt(data, SCHEME)
-    out = trace_identity_residuals(struct, np.zeros(8))
+    out = trace_identity_residuals(struct.at(np.zeros(8)))
     assert abs(out["eq27_lambda"]) <= 1e-10
     assert out["eq27_fit"] <= 1e-10
 
 
 def test_dT_trace_equalities_closed_torsion(const_dim4):
-    out = dT_trace_equalities(const_dim4, POINT4)
+    out = dT_trace_equalities(const_dim4.at(POINT4))
     assert out["eq24"] <= 1e-10
     assert out["eq24_prime"] <= 1e-10
 
@@ -214,7 +218,7 @@ def test_dT_trace_equalities_closed_torsion(const_dim4):
 def test_dim4_suite_flat():
     struct = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
                             constant_form(1, np.zeros(4)), SCHEME)
-    out = dim4_einstein_suite(struct, POINT4)
+    out = dim4_einstein_suite(struct.at(POINT4))
     for key in ("eq5.67", "eq5.68", "eq5.69",
                 "einstein_deviation", "sp1_einstein_deviation"):
         assert out[key] <= 1e-12, key
@@ -222,7 +226,7 @@ def test_dim4_suite_flat():
 
 def test_dim4_suite_torsion_instances(const_dim4, sine_dim4):
     for struct in (const_dim4, sine_dim4):
-        out = dim4_einstein_suite(struct, POINT4)
+        out = dim4_einstein_suite(struct.at(POINT4))
         assert out["eq5.67"] <= 1e-3
         assert out["eq5.68"] <= 1e-3
         assert out["eq5.69"] <= 1e-3
@@ -230,17 +234,17 @@ def test_dim4_suite_torsion_instances(const_dim4, sine_dim4):
 
 def test_dim4_suite_needs_dim4(conformal_struct):
     with pytest.raises(DimensionError):
-        dim4_einstein_suite(conformal_struct, POINT8)
+        dim4_einstein_suite(conformal_struct.at(POINT8))
     with pytest.raises(DimensionError):
-        weyl_correspondence(conformal_struct, POINT8)
+        weyl_correspondence(conformal_struct.at(POINT8))
 
 
 def test_ricci_data_shapes(sine_dim4):
-    data = ricci_data(sine_dim4, POINT4)
+    data = ricci_data(sine_dim4.at(POINT4))
     assert data.rho.shape == (3, 4, 4)
     assert data.K is not None
     assert data.Scal == pytest.approx(
-        float(np.trace(np.linalg.inv(sine_dim4.metric_at(POINT4)) @ data.Ric)),
+        float(np.trace(np.linalg.inv(sine_dim4.data.metric_at(POINT4)) @ data.Ric)),
         abs=1e-10)
 
 
@@ -251,16 +255,16 @@ def test_ricci_data_shapes(sine_dim4):
 def test_weyl_trivial_for_zero_torsion():
     struct = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
                             constant_form(1, np.zeros(4)), SCHEME)
-    conn_w = weyl_connection_field(struct, SCHEME)
-    assert np.max(np.abs(conn_w(POINT4) - struct.connection(POINT4))) <= 1e-12
-    out = weyl_correspondence(struct, POINT4)
+    ctx = struct.at(POINT4)
+    assert np.max(np.abs(ctx.gamma_w - ctx.Gamma)) <= 1e-12
+    out = weyl_correspondence(ctx)
     for key in ("qw", "qkw_sym", "wzl1", "einstein_weyl_deviation"):
         assert out[key] <= 1e-12, key
 
 
 def test_weyl_correspondence_torsion_instances(const_dim4, sine_dim4):
     for struct in (const_dim4, sine_dim4):
-        out = weyl_correspondence(struct, POINT4)
+        out = weyl_correspondence(struct.at(POINT4))
         assert out["qw"] <= 1e-8
         assert out["qkw_sym"] <= 1e-3
         assert out["wzl1"] <= 1e-3
@@ -279,10 +283,9 @@ def test_hkt_dim4_is_sp1_einstein():
     theta[0] = 1.0
     hkt = build_qkt_dim4(rescaled.patch, build_standard_hypercomplex(1),
                          constant_form(1, -theta), SCHEME)
-    from qkt.curvature import _context
-    ctx = _context(hkt, POINT4, None)
+    ctx = hkt.at(POINT4)
     K = ctx.P.sum(axis=0)
     assert np.max(np.abs(K)) <= 1e-3
-    out = weyl_correspondence(hkt, POINT4)
+    out = weyl_correspondence(hkt.at(POINT4))
     assert out["einstein_weyl_deviation"] <= 1e-3
     assert out["qkw_sym"] <= 1e-3

@@ -26,9 +26,11 @@ layertrace = _load("layertrace")
 workloads = _load("workloads")
 
 TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
-# one conf8_curv operation makes 17 gradient calls, each one field call on a
-# point array; with one call per stencil point it made 78, and with one
-# stencil per Kaehler form and per almost complex structure 266
+# one conf8_curv operation makes 13 gradient calls, each one field call on a
+# point array: g and the F_a share one stencil, and the flat structures take
+# none.  It made 17 with the metric and the F_a apart, 78 with one call per
+# stencil point, and 266 with one stencil per Kaehler form and per almost
+# complex structure
 GRADIENT_CALLS_MAX = 17
 
 
@@ -59,4 +61,5 @@ def test_traced_names_resolve_and_tracing_changes_nothing(tmp_path, capsys):
 
     calls = tracer.layer_seconds()
     assert 0 < calls["tensor_core.gradient"][0] <= GRADIENT_CALLS_MAX
-    assert tracer.cache_sizes()["curvature.cache.ctx"] == 2
+    # one curvature per connection (torsion and Levi-Civita) per sample point
+    assert calls["curvature.curvature_tensor"][0] == 4

@@ -36,6 +36,20 @@ from reference import (
 )
 
 SCHEME = FDScheme()
+
+
+def metric_and_j(data, p):
+    return data.metric_at(p), data.hyper.matrices(p)
+
+
+def bracket(data, alpha, p):
+    """The Nijenhuis tensor of J_alpha from the triple's own stencil."""
+    return nijenhuis_bracket(data.j_at(alpha, p), data.hyper.gradient(p, SCHEME)[:, alpha])
+
+
+def type22(data, T_field, p):
+    """The (2,2)-type defect of d(T) from the torsion field's own stencil."""
+    return dT_type22_residual(exterior_derivative(T_field, SCHEME)(p), data.hyper.matrices(p))
 RNG = np.random.default_rng(11)
 
 
@@ -61,7 +75,7 @@ def conformal_data(n=2, growth=1.0):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_quaternion_algebra(n):
     data = flat_data(n)
-    res = quaternionic_residuals(data, np.zeros(4 * n))
+    res = quaternionic_residuals(*metric_and_j(data, np.zeros(4 * n)))
     assert res["square"] <= 1e-15
     assert res["algebra"] <= 1e-15
     J = data.hyper.matrices(np.zeros(4 * n))
@@ -95,7 +109,7 @@ def test_j3_action_on_first_vector():
 def test_rotated_structure_breaks_algebra():
     tilted = rotated_hypercomplex(2, 5.0)
     data = QuaternionicHermitianData(flat_data(2).patch, tilted)
-    res = quaternionic_residuals(data, np.zeros(8))
+    res = quaternionic_residuals(*metric_and_j(data, np.zeros(8)))
     assert res["algebra"] > 1e-2
     assert res["square"] <= 1e-14  # the tilt keeps J2 an almost complex structure
 
@@ -273,13 +287,13 @@ def test_02_part_annihilates_its_own_projection():
 def test_nijenhuis_constant_structures(n):
     data = flat_data(n)
     for a in range(3):
-        assert np.max(np.abs(nijenhuis_bracket(data, a, np.zeros(4 * n), SCHEME))) == 0.0
+        assert np.max(np.abs(bracket(data, a, np.zeros(4 * n)))) == 0.0
 
 
 def test_nijenhuis_conformal_still_zero():
     data = conformal_data(2)
     for a in range(3):
-        assert np.max(np.abs(nijenhuis_bracket(data, a, np.full(8, 0.1), SCHEME))) == 0.0
+        assert np.max(np.abs(bracket(data, a, np.full(8, 0.1)))) == 0.0
 
 
 def test_dc_3form_flat():
@@ -357,11 +371,11 @@ def test_boundary_error_propagates():
 def test_dT_type22_residual_zero_cases():
     data = flat_data(1)
     zero = constant_form(3, np.zeros((4, 4, 4)))
-    assert dT_type22_residual(data, zero, np.zeros(4), SCHEME) == 0.0
+    assert type22(data, zero, np.zeros(4)) == 0.0
     # closed torsion: T = c dx2^dx3^dx4 has dT = 0
     dx = np.eye(4)
     T = wedge_arrays(wedge_arrays(dx[1], dx[2]), dx[3])
-    assert dT_type22_residual(data, constant_form(3, 0.7 * T), np.zeros(4), SCHEME) == 0.0
+    assert type22(data, constant_form(3, 0.7 * T), np.zeros(4)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +467,7 @@ def test_twisted_derivatives_match_einsum(n):
                   - np.einsum("ai,ck,ajcl->ijkl", J, J, dT)
                   - np.einsum("bj,ck,ibcl->ijkl", J, J, dT))
         worst = max(worst, float(np.max(np.abs(defect))))
-    got = dT_type22_residual(data, T_field, p, SCHEME)
+    got = type22(data, T_field, p)
     assert worst > 0.0
     assert abs(got - worst) <= 1e-12 * worst
     F = kaehler_field(data, 1)
@@ -529,10 +543,15 @@ def test_stacked_kernels_match_per_structure_loop(n, tilt):
 
 
 def test_dT_type22_residual_takes_precomputed_dT():
+    # the context's dT, read off its stencil sub-context, is the standalone d(T)
+    from qkt.qkt_connection import build_qkt_dim4
+
     data = conformal_data(1)
-    T_field = FormField(3, lambda q: (np.exp(q[..., 0]) * np.sin(q[..., 3]))[..., None, None, None]
-                        * wedge_arrays(wedge_arrays(np.eye(4)[1], np.eye(4)[2]), np.eye(4)[0]))
+    t_form = FormField(1, lambda q: (np.exp(q[..., 0]) * np.sin(q[..., 3]))[..., None]
+                       * np.eye(4)[1])
+    struct = build_qkt_dim4(data.patch, data.hyper, t_form, SCHEME)
     p = np.array([0.1, -0.2, 0.3, 0.05])
-    dT = exterior_derivative(T_field, SCHEME)(p)
-    assert dT_type22_residual(data, T_field, p, SCHEME, dT=dT) == \
-        dT_type22_residual(data, T_field, p, SCHEME)
+    ctx = struct.at(p)
+    dT = exterior_derivative(struct.torsion, SCHEME)(p)
+    assert np.array_equal(ctx.dT, dT)
+    assert dT_type22_residual(ctx.dT, ctx.J) == dT_type22_residual(dT, data.hyper.matrices(p))

@@ -13,8 +13,6 @@ from qkt.tensor_core import (
     CoordinatePatch,
     FDScheme,
     FormField,
-    MemoizedMetric,
-    TensorField,
     antisymmetrized_gradient,
     constant_form,
     covariant_derivative_array,
@@ -22,15 +20,17 @@ from qkt.tensor_core import (
     gradient,
     hodge_star_array,
     levi_civita,
-    levi_civita_field,
     partial_derivative,
     wedge_arrays,
 )
 from reference import (
+    TensorField,
     TensorFieldValue,
     codifferential,
     covariant_derivative,
     hodge_star_4d,
+    levi_civita_field,
+    nabla_array,
     orthonormal_frame,
     wedge,
 )
@@ -350,7 +350,7 @@ def test_covariant_derivative_mixed_tensor_conformal():
     metric = lambda p: np.exp(p[..., 0, None, None]) * np.eye(4)
     gamma = levi_civita(metric, np.full(4, 0.2), SCHEME)
     field = TensorField("ud", lambda p: np.broadcast_to(np.eye(4), p.shape[:-1] + (4, 4)))
-    value = covariant_derivative_array(gamma, field, np.full(4, 0.2), SCHEME)
+    value = nabla_array(gamma, field, np.full(4, 0.2), SCHEME)
     assert np.max(np.abs(value)) <= 1e-12
 
 
@@ -395,49 +395,64 @@ def test_patch_validation():
 
 
 # ---------------------------------------------------------------------------
-# memoized metric fields and shared stencils
+# the metric inside an evaluation context, and shared stencils
 # ---------------------------------------------------------------------------
 
 def _conformal_metric(calls):
     def metric(p):
         p = np.asarray(p, dtype=float)
+        calls.append(p.shape)
         calls.extend(row.tobytes() for row in p.reshape(-1, p.shape[-1]))
-        return np.exp(p[..., 0] + 0.5 * p[..., 2])[..., None, None] * np.eye(4)
+        return np.exp(p[..., 0] + 0.5 * p[..., 2])[..., None, None] * np.eye(p.shape[-1])
 
     return metric
 
 
+def _conformal_struct(calls):
+    from qkt.qkt_connection import build_qkt
+    from qkt.quaternionic import QuaternionicHermitianData, build_standard_hypercomplex
+
+    patch = CoordinatePatch(n=2, lo=-np.ones(8), hi=np.ones(8), metric=_conformal_metric(calls))
+    struct = build_qkt(QuaternionicHermitianData(patch, build_standard_hypercomplex(2)), SCHEME)
+    calls.clear()
+    return struct
+
+
+P8 = np.array([0.1, -0.2, 0.3, 0.05, 0.2, 0.0, -0.1, 0.15])
+
+
 def test_memoized_metric_evaluates_each_point_once():
+    # a context evaluates the metric once per point set: x, its h-stencil,
+    # its h2-stencil and that stencil's h-stencil, and no point twice
     calls = []
-    memo = MemoizedMetric(_conformal_metric(calls))
-    p = np.array([0.1, -0.2, 0.3, 0.05])
-    first = memo(p)
-    assert memo(p.copy()) is first
-    gamma = levi_civita(memo, p, SCHEME)
-    assert levi_civita(memo, p, SCHEME) is gamma
-    # a second scheme differentiates on other stencil points; calls holds
-    # one entry per evaluated point (batch row)
-    levi_civita(memo, p, FDScheme(h=2e-4))
-    assert len(calls) == len(set(calls)) == 1 + 2 * 4 + 2 * 4
+    ctx = _conformal_struct(calls).at(P8)
+    assert ctx.g is ctx.g
+    for layer in ("bundle", "curv", "curv_g", "rho", "nabla_T", "dt", "sp1"):
+        getattr(ctx, layer)
+    shapes = [call for call in calls if isinstance(call, tuple)]
+    rows = [call for call in calls if isinstance(call, bytes)]
+    assert sorted(shapes) == [(8,), (16, 8), (16, 8), (16, 16, 8)]
+    assert len(rows) == len(set(rows)) == 1 + 16 + 16 + 16 * 16
 
 
 def test_memoized_metric_matches_plain_field_exactly():
     plain = _conformal_metric([])
-    memo = MemoizedMetric(_conformal_metric([]))
-    p = np.array([0.1, -0.2, 0.3, 0.05])
-    assert np.array_equal(memo(p), plain(p))
-    assert np.array_equal(levi_civita(memo, p, SCHEME), levi_civita(plain, p, SCHEME))
+    ctx = _conformal_struct([]).at(P8)
+    assert np.array_equal(ctx.g, plain(P8))
+    assert np.array_equal(ctx.gamma_g, levi_civita(plain, P8, SCHEME))
+    assert np.array_equal(ctx.dg, gradient(plain, P8, SCHEME))
 
 
 def test_memoized_values_are_read_only():
-    memo = MemoizedMetric(_conformal_metric([]))
-    p = np.array([0.1, -0.2, 0.3, 0.05])
+    ctx = _conformal_struct([]).at(P8)
     with pytest.raises(ValueError):
-        memo(p)[0, 0] = 2.0
-    gamma = levi_civita(memo, p, SCHEME)
+        ctx.g[0, 0] = 2.0
+    gamma = ctx.gamma_g
     with pytest.raises(ValueError):
         gamma += 1.0
-    assert np.array_equal(gamma, levi_civita(memo, p, SCHEME))
+    with pytest.raises(AttributeError):
+        ctx.gamma_g = np.zeros((8, 8, 8))
+    assert np.array_equal(gamma, levi_civita(_conformal_metric([]), P8, SCHEME))
 
 
 def test_shared_gradient_gives_identical_derivatives():
@@ -450,8 +465,8 @@ def test_shared_gradient_gives_identical_derivatives():
     field = TensorField("dd", omega.func)
     before = grad.copy()
     assert np.array_equal(
-        covariant_derivative_array(gamma, field, p, SCHEME, grad=grad),
-        covariant_derivative_array(gamma, field, p, SCHEME))
+        covariant_derivative_array(gamma, "dd", omega(p), grad),
+        nabla_array(gamma, field, p, SCHEME))
     assert np.array_equal(grad, before)
 
 

@@ -89,7 +89,7 @@ def test_build_dim4_star_torsion():
 def test_build_hopf_local():
     struct = build_manifold(ManifoldSpec(kind="hopf_local", n=1, **FAST))
     assert struct.patch.contains(np.ones(4))
-    assert struct.metric_at(np.ones(4))[0, 0] == pytest.approx(0.25)
+    assert struct.data.metric_at(np.ones(4))[0, 0] == pytest.approx(0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,9 @@ def test_corrupted_structure_reports_failure():
 @pytest.mark.parametrize("suite", ["connection", "curvature"])
 def test_metric_expression_evaluated_once_per_point(monkeypatch, suite):
     # neither suite evaluates the conformal factor outside the metric, so
-    # every expression call here comes from the memoized patch metric
+    # every expression call here comes from the patch metric.  The build
+    # checks its check points in one context and the suite evaluates each
+    # sample point in its own: each of the two evaluates no point twice.
     calls = []
     original = Expression.__call__
 
@@ -178,12 +180,23 @@ def test_metric_expression_evaluated_once_per_point(monkeypatch, suite):
         calls.extend((id(self), row.tobytes()) for row in rows.reshape(-1, rows.shape[-1]))
         return original(self, points)
 
+    built = []
+    build = suite_module.build_manifold
+
+    def build_and_mark(*args, **kwargs):
+        struct = build(*args, **kwargs)
+        built.append(len(calls))
+        return struct
+
     monkeypatch.setattr(Expression, "__call__", recording)
+    monkeypatch.setattr(suite_module, "build_manifold", build_and_mark)
     spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=2, seed=3)
     report = run_suite(spec, suite)
     assert report.all_pass
     assert len({owner for owner, _ in calls}) == 1
-    assert len(calls) == len(set(calls)) > 100
+    at_build, in_suite = calls[:built[0]], calls[built[0]:]
+    assert len(at_build) == len(set(at_build)) == 2 * (1 + 16)
+    assert len(in_suite) == len(set(in_suite)) > 100
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +278,29 @@ def test_cli_non_finite_residuals_fail(tmp_path, capsys):
     assert not any(row["pass"] for row in non_finite)
 
 
+def test_cli_non_finite_run_prints_no_numpy_warnings(tmp_path):
+    # the overflow of the run above reaches the residuals as nan and inf and
+    # fails their rows; numpy prints no RuntimeWarning on the way
+    import os
+    import subprocess
+    from pathlib import Path
+
+    out = tmp_path / "report.json"
+    argv = ["verify", "--manifold", "dim4_torsion", "--n", "1",
+            "--t", "exp(709)*x1,0,0,0", "--points", "2", "--report", str(out)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [part for part in [os.environ.get("PYTHONPATH")] if part]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; from qkt.cli import main; sys.exit(main({argv!r}))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert "RuntimeWarning" not in done.stderr and "Warning" not in done.stderr
+    rows = json.loads(out.read_text(), parse_constant=reject_constant)["results"]
+    assert {row["max_residual"] for row in rows
+            if isinstance(row["max_residual"], str)} == {"nan", "inf"}
+
+
 def test_worst_lets_nan_win():
     assert worst(0.5, 2.0, 1.0) == 2.0
     assert np.isnan(worst(0.0, float("nan"))) and np.isnan(worst(np.nan, 3.0))
@@ -280,24 +316,19 @@ def test_report_json_spells_out_non_finite_numbers():
 
 
 def test_torsion_differentiated_once_per_point(monkeypatch):
-    built = []
-    build = suite_module.build_manifold
-    monkeypatch.setattr(suite_module, "build_manifold",
-                        lambda *args, **kwargs: built.append(build(*args, **kwargs)) or built[-1])
+    from qkt.qkt_connection import QKTContext
+
+    derivative = QKTContext.derivative
     calls = []
-    gradient = tensor_core.gradient
 
-    def recording(field, p, *args, **kwargs):
-        calls.append((field, np.asarray(p).tobytes()))
-        return gradient(field, p, *args, **kwargs)
+    def recording(ctx, layer, nested):
+        calls.append((layer, ctx.x.tobytes()))
+        return derivative(ctx, layer, nested)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("qkt.") and getattr(module, "gradient", None) is gradient:
-            monkeypatch.setattr(module, "gradient", recording)
+    monkeypatch.setattr(QKTContext, "derivative", recording)
     spec = ManifoldSpec(kind="hopf_local", n=1, point_count=3, seed=5)
     assert run_suite(spec, "all").all_pass
-    torsion = built[0].torsion.func
-    points = [key for field, key in calls if field is torsion]
+    points = [key for layer, key in calls if layer == "T"]
     assert len(points) == len(set(points)) == 3
 
 
