@@ -28,16 +28,14 @@ from .quaternionic import (
     torsion_02_part,
 )
 from .qkt_connection import (
-    AuxiliaryOneForms,
     QKTContext,
     QKTStructure,
-    Sp1Forms,
     build_qkt,
     build_qkt_dim4,
+    c7_residual,
     classify,
     existence_residual,
     nijenhuis_via_connection,
-    sp1_forms,
     torsion_one_forms,
 )
 from .conformal import (

@@ -137,7 +137,7 @@ def conformal_law_residuals(base: QKTContext, barred: QKTContext, f) -> dict:
                              + j_apply_oneform(J[CYC_B], dlnf)),
         "z3_K": (worst_of(bun1["K"] - bun0["K"] + 2.0 * j_apply_oneform(J[CYC_B], dlnf))
                  if n >= 2 else None),
-        "z3_A": worst_of(auxiliary_one_forms(barred).A - auxiliary_one_forms(base).A),
+        "z3_A": worst_of(auxiliary_one_forms(barred)[0] - auxiliary_one_forms(base)[0]),
         "z3_omega": worst_of(barred.omega - base.omega + j_apply_oneform(J, dlnf)),
         "z4": worst_of(barred.T - (fval * base.T + wedges[0] + wedges[1] + wedges[2])),
         "z5": worst_of(barred.t - base.t + (2 * n + 1) * dlnf),

@@ -235,8 +235,6 @@ def dim4_einstein_suite(ctx) -> dict:
         "eq5.69": eq569,
         "einstein_deviation": einstein_dev,
         "sp1_einstein_deviation": sp1_einstein_dev,
-        "scal": scal,
-        "scal_K": scal_k,
     }
 
 

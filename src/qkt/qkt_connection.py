@@ -47,6 +47,7 @@ from .quaternionic import (
 )
 from .tensor_core import (
     ConnectionField,
+    ConstantForm,
     ConstantMetric,
     CoordinatePatch,
     FDScheme,
@@ -465,11 +466,15 @@ class QKTStructure:
 
     @property
     def constant(self) -> bool:
-        """Constant metric and triple, and the torsion built from them alone:
-        every layer is the same at every point."""
+        """Constant metric and triple, and the torsion built from them (and a
+        constant 1-form in dimension 4) alone: every layer is the same at
+        every point."""
+        rule = self.torsion_rule
         return (isinstance(self.patch.metric, ConstantMetric)
                 and isinstance(self.data.hyper, ConstantHypercomplexField)
-                and self.torsion_rule is _bundle_torsion)
+                and (rule is _bundle_torsion
+                     or (isinstance(rule, functools.partial) and rule.func is _dual_torsion
+                         and isinstance(rule.args[0], ConstantForm))))
 
     def at(self, x: np.ndarray, scheme: FDScheme | None = None) -> QKTContext:
         """The lazy evaluation context of this structure on the point array ``x``."""
@@ -483,11 +488,6 @@ class QKTStructure:
     def connection(self) -> ConnectionField:
         return ConnectionField(lambda q: self.at(q).Gamma, nested=True)
 
-    @property
-    def sp1_forms(self) -> tuple:
-        return tuple(FormField(1, lambda q, a=a: self.at(q).omega[..., a, :], nested=True)
-                     for a in range(3))
-
     def bundle_at(self, p: np.ndarray):
         """The first-order bundle at the points ``p``."""
         return self.at(p).bundle
@@ -495,6 +495,11 @@ class QKTStructure:
 
 def _bundle_torsion(ctx: QKTContext) -> np.ndarray:
     return ctx.bundle["torsion"]
+
+
+def _dual_torsion(t_form: FormField, ctx: QKTContext) -> np.ndarray:
+    """The dimension-4 torsion: the Hodge dual of the 1-form ``t_form``."""
+    return hodge_star_array(t_form(ctx.x), ctx.g, ctx.struct.patch.orientation)
 
 
 def existence_residual(data: QuaternionicHermitianData,
@@ -554,12 +559,8 @@ def build_qkt_dim4(patch: CoordinatePatch,
     """Build the dimension-4 structure with torsion the Hodge dual of ``t_form``."""
     if patch.n != 1:
         raise DimensionError("build_qkt_dim4 needs n = 1")
-
-    def torsion_rule(ctx):
-        return hodge_star_array(t_form(ctx.x), ctx.g, patch.orientation)
-
     struct = QKTStructure(QuaternionicHermitianData(patch, hyper), scheme, "dim4",
-                          torsion_rule, nested_torsion=t_form.nested)
+                          functools.partial(_dual_torsion, t_form), nested_torsion=t_form.nested)
     residuals = _check_algebra(struct.at(patch.center()))
     if not worst(residuals["algebra"], residuals["square"], residuals["hermitian"]) <= ALGEBRA_TOL:
         err = NotQKTError(
@@ -589,47 +590,24 @@ def torsion_one_form_spread(ctx: QKTContext) -> float:
     return float(np.max(np.abs(images - images[CYC_B])))
 
 
-@dataclass(frozen=True)
-class Sp1Forms:
-    """sp(1) connection 1-forms at a point plus extraction diagnostics."""
-
-    omegas: np.ndarray          # shape (3, 4n)
-    eq1_residual: float
-    c7_residual: float | None   # None for n = 1
-
-
-def sp1_forms(ctx: QKTContext) -> Sp1Forms:
-    """The sp(1) connection forms; for n >= 2 cross-check the closed formula."""
-    omegas, residual = ctx.sp1
-    c7 = None
+def c7_residual(ctx: QKTContext) -> float | None:
+    """Defect of the closed formula for the sp(1) forms; None for n = 1."""
     n = ctx.struct.n
-    if n >= 2:
-        bundle = ctx.bundle
-        theta, cross, J = bundle["theta"], bundle["theta_cross"], bundle["J"]
-        closed_form = 0.5 * j_apply_oneform(
-            J[CYC_B], theta[CYC_C] - theta[CYC_B] + theta / (1.0 - n)
-        ) + cross[CYC_A, CYC_C] / (2.0 * (1.0 - n))
-        c7 = float(np.max(np.abs(closed_form - omegas[CYC_B])))
-    return Sp1Forms(omegas=omegas, eq1_residual=residual, c7_residual=c7)
+    if n < 2:
+        return None
+    bundle = ctx.bundle
+    theta, cross, J = bundle["theta"], bundle["theta_cross"], bundle["J"]
+    closed_form = 0.5 * j_apply_oneform(
+        J[CYC_B], theta[CYC_C] - theta[CYC_B] + theta / (1.0 - n)
+    ) + cross[CYC_A, CYC_C] / (2.0 * (1.0 - n))
+    return float(np.max(np.abs(closed_form - ctx.omega[CYC_B])))
 
 
-@dataclass(frozen=True)
-class AuxiliaryOneForms:
-    """The 1-forms attached to a structure at a point."""
-
-    K: np.ndarray | None    # (3, 4n); None for n = 1
-    A: np.ndarray           # (3, 4n), from the sp(1) forms
-    C: np.ndarray           # (3, 4n), from the sp(1) forms
-    t_alpha: np.ndarray     # (3, 4n)
-    t: np.ndarray           # (4n,)
-
-
-def auxiliary_one_forms(ctx: QKTContext) -> AuxiliaryOneForms:
+def auxiliary_one_forms(ctx: QKTContext) -> tuple:
+    """(A, C): A_a = omega_b + J_a omega_c and C_a = omega_b - J_a omega_c."""
     omegas = ctx.omega
     J_omega = j_apply_oneform(ctx.J, omegas[CYC_C])
-    K = ctx.bundle["K"] if ctx.struct.n >= 2 else None
-    return AuxiliaryOneForms(K=K, A=omegas[CYC_B] + J_omega, C=omegas[CYC_B] - J_omega,
-                             t_alpha=ctx.t_alpha, t=ctx.t)
+    return omegas[CYC_B] + J_omega, omegas[CYC_B] - J_omega
 
 
 def nijenhuis_via_connection(ctx: QKTContext, alpha: int) -> np.ndarray:
@@ -677,7 +655,7 @@ class Classification:
     is_integrable: bool
     integrable_residual: float
     is_parallel_torsion: bool
-    parallel_residual: float
+    parallel_torsion_residual: float
     is_strong: bool
     strong_residual: float
     dT_type22_residual: float
@@ -695,7 +673,7 @@ class Classification:
             is_integrable=integ <= first_order_tol,
             integrable_residual=integ,
             is_parallel_torsion=parallel <= curvature_tol,
-            parallel_residual=parallel,
+            parallel_torsion_residual=parallel,
             is_strong=strong <= curvature_tol,
             strong_residual=strong,
             dT_type22_residual=residuals.get("dT_type22", 0.0),

@@ -1,21 +1,25 @@
 """Identity catalogue, suite runner, and machine-readable reports.
 
 Every identity the library verifies appears exactly once in the
-catalogue with its equation tag, default tolerance, and applicability.
-``run_suite`` evaluates the selected identities at seeded quasi-random
-interior points and reports the max residual per identity; quantities
-that are classifiers rather than identities (type of dT, Einstein
-deviations, the proportionality probe) are reported as diagnostics in
-the metadata instead of as pass/fail rows.
+catalogue with its equation tag, default tolerance, and the evaluator
+group and key that compute it.  ``run_suite`` runs the selected groups'
+identity records once per seeded quasi-random interior point and reports
+the max residual per identity.  Whether a row exists is decided once: by
+the kind/n rule of its group (``lc``, ``conformal``, ``dim4``), and by its
+record, which omits (or returns None for) a key that does not exist for
+the structure's n.  Quantities that are classifiers rather than
+identities (type of dT, Einstein deviations, the proportionality probe)
+come from the same pass and are reported as diagnostics in the metadata
+instead of as pass/fail rows.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -35,9 +39,9 @@ from .qkt_connection import (
     QKTContext,
     QKTStructure,
     auxiliary_one_forms,
+    c7_residual,
     classification_residuals,
     nijenhuis_via_connection,
-    sp1_forms,
     structure_invariant_residuals,
     torsion_one_form_spread,
 )
@@ -70,23 +74,6 @@ class IdentityCheck:
     tolerance: float
     group: str            # evaluator-group name
     key: str              # key within the group's result dict
-    applies: Callable[["SuiteEnv"], bool] = lambda env: True
-
-
-def _n_ge_2(env):
-    return env.spec.n >= 2
-
-
-def _dim4(env):
-    return env.spec.n == 1
-
-
-def _conformal_kind(env):
-    return env.spec.kind in ("conformal_flat", "hopf_local")
-
-
-def _lc_expected(env):
-    return env.spec.kind in ("flat", "conformal_flat", "hopf_local")
 
 
 CATALOGUE = (
@@ -120,47 +107,46 @@ CATALOGUE = (
     IdentityCheck("nijenhuis_via_lee_difference", "eq6", "connection", 1e-5,
                   "structural", "eq6"),
     IdentityCheck("existence_condition", "eq4", "connection", 1e-4,
-                  "structural", "eq4", _n_ge_2),
+                  "structural", "eq4"),
     IdentityCheck("torsion_alpha_consistency", "eq5", "connection", 1e-5,
-                  "structural", "eq5_agreement", _n_ge_2),
+                  "structural", "eq5_agreement"),
     IdentityCheck("sp1_closed_formula", "c7", "connection", 1e-5,
-                  "structural", "c7", _n_ge_2),
+                  "structural", "c7"),
     IdentityCheck("star_one_form_identity", "tri1", "connection", 1e-10,
-                  "structural", "tri1", _dim4),
+                  "structural", "tri1"),
     IdentityCheck("torsion_is_star_of_t", "v1", "connection", 1e-10,
-                  "structural", "v1", _dim4),
+                  "structural", "v1"),
     # second-level derivative when the torsion itself is FD-built (hopf),
     # first-level instances sit many orders below this
     IdentityCheck("star_dT_is_minus_delta_t", "sec5-codiff", "connection", 1e-4,
-                  "structural", "star_dT", _dim4),
+                  "structural", "star_dT"),
     IdentityCheck("parallel_torsion_link", "ser2", "connection", 1e-4,
-                  "structural", "ser2", _dim4),
+                  "structural", "ser2"),
     IdentityCheck("lcqk_torsion_shape", "u3", "connection", 1e-5,
-                  "lc", "u3", _lc_expected),
+                  "lc", "u3"),
     IdentityCheck("lchkt_closed_form", "u1-ii", "connection", 1e-4,
-                  "lc", "lchkt", _lc_expected),
+                  "lc", "lchkt"),
     # -- conformal transformation laws ------------------------------------
     IdentityCheck("conformal_connection_law", "z1", "conformal", 1e-5,
-                  "conformal", "z1", _conformal_kind),
+                  "conformal", "z1"),
     IdentityCheck("conformal_twisted_derivative", "z2", "conformal", 1e-5,
-                  "conformal", "z2_dcf", _conformal_kind),
+                  "conformal", "z2_dcf"),
     IdentityCheck("conformal_lee_form", "z2", "conformal", 1e-5,
-                  "conformal", "z2_theta", _conformal_kind),
+                  "conformal", "z2_theta"),
     IdentityCheck("conformal_cross_lee", "z2", "conformal", 1e-5,
-                  "conformal", "z2_cross", _conformal_kind),
+                  "conformal", "z2_cross"),
     IdentityCheck("conformal_compatibility_form", "z3", "conformal", 1e-5,
-                  "conformal", "z3_K",
-                  lambda env: _conformal_kind(env) and _n_ge_2(env)),
+                  "conformal", "z3_K"),
     IdentityCheck("conformal_difference_form", "z3", "conformal", 1e-5,
-                  "conformal", "z3_A", _conformal_kind),
+                  "conformal", "z3_A"),
     IdentityCheck("conformal_sp1_form", "z3", "conformal", 1e-5,
-                  "conformal", "z3_omega", _conformal_kind),
+                  "conformal", "z3_omega"),
     IdentityCheck("conformal_torsion_law", "z4", "conformal", 1e-5,
-                  "conformal", "z4", _conformal_kind),
+                  "conformal", "z4"),
     IdentityCheck("conformal_torsion_one_form", "z5", "conformal", 1e-5,
-                  "conformal", "z5", _conformal_kind),
+                  "conformal", "z5"),
     IdentityCheck("conformal_dt_invariance", "z5-cor", "conformal", 1e-5,
-                  "conformal", "dt_invariance", _conformal_kind),
+                  "conformal", "dt_invariance"),
     # -- curvature identities ---------------------------------------------
     IdentityCheck("sp1_curvature_commutator", "eq11", "curvature", 1e-3,
                   "curvature", "eq11"),
@@ -181,22 +167,22 @@ CATALOGUE = (
     IdentityCheck("ricci_trace_identity", "ti20", "curvature", 1e-3,
                   "curvature", "ti20"),
     IdentityCheck("ricci_trace_resolution", "eq22", "curvature", 1e-3,
-                  "curvature", "eq22", _n_ge_2),
+                  "curvature", "eq22"),
     IdentityCheck("curvature_pair_antisymmetry", "sec3-def", "curvature", 1e-4,
                   "curvature", "pair_antisym"),
     # -- dimension-4 Einstein-like and Weyl -------------------------------
     IdentityCheck("sp1_trace_formula", "5.67", "dim4", 1e-3,
-                  "dim4", "eq5.67", _dim4),
+                  "dim4", "eq5.67"),
     IdentityCheck("skew_ricci_formula", "5.68", "dim4", 1e-3,
-                  "dim4", "eq5.68", _dim4),
+                  "dim4", "eq5.68"),
     IdentityCheck("riemannian_ricci_formula", "5.69", "dim4", 1e-3,
-                  "dim4", "eq5.69", _dim4),
+                  "dim4", "eq5.69"),
     IdentityCheck("weyl_metric_condition", "qw", "dim4", 1e-8,
-                  "dim4", "qw", _dim4),
+                  "dim4", "qw"),
     IdentityCheck("weyl_correspondence_sym", "qkw", "dim4", 1e-3,
-                  "dim4", "qkw_sym", _dim4),
+                  "dim4", "qkw_sym"),
     IdentityCheck("weyl_ricci_formula", "wzl1", "dim4", 1e-3,
-                  "dim4", "wzl1", _dim4),
+                  "dim4", "wzl1"),
 )
 
 
@@ -238,11 +224,11 @@ def _eval_structural(env: SuiteEnv, ctx: QKTContext) -> dict:
         + j_apply_oneform(J[CYC_C], cross[CYC_B, CYC_A])
         + n * j_apply_oneform(J, cross[CYC_C, CYC_B])
         - (n + 1) * j_apply_oneform(J[CYC_B], cross[CYC_A, CYC_C]))))
-    aux = auxiliary_one_forms(ctx)
+    A, C = auxiliary_one_forms(ctx)
     acc("c6", np.max(np.abs(
-        (n - 1.0) * j_apply_oneform(J[CYC_B], aux.C)
+        (n - 1.0) * j_apply_oneform(J[CYC_B], C)
         - (theta - j_apply_oneform(J[CYC_B], cross[CYC_A, CYC_C])))))
-    acc("c5", np.max(np.abs(aux.A - j_apply_oneform(J[CYC_B], theta[CYC_C] - theta[CYC_B]))))
+    acc("c5", np.max(np.abs(A - j_apply_oneform(J[CYC_B], theta[CYC_C] - theta[CYC_B]))))
 
     # Nijenhuis comparisons, all from one stencil of the three J's
     for a in range(3):
@@ -253,7 +239,7 @@ def _eval_structural(env: SuiteEnv, ctx: QKTContext) -> dict:
     if n >= 2:
         acc("eq4", bundle["existence"])
         acc("eq5_agreement", bundle["alpha_agreement"])
-        acc("c7", sp1_forms(ctx).c7_residual)
+        acc("c7", c7_residual(ctx))
     else:
         _dim4_structural(ctx, acc)
     return out
@@ -305,18 +291,13 @@ def _eval_conformal(env: SuiteEnv, ctx: QKTContext) -> dict:
 
 
 def _eval_curvature(env: SuiteEnv, ctx: QKTContext) -> dict:
-    out = {**sp1_curvature_residuals(ctx), **bianchi_and_symmetry_residuals(ctx)}
-    traces = trace_identity_residuals(ctx)
-    out["ti20"] = traces["ti20"]
-    out["eq22"] = traces.get("eq22")
-    out["pair_antisym"] = worst(*ctx.curv.pair_antisymmetry())
-    return out
+    return {**sp1_curvature_residuals(ctx), **bianchi_and_symmetry_residuals(ctx),
+            **trace_identity_residuals(ctx), **dT_trace_equalities(ctx),
+            "pair_antisym": worst(*ctx.curv.pair_antisymmetry())}
 
 
 def _eval_dim4(env: SuiteEnv, ctx: QKTContext) -> dict:
-    einstein, weyl = dim4_einstein_suite(ctx), weyl_correspondence(ctx)
-    return {**{key: einstein[key] for key in ("eq5.67", "eq5.68", "eq5.69")},
-            **{key: weyl[key] for key in ("qw", "qkw_sym", "wzl1")}}
+    return {**dim4_einstein_suite(ctx), **weyl_correspondence(ctx)}
 
 
 _GROUP_EVALUATORS = {
@@ -327,40 +308,33 @@ _GROUP_EVALUATORS = {
     "dim4": _eval_dim4,
 }
 
+# The kind/n rule of each group that holds for some structures only; within
+# a group the records decide which keys exist for the structure's n.
+_GROUP_APPLIES = {
+    "lc": lambda env: env.spec.kind != "dim4_torsion",   # locally conformally flat kinds
+    "conformal": lambda env: env.base is not None,      # kinds with a conformal base
+    "dim4": lambda env: env.spec.n == 1,
+}
+
 
 # ---------------------------------------------------------------------------
 # diagnostics (reported, not gated)
 # ---------------------------------------------------------------------------
 
-def _diagnostics(ctx: QKTContext, suites: set, diag: dict) -> None:
-    """Fold the diagnostics of one sample point into ``diag``."""
-    fold(diag.setdefault("classification", {}), classification_residuals(ctx))
-    if "curvature" in suites or "all" in suites:
-        traces = trace_identity_residuals(ctx)
-        diag["eq27_lambda_last"] = traces["eq27_lambda"]
-        equalities = dT_trace_equalities(ctx)
-        fold(diag, {"eq27_fit": traces["eq27_fit"],
-                    "eq24_trace_equality": equalities["eq24"],
-                    "eq24_prime_11_form": equalities["eq24_prime"]})
-    if ctx.struct.n == 1 and ("dim4" in suites or "all" in suites):
-        record = dim4_einstein_suite(ctx)
-        fold(diag, {"einstein_deviation": record["einstein_deviation"],
-                    "sp1_einstein_deviation": record["sp1_einstein_deviation"]})
+def _diagnostics(ctx: QKTContext, classified: dict) -> None:
+    """Fold the classification residuals of one sample point into ``classified``."""
+    fold(classified, classification_residuals(ctx))
 
 
-def _classification_report(residuals: dict) -> dict:
-    cls = Classification.of(residuals)
-    return {
-        "is_hkt": cls.is_hkt,
-        "hkt_residual": cls.hkt_residual,
-        "is_integrable": cls.is_integrable,
-        "integrable_residual": cls.integrable_residual,
-        "is_parallel_torsion": cls.is_parallel_torsion,
-        "parallel_torsion_residual": cls.parallel_residual,
-        "is_strong": cls.is_strong,
-        "strong_residual": cls.strong_residual,
-        "dT_type22_residual": cls.dT_type22_residual,
-    }
+# diagnostic -> (group, key) of the folded group values it reports; the
+# groups' identity records compute them in the same pass as the rows
+_DIAGNOSTICS = {
+    "eq27_fit": ("curvature", "eq27_fit"),
+    "eq24_trace_equality": ("curvature", "eq24"),
+    "eq24_prime_11_form": ("curvature", "eq24_prime"),
+    "einstein_deviation": ("dim4", "einstein_deviation"),
+    "sp1_einstein_deviation": ("dim4", "sp1_einstein_deviation"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -479,32 +453,33 @@ def _run_suite(spec: ManifoldSpec, suite: str) -> VerificationReport:
             results=tuple(results),
         )
 
-    base, factor = (None, None)
-    if spec.kind in ("conformal_flat", "hopf_local"):
-        base, factor = conformal_ingredients(spec)
-
-    env = SuiteEnv(spec=spec, base=base, factor=factor)
-
+    env = SuiteEnv(spec, *conformal_ingredients(spec))
     selected = set(SUITES[1:]) if suite == "all" else {suite}
-    checks = [check for check in CATALOGUE
-              if check.suite in selected and check.applies(env)]
-    groups = {check.group: {} for check in checks}
-    diagnostics: dict = {}
-    # one context per sample point, read by every group and diagnostic; the
-    # next point's context replaces it before computing any layer
+    groups = {check.group: {} for check in CATALOGUE if check.suite in selected
+              and _GROUP_APPLIES.get(check.group, lambda env: True)(env)}
+    classified: dict = {}
+    # one context per sample point, read by every group and the classification;
+    # the next point's context replaces it before computing any layer
     for p in points:
         ctx = struct.at(p)
-        for name, values in groups.items():
-            fold(values, _GROUP_EVALUATORS[name](env, ctx))
-        _diagnostics(ctx, selected, diagnostics)
-    diagnostics["classification"] = _classification_report(diagnostics["classification"])
+        last = {name: _GROUP_EVALUATORS[name](env, ctx) for name in groups}
+        for name, values in last.items():
+            fold(groups[name], values)
+        _diagnostics(ctx, classified)
+
+    diagnostics = {"classification": dataclasses.asdict(Classification.of(classified))}
+    if "curvature" in groups:
+        # the proportionality factor at the last sample point, not a maximum
+        diagnostics["eq27_lambda_last"] = last["curvature"]["eq27_lambda"]
+    diagnostics.update({name: groups[group][key]
+                        for name, (group, key) in _DIAGNOSTICS.items() if group in groups})
     if struct.n == 1:
         # the torsion-shape half of the l.c. check is trivial in dimension 4
         diagnostics["lcqk_note"] = "dimension 4: the torsion-shape residual vanishes identically"
 
     results = []
-    for check in checks:
-        value = groups[check.group].get(check.key)
+    for check in CATALOGUE:
+        value = groups.get(check.group, {}).get(check.key)
         if value is None:
             continue
         tol = float(spec.tol_overrides.get(check.identity_id, check.tolerance))

@@ -200,9 +200,13 @@ class ConnectionField:
         return np.asarray(self.func(p), dtype=float)
 
 
-def constant_form(degree: int, components) -> FormField:
-    arr = np.asarray(components, dtype=float)
-    return FormField(degree, lambda p, _a=arr: np.broadcast_to(_a, np.shape(p)[:-1] + _a.shape))
+class ConstantForm(FormField):
+    """A form field with the same components at every point; its derivatives
+    vanish exactly."""
+
+    def __init__(self, degree: int, components):
+        arr = np.asarray(components, dtype=float)
+        super().__init__(degree, lambda p: np.broadcast_to(arr, np.shape(p)[:-1] + arr.shape))
 
 
 def worst(*values) -> float:

@@ -17,11 +17,11 @@ from .quaternionic import (
     rotated_hypercomplex,
 )
 from .tensor_core import (
+    ConstantForm,
     ConstantMetric,
     CoordinatePatch,
     FDScheme,
     FormField,
-    constant_form,
 )
 
 KINDS = ("flat", "conformal_flat", "dim4_torsion", "hopf_local")
@@ -183,7 +183,7 @@ def build_flat(spec: ManifoldSpec, check_points: Sequence[np.ndarray] | None = N
     patch = _flat_patch(spec.n, lo, hi)
     hyper = _hypercomplex(spec)
     if spec.n == 1:
-        zero = constant_form(1, np.zeros(4))
+        zero = ConstantForm(1, np.zeros(4))
         return build_qkt_dim4(patch, hyper, zero, scheme)
     data = QuaternionicHermitianData(patch, hyper)
     return build_qkt(data, scheme, check_points=check_points)

@@ -18,11 +18,11 @@ from qkt.qkt_connection import (
 )
 from qkt.quaternionic import QuaternionicHermitianData, build_standard_hypercomplex
 from qkt.tensor_core import (
+    ConstantForm,
     ConstantMetric,
     CoordinatePatch,
     FDScheme,
     FormField,
-    constant_form,
     fold,
 )
 
@@ -36,7 +36,7 @@ def flat_struct(n, lo=-0.6, hi=0.6):
                             metric=ConstantMetric(eye))
     if n == 1:
         return build_qkt_dim4(patch, build_standard_hypercomplex(1),
-                              constant_form(1, np.zeros(4)), SCHEME)
+                              ConstantForm(1, np.zeros(4)), SCHEME)
     data = QuaternionicHermitianData(patch, build_standard_hypercomplex(n))
     return build_qkt(data, SCHEME)
 
@@ -120,7 +120,7 @@ def test_hopf_one_form_value():
     patch = CoordinatePatch(n=1, lo=0.7 * np.ones(dim), hi=1.3 * np.ones(dim),
                             metric=ConstantMetric(np.eye(dim)))
     base = build_qkt_dim4(patch, build_standard_hypercomplex(1),
-                          constant_form(1, np.zeros(4)), SCHEME)
+                          ConstantForm(1, np.zeros(4)), SCHEME)
     factor = ConformalFactor(parse_expression("1/(x1^2+x2^2+x3^2+x4^2)"))
     rescaled = conformal_rescale(base, factor, SCHEME)
     p = np.array([1.0, 0.9, 1.1, 0.8])

@@ -13,10 +13,10 @@ from qkt.qkt_connection import (
     auxiliary_one_forms,
     build_qkt,
     build_qkt_dim4,
+    c7_residual,
     classify,
     existence_residual,
     nijenhuis_via_connection,
-    sp1_forms,
     structure_invariant_residuals,
     torsion_one_form_spread,
     torsion_one_forms,
@@ -33,11 +33,11 @@ from qkt.quaternionic import (
     rotated_hypercomplex,
 )
 from qkt.tensor_core import (
+    ConstantForm,
     ConstantMetric,
     CoordinatePatch,
     FDScheme,
     FormField,
-    constant_form,
     exterior_derivative,
     levi_civita,
     wedge_arrays,
@@ -287,26 +287,36 @@ def test_point_and_one_point_batch_do_not_share_layers(conformal_struct, sine_di
 
 
 def test_constant_structure_takes_no_stencil(monkeypatch, flat_struct_n2):
-    # constant metric and triple: every derivative is exactly zero without a
-    # stencil, equal to what the stencils of the same geometry give
-    stenciled = build_qkt(QuaternionicHermitianData(
-        flat_struct_n2.patch, HypercomplexField(flat_struct_n2.data.hyper.funcs)), SCHEME)
-    assert flat_struct_n2.constant and not stenciled.constant
+    # constant metric and triple, and the bundle torsion or the dual of a
+    # constant 1-form: every derivative is exactly zero without a stencil,
+    # equal to what the stencils of the same geometry give
+    t_form = ConstantForm(1, np.array([0.5, 0.0, 0.0, 0.0]))
+    const_dim4 = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1), t_form, SCHEME)
+    cases = (
+        (flat_struct_n2, build_qkt(QuaternionicHermitianData(
+            flat_struct_n2.patch, HypercomplexField(flat_struct_n2.data.hyper.funcs)), SCHEME),
+         POINT8),
+        (const_dim4, build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
+                                    FormField(1, t_form.func), SCHEME), POINT4),
+    )
     layers = ("bundle", "curv", "curv_g", "dT", "nabla_T", "dt", "nabla_g_t", "gamma_w")
-    reference = stenciled.at(POINT8)
-    for layer in layers:
-        getattr(reference, layer)
-    calls = count_calls(monkeypatch, tensor_core.gradient)
-    ctx = flat_struct_n2.at(POINT8)
-    for layer in layers:
-        getattr(ctx, layer)
-    assert calls == []
-    for name in ("theta", "theta_cross", "torsion"):
-        assert np.array_equal(ctx.bundle[name], reference.bundle[name])
-    for name in ("dT", "nabla_T", "dt", "nabla_g_t", "gamma_w"):
-        assert np.array_equal(getattr(ctx, name), getattr(reference, name)), name
-    assert np.array_equal(ctx.curv.R4, reference.curv.R4)
-    assert np.array_equal(ctx.derivative("omega", True), reference.derivative("omega", True))
+    for constant, stenciled, p in cases:
+        assert constant.constant and not stenciled.constant
+        reference = stenciled.at(p)
+        for layer in layers:
+            getattr(reference, layer)
+        with monkeypatch.context() as patch:
+            calls = count_calls(patch, tensor_core.gradient)
+            ctx = constant.at(p)
+            for layer in layers:
+                getattr(ctx, layer)
+            assert calls == []
+        for name in ("theta", "theta_cross"):
+            assert np.array_equal(ctx.bundle[name], reference.bundle[name])
+        for name in ("T", "dT", "nabla_T", "dt", "nabla_g_t", "gamma_w"):
+            assert np.array_equal(getattr(ctx, name), getattr(reference, name)), name
+        assert np.array_equal(ctx.curv.R4, reference.curv.R4)
+        assert np.array_equal(ctx.derivative("omega", True), reference.derivative("omega", True))
 
 
 def test_existence_residual_rejects_dim4():
@@ -409,14 +419,14 @@ def test_dim4_lee_identities_with_nonzero_theta():
 
 def test_dim4_zero_torsion_is_levi_civita():
     struct = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                            constant_form(1, np.zeros(4)), SCHEME)
+                            ConstantForm(1, np.zeros(4)), SCHEME)
     assert np.max(np.abs(struct.torsion(POINT4))) == 0.0
     assert np.max(np.abs(struct.connection(POINT4))) == 0.0
 
 
 def test_dim4_constant_torsion_star():
     struct = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                            constant_form(1, np.array([0.5, 0, 0, 0])), SCHEME)
+                            ConstantForm(1, np.array([0.5, 0, 0, 0])), SCHEME)
     dx = np.eye(4)
     expected = 0.5 * wedge_arrays(wedge_arrays(dx[1], dx[2]), dx[3])
     assert np.max(np.abs(struct.torsion(POINT4) - expected)) <= 1e-14
@@ -440,7 +450,7 @@ def test_dim4_recovers_input_one_form(sine_dim4):
 def test_dim4_requires_n_one():
     with pytest.raises(DimensionError):
         build_qkt_dim4(flat_patch(2), build_standard_hypercomplex(2),
-                       constant_form(1, np.zeros(8)), SCHEME)
+                       ConstantForm(1, np.zeros(8)), SCHEME)
 
 
 def test_dim4_star_dT_equals_minus_delta_t(sine_dim4):
@@ -498,35 +508,39 @@ def test_torsion_one_forms_memoized_read_only(conformal_struct):
 
 
 def test_sp1_forms_flat(flat_struct_n2):
-    record = sp1_forms(flat_struct_n2.at(np.zeros(8)))
-    assert np.max(np.abs(record.omegas)) <= 1e-12
-    assert record.eq1_residual <= 1e-12
-    assert record.c7_residual <= 1e-12
+    ctx = flat_struct_n2.at(np.zeros(8))
+    assert np.max(np.abs(ctx.omega)) <= 1e-12
+    assert ctx.eq1 <= 1e-12
+    assert c7_residual(ctx) <= 1e-12
 
 
 def test_sp1_forms_conformal(conformal_struct):
-    record = sp1_forms(conformal_struct.at(POINT8))
+    ctx = conformal_struct.at(POINT8)
     J = conformal_struct.data.hyper.matrices(POINT8)
     for a in range(3):
         expected = -j_apply_oneform(J[a], DX1_8)
-        assert np.max(np.abs(record.omegas[a] - expected)) <= 1e-5
-    assert record.eq1_residual <= 1e-5
-    assert record.c7_residual <= 1e-5
+        assert np.max(np.abs(ctx.omega[a] - expected)) <= 1e-5
+    assert ctx.eq1 <= 1e-5
+    assert c7_residual(ctx) <= 1e-5
+
+
+def test_c7_residual_absent_in_dim4(sine_dim4):
+    assert c7_residual(sine_dim4.at(POINT4)) is None
 
 
 def test_auxiliary_forms_relations(conformal_struct):
     # A_a = J_b(theta_c - theta_b) and (n-1) J_b C_a = theta_a - J_b theta_{a,c}
     struct = conformal_struct
-    aux = auxiliary_one_forms(struct.at(POINT8))
+    A, C = auxiliary_one_forms(struct.at(POINT8))
     bundle = struct.bundle_at(POINT8)
     theta, cross, J = bundle["theta"], bundle["theta_cross"], bundle["J"]
     for a, b, c in CYCLIC:
         assert np.max(np.abs(
-            aux.A[a] - j_apply_oneform(J[b], theta[c] - theta[b]))) <= 1e-5
-        lhs = (struct.n - 1.0) * j_apply_oneform(J[b], aux.C[a])
+            A[a] - j_apply_oneform(J[b], theta[c] - theta[b]))) <= 1e-5
+        lhs = (struct.n - 1.0) * j_apply_oneform(J[b], C[a])
         rhs = theta[a] - j_apply_oneform(J[b], cross[a, c])
         assert np.max(np.abs(lhs - rhs)) <= 1e-5
-    assert aux.K is not None
+    assert "K" in bundle
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +579,7 @@ def test_classify_conformal(conformal_struct):
 
 def test_classify_dim4_constant_torsion():
     struct = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                            constant_form(1, np.array([0.5, 0, 0, 0])), SCHEME)
+                            ConstantForm(1, np.array([0.5, 0, 0, 0])), SCHEME)
     record = classify(struct, [POINT4])
     assert record.is_parallel_torsion and record.is_strong
     assert record.is_hkt is None

@@ -18,11 +18,11 @@ from qkt.qkt_connection import build_qkt, build_qkt_dim4, classify
 from qkt.quaternionic import QuaternionicHermitianData, build_standard_hypercomplex
 from qkt.tensor_core import (
     ConnectionField,
+    ConstantForm,
     ConstantMetric,
     CoordinatePatch,
     FDScheme,
     FormField,
-    constant_form,
     gradient,
 )
 from reference import levi_civita_field, ricci_data
@@ -52,7 +52,7 @@ def conformal_struct():
 @pytest.fixture(scope="module")
 def const_dim4():
     return build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                          constant_form(1, np.array([0.5, 0.0, 0.0, 0.0])), SCHEME)
+                          ConstantForm(1, np.array([0.5, 0.0, 0.0, 0.0])), SCHEME)
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +127,7 @@ def test_structures_freed_without_gc():
     gc.disable()
     try:
         base = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                              constant_form(1, np.array([0.5, 0.0, 0.0, 0.0])), SCHEME)
+                              ConstantForm(1, np.array([0.5, 0.0, 0.0, 0.0])), SCHEME)
         struct = conformal_rescale(base, ConformalFactor(lambda p: np.exp(p[..., 0])), SCHEME)
         ctx = struct.at(POINT4)
         assert np.isfinite(ctx.omega).all() and np.isfinite(ctx.dt).all()
@@ -217,7 +217,7 @@ def test_dT_trace_equalities_closed_torsion(const_dim4):
 
 def test_dim4_suite_flat():
     struct = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                            constant_form(1, np.zeros(4)), SCHEME)
+                            ConstantForm(1, np.zeros(4)), SCHEME)
     out = dim4_einstein_suite(struct.at(POINT4))
     for key in ("eq5.67", "eq5.68", "eq5.69",
                 "einstein_deviation", "sp1_einstein_deviation"):
@@ -254,7 +254,7 @@ def test_ricci_data_shapes(sine_dim4):
 
 def test_weyl_trivial_for_zero_torsion():
     struct = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                            constant_form(1, np.zeros(4)), SCHEME)
+                            ConstantForm(1, np.zeros(4)), SCHEME)
     ctx = struct.at(POINT4)
     assert np.max(np.abs(ctx.gamma_w - ctx.Gamma)) <= 1e-12
     out = weyl_correspondence(ctx)
@@ -276,13 +276,13 @@ def test_hkt_dim4_is_sp1_einstein():
     dim = 4
     factor = ConformalFactor(parse_expression("exp(x1)"))
     base = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                          constant_form(1, np.zeros(4)), SCHEME)
+                          ConstantForm(1, np.zeros(4)), SCHEME)
     rescaled = conformal_rescale(base, factor, SCHEME)
     # common Lee form of the rescaled metric is d ln f = dx1
     theta = np.zeros(dim)
     theta[0] = 1.0
     hkt = build_qkt_dim4(rescaled.patch, build_standard_hypercomplex(1),
-                         constant_form(1, -theta), SCHEME)
+                         ConstantForm(1, -theta), SCHEME)
     ctx = hkt.at(POINT4)
     K = ctx.P.sum(axis=0)
     assert np.max(np.abs(K)) <= 1e-3

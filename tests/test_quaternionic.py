@@ -18,11 +18,11 @@ from qkt.quaternionic import (
     torsion_02_part,
 )
 from qkt.tensor_core import (
+    ConstantForm,
     ConstantMetric,
     CoordinatePatch,
     FDScheme,
     FormField,
-    constant_form,
     exterior_derivative,
     wedge_arrays,
 )
@@ -370,12 +370,12 @@ def test_boundary_error_propagates():
 
 def test_dT_type22_residual_zero_cases():
     data = flat_data(1)
-    zero = constant_form(3, np.zeros((4, 4, 4)))
+    zero = ConstantForm(3, np.zeros((4, 4, 4)))
     assert type22(data, zero, np.zeros(4)) == 0.0
     # closed torsion: T = c dx2^dx3^dx4 has dT = 0
     dx = np.eye(4)
     T = wedge_arrays(wedge_arrays(dx[1], dx[2]), dx[3])
-    assert type22(data, constant_form(3, 0.7 * T), np.zeros(4)) == 0.0
+    assert type22(data, ConstantForm(3, 0.7 * T), np.zeros(4)) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@ from qkt.errors import (
     DimensionError,
 )
 from qkt.tensor_core import (
+    ConstantForm,
     ConstantMetric,
     CoordinatePatch,
     FDScheme,
     FormField,
     antisymmetrized_gradient,
-    constant_form,
     covariant_derivative_array,
     exterior_derivative,
     gradient,
@@ -89,7 +89,7 @@ def test_boundary_guard():
 # ---------------------------------------------------------------------------
 
 def test_d_of_constant_one_form_vanishes():
-    d = exterior_derivative(constant_form(1, dx(0)), SCHEME)
+    d = exterior_derivative(ConstantForm(1, dx(0)), SCHEME)
     assert np.max(np.abs(d(np.zeros(4)))) == 0.0
 
 
@@ -126,7 +126,7 @@ def test_exterior_derivative_is_order_two():
 
 
 def test_degree_overflow():
-    top = constant_form(4, np.zeros((4, 4, 4, 4)))
+    top = ConstantForm(4, np.zeros((4, 4, 4, 4)))
     with pytest.raises(DegreeError):
         exterior_derivative(top, SCHEME)(np.zeros(4))
 
@@ -191,8 +191,8 @@ def test_wedge_graded_symmetry(seed, p, q):
 
 
 def test_wedge_fields_compose():
-    a = constant_form(1, dx(0))
-    b = constant_form(2, wedge_arrays(dx(1), dx(2)))
+    a = ConstantForm(1, dx(0))
+    b = ConstantForm(2, wedge_arrays(dx(1), dx(2)))
     w = wedge(a, b)
     assert w.degree == 3
     value = w(np.zeros(4))
@@ -237,14 +237,14 @@ def test_star_dimension_guard():
         hodge_star_array(np.zeros(8), np.eye(8))
     patch8 = flat_patch(8)
     with pytest.raises(DimensionError):
-        hodge_star_4d(constant_form(1, np.zeros(8)), patch8.metric)(np.zeros(8))
+        hodge_star_4d(ConstantForm(1, np.zeros(8)), patch8.metric)(np.zeros(8))
 
 
 def test_star_field_respects_metric_scaling():
     # for g = f * delta in dim 4, the star of a 1-form picks up a factor f
     f = lambda p: np.exp(p[0])
     metric = lambda p: f(p) * np.eye(4)
-    omega = constant_form(1, dx(0))
+    omega = ConstantForm(1, dx(0))
     p = np.array([0.3, 0.1, -0.2, 0.0])
     starred = hodge_star_4d(omega, metric)(p)
     flat = hodge_star_array(dx(0), np.eye(4))
@@ -257,7 +257,7 @@ def test_star_field_respects_metric_scaling():
 
 def test_codifferential_constant_coefficients():
     patch = flat_patch()
-    value = codifferential(constant_form(1, dx(0)), patch.metric, np.zeros(4), SCHEME)
+    value = codifferential(ConstantForm(1, dx(0)), patch.metric, np.zeros(4), SCHEME)
     assert abs(float(value)) <= 1e-12
 
 
@@ -271,7 +271,7 @@ def test_codifferential_linear_coefficient():
 def test_codifferential_degree_zero_rejected():
     patch = flat_patch()
     with pytest.raises(DegreeError):
-        codifferential(constant_form(0, np.array(1.0)), patch.metric, np.zeros(4), SCHEME)
+        codifferential(ConstantForm(0, np.array(1.0)), patch.metric, np.zeros(4), SCHEME)
 
 
 def test_codifferential_equals_minus_star_d_star():

@@ -9,6 +9,7 @@ import qkt.suite as suite_module
 import qkt.tensor_core as tensor_core
 from qkt.errors import DimensionError
 from qkt.expressions import Expression
+from qkt.qkt_connection import QKTContext
 from qkt.suite import CATALOGUE, IdentityResult, VerificationReport, run_suite
 from qkt.tensor_core import worst
 from qkt.zoo import ManifoldSpec, build_manifold, halton_points, sample_points
@@ -99,6 +100,58 @@ def test_build_hopf_local():
 def test_catalogue_ids_unique():
     ids = [check.identity_id for check in CATALOGUE]
     assert len(ids) == len(set(ids))
+
+
+# The row ids of each suite, pinned for every kind and n as the runner gave
+# them when the catalogue still carried an applicability rule per row.
+CONNECTION_COMMON = (
+    "quaternionic_identities", "hermitian_metric", "torsion_skew_symmetry",
+    "connection_metricity", "torsion_type_purity", "sp1_shape_of_nabla_J",
+    "torsion_one_form_common", "lee_form_self_trace", "cross_lee_antisymmetry",
+    "lee_form_linear_relation", "difference_form_from_lee", "c_form_from_lee",
+    "nijenhuis_via_torsion_parts", "nijenhuis_via_lee_difference")
+CONNECTION_N2 = CONNECTION_COMMON + (
+    "existence_condition", "torsion_alpha_consistency", "sp1_closed_formula",
+    "lcqk_torsion_shape", "lchkt_closed_form")
+CONNECTION_DIM4 = CONNECTION_COMMON + (
+    "star_one_form_identity", "torsion_is_star_of_t", "star_dT_is_minus_delta_t",
+    "parallel_torsion_link")
+CONNECTION_DIM4_LC = CONNECTION_DIM4 + ("lcqk_torsion_shape", "lchkt_closed_form")
+CONFORMAL_DIM4 = (
+    "conformal_connection_law", "conformal_twisted_derivative", "conformal_lee_form",
+    "conformal_cross_lee", "conformal_difference_form", "conformal_sp1_form",
+    "conformal_torsion_law", "conformal_torsion_one_form", "conformal_dt_invariance")
+CONFORMAL_N2 = (
+    "conformal_connection_law", "conformal_twisted_derivative", "conformal_lee_form",
+    "conformal_cross_lee", "conformal_compatibility_form", "conformal_difference_form",
+    "conformal_sp1_form", "conformal_torsion_law", "conformal_torsion_one_form",
+    "conformal_dt_invariance")
+CURVATURE_DIM4 = (
+    "sp1_curvature_commutator", "ricci_form_from_sp1", "dT_expansion", "first_bianchi",
+    "levi_civita_comparison", "curvature_pair_swap", "two_torsion_derivatives",
+    "skew_ricci_coclosure", "ricci_trace_identity", "curvature_pair_antisymmetry")
+CURVATURE_N2 = CURVATURE_DIM4[:-1] + ("ricci_trace_resolution", "curvature_pair_antisymmetry")
+DIM4 = ("sp1_trace_formula", "skew_ricci_formula", "riemannian_ricci_formula",
+        "weyl_metric_condition", "weyl_correspondence_sym", "weyl_ricci_formula")
+PINNED_ROWS = {
+    ("flat", 1): (CONNECTION_DIM4_LC, (), CURVATURE_DIM4, DIM4),
+    ("flat", 2): (CONNECTION_N2, (), CURVATURE_N2, ()),
+    ("conformal_flat", 1): (CONNECTION_DIM4_LC, CONFORMAL_DIM4, CURVATURE_DIM4, DIM4),
+    ("conformal_flat", 2): (CONNECTION_N2, CONFORMAL_N2, CURVATURE_N2, ()),
+    ("dim4_torsion", 1): (CONNECTION_DIM4, (), CURVATURE_DIM4, DIM4),
+    ("hopf_local", 1): (CONNECTION_DIM4_LC, CONFORMAL_DIM4, CURVATURE_DIM4, DIM4),
+}
+KIND_ARGS = {"conformal_flat": dict(f="exp(x1)"),
+             "dim4_torsion": dict(t_components=("sin(x2)", "0", "0", "0"))}
+
+
+@pytest.mark.parametrize("suite", ["all", "connection", "conformal", "curvature", "dim4"])
+@pytest.mark.parametrize("kind, n", list(PINNED_ROWS))
+def test_row_sets_pinned(kind, n, suite):
+    per_suite = dict(zip(("connection", "conformal", "curvature", "dim4"), PINNED_ROWS[kind, n]))
+    expected = sum(per_suite.values(), ()) if suite == "all" else per_suite[suite]
+    spec = ManifoldSpec(kind=kind, n=n, point_count=1, seed=0, **KIND_ARGS.get(kind, {}))
+    assert tuple(r.identity_id for r in run_suite(spec, suite).results) == expected
 
 
 def test_run_suite_flat_passes_tightly():
@@ -386,6 +439,9 @@ def _wrap_gradient(monkeypatch, wrapper):
 
 
 def test_flat_run_takes_no_metric_stencil(monkeypatch):
+    # a flat structure is constant (constant metric and triple; the bundle
+    # torsion for n >= 2, the dual of the zero constant 1-form for n = 1), so
+    # its run takes no stencil at all, of the metric or of any other field
     built = []
     build = suite_module.build_manifold
     monkeypatch.setattr(suite_module, "build_manifold",
@@ -401,9 +457,69 @@ def test_flat_run_takes_no_metric_stencil(monkeypatch):
     _wrap_gradient(monkeypatch, wrapper)
     for n in (1, 2):
         assert run_suite(ManifoldSpec(kind="flat", n=n, point_count=3), "all").all_pass
-        metric = built[-1].patch.metric
-        assert isinstance(metric, tensor_core.ConstantMetric)
-        assert fields and not any(field is metric for field in fields)
+        assert isinstance(built[-1].patch.metric, tensor_core.ConstantMetric)
+        assert built[-1].constant
+    assert fields == []
+    # the recording wrapper is live: a non-constant torsion is differenced
+    spec = ManifoldSpec(kind="dim4_torsion", n=1, t_components=("sin(x2)", "0", "0", "0"),
+                        point_count=1)
+    assert run_suite(spec, "connection").all_pass and fields
+
+
+def test_hopf_local_base_contexts_reach_no_gradient(monkeypatch):
+    # the flat base that the conformal laws of hopf_local compare against is
+    # constant: its torsion is the dual of the zero constant 1-form, so no
+    # derivative of one of its contexts takes a stencil
+    bases = []
+    ingredients = suite_module.conformal_ingredients
+
+    def recording_base(spec):
+        base, factor = ingredients(spec)
+        bases.append(base)
+        return base, factor
+
+    owners, reached = [], []
+    derivative = QKTContext.derivative
+
+    def scoped(ctx, layer, nested):
+        owners.append(ctx.struct)
+        try:
+            return derivative(ctx, layer, nested)
+        finally:
+            owners.pop()
+
+    def wrapper(original):
+        def recording(field, p, *args, **kwargs):
+            reached.append(owners[-1] if owners else None)
+            return original(field, p, *args, **kwargs)
+        return recording
+
+    monkeypatch.setattr(suite_module, "conformal_ingredients", recording_base)
+    monkeypatch.setattr(QKTContext, "derivative", scoped)
+    _wrap_gradient(monkeypatch, wrapper)
+    assert run_suite(ManifoldSpec(kind="hopf_local", n=1, point_count=2, seed=5), "all").all_pass
+    (base,) = bases
+    assert base.constant
+    assert reached and not any(owner is base for owner in reached)
+
+
+# the identity records the suite runs, each once per sample point on a
+# dimension-4 conformal model (c7_residual exists for n >= 2 only)
+RECORDS = ("structure_invariant_residuals", "torsion_one_form_spread", "lcqk_residual",
+           "lchkt_residual", "conformal_law_residuals", "sp1_curvature_residuals",
+           "bianchi_and_symmetry_residuals", "trace_identity_residuals", "dT_trace_equalities",
+           "dim4_einstein_suite", "weyl_correspondence", "classification_residuals")
+
+
+def test_each_record_runs_once_per_point(monkeypatch):
+    counts = dict.fromkeys(RECORDS, 0)
+    for name in RECORDS:
+        def counting(*args, _name=name, _record=getattr(suite_module, name)):
+            counts[_name] += 1
+            return _record(*args)
+        monkeypatch.setattr(suite_module, name, counting)
+    assert run_suite(ManifoldSpec(kind="hopf_local", n=1, point_count=3, seed=5), "all").all_pass
+    assert counts == dict.fromkeys(RECORDS, 3)
 
 
 def test_every_gradient_makes_one_field_call(monkeypatch, tmp_path, capsys):
