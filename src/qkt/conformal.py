@@ -15,21 +15,20 @@ residuals rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import GeometryError
-from .qkt_connection import QKTContext, QKTStructure, auxiliary_one_forms
+from .qkt_connection import QKTContext, QKTStructure
 from .quaternionic import CYC_A, CYC_B, CYC_C, QuaternionicHermitianData, j_apply_oneform
 from .tensor_core import (
-    CoordinatePatch,
+    ConformalMetric,
     FDScheme,
     antisymmetrized_gradient,
     first_point,
-    gradient,
-    wedge_arrays,
     worst,
 )
 
@@ -38,82 +37,57 @@ MIN_FACTOR = 1e-8
 
 @dataclass(frozen=True)
 class ConformalFactor:
-    """A positive scalar field; the gradient comes from central differences."""
+    """A positive scalar field, the f of a :class:`ConformalMetric`."""
 
     func: Callable[[np.ndarray], np.ndarray]
 
-    def _values(self, p: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.func(p), dtype=float), np.shape(p)[:-1])
-
     def value(self, p: np.ndarray) -> np.ndarray:
         """f at the points ``p`` (..., d), shape (...)."""
-        v = self._values(p)
+        v = np.broadcast_to(np.asarray(self.func(p), dtype=float), np.shape(p)[:-1])
         bad = ~(np.isfinite(v) & (v >= MIN_FACTOR))
         if np.any(bad):
             raise GeometryError(f"conformal factor {float(v[bad].flat[0])!r} not finite "
                                 f"and positive at {first_point(bad, p)}")
         return v
 
-    def grad(self, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
-        return gradient(self._values, p, scheme)
 
-
-def _as_factor(f) -> ConformalFactor:
-    return f if isinstance(f, ConformalFactor) else ConformalFactor(f)
-
-
-def conformal_rescale(struct: QKTStructure, f, scheme: FDScheme | None = None) -> QKTStructure:
+def conformal_rescale(struct: QKTStructure, factor: ConformalFactor,
+                      scheme: FDScheme | None = None) -> QKTStructure:
     """Transport ``struct`` to the metric f*g on the same hypercomplex triple."""
-    scheme = scheme or struct.scheme
-    factor = _as_factor(f)
-    base_patch = struct.patch
-    base_metric = base_patch.metric
-
-    def new_metric(p, _f=factor, _g=base_metric):
-        return _f.value(p)[..., None, None] * np.asarray(_g(p), dtype=float)
-
-    patch = CoordinatePatch(
-        n=base_patch.n,
-        lo=base_patch.lo,
-        hi=base_patch.hi,
-        metric=new_metric,
-        orientation=base_patch.orientation,
-    )
+    patch = replace(struct.patch, metric=ConformalMetric(factor, struct.patch.metric))
     data = QuaternionicHermitianData(patch, struct.data.hyper)
+    return QKTStructure(data, scheme or struct.scheme, f"rescaled-{struct.kind}",
+                        functools.partial(_rescaled_torsion, struct))
 
-    def torsion_rule(ctx):
-        p, J = ctx.x, ctx.J
-        g = np.asarray(base_metric(p), dtype=float)
-        df = factor.grad(p, ctx.scheme)[..., None, :]
-        w = wedge_arrays(j_apply_oneform(J, df), g[..., None, :, :] @ J, stack=J.ndim - 2)
-        return factor.value(p)[..., None, None, None] * struct.torsion(p) + w.sum(axis=-4)
 
-    return QKTStructure(data, scheme, f"rescaled-{struct.kind}", torsion_rule)
+def _rescaled_torsion(base: QKTStructure, ctx: QKTContext) -> np.ndarray:
+    """T_bar = f T + sum_a (J_a df) ^ F_a, with T the torsion of ``base`` at ``ctx.x``."""
+    T = base.at(ctx.x, ctx.scheme).T
+    return ctx.f[..., None, None, None] * T + ctx.df_wedge_F.sum(axis=-4)
 
 
 # ---------------------------------------------------------------------------
 # transformation-law residuals, each read off single-point contexts
 # ---------------------------------------------------------------------------
 
-def conformal_law_residuals(base: QKTContext, barred: QKTContext, f) -> dict:
+def conformal_law_residuals(base: QKTContext, barred: QKTContext) -> dict:
     """Residuals of the transformation laws at one point.
 
     ``base`` and ``barred`` are contexts at the same point of a structure
-    and of one on the metric f*g: its :func:`conformal_rescale`, or an
-    independently built structure (for example one assembled from its own
-    compatibility data), in which case the laws genuinely test that
-    conformal transport lands on the same connection.
+    and of one on the metric f*g, a :class:`ConformalMetric`; f, df and
+    (J_a df) ^ F_a are layers of ``barred``.  The barred structure is the
+    :func:`conformal_rescale` of the base, or an independently built
+    structure (for example one assembled from its own compatibility data),
+    in which case the laws genuinely test that conformal transport lands on
+    the same connection.
     """
-    factor = _as_factor(f)
-    p, n = base.x, base.struct.n
-    fval = factor.value(p)
-    df = factor.grad(p, base.scheme)
+    n = base.struct.n
+    fval, df, wedges = barred.f, barred.df, barred.df_wedge_F
     dlnf = df / fval
     bun0, bun1 = base.bundle, barred.bundle
     J = bun0["J"]
     g = bun0["g"]
-    # (J_a df) ^ F_a, stacked over a
-    wedges = wedge_arrays(j_apply_oneform(J, df), bun0["F"], stack=1)
+    wedge_sum = wedges.sum(axis=0)
 
     def worst_of(residual):
         return float(np.max(np.abs(residual)))
@@ -126,7 +100,7 @@ def conformal_law_residuals(base: QKTContext, barred: QKTContext, f) -> dict:
         + np.einsum("j,im->ijm", df, g)
         - np.einsum("m,ij->ijm", df, g)
     )
-    predicted = fval * lowered0 + sym + 0.5 * (wedges[0] + wedges[1] + wedges[2])
+    predicted = fval * lowered0 + sym + 0.5 * wedge_sum
 
     return {
         # d_a F_a^+ law
@@ -137,9 +111,9 @@ def conformal_law_residuals(base: QKTContext, barred: QKTContext, f) -> dict:
                              + j_apply_oneform(J[CYC_B], dlnf)),
         "z3_K": (worst_of(bun1["K"] - bun0["K"] + 2.0 * j_apply_oneform(J[CYC_B], dlnf))
                  if n >= 2 else None),
-        "z3_A": worst_of(auxiliary_one_forms(barred)[0] - auxiliary_one_forms(base)[0]),
+        "z3_A": worst_of(barred.auxiliary[0] - base.auxiliary[0]),
         "z3_omega": worst_of(barred.omega - base.omega + j_apply_oneform(J, dlnf)),
-        "z4": worst_of(barred.T - (fval * base.T + wedges[0] + wedges[1] + wedges[2])),
+        "z4": worst_of(barred.T - (fval * base.T + wedge_sum)),
         "z5": worst_of(barred.t - base.t + (2 * n + 1) * dlnf),
         "dt_invariance": worst_of(barred.dt - base.dt),
         "z1": worst_of(lowered1 - predicted),
@@ -153,7 +127,7 @@ def lcqk_residual(ctx: QKTContext) -> float:
     torsion 1-form.  In dimension 4 the shape part vanishes identically,
     so only |dt| is informative there.
     """
-    w = wedge_arrays(ctx.t_alpha, ctx.F, stack=1)
+    w = ctx.t_wedge_F
     shape_residual = np.max(np.abs(ctx.T - (w[0] + w[1] + w[2]) / (2.0 * ctx.struct.n + 1.0)))
     return worst(shape_residual, np.max(np.abs(ctx.dt)))
 

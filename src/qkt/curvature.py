@@ -21,7 +21,12 @@ import numpy as np
 
 from .errors import DimensionError
 from .quaternionic import CYC_B, CYC_C, frame_trace_pair
-from .tensor_core import antisymmetrized_gradient, trace_codifferential, wedge_arrays
+from .tensor_core import (
+    antisymmetrized_gradient,
+    covariant_derivative_array,
+    trace_codifferential,
+    wedge_arrays,
+)
 
 
 @dataclass(frozen=True)
@@ -155,13 +160,7 @@ def trace_identity_residuals(ctx) -> dict:
     balanced type.
     """
     n = ctx.struct.n
-    P, J = ctx.P, ctx.J
-    # nabla_Ta[a, x, y] = sum_i (nabla_X T)(Y, e_i, J_a e_i)
-    nabla_Ta = frame_trace_pair(ctx.nabla_T[None], ctx.ginv, J)
-
-    dTa_j = ctx.dTa @ J
-    nTa_j = nabla_Ta @ J
-
+    P, dTa_j, nTa_j = ctx.P, ctx.dTa_J, ctx.nabla_Ta_J
     lhs = n * P + P[CYC_B] + P[CYC_C]
     rhs = -n * ctx.Ric + (n / 4.0) * dTa_j + (n / 2.0) * nTa_j
     out = {"ti20": float(np.max(np.abs(lhs - rhs)))}
@@ -185,7 +184,7 @@ def trace_identity_residuals(ctx) -> dict:
 def dT_trace_equalities(ctx) -> dict:
     """Trace consequences of a (2,2)-type dT: equality of the three traces
     and their (1,1)-form property."""
-    dTa_j = ctx.dTa @ ctx.J
+    dTa_j = ctx.dTa_J
     eq24 = float(np.max(np.abs(dTa_j - dTa_j[CYC_B])))
     eq24p = float(np.max(np.abs(dTa_j + np.swapaxes(ctx.J, 1, 2) @ ctx.dTa)))
     return {"eq24": eq24, "eq24_prime": eq24p}
@@ -203,8 +202,7 @@ def _require_dim4(ctx, what: str) -> None:
 def dim4_einstein_suite(ctx) -> dict:
     """The dimension-4 curvature trace identities and Einstein deviations."""
     _require_dim4(ctx, "the Einstein-like identities")
-    K = ctx.P.sum(axis=0)
-    g = ctx.g
+    K, g, t = ctx.sum_P, ctx.g, ctx.t
 
     # K = -Ric + nabla^g t - (delta t / 2) g
     eq567 = float(np.max(np.abs(
@@ -218,16 +216,13 @@ def dim4_einstein_suite(ctx) -> dict:
 
     # Ric^g = Sym(Ric) + (|t|^2 g - t (x) t) / 2
     sym_ric = 0.5 * (ctx.Ric + ctx.Ric.T)
-    t = ctx.t
-    t_norm2 = float(t @ ctx.ginv @ t)
     eq569 = float(np.max(np.abs(
-        ctx.Ric_g - sym_ric - 0.5 * (t_norm2 * g - np.outer(t, t)))))
+        ctx.Ric_g - sym_ric - 0.5 * (ctx.t_norm2 * g - np.outer(t, t)))))
 
     scal = float(np.einsum("jk,jk->", ctx.ginv, ctx.Ric))
     scal_k = float(np.einsum("jk,jk->", ctx.ginv, K))
     einstein_dev = float(np.max(np.abs(sym_ric - (scal / 4.0) * g)))
-    sym_K = 0.5 * (K + K.T)
-    sp1_einstein_dev = float(np.max(np.abs(sym_K - (scal_k / 4.0) * g)))
+    sp1_einstein_dev = float(np.max(np.abs(ctx.sym_sum_P - (scal_k / 4.0) * g)))
 
     return {
         "eq5.67": eq567,
@@ -248,27 +243,18 @@ def weyl_correspondence(ctx) -> dict:
     ``einstein_weyl_deviation``: |Sym(Ric^W) - (tr Sym(Ric^W) / 4) g|.
     """
     _require_dim4(ctx, "the Weyl correspondence")
-    gamma_w = ctx.gamma_w
-    g = ctx.g
-    nabla_w_g = (
-        ctx.dg
-        - np.einsum("mij,mk->ijk", gamma_w, g)
-        - np.einsum("mik,jm->ijk", gamma_w, g)
-    )
-    qw = float(np.max(np.abs(nabla_w_g + np.einsum("i,jk->ijk", ctx.t, g))))
+    gamma_w, g, t = ctx.gamma_w, ctx.g, ctx.t
+    nabla_w_g = covariant_derivative_array(gamma_w, "dd", g, ctx.dg)
+    qw = float(np.max(np.abs(nabla_w_g + np.einsum("i,jk->ijk", t, g))))
 
     ric_w = ricci_tensor(curvature_tensor(gamma_w, ctx.derivative("gamma_w", True), g))
     sym_ric_w = 0.5 * (ric_w + ric_w.T)
-    K = ctx.P.sum(axis=0)
-    sym_K = 0.5 * (K + K.T)
-    qkw_sym = float(np.max(np.abs(sym_ric_w + sym_K)))
+    qkw_sym = float(np.max(np.abs(sym_ric_w + ctx.sym_sum_P)))
 
-    t = ctx.t
-    t_norm2 = float(t @ ctx.ginv @ t)
     sym_nabla_t = 0.5 * (ctx.nabla_g_t + ctx.nabla_g_t.T)
     wzl1 = float(np.max(np.abs(
         sym_ric_w
-        - (ctx.Ric_g - sym_nabla_t - 0.5 * (t_norm2 * g - np.outer(t, t))
+        - (ctx.Ric_g - sym_nabla_t - 0.5 * (ctx.t_norm2 * g - np.outer(t, t))
            + 0.5 * ctx.delta_t * g))))
 
     trace_w = float(np.einsum("jk,jk->", ctx.ginv, sym_ric_w))

@@ -46,6 +46,7 @@ from .quaternionic import (
     torsion_02_part,
 )
 from .tensor_core import (
+    ConformalMetric,
     ConnectionField,
     ConstantForm,
     ConstantMetric,
@@ -102,12 +103,17 @@ class QKTContext:
     """The layers of one structure on one point array ``x`` (..., d).
 
     Each layer has one definition below, is computed on first read and is
-    kept, read-only, for the life of the context.  A derivative differences
+    kept, read-only, for the life of the context.  A quantity that more than
+    one identity record reads (in ``qkt.qkt_connection``, ``qkt.conformal``,
+    ``qkt.curvature`` or ``qkt.suite``) is a layer here, never a second
+    formula in a record.  The metric is g = f g_0: for a
+    :class:`ConformalMetric` the factor f is evaluated once per point array,
+    and for any other metric f = 1 and g_0 = g.  A derivative differences
     a layer of one of two stencil sub-contexts, each built at most once: at
-    step ``h`` for g, F_a (and a torsion built without finite differences),
-    at step ``h2`` for the torsion, Gamma, t, the sp(1) forms and everything
-    else built from finite differences.  Every layer takes a leading point
-    axis; the identity records read single-point contexts.
+    step ``h`` for g, F_a, f (and a torsion built without finite
+    differences), at step ``h2`` for the torsion, Gamma, t, the sp(1) forms
+    and everything else built from finite differences.  Every layer takes a
+    leading point axis; the identity records read single-point contexts.
     """
 
     def __init__(self, struct: QKTStructure, x: np.ndarray, scheme: FDScheme):
@@ -143,8 +149,25 @@ class QKTContext:
     # -- metric and hypercomplex data -------------------------------------
 
     @_layer
-    def g(self):
+    def f(self):
+        """The factor of a conformal metric g = f g_0; ones for any other metric."""
+        metric = self.struct.patch.metric
+        if isinstance(metric, ConformalMetric):
+            return metric.factor.value(self.x)
+        return np.ones(self.x.shape[:-1])
+
+    @_layer
+    def g0(self):
+        """The base metric of a conformal metric g = f g_0; g itself for any other metric."""
+        metric = self.struct.patch.metric
+        if isinstance(metric, ConformalMetric):
+            return np.asarray(metric.base(self.x), dtype=float)
         return self.struct.data.metric_at(self.x)
+
+    @_layer
+    def g(self):
+        """The metric f g_0."""
+        return ConformalMetric.scale(self.f, self.g0)
 
     @_layer
     def ginv(self):
@@ -180,6 +203,19 @@ class QKTContext:
         return self.struct.data.hyper.gradient(self.x, self.scheme)
 
     @_layer
+    def df(self):
+        """df[..., a] = d_a f, from the same stencil as g."""
+        return self.derivative("f", nested=False)
+
+    @_layer
+    def df_wedge_F(self):
+        """(J_a df) ^ F_a[..., a] with the Kaehler forms F_a = g_0 J_a of the base
+        metric; their sum is what the torsion gains under g_0 -> f g_0."""
+        J = self.J
+        return wedge_arrays(j_apply_oneform(J, self.df[..., None, :]),
+                            self.g0[..., None, :, :] @ J, stack=J.ndim - 2)
+
+    @_layer
     def gamma_g(self):
         """Christoffel symbols of g; exact zeros for a constant metric."""
         if isinstance(self.struct.patch.metric, ConstantMetric):
@@ -209,9 +245,20 @@ class QKTContext:
         return self.gamma_g + 0.5 * np.einsum("...ijm,...ml->...lij", self.T, self.ginv)
 
     @_layer
+    def nabla_J(self):
+        """nabla_J[..., i, alpha, k, j] = (nabla_i J_alpha)[k, j] under the torsion connection."""
+        # gamma_dir[..., i] = Gamma[..., :, i, :]: nabla_i J_a = d_i J_a + [Gamma_i, J_a]
+        gamma_dir = np.swapaxes(self.Gamma, -3, -2)[..., None, :, :]
+        J_i = self.J[..., None, :, :, :]
+        nabla_j = gamma_dir @ J_i
+        nabla_j += self.dJ
+        nabla_j -= J_i @ gamma_dir
+        return nabla_j
+
+    @_layer
     def sp1(self):
         """(omega[..., alpha], eq1 residual) from nabla J_a."""
-        return _extract_sp1(self.J, self.Gamma, self.dJ)
+        return _extract_sp1(self.J, self.nabla_J)
 
     @property
     def omega(self):
@@ -220,6 +267,14 @@ class QKTContext:
     @property
     def eq1(self):
         return self.sp1[1]
+
+    @_layer
+    def auxiliary(self):
+        """(A, C): A_a = omega_b + J_a omega_c and C_a = omega_b - J_a omega_c."""
+        omegas = self.omega
+        omega_b = omegas[..., CYC_B, :]
+        J_omega = j_apply_oneform(self.J, omegas[..., CYC_C, :])
+        return omega_b + J_omega, omega_b - J_omega
 
     @_layer
     def t_alpha(self):
@@ -237,11 +292,22 @@ class QKTContext:
         return self.t_images.mean(axis=-2)
 
     @_layer
+    def t_wedge_F(self):
+        """t_a ^ F_a[..., alpha]."""
+        return wedge_arrays(self.t_alpha, self.F, stack=self.t_alpha.ndim - 1)
+
+    @_layer
     def lchkt_candidates(self):
         """theta_a - J_b theta_{a,c}, closed on locally conformally HKT structures."""
         bundle = self.bundle
         J, cross = bundle["J"], bundle["theta_cross"]
         return bundle["theta"] - j_apply_oneform(J[..., CYC_B, :, :], cross[..., CYC_A, CYC_C, :])
+
+    @_layer
+    def lee_differences(self):
+        """A_a = J_b (theta_c - theta_b), the difference 1-forms of the Lee forms."""
+        J, theta = self.J, self.bundle["theta"]
+        return j_apply_oneform(J[..., CYC_B, :, :], theta[..., CYC_C, :] - theta[..., CYC_B, :])
 
     # -- derivatives of the torsion and its 1-form ----------------------------
 
@@ -325,6 +391,31 @@ class QKTContext:
         return frame_trace_pair(self.dT[..., None, :, :, :, :], self.ginv, self.J)
 
     @_layer
+    def dTa_J(self):
+        """dTa_J[..., a, x, y] = sum_i dT(X, J_a Y, e_i, J_a e_i)."""
+        return self.dTa @ self.J
+
+    @_layer
+    def nabla_Ta_J(self):
+        """nabla_Ta_J[..., a, z, x] = sum_i (nabla_Z T)(J_a X, e_i, J_a e_i)."""
+        return frame_trace_pair(self.nabla_T[..., None, :, :, :, :], self.ginv, self.J) @ self.J
+
+    @_layer
+    def sum_P(self):
+        """The dimension-4 tensor K = sum_a P_a (not the bundle's 1-forms K_a)."""
+        return self.P.sum(axis=-3)
+
+    @_layer
+    def sym_sum_P(self):
+        """Sym K, the symmetric part of :attr:`sum_P`."""
+        return 0.5 * (self.sum_P + np.swapaxes(self.sum_P, -1, -2))
+
+    @_layer
+    def t_norm2(self):
+        """|t|^2 = g^{-1}(t, t)."""
+        return (self.t[..., None, :] @ self.ginv @ self.t[..., :, None])[..., 0, 0]
+
+    @_layer
     def gamma_w(self):
         """The torsion-free Weyl connection with nabla g = -t (x) g."""
         t_up = (self.ginv @ self.t[..., None])[..., 0]
@@ -398,22 +489,16 @@ def _section2_bundle(ctx: QKTContext) -> dict:
     return bundle
 
 
-def _extract_sp1(J: np.ndarray, gamma: np.ndarray, dJ: np.ndarray):
+def _extract_sp1(J: np.ndarray, nabla_j: np.ndarray):
     """Solve nabla J_a = -omega_b (x) J_c + omega_c (x) J_b for the omegas.
 
-    ``J``, the connection ``gamma`` and ``dJ`` carry the same point axes.
-    Each omega is recovered from both equations containing it; the returned
-    per-point residual tracks the worst least-squares defect and the worst
-    disagreement between the two recoveries.
+    ``J`` and ``nabla_j[..., i, a, k, j]`` = (nabla_i J_a)[k, j] carry the
+    same point axes.  Each omega is recovered from both equations containing
+    it; the returned per-point residual tracks the worst least-squares
+    defect and the worst disagreement between the two recoveries.
     """
     dim = J.shape[-1]
     points = J.shape[:-3]
-    # gamma_dir[..., i] = Gamma[..., :, i, :]: nabla_i J_a = d_i J_a + [Gamma_i, J_a]
-    gamma_dir = np.swapaxes(gamma, -3, -2)[..., None, :, :]
-    J_i = J[..., None, :, :, :]
-    nabla_j = gamma_dir @ J_i                                    # [..., i, a, k, j]
-    nabla_j += dJ
-    nabla_j -= J_i @ gamma_dir
     # per cyclic triple (a, b, c): design [-J_c, J_b] with one column per
     # direction on the right, solved through the stacked 2x2 normal equations
     # (general, since the columns are orthogonal only for a compatible triple)
@@ -603,19 +688,11 @@ def c7_residual(ctx: QKTContext) -> float | None:
     return float(np.max(np.abs(closed_form - ctx.omega[CYC_B])))
 
 
-def auxiliary_one_forms(ctx: QKTContext) -> tuple:
-    """(A, C): A_a = omega_b + J_a omega_c and C_a = omega_b - J_a omega_c."""
-    omegas = ctx.omega
-    J_omega = j_apply_oneform(ctx.J, omegas[CYC_C])
-    return omegas[CYC_B] + J_omega, omegas[CYC_B] - J_omega
-
-
 def nijenhuis_via_connection(ctx: QKTContext, alpha: int) -> np.ndarray:
     """Nijenhuis tensor rebuilt from the Lee-form difference 1-forms."""
     a, b, c = CYCLIC[alpha]
-    bundle = ctx.bundle
-    theta, J = bundle["theta"], bundle["J"]
-    A = j_apply_oneform(J[b], theta[c] - theta[b])
+    J = ctx.J
+    A = ctx.lee_differences[a]
     JA = j_apply_oneform(J[a], A)
     Jb, Jc = J[b], J[c]
     return (

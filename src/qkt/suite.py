@@ -38,7 +38,6 @@ from .qkt_connection import (
     Classification,
     QKTContext,
     QKTStructure,
-    auxiliary_one_forms,
     c7_residual,
     classification_residuals,
     nijenhuis_via_connection,
@@ -49,7 +48,6 @@ from .quaternionic import (
     CYC_A,
     CYC_B,
     CYC_C,
-    frame_trace_pair,
     j_apply_oneform,
     nijenhuis_bracket,
     torsion_02_part,
@@ -57,133 +55,90 @@ from .quaternionic import (
 from .tensor_core import (
     fold,
     hodge_star_array,
-    trace_codifferential,
     wedge_arrays,
     worst,
 )
 from .zoo import ManifoldSpec, build_manifold, conformal_ingredients, sample_points
 
-SUITES = ("all", "connection", "conformal", "curvature", "dim4")
+# the suite of each evaluator group, in evaluation order
+_GROUP_SUITES = {
+    "structural": "connection",
+    "lc": "connection",
+    "conformal": "conformal",
+    "curvature": "curvature",
+    "dim4": "dim4",
+}
+SUITES = ("all", *dict.fromkeys(_GROUP_SUITES.values()))
 
 
 @dataclass(frozen=True)
 class IdentityCheck:
     identity_id: str
     paper_equation: str
-    suite: str            # connection | conformal | curvature | dim4
     tolerance: float
-    group: str            # evaluator-group name
+    group: str            # evaluator-group name; the group fixes the suite
     key: str              # key within the group's result dict
 
 
 CATALOGUE = (
     # -- connection-level identities -------------------------------------
-    IdentityCheck("quaternionic_identities", "sec2-def", "connection", 1e-10,
-                  "structural", "quaternionic"),
-    IdentityCheck("hermitian_metric", "sec2-def", "connection", 1e-10,
-                  "structural", "hermitian"),
-    IdentityCheck("torsion_skew_symmetry", "eq5", "connection", 1e-10,
-                  "structural", "torsion_skew"),
-    IdentityCheck("connection_metricity", "def-qkt", "connection", 1e-5,
-                  "structural", "metricity"),
-    IdentityCheck("torsion_type_purity", "tr1", "connection", 1e-5,
-                  "structural", "torsion_purity"),
-    IdentityCheck("sp1_shape_of_nabla_J", "eq1", "connection", 1e-5,
-                  "structural", "eq1"),
-    IdentityCheck("torsion_one_form_common", "l1", "connection", 1e-8,
-                  "structural", "l1"),
-    IdentityCheck("lee_form_self_trace", "theta-aa", "connection", 1e-5,
-                  "structural", "theta_self"),
-    IdentityCheck("cross_lee_antisymmetry", "tt1", "connection", 1e-5,
-                  "structural", "tt1"),
-    IdentityCheck("lee_form_linear_relation", "per1", "connection", 1e-5,
-                  "structural", "per1"),
-    IdentityCheck("difference_form_from_lee", "c5", "connection", 1e-5,
-                  "structural", "c5"),
-    IdentityCheck("c_form_from_lee", "c6", "connection", 1e-5,
-                  "structural", "c6"),
-    IdentityCheck("nijenhuis_via_torsion_parts", "eq2", "connection", 1e-5,
-                  "structural", "eq2"),
-    IdentityCheck("nijenhuis_via_lee_difference", "eq6", "connection", 1e-5,
-                  "structural", "eq6"),
-    IdentityCheck("existence_condition", "eq4", "connection", 1e-4,
-                  "structural", "eq4"),
-    IdentityCheck("torsion_alpha_consistency", "eq5", "connection", 1e-5,
-                  "structural", "eq5_agreement"),
-    IdentityCheck("sp1_closed_formula", "c7", "connection", 1e-5,
-                  "structural", "c7"),
-    IdentityCheck("star_one_form_identity", "tri1", "connection", 1e-10,
-                  "structural", "tri1"),
-    IdentityCheck("torsion_is_star_of_t", "v1", "connection", 1e-10,
-                  "structural", "v1"),
+    IdentityCheck("quaternionic_identities", "sec2-def", 1e-10, "structural", "quaternionic"),
+    IdentityCheck("hermitian_metric", "sec2-def", 1e-10, "structural", "hermitian"),
+    IdentityCheck("torsion_skew_symmetry", "eq5", 1e-10, "structural", "torsion_skew"),
+    IdentityCheck("connection_metricity", "def-qkt", 1e-5, "structural", "metricity"),
+    IdentityCheck("torsion_type_purity", "tr1", 1e-5, "structural", "torsion_purity"),
+    IdentityCheck("sp1_shape_of_nabla_J", "eq1", 1e-5, "structural", "eq1"),
+    IdentityCheck("torsion_one_form_common", "l1", 1e-8, "structural", "l1"),
+    IdentityCheck("lee_form_self_trace", "theta-aa", 1e-5, "structural", "theta_self"),
+    IdentityCheck("cross_lee_antisymmetry", "tt1", 1e-5, "structural", "tt1"),
+    IdentityCheck("lee_form_linear_relation", "per1", 1e-5, "structural", "per1"),
+    IdentityCheck("difference_form_from_lee", "c5", 1e-5, "structural", "c5"),
+    IdentityCheck("c_form_from_lee", "c6", 1e-5, "structural", "c6"),
+    IdentityCheck("nijenhuis_via_torsion_parts", "eq2", 1e-5, "structural", "eq2"),
+    IdentityCheck("nijenhuis_via_lee_difference", "eq6", 1e-5, "structural", "eq6"),
+    IdentityCheck("existence_condition", "eq4", 1e-4, "structural", "eq4"),
+    IdentityCheck("torsion_alpha_consistency", "eq5", 1e-5, "structural", "eq5_agreement"),
+    IdentityCheck("sp1_closed_formula", "c7", 1e-5, "structural", "c7"),
+    IdentityCheck("star_one_form_identity", "tri1", 1e-10, "structural", "tri1"),
+    IdentityCheck("torsion_is_star_of_t", "v1", 1e-10, "structural", "v1"),
     # second-level derivative when the torsion itself is FD-built (hopf),
     # first-level instances sit many orders below this
-    IdentityCheck("star_dT_is_minus_delta_t", "sec5-codiff", "connection", 1e-4,
-                  "structural", "star_dT"),
-    IdentityCheck("parallel_torsion_link", "ser2", "connection", 1e-4,
-                  "structural", "ser2"),
-    IdentityCheck("lcqk_torsion_shape", "u3", "connection", 1e-5,
-                  "lc", "u3"),
-    IdentityCheck("lchkt_closed_form", "u1-ii", "connection", 1e-4,
-                  "lc", "lchkt"),
+    IdentityCheck("star_dT_is_minus_delta_t", "sec5-codiff", 1e-4, "structural", "star_dT"),
+    IdentityCheck("parallel_torsion_link", "ser2", 1e-4, "structural", "ser2"),
+    IdentityCheck("lcqk_torsion_shape", "u3", 1e-5, "lc", "u3"),
+    IdentityCheck("lchkt_closed_form", "u1-ii", 1e-4, "lc", "lchkt"),
     # -- conformal transformation laws ------------------------------------
-    IdentityCheck("conformal_connection_law", "z1", "conformal", 1e-5,
-                  "conformal", "z1"),
-    IdentityCheck("conformal_twisted_derivative", "z2", "conformal", 1e-5,
-                  "conformal", "z2_dcf"),
-    IdentityCheck("conformal_lee_form", "z2", "conformal", 1e-5,
-                  "conformal", "z2_theta"),
-    IdentityCheck("conformal_cross_lee", "z2", "conformal", 1e-5,
-                  "conformal", "z2_cross"),
-    IdentityCheck("conformal_compatibility_form", "z3", "conformal", 1e-5,
-                  "conformal", "z3_K"),
-    IdentityCheck("conformal_difference_form", "z3", "conformal", 1e-5,
-                  "conformal", "z3_A"),
-    IdentityCheck("conformal_sp1_form", "z3", "conformal", 1e-5,
-                  "conformal", "z3_omega"),
-    IdentityCheck("conformal_torsion_law", "z4", "conformal", 1e-5,
-                  "conformal", "z4"),
-    IdentityCheck("conformal_torsion_one_form", "z5", "conformal", 1e-5,
-                  "conformal", "z5"),
-    IdentityCheck("conformal_dt_invariance", "z5-cor", "conformal", 1e-5,
-                  "conformal", "dt_invariance"),
+    IdentityCheck("conformal_connection_law", "z1", 1e-5, "conformal", "z1"),
+    IdentityCheck("conformal_twisted_derivative", "z2", 1e-5, "conformal", "z2_dcf"),
+    IdentityCheck("conformal_lee_form", "z2", 1e-5, "conformal", "z2_theta"),
+    IdentityCheck("conformal_cross_lee", "z2", 1e-5, "conformal", "z2_cross"),
+    IdentityCheck("conformal_compatibility_form", "z3", 1e-5, "conformal", "z3_K"),
+    IdentityCheck("conformal_difference_form", "z3", 1e-5, "conformal", "z3_A"),
+    IdentityCheck("conformal_sp1_form", "z3", 1e-5, "conformal", "z3_omega"),
+    IdentityCheck("conformal_torsion_law", "z4", 1e-5, "conformal", "z4"),
+    IdentityCheck("conformal_torsion_one_form", "z5", 1e-5, "conformal", "z5"),
+    IdentityCheck("conformal_dt_invariance", "z5-cor", 1e-5, "conformal", "dt_invariance"),
     # -- curvature identities ---------------------------------------------
-    IdentityCheck("sp1_curvature_commutator", "eq11", "curvature", 1e-3,
-                  "curvature", "eq11"),
-    IdentityCheck("ricci_form_from_sp1", "eq12", "curvature", 1e-3,
-                  "curvature", "eq12"),
-    IdentityCheck("dT_expansion", "eq13", "curvature", 1e-3,
-                  "curvature", "eq13"),
-    IdentityCheck("first_bianchi", "eq14", "curvature", 1e-3,
-                  "curvature", "eq14"),
-    IdentityCheck("levi_civita_comparison", "eq15", "curvature", 1e-3,
-                  "curvature", "eq15"),
-    IdentityCheck("curvature_pair_swap", "tir1", "curvature", 1e-3,
-                  "curvature", "tir1"),
-    IdentityCheck("two_torsion_derivatives", "sof", "curvature", 1e-3,
-                  "curvature", "sof"),
-    IdentityCheck("skew_ricci_coclosure", "remark3", "curvature", 1e-3,
-                  "curvature", "remark3"),
-    IdentityCheck("ricci_trace_identity", "ti20", "curvature", 1e-3,
-                  "curvature", "ti20"),
-    IdentityCheck("ricci_trace_resolution", "eq22", "curvature", 1e-3,
-                  "curvature", "eq22"),
-    IdentityCheck("curvature_pair_antisymmetry", "sec3-def", "curvature", 1e-4,
-                  "curvature", "pair_antisym"),
+    IdentityCheck("sp1_curvature_commutator", "eq11", 1e-3, "curvature", "eq11"),
+    IdentityCheck("ricci_form_from_sp1", "eq12", 1e-3, "curvature", "eq12"),
+    IdentityCheck("dT_expansion", "eq13", 1e-3, "curvature", "eq13"),
+    IdentityCheck("first_bianchi", "eq14", 1e-3, "curvature", "eq14"),
+    IdentityCheck("levi_civita_comparison", "eq15", 1e-3, "curvature", "eq15"),
+    IdentityCheck("curvature_pair_swap", "tir1", 1e-3, "curvature", "tir1"),
+    IdentityCheck("two_torsion_derivatives", "sof", 1e-3, "curvature", "sof"),
+    IdentityCheck("skew_ricci_coclosure", "remark3", 1e-3, "curvature", "remark3"),
+    IdentityCheck("ricci_trace_identity", "ti20", 1e-3, "curvature", "ti20"),
+    IdentityCheck("ricci_trace_resolution", "eq22", 1e-3, "curvature", "eq22"),
+    IdentityCheck("curvature_pair_antisymmetry", "sec3-def", 1e-4, "curvature", "pair_antisym"),
     # -- dimension-4 Einstein-like and Weyl -------------------------------
-    IdentityCheck("sp1_trace_formula", "5.67", "dim4", 1e-3,
-                  "dim4", "eq5.67"),
-    IdentityCheck("skew_ricci_formula", "5.68", "dim4", 1e-3,
-                  "dim4", "eq5.68"),
-    IdentityCheck("riemannian_ricci_formula", "5.69", "dim4", 1e-3,
-                  "dim4", "eq5.69"),
-    IdentityCheck("weyl_metric_condition", "qw", "dim4", 1e-8,
-                  "dim4", "qw"),
-    IdentityCheck("weyl_correspondence_sym", "qkw", "dim4", 1e-3,
-                  "dim4", "qkw_sym"),
-    IdentityCheck("weyl_ricci_formula", "wzl1", "dim4", 1e-3,
-                  "dim4", "wzl1"),
+    IdentityCheck("sp1_trace_formula", "5.67", 1e-3, "dim4", "eq5.67"),
+    IdentityCheck("skew_ricci_formula", "5.68", 1e-3, "dim4", "eq5.68"),
+    IdentityCheck("riemannian_ricci_formula", "5.69", 1e-3, "dim4", "eq5.69"),
+    IdentityCheck("weyl_metric_condition", "qw", 1e-8, "dim4", "qw"),
+    IdentityCheck("weyl_correspondence_sym", "qkw", 1e-3, "dim4", "qkw_sym"),
+    IdentityCheck("weyl_ricci_formula", "wzl1", 1e-3, "dim4", "wzl1"),
 )
+_CHECKS = {check.identity_id: check for check in CATALOGUE}
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +149,6 @@ CATALOGUE = (
 class SuiteEnv:
     spec: ManifoldSpec
     base: QKTStructure | None = None     # the unscaled structure of a conformal kind
-    factor: object | None = None         # and its conformal factor
 
 
 # Each group evaluator reads the context of one sample point and returns
@@ -207,9 +161,7 @@ def _accumulator(out: dict):
 
 def _eval_structural(env: SuiteEnv, ctx: QKTContext) -> dict:
     n = ctx.struct.n
-    inv = structure_invariant_residuals(ctx)
-    out = {key: inv[key] for key in ("quaternionic", "hermitian", "torsion_skew",
-                                     "metricity", "torsion_purity", "eq1")}
+    out = structure_invariant_residuals(ctx)
     acc = _accumulator(out)
     acc("l1", torsion_one_form_spread(ctx))
 
@@ -224,11 +176,9 @@ def _eval_structural(env: SuiteEnv, ctx: QKTContext) -> dict:
         + j_apply_oneform(J[CYC_C], cross[CYC_B, CYC_A])
         + n * j_apply_oneform(J, cross[CYC_C, CYC_B])
         - (n + 1) * j_apply_oneform(J[CYC_B], cross[CYC_A, CYC_C]))))
-    A, C = auxiliary_one_forms(ctx)
-    acc("c6", np.max(np.abs(
-        (n - 1.0) * j_apply_oneform(J[CYC_B], C)
-        - (theta - j_apply_oneform(J[CYC_B], cross[CYC_A, CYC_C])))))
-    acc("c5", np.max(np.abs(A - j_apply_oneform(J[CYC_B], theta[CYC_C] - theta[CYC_B]))))
+    A, C = ctx.auxiliary
+    acc("c6", np.max(np.abs((n - 1.0) * j_apply_oneform(J[CYC_B], C) - ctx.lchkt_candidates)))
+    acc("c5", np.max(np.abs(A - ctx.lee_differences)))
 
     # Nijenhuis comparisons, all from one stencil of the three J's
     for a in range(3):
@@ -247,9 +197,7 @@ def _eval_structural(env: SuiteEnv, ctx: QKTContext) -> dict:
 
 def _nijenhuis_eq2(ctx: QKTContext, alpha: int):
     """4 T^{0,2}_a plus the nabla-J terms of the bracket formula."""
-    J, gamma, dJ = ctx.J[alpha], ctx.Gamma, ctx.dJ[:, alpha]
-    # (nabla_i J)[k, j] = d_i J[k,j] + Gamma[k,i,m] J[m,j] - Gamma[m,i,j] J[k,m]
-    nab_j = dJ + np.einsum("kim,mj->ikj", gamma, J) - np.einsum("mij,km->ikj", gamma, J)
+    J, nab_j = ctx.J[alpha], ctx.nabla_J[:, alpha]
     t02 = torsion_02_part(ctx.T12, J)
     return (
         4.0 * t02
@@ -261,7 +209,7 @@ def _nijenhuis_eq2(ctx: QKTContext, alpha: int):
 
 
 def _dim4_structural(ctx: QKTContext, acc):
-    g, ginv, J, F = ctx.g, ctx.ginv, ctx.J, ctx.F
+    g, J, F = ctx.g, ctx.J, ctx.F
     ori = ctx.struct.patch.orientation
     T, t = ctx.T, ctx.t
 
@@ -269,17 +217,15 @@ def _dim4_structural(ctx: QKTContext, acc):
     for psi in list(np.eye(4)) + [t]:
         acc("tri1", np.max(np.abs(
             hodge_star_array(psi, g, ori) + wedge_arrays(j_apply_oneform(J, psi), F, stack=1))))
-    acc("v1", np.max(np.abs(T - wedge_arrays(ctx.t_alpha, F, stack=1))))
+    acc("v1", np.max(np.abs(T - ctx.t_wedge_F)))
     acc("v1", np.max(np.abs(T - hodge_star_array(t, g, ori))))
 
     # *dT = -delta t
-    delta_t = trace_codifferential(ctx.nabla_g_t, ginv)
-    acc("star_dT", np.abs(hodge_star_array(ctx.dT, g, ori) + delta_t))
+    acc("star_dT", np.abs(hodge_star_array(ctx.dT, g, ori) + ctx.delta_t))
 
     # trace link between nabla T and nabla t (both via the torsion connection):
     # sum_i (nabla_Z T)(J X, e_i, J e_i) = 2 (nabla_Z t)(X)
-    traced = frame_trace_pair(ctx.nabla_T[None], ginv, J)
-    acc("ser2", np.max(np.abs(traced @ J - 2.0 * ctx.nabla_t)))
+    acc("ser2", np.max(np.abs(ctx.nabla_Ta_J - 2.0 * ctx.nabla_t)))
 
 
 def _eval_lc(env: SuiteEnv, ctx: QKTContext) -> dict:
@@ -287,7 +233,7 @@ def _eval_lc(env: SuiteEnv, ctx: QKTContext) -> dict:
 
 
 def _eval_conformal(env: SuiteEnv, ctx: QKTContext) -> dict:
-    return conformal_law_residuals(env.base.at(ctx.x, ctx.scheme), ctx, env.factor)
+    return conformal_law_residuals(env.base.at(ctx.x, ctx.scheme), ctx)
 
 
 def _eval_curvature(env: SuiteEnv, ctx: QKTContext) -> dict:
@@ -426,8 +372,18 @@ def run_suite(spec: ManifoldSpec, suite: str = "all") -> VerificationReport:
     """
     if suite not in SUITES:
         raise InputError(f"unknown suite {suite!r}; choose from {SUITES}")
+    unknown = sorted(set(spec.tol_overrides).difference(_CHECKS))
+    if unknown:
+        raise InputError(f"tolerance override for unknown identity ids {unknown}")
     with np.errstate(all="ignore"):
         return _run_suite(spec, suite)
+
+
+def _result(spec: ManifoldSpec, check: IdentityCheck, value, points: int) -> IdentityResult:
+    """The report row of ``check`` for its worst residual ``value`` over ``points`` points."""
+    tol = float(spec.tol_overrides.get(check.identity_id, check.tolerance))
+    return IdentityResult(check.identity_id, check.paper_equation, points, float(value), tol,
+                          bool(value <= tol))
 
 
 def _run_suite(spec: ManifoldSpec, suite: str) -> VerificationReport:
@@ -436,27 +392,21 @@ def _run_suite(spec: ManifoldSpec, suite: str) -> VerificationReport:
     try:
         struct = build_manifold(spec, check_points=points[: min(3, len(points))])
     except NotQKTError as err:
+        # the rows of the build's own checks, over its check points
         details = getattr(err, "details", {}) or {}
-        results = []
-        if "eq4" in details:
-            tol4 = float(spec.tol_overrides.get("existence_condition", 1e-4))
-            results.append(IdentityResult(
-                "existence_condition", "eq4", min(3, len(points)),
-                float(details["eq4"]), tol4, bool(details["eq4"] <= tol4)))
-        alg = float(details.get("algebra", err.residual))
-        tol_alg = float(spec.tol_overrides.get("quaternionic_identities", 1e-10))
-        results.append(IdentityResult(
-            "quaternionic_identities", "sec2-def", min(3, len(points)),
-            alg, tol_alg, bool(alg <= tol_alg)))
+        values = {"existence_condition": details.get("eq4"),
+                  "quaternionic_identities": details.get("algebra", err.residual)}
+        results = [_result(spec, _CHECKS[name], value, min(3, len(points)))
+                   for name, value in values.items() if value is not None]
         return VerificationReport(
             meta=_meta(spec, suite, {"build_error": str(err)}),
             results=tuple(results),
         )
 
-    env = SuiteEnv(spec, *conformal_ingredients(spec))
-    selected = set(SUITES[1:]) if suite == "all" else {suite}
-    groups = {check.group: {} for check in CATALOGUE if check.suite in selected
-              and _GROUP_APPLIES.get(check.group, lambda env: True)(env)}
+    env = SuiteEnv(spec, conformal_ingredients(spec))
+    groups = {name: {} for name, group_suite in _GROUP_SUITES.items()
+              if suite in ("all", group_suite)
+              and _GROUP_APPLIES.get(name, lambda env: True)(env)}
     classified: dict = {}
     # one context per sample point, read by every group and the classification;
     # the next point's context replaces it before computing any layer
@@ -477,21 +427,9 @@ def _run_suite(spec: ManifoldSpec, suite: str) -> VerificationReport:
         # the torsion-shape half of the l.c. check is trivial in dimension 4
         diagnostics["lcqk_note"] = "dimension 4: the torsion-shape residual vanishes identically"
 
-    results = []
-    for check in CATALOGUE:
-        value = groups.get(check.group, {}).get(check.key)
-        if value is None:
-            continue
-        tol = float(spec.tol_overrides.get(check.identity_id, check.tolerance))
-        results.append(IdentityResult(
-            identity_id=check.identity_id,
-            paper_equation=check.paper_equation,
-            points=len(points),
-            max_residual=float(value),
-            tolerance=tol,
-            passed=bool(value <= tol),
-        ))
-
+    values = {check: groups.get(check.group, {}).get(check.key) for check in CATALOGUE}
+    results = [_result(spec, check, value, len(points))
+               for check, value in values.items() if value is not None]
     return VerificationReport(
         meta=_meta(spec, suite, {"diagnostics": diagnostics}),
         results=tuple(results),

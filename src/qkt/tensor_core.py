@@ -419,6 +419,28 @@ class ConstantMetric:
         return np.broadcast_to(self.g, np.shape(p)[:-1] + self.g.shape)
 
 
+class ConformalMetric:
+    """The metric f g_0 of a positive conformal factor f and a base metric g_0.
+
+    ``factor.value(p)`` is f at the points ``p``.  An evaluation context
+    reads f once per point array and scales g_0 there with :meth:`scale`.
+    """
+
+    __slots__ = ("factor", "base")
+
+    def __init__(self, factor, base: Callable[[np.ndarray], np.ndarray]):
+        self.factor = factor
+        self.base = base
+
+    @staticmethod
+    def scale(f: np.ndarray, g0: np.ndarray) -> np.ndarray:
+        """f g_0 from the factor values ``f`` (...) and the base metric ``g0`` (..., d, d)."""
+        return f[..., None, None] * g0
+
+    def __call__(self, p: np.ndarray) -> np.ndarray:
+        return self.scale(self.factor.value(p), np.asarray(self.base(p), dtype=float))
+
+
 def levi_civita(metric: Callable[[np.ndarray], np.ndarray],
                 p: np.ndarray,
                 scheme: FDScheme) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -17,6 +17,7 @@ from .quaternionic import (
     rotated_hypercomplex,
 )
 from .tensor_core import (
+    ConformalMetric,
     ConstantForm,
     ConstantMetric,
     CoordinatePatch,
@@ -62,6 +63,10 @@ class ManifoldSpec:
             raise DimensionError("hopf_local is a dimension-4 model (n = 1)")
         if self.point_count < 1:
             raise InputError("point_count must be positive")
+        if self.seed < 0:
+            # a seed below -1 starts the Halton sequence at an index <= 0,
+            # which puts every sample point on the same corner of the box
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         self.scheme()
 
     @property
@@ -205,25 +210,22 @@ def build_manifold(spec: ManifoldSpec,
         patch = _flat_patch(1, lo, hi)
         return build_qkt_dim4(patch, _hypercomplex(spec), _torsion_form(spec), scheme)
 
-    # conformal kinds
+    # conformal kinds: the metric f g_0 over the flat patch
     f_text = HOPF_FACTOR if spec.kind == "hopf_local" else spec.f
     factor = ConformalFactor(parse_expression(f_text))
     if spec.n >= 2:
-        def metric(p, _f=factor, _d=spec.dim):
-            return _f.value(p)[..., None, None] * np.eye(_d)
-
-        patch = CoordinatePatch(n=spec.n, lo=lo, hi=hi, metric=metric)
+        flat = _flat_patch(spec.n, lo, hi)
+        patch = replace(flat, metric=ConformalMetric(factor, flat.metric))
         data = QuaternionicHermitianData(patch, _hypercomplex(spec))
         return build_qkt(data, scheme, check_points=check_points)
 
-    flat = build_flat(spec, check_points)
-    return conformal_rescale(flat, factor, scheme)
+    return conformal_rescale(build_flat(spec, check_points), factor, scheme)
 
 
-def conformal_ingredients(spec: ManifoldSpec):
-    """(base structure, factor) pair for checking the transformation laws."""
+def conformal_ingredients(spec: ManifoldSpec) -> QKTStructure | None:
+    """The flat base structure of a conformal kind, for checking the
+    transformation laws against; None for the other kinds.  The factor is
+    read off the contexts of the rescaled structure."""
     if spec.kind not in ("conformal_flat", "hopf_local"):
-        return None, None
-    f_text = HOPF_FACTOR if spec.kind == "hopf_local" else spec.f
-    factor = ConformalFactor(parse_expression(f_text))
-    return build_flat(spec), factor
+        return None
+    return build_flat(spec)

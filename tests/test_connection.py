@@ -10,7 +10,6 @@ from qkt.qkt_connection import (
     QKTStructure,
     _bundle_torsion,
     _extract_sp1,
-    auxiliary_one_forms,
     build_qkt,
     build_qkt_dim4,
     c7_residual,
@@ -237,7 +236,7 @@ def test_extract_sp1_one_stencil_and_one_solve(monkeypatch):
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(a) or solve(*a, **k))
     monkeypatch.setattr(np.linalg, "lstsq", None)
-    constant, sampled = ([_extract_sp1(ctx.J, ctx.Gamma, ctx.dJ) for ctx in row]
+    constant, sampled = ([_extract_sp1(ctx.J, ctx.nabla_J) for ctx in row]
                          for row in contexts)
     # the standard structure is constant: its derivative is exactly zero, no stencil
     assert len(grads) == len(points)
@@ -531,7 +530,7 @@ def test_c7_residual_absent_in_dim4(sine_dim4):
 def test_auxiliary_forms_relations(conformal_struct):
     # A_a = J_b(theta_c - theta_b) and (n-1) J_b C_a = theta_a - J_b theta_{a,c}
     struct = conformal_struct
-    A, C = auxiliary_one_forms(struct.at(POINT8))
+    A, C = struct.at(POINT8).auxiliary
     bundle = struct.bundle_at(POINT8)
     theta, cross, J = bundle["theta"], bundle["theta_cross"], bundle["J"]
     for a, b, c in CYCLIC:

@@ -7,7 +7,7 @@ import pytest
 import qkt.cli as cli
 import qkt.suite as suite_module
 import qkt.tensor_core as tensor_core
-from qkt.errors import DimensionError
+from qkt.errors import DimensionError, InputError
 from qkt.expressions import Expression
 from qkt.qkt_connection import QKTContext
 from qkt.suite import CATALOGUE, IdentityResult, VerificationReport, run_suite
@@ -32,6 +32,16 @@ def test_spec_validation():
         ManifoldSpec(kind="dim4_torsion", n=1, t_components=("0", "0"))
     with pytest.raises(DimensionError):
         ManifoldSpec(kind="hopf_local", n=2)
+
+
+def test_spec_rejects_negative_seed():
+    # a seed below -1 would start the Halton sequence at an index <= 0 and put
+    # every sample point on one corner of the box
+    for seed in (-1, -2):
+        with pytest.raises(InputError, match="seed"):
+            ManifoldSpec(kind="flat", n=1, seed=seed, point_count=4)
+    points = sample_points(ManifoldSpec(kind="flat", n=1, seed=0, point_count=4))
+    assert len({p.tobytes() for p in points}) == 4
 
 
 def test_hopf_domain_excludes_origin():
@@ -198,6 +208,16 @@ def test_tol_override_flips_result():
     assert not row.passed
 
 
+def test_unknown_tol_override_ids_rejected():
+    overrides = {"nosuch_id": 1.0, "other_id": 2.0, "existence_condition": 1e-4}
+    spec = ManifoldSpec(kind="flat", n=1, point_count=3, tol_overrides=overrides)
+    with pytest.raises(InputError) as err:
+        run_suite(spec)
+    message = str(err.value)
+    assert "nosuch_id" in message and "other_id" in message
+    assert "existence_condition" not in message
+
+
 def test_suite_diagnostics_for_dim4():
     spec = ManifoldSpec(kind="dim4_torsion", n=1,
                         t_components=("sin(x2)", "0", "0", "0"), **FAST)
@@ -250,6 +270,24 @@ def test_metric_expression_evaluated_once_per_point(monkeypatch, suite):
     at_build, in_suite = calls[:built[0]], calls[built[0]:]
     assert len(at_build) == len(set(at_build)) == 2 * (1 + 16)
     assert len(in_suite) == len(set(in_suite)) > 100
+
+
+def test_conformal_factor_evaluated_once_per_point_array(monkeypatch):
+    # f is a context layer that g = f g_0, df, the rescaled torsion and the
+    # conformal laws all read: each point array (a sample point, its h and
+    # h2 stencils, and the h stencil of its h2 stencil) evaluates the factor
+    # expression once
+    calls = []
+    original = Expression.__call__
+
+    def recording(self, points):
+        calls.append((np.shape(points), np.asarray(points, dtype=float).tobytes()))
+        return original(self, points)
+
+    monkeypatch.setattr(Expression, "__call__", recording)
+    spec = ManifoldSpec(kind="hopf_local", n=1, point_count=20, seed=5)
+    assert run_suite(spec, "all").all_pass
+    assert len(calls) == len(set(calls)) == 20 * 4
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +437,8 @@ def test_cli_tol_override(capsys):
     ["--manifold", "flat", "--n", "1", "--tol-override", "x=abc"],
     ["--manifold", "flat", "--n", "1", "--tol-override", "no-equals-sign"],
     ["--manifold", "conformal_flat", "--n", "2"],
+    ["--manifold", "flat", "--n", "1", "--seed", "-2"],
+    ["--manifold", "flat", "--n", "1", "--tol-override", "nosuch_id=1"],
 ])
 def test_cli_input_errors_exit_2(args, capsys):
     assert cli.main(["verify", *args, "--points", "1"]) == 2
@@ -474,9 +514,8 @@ def test_hopf_local_base_contexts_reach_no_gradient(monkeypatch):
     ingredients = suite_module.conformal_ingredients
 
     def recording_base(spec):
-        base, factor = ingredients(spec)
-        bases.append(base)
-        return base, factor
+        bases.append(ingredients(spec))
+        return bases[-1]
 
     owners, reached = [], []
     derivative = QKTContext.derivative
