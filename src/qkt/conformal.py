@@ -15,7 +15,6 @@ residuals rather than assumed.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -29,7 +28,6 @@ from .tensor_core import (
     FDScheme,
     antisymmetrized_gradient,
     first_point,
-    worst,
 )
 
 MIN_FACTOR = 1e-8
@@ -57,23 +55,22 @@ def conformal_rescale(struct: QKTStructure, factor: ConformalFactor,
     patch = replace(struct.patch, metric=ConformalMetric(factor, struct.patch.metric))
     data = QuaternionicHermitianData(patch, struct.data.hyper)
     return QKTStructure(data, scheme or struct.scheme, f"rescaled-{struct.kind}",
-                        functools.partial(_rescaled_torsion, struct))
+                        _rescaled_torsion, base=struct)
 
 
-def _rescaled_torsion(base: QKTStructure, ctx: QKTContext) -> np.ndarray:
-    """T_bar = f T + sum_a (J_a df) ^ F_a, with T the torsion of ``base`` at ``ctx.x``."""
-    T = base.at(ctx.x, ctx.scheme).T
-    return ctx.f[..., None, None, None] * T + ctx.df_wedge_F.sum(axis=-4)
+def _rescaled_torsion(ctx: QKTContext) -> np.ndarray:
+    """T_bar = f T + sum_a (J_a df) ^ F_a, with T read off the base context ``ctx.base``."""
+    return ctx.f[..., None, None, None] * ctx.base.T + ctx.df_wedge_F.sum(axis=-4)
 
 
 # ---------------------------------------------------------------------------
-# transformation-law residuals, each read off single-point contexts
+# transformation-law residuals: one residual per point of the contexts
 # ---------------------------------------------------------------------------
 
 def conformal_law_residuals(base: QKTContext, barred: QKTContext) -> dict:
-    """Residuals of the transformation laws at one point.
+    """Residuals of the transformation laws, per point.
 
-    ``base`` and ``barred`` are contexts at the same point of a structure
+    ``base`` and ``barred`` are contexts on the same points of a structure
     and of one on the metric f*g, a :class:`ConformalMetric`; f, df and
     (J_a df) ^ F_a are layers of ``barred``.  The barred structure is the
     :func:`conformal_rescale` of the base, or an independently built
@@ -83,44 +80,45 @@ def conformal_law_residuals(base: QKTContext, barred: QKTContext) -> dict:
     """
     n = base.struct.n
     fval, df, wedges = barred.f, barred.df, barred.df_wedge_F
-    dlnf = df / fval
+    dlnf = df / fval[..., None]
+    dlnf_a = dlnf[..., None, :]    # against the quaternionic stack
     bun0, bun1 = base.bundle, barred.bundle
     J = bun0["J"]
     g = bun0["g"]
-    wedge_sum = wedges.sum(axis=0)
-
-    def worst_of(residual):
-        return float(np.max(np.abs(residual)))
+    f3 = fval[..., None, None, None]
+    wedge_sum = wedges.sum(axis=-4)
+    residual = barred.residual
 
     # connection transport law
-    lowered1 = np.einsum("lij,lm->ijm", barred.Gamma, bun1["g"])
-    lowered0 = np.einsum("lij,lm->ijm", base.Gamma, g)
+    lowered1 = np.einsum("...lij,...lm->...ijm", barred.Gamma, bun1["g"])
+    lowered0 = np.einsum("...lij,...lm->...ijm", base.Gamma, g)
     sym = 0.5 * (
-        np.einsum("i,jm->ijm", df, g)
-        + np.einsum("j,im->ijm", df, g)
-        - np.einsum("m,ij->ijm", df, g)
+        df[..., :, None, None] * g[..., None, :, :]
+        + df[..., None, :, None] * g[..., :, None, :]
+        - df[..., None, None, :] * g[..., :, :, None]
     )
-    predicted = fval * lowered0 + sym + 0.5 * wedge_sum
+    predicted = f3 * lowered0 + sym + 0.5 * wedge_sum
 
     return {
         # d_a F_a^+ law
-        "z2_dcf": worst_of(bun1["dcF_plus"] - (wedges + fval * bun0["dcF_plus"])),
+        "z2_dcf": residual(bun1["dcF_plus"] - (wedges + f3[..., None] * bun0["dcF_plus"])),
         # Lee forms and cross Lee forms
-        "z2_theta": worst_of(bun1["theta"] - bun0["theta"] - (2 * n - 1) * dlnf),
-        "z2_cross": worst_of(bun1["theta_cross"][CYC_A, CYC_C] - bun0["theta_cross"][CYC_A, CYC_C]
-                             + j_apply_oneform(J[CYC_B], dlnf)),
-        "z3_K": (worst_of(bun1["K"] - bun0["K"] + 2.0 * j_apply_oneform(J[CYC_B], dlnf))
+        "z2_theta": residual(bun1["theta"] - bun0["theta"] - (2 * n - 1) * dlnf_a),
+        "z2_cross": residual(bun1["theta_cross"][..., CYC_A, CYC_C, :]
+                             - bun0["theta_cross"][..., CYC_A, CYC_C, :]
+                             + j_apply_oneform(J[..., CYC_B, :, :], dlnf_a)),
+        "z3_K": (residual(bun1["K"] - bun0["K"] + 2.0 * j_apply_oneform(J[..., CYC_B, :, :], dlnf_a))
                  if n >= 2 else None),
-        "z3_A": worst_of(barred.auxiliary[0] - base.auxiliary[0]),
-        "z3_omega": worst_of(barred.omega - base.omega + j_apply_oneform(J, dlnf)),
-        "z4": worst_of(barred.T - (fval * base.T + wedge_sum)),
-        "z5": worst_of(barred.t - base.t + (2 * n + 1) * dlnf),
-        "dt_invariance": worst_of(barred.dt - base.dt),
-        "z1": worst_of(lowered1 - predicted),
+        "z3_A": residual(barred.auxiliary[0] - base.auxiliary[0]),
+        "z3_omega": residual(barred.omega - base.omega + j_apply_oneform(J, dlnf_a)),
+        "z4": residual(barred.T - (f3 * base.T + wedge_sum)),
+        "z5": residual(barred.t - base.t + (2 * n + 1) * dlnf),
+        "dt_invariance": residual(barred.dt - base.dt),
+        "z1": residual(lowered1 - predicted),
     }
 
 
-def lcqk_residual(ctx: QKTContext) -> float:
+def lcqk_residual(ctx: QKTContext) -> np.ndarray:
     """Defect of the locally-conformally-torsion-free shape of the torsion.
 
     Checks T = (sum_a t_a ^ F_a) / (2n+1) together with closedness of the
@@ -128,13 +126,14 @@ def lcqk_residual(ctx: QKTContext) -> float:
     so only |dt| is informative there.
     """
     w = ctx.t_wedge_F
-    shape_residual = np.max(np.abs(ctx.T - (w[0] + w[1] + w[2]) / (2.0 * ctx.struct.n + 1.0)))
-    return worst(shape_residual, np.max(np.abs(ctx.dt)))
+    shape = ctx.T - (w[..., 0, :, :, :] + w[..., 1, :, :, :] + w[..., 2, :, :, :]) \
+        / (2.0 * ctx.struct.n + 1.0)
+    return ctx.residual(shape, ctx.dt)
 
 
-def lchkt_residual(ctx: QKTContext) -> float:
+def lchkt_residual(ctx: QKTContext) -> np.ndarray:
     """max_a |d(theta_a - J_b theta_{a,c})| -- zero for locally conformal
     structures with all three complex structures integrable."""
     # one stencil of the three candidates
     grad = ctx.derivative("lchkt_candidates", nested=True)
-    return float(np.max(np.abs(antisymmetrized_gradient(np.moveaxis(grad, 0, 1), degree=1))))
+    return ctx.residual(antisymmetrized_gradient(np.moveaxis(grad, -3, -2), degree=1))

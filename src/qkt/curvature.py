@@ -36,9 +36,12 @@ class CurvatureValue:
     R13: np.ndarray   # R13[..., l, k, i, j]
     R4: np.ndarray    # R4[..., X, Y, Z, V]
 
-    def pair_antisymmetry(self) -> tuple[float, float]:
-        first = float(np.max(np.abs(self.R4 + np.swapaxes(self.R4, -4, -3))))
-        last = float(np.max(np.abs(self.R4 + np.swapaxes(self.R4, -2, -1))))
+    def pair_antisymmetry(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per point, the worst defects of R(X,Y,.,.) = -R(Y,X,.,.) and of
+        R(.,.,Z,V) = -R(.,.,V,Z)."""
+        slots = (-4, -3, -2, -1)
+        first = np.max(np.abs(self.R4 + np.swapaxes(self.R4, -4, -3)), axis=slots)
+        last = np.max(np.abs(self.R4 + np.swapaxes(self.R4, -2, -1)), axis=slots)
         return first, last
 
 
@@ -72,11 +75,17 @@ def ricci_tensor(curv: CurvatureValue) -> np.ndarray:
 
 def _cyclic3(arr: np.ndarray) -> np.ndarray:
     """Cyclic sum over the first three of four tensor slots."""
-    return arr + arr.transpose(1, 2, 0, 3) + arr.transpose(2, 0, 1, 3)
+    return arr + _shifted(arr, 1, 2, 0, 3) + _shifted(arr, 2, 0, 1, 3)
+
+
+def _swap(arr: np.ndarray) -> np.ndarray:
+    """The transpose of the last two slots."""
+    return np.swapaxes(arr, -1, -2)
 
 
 # ---------------------------------------------------------------------------
-# identity records: each reads one single-point context ``struct.at(p)``
+# identity records: each reads a context ``struct.at(x)`` on a point array
+# and returns one residual per point
 # ---------------------------------------------------------------------------
 
 def sp1_curvature_residuals(ctx) -> dict:
@@ -88,17 +97,18 @@ def sp1_curvature_residuals(ctx) -> dict:
     """
     n = ctx.struct.n
     R13, J, rho = ctx.curv.R13, ctx.J, ctx.rho
-    lie = np.einsum("lmij,amk->alkij", R13, J) - np.einsum("alm,mkij->alkij", J, R13)
-    rhs = (np.einsum("aij,alk->alkij", rho[CYC_C], J[CYC_B])
-           - np.einsum("aij,alk->alkij", rho[CYC_B], J[CYC_C])) / n
-    eq11 = float(np.max(np.abs(lie - rhs)))
+    lie = (np.einsum("...lmij,...amk->...alkij", R13, J)
+           - np.einsum("...alm,...mkij->...alkij", J, R13))
+    rhs = (np.einsum("...aij,...alk->...alkij", rho[..., CYC_C, :, :], J[..., CYC_B, :, :])
+           - np.einsum("...aij,...alk->...alkij", rho[..., CYC_B, :, :], J[..., CYC_C, :, :])) / n
 
     omegas = ctx.omega
     # one stencil of the three sp(1) forms
-    d_omega = antisymmetrized_gradient(np.moveaxis(ctx.derivative("omega", True), 0, 1), degree=1)
-    wedge_bc = wedge_arrays(omegas[CYC_B], omegas[CYC_C], stack=1)
-    eq12 = float(np.max(np.abs(rho - n * (d_omega + wedge_bc))))
-    return {"eq11": eq11, "eq12": eq12}
+    d_omega = antisymmetrized_gradient(
+        np.moveaxis(ctx.derivative("omega", True), -3, -2), degree=1)
+    wedge_bc = wedge_arrays(omegas[..., CYC_B, :], omegas[..., CYC_C, :], stack=omegas.ndim - 1)
+    return {"eq11": ctx.residual(lie - rhs),
+            "eq12": ctx.residual(rho - n * (d_omega + wedge_bc))}
 
 
 def bianchi_and_symmetry_residuals(ctx) -> dict:
@@ -113,39 +123,39 @@ def bianchi_and_symmetry_residuals(ctx) -> dict:
     cyc_gtt = _cyclic3(gtt)
 
     # dT = cyclic(nabla T) - (nabla_U T)(X,Y,Z) + 2 cyclic g(T,T)
-    nab_u = nab.transpose(1, 2, 3, 0)
-    eq13 = float(np.max(np.abs(ctx.dT - (cyc_nab - nab_u + 2.0 * cyc_gtt))))
+    nab_u = _shifted(nab, 1, 2, 3, 0)
+    eq13 = ctx.residual(ctx.dT - (cyc_nab - nab_u + 2.0 * cyc_gtt))
 
     # first Bianchi: cyclic R = cyclic(nabla T + g(T,T))
-    eq14 = float(np.max(np.abs(_cyclic3(R4) - (cyc_nab + cyc_gtt))))
+    eq14 = ctx.residual(_cyclic3(R4) - (cyc_nab + cyc_gtt))
 
     # Levi-Civita curvature from the torsion one
     predicted_Rg = (
         R4
         - 0.5 * nab
-        + 0.5 * nab.transpose(1, 0, 2, 3)
+        + 0.5 * _shifted(nab, 1, 0, 2, 3)
         - 0.5 * gtt
-        - 0.25 * gtt.transpose(1, 2, 0, 3)
-        - 0.25 * gtt.transpose(2, 0, 1, 3)
+        - 0.25 * _shifted(gtt, 1, 2, 0, 3)
+        - 0.25 * _shifted(gtt, 2, 0, 1, 3)
     )
-    eq15 = float(np.max(np.abs(ctx.curv_g.R4 - predicted_Rg)))
+    eq15 = ctx.residual(ctx.curv_g.R4 - predicted_Rg)
 
     # pair-swap defect D(X,Y,Z,U) = R(X,Y,Z,U) - R(Z,U,X,Y)
-    D = R4 - R4.transpose(2, 3, 0, 1)
+    D = R4 - _shifted(R4, 2, 3, 0, 1)
     predicted_D = 0.5 * (
-        nab                            # (nabla_X T)(Y, Z, U)
-        - nab.transpose(1, 0, 2, 3)    # (nabla_Y T)(X, Z, U)
-        - nab.transpose(2, 3, 0, 1)    # (nabla_Z T)(U, X, Y)
-        + nab.transpose(2, 3, 1, 0)    # (nabla_U T)(Z, X, Y)
+        nab                              # (nabla_X T)(Y, Z, U)
+        - _shifted(nab, 1, 0, 2, 3)      # (nabla_Y T)(X, Z, U)
+        - _shifted(nab, 2, 3, 0, 1)      # (nabla_Z T)(U, X, Y)
+        + _shifted(nab, 2, 3, 1, 0)      # (nabla_U T)(Z, X, Y)
     )
-    tir1 = float(np.max(np.abs(D - predicted_D)))
+    tir1 = ctx.residual(D - predicted_D)
 
     # nabla^g T = nabla T + cyclic g(T,T) / 2
-    sof = float(np.max(np.abs(ctx.nabla_g_T - (nab + 0.5 * cyc_gtt))))
+    sof = ctx.residual(ctx.nabla_g_T - (nab + 0.5 * cyc_gtt))
 
     # Ric(X,Y) - Ric(Y,X) = -delta T(X,Y)
     delta_T = trace_codifferential(ctx.nabla_g_T, ctx.ginv)
-    remark3 = float(np.max(np.abs(ctx.Ric - ctx.Ric.T + delta_T)))
+    remark3 = ctx.residual(ctx.Ric - _swap(ctx.Ric) + delta_T)
 
     return {"eq13": eq13, "eq14": eq14, "eq15": eq15,
             "tir1": tir1, "sof": sof, "remark3": remark3}
@@ -161,23 +171,24 @@ def trace_identity_residuals(ctx) -> dict:
     """
     n = ctx.struct.n
     P, dTa_j, nTa_j = ctx.P, ctx.dTa_J, ctx.nabla_Ta_J
-    lhs = n * P + P[CYC_B] + P[CYC_C]
-    rhs = -n * ctx.Ric + (n / 4.0) * dTa_j + (n / 2.0) * nTa_j
-    out = {"ti20": float(np.max(np.abs(lhs - rhs)))}
+    ric, g = ctx.Ric[..., None, :, :], ctx.g[..., None, :, :]   # against the stack
+    lhs = n * P + P[..., CYC_B, :, :] + P[..., CYC_C, :, :]
+    rhs = -n * ric + (n / 4.0) * dTa_j + (n / 2.0) * nTa_j
+    out = {"ti20": ctx.residual(lhs - rhs)}
     if n >= 2:
         rhs = (
-            -(n * (n - 1.0) / (n + 2.0)) * ctx.Ric
+            -(n * (n - 1.0) / (n + 2.0)) * ric
             + (n / (4.0 * (n + 2.0))) * (
-                (n + 1.0) * dTa_j - dTa_j[CYC_B] - dTa_j[CYC_C])
+                (n + 1.0) * dTa_j - dTa_j[..., CYC_B, :, :] - dTa_j[..., CYC_C, :, :])
             + (n / (2.0 * (n + 2.0))) * (
-                (n + 1.0) * nTa_j - nTa_j[CYC_B] - nTa_j[CYC_C])
+                (n + 1.0) * nTa_j - nTa_j[..., CYC_B, :, :] - nTa_j[..., CYC_C, :, :])
         )
-        out["eq22"] = float(np.max(np.abs((n - 1.0) * P - rhs)))
+        out["eq22"] = ctx.residual((n - 1.0) * P - rhs)
 
-    lam = float(np.einsum("axy,xy->", P, ctx.g) / (3.0 * np.einsum("xy,xy->", ctx.g, ctx.g)))
-    fit = float(np.max(np.abs(P - lam * ctx.g[None, :, :])))
+    lam = (np.einsum("...axy,...xy->...", P, ctx.g)
+           / (3.0 * np.einsum("...xy,...xy->...", ctx.g, ctx.g)))
     out["eq27_lambda"] = lam
-    out["eq27_fit"] = fit
+    out["eq27_fit"] = ctx.residual(P - lam[..., None, None, None] * g)
     return out
 
 
@@ -185,9 +196,8 @@ def dT_trace_equalities(ctx) -> dict:
     """Trace consequences of a (2,2)-type dT: equality of the three traces
     and their (1,1)-form property."""
     dTa_j = ctx.dTa_J
-    eq24 = float(np.max(np.abs(dTa_j - dTa_j[CYC_B])))
-    eq24p = float(np.max(np.abs(dTa_j + np.swapaxes(ctx.J, 1, 2) @ ctx.dTa)))
-    return {"eq24": eq24, "eq24_prime": eq24p}
+    return {"eq24": ctx.residual(dTa_j - dTa_j[..., CYC_B, :, :]),
+            "eq24_prime": ctx.residual(dTa_j + _swap(ctx.J) @ ctx.dTa)}
 
 
 # ---------------------------------------------------------------------------
@@ -202,34 +212,31 @@ def _require_dim4(ctx, what: str) -> None:
 def dim4_einstein_suite(ctx) -> dict:
     """The dimension-4 curvature trace identities and Einstein deviations."""
     _require_dim4(ctx, "the Einstein-like identities")
-    K, g, t = ctx.sum_P, ctx.g, ctx.t
+    K, g = ctx.sum_P, ctx.g
 
     # K = -Ric + nabla^g t - (delta t / 2) g
-    eq567 = float(np.max(np.abs(
-        K + ctx.Ric - ctx.nabla_g_t + 0.5 * ctx.delta_t * g)))
+    eq567 = ctx.residual(K + ctx.Ric - ctx.nabla_g_t + 0.5 * ctx.delta_t[..., None, None] * g)
 
     # Skew(Ric) = (1/4) sum_i dt(e_i, J_a e_i) F_a + (1/2) dt(J_a ., J_a .)
-    skew_ric = 0.5 * (ctx.Ric - ctx.Ric.T)
-    s = frame_trace_pair(ctx.dt[None], ctx.ginv, ctx.J)[:, None, None]
-    dt_jj = np.swapaxes(ctx.J, 1, 2) @ ctx.dt @ ctx.J
-    eq568 = float(np.max(np.abs(skew_ric - (0.25 * s * ctx.F + 0.5 * dt_jj))))
+    skew_ric = 0.5 * (ctx.Ric - _swap(ctx.Ric))
+    dt = ctx.dt[..., None, :, :]     # against the stack
+    s = frame_trace_pair(dt, ctx.ginv, ctx.J)[..., None, None]
+    dt_jj = _swap(ctx.J) @ dt @ ctx.J
+    eq568 = ctx.residual(skew_ric[..., None, :, :] - (0.25 * s * ctx.F + 0.5 * dt_jj))
 
     # Ric^g = Sym(Ric) + (|t|^2 g - t (x) t) / 2
-    sym_ric = 0.5 * (ctx.Ric + ctx.Ric.T)
-    eq569 = float(np.max(np.abs(
-        ctx.Ric_g - sym_ric - 0.5 * (ctx.t_norm2 * g - np.outer(t, t)))))
+    sym_ric = 0.5 * (ctx.Ric + _swap(ctx.Ric))
+    eq569 = ctx.residual(ctx.Ric_g - sym_ric - 0.5 * ctx.t_square)
 
-    scal = float(np.einsum("jk,jk->", ctx.ginv, ctx.Ric))
-    scal_k = float(np.einsum("jk,jk->", ctx.ginv, K))
-    einstein_dev = float(np.max(np.abs(sym_ric - (scal / 4.0) * g)))
-    sp1_einstein_dev = float(np.max(np.abs(ctx.sym_sum_P - (scal_k / 4.0) * g)))
+    scal = np.einsum("...jk,...jk->...", ctx.ginv, ctx.Ric)[..., None, None]
+    scal_k = np.einsum("...jk,...jk->...", ctx.ginv, K)[..., None, None]
 
     return {
         "eq5.67": eq567,
         "eq5.68": eq568,
         "eq5.69": eq569,
-        "einstein_deviation": einstein_dev,
-        "sp1_einstein_deviation": sp1_einstein_dev,
+        "einstein_deviation": ctx.residual(sym_ric - (scal / 4.0) * g),
+        "sp1_einstein_deviation": ctx.residual(ctx.sym_sum_P - (scal_k / 4.0) * g),
     }
 
 
@@ -245,20 +252,20 @@ def weyl_correspondence(ctx) -> dict:
     _require_dim4(ctx, "the Weyl correspondence")
     gamma_w, g, t = ctx.gamma_w, ctx.g, ctx.t
     nabla_w_g = covariant_derivative_array(gamma_w, "dd", g, ctx.dg)
-    qw = float(np.max(np.abs(nabla_w_g + np.einsum("i,jk->ijk", t, g))))
+    qw = ctx.residual(nabla_w_g + t[..., :, None, None] * g[..., None, :, :])
 
     ric_w = ricci_tensor(curvature_tensor(gamma_w, ctx.derivative("gamma_w", True), g))
-    sym_ric_w = 0.5 * (ric_w + ric_w.T)
-    qkw_sym = float(np.max(np.abs(sym_ric_w + ctx.sym_sum_P)))
+    sym_ric_w = 0.5 * (ric_w + _swap(ric_w))
+    qkw_sym = ctx.residual(sym_ric_w + ctx.sym_sum_P)
 
-    sym_nabla_t = 0.5 * (ctx.nabla_g_t + ctx.nabla_g_t.T)
-    wzl1 = float(np.max(np.abs(
+    sym_nabla_t = 0.5 * (ctx.nabla_g_t + _swap(ctx.nabla_g_t))
+    wzl1 = ctx.residual(
         sym_ric_w
-        - (ctx.Ric_g - sym_nabla_t - 0.5 * (ctx.t_norm2 * g - np.outer(t, t))
-           + 0.5 * ctx.delta_t * g))))
+        - (ctx.Ric_g - sym_nabla_t - 0.5 * ctx.t_square
+           + 0.5 * ctx.delta_t[..., None, None] * g))
 
-    trace_w = float(np.einsum("jk,jk->", ctx.ginv, sym_ric_w))
-    ew_dev = float(np.max(np.abs(sym_ric_w - (trace_w / 4.0) * g)))
+    trace_w = np.einsum("...jk,...jk->...", ctx.ginv, sym_ric_w)[..., None, None]
+    ew_dev = ctx.residual(sym_ric_w - (trace_w / 4.0) * g)
 
     return {"qw": qw, "qkw_sym": qkw_sym, "wzl1": wzl1,
             "einstein_weyl_deviation": ew_dev}

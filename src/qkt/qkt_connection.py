@@ -15,7 +15,8 @@ connection 1-forms are recovered by solving nabla J_a = -omega_b (x) J_c
 
 Every quantity of a built structure is a layer of a :class:`QKTContext`,
 the lazy evaluation context that ``QKTStructure.at(x)`` returns for one
-point array ``x``.
+point array ``x``.  Sample points are evaluated in chunks
+(:func:`point_chunks`), one context per chunk.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 import types
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .quaternionic import (
     CYC_A,
     CYC_B,
     CYC_C,
-    CYCLIC,
     ConstantHypercomplexField,
     HypercomplexField,
     QuaternionicHermitianData,
@@ -69,6 +69,28 @@ from .tensor_core import (
 
 DEFAULT_EXISTENCE_TOL = 1e-4
 ALGEBRA_TOL = 1e-8
+
+# Sample points are evaluated in chunks, one context per chunk.  A context's
+# largest arrays are rank-4 tensors on the nested stencils of its points,
+# (2d)^2 d^4 elements per sample point.  A chunk takes as many points as keep
+# those elements within CHUNK_ELEMENTS, and at least one: ten points at d = 4,
+# one point at d >= 8.  On a 20-point hopf_local run a chunk of ten raised the
+# peak memory by 0.4 MB over one point per context, a chunk of twenty by 2.2 MB.
+CHUNK_ELEMENTS = 10 * (2 * 4) ** 2 * 4 ** 4
+
+
+def chunk_length(dim: int) -> int:
+    """Sample points per context in dimension ``dim``."""
+    return max(1, CHUNK_ELEMENTS // ((2 * dim) ** 2 * dim ** 4))
+
+
+def point_chunks(points) -> Iterator[np.ndarray]:
+    """The rows of the (P, d) point array ``points`` in consecutive (c, d) chunks
+    of at most :func:`chunk_length` points."""
+    points = np.asarray(points, dtype=float)
+    step = chunk_length(points.shape[-1])
+    for start in range(0, len(points), step):
+        yield points[start:start + step]
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +134,10 @@ class QKTContext:
     a layer of one of two stencil sub-contexts, each built at most once: at
     step ``h`` for g, F_a, f (and a torsion built without finite
     differences), at step ``h2`` for the torsion, Gamma, t, the sp(1) forms
-    and everything else built from finite differences.  Every layer takes a
-    leading point axis; the identity records read single-point contexts.
+    and everything else built from finite differences.  Every layer takes
+    leading point axes, and so does every identity record: the suite opens
+    one context per chunk of sample points, and a record returns one
+    residual per point (:meth:`residual`).
     """
 
     def __init__(self, struct: QKTStructure, x: np.ndarray, scheme: FDScheme):
@@ -131,6 +155,19 @@ class QKTContext:
     @functools.cached_property
     def _stencil_h2(self) -> "QKTContext":
         return QKTContext(self.struct, stencil(self.x, self.scheme.h2), self.scheme)
+
+    @functools.cached_property
+    def base(self) -> "QKTContext":
+        """The context of the structure on the base metric g_0 (``struct.base``)
+        at the same points: the one that the rescaled torsion rule and the
+        conformal laws both read."""
+        return self.struct.base.at(self.x, self.scheme)
+
+    def residual(self, *arrays) -> np.ndarray:
+        """Per point of x, the largest |entry| of ``arrays`` beyond the point axes; NaN wins."""
+        points = self.x.shape[:-1]
+        return functools.reduce(np.maximum, (
+            np.max(np.abs(arr).reshape(points + (-1,)), axis=-1) for arr in arrays))
 
     def derivative(self, layer: str, nested: bool) -> np.ndarray:
         """The gradient of ``layer`` at x, step h2 when ``nested``, else h.
@@ -411,9 +448,11 @@ class QKTContext:
         return 0.5 * (self.sum_P + np.swapaxes(self.sum_P, -1, -2))
 
     @_layer
-    def t_norm2(self):
-        """|t|^2 = g^{-1}(t, t)."""
-        return (self.t[..., None, :] @ self.ginv @ self.t[..., :, None])[..., 0, 0]
+    def t_square(self):
+        """|t|^2 g - t (x) t, with |t|^2 = g^{-1}(t, t)."""
+        t = self.t
+        norm2 = (t[..., None, :] @ self.ginv @ t[..., :, None])[..., 0, 0]
+        return norm2[..., None, None] * self.g - t[..., :, None] * t[..., None, :]
 
     @_layer
     def gamma_w(self):
@@ -532,6 +571,10 @@ class QKTStructure:
     kind: str
     torsion_rule: Callable[[QKTContext], np.ndarray]
     nested_torsion: bool = True     # T is differenced at h2, else at h
+    # the structure on the base metric g_0 of a conformal metric f g_0, on the
+    # same triple: what the conformal laws compare against, and what a
+    # rescaled structure's torsion rule transports
+    base: QKTStructure | None = None
 
     # perfbench/layertrace.py's Tracer.cache_sizes() reads per-structure
     # caches here; a structure keeps none, so the mapping stays empty
@@ -594,7 +637,9 @@ def existence_residual(data: QuaternionicHermitianData,
     if data.n < 2:
         raise DimensionError("the existence condition applies to n >= 2 only")
     data.patch.require_interior(p, scheme.margin)
-    return worst(QKTStructure(data, scheme, "generic", _bundle_torsion).at(p).bundle["existence"])
+    struct = QKTStructure(data, scheme, "generic", _bundle_torsion)
+    points = np.reshape(p, (-1, data.dim))
+    return worst(*(struct.at(chunk).bundle["existence"] for chunk in point_chunks(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -647,19 +692,20 @@ def build_qkt_dim4(patch: CoordinatePatch,
     struct = QKTStructure(QuaternionicHermitianData(patch, hyper), scheme, "dim4",
                           functools.partial(_dual_torsion, t_form), nested_torsion=t_form.nested)
     residuals = _check_algebra(struct.at(patch.center()))
-    if not worst(residuals["algebra"], residuals["square"], residuals["hermitian"]) <= ALGEBRA_TOL:
+    worst_alg = worst(residuals["algebra"], residuals["square"], residuals["hermitian"])
+    if not worst_alg <= ALGEBRA_TOL:
         err = NotQKTError(
             f"hypercomplex triple incompatible with the metric: "
-            f"algebra residual {residuals['algebra']:.3e}",
-            residual=residuals["algebra"],
+            f"quaternionic algebra residual {worst_alg:.3e}",
+            residual=worst_alg,
         )
-        err.details = {"algebra": residuals["algebra"]}
+        err.details = {"algebra": worst_alg}
         raise err
     return struct
 
 
 # ---------------------------------------------------------------------------
-# derived quantities, each read off a single-point context
+# derived quantities: identity records, one residual per point of a context
 # ---------------------------------------------------------------------------
 
 def torsion_one_forms(struct: QKTStructure, p: np.ndarray):
@@ -669,13 +715,13 @@ def torsion_one_forms(struct: QKTStructure, p: np.ndarray):
     return t_alpha[..., 0, :], t_alpha[..., 1, :], t_alpha[..., 2, :], ctx.t
 
 
-def torsion_one_form_spread(ctx: QKTContext) -> float:
+def torsion_one_form_spread(ctx: QKTContext) -> np.ndarray:
     """max_{a,b} |J_a t_a - J_b t_b| -- zero when the torsion is pure."""
     images = ctx.t_images
-    return float(np.max(np.abs(images - images[CYC_B])))
+    return ctx.residual(images - images[..., CYC_B, :])
 
 
-def c7_residual(ctx: QKTContext) -> float | None:
+def c7_residual(ctx: QKTContext) -> np.ndarray | None:
     """Defect of the closed formula for the sp(1) forms; None for n = 1."""
     n = ctx.struct.n
     if n < 2:
@@ -683,40 +729,36 @@ def c7_residual(ctx: QKTContext) -> float | None:
     bundle = ctx.bundle
     theta, cross, J = bundle["theta"], bundle["theta_cross"], bundle["J"]
     closed_form = 0.5 * j_apply_oneform(
-        J[CYC_B], theta[CYC_C] - theta[CYC_B] + theta / (1.0 - n)
-    ) + cross[CYC_A, CYC_C] / (2.0 * (1.0 - n))
-    return float(np.max(np.abs(closed_form - ctx.omega[CYC_B])))
+        J[..., CYC_B, :, :], theta[..., CYC_C, :] - theta[..., CYC_B, :] + theta / (1.0 - n)
+    ) + cross[..., CYC_A, CYC_C, :] / (2.0 * (1.0 - n))
+    return ctx.residual(closed_form - ctx.omega[..., CYC_B, :])
 
 
-def nijenhuis_via_connection(ctx: QKTContext, alpha: int) -> np.ndarray:
-    """Nijenhuis tensor rebuilt from the Lee-form difference 1-forms."""
-    a, b, c = CYCLIC[alpha]
+def nijenhuis_via_connection(ctx: QKTContext) -> np.ndarray:
+    """The three Nijenhuis tensors N[..., a, k, i, j], rebuilt from the Lee-form
+    difference 1-forms."""
     J = ctx.J
-    A = ctx.lee_differences[a]
-    JA = j_apply_oneform(J[a], A)
-    Jb, Jc = J[b], J[c]
+    A = ctx.lee_differences
+    JA = j_apply_oneform(J, A)
+    Jb, Jc = J[..., CYC_B, :, :], J[..., CYC_C, :, :]
     return (
-        np.einsum("j,ki->kij", A, Jb)
-        - np.einsum("i,kj->kij", A, Jb)
-        - np.einsum("j,ki->kij", JA, Jc)
-        + np.einsum("i,kj->kij", JA, Jc)
+        np.einsum("...j,...ki->...kij", A, Jb)
+        - np.einsum("...i,...kj->...kij", A, Jb)
+        - np.einsum("...j,...ki->...kij", JA, Jc)
+        + np.einsum("...i,...kj->...kij", JA, Jc)
     )
 
 
 def structure_invariant_residuals(ctx: QKTContext) -> dict:
-    """Defining invariants of the built structure at one point."""
+    """Defining invariants of the built structure, per point."""
     T = ctx.T
-    skew = worst(np.max(np.abs(T + np.swapaxes(T, 0, 1))),
-                 np.max(np.abs(T + np.swapaxes(T, 1, 2))))
-    metricity = float(np.max(np.abs(covariant_derivative_array(ctx.Gamma, "dd", ctx.g, ctx.dg))))
-    purity = float(np.max(np.abs(torsion_02_part(ctx.T12[None], ctx.J))))
     quat = quaternionic_residuals(ctx.g, ctx.J)
     return {
-        "torsion_skew": skew,
-        "metricity": metricity,
-        "torsion_purity": purity,
+        "torsion_skew": ctx.residual(T + np.swapaxes(T, -3, -2), T + np.swapaxes(T, -2, -1)),
+        "metricity": ctx.residual(covariant_derivative_array(ctx.Gamma, "dd", ctx.g, ctx.dg)),
+        "torsion_purity": ctx.residual(torsion_02_part(ctx.T12[..., None, :, :, :], ctx.J)),
         "eq1": ctx.eq1,
-        "quaternionic": worst(quat["square"], quat["algebra"]),
+        "quaternionic": np.maximum(quat["square"], quat["algebra"]),
         "hermitian": quat["hermitian"],
     }
 
@@ -758,19 +800,20 @@ class Classification:
 
 
 def classification_residuals(ctx: QKTContext) -> dict:
-    """The residuals behind the structure flags at one point."""
+    """The residuals behind the structure flags, per point."""
     bundle = ctx.bundle
     theta = bundle["theta"]
     out = {
-        "integrable": np.max(np.abs(theta - theta[CYC_B])),
-        "parallel": np.max(np.abs(ctx.nabla_T)),
-        "strong": np.max(np.abs(ctx.dT)),
+        "integrable": ctx.residual(theta - theta[..., CYC_B, :]),
+        "parallel": ctx.residual(ctx.nabla_T),
+        "strong": ctx.residual(ctx.dT),
         "dT_type22": dT_type22_residual(ctx.dT, ctx.J),
     }
     if ctx.struct.n >= 2:
         # theta_a - J_b theta_{c,a} over the cyclic triples
         J, cross = bundle["J"], bundle["theta_cross"]
-        out["hkt"] = np.max(np.abs(theta - j_apply_oneform(J[CYC_B], cross[CYC_C, CYC_A])))
+        out["hkt"] = ctx.residual(
+            theta - j_apply_oneform(J[..., CYC_B, :, :], cross[..., CYC_C, CYC_A, :]))
     return out
 
 
@@ -779,8 +822,9 @@ def classify(struct: QKTStructure,
              scheme: FDScheme | None = None,
              first_order_tol: float = 1e-5,
              curvature_tol: float = 1e-4) -> Classification:
-    """Structure flags with their witnessing residuals over sample points."""
+    """Structure flags with their witnessing residuals over sample points,
+    one context per chunk of points."""
     residuals = {"hkt": 0.0} if struct.n >= 2 else {}
-    for p in points:
-        fold(residuals, classification_residuals(struct.at(p, scheme)))
+    for chunk in point_chunks(points):
+        fold(residuals, classification_residuals(struct.at(chunk, scheme)))
     return Classification.of(residuals, first_order_tol, curvature_tol)

@@ -139,12 +139,13 @@ class QuaternionicHermitianData:
 
 
 def quaternionic_residuals(g: np.ndarray, J: np.ndarray) -> dict:
-    """Worst defects of the quaternionic and hermitian identities of J[..., alpha, k, j]
-    against the metric g[..., k, j], over all points."""
-    square = float(np.max(np.abs(J @ J + np.eye(J.shape[-1]))))
-    algebra = float(np.max(np.abs(J @ J[..., CYC_B, :, :] - J[..., CYC_C, :, :])))
-    hermitian = float(np.max(np.abs(np.swapaxes(J, -1, -2) @ g[..., None, :, :] @ J
-                                    - g[..., None, :, :])))
+    """Worst defects per point of the quaternionic and hermitian identities of
+    J[..., alpha, k, j] against the metric g[..., k, j]."""
+    slots = (-3, -2, -1)
+    square = np.max(np.abs(J @ J + np.eye(J.shape[-1])), axis=slots)
+    algebra = np.max(np.abs(J @ J[..., CYC_B, :, :] - J[..., CYC_C, :, :]), axis=slots)
+    hermitian = np.max(np.abs(np.swapaxes(J, -1, -2) @ g[..., None, :, :] @ J
+                              - g[..., None, :, :]), axis=slots)
     return {
         "square": square,
         "algebra": algebra,
@@ -228,25 +229,27 @@ def torsion_02_part(T: np.ndarray, J: np.ndarray) -> np.ndarray:
 
 
 def nijenhuis_bracket(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
-    """Nijenhuis tensor N[k, i, j] of one structure J[k, j] from coordinate Lie
-    brackets, given its gradient dJ[i, k, j] = d_i J[k, j]."""
+    """Nijenhuis tensor N[..., k, i, j] of J[..., k, j] from coordinate Lie
+    brackets, given its gradient dJ[..., i, k, j] = d_i J[k, j]."""
     # For coordinate fields: [JX, JY]^k = J^m_i d_m J^k_j - J^m_j d_m J^k_i,
     # [JX, Y]^k = -d_j J^k_i, [X, JY]^k = d_i J^k_j, [X, Y] = 0.
     return (
-        np.einsum("mi,mkj->kij", J, dJ)
-        - np.einsum("mj,mki->kij", J, dJ)
-        + np.einsum("km,jmi->kij", J, dJ)
-        - np.einsum("km,imj->kij", J, dJ)
+        np.einsum("...mi,...mkj->...kij", J, dJ)
+        - np.einsum("...mj,...mki->...kij", J, dJ)
+        + np.einsum("...km,...jmi->...kij", J, dJ)
+        - np.einsum("...km,...imj->...kij", J, dJ)
     )
 
 
-def dT_type22_residual(dT: np.ndarray, J: np.ndarray) -> float:
-    """Largest defect of the (2,2)-type identity of the 4-form dT over the three J's.
+def dT_type22_residual(dT: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Largest defect per point of the (2,2)-type identity of the 4-form
+    dT[..., x, y, z, u] over the three J[..., alpha, k, j].
 
     Zero exactly when dT(X,Y,Z,U) = dT(JX,JY,Z,U) + dT(JX,Y,JZ,U)
     + dT(X,JY,JZ,U) for each structure.
     """
-    defect = np.repeat(dT[None], 3, axis=0)
+    stacked = dT[..., None, :, :, :, :]
+    defect = np.repeat(stacked, 3, axis=-5)
     for slots in ((0, 1), (0, 2), (1, 2)):
-        defect -= j_apply_pair(J, dT[None], slots)
-    return float(np.max(np.abs(defect)))
+        defect -= j_apply_pair(J, stacked, slots)
+    return np.max(np.abs(defect), axis=(-5, -4, -3, -2, -1))

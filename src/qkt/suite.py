@@ -2,9 +2,12 @@
 
 Every identity the library verifies appears exactly once in the
 catalogue with its equation tag, default tolerance, and the evaluator
-group and key that compute it.  ``run_suite`` runs the selected groups'
-identity records once per seeded quasi-random interior point and reports
-the max residual per identity.  Whether a row exists is decided once: by
+group and key that compute it.  ``run_suite`` splits the seeded
+quasi-random interior points into chunks
+(``qkt_connection.point_chunks``), opens one context per chunk, and runs
+the selected groups' identity records once per chunk; each record returns
+one residual per point, and only the runner reduces them to the max
+residual per identity (NaN wins).  Whether a row exists is decided once: by
 the kind/n rule of its group (``lc``, ``conformal``, ``dim4``), and by its
 record, which omits (or returns None for) a key that does not exist for
 the structure's n.  Quantities that are classifiers rather than
@@ -37,10 +40,10 @@ from .errors import InputError, NotQKTError
 from .qkt_connection import (
     Classification,
     QKTContext,
-    QKTStructure,
     c7_residual,
     classification_residuals,
     nijenhuis_via_connection,
+    point_chunks,
     structure_invariant_residuals,
     torsion_one_form_spread,
 )
@@ -56,9 +59,8 @@ from .tensor_core import (
     fold,
     hodge_star_array,
     wedge_arrays,
-    worst,
 )
-from .zoo import ManifoldSpec, build_manifold, conformal_ingredients, sample_points
+from .zoo import ManifoldSpec, build_manifold, sample_points
 
 # the suite of each evaluator group, in evaluation order
 _GROUP_SUITES = {
@@ -142,107 +144,100 @@ _CHECKS = {check.identity_id: check for check in CATALOGUE}
 
 
 # ---------------------------------------------------------------------------
-# evaluation environment and group evaluators
+# group evaluators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuiteEnv:
-    spec: ManifoldSpec
-    base: QKTStructure | None = None     # the unscaled structure of a conformal kind
+# Each group evaluator reads the context of one chunk of sample points and
+# returns one residual per point and key; run_suite reduces them.
 
-
-# Each group evaluator reads the context of one sample point and returns
-# that point's residuals; run_suite folds them into maxima over the points.
-
-def _accumulator(out: dict):
-    """acc(key, value) folds a residual into out[key]; None values are skipped."""
-    return lambda key, value: fold(out, {key: value})
-
-
-def _eval_structural(env: SuiteEnv, ctx: QKTContext) -> dict:
+def _eval_structural(ctx: QKTContext) -> dict:
     n = ctx.struct.n
     out = structure_invariant_residuals(ctx)
-    acc = _accumulator(out)
-    acc("l1", torsion_one_form_spread(ctx))
+    out["l1"] = torsion_one_form_spread(ctx)
 
     bundle = ctx.bundle
     theta, cross, J = bundle["theta"], bundle["theta_cross"], bundle["J"]
-    acc("theta_self", np.max(np.abs(cross[CYC_A, CYC_A] - theta)))
-    acc("tt1", np.max(np.abs(
-        j_apply_oneform(J[CYC_B], cross[CYC_A, CYC_C])
-        + j_apply_oneform(J[CYC_C], cross[CYC_A, CYC_B]))))
-    acc("per1", np.max(np.abs(
-        (n * n + n) * theta - n * theta[CYC_B] - n * n * theta[CYC_C]
-        + j_apply_oneform(J[CYC_C], cross[CYC_B, CYC_A])
-        + n * j_apply_oneform(J, cross[CYC_C, CYC_B])
-        - (n + 1) * j_apply_oneform(J[CYC_B], cross[CYC_A, CYC_C]))))
+    J_b, J_c = J[..., CYC_B, :, :], J[..., CYC_C, :, :]
+    cross_ac = cross[..., CYC_A, CYC_C, :]
+    out["theta_self"] = ctx.residual(cross[..., CYC_A, CYC_A, :] - theta)
+    out["tt1"] = ctx.residual(
+        j_apply_oneform(J_b, cross_ac) + j_apply_oneform(J_c, cross[..., CYC_A, CYC_B, :]))
+    out["per1"] = ctx.residual(
+        (n * n + n) * theta - n * theta[..., CYC_B, :] - n * n * theta[..., CYC_C, :]
+        + j_apply_oneform(J_c, cross[..., CYC_B, CYC_A, :])
+        + n * j_apply_oneform(J, cross[..., CYC_C, CYC_B, :])
+        - (n + 1) * j_apply_oneform(J_b, cross_ac))
     A, C = ctx.auxiliary
-    acc("c6", np.max(np.abs((n - 1.0) * j_apply_oneform(J[CYC_B], C) - ctx.lchkt_candidates)))
-    acc("c5", np.max(np.abs(A - ctx.lee_differences)))
+    out["c6"] = ctx.residual((n - 1.0) * j_apply_oneform(J_b, C) - ctx.lchkt_candidates)
+    out["c5"] = ctx.residual(A - ctx.lee_differences)
 
-    # Nijenhuis comparisons, all from one stencil of the three J's
-    for a in range(3):
-        n_bracket = nijenhuis_bracket(J[a], ctx.dJ[:, a])
-        acc("eq6", np.max(np.abs(n_bracket - nijenhuis_via_connection(ctx, a))))
-        acc("eq2", np.max(np.abs(n_bracket - _nijenhuis_eq2(ctx, a))))
+    # Nijenhuis comparisons of the three J's, all from one stencil of the triple
+    n_bracket = nijenhuis_bracket(J, np.moveaxis(ctx.dJ, -4, -3))
+    out["eq6"] = ctx.residual(n_bracket - nijenhuis_via_connection(ctx))
+    out["eq2"] = ctx.residual(n_bracket - _nijenhuis_eq2(ctx))
 
     if n >= 2:
-        acc("eq4", bundle["existence"])
-        acc("eq5_agreement", bundle["alpha_agreement"])
-        acc("c7", c7_residual(ctx))
+        out["eq4"] = bundle["existence"]
+        out["eq5_agreement"] = bundle["alpha_agreement"]
+        out["c7"] = c7_residual(ctx)
     else:
-        _dim4_structural(ctx, acc)
+        out.update(_dim4_structural(ctx))
     return out
 
 
-def _nijenhuis_eq2(ctx: QKTContext, alpha: int):
-    """4 T^{0,2}_a plus the nabla-J terms of the bracket formula."""
-    J, nab_j = ctx.J[alpha], ctx.nabla_J[:, alpha]
-    t02 = torsion_02_part(ctx.T12, J)
+def _nijenhuis_eq2(ctx: QKTContext):
+    """4 T^{0,2}_a plus the nabla-J terms of the bracket formula, per structure a."""
+    J = ctx.J
+    nab_j = np.moveaxis(ctx.nabla_J, -4, -3)     # [..., a, m, k, j]
+    t02 = torsion_02_part(ctx.T12[..., None, :, :, :], J)
     return (
         4.0 * t02
-        + np.einsum("mi,mkj->kij", J, nab_j)
-        - np.einsum("mj,mki->kij", J, nab_j)
-        - np.einsum("jkm,mi->kij", nab_j, J)
-        + np.einsum("ikm,mj->kij", nab_j, J)
+        + np.einsum("...mi,...mkj->...kij", J, nab_j)
+        - np.einsum("...mj,...mki->...kij", J, nab_j)
+        - np.einsum("...jkm,...mi->...kij", nab_j, J)
+        + np.einsum("...ikm,...mj->...kij", nab_j, J)
     )
 
 
-def _dim4_structural(ctx: QKTContext, acc):
+def _dim4_structural(ctx: QKTContext) -> dict:
     g, J, F = ctx.g, ctx.J, ctx.F
     ori = ctx.struct.patch.orientation
     T, t = ctx.T, ctx.t
 
-    # star identity on 1-form probes, and the torsion shape
-    for psi in list(np.eye(4)) + [t]:
-        acc("tri1", np.max(np.abs(
-            hodge_star_array(psi, g, ori) + wedge_arrays(j_apply_oneform(J, psi), F, stack=1))))
-    acc("v1", np.max(np.abs(T - ctx.t_wedge_F)))
-    acc("v1", np.max(np.abs(T - hodge_star_array(t, g, ori))))
+    # star identity on the 1-form probes e^1..e^4 and t, stacked after the points
+    probes = np.concatenate([np.broadcast_to(np.eye(4), t.shape[:-1] + (4, 4)),
+                             t[..., None, :]], axis=-2)
+    star = hodge_star_array(probes, g[..., None, :, :], ori)
+    J_psi = j_apply_oneform(J[..., None, :, :, :], probes[..., None, :])
+    wedge = wedge_arrays(J_psi, F[..., None, :, :, :], stack=J_psi.ndim - 1)
+    return {
+        "tri1": ctx.residual(star[..., None, :, :, :] + wedge),
+        # the torsion shape
+        "v1": ctx.residual(T[..., None, :, :, :] - ctx.t_wedge_F, T - hodge_star_array(t, g, ori)),
+        # *dT = -delta t
+        "star_dT": ctx.residual(hodge_star_array(ctx.dT, g, ori) + ctx.delta_t),
+        # trace link between nabla T and nabla t (both via the torsion connection):
+        # sum_i (nabla_Z T)(J X, e_i, J e_i) = 2 (nabla_Z t)(X)
+        "ser2": ctx.residual(ctx.nabla_Ta_J - 2.0 * ctx.nabla_t[..., None, :, :]),
+    }
 
-    # *dT = -delta t
-    acc("star_dT", np.abs(hodge_star_array(ctx.dT, g, ori) + ctx.delta_t))
 
-    # trace link between nabla T and nabla t (both via the torsion connection):
-    # sum_i (nabla_Z T)(J X, e_i, J e_i) = 2 (nabla_Z t)(X)
-    acc("ser2", np.max(np.abs(ctx.nabla_Ta_J - 2.0 * ctx.nabla_t)))
-
-
-def _eval_lc(env: SuiteEnv, ctx: QKTContext) -> dict:
+def _eval_lc(ctx: QKTContext) -> dict:
     return {"u3": lcqk_residual(ctx), "lchkt": lchkt_residual(ctx)}
 
 
-def _eval_conformal(env: SuiteEnv, ctx: QKTContext) -> dict:
-    return conformal_law_residuals(env.base.at(ctx.x, ctx.scheme), ctx)
+def _eval_conformal(ctx: QKTContext) -> dict:
+    # the base context is the one the rescaled torsion rule reads
+    return conformal_law_residuals(ctx.base, ctx)
 
 
-def _eval_curvature(env: SuiteEnv, ctx: QKTContext) -> dict:
+def _eval_curvature(ctx: QKTContext) -> dict:
     return {**sp1_curvature_residuals(ctx), **bianchi_and_symmetry_residuals(ctx),
             **trace_identity_residuals(ctx), **dT_trace_equalities(ctx),
-            "pair_antisym": worst(*ctx.curv.pair_antisymmetry())}
+            "pair_antisym": np.maximum(*ctx.curv.pair_antisymmetry())}
 
 
-def _eval_dim4(env: SuiteEnv, ctx: QKTContext) -> dict:
+def _eval_dim4(ctx: QKTContext) -> dict:
     return {**dim4_einstein_suite(ctx), **weyl_correspondence(ctx)}
 
 
@@ -257,9 +252,9 @@ _GROUP_EVALUATORS = {
 # The kind/n rule of each group that holds for some structures only; within
 # a group the records decide which keys exist for the structure's n.
 _GROUP_APPLIES = {
-    "lc": lambda env: env.spec.kind != "dim4_torsion",   # locally conformally flat kinds
-    "conformal": lambda env: env.base is not None,      # kinds with a conformal base
-    "dim4": lambda env: env.spec.n == 1,
+    "lc": lambda spec, struct: spec.kind != "dim4_torsion",   # locally conformally flat kinds
+    "conformal": lambda spec, struct: struct.base is not None,  # kinds with a conformal base
+    "dim4": lambda spec, struct: spec.n == 1,
 }
 
 
@@ -268,7 +263,7 @@ _GROUP_APPLIES = {
 # ---------------------------------------------------------------------------
 
 def _diagnostics(ctx: QKTContext, classified: dict) -> None:
-    """Fold the classification residuals of one sample point into ``classified``."""
+    """Fold the classification residuals of one chunk of sample points into ``classified``."""
     fold(classified, classification_residuals(ctx))
 
 
@@ -403,16 +398,16 @@ def _run_suite(spec: ManifoldSpec, suite: str) -> VerificationReport:
             results=tuple(results),
         )
 
-    env = SuiteEnv(spec, conformal_ingredients(spec))
     groups = {name: {} for name, group_suite in _GROUP_SUITES.items()
               if suite in ("all", group_suite)
-              and _GROUP_APPLIES.get(name, lambda env: True)(env)}
+              and _GROUP_APPLIES.get(name, lambda spec, struct: True)(spec, struct)}
     classified: dict = {}
-    # one context per sample point, read by every group and the classification;
-    # the next point's context replaces it before computing any layer
-    for p in points:
-        ctx = struct.at(p)
-        last = {name: _GROUP_EVALUATORS[name](env, ctx) for name in groups}
+    # one context per chunk of sample points, read by every group and the
+    # classification; the next chunk's context replaces it before computing
+    # any layer
+    for chunk in point_chunks(points):
+        ctx = struct.at(chunk)
+        last = {name: _GROUP_EVALUATORS[name](ctx) for name in groups}
         for name, values in last.items():
             fold(groups[name], values)
         _diagnostics(ctx, classified)
@@ -420,7 +415,7 @@ def _run_suite(spec: ManifoldSpec, suite: str) -> VerificationReport:
     diagnostics = {"classification": dataclasses.asdict(Classification.of(classified))}
     if "curvature" in groups:
         # the proportionality factor at the last sample point, not a maximum
-        diagnostics["eq27_lambda_last"] = last["curvature"]["eq27_lambda"]
+        diagnostics["eq27_lambda_last"] = float(last["curvature"]["eq27_lambda"][-1])
     diagnostics.update({name: groups[group][key]
                         for name, (group, key) in _DIAGNOSTICS.items() if group in groups})
     if struct.n == 1:

@@ -210,12 +210,14 @@ class ConstantForm(FormField):
 
 
 def worst(*values) -> float:
-    """The largest residual; NaN wins, so a failed evaluation cannot read as a pass."""
-    return float(np.max(values))
+    """The largest residual of scalars or per-point arrays; NaN wins, so a failed
+    evaluation cannot read as a pass."""
+    return float(np.max([np.max(value) for value in values]))
 
 
 def fold(out: dict, values: dict) -> dict:
-    """Fold ``values`` into the running maxima ``out`` (NaN wins); None values are skipped."""
+    """Fold ``values``, scalars or per-point arrays, into the running maxima ``out``
+    (NaN wins); None values are skipped."""
     for key, value in values.items():
         if value is not None:
             out[key] = worst(out.get(key, 0.0), value)

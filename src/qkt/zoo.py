@@ -210,22 +210,23 @@ def build_manifold(spec: ManifoldSpec,
         patch = _flat_patch(1, lo, hi)
         return build_qkt_dim4(patch, _hypercomplex(spec), _torsion_form(spec), scheme)
 
-    # conformal kinds: the metric f g_0 over the flat patch
+    # conformal kinds: the metric f g_0 over the flat patch, with the flat
+    # structure on g_0 as the base that the conformal laws compare against
     f_text = HOPF_FACTOR if spec.kind == "hopf_local" else spec.f
     factor = ConformalFactor(parse_expression(f_text))
     if spec.n >= 2:
         flat = _flat_patch(spec.n, lo, hi)
         patch = replace(flat, metric=ConformalMetric(factor, flat.metric))
         data = QuaternionicHermitianData(patch, _hypercomplex(spec))
-        return build_qkt(data, scheme, check_points=check_points)
+        struct = build_qkt(data, scheme, check_points=check_points)
+        return replace(struct, base=conformal_ingredients(spec))
 
-    return conformal_rescale(build_flat(spec, check_points), factor, scheme)
+    return conformal_rescale(conformal_ingredients(spec), factor, scheme)
 
 
 def conformal_ingredients(spec: ManifoldSpec) -> QKTStructure | None:
-    """The flat base structure of a conformal kind, for checking the
-    transformation laws against; None for the other kinds.  The factor is
-    read off the contexts of the rescaled structure."""
+    """The flat base structure of a conformal kind, the ``base`` of the
+    structure that :func:`build_manifold` returns; None for the other kinds."""
     if spec.kind not in ("conformal_flat", "hopf_local"):
         return None
     return build_flat(spec)

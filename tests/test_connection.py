@@ -260,7 +260,7 @@ def test_point_and_one_point_batch_do_not_share_layers(conformal_struct, sine_di
     assert conformal_struct.torsion(POINT8[None]).shape == (1, 8, 8, 8)
     names = [name for name, attr in vars(QKTContext).items()
              if isinstance(attr, (functools.cached_property, property))
-             and not name.startswith("_stencil")]
+             and not name.startswith("_stencil") and name != "base"]   # sub-contexts
     assert {"g", "bundle", "T", "Gamma", "sp1", "t", "curv", "curv_g", "rho", "dt"} <= set(names)
 
     def assert_leading_axis(single, batch, name):
@@ -547,18 +547,21 @@ def test_auxiliary_forms_relations(conformal_struct):
 # ---------------------------------------------------------------------------
 
 def test_nijenhuis_via_connection_flat(flat_struct_n2):
-    for a in range(3):
-        assert np.max(np.abs(
-            nijenhuis_via_connection(flat_struct_n2.at(np.zeros(8)), a))) <= 1e-12
+    rebuilt = nijenhuis_via_connection(flat_struct_n2.at(np.zeros(8)))
+    assert rebuilt.shape == (3, 8, 8, 8)
+    assert np.max(np.abs(rebuilt)) <= 1e-12
 
 
 def test_nijenhuis_reconstruction_matches_bracket(conformal_struct, sine_dim4):
     for struct, p in ((conformal_struct, POINT8), (sine_dim4, POINT4)):
-        ctx = struct.at(p)
+        rebuilt = nijenhuis_via_connection(struct.at(p))
+        ctx = struct.at(np.stack([p, 0.5 * p]))
+        batch = nijenhuis_via_connection(ctx)
         for a in range(3):
-            rebuilt = nijenhuis_via_connection(ctx, a)
-            bracket = nijenhuis_bracket(ctx.J[a], ctx.dJ[:, a])
-            assert np.max(np.abs(rebuilt - bracket)) <= 1e-5
+            bracket = nijenhuis_bracket(ctx.J[0, a], ctx.dJ[0, :, a])
+            assert np.max(np.abs(rebuilt[a] - bracket)) <= 1e-5
+            assert np.max(np.abs(batch[:, a] - nijenhuis_bracket(
+                ctx.J[:, a], ctx.dJ[:, :, a]))) <= 1e-5
 
 
 def test_classify_flat(flat_struct_n2):

@@ -274,20 +274,24 @@ def test_metric_expression_evaluated_once_per_point(monkeypatch, suite):
 
 def test_conformal_factor_evaluated_once_per_point_array(monkeypatch):
     # f is a context layer that g = f g_0, df, the rescaled torsion and the
-    # conformal laws all read: each point array (a sample point, its h and
-    # h2 stencils, and the h stencil of its h2 stencil) evaluates the factor
-    # expression once
-    calls = []
+    # conformal laws all read: each point array of a chunk's context (the
+    # chunk, its h and h2 stencils, and the h stencil of its h2 stencil)
+    # evaluates the factor expression once, and no point is evaluated twice
+    calls, rows = [], []
     original = Expression.__call__
 
     def recording(self, points):
-        calls.append((np.shape(points), np.asarray(points, dtype=float).tobytes()))
+        points = np.asarray(points, dtype=float)
+        calls.append(points.shape)
+        rows.extend(row.tobytes() for row in points.reshape(-1, points.shape[-1]))
         return original(self, points)
 
     monkeypatch.setattr(Expression, "__call__", recording)
     spec = ManifoldSpec(kind="hopf_local", n=1, point_count=20, seed=5)
     assert run_suite(spec, "all").all_pass
-    assert len(calls) == len(set(calls)) == 20 * 4
+    # a sample point, its 8 + 8 stencil points and the 64 of its nested stencil
+    assert len(rows) == len(set(rows)) == 20 * (1 + 8 + 8 + 64)
+    assert len(calls) == 4 * 2 < 80
 
 
 # ---------------------------------------------------------------------------
@@ -407,20 +411,21 @@ def test_report_json_spells_out_non_finite_numbers():
 
 
 def test_torsion_differentiated_once_per_point(monkeypatch):
-    from qkt.qkt_connection import QKTContext
-
+    # one derivative of T per chunk, and together the chunks hold every
+    # sample point once
     derivative = QKTContext.derivative
     calls = []
 
     def recording(ctx, layer, nested):
-        calls.append((layer, ctx.x.tobytes()))
+        calls.append((layer, ctx.x))
         return derivative(ctx, layer, nested)
 
     monkeypatch.setattr(QKTContext, "derivative", recording)
-    spec = ManifoldSpec(kind="hopf_local", n=1, point_count=3, seed=5)
+    spec = ManifoldSpec(kind="hopf_local", n=1, point_count=13, seed=5)
     assert run_suite(spec, "all").all_pass
-    points = [key for layer, key in calls if layer == "T"]
-    assert len(points) == len(set(points)) == 3
+    chunks = [x for layer, x in calls if layer == "T"]
+    assert [len(x) for x in chunks] == [10, 3]
+    assert np.array_equal(np.concatenate(chunks), np.array(sample_points(spec)))
 
 
 def test_cli_tol_override(capsys):
@@ -511,11 +516,12 @@ def test_hopf_local_base_contexts_reach_no_gradient(monkeypatch):
     # constant: its torsion is the dual of the zero constant 1-form, so no
     # derivative of one of its contexts takes a stencil
     bases = []
-    ingredients = suite_module.conformal_ingredients
+    build = suite_module.build_manifold
 
-    def recording_base(spec):
-        bases.append(ingredients(spec))
-        return bases[-1]
+    def recording_base(*args, **kwargs):
+        struct = build(*args, **kwargs)
+        bases.append(struct.base)
+        return struct
 
     owners, reached = [], []
     derivative = QKTContext.derivative
@@ -533,7 +539,7 @@ def test_hopf_local_base_contexts_reach_no_gradient(monkeypatch):
             return original(field, p, *args, **kwargs)
         return recording
 
-    monkeypatch.setattr(suite_module, "conformal_ingredients", recording_base)
+    monkeypatch.setattr(suite_module, "build_manifold", recording_base)
     monkeypatch.setattr(QKTContext, "derivative", scoped)
     _wrap_gradient(monkeypatch, wrapper)
     assert run_suite(ManifoldSpec(kind="hopf_local", n=1, point_count=2, seed=5), "all").all_pass
@@ -542,23 +548,27 @@ def test_hopf_local_base_contexts_reach_no_gradient(monkeypatch):
     assert reached and not any(owner is base for owner in reached)
 
 
-# the identity records the suite runs, each once per sample point on a
-# dimension-4 conformal model (c7_residual exists for n >= 2 only)
+# the identity records the suite runs, each once per chunk of sample points
+# on a dimension-4 conformal model (c7_residual exists for n >= 2 only)
 RECORDS = ("structure_invariant_residuals", "torsion_one_form_spread", "lcqk_residual",
            "lchkt_residual", "conformal_law_residuals", "sp1_curvature_residuals",
            "bianchi_and_symmetry_residuals", "trace_identity_residuals", "dT_trace_equalities",
-           "dim4_einstein_suite", "weyl_correspondence", "classification_residuals")
+           "dim4_einstein_suite", "weyl_correspondence", "classification_residuals",
+           "nijenhuis_via_connection")
 
 
-def test_each_record_runs_once_per_point(monkeypatch):
-    counts = dict.fromkeys(RECORDS, 0)
+def test_each_record_runs_once_per_chunk(monkeypatch):
+    # 13 points at d = 4 make chunks of 10 and 3 points; every record reads
+    # the context of each chunk once
+    seen = {name: [] for name in RECORDS}
     for name in RECORDS:
-        def counting(*args, _name=name, _record=getattr(suite_module, name)):
-            counts[_name] += 1
-            return _record(*args)
+        def counting(ctx, *args, _name=name, _record=getattr(suite_module, name)):
+            seen[_name].append(ctx.x.shape)
+            return _record(ctx, *args)
         monkeypatch.setattr(suite_module, name, counting)
-    assert run_suite(ManifoldSpec(kind="hopf_local", n=1, point_count=3, seed=5), "all").all_pass
-    assert counts == dict.fromkeys(RECORDS, 3)
+    spec = ManifoldSpec(kind="hopf_local", n=1, point_count=13, seed=5)
+    assert run_suite(spec, "all").all_pass
+    assert seen == {name: [(10, 4), (3, 4)] for name in RECORDS}
 
 
 def test_every_gradient_makes_one_field_call(monkeypatch, tmp_path, capsys):
