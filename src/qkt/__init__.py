@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 
 from .tensor_core import (
     CoordinatePatch,
-    ConnectionField,
     FDScheme,
     FormField,
-    exterior_derivative,
     levi_civita,
     partial_derivative,
 )

@@ -54,8 +54,7 @@ def conformal_rescale(struct: QKTStructure, factor: ConformalFactor,
     """Transport ``struct`` to the metric f*g on the same hypercomplex triple."""
     patch = replace(struct.patch, metric=ConformalMetric(factor, struct.patch.metric))
     data = QuaternionicHermitianData(patch, struct.data.hyper)
-    return QKTStructure(data, scheme or struct.scheme, f"rescaled-{struct.kind}",
-                        _rescaled_torsion, base=struct)
+    return QKTStructure(data, scheme or struct.scheme, _rescaled_torsion, base=struct)
 
 
 def _rescaled_torsion(ctx: QKTContext) -> np.ndarray:
@@ -82,15 +81,13 @@ def conformal_law_residuals(base: QKTContext, barred: QKTContext) -> dict:
     fval, df, wedges = barred.f, barred.df, barred.df_wedge_F
     dlnf = df / fval[..., None]
     dlnf_a = dlnf[..., None, :]    # against the quaternionic stack
-    bun0, bun1 = base.bundle, barred.bundle
-    J = bun0["J"]
-    g = bun0["g"]
+    J, g = base.J, base.g
     f3 = fval[..., None, None, None]
     wedge_sum = wedges.sum(axis=-4)
     residual = barred.residual
 
     # connection transport law
-    lowered1 = np.einsum("...lij,...lm->...ijm", barred.Gamma, bun1["g"])
+    lowered1 = np.einsum("...lij,...lm->...ijm", barred.Gamma, barred.g)
     lowered0 = np.einsum("...lij,...lm->...ijm", base.Gamma, g)
     sym = 0.5 * (
         df[..., :, None, None] * g[..., None, :, :]
@@ -101,13 +98,13 @@ def conformal_law_residuals(base: QKTContext, barred: QKTContext) -> dict:
 
     return {
         # d_a F_a^+ law
-        "z2_dcf": residual(bun1["dcF_plus"] - (wedges + f3[..., None] * bun0["dcF_plus"])),
+        "z2_dcf": residual(barred.dcF_plus - (wedges + f3[..., None] * base.dcF_plus)),
         # Lee forms and cross Lee forms
-        "z2_theta": residual(bun1["theta"] - bun0["theta"] - (2 * n - 1) * dlnf_a),
-        "z2_cross": residual(bun1["theta_cross"][..., CYC_A, CYC_C, :]
-                             - bun0["theta_cross"][..., CYC_A, CYC_C, :]
+        "z2_theta": residual(barred.theta - base.theta - (2 * n - 1) * dlnf_a),
+        "z2_cross": residual(barred.theta_cross[..., CYC_A, CYC_C, :]
+                             - base.theta_cross[..., CYC_A, CYC_C, :]
                              + j_apply_oneform(J[..., CYC_B, :, :], dlnf_a)),
-        "z3_K": (residual(bun1["K"] - bun0["K"] + 2.0 * j_apply_oneform(J[..., CYC_B, :, :], dlnf_a))
+        "z3_K": (residual(barred.K - base.K + 2.0 * j_apply_oneform(J[..., CYC_B, :, :], dlnf_a))
                  if n >= 2 else None),
         "z3_A": residual(barred.auxiliary[0] - base.auxiliary[0]),
         "z3_omega": residual(barred.omega - base.omega + j_apply_oneform(J, dlnf_a)),

@@ -47,7 +47,6 @@ from .quaternionic import (
 )
 from .tensor_core import (
     ConformalMetric,
-    ConnectionField,
     ConstantForm,
     ConstantMetric,
     CoordinatePatch,
@@ -104,8 +103,6 @@ def _read_only(value):
         value.flags.writeable = False
     elif isinstance(value, tuple):
         value = tuple(_read_only(item) for item in value)
-    elif isinstance(value, dict):
-        value = types.MappingProxyType({key: _read_only(item) for key, item in value.items()})
     elif isinstance(value, CurvatureValue):
         value = CurvatureValue(R13=_read_only(value.R13), R4=_read_only(value.R4))
     return value
@@ -130,7 +127,11 @@ class QKTContext:
     ``qkt.curvature`` or ``qkt.suite``) is a layer here, never a second
     formula in a record.  The metric is g = f g_0: for a
     :class:`ConformalMetric` the factor f is evaluated once per point array,
-    and for any other metric f = 1 and g_0 = g.  A derivative differences
+    and for any other metric f = 1 and g_0 = g.  The first-order data of
+    the torsion formula are separate layers: theta, theta_cross and
+    dcF_plus (the last two from one dF), K, and the eq4 and eq5 defects
+    ``existence`` and ``alpha_agreement``, so a stencil sub-context that
+    reads T never computes the defects.  A derivative differences
     a layer of one of two stencil sub-contexts, each built at most once: at
     step ``h`` for g, F_a, f (and a torsion built without finite
     differences), at step ``h2`` for the torsion, Gamma, t, the sp(1) forms
@@ -211,6 +212,11 @@ class QKTContext:
         return np.linalg.inv(self.g)
 
     @_layer
+    def vol(self):
+        """orientation * sqrt(det g), the volume-form factor of the Hodge star."""
+        return self.struct.patch.orientation * np.sqrt(np.linalg.det(self.g))
+
+    @_layer
     def J(self):
         """J[..., alpha, k, j]."""
         return self.struct.data.hyper.matrices(self.x)
@@ -263,8 +269,73 @@ class QKTContext:
     # -- first order ------------------------------------------------------
 
     @_layer
-    def bundle(self):
-        return _section2_bundle(self)
+    def theta(self):
+        """The Lee forms theta[..., a] = (delta F_a) o J_a."""
+        # the one stencil of g and the stacked F serves Gamma^g, dF and nabla^g F
+        nabla_f = covariant_derivative_array(self.gamma_g, "dd", self.F,
+                                             self._d_g_and_F[..., 1:, :, :])
+        return -j_apply_oneform(self.J, trace_codifferential(nabla_f, self.ginv, degree=2))
+
+    @_layer
+    def _dF_plus_parts(self):
+        """(theta_cross, dcF_plus) from one dF."""
+        J = self.J
+        dF = antisymmetrized_gradient(np.moveaxis(self._d_g_and_F[..., 1:, :, :], -4, -3),
+                                      degree=2)
+        # the 3-form arrays of a stencil batch are the largest temporaries: drop each when done
+        dcF_plus = project_plus_3form(j_apply_form(J, dF), J)
+        dF_plus = project_plus_3form(dF, J)
+        del dF
+        theta_cross = -0.5 * frame_trace_pair(dF_plus[..., None, :, :, :], self.ginv,
+                                              J[..., None, :, :, :])
+        return theta_cross, dcF_plus
+
+    @property
+    def theta_cross(self):
+        """The cross Lee forms theta_cross[..., a, b](X) = -1/2 sum_i dF_a^+(X, e_i, J_b e_i)."""
+        return self._dF_plus_parts[0]
+
+    @property
+    def dcF_plus(self):
+        """The (1,2)+(2,1) parts of the twisted derivatives d_a F_a."""
+        return self._dF_plus_parts[1]
+
+    @_layer
+    def K(self):
+        """The compatibility 1-forms K[..., a] = (J_b theta_a + theta_{a,c}) / (1 - n);
+        None for n = 1."""
+        n = self.struct.n
+        if n < 2:
+            return None
+        return (j_apply_oneform(self.J[..., CYC_B, :, :], self.theta)
+                + self.theta_cross[..., CYC_A, CYC_C, :]) / (1.0 - n)
+
+    @_layer
+    def alpha_agreement(self):
+        """Per point, the worst disagreement of the three alpha-versions of the
+        torsion (eq5); None for n = 1."""
+        if self.struct.n < 2:
+            return None
+        versions = _alpha_versions(self)
+        return np.max(np.abs(versions - versions[..., CYC_B, :, :, :]), axis=(-4, -3, -2, -1))
+
+    @_layer
+    def existence(self):
+        """Per point, the defect of the existence condition (eq4) relating the
+        d_a F_a^+; None for n = 1."""
+        if self.struct.n < 2:
+            return None
+        K, J, F, dcF_plus = self.K, self.J, self.F, self.dcF_plus
+        stack = K.ndim - 1
+        JK = j_apply_oneform(J, K)
+        # accumulated in place over K ^ F_b
+        rhs = wedge_arrays(K, F[..., CYC_B, :, :], stack=stack)
+        rhs -= wedge_arrays(JK[..., CYC_B, :], F, stack=stack)
+        rhs -= wedge_arrays(K[..., CYC_B, :] - JK, F[..., CYC_C, :, :], stack=stack)
+        rhs *= 0.5
+        defect = dcF_plus - dcF_plus[..., CYC_B, :, :, :]
+        defect -= rhs
+        return np.max(np.abs(defect), axis=(-4, -3, -2, -1))
 
     @_layer
     def T(self):
@@ -336,14 +407,13 @@ class QKTContext:
     @_layer
     def lchkt_candidates(self):
         """theta_a - J_b theta_{a,c}, closed on locally conformally HKT structures."""
-        bundle = self.bundle
-        J, cross = bundle["J"], bundle["theta_cross"]
-        return bundle["theta"] - j_apply_oneform(J[..., CYC_B, :, :], cross[..., CYC_A, CYC_C, :])
+        return self.theta - j_apply_oneform(self.J[..., CYC_B, :, :],
+                                            self.theta_cross[..., CYC_A, CYC_C, :])
 
     @_layer
     def lee_differences(self):
         """A_a = J_b (theta_c - theta_b), the difference 1-forms of the Lee forms."""
-        J, theta = self.J, self.bundle["theta"]
+        J, theta = self.J, self.theta
         return j_apply_oneform(J[..., CYC_B, :, :], theta[..., CYC_C, :] - theta[..., CYC_B, :])
 
     # -- derivatives of the torsion and its 1-form ----------------------------
@@ -468,64 +538,17 @@ class QKTContext:
 
 
 # ---------------------------------------------------------------------------
-# pointwise first-order bundle
+# pointwise first-order quantities
 # ---------------------------------------------------------------------------
 
-def _section2_bundle(ctx: QKTContext) -> dict:
-    """All first-order objects needed by the torsion formula at the points ``ctx.x``.
-
-    Every quantity carries the point axes first, then the quaternionic index;
-    the two residuals are per point.
-    """
-    g, ginv, J, F = ctx.g, ctx.ginv, ctx.J, ctx.F
-    n = ctx.struct.n
-    # the one stencil of g and the stacked F serves Gamma^g, dF and nabla^g F
-    grad_f = ctx._d_g_and_F[..., 1:, :, :]
-    # Lee forms theta_a = (delta F_a) o J_a
-    nabla_f = covariant_derivative_array(ctx.gamma_g, "dd", F, grad_f)
-    theta = -j_apply_oneform(J, trace_codifferential(nabla_f, ginv, degree=2))
-    dF = antisymmetrized_gradient(np.moveaxis(grad_f, -4, -3), degree=2)
-    # the 3-form arrays of a stencil batch are the largest temporaries: drop each when done
-    del nabla_f
-    # twisted derivatives d_a F_a and their (1,2)+(2,1) parts
-    dcF_plus = project_plus_3form(j_apply_form(J, dF), J)
-    dF_plus = project_plus_3form(dF, J)
-    del dF
-    # cross Lee forms theta[a, b](X) = -1/2 sum_i dF_a^+(X, e_i, J_b e_i)
-    theta_cross = -0.5 * frame_trace_pair(dF_plus[..., None, :, :, :], ginv, J[..., None, :, :, :])
-    del dF_plus
-
-    bundle = {
-        "g": g, "J": J, "F": F,
-        "theta": theta, "theta_cross": theta_cross, "dcF_plus": dcF_plus,
-    }
-
-    if n >= 2:
-        K = (j_apply_oneform(J[..., CYC_B, :, :], theta)
-             + theta_cross[..., CYC_A, CYC_C, :]) / (1.0 - n)
-        bundle["K"] = K
-
-        stack = K.ndim - 1
-        JK = j_apply_oneform(J, K)
-        F_b, F_c = F[..., CYC_B, :, :], F[..., CYC_C, :, :]
-        K_Fb = wedge_arrays(K, F_b, stack=stack)
-        versions = dcF_plus - 0.5 * (wedge_arrays(JK, F_c, stack=stack) + K_Fb)
-        bundle["torsion"] = versions.sum(axis=-4) / 3.0
-        slots = (-4, -3, -2, -1)
-        bundle["alpha_agreement"] = np.max(np.abs(versions - versions[..., CYC_B, :, :, :]),
-                                           axis=slots)
-        del versions
-
-        # the existence defect, accumulated in place over K ^ F_b
-        rhs = K_Fb
-        rhs -= wedge_arrays(JK[..., CYC_B, :], F, stack=stack)
-        rhs -= wedge_arrays(K[..., CYC_B, :] - JK, F_c, stack=stack)
-        rhs *= 0.5
-        defect = dcF_plus - dcF_plus[..., CYC_B, :, :, :]
-        defect -= rhs
-        bundle["existence"] = np.max(np.abs(defect), axis=slots)
-
-    return bundle
+def _alpha_versions(ctx: QKTContext) -> np.ndarray:
+    """The three alpha-versions d_a F_a^+ - (J_a K_a ^ F_c + K_a ^ F_b) / 2 of
+    the torsion, stacked after the point axes; n >= 2."""
+    K, F = ctx.K, ctx.F
+    stack = K.ndim - 1
+    return ctx.dcF_plus - 0.5 * (
+        wedge_arrays(j_apply_oneform(ctx.J, K), F[..., CYC_C, :, :], stack=stack)
+        + wedge_arrays(K, F[..., CYC_B, :, :], stack=stack))
 
 
 def _extract_sp1(J: np.ndarray, nabla_j: np.ndarray):
@@ -562,13 +585,12 @@ def _extract_sp1(J: np.ndarray, nabla_j: np.ndarray):
 
 @dataclass(frozen=True)
 class QKTStructure:
-    """A built torsion connection: its data, scheme and kind, and the rule
-    that computes the torsion from a context.  Every quantity is evaluated
+    """A built torsion connection: its data and scheme, and the rule that
+    computes the torsion from a context.  Every quantity is evaluated
     through :meth:`at`; nothing is cached on the structure."""
 
     data: QuaternionicHermitianData
     scheme: FDScheme
-    kind: str
     torsion_rule: Callable[[QKTContext], np.ndarray]
     nested_torsion: bool = True     # T is differenced at h2, else at h
     # the structure on the base metric g_0 of a conformal metric f g_0, on the
@@ -608,26 +630,20 @@ class QKTStructure:
         """The lazy evaluation context of this structure on the point array ``x``."""
         return QKTContext(self, x, scheme or self.scheme)
 
-    @property
-    def torsion(self) -> FormField:
-        return FormField(3, lambda q: self.at(q).T, nested=self.nested_torsion)
-
-    @property
-    def connection(self) -> ConnectionField:
-        return ConnectionField(lambda q: self.at(q).Gamma, nested=True)
-
-    def bundle_at(self, p: np.ndarray):
-        """The first-order bundle at the points ``p``."""
-        return self.at(p).bundle
+    # an alias of at() that only perfbench/layertrace.py names; ROADMAP item 1
+    # deletes it together with the tracer's wrappers
+    def bundle_at(self, p: np.ndarray) -> QKTContext:
+        return self.at(p)
 
 
 def _bundle_torsion(ctx: QKTContext) -> np.ndarray:
-    return ctx.bundle["torsion"]
+    """The torsion for n >= 2: the mean of the three alpha-versions."""
+    return _alpha_versions(ctx).sum(axis=-4) / 3.0
 
 
 def _dual_torsion(t_form: FormField, ctx: QKTContext) -> np.ndarray:
     """The dimension-4 torsion: the Hodge dual of the 1-form ``t_form``."""
-    return hodge_star_array(t_form(ctx.x), ctx.g, ctx.struct.patch.orientation)
+    return hodge_star_array(t_form(ctx.x), ctx.ginv, ctx.vol)
 
 
 def existence_residual(data: QuaternionicHermitianData,
@@ -637,9 +653,9 @@ def existence_residual(data: QuaternionicHermitianData,
     if data.n < 2:
         raise DimensionError("the existence condition applies to n >= 2 only")
     data.patch.require_interior(p, scheme.margin)
-    struct = QKTStructure(data, scheme, "generic", _bundle_torsion)
+    struct = QKTStructure(data, scheme, _bundle_torsion)
     points = np.reshape(p, (-1, data.dim))
-    return worst(*(struct.at(chunk).bundle["existence"] for chunk in point_chunks(points)))
+    return worst(*(struct.at(chunk).existence for chunk in point_chunks(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -664,12 +680,12 @@ def build_qkt(data: QuaternionicHermitianData,
     for p in check_points:
         data.patch.require_interior(p, scheme.margin)
 
-    struct = QKTStructure(data, scheme, "generic", _bundle_torsion)
+    struct = QKTStructure(data, scheme, _bundle_torsion)
     # all check points in one context
     ctx = struct.at(np.array(check_points, dtype=float))
     residuals = _check_algebra(ctx)
     worst_alg = worst(residuals["algebra"], residuals["square"], residuals["hermitian"])
-    worst_exist = worst(ctx.bundle["existence"])
+    worst_exist = worst(ctx.existence)
     if not (worst_alg <= ALGEBRA_TOL and worst_exist <= existence_tol):
         err = NotQKTError(
             f"no compatible torsion connection: existence residual "
@@ -689,7 +705,7 @@ def build_qkt_dim4(patch: CoordinatePatch,
     """Build the dimension-4 structure with torsion the Hodge dual of ``t_form``."""
     if patch.n != 1:
         raise DimensionError("build_qkt_dim4 needs n = 1")
-    struct = QKTStructure(QuaternionicHermitianData(patch, hyper), scheme, "dim4",
+    struct = QKTStructure(QuaternionicHermitianData(patch, hyper), scheme,
                           functools.partial(_dual_torsion, t_form), nested_torsion=t_form.nested)
     residuals = _check_algebra(struct.at(patch.center()))
     worst_alg = worst(residuals["algebra"], residuals["square"], residuals["hermitian"])
@@ -726,8 +742,7 @@ def c7_residual(ctx: QKTContext) -> np.ndarray | None:
     n = ctx.struct.n
     if n < 2:
         return None
-    bundle = ctx.bundle
-    theta, cross, J = bundle["theta"], bundle["theta_cross"], bundle["J"]
+    theta, cross, J = ctx.theta, ctx.theta_cross, ctx.J
     closed_form = 0.5 * j_apply_oneform(
         J[..., CYC_B, :, :], theta[..., CYC_C, :] - theta[..., CYC_B, :] + theta / (1.0 - n)
     ) + cross[..., CYC_A, CYC_C, :] / (2.0 * (1.0 - n))
@@ -801,8 +816,7 @@ class Classification:
 
 def classification_residuals(ctx: QKTContext) -> dict:
     """The residuals behind the structure flags, per point."""
-    bundle = ctx.bundle
-    theta = bundle["theta"]
+    theta = ctx.theta
     out = {
         "integrable": ctx.residual(theta - theta[..., CYC_B, :]),
         "parallel": ctx.residual(ctx.nabla_T),
@@ -811,9 +825,8 @@ def classification_residuals(ctx: QKTContext) -> dict:
     }
     if ctx.struct.n >= 2:
         # theta_a - J_b theta_{c,a} over the cyclic triples
-        J, cross = bundle["J"], bundle["theta_cross"]
-        out["hkt"] = ctx.residual(
-            theta - j_apply_oneform(J[..., CYC_B, :, :], cross[..., CYC_C, CYC_A, :]))
+        cross_ca = ctx.theta_cross[..., CYC_C, CYC_A, :]
+        out["hkt"] = ctx.residual(theta - j_apply_oneform(ctx.J[..., CYC_B, :, :], cross_ca))
     return out
 
 

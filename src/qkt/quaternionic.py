@@ -3,8 +3,9 @@
 Carries the triple of anticommuting almost complex structures, the
 kernels that apply them to forms and tensors, type projectors for 3-forms
 and torsion tensors, and the Nijenhuis tensor computed from coordinate Lie
-brackets.  The Kaehler 2-forms F_a(X, Y) = g(X, J_a Y) and their Lee and
-cross Lee forms are part of the first-order bundle in ``qkt_connection``.
+brackets.  The Kaehler 2-forms F_a(X, Y) = g(X, J_a Y), their Lee and
+cross Lee forms and K_a are layers of the evaluation context in
+``qkt_connection`` (``F``, ``theta``, ``theta_cross``, ``K``).
 
 The action of an almost complex structure on an r-form is
 ``(J psi)(X_1, ..., X_r) = (-1)^r psi(J X_1, ..., J X_r)``; on 1-forms in
@@ -133,9 +134,6 @@ class QuaternionicHermitianData:
 
     def metric_at(self, p: np.ndarray) -> np.ndarray:
         return self.patch.metric_at(p)
-
-    def j_at(self, alpha: int, p: np.ndarray) -> np.ndarray:
-        return self.hyper.matrices(p)[..., alpha, :, :]
 
 
 def quaternionic_residuals(g: np.ndarray, J: np.ndarray) -> dict:

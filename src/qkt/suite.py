@@ -155,8 +155,7 @@ def _eval_structural(ctx: QKTContext) -> dict:
     out = structure_invariant_residuals(ctx)
     out["l1"] = torsion_one_form_spread(ctx)
 
-    bundle = ctx.bundle
-    theta, cross, J = bundle["theta"], bundle["theta_cross"], bundle["J"]
+    theta, cross, J = ctx.theta, ctx.theta_cross, ctx.J
     J_b, J_c = J[..., CYC_B, :, :], J[..., CYC_C, :, :]
     cross_ac = cross[..., CYC_A, CYC_C, :]
     out["theta_self"] = ctx.residual(cross[..., CYC_A, CYC_A, :] - theta)
@@ -177,8 +176,8 @@ def _eval_structural(ctx: QKTContext) -> dict:
     out["eq2"] = ctx.residual(n_bracket - _nijenhuis_eq2(ctx))
 
     if n >= 2:
-        out["eq4"] = bundle["existence"]
-        out["eq5_agreement"] = bundle["alpha_agreement"]
+        out["eq4"] = ctx.existence
+        out["eq5_agreement"] = ctx.alpha_agreement
         out["c7"] = c7_residual(ctx)
     else:
         out.update(_dim4_structural(ctx))
@@ -200,22 +199,22 @@ def _nijenhuis_eq2(ctx: QKTContext):
 
 
 def _dim4_structural(ctx: QKTContext) -> dict:
-    g, J, F = ctx.g, ctx.J, ctx.F
-    ori = ctx.struct.patch.orientation
+    J, F, ginv, vol = ctx.J, ctx.F, ctx.ginv, ctx.vol
     T, t = ctx.T, ctx.t
 
     # star identity on the 1-form probes e^1..e^4 and t, stacked after the points
     probes = np.concatenate([np.broadcast_to(np.eye(4), t.shape[:-1] + (4, 4)),
                              t[..., None, :]], axis=-2)
-    star = hodge_star_array(probes, g[..., None, :, :], ori)
+    star = hodge_star_array(probes, ginv[..., None, :, :], vol[..., None])
     J_psi = j_apply_oneform(J[..., None, :, :, :], probes[..., None, :])
     wedge = wedge_arrays(J_psi, F[..., None, :, :, :], stack=J_psi.ndim - 1)
     return {
         "tri1": ctx.residual(star[..., None, :, :, :] + wedge),
         # the torsion shape
-        "v1": ctx.residual(T[..., None, :, :, :] - ctx.t_wedge_F, T - hodge_star_array(t, g, ori)),
+        "v1": ctx.residual(T[..., None, :, :, :] - ctx.t_wedge_F,
+                           T - hodge_star_array(t, ginv, vol)),
         # *dT = -delta t
-        "star_dT": ctx.residual(hodge_star_array(ctx.dT, g, ori) + ctx.delta_t),
+        "star_dT": ctx.residual(hodge_star_array(ctx.dT, ginv, vol) + ctx.delta_t),
         # trace link between nabla T and nabla t (both via the torsion connection):
         # sum_i (nabla_Z T)(J X, e_i, J e_i) = 2 (nabla_Z t)(X)
         "ser2": ctx.residual(ctx.nabla_Ta_J - 2.0 * ctx.nabla_t[..., None, :, :]),

@@ -15,8 +15,8 @@ Conventions used throughout the package:
   ``(..., d, *value_shape)``: the derivative axis sits right after the
   point axes;
 * evaluation contexts: a built structure evaluates its layers (g, J, the
-  first-order bundle, T, Gamma, the sp(1) forms, the torsion traces and the
-  curvature) through ``QKTStructure.at(x)``, one lazy context per point
+  Lee and cross Lee forms, K, T, Gamma, the sp(1) forms, the torsion traces
+  and the curvature) through ``QKTStructure.at(x)``, one lazy context per point
   array.  Each layer is computed at most once per context and handed out
   read-only, and a derivative reads the same layer off one of two stencil
   sub-contexts, built on :func:`stencil` at step ``h`` or ``h2``, so each
@@ -136,9 +136,6 @@ class CoordinatePatch:
             raise DimensionError("metric field returned a wrongly shaped matrix")
         return g
 
-    def validate_metric_at(self, p: np.ndarray) -> None:
-        validate_metric(self.metric_at(p), p)
-
 
 def validate_metric(g: np.ndarray, p: np.ndarray) -> None:
     """Raise DegenerateMetricError unless g (..., d, d) at the points ``p`` is
@@ -187,17 +184,6 @@ class FormField:
                 f"form of degree {self.degree} evaluated to a rank-{rank} array"
             )
         return value
-
-
-@dataclass(frozen=True)
-class ConnectionField:
-    """Connection coefficients as a field: p -> Gamma[l, i, j]."""
-
-    func: Callable[[np.ndarray], np.ndarray]
-    nested: bool = False
-
-    def __call__(self, p: np.ndarray) -> np.ndarray:
-        return np.asarray(self.func(p), dtype=float)
 
 
 class ConstantForm(FormField):
@@ -287,20 +273,6 @@ def antisymmetrized_gradient(grad: np.ndarray, degree: int | None = None) -> np.
     return out
 
 
-def exterior_derivative(omega: FormField, scheme: FDScheme) -> FormField:
-    """d(omega); the result's evaluations run finite differences."""
-
-    def d_at(p, _omega=omega, _scheme=scheme):
-        k = _omega.degree
-        d = np.shape(p)[-1]
-        if k >= d:
-            raise DegreeError(f"cannot raise degree {k} past the dimension {d}")
-        return antisymmetrized_gradient(
-            gradient(_omega.func, p, _scheme, nested=_omega.nested), degree=k)
-
-    return FormField(omega.degree + 1, d_at, nested=True)
-
-
 def _perm_sign(perm: Sequence[int]) -> float:
     sign = 1.0
     seen = [False] * len(perm)
@@ -369,24 +341,22 @@ _STAR_SPECS = {
 }
 
 
-def hodge_star_array(arr: np.ndarray, g: np.ndarray, orientation: int = 1) -> np.ndarray:
+def hodge_star_array(arr: np.ndarray, ginv: np.ndarray, vol: np.ndarray) -> np.ndarray:
     """Hodge star of k-form component arrays in dimension 4.
 
-    The leading axes of ``g`` are point axes, and ``arr`` carries the same
-    point axes ahead of its k slots.
+    ``ginv`` (..., 4, 4) is the inverse metric and ``vol`` (...) the factor
+    orientation * sqrt(det g) at the points, their leading axes the point
+    axes; ``arr`` carries the same point axes ahead of its k slots.
     """
-    g = np.asarray(g, dtype=float)
-    if g.shape[-2:] != (4, 4):
+    if ginv.shape[-2:] != (4, 4):
         raise DimensionError("the Hodge star is implemented for 4n = 4 only")
     arr = np.asarray(arr, dtype=float)
-    lead = g.ndim - 2
+    lead = ginv.ndim - 2
     k = arr.ndim - lead
-    vol = float(orientation) * np.sqrt(np.linalg.det(g))
     if k == 0:
         return (arr * vol)[..., None, None, None, None] * EPSILON_4
     if k > 4:
         raise DegreeError(f"no {k}-forms in dimension 4")
-    ginv = np.linalg.inv(g)
     raised = arr
     for _ in range(k):
         # contract the first slot, new contravariant axis lands at the end;

@@ -5,8 +5,10 @@ form at a time, on a single point: the Kaehler forms, the codifferential,
 the Lee forms and cross Lee forms from their own stencils, K from them,
 the twisted derivative of one 2-form, a Gram-Schmidt frame, the Ricci data
 of a structure, and thin field wrappers around the array kernels (tensor
-fields, their covariant derivative, the Levi-Civita connection field).
-The library computes the same objects stacked and over point arrays.
+fields, the exterior derivative of a form field, the covariant derivative,
+the Levi-Civita connection field, the torsion and connection of a built
+structure as fields, the Hodge star at a metric).  The library computes the
+same objects stacked and over point arrays.
 """
 
 from dataclasses import dataclass
@@ -25,11 +27,10 @@ from qkt.quaternionic import (
 )
 from qkt.tensor_core import (
     MIN_METRIC_EIGENVALUE,
-    ConnectionField,
     FDScheme,
     FormField,
+    antisymmetrized_gradient,
     covariant_derivative_array,
-    exterior_derivative,
     gradient,
     hodge_star_array,
     levi_civita,
@@ -70,7 +71,31 @@ class TensorFieldValue:
 
 
 
-def covariant_derivative(conn: ConnectionField,
+def exterior_derivative(omega: FormField, scheme: FDScheme) -> FormField:
+    """d(omega); the result's evaluations run finite differences."""
+
+    def d_at(p, _omega=omega, _scheme=scheme):
+        k = _omega.degree
+        d = np.shape(p)[-1]
+        if k >= d:
+            raise DegreeError(f"cannot raise degree {k} past the dimension {d}")
+        return antisymmetrized_gradient(
+            gradient(_omega.func, p, _scheme, nested=_omega.nested), degree=k)
+
+    return FormField(omega.degree + 1, d_at, nested=True)
+
+
+def torsion_field(struct) -> FormField:
+    """The torsion 3-form of a built structure as a field."""
+    return FormField(3, lambda q: struct.at(q).T, nested=struct.nested_torsion)
+
+
+def connection_field(struct) -> TensorField:
+    """The torsion connection Gamma[l, i, j] of a built structure as a field."""
+    return TensorField("udd", lambda q: struct.at(q).Gamma, nested=True)
+
+
+def covariant_derivative(conn: TensorField,
                          tensor: TensorField,
                          p: np.ndarray,
                          scheme: FDScheme) -> TensorFieldValue:
@@ -87,9 +112,9 @@ def nabla_array(gamma: np.ndarray, tensor: TensorField, p: np.ndarray,
     return covariant_derivative_array(gamma, tensor.signature, tensor(p), grad)
 
 
-def levi_civita_field(patch, scheme: FDScheme) -> ConnectionField:
+def levi_civita_field(patch, scheme: FDScheme) -> TensorField:
     """The Levi-Civita connection of the patch metric as a field."""
-    return ConnectionField(lambda p: levi_civita(patch.metric, p, scheme), nested=True)
+    return TensorField("udd", lambda p: levi_civita(patch.metric, p, scheme), nested=True)
 
 
 def wedge(a: FormField, b: FormField) -> FormField:
@@ -99,13 +124,19 @@ def wedge(a: FormField, b: FormField) -> FormField:
     return FormField(a.degree + b.degree, wedge_at, nested=a.nested or b.nested)
 
 
+def hodge_star(arr: np.ndarray, g: np.ndarray, orientation: int = 1) -> np.ndarray:
+    """The Hodge star of the form components ``arr`` at the metric ``g`` itself."""
+    g = np.asarray(g, dtype=float)
+    return hodge_star_array(arr, np.linalg.inv(g), orientation * np.sqrt(np.linalg.det(g)))
+
+
 def hodge_star_4d(omega: FormField,
                   metric: Callable[[np.ndarray], np.ndarray],
                   orientation: int = 1) -> FormField:
     """Metric/orientation-compatible star of a form field, dimension 4."""
 
     def star_at(p, _omega=omega, _metric=metric, _ori=orientation):
-        return hodge_star_array(_omega(p), np.asarray(_metric(p), dtype=float), _ori)
+        return hodge_star(_omega(p), _metric(p), _ori)
 
     return FormField(4 - omega.degree, star_at, nested=omega.nested)
 
@@ -139,9 +170,14 @@ def orthonormal_frame(g: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
     return frame
 
 
+def j_at(data: QuaternionicHermitianData, alpha: int, p: np.ndarray) -> np.ndarray:
+    """The almost complex structure J_alpha of ``data`` at the points ``p``."""
+    return data.hyper.matrices(p)[..., alpha, :, :]
+
+
 def kaehler_form(data: QuaternionicHermitianData, alpha: int, p: np.ndarray) -> np.ndarray:
     """F_a(X, Y) = g(X, J_a Y) as an antisymmetric matrix."""
-    return data.metric_at(p) @ data.j_at(alpha, p)
+    return data.metric_at(p) @ j_at(data, alpha, p)
 
 
 def kaehler_field(data: QuaternionicHermitianData, alpha: int) -> FormField:
@@ -155,7 +191,7 @@ def lee_form(data: QuaternionicHermitianData,
     """Lee form theta_a = (delta F_a) o J_a at ``p``."""
     data.patch.require_interior(p, scheme.h)
     delta_f = codifferential(kaehler_field(data, alpha), data.patch.metric, p, scheme)
-    return delta_f @ data.j_at(alpha, p)
+    return delta_f @ j_at(data, alpha, p)
 
 
 def cross_lee_form(data: QuaternionicHermitianData,
@@ -166,9 +202,9 @@ def cross_lee_form(data: QuaternionicHermitianData,
     """theta_{a,b}(X) = -1/2 sum_i dF_a^+(X, e_i, J_b e_i)."""
     data.patch.require_interior(p, scheme.margin)
     dF = exterior_derivative(kaehler_field(data, alpha), scheme)(p)
-    dF_plus = project_plus_3form(dF, data.j_at(alpha, p))
+    dF_plus = project_plus_3form(dF, j_at(data, alpha, p))
     ginv = np.linalg.inv(data.metric_at(p))
-    return -0.5 * frame_trace_pair(dF_plus, ginv, data.j_at(beta, p))
+    return -0.5 * frame_trace_pair(dF_plus, ginv, j_at(data, beta, p))
 
 
 def compute_K(data: QuaternionicHermitianData,
@@ -179,7 +215,7 @@ def compute_K(data: QuaternionicHermitianData,
     if data.n < 2:
         raise DimensionError("K is defined for n >= 2; dimension 4 uses the star path")
     _, b, c = CYCLIC[alpha]
-    jb_theta = j_apply_oneform(data.j_at(b, p), lee_form(data, alpha, p, scheme))
+    jb_theta = j_apply_oneform(j_at(data, b, p), lee_form(data, alpha, p, scheme))
     return (jb_theta + cross_lee_form(data, alpha, c, p, scheme)) / (1.0 - data.n)
 
 
@@ -193,7 +229,7 @@ def dc_3form(data: QuaternionicHermitianData,
     Applied to F_b this yields d_a F_b.
     """
     d_psi = exterior_derivative(two_form, scheme)(p)
-    return j_apply_form(data.j_at(alpha, p), d_psi)
+    return j_apply_form(j_at(data, alpha, p), d_psi)
 
 
 @dataclass(frozen=True)

@@ -199,8 +199,8 @@ def test_criterion_08_classification_coherence(spec_conf_exp, report_conf_exp,
     struct = build_manifold(spec_conf_exp)
     independent = 0.0
     for p in sample_points(spec_conf_exp):
-        bundle = struct.bundle_at(p)
-        theta, cross, J = bundle["theta"], bundle["theta_cross"], bundle["J"]
+        ctx = struct.at(p)
+        theta, cross, J = ctx.theta, ctx.theta_cross, ctx.J
         for a, b, c in CYCLIC:
             dev = theta[a] - j_apply_oneform(J[b], cross[c, a])
             independent = max(independent, float(np.max(np.abs(dev))))
@@ -254,10 +254,10 @@ def test_criterion_10_fd_order(spec_conf_exp):
         for p in sample_points(spec):
             *_, t = torsion_one_forms(struct, p)
             worst = max(worst, float(np.max(np.abs(t + 5.0 * dx1))))
-            bundle = struct.bundle_at(p)
+            ctx = struct.at(p)
             for a, b, c in CYCLIC:
-                expected = -2.0 * j_apply_oneform(bundle["J"][b], dx1)
-                worst = max(worst, float(np.max(np.abs(bundle["K"][a] - expected))))
+                expected = -2.0 * j_apply_oneform(ctx.J[b], dx1)
+                worst = max(worst, float(np.max(np.abs(ctx.K[a] - expected))))
         return worst
 
     coarse = oracle_defect(1e-4)

@@ -59,8 +59,8 @@ POINT4 = np.array([0.03, -0.12, 0.2, 0.07])
 def test_identity_factor_changes_nothing():
     base = flat_struct(2)
     same = conformal_rescale(base, ConformalFactor(lambda p: 1.0), SCHEME)
-    assert np.max(np.abs(same.torsion(POINT8) - base.torsion(POINT8))) <= 1e-12
-    assert np.max(np.abs(same.connection(POINT8) - base.connection(POINT8))) <= 1e-12
+    assert np.max(np.abs(same.at(POINT8).T - base.at(POINT8).T)) <= 1e-12
+    assert np.max(np.abs(same.at(POINT8).Gamma - base.at(POINT8).Gamma)) <= 1e-12
 
 
 def test_rescaled_structure_passes_invariants():
@@ -110,7 +110,7 @@ def test_rescale_composition():
     two_step = conformal_rescale(conformal_rescale(base, f, SCHEME), h, SCHEME)
     product = ConformalFactor(lambda p: np.exp(p[..., 0]) * (1 + p[..., 1] ** 2))
     one_step = conformal_rescale(base, product, SCHEME)
-    assert np.max(np.abs(two_step.torsion(POINT8) - one_step.torsion(POINT8))) <= 1e-5
+    assert np.max(np.abs(two_step.at(POINT8).T - one_step.at(POINT8).T)) <= 1e-5
 
 
 def test_hopf_one_form_value():
@@ -161,4 +161,4 @@ def test_nonfinite_factor_rejected(bad):
 def test_nonpositive_factor_rejected():
     base = flat_struct(2)
     with pytest.raises(GeometryError):
-        conformal_rescale(base, ConformalFactor(lambda p: -1.0), SCHEME).torsion(POINT8)
+        conformal_rescale(base, ConformalFactor(lambda p: -1.0), SCHEME).at(POINT8).T

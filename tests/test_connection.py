@@ -1,12 +1,13 @@
+import functools
 import sys
 
 import numpy as np
 import pytest
 
-import qkt.qkt_connection as qkt_connection
 import qkt.tensor_core as tensor_core
 from qkt.errors import DimensionError, NotQKTError
 from qkt.qkt_connection import (
+    QKTContext,
     QKTStructure,
     _bundle_torsion,
     _extract_sp1,
@@ -37,18 +38,22 @@ from qkt.tensor_core import (
     CoordinatePatch,
     FDScheme,
     FormField,
-    exterior_derivative,
     levi_civita,
     wedge_arrays,
 )
+from qkt.zoo import ManifoldSpec, build_manifold
 from reference import (
     TensorField,
     codifferential,
     compute_K,
     cross_lee_form,
+    exterior_derivative,
+    hodge_star,
+    j_at,
     kaehler_field,
     lee_form,
     nabla_array,
+    torsion_field,
 )
 
 SCHEME = FDScheme()
@@ -61,9 +66,13 @@ def flat_patch(n):
                            metric=ConstantMetric(eye))
 
 
-def bundle_of(data, p):
-    """The first-order bundle of ``data`` at ``p``, read off a fresh context."""
-    return QKTStructure(data, SCHEME, "generic", _bundle_torsion).at(p).bundle
+FIRST_ORDER = ("theta", "theta_cross", "dcF_plus", "K", "existence", "alpha_agreement")
+
+
+def fresh_context(data, p):
+    """A fresh context of the structure of ``data`` at ``p``, whose first-order
+    layers are not yet computed."""
+    return QKTStructure(data, SCHEME, _bundle_torsion).at(p)
 
 
 def t_field(struct):
@@ -157,46 +166,61 @@ def test_bundle_matches_standalone_formulas_exactly(batched):
     # gradient must reproduce the separate exterior-derivative and Lee-form
     # paths bit for bit, also when the point sits in a batch
     data = conformal_data()
-    if batched:
-        bundle = {key: value[1] for key, value in
-                  bundle_of(data, np.stack([-POINT8, POINT8])).items()}
-    else:
-        bundle = bundle_of(data, POINT8)
-    J = bundle["J"]
+    ctx = fresh_context(data, np.stack([-POINT8, POINT8]) if batched else POINT8)
+    J, theta, cross, dcF_plus = (value[1] if batched else value for value in
+                                 (ctx.J, ctx.theta, ctx.theta_cross, ctx.dcF_plus))
     for a in range(3):
         dF = exterior_derivative(kaehler_field(data, a), SCHEME)(POINT8)
-        assert np.array_equal(bundle["dcF_plus"][a],
-                              project_plus_3form(j_apply_form(J[a], dF), J[a]))
-        assert np.array_equal(bundle["theta"][a], lee_form(data, a, POINT8, SCHEME))
+        assert np.array_equal(dcF_plus[a], project_plus_3form(j_apply_form(J[a], dF), J[a]))
+        assert np.array_equal(theta[a], lee_form(data, a, POINT8, SCHEME))
         for b in range(3):
-            assert np.array_equal(bundle["theta_cross"][a, b],
-                                  cross_lee_form(data, a, b, POINT8, SCHEME))
+            assert np.array_equal(cross[a, b], cross_lee_form(data, a, b, POINT8, SCHEME))
 
 
-def test_bundle_keeps_only_the_keys_read_elsewhere(conformal_struct, sine_dim4):
-    common = {"g", "J", "F", "theta", "theta_cross", "dcF_plus"}
-    assert set(conformal_struct.bundle_at(POINT8)) == common | {
-        "K", "torsion", "alpha_agreement", "existence"}
-    assert set(sine_dim4.bundle_at(POINT4)) == common
+def test_first_order_layers_exist_for_their_n(conformal_struct, sine_dim4):
+    # theta, theta_cross and dcF_plus for every n; K and the eq4 and eq5
+    # defects for n >= 2 only
+    shapes = {"theta": (3, 8), "theta_cross": (3, 3, 8), "dcF_plus": (3, 8, 8, 8),
+              "K": (3, 8), "existence": (), "alpha_agreement": ()}
+    ctx = conformal_struct.at(POINT8)
+    assert {name: np.shape(getattr(ctx, name)) for name in FIRST_ORDER} == shapes
+    ctx = sine_dim4.at(POINT4)
+    assert [np.shape(getattr(ctx, name)) for name in FIRST_ORDER[:3]] == [
+        (3, 4), (3, 3, 4), (3, 4, 4, 4)]
+    assert [getattr(ctx, name) for name in FIRST_ORDER[3:]] == [None, None, None]
 
 
 def test_build_checks_all_check_points_in_one_context(monkeypatch):
-    # one batched bundle over the (k, d) check points; the structure keeps none
+    # one batched existence defect over the (k, d) check points; the structure keeps none
     built = []
-    original = qkt_connection._section2_bundle
+    original = QKTContext.existence.func
 
     def counting(ctx):
         built.append(ctx.x.shape)
         return original(ctx)
 
-    monkeypatch.setattr(qkt_connection, "_section2_bundle", counting)
+    layer = functools.cached_property(counting)
+    layer.__set_name__(QKTContext, "existence")
+    monkeypatch.setattr(QKTContext, "existence", layer)
     points = [POINT8, -POINT8]
     struct = build_qkt(conformal_data(), SCHEME, check_points=points)
     assert built == [(2, 8)]
     assert struct.caches == {}
     for p in points:
-        assert struct.bundle_at(p)["existence"] <= 1e-4
+        assert struct.at(p).existence <= 1e-4
     assert built == [(2, 8), (8,), (8,)]
+
+
+def test_stencil_contexts_skip_the_eq4_and_eq5_defects():
+    # the torsion of a stencil sub-context reads theta, theta_cross and K,
+    # never the defects that only sample-point contexts read
+    struct = build_manifold(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1))
+    ctx = struct.at(POINT8)
+    ctx.curv
+    sub = ctx._stencil_h2
+    assert {"T", "theta", "_dF_plus_parts", "K"} <= set(vars(sub))
+    assert "existence" not in vars(sub) and "alpha_agreement" not in vars(sub)
+    assert ctx.existence <= 1e-4 and ctx.alpha_agreement <= 1e-5
 
 
 def count_calls(monkeypatch, original):
@@ -218,7 +242,9 @@ def count_calls(monkeypatch, original):
 def test_bundle_takes_one_stencil_of_the_three_kaehler_forms(monkeypatch):
     # a fresh point costs one stencil: the metric (Gamma^g) and the stacked F together
     calls = count_calls(monkeypatch, tensor_core.gradient)
-    bundle_of(conformal_data(), POINT8)
+    ctx = fresh_context(conformal_data(), POINT8)
+    for name in FIRST_ORDER:
+        getattr(ctx, name)
     assert len(calls) == 1
 
 
@@ -251,23 +277,18 @@ def test_extract_sp1_one_stencil_and_one_solve(monkeypatch):
 def test_point_and_one_point_batch_do_not_share_layers(conformal_struct, sine_dim4):
     # a point (d,) and the batch (1, d) of the same coordinates are two point
     # arrays: every layer of the batch is the point's layer with a leading axis
-    import functools
-
-    from qkt.qkt_connection import QKTContext
-
-    T = conformal_struct.torsion(POINT8)
+    T = conformal_struct.at(POINT8).T
     assert T.shape == (8, 8, 8)
-    assert conformal_struct.torsion(POINT8[None]).shape == (1, 8, 8, 8)
+    assert conformal_struct.at(POINT8[None]).T.shape == (1, 8, 8, 8)
     names = [name for name, attr in vars(QKTContext).items()
              if isinstance(attr, (functools.cached_property, property))
              and not name.startswith("_stencil") and name != "base"]   # sub-contexts
-    assert {"g", "bundle", "T", "Gamma", "sp1", "t", "curv", "curv_g", "rho", "dt"} <= set(names)
+    assert {"g", *FIRST_ORDER, "T", "Gamma", "sp1", "t", "curv", "curv_g", "rho", "dt"} \
+        <= set(names)
 
     def assert_leading_axis(single, batch, name):
-        if hasattr(single, "keys"):
-            assert set(single) == set(batch), name
-            for key in single:
-                assert_leading_axis(single[key], batch[key], f"{name}[{key}]")
+        if single is None:
+            assert batch is None, name
         elif isinstance(single, tuple):
             for a, b in zip(single, batch):
                 assert_leading_axis(a, b, name)
@@ -298,7 +319,7 @@ def test_constant_structure_takes_no_stencil(monkeypatch, flat_struct_n2):
         (const_dim4, build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
                                     FormField(1, t_form.func), SCHEME), POINT4),
     )
-    layers = ("bundle", "curv", "curv_g", "dT", "nabla_T", "dt", "nabla_g_t", "gamma_w")
+    layers = (*FIRST_ORDER, "curv", "curv_g", "dT", "nabla_T", "dt", "nabla_g_t", "gamma_w")
     for constant, stenciled, p in cases:
         assert constant.constant and not stenciled.constant
         reference = stenciled.at(p)
@@ -310,8 +331,8 @@ def test_constant_structure_takes_no_stencil(monkeypatch, flat_struct_n2):
             for layer in layers:
                 getattr(ctx, layer)
             assert calls == []
-        for name in ("theta", "theta_cross"):
-            assert np.array_equal(ctx.bundle[name], reference.bundle[name])
+        for name in ("theta", "theta_cross", "dcF_plus"):
+            assert np.array_equal(getattr(ctx, name), getattr(reference, name))
         for name in ("T", "dT", "nabla_T", "dt", "nabla_g_t", "gamma_w"):
             assert np.array_equal(getattr(ctx, name), getattr(reference, name)), name
         assert np.array_equal(ctx.curv.R4, reference.curv.R4)
@@ -331,8 +352,8 @@ def test_existence_residual_rejects_dim4():
 def test_flat_build_is_levi_civita(flat_struct_n2):
     struct = flat_struct_n2
     p = np.full(8, 0.1)
-    assert np.max(np.abs(struct.torsion(p))) == 0.0
-    assert np.max(np.abs(struct.connection(p))) == 0.0
+    assert np.max(np.abs(struct.at(p).T)) == 0.0
+    assert np.max(np.abs(struct.at(p).Gamma)) == 0.0
     omegas, residual = struct.at(p).sp1
     assert np.max(np.abs(omegas)) <= 1e-12
     assert residual <= 1e-12
@@ -355,15 +376,15 @@ def test_build_needs_n_at_least_two():
 
 def test_conformal_torsion_matches_transport_formula(conformal_struct):
     struct = conformal_struct
-    bundle = struct.bundle_at(POINT8)
-    J = bundle["J"]
+    ctx = struct.at(POINT8)
+    J = ctx.J
     fval = float(np.exp(POINT8[0]))
     df = fval * DX1_8
     expected = np.zeros((8, 8, 8))
     for a in range(3):
         expected += wedge_arrays(j_apply_oneform(J[a], df), np.eye(8) @ J[a])
-    assert np.max(np.abs(struct.torsion(POINT8) - expected)) <= 1e-5
-    assert bundle["alpha_agreement"] <= 1e-5
+    assert np.max(np.abs(ctx.T - expected)) <= 1e-5
+    assert ctx.alpha_agreement <= 1e-5
 
 
 def test_structure_invariants(conformal_struct):
@@ -377,7 +398,7 @@ def test_structure_invariants(conformal_struct):
 
 def test_torsion_12_raised_consistently(conformal_struct):
     struct = conformal_struct
-    T3 = struct.torsion(POINT8)
+    T3 = struct.at(POINT8).T
     T12 = struct.at(POINT8).T12
     g = struct.data.metric_at(POINT8)
     assert np.max(np.abs(np.einsum("kij,km->ijm", T12, g) - T3)) <= 1e-12
@@ -386,11 +407,11 @@ def test_torsion_12_raised_consistently(conformal_struct):
 def test_torsion_recovered_from_connection_difference(conformal_struct):
     # g(2 (nabla_X - nabla^g_X) Y, Z) reproduces the stored 3-form
     struct = conformal_struct
-    gamma = struct.connection(POINT8)
+    gamma = struct.at(POINT8).Gamma
     gamma_g = levi_civita(struct.data.patch.metric, POINT8, SCHEME)
     g = struct.data.metric_at(POINT8)
     recovered = 2.0 * np.einsum("lij,lm->ijm", gamma - gamma_g, g)
-    assert np.max(np.abs(recovered - struct.torsion(POINT8))) <= 1e-10
+    assert np.max(np.abs(recovered - struct.at(POINT8).T)) <= 1e-10
 
 
 def test_dim4_lee_identities_with_nonzero_theta():
@@ -419,8 +440,8 @@ def test_dim4_lee_identities_with_nonzero_theta():
 def test_dim4_zero_torsion_is_levi_civita():
     struct = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
                             ConstantForm(1, np.zeros(4)), SCHEME)
-    assert np.max(np.abs(struct.torsion(POINT4))) == 0.0
-    assert np.max(np.abs(struct.connection(POINT4))) == 0.0
+    assert np.max(np.abs(struct.at(POINT4).T)) == 0.0
+    assert np.max(np.abs(struct.at(POINT4).Gamma)) == 0.0
 
 
 def test_dim4_constant_torsion_star():
@@ -428,10 +449,9 @@ def test_dim4_constant_torsion_star():
                             ConstantForm(1, np.array([0.5, 0, 0, 0])), SCHEME)
     dx = np.eye(4)
     expected = 0.5 * wedge_arrays(wedge_arrays(dx[1], dx[2]), dx[3])
-    assert np.max(np.abs(struct.torsion(POINT4) - expected)) <= 1e-14
+    assert np.max(np.abs(struct.at(POINT4).T - expected)) <= 1e-14
     # closed torsion
-    from qkt.tensor_core import exterior_derivative
-    dT = exterior_derivative(struct.torsion, SCHEME)(POINT4)
+    dT = exterior_derivative(torsion_field(struct), SCHEME)(POINT4)
     assert np.max(np.abs(dT)) <= 1e-12
 
 
@@ -442,8 +462,8 @@ def test_dim4_recovers_input_one_form(sine_dim4):
     # each t_a ^ F_a reproduces the torsion
     g = sine_dim4.data.metric_at(POINT4)
     for a, t_a in enumerate((t1, t2, t3)):
-        F = g @ sine_dim4.data.j_at(a, POINT4)
-        assert np.max(np.abs(sine_dim4.torsion(POINT4) - wedge_arrays(t_a, F))) <= 1e-10
+        F = g @ j_at(sine_dim4.data, a, POINT4)
+        assert np.max(np.abs(sine_dim4.at(POINT4).T - wedge_arrays(t_a, F))) <= 1e-10
 
 
 def test_dim4_requires_n_one():
@@ -453,7 +473,6 @@ def test_dim4_requires_n_one():
 
 
 def test_dim4_star_dT_equals_minus_delta_t(sine_dim4):
-    from qkt.tensor_core import exterior_derivative, hodge_star_array
     struct = sine_dim4
     # t = sin(x1) dx1 makes both sides nonzero; rebuild with that form
     t_form = FormField(1, lambda q: np.sin(q[..., 0, None]) * np.eye(4)[0])
@@ -461,8 +480,8 @@ def test_dim4_star_dT_equals_minus_delta_t(sine_dim4):
                                 t_form, SCHEME)
     for built, form in ((struct, t_field(struct)), (nontrivial, t_form)):
         p = POINT4
-        dT = exterior_derivative(built.torsion, SCHEME)(p)
-        star_dT = hodge_star_array(dT, built.data.metric_at(p), built.patch.orientation)
+        dT = exterior_derivative(torsion_field(built), SCHEME)(p)
+        star_dT = hodge_star(dT, built.data.metric_at(p), built.patch.orientation)
         delta_t = codifferential(form, built.data.patch.metric, p, SCHEME)
         assert abs(float(star_dT) + float(delta_t)) <= 1e-5
     delta = codifferential(t_form, nontrivial.data.patch.metric, POINT4, SCHEME)
@@ -492,14 +511,14 @@ def test_common_one_form_spread(conformal_struct, sine_dim4):
 def test_torsion_one_forms_memoized_read_only(conformal_struct):
     # a context computes each layer once and hands it out read-only
     ctx = conformal_struct.at(POINT8)
-    first = (ctx.t_alpha, ctx.t_images, ctx.t, ctx.bundle["theta"])
-    again = (ctx.t_alpha, ctx.t_images, ctx.t, ctx.bundle["theta"])
+    first = (ctx.t_alpha, ctx.t_images, ctx.t, ctx.theta)
+    again = (ctx.t_alpha, ctx.t_images, ctx.t, ctx.theta)
     assert all(x is y for x, y in zip(first, again))
     for value in first:
         with pytest.raises(ValueError):
             value[0] = 1.0
-    with pytest.raises(TypeError):
-        ctx.bundle["theta"] = first[0]
+    with pytest.raises(AttributeError):
+        ctx.theta = first[3]
     with pytest.raises(AttributeError):
         ctx.t = first[2]
     values = torsion_one_forms(conformal_struct, POINT8)
@@ -531,15 +550,15 @@ def test_auxiliary_forms_relations(conformal_struct):
     # A_a = J_b(theta_c - theta_b) and (n-1) J_b C_a = theta_a - J_b theta_{a,c}
     struct = conformal_struct
     A, C = struct.at(POINT8).auxiliary
-    bundle = struct.bundle_at(POINT8)
-    theta, cross, J = bundle["theta"], bundle["theta_cross"], bundle["J"]
+    ctx = struct.at(POINT8)
+    theta, cross, J = ctx.theta, ctx.theta_cross, ctx.J
     for a, b, c in CYCLIC:
         assert np.max(np.abs(
             A[a] - j_apply_oneform(J[b], theta[c] - theta[b]))) <= 1e-5
         lhs = (struct.n - 1.0) * j_apply_oneform(J[b], C[a])
         rhs = theta[a] - j_apply_oneform(J[b], cross[a, c])
         assert np.max(np.abs(lhs - rhs)) <= 1e-5
-    assert "K" in bundle
+    assert ctx.K is not None
 
 
 # ---------------------------------------------------------------------------

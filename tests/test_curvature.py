@@ -17,7 +17,6 @@ from qkt.expressions import parse_expression
 from qkt.qkt_connection import build_qkt, build_qkt_dim4, classify
 from qkt.quaternionic import QuaternionicHermitianData, build_standard_hypercomplex
 from qkt.tensor_core import (
-    ConnectionField,
     ConstantForm,
     ConstantMetric,
     CoordinatePatch,
@@ -25,7 +24,7 @@ from qkt.tensor_core import (
     FormField,
     gradient,
 )
-from reference import levi_civita_field, ricci_data
+from reference import TensorField, connection_field, levi_civita_field, ricci_data
 
 SCHEME = FDScheme()
 POINT8 = np.array([0.05, -0.1, 0.2, 0.0, 0.11, -0.02, 0.3, -0.2])
@@ -94,8 +93,8 @@ def test_conformal_curvature_against_analytic_connection():
                     (k == i) * sigma[j] + (k == j) * sigma[i]
                     - (i == j) * sigma[k]
                 )
-    exact_conn = ConnectionField(
-        lambda p: np.broadcast_to(gamma_exact, p.shape[:-1] + gamma_exact.shape), nested=False)
+    exact_conn = TensorField(
+        "udd", lambda p: np.broadcast_to(gamma_exact, p.shape[:-1] + gamma_exact.shape))
     p = np.array([0.2, -0.1, 0.3, 0.05])
     analytic = field_curvature(exact_conn, metric, p)
     patch = flat_patch(1)
@@ -155,7 +154,7 @@ def test_hkt_flat_has_vanishing_ricci_forms():
     record = classify(struct, [np.zeros(8)])
     assert record.is_hkt
     ctx = struct.at(np.zeros(8))
-    curv = field_curvature(struct.connection, struct.data.patch.metric, np.zeros(8))
+    curv = field_curvature(connection_field(struct), struct.data.patch.metric, np.zeros(8))
     rho = ricci_forms(curv, ctx.ginv, ctx.J)
     assert np.array_equal(rho, ctx.rho)
     assert np.max(np.abs(rho)) <= 1e-3

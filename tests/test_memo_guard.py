@@ -8,9 +8,13 @@ bytes do not carry.
 
 import ast
 import dataclasses
+import functools
+from collections.abc import Mapping
 from pathlib import Path
 
-from qkt.qkt_connection import QKTStructure
+import numpy as np
+
+from qkt.qkt_connection import QKTContext, QKTStructure
 from qkt.zoo import ManifoldSpec, build_manifold
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qkt"
@@ -45,3 +49,16 @@ def test_structure_fields_hold_no_dict():
         for field in dataclasses.fields(struct):
             assert not isinstance(getattr(struct, field.name), dict), field.name
         assert len(QKTStructure.caches) == 0
+
+
+def test_no_context_layer_is_a_mapping():
+    # every pointwise quantity is its own layer, not an entry of a dict layer
+    names = [name for name, attr in vars(QKTContext).items()
+             if isinstance(attr, (functools.cached_property, property))
+             and not name.startswith("_stencil") and name != "base"]
+    for spec in (ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1),
+                 ManifoldSpec(kind="hopf_local", n=1, point_count=1)):
+        ctx = build_manifold(spec).at(np.full(4 * spec.n, 0.1))
+        for name in names:
+            assert not isinstance(getattr(ctx, name), Mapping), name
+    assert {"theta", "theta_cross", "dcF_plus", "K", "existence", "alpha_agreement"} <= set(names)

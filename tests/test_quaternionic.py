@@ -23,16 +23,18 @@ from qkt.tensor_core import (
     CoordinatePatch,
     FDScheme,
     FormField,
-    exterior_derivative,
     wedge_arrays,
 )
 from reference import (
     cross_lee_form,
     dc_3form,
+    exterior_derivative,
+    j_at,
     kaehler_field,
     kaehler_form,
     lee_form,
     orthonormal_frame,
+    torsion_field,
 )
 
 SCHEME = FDScheme()
@@ -44,7 +46,7 @@ def metric_and_j(data, p):
 
 def bracket(data, alpha, p):
     """The Nijenhuis tensor of J_alpha from the triple's own stencil."""
-    return nijenhuis_bracket(data.j_at(alpha, p), data.hyper.gradient(p, SCHEME)[:, alpha])
+    return nijenhuis_bracket(j_at(data, alpha, p), data.hyper.gradient(p, SCHEME)[:, alpha])
 
 
 def type22(data, T_field, p):
@@ -132,7 +134,7 @@ def test_kaehler_antisymmetry_and_invariance():
     for a in range(3):
         F = kaehler_form(data, a, p)
         assert np.max(np.abs(F + F.T)) <= 1e-12
-        J = data.j_at(a, p)
+        J = j_at(data, a, p)
         assert np.max(np.abs(J.T @ F @ J - F)) <= 1e-10
         # F(X, Y) = g(X, J Y)
         assert np.max(np.abs(F - g @ J)) == 0.0
@@ -346,7 +348,7 @@ def test_trace_is_frame_independent():
     data = conformal_data(2)
     p = np.full(8, 0.1)
     g = data.metric_at(p)
-    J = data.j_at(0, p)
+    J = j_at(data, 0, p)
     arr = rng.normal(size=(8, 8, 8))
     contracted = frame_trace_pair(arr, np.linalg.inv(g), J)
     # rotate the Gram-Schmidt frame by a random g-orthogonal map
@@ -461,7 +463,7 @@ def test_twisted_derivatives_match_einsum(n):
     dT = exterior_derivative(T_field, SCHEME)(p)
     worst = 0.0
     for a in range(3):
-        J = data.j_at(a, p)
+        J = j_at(data, a, p)
         defect = (dT
                   - np.einsum("ai,bj,abkl->ijkl", J, J, dT)
                   - np.einsum("ai,ck,ajcl->ijkl", J, J, dT)
@@ -472,7 +474,7 @@ def test_twisted_derivatives_match_einsum(n):
     assert abs(got - worst) <= 1e-12 * worst
     F = kaehler_field(data, 1)
     dF = exterior_derivative(F, SCHEME)(p)
-    J = data.j_at(2, p)
+    J = j_at(data, 2, p)
     assert_rel_close(dc_3form(data, 2, F, p, SCHEME),
                      -np.einsum("ai,bj,ck,abc->ijk", J, J, J, dF))
 
@@ -552,6 +554,6 @@ def test_dT_type22_residual_takes_precomputed_dT():
     struct = build_qkt_dim4(data.patch, data.hyper, t_form, SCHEME)
     p = np.array([0.1, -0.2, 0.3, 0.05])
     ctx = struct.at(p)
-    dT = exterior_derivative(struct.torsion, SCHEME)(p)
+    dT = exterior_derivative(torsion_field(struct), SCHEME)(p)
     assert np.array_equal(ctx.dT, dT)
     assert dT_type22_residual(ctx.dT, ctx.J) == dT_type22_residual(dT, data.hyper.matrices(p))

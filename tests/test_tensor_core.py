@@ -16,11 +16,11 @@ from qkt.tensor_core import (
     FormField,
     antisymmetrized_gradient,
     covariant_derivative_array,
-    exterior_derivative,
     gradient,
     hodge_star_array,
     levi_civita,
     partial_derivative,
+    validate_metric,
     wedge_arrays,
 )
 from reference import (
@@ -28,6 +28,8 @@ from reference import (
     TensorFieldValue,
     codifferential,
     covariant_derivative,
+    exterior_derivative,
+    hodge_star,
     hodge_star_4d,
     levi_civita_field,
     nabla_array,
@@ -204,7 +206,7 @@ def test_wedge_fields_compose():
 # ---------------------------------------------------------------------------
 
 def test_star_of_dx1_flat():
-    star = hodge_star_array(dx(0), np.eye(4))
+    star = hodge_star_array(dx(0), np.eye(4), 1.0)
     expected = wedge_arrays(wedge_arrays(dx(1), dx(2)), dx(3))
     assert np.max(np.abs(star - expected)) <= 1e-14
 
@@ -219,7 +221,7 @@ def test_star_square_signs(degree):
         form = RNG.normal(size=4)
         for _ in range(degree - 1):
             form = wedge_arrays(RNG.normal(size=4), form)
-    twice = hodge_star_array(hodge_star_array(form, g), g)
+    twice = hodge_star(hodge_star(form, g), g)
     sign = (-1.0) ** (degree * (4 - degree))
     assert np.max(np.abs(twice - sign * form)) <= 1e-12
 
@@ -228,13 +230,13 @@ def test_star_square_identity_on_two_forms():
     g = np.eye(4)
     two = RNG.normal(size=(4, 4))
     two = two - two.T
-    twice = hodge_star_array(hodge_star_array(two, g), g)
+    twice = hodge_star(hodge_star(two, g), g)
     assert np.max(np.abs(twice - two)) <= 1e-12
 
 
 def test_star_dimension_guard():
     with pytest.raises(DimensionError):
-        hodge_star_array(np.zeros(8), np.eye(8))
+        hodge_star_array(np.zeros(8), np.eye(8), 1.0)
     patch8 = flat_patch(8)
     with pytest.raises(DimensionError):
         hodge_star_4d(ConstantForm(1, np.zeros(8)), patch8.metric)(np.zeros(8))
@@ -247,7 +249,7 @@ def test_star_field_respects_metric_scaling():
     omega = ConstantForm(1, dx(0))
     p = np.array([0.3, 0.1, -0.2, 0.0])
     starred = hodge_star_4d(omega, metric)(p)
-    flat = hodge_star_array(dx(0), np.eye(4))
+    flat = hodge_star_array(dx(0), np.eye(4), 1.0)
     assert np.max(np.abs(starred - f(p) * flat)) <= 1e-12
 
 
@@ -391,7 +393,7 @@ def test_patch_validation():
         n=1, lo=-np.ones(4), hi=np.ones(4),
         metric=lambda p: np.diag([1.0, 1.0, 1.0, -1.0]))
     with pytest.raises(DegenerateMetricError):
-        patch.validate_metric_at(np.zeros(4))
+        validate_metric(patch.metric_at(np.zeros(4)), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +429,8 @@ def test_memoized_metric_evaluates_each_point_once():
     calls = []
     ctx = _conformal_struct(calls).at(P8)
     assert ctx.g is ctx.g
-    for layer in ("bundle", "curv", "curv_g", "rho", "nabla_T", "dt", "sp1"):
+    for layer in ("theta", "theta_cross", "dcF_plus", "K", "existence", "alpha_agreement",
+                  "curv", "curv_g", "rho", "nabla_T", "dt", "sp1"):
         getattr(ctx, layer)
     shapes = [call for call in calls if isinstance(call, tuple)]
     rows = [call for call in calls if isinstance(call, bytes)]
@@ -506,12 +509,12 @@ def test_non_finite_metric_is_degenerate(bad):
     patch = CoordinatePatch(n=1, lo=-np.ones(4), hi=np.ones(4), metric=metric)
     points = np.array([[0.1, 0, 0, 0], [0.3, 0, 0, 0], [0.5, 0, 0, 0]])
     with pytest.raises(DegenerateMetricError, match=r"not finite at \[0\.3 0\.  0\.  0\. \]"):
-        patch.validate_metric_at(points)
+        validate_metric(patch.metric_at(points), points)
     with pytest.raises(DegenerateMetricError, match="not finite"):
         levi_civita(metric, np.array([0.3, 0.0, 0.0, 0.0]), SCHEME)
     nan_patch = CoordinatePatch(n=1, lo=-np.ones(4), hi=np.ones(4),
                                 metric=lambda p: np.full((4, 4), np.nan))
     with pytest.raises(DegenerateMetricError):
-        nan_patch.validate_metric_at(np.zeros(4))
+        validate_metric(nan_patch.metric_at(np.zeros(4)), np.zeros(4))
     with pytest.raises(DegenerateMetricError):
         levi_civita(nan_patch.metric, np.zeros(4), SCHEME)
