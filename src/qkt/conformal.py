@@ -23,12 +23,7 @@ import numpy as np
 from .errors import GeometryError
 from .qkt_connection import QKTContext, QKTStructure
 from .quaternionic import CYC_A, CYC_B, CYC_C, QuaternionicHermitianData, j_apply_oneform
-from .tensor_core import (
-    ConformalMetric,
-    FDScheme,
-    antisymmetrized_gradient,
-    first_point,
-)
+from .tensor_core import ConformalMetric, antisymmetrized_gradient, first_point
 
 MIN_FACTOR = 1e-8
 
@@ -49,12 +44,11 @@ class ConformalFactor:
         return v
 
 
-def conformal_rescale(struct: QKTStructure, factor: ConformalFactor,
-                      scheme: FDScheme | None = None) -> QKTStructure:
-    """Transport ``struct`` to the metric f*g on the same hypercomplex triple."""
+def conformal_rescale(struct: QKTStructure, factor: ConformalFactor) -> QKTStructure:
+    """Transport ``struct`` to the metric f*g on the same hypercomplex triple and scheme."""
     patch = replace(struct.patch, metric=ConformalMetric(factor, struct.patch.metric))
     data = QuaternionicHermitianData(patch, struct.data.hyper)
-    return QKTStructure(data, scheme or struct.scheme, _rescaled_torsion, base=struct)
+    return QKTStructure(data, struct.scheme, _rescaled_torsion, base=struct)
 
 
 def _rescaled_torsion(ctx: QKTContext) -> np.ndarray:
@@ -132,5 +126,5 @@ def lchkt_residual(ctx: QKTContext) -> np.ndarray:
     """max_a |d(theta_a - J_b theta_{a,c})| -- zero for locally conformal
     structures with all three complex structures integrable."""
     # one stencil of the three candidates
-    grad = ctx.derivative("lchkt_candidates", nested=True)
+    grad = ctx.derivative("lchkt_candidates")
     return ctx.residual(antisymmetrized_gradient(np.moveaxis(grad, -3, -2), degree=1))

@@ -105,7 +105,7 @@ def sp1_curvature_residuals(ctx) -> dict:
     omegas = ctx.omega
     # one stencil of the three sp(1) forms
     d_omega = antisymmetrized_gradient(
-        np.moveaxis(ctx.derivative("omega", True), -3, -2), degree=1)
+        np.moveaxis(ctx.derivative("omega"), -3, -2), degree=1)
     wedge_bc = wedge_arrays(omegas[..., CYC_B, :], omegas[..., CYC_C, :], stack=omegas.ndim - 1)
     return {"eq11": ctx.residual(lie - rhs),
             "eq12": ctx.residual(rho - n * (d_omega + wedge_bc))}
@@ -247,14 +247,13 @@ def weyl_correspondence(ctx) -> dict:
     ``qkw_sym``: Sym(Ric^W) + Sym(K) = 0, the pointwise form of the
     equivalence between the two Einstein-type conditions.
     ``wzl1``: the explicit formula for Sym(Ric^W).
-    ``einstein_weyl_deviation``: |Sym(Ric^W) - (tr Sym(Ric^W) / 4) g|.
     """
     _require_dim4(ctx, "the Weyl correspondence")
     gamma_w, g, t = ctx.gamma_w, ctx.g, ctx.t
     nabla_w_g = covariant_derivative_array(gamma_w, "dd", g, ctx.dg)
     qw = ctx.residual(nabla_w_g + t[..., :, None, None] * g[..., None, :, :])
 
-    ric_w = ricci_tensor(curvature_tensor(gamma_w, ctx.derivative("gamma_w", True), g))
+    ric_w = ricci_tensor(curvature_tensor(gamma_w, ctx.derivative("gamma_w"), g))
     sym_ric_w = 0.5 * (ric_w + _swap(ric_w))
     qkw_sym = ctx.residual(sym_ric_w + ctx.sym_sum_P)
 
@@ -264,8 +263,4 @@ def weyl_correspondence(ctx) -> dict:
         - (ctx.Ric_g - sym_nabla_t - 0.5 * ctx.t_square
            + 0.5 * ctx.delta_t[..., None, None] * g))
 
-    trace_w = np.einsum("...jk,...jk->...", ctx.ginv, sym_ric_w)[..., None, None]
-    ew_dev = ctx.residual(sym_ric_w - (trace_w / 4.0) * g)
-
-    return {"qw": qw, "qkw_sym": qkw_sym, "wzl1": wzl1,
-            "einstein_weyl_deviation": ew_dev}
+    return {"qw": qw, "qkw_sym": qkw_sym, "wzl1": wzl1}

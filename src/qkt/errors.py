@@ -29,12 +29,15 @@ class NotQKTError(GeometryError):
     """The compatibility condition for a torsion connection failed.
 
     Carries the offending residual so callers (and reports) can show how
-    badly the candidate structure misses the existence condition.
+    badly the candidate structure misses the existence condition, and the
+    residual of each failed check by name in ``details`` ("algebra", and
+    "eq4" for the n >= 2 build).
     """
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float, details: dict):
         super().__init__(message)
         self.residual = float(residual)
+        self.details = details
 
 
 class ExpressionError(ValueError):

@@ -6,10 +6,10 @@ data of the three Kaehler forms: the candidate torsion is
     T = (d_a F_a)^+ - (J_a K_a ^ F_c + K_a ^ F_b) / 2,
 
 with K_a = (J_b theta_a + theta_{a,c}) / (1 - n), and the construction is
-accepted only if the three alpha-versions agree and the existence
-condition relating the (1,2)+(2,1) parts of the twisted derivatives
-holds.  In dimension 4 the torsion is instead the Hodge dual of a freely
-chosen 1-form.  Either way the connection is nabla^g + T/2 and the sp(1)
+accepted only if the three alpha-versions agree; expanded, their
+disagreement is the existence condition relating the (1,2)+(2,1) parts
+of the twisted derivatives.  In dimension 4 the torsion is instead the
+Hodge dual of a freely chosen 1-form.  Either way the connection is nabla^g + T/2 and the sp(1)
 connection 1-forms are recovered by solving nabla J_a = -omega_b (x) J_c
 + omega_c (x) J_b pointwise.
 
@@ -66,8 +66,12 @@ from .tensor_core import (
     worst,
 )
 
-DEFAULT_EXISTENCE_TOL = 1e-4
+EXISTENCE_TOL = 1e-4
 ALGEBRA_TOL = 1e-8
+# the classification flags: first-order residuals (hkt, integrable) and the
+# residuals of the derivatives of the torsion (parallel, strong)
+FIRST_ORDER_TOL = 1e-5
+CURVATURE_TOL = 1e-4
 
 # Sample points are evaluated in chunks, one context per chunk.  A context's
 # largest arrays are rank-4 tensors on the nested stencils of its points,
@@ -129,40 +133,38 @@ class QKTContext:
     :class:`ConformalMetric` the factor f is evaluated once per point array,
     and for any other metric f = 1 and g_0 = g.  The first-order data of
     the torsion formula are separate layers: theta, theta_cross and
-    dcF_plus (the last two from one dF), K, and the eq4 and eq5 defects
-    ``existence`` and ``alpha_agreement``, so a stencil sub-context that
-    reads T never computes the defects.  A derivative differences
-    a layer of one of two stencil sub-contexts, each built at most once: at
-    step ``h`` for g, F_a, f (and a torsion built without finite
-    differences), at step ``h2`` for the torsion, Gamma, t, the sp(1) forms
-    and everything else built from finite differences.  Every layer takes
+    dcF_plus (the last two from one dF), K, and the one eq4/eq5 defect
+    ``existence``, so a stencil sub-context that reads T never computes the
+    defect.  A derivative differences a layer of one of two stencil
+    sub-contexts, each built at most once, at the structure's scheme
+    (:meth:`derivative` picks the step).  Every layer takes
     leading point axes, and so does every identity record: the suite opens
     one context per chunk of sample points, and a record returns one
     residual per point (:meth:`residual`).
     """
 
-    def __init__(self, struct: QKTStructure, x: np.ndarray, scheme: FDScheme):
+    def __init__(self, struct: QKTStructure, x: np.ndarray):
         x = np.asarray(x, dtype=float).view()
         x.flags.writeable = False
-        vars(self).update(struct=struct, x=x, scheme=scheme)
+        vars(self).update(struct=struct, x=x)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"context layer {name!r} is read-only")
 
     @functools.cached_property
     def _stencil_h(self) -> "QKTContext":
-        return QKTContext(self.struct, stencil(self.x, self.scheme.h), self.scheme)
+        return QKTContext(self.struct, stencil(self.x, self.struct.scheme.h))
 
     @functools.cached_property
     def _stencil_h2(self) -> "QKTContext":
-        return QKTContext(self.struct, stencil(self.x, self.scheme.h2), self.scheme)
+        return QKTContext(self.struct, stencil(self.x, self.struct.scheme.h2))
 
     @functools.cached_property
     def base(self) -> "QKTContext":
         """The context of the structure on the base metric g_0 (``struct.base``)
         at the same points: the one that the rescaled torsion rule and the
         conformal laws both read."""
-        return self.struct.base.at(self.x, self.scheme)
+        return self.struct.base.at(self.x)
 
     def residual(self, *arrays) -> np.ndarray:
         """Per point of x, the largest |entry| of ``arrays`` beyond the point axes; NaN wins."""
@@ -170,19 +172,22 @@ class QKTContext:
         return functools.reduce(np.maximum, (
             np.max(np.abs(arr).reshape(points + (-1,)), axis=-1) for arr in arrays))
 
-    def derivative(self, layer: str, nested: bool) -> np.ndarray:
-        """The gradient of ``layer`` at x, step h2 when ``nested``, else h.
+    def derivative(self, layer: str) -> np.ndarray:
+        """The gradient of ``layer`` at x.
 
-        One :func:`gradient` call; its field returns the layer of the stencil
-        sub-context, which sits on the very stencil array ``gradient`` builds.
-        On a constant structure every layer is the same at every point, so
-        the gradient is exact zeros, without a stencil.
+        The step is h for the layers evaluated without finite differences
+        (``_g_and_F``, ``f``, and ``T`` when the torsion is built from them
+        alone) and h2 for every other layer.  One :func:`gradient` call; its field returns the layer
+        of the stencil sub-context, which sits on the very stencil array
+        ``gradient`` builds.  On a constant structure every layer is the same
+        at every point, so the gradient is exact zeros, without a stencil.
         """
         if self.struct.constant:
             shape, points = np.shape(getattr(self, layer)), self.x.ndim - 1
             return np.zeros(shape[:points] + self.x.shape[-1:] + shape[points:])
+        nested = layer not in ("_g_and_F", "f") and (layer != "T" or self.struct.nested_torsion)
         sub = self._stencil_h2 if nested else self._stencil_h
-        return gradient(lambda _: getattr(sub, layer), self.x, self.scheme, nested)
+        return gradient(lambda _: getattr(sub, layer), self.x, self.struct.scheme, nested)
 
     # -- metric and hypercomplex data -------------------------------------
 
@@ -233,7 +238,7 @@ class QKTContext:
     @_layer
     def _d_g_and_F(self):
         """d g and d F_a from one stencil: [..., a, 0] = d_a g, [..., a, 1:] = d_a F."""
-        return self.derivative("_g_and_F", nested=False)
+        return self.derivative("_g_and_F")
 
     @property
     def dg(self):
@@ -243,12 +248,12 @@ class QKTContext:
     @_layer
     def dJ(self):
         """dJ[..., i, alpha] = d_i J_alpha."""
-        return self.struct.data.hyper.gradient(self.x, self.scheme)
+        return self.struct.data.hyper.gradient(self.x, self.struct.scheme)
 
     @_layer
     def df(self):
         """df[..., a] = d_a f, from the same stencil as g."""
-        return self.derivative("f", nested=False)
+        return self.derivative("f")
 
     @_layer
     def df_wedge_F(self):
@@ -311,31 +316,18 @@ class QKTContext:
                 + self.theta_cross[..., CYC_A, CYC_C, :]) / (1.0 - n)
 
     @_layer
-    def alpha_agreement(self):
-        """Per point, the worst disagreement of the three alpha-versions of the
-        torsion (eq5); None for n = 1."""
+    def existence(self):
+        """Per point, the worst disagreement V_a - V_b of the three
+        alpha-versions of the torsion; None for n = 1.
+
+        It is the eq5 agreement and, expanded term by term, the defect of the
+        existence condition (eq4) relating the d_a F_a^+: the connection
+        exists exactly when the versions agree.
+        """
         if self.struct.n < 2:
             return None
         versions = _alpha_versions(self)
         return np.max(np.abs(versions - versions[..., CYC_B, :, :, :]), axis=(-4, -3, -2, -1))
-
-    @_layer
-    def existence(self):
-        """Per point, the defect of the existence condition (eq4) relating the
-        d_a F_a^+; None for n = 1."""
-        if self.struct.n < 2:
-            return None
-        K, J, F, dcF_plus = self.K, self.J, self.F, self.dcF_plus
-        stack = K.ndim - 1
-        JK = j_apply_oneform(J, K)
-        # accumulated in place over K ^ F_b
-        rhs = wedge_arrays(K, F[..., CYC_B, :, :], stack=stack)
-        rhs -= wedge_arrays(JK[..., CYC_B, :], F, stack=stack)
-        rhs -= wedge_arrays(K[..., CYC_B, :] - JK, F[..., CYC_C, :, :], stack=stack)
-        rhs *= 0.5
-        defect = dcF_plus - dcF_plus[..., CYC_B, :, :, :]
-        defect -= rhs
-        return np.max(np.abs(defect), axis=(-4, -3, -2, -1))
 
     @_layer
     def T(self):
@@ -350,18 +342,12 @@ class QKTContext:
     @_layer
     def Gamma(self):
         """The torsion connection nabla^g + T/2."""
-        return self.gamma_g + 0.5 * np.einsum("...ijm,...ml->...lij", self.T, self.ginv)
+        return self.gamma_g + 0.5 * self.T12
 
     @_layer
     def nabla_J(self):
-        """nabla_J[..., i, alpha, k, j] = (nabla_i J_alpha)[k, j] under the torsion connection."""
-        # gamma_dir[..., i] = Gamma[..., :, i, :]: nabla_i J_a = d_i J_a + [Gamma_i, J_a]
-        gamma_dir = np.swapaxes(self.Gamma, -3, -2)[..., None, :, :]
-        J_i = self.J[..., None, :, :, :]
-        nabla_j = gamma_dir @ J_i
-        nabla_j += self.dJ
-        nabla_j -= J_i @ gamma_dir
-        return nabla_j
+        """nabla_J[..., alpha, i, k, j] = (nabla_i J_alpha)[k, j] under the torsion connection."""
+        return covariant_derivative_array(self.Gamma, "ud", self.J, self.dJ)
 
     @_layer
     def sp1(self):
@@ -420,7 +406,7 @@ class QKTContext:
 
     @_layer
     def _grad_T(self):
-        return self.derivative("T", self.struct.nested_torsion)
+        return self.derivative("T")
 
     @_layer
     def dT(self):
@@ -438,7 +424,7 @@ class QKTContext:
 
     @_layer
     def _grad_t(self):
-        return self.derivative("t", nested=True)
+        return self.derivative("t")
 
     @_layer
     def dt(self):
@@ -456,17 +442,17 @@ class QKTContext:
 
     @_layer
     def delta_t(self):
-        return -np.einsum("...ab,...ab->...", self.ginv, self.nabla_g_t)
+        return trace_codifferential(self.nabla_g_t, self.ginv)
 
     # -- curvature --------------------------------------------------------
 
     @_layer
     def curv(self) -> CurvatureValue:
-        return curvature_tensor(self.Gamma, self.derivative("Gamma", True), self.g)
+        return curvature_tensor(self.Gamma, self.derivative("Gamma"), self.g)
 
     @_layer
     def curv_g(self) -> CurvatureValue:
-        return curvature_tensor(self.gamma_g, self.derivative("gamma_g", True), self.g)
+        return curvature_tensor(self.gamma_g, self.derivative("gamma_g"), self.g)
 
     @_layer
     def rho(self):
@@ -554,7 +540,7 @@ def _alpha_versions(ctx: QKTContext) -> np.ndarray:
 def _extract_sp1(J: np.ndarray, nabla_j: np.ndarray):
     """Solve nabla J_a = -omega_b (x) J_c + omega_c (x) J_b for the omegas.
 
-    ``J`` and ``nabla_j[..., i, a, k, j]`` = (nabla_i J_a)[k, j] carry the
+    ``J`` and ``nabla_j[..., a, i, k, j]`` = (nabla_i J_a)[k, j] carry the
     same point axes.  Each omega is recovered from both equations containing
     it; the returned per-point residual tracks the worst least-squares
     defect and the worst disagreement between the two recoveries.
@@ -566,7 +552,7 @@ def _extract_sp1(J: np.ndarray, nabla_j: np.ndarray):
     # (general, since the columns are orthogonal only for a compatible triple)
     flat = J.reshape(points + (3, dim * dim))
     design = np.stack([-flat[..., CYC_C, :], flat[..., CYC_B, :]], axis=-1)
-    rhs = np.moveaxis(nabla_j.reshape(points + (dim, 3, dim * dim)), -3, -1)  # [..., a, kj, i]
+    rhs = np.swapaxes(nabla_j.reshape(points + (3, dim, dim * dim)), -2, -1)  # [..., a, kj, i]
     design_t = np.swapaxes(design, -1, -2)
     coeffs = np.linalg.solve(design_t @ design, design_t @ rhs)  # [..., a, 2, i]
     defect = design @ coeffs
@@ -626,9 +612,9 @@ class QKTStructure:
                      or (isinstance(rule, functools.partial) and rule.func is _dual_torsion
                          and isinstance(rule.args[0], ConstantForm))))
 
-    def at(self, x: np.ndarray, scheme: FDScheme | None = None) -> QKTContext:
+    def at(self, x: np.ndarray) -> QKTContext:
         """The lazy evaluation context of this structure on the point array ``x``."""
-        return QKTContext(self, x, scheme or self.scheme)
+        return QKTContext(self, x)
 
     # an alias of at() that only perfbench/layertrace.py names; ROADMAP item 1
     # deletes it together with the tracer's wrappers
@@ -662,15 +648,16 @@ def existence_residual(data: QuaternionicHermitianData,
 # builders
 # ---------------------------------------------------------------------------
 
-def _check_algebra(ctx: QKTContext) -> dict:
-    """Validate the metric at the context's points; the quaternionic residuals there."""
+def _check_algebra(ctx: QKTContext) -> float:
+    """Validate the metric at the context's points; the worst quaternionic
+    residual there."""
     validate_metric(ctx.g, ctx.x)
-    return quaternionic_residuals(ctx.g, ctx.J)
+    residuals = quaternionic_residuals(ctx.g, ctx.J)
+    return worst(residuals["algebra"], residuals["square"], residuals["hermitian"])
 
 
 def build_qkt(data: QuaternionicHermitianData,
               scheme: FDScheme,
-              existence_tol: float = DEFAULT_EXISTENCE_TOL,
               check_points: Sequence[np.ndarray] | None = None) -> QKTStructure:
     """Build the unique torsion connection on a 4n-dimensional patch, n >= 2."""
     if data.n < 2:
@@ -683,18 +670,16 @@ def build_qkt(data: QuaternionicHermitianData,
     struct = QKTStructure(data, scheme, _bundle_torsion)
     # all check points in one context
     ctx = struct.at(np.array(check_points, dtype=float))
-    residuals = _check_algebra(ctx)
-    worst_alg = worst(residuals["algebra"], residuals["square"], residuals["hermitian"])
+    worst_alg = _check_algebra(ctx)
     worst_exist = worst(ctx.existence)
-    if not (worst_alg <= ALGEBRA_TOL and worst_exist <= existence_tol):
-        err = NotQKTError(
+    if not (worst_alg <= ALGEBRA_TOL and worst_exist <= EXISTENCE_TOL):
+        raise NotQKTError(
             f"no compatible torsion connection: existence residual "
-            f"{worst_exist:.3e} (tolerance {existence_tol:.1e}), quaternionic "
+            f"{worst_exist:.3e} (tolerance {EXISTENCE_TOL:.1e}), quaternionic "
             f"algebra residual {worst_alg:.3e}",
             residual=worst(worst_exist, worst_alg),
+            details={"eq4": worst_exist, "algebra": worst_alg},
         )
-        err.details = {"eq4": worst_exist, "algebra": worst_alg}
-        raise err
     return struct
 
 
@@ -707,16 +692,14 @@ def build_qkt_dim4(patch: CoordinatePatch,
         raise DimensionError("build_qkt_dim4 needs n = 1")
     struct = QKTStructure(QuaternionicHermitianData(patch, hyper), scheme,
                           functools.partial(_dual_torsion, t_form), nested_torsion=t_form.nested)
-    residuals = _check_algebra(struct.at(patch.center()))
-    worst_alg = worst(residuals["algebra"], residuals["square"], residuals["hermitian"])
+    worst_alg = _check_algebra(struct.at(patch.center()))
     if not worst_alg <= ALGEBRA_TOL:
-        err = NotQKTError(
+        raise NotQKTError(
             f"hypercomplex triple incompatible with the metric: "
             f"quaternionic algebra residual {worst_alg:.3e}",
             residual=worst_alg,
+            details={"algebra": worst_alg},
         )
-        err.details = {"algebra": worst_alg}
-        raise err
     return struct
 
 
@@ -739,14 +722,10 @@ def torsion_one_form_spread(ctx: QKTContext) -> np.ndarray:
 
 def c7_residual(ctx: QKTContext) -> np.ndarray | None:
     """Defect of the closed formula for the sp(1) forms; None for n = 1."""
-    n = ctx.struct.n
-    if n < 2:
+    if ctx.struct.n < 2:
         return None
-    theta, cross, J = ctx.theta, ctx.theta_cross, ctx.J
-    closed_form = 0.5 * j_apply_oneform(
-        J[..., CYC_B, :, :], theta[..., CYC_C, :] - theta[..., CYC_B, :] + theta / (1.0 - n)
-    ) + cross[..., CYC_A, CYC_C, :] / (2.0 * (1.0 - n))
-    return ctx.residual(closed_form - ctx.omega[..., CYC_B, :])
+    # omega_b = (A_a + K_a) / 2
+    return ctx.residual(0.5 * (ctx.lee_differences + ctx.K) - ctx.omega[..., CYC_B, :])
 
 
 def nijenhuis_via_connection(ctx: QKTContext) -> np.ndarray:
@@ -795,20 +774,19 @@ class Classification:
     dT_type22_residual: float
 
     @classmethod
-    def of(cls, residuals: dict, first_order_tol: float = 1e-5,
-           curvature_tol: float = 1e-4) -> "Classification":
+    def of(cls, residuals: dict) -> "Classification":
         """The flags from the worst :func:`classification_residuals` over sample points."""
         hkt = residuals.get("hkt")
         integ, parallel, strong = (residuals.get(key, 0.0)
                                    for key in ("integrable", "parallel", "strong"))
         return cls(
-            is_hkt=(hkt <= first_order_tol) if hkt is not None else None,
+            is_hkt=(hkt <= FIRST_ORDER_TOL) if hkt is not None else None,
             hkt_residual=hkt,
-            is_integrable=integ <= first_order_tol,
+            is_integrable=integ <= FIRST_ORDER_TOL,
             integrable_residual=integ,
-            is_parallel_torsion=parallel <= curvature_tol,
+            is_parallel_torsion=parallel <= CURVATURE_TOL,
             parallel_torsion_residual=parallel,
-            is_strong=strong <= curvature_tol,
+            is_strong=strong <= CURVATURE_TOL,
             strong_residual=strong,
             dT_type22_residual=residuals.get("dT_type22", 0.0),
         )
@@ -830,14 +808,10 @@ def classification_residuals(ctx: QKTContext) -> dict:
     return out
 
 
-def classify(struct: QKTStructure,
-             points: Sequence[np.ndarray],
-             scheme: FDScheme | None = None,
-             first_order_tol: float = 1e-5,
-             curvature_tol: float = 1e-4) -> Classification:
+def classify(struct: QKTStructure, points: Sequence[np.ndarray]) -> Classification:
     """Structure flags with their witnessing residuals over sample points,
     one context per chunk of points."""
     residuals = {"hkt": 0.0} if struct.n >= 2 else {}
     for chunk in point_chunks(points):
-        fold(residuals, classification_residuals(struct.at(chunk, scheme)))
-    return Classification.of(residuals, first_order_tol, curvature_tol)
+        fold(residuals, classification_residuals(struct.at(chunk)))
+    return Classification.of(residuals)

@@ -176,8 +176,8 @@ def _eval_structural(ctx: QKTContext) -> dict:
     out["eq2"] = ctx.residual(n_bracket - _nijenhuis_eq2(ctx))
 
     if n >= 2:
-        out["eq4"] = ctx.existence
-        out["eq5_agreement"] = ctx.alpha_agreement
+        # the eq4 existence defect and the eq5 agreement are one quantity
+        out["eq4"] = out["eq5_agreement"] = ctx.existence
         out["c7"] = c7_residual(ctx)
     else:
         out.update(_dim4_structural(ctx))
@@ -187,7 +187,7 @@ def _eval_structural(ctx: QKTContext) -> dict:
 def _nijenhuis_eq2(ctx: QKTContext):
     """4 T^{0,2}_a plus the nabla-J terms of the bracket formula, per structure a."""
     J = ctx.J
-    nab_j = np.moveaxis(ctx.nabla_J, -4, -3)     # [..., a, m, k, j]
+    nab_j = ctx.nabla_J   # [..., a, m, k, j]
     t02 = torsion_02_part(ctx.T12[..., None, :, :, :], J)
     return (
         4.0 * t02
@@ -387,9 +387,8 @@ def _run_suite(spec: ManifoldSpec, suite: str) -> VerificationReport:
         struct = build_manifold(spec, check_points=points[: min(3, len(points))])
     except NotQKTError as err:
         # the rows of the build's own checks, over its check points
-        details = getattr(err, "details", {}) or {}
-        values = {"existence_condition": details.get("eq4"),
-                  "quaternionic_identities": details.get("algebra", err.residual)}
+        values = {"existence_condition": err.details.get("eq4"),
+                  "quaternionic_identities": err.details["algebra"]}
         results = [_result(spec, _CHECKS[name], value, min(3, len(points)))
                    for name, value in values.items() if value is not None]
         return VerificationReport(

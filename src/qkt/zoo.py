@@ -38,8 +38,6 @@ class ManifoldSpec:
     n: int
     f: str | None = None
     t_components: tuple | None = None
-    lo: tuple | None = None
-    hi: tuple | None = None
     seed: int = 42
     point_count: int = 20
     h: float = 1e-4
@@ -77,18 +75,10 @@ class ManifoldSpec:
         return FDScheme(h=self.h, h2=self.h2)
 
     def box(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.lo is not None and self.hi is not None:
-            lo = np.asarray(self.lo, dtype=float)
-            hi = np.asarray(self.hi, dtype=float)
-        elif self.kind == "hopf_local":
-            lo = 0.7 * np.ones(self.dim)
-            hi = 1.3 * np.ones(self.dim)
-        else:
-            lo = -0.4 * np.ones(self.dim)
-            hi = 0.4 * np.ones(self.dim)
-        if self.kind == "hopf_local" and np.all(lo < 0) and np.all(hi > 0):
-            raise GeometryError("the hopf_local domain must exclude the origin")
-        return lo, hi
+        """The coordinate box of the kind; the hopf_local box excludes the origin."""
+        if self.kind == "hopf_local":
+            return 0.7 * np.ones(self.dim), 1.3 * np.ones(self.dim)
+        return -0.4 * np.ones(self.dim), 0.4 * np.ones(self.dim)
 
     def to_dict(self) -> dict:
         return {
@@ -221,7 +211,7 @@ def build_manifold(spec: ManifoldSpec,
         struct = build_qkt(data, scheme, check_points=check_points)
         return replace(struct, base=conformal_ingredients(spec))
 
-    return conformal_rescale(conformal_ingredients(spec), factor, scheme)
+    return conformal_rescale(conformal_ingredients(spec), factor)
 
 
 def conformal_ingredients(spec: ManifoldSpec) -> QKTStructure | None:

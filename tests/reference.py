@@ -3,11 +3,13 @@
 Each one computes a quantity by its textbook formula, one structure or one
 form at a time, on a single point: the Kaehler forms, the codifferential,
 the Lee forms and cross Lee forms from their own stencils, K from them,
-the twisted derivative of one 2-form, a Gram-Schmidt frame, the Ricci data
-of a structure, and thin field wrappers around the array kernels (tensor
-fields, the exterior derivative of a form field, the covariant derivative,
-the Levi-Civita connection field, the torsion and connection of a built
-structure as fields, the Hodge star at a metric).  The library computes the
+the eq4 existence defect by its own formula, the twisted derivative of one
+2-form, a Gram-Schmidt frame, the Ricci data of a structure, the
+Einstein-Weyl deviation of its Weyl connection, and thin field wrappers
+around the array kernels (tensor fields, the exterior derivative of a form
+field, the covariant derivative, the Levi-Civita connection field, the
+torsion and connection of a built structure as fields, the Hodge star at
+a metric).  The library computes the
 same objects stacked and over point arrays.
 """
 
@@ -16,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from qkt.curvature import curvature_tensor, ricci_tensor
 from qkt.errors import DegenerateMetricError, DegreeError, DimensionError
 from qkt.quaternionic import (
     CYCLIC,
@@ -219,6 +222,19 @@ def compute_K(data: QuaternionicHermitianData,
     return (jb_theta + cross_lee_form(data, alpha, c, p, scheme)) / (1.0 - data.n)
 
 
+def existence_defect(ctx) -> float:
+    """The eq4 existence defect at the single-point context ``ctx`` (n >= 2),
+    by its own formula: the worst entry of d_a F_a^+ - d_b F_b^+ - (K_a ^ F_b
+    - J_b K_b ^ F_a - K_b ^ F_c + J_a K_a ^ F_c) / 2 over the cyclic triples."""
+    K, J, F, dcF_plus = ctx.K, ctx.J, ctx.F, ctx.dcF_plus
+    defect = 0.0
+    for a, b, c in CYCLIC:
+        rhs = (wedge_arrays(K[a], F[b]) - wedge_arrays(j_apply_oneform(J[b], K[b]), F[a])
+               - wedge_arrays(K[b], F[c]) + wedge_arrays(j_apply_oneform(J[a], K[a]), F[c]))
+        defect = max(defect, np.max(np.abs(dcF_plus[a] - dcF_plus[b] - 0.5 * rhs)))
+    return float(defect)
+
+
 def dc_3form(data: QuaternionicHermitianData,
              alpha: int,
              two_form: FormField,
@@ -254,3 +270,12 @@ def ricci_data(ctx) -> RicciData:
         scal_k = float(np.einsum("jk,jk->", ctx.ginv, K))
     return RicciData(rho=ctx.rho, Ric=ctx.Ric, Ric_g=ctx.Ric_g, Scal=scal,
                      K=K, Scal_K=scal_k)
+
+
+def einstein_weyl_deviation(ctx) -> float:
+    """|Sym(Ric^W) - (tr Sym(Ric^W) / 4) g| of the Weyl connection ``ctx.gamma_w``
+    at the single-point context ``ctx``."""
+    ric_w = ricci_tensor(curvature_tensor(ctx.gamma_w, ctx.derivative("gamma_w"), ctx.g))
+    sym_ric_w = 0.5 * (ric_w + ric_w.T)
+    trace_w = np.einsum("jk,jk->", ctx.ginv, sym_ric_w)
+    return float(np.max(np.abs(sym_ric_w - (trace_w / 4.0) * ctx.g)))

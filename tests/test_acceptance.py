@@ -212,7 +212,7 @@ def test_criterion_08_classification_coherence(spec_conf_exp, report_conf_exp,
     flat = build_manifold(ManifoldSpec(kind="flat", n=2, **DEFAULTS))
     p = np.zeros(8)
     ctx = flat.at(p)
-    curv = curvature_tensor(ctx.Gamma, ctx.derivative("Gamma", nested=True), ctx.g)
+    curv = curvature_tensor(ctx.Gamma, ctx.derivative("Gamma"), ctx.g)
     rho = ricci_forms(curv, ctx.ginv, ctx.J)
     assert np.max(np.abs(rho)) <= 1e-3
     _criterion(8, True,

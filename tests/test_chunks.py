@@ -154,10 +154,10 @@ def test_conformal_laws_share_the_rescaled_base_context(monkeypatch):
     opened = []
     init = QKTContext.__init__
 
-    def recording(ctx, struct, x, scheme):
+    def recording(ctx, struct, x):
         if built:
             opened.append((struct, np.shape(x), np.asarray(x).tobytes()))
-        init(ctx, struct, x, scheme)
+        init(ctx, struct, x)
 
     monkeypatch.setattr(QKTContext, "__init__", recording)
     spec = ManifoldSpec(kind="hopf_local", n=1, point_count=20, seed=5)

@@ -58,13 +58,13 @@ POINT4 = np.array([0.03, -0.12, 0.2, 0.07])
 
 def test_identity_factor_changes_nothing():
     base = flat_struct(2)
-    same = conformal_rescale(base, ConformalFactor(lambda p: 1.0), SCHEME)
+    same = conformal_rescale(base, ConformalFactor(lambda p: 1.0))
     assert np.max(np.abs(same.at(POINT8).T - base.at(POINT8).T)) <= 1e-12
     assert np.max(np.abs(same.at(POINT8).Gamma - base.at(POINT8).Gamma)) <= 1e-12
 
 
 def test_rescaled_structure_passes_invariants():
-    rescaled = conformal_rescale(flat_struct(2), EXP_FACTOR, SCHEME)
+    rescaled = conformal_rescale(flat_struct(2), EXP_FACTOR)
     inv = structure_invariant_residuals(rescaled.at(POINT8))
     assert inv["torsion_skew"] <= 1e-10
     assert inv["metricity"] <= 1e-5
@@ -74,7 +74,7 @@ def test_rescaled_structure_passes_invariants():
 
 def test_laws_trivial_for_constant_factor():
     base = flat_struct(2)
-    out = law_residuals(base, conformal_rescale(base, ConformalFactor(lambda p: 2.0), SCHEME),
+    out = law_residuals(base, conformal_rescale(base, ConformalFactor(lambda p: 2.0)),
                         [POINT8])
     for key, value in out.items():
         assert value <= 1e-8, key
@@ -84,7 +84,7 @@ def test_laws_trivial_for_constant_factor():
 def test_laws_exponential_factor(n):
     base = flat_struct(n)
     points = [np.full(4 * n, 0.1), np.full(4 * n, -0.15)]
-    out = law_residuals(base, conformal_rescale(base, EXP_FACTOR, SCHEME), points)
+    out = law_residuals(base, conformal_rescale(base, EXP_FACTOR), points)
     assert ("z3_K" in out) == (n >= 2)
     for key, value in out.items():
         assert value <= 1e-5, key
@@ -107,9 +107,9 @@ def test_rescale_composition():
     base = flat_struct(2)
     f = ConformalFactor(parse_expression("exp(x1)"))
     h = ConformalFactor(parse_expression("1+x2^2"))
-    two_step = conformal_rescale(conformal_rescale(base, f, SCHEME), h, SCHEME)
+    two_step = conformal_rescale(conformal_rescale(base, f), h)
     product = ConformalFactor(lambda p: np.exp(p[..., 0]) * (1 + p[..., 1] ** 2))
-    one_step = conformal_rescale(base, product, SCHEME)
+    one_step = conformal_rescale(base, product)
     assert np.max(np.abs(two_step.at(POINT8).T - one_step.at(POINT8).T)) <= 1e-5
 
 
@@ -121,7 +121,7 @@ def test_hopf_one_form_value():
     base = build_qkt_dim4(patch, build_standard_hypercomplex(1),
                           ConstantForm(1, np.zeros(4)), SCHEME)
     factor = ConformalFactor(parse_expression("1/(x1^2+x2^2+x3^2+x4^2)"))
-    rescaled = conformal_rescale(base, factor, SCHEME)
+    rescaled = conformal_rescale(base, factor)
     p = np.array([1.0, 0.9, 1.1, 0.8])
     *_, t = torsion_one_forms(rescaled, p)
     dln = -2.0 * p / float(p @ p)
@@ -131,7 +131,7 @@ def test_hopf_one_form_value():
 def test_lcqk_residual_cases():
     base = flat_struct(2)
     assert lcqk_residual(base.at(POINT8)) <= 1e-10
-    rescaled = conformal_rescale(base, EXP_FACTOR, SCHEME)
+    rescaled = conformal_rescale(base, EXP_FACTOR)
     assert lcqk_residual(rescaled.at(POINT8)) <= 1e-5
 
 
@@ -147,7 +147,7 @@ def test_lcqk_shape_trivial_in_dim4():
 def test_lchkt_residual_cases():
     base = flat_struct(2)
     assert lchkt_residual(base.at(POINT8)) <= 1e-10
-    rescaled = conformal_rescale(base, EXP_FACTOR, SCHEME)
+    rescaled = conformal_rescale(base, EXP_FACTOR)
     # the candidate 1-form is a multiple of d ln f, hence closed
     assert lchkt_residual(rescaled.at(POINT8)) <= 1e-4
 
@@ -161,4 +161,4 @@ def test_nonfinite_factor_rejected(bad):
 def test_nonpositive_factor_rejected():
     base = flat_struct(2)
     with pytest.raises(GeometryError):
-        conformal_rescale(base, ConformalFactor(lambda p: -1.0), SCHEME).at(POINT8).T
+        conformal_rescale(base, ConformalFactor(lambda p: -1.0)).at(POINT8).T

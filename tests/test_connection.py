@@ -47,6 +47,7 @@ from reference import (
     codifferential,
     compute_K,
     cross_lee_form,
+    existence_defect,
     exterior_derivative,
     hodge_star,
     j_at,
@@ -66,7 +67,7 @@ def flat_patch(n):
                            metric=ConstantMetric(eye))
 
 
-FIRST_ORDER = ("theta", "theta_cross", "dcF_plus", "K", "existence", "alpha_agreement")
+FIRST_ORDER = ("theta", "theta_cross", "dcF_plus", "K", "existence")
 
 
 def fresh_context(data, p):
@@ -178,16 +179,35 @@ def test_bundle_matches_standalone_formulas_exactly(batched):
 
 
 def test_first_order_layers_exist_for_their_n(conformal_struct, sine_dim4):
-    # theta, theta_cross and dcF_plus for every n; K and the eq4 and eq5
-    # defects for n >= 2 only
+    # theta, theta_cross and dcF_plus for every n; K and the eq4/eq5 defect
+    # for n >= 2 only
     shapes = {"theta": (3, 8), "theta_cross": (3, 3, 8), "dcF_plus": (3, 8, 8, 8),
-              "K": (3, 8), "existence": (), "alpha_agreement": ()}
+              "K": (3, 8), "existence": ()}
     ctx = conformal_struct.at(POINT8)
     assert {name: np.shape(getattr(ctx, name)) for name in FIRST_ORDER} == shapes
     ctx = sine_dim4.at(POINT4)
     assert [np.shape(getattr(ctx, name)) for name in FIRST_ORDER[:3]] == [
         (3, 4), (3, 3, 4), (3, 4, 4, 4)]
-    assert [getattr(ctx, name) for name in FIRST_ORDER[3:]] == [None, None, None]
+    assert [getattr(ctx, name) for name in FIRST_ORDER[3:]] == [None, None]
+
+
+@pytest.mark.parametrize("hyper", [build_standard_hypercomplex(2), rotated_hypercomplex(2, 5)],
+                         ids=["standard", "tilted"])
+def test_existence_is_the_eq4_defect(hyper):
+    # the alpha-version disagreement that the existence layer holds is, term
+    # by term, the eq4 defect; a diagonal metric that is not conformally flat
+    # (nor hermitian) makes the defect large for either triple
+    def metric(p):
+        diagonal = np.ones(np.shape(p))
+        diagonal[..., 0] = np.exp(0.5 * p[..., 0])
+        diagonal[..., 5] = 1.0 + 0.3 * np.sin(p[..., 6])
+        return diagonal[..., None] * np.eye(8)
+
+    patch = CoordinatePatch(n=2, lo=-0.6 * np.ones(8), hi=0.6 * np.ones(8), metric=metric)
+    ctx = fresh_context(QuaternionicHermitianData(patch, hyper), POINT8)
+    reference = existence_defect(ctx)
+    assert reference > 0.1
+    assert abs(ctx.existence - reference) <= 1e-14 * reference
 
 
 def test_build_checks_all_check_points_in_one_context(monkeypatch):
@@ -213,14 +233,14 @@ def test_build_checks_all_check_points_in_one_context(monkeypatch):
 
 def test_stencil_contexts_skip_the_eq4_and_eq5_defects():
     # the torsion of a stencil sub-context reads theta, theta_cross and K,
-    # never the defects that only sample-point contexts read
+    # never the eq4/eq5 defect that only sample-point contexts read
     struct = build_manifold(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1))
     ctx = struct.at(POINT8)
     ctx.curv
     sub = ctx._stencil_h2
     assert {"T", "theta", "_dF_plus_parts", "K"} <= set(vars(sub))
-    assert "existence" not in vars(sub) and "alpha_agreement" not in vars(sub)
-    assert ctx.existence <= 1e-4 and ctx.alpha_agreement <= 1e-5
+    assert "existence" not in vars(sub)
+    assert ctx.existence <= 1e-5
 
 
 def count_calls(monkeypatch, original):
@@ -336,7 +356,7 @@ def test_constant_structure_takes_no_stencil(monkeypatch, flat_struct_n2):
         for name in ("T", "dT", "nabla_T", "dt", "nabla_g_t", "gamma_w"):
             assert np.array_equal(getattr(ctx, name), getattr(reference, name)), name
         assert np.array_equal(ctx.curv.R4, reference.curv.R4)
-        assert np.array_equal(ctx.derivative("omega", True), reference.derivative("omega", True))
+        assert np.array_equal(ctx.derivative("omega"), reference.derivative("omega"))
 
 
 def test_existence_residual_rejects_dim4():
@@ -384,7 +404,7 @@ def test_conformal_torsion_matches_transport_formula(conformal_struct):
     for a in range(3):
         expected += wedge_arrays(j_apply_oneform(J[a], df), np.eye(8) @ J[a])
     assert np.max(np.abs(ctx.T - expected)) <= 1e-5
-    assert ctx.alpha_agreement <= 1e-5
+    assert ctx.existence <= 1e-5
 
 
 def test_structure_invariants(conformal_struct):

@@ -61,4 +61,4 @@ def test_no_context_layer_is_a_mapping():
         ctx = build_manifold(spec).at(np.full(4 * spec.n, 0.1))
         for name in names:
             assert not isinstance(getattr(ctx, name), Mapping), name
-    assert {"theta", "theta_cross", "dcF_plus", "K", "existence", "alpha_agreement"} <= set(names)
+    assert {"theta", "theta_cross", "dcF_plus", "K", "existence"} <= set(names)

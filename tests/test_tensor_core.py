@@ -59,18 +59,18 @@ def dx(i, dim=4):
 # ---------------------------------------------------------------------------
 
 def test_partial_derivative_quadratic_exact():
-    f = lambda p: np.array(p[0] ** 2)
+    f = lambda p: p[..., 0] ** 2
     value = partial_derivative(f, 0, np.array([1.0, 0, 0, 0]), SCHEME)
     assert abs(value - 2.0) <= 1e-8
 
 
 def test_partial_derivative_constant():
-    f = lambda p: np.array(3.5)
+    f = lambda p: np.full(np.shape(p)[:-1], 3.5)
     assert partial_derivative(f, 2, np.zeros(4), SCHEME) == 0.0
 
 
 def test_partial_derivative_matches_analytic_exponential():
-    f = lambda p: np.array(np.exp(p[0]))
+    f = lambda p: np.exp(p[..., 0])
     value = partial_derivative(f, 0, np.zeros(4), SCHEME)
     assert abs(value - 1.0) <= 1e-8
 
@@ -429,7 +429,7 @@ def test_memoized_metric_evaluates_each_point_once():
     calls = []
     ctx = _conformal_struct(calls).at(P8)
     assert ctx.g is ctx.g
-    for layer in ("theta", "theta_cross", "dcF_plus", "K", "existence", "alpha_agreement",
+    for layer in ("theta", "theta_cross", "dcF_plus", "K", "existence",
                   "curv", "curv_g", "rho", "nabla_T", "dt", "sp1"):
         getattr(ctx, layer)
     shapes = [call for call in calls if isinstance(call, tuple)]

@@ -164,6 +164,21 @@ def test_row_sets_pinned(kind, n, suite):
     assert tuple(r.identity_id for r in run_suite(spec, suite).results) == expected
 
 
+@pytest.mark.parametrize("kind, n", list(PINNED_ROWS))
+def test_every_record_key_is_read(kind, n):
+    # a key that no catalogue row and no diagnostic reads would be computed on
+    # every chunk and thrown away; eq27_lambda is read at the last point only
+    spec = ManifoldSpec(kind=kind, n=n, point_count=1, seed=0, **KIND_ARGS.get(kind, {}))
+    struct = build_manifold(spec)
+    ctx = struct.at(np.array(sample_points(spec)))
+    for group, evaluate in suite_module._GROUP_EVALUATORS.items():
+        if not suite_module._GROUP_APPLIES.get(group, lambda spec, struct: True)(spec, struct):
+            continue
+        read = {check.key for check in CATALOGUE if check.group == group}
+        read |= {key for owner, key in suite_module._DIAGNOSTICS.values() if owner == group}
+        assert set(evaluate(ctx)) - read <= {"eq27_lambda"}, group
+
+
 def test_run_suite_flat_passes_tightly():
     report = run_suite(ManifoldSpec(kind="flat", n=1, **FAST), suite="all")
     assert report.all_pass
@@ -416,9 +431,9 @@ def test_torsion_differentiated_once_per_point(monkeypatch):
     derivative = QKTContext.derivative
     calls = []
 
-    def recording(ctx, layer, nested):
+    def recording(ctx, layer):
         calls.append((layer, ctx.x))
-        return derivative(ctx, layer, nested)
+        return derivative(ctx, layer)
 
     monkeypatch.setattr(QKTContext, "derivative", recording)
     spec = ManifoldSpec(kind="hopf_local", n=1, point_count=13, seed=5)
@@ -526,10 +541,10 @@ def test_hopf_local_base_contexts_reach_no_gradient(monkeypatch):
     owners, reached = [], []
     derivative = QKTContext.derivative
 
-    def scoped(ctx, layer, nested):
+    def scoped(ctx, layer):
         owners.append(ctx.struct)
         try:
-            return derivative(ctx, layer, nested)
+            return derivative(ctx, layer)
         finally:
             owners.pop()
 
