@@ -18,7 +18,6 @@ from .tensor_core import (
 )
 from .quaternionic import (
     HypercomplexField,
-    QuaternionicHermitianData,
     build_standard_hypercomplex,
     dT_type22_residual,
     nijenhuis_bracket,

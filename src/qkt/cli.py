@@ -46,8 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol-override", action="append", metavar="ID=VALUE",
                         help="override one identity tolerance (repeatable)")
     verify.add_argument("--j2-tilt", type=float, default=0.0,
-                        help="degrees to rotate J2 away from compatibility "
-                             "(negative control; nonzero values must fail)")
+                        help="degrees to rotate J2 away from compatibility (negative "
+                             "control; a tilt that is not a whole number of turns must fail)")
     return parser
 
 

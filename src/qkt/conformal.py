@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .qkt_connection import QKTContext, QKTStructure
-from .quaternionic import CYC_A, CYC_B, CYC_C, QuaternionicHermitianData, j_apply_oneform
+from .quaternionic import CYC_A, CYC_B, CYC_C, j_apply_oneform
 from .tensor_core import ConformalMetric, antisymmetrized_gradient, first_point
 
 MIN_FACTOR = 1e-8
@@ -47,8 +47,7 @@ class ConformalFactor:
 def conformal_rescale(struct: QKTStructure, factor: ConformalFactor) -> QKTStructure:
     """Transport ``struct`` to the metric f*g on the same hypercomplex triple and scheme."""
     patch = replace(struct.patch, metric=ConformalMetric(factor, struct.patch.metric))
-    data = QuaternionicHermitianData(patch, struct.data.hyper)
-    return QKTStructure(data, struct.scheme, _rescaled_torsion, base=struct)
+    return QKTStructure(patch, struct.hyper, struct.scheme, _rescaled_torsion, base=struct)
 
 
 def _rescaled_torsion(ctx: QKTContext) -> np.ndarray:

@@ -9,11 +9,14 @@ with K_a = (J_b theta_a + theta_{a,c}) / (1 - n), and the construction is
 accepted only if the three alpha-versions agree; expanded, their
 disagreement is the existence condition relating the (1,2)+(2,1) parts
 of the twisted derivatives.  In dimension 4 the torsion is instead the
-Hodge dual of a freely chosen 1-form.  Either way the connection is nabla^g + T/2 and the sp(1)
-connection 1-forms are recovered by solving nabla J_a = -omega_b (x) J_c
-+ omega_c (x) J_b pointwise.
+Hodge dual of a freely chosen 1-form, the structure's ``t_form``.  Either
+way the connection is nabla^g + T/2 and the sp(1) connection 1-forms are
+recovered by solving nabla J_a = -omega_b (x) J_c + omega_c (x) J_b
+pointwise.
 
-Every quantity of a built structure is a layer of a :class:`QKTContext`,
+A :class:`QKTStructure` is the one record of a structure: the patch with
+its metric, the triple, the scheme, the torsion rule and, in dimension 4,
+the 1-form.  Every quantity of a built structure is a layer of a :class:`QKTContext`,
 the lazy evaluation context that ``QKTStructure.at(x)`` returns for one
 point array ``x``.  Sample points are evaluated in chunks
 (:func:`point_chunks`), one context per chunk.
@@ -29,14 +32,13 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .curvature import CurvatureValue, curvature_tensor, ricci_forms, ricci_tensor
-from .errors import DimensionError, NotQKTError
+from .errors import DimensionError, InputError, NotQKTError
 from .quaternionic import (
     CYC_A,
     CYC_B,
     CYC_C,
     ConstantHypercomplexField,
     HypercomplexField,
-    QuaternionicHermitianData,
     dT_type22_residual,
     frame_trace_pair,
     j_apply_form,
@@ -176,8 +178,9 @@ class QKTContext:
         """The gradient of ``layer`` at x.
 
         The step is h for the layers evaluated without finite differences
-        (``_g_and_F``, ``f``, and ``T`` when the torsion is built from them
-        alone) and h2 for every other layer.  One :func:`gradient` call; its field returns the layer
+        (``_g_and_F``, ``f``, and ``T`` when it is the dual of an analytic
+        ``t_form``: :attr:`QKTStructure.nested_torsion`) and h2 for every
+        other layer.  One :func:`gradient` call; its field returns the layer
         of the stencil sub-context, which sits on the very stencil array
         ``gradient`` builds.  On a constant structure every layer is the same
         at every point, so the gradient is exact zeros, without a stencil.
@@ -205,7 +208,7 @@ class QKTContext:
         metric = self.struct.patch.metric
         if isinstance(metric, ConformalMetric):
             return np.asarray(metric.base(self.x), dtype=float)
-        return self.struct.data.metric_at(self.x)
+        return self.struct.patch.metric_at(self.x)
 
     @_layer
     def g(self):
@@ -218,13 +221,13 @@ class QKTContext:
 
     @_layer
     def vol(self):
-        """orientation * sqrt(det g), the volume-form factor of the Hodge star."""
-        return self.struct.patch.orientation * np.sqrt(np.linalg.det(self.g))
+        """sqrt(det g), the volume-form factor of the Hodge star."""
+        return np.sqrt(np.linalg.det(self.g))
 
     @_layer
     def J(self):
         """J[..., alpha, k, j]."""
-        return self.struct.data.hyper.matrices(self.x)
+        return self.struct.hyper.matrices(self.x)
 
     @_layer
     def F(self):
@@ -248,7 +251,7 @@ class QKTContext:
     @_layer
     def dJ(self):
         """dJ[..., i, alpha] = d_i J_alpha."""
-        return self.struct.data.hyper.gradient(self.x, self.struct.scheme)
+        return self.struct.hyper.gradient(self.x, self.struct.scheme)
 
     @_layer
     def df(self):
@@ -571,14 +574,19 @@ def _extract_sp1(J: np.ndarray, nabla_j: np.ndarray):
 
 @dataclass(frozen=True)
 class QKTStructure:
-    """A built torsion connection: its data and scheme, and the rule that
-    computes the torsion from a context.  Every quantity is evaluated
-    through :meth:`at`; nothing is cached on the structure."""
+    """A torsion connection, in one record: the metric on its patch, the
+    quaternionic triple, the scheme, the rule that computes the torsion from
+    a context and, in dimension 4, the 1-form ``t_form``.  Every quantity is
+    evaluated through :meth:`at`; nothing is cached on the structure.  A
+    step of the scheme that does not move the patch box's largest coordinate
+    is an :class:`InputError`."""
 
-    data: QuaternionicHermitianData
+    patch: CoordinatePatch
+    hyper: HypercomplexField
     scheme: FDScheme
     torsion_rule: Callable[[QKTContext], np.ndarray]
-    nested_torsion: bool = True     # T is differenced at h2, else at h
+    # dimension 4: the freely chosen 1-form whose Hodge dual is the torsion
+    t_form: FormField | None = None
     # the structure on the base metric g_0 of a conformal metric f g_0, on the
     # same triple: what the conformal laws compare against, and what a
     # rescaled structure's torsion rule transports
@@ -588,29 +596,35 @@ class QKTStructure:
     # caches here; a structure keeps none, so the mapping stays empty
     caches = types.MappingProxyType({})
 
+    def __post_init__(self):
+        # a step that leaves the largest coordinate unmoved makes every
+        # difference exactly 0, and every row would pass
+        top = float(np.max(np.abs([self.patch.lo, self.patch.hi])))
+        for step in (self.scheme.h, self.scheme.h2):
+            if top + step == top or top - step == top:
+                raise InputError(f"finite-difference step {step!r} does not move the "
+                                 f"largest |coordinate| {top!r} of the patch box")
+
     @property
     def n(self) -> int:
-        return self.data.n
+        return self.patch.n
 
     @property
-    def dim(self) -> int:
-        return self.data.dim
-
-    @property
-    def patch(self) -> CoordinatePatch:
-        return self.data.patch
+    def nested_torsion(self) -> bool:
+        """T is differenced at h2, unless it is the dual of a 1-form evaluated
+        without finite differences: then at h."""
+        return self.t_form is None or self.t_form.nested
 
     @property
     def constant(self) -> bool:
         """Constant metric and triple, and the torsion built from them (and a
         constant 1-form in dimension 4) alone: every layer is the same at
         every point."""
-        rule = self.torsion_rule
         return (isinstance(self.patch.metric, ConstantMetric)
-                and isinstance(self.data.hyper, ConstantHypercomplexField)
-                and (rule is _bundle_torsion
-                     or (isinstance(rule, functools.partial) and rule.func is _dual_torsion
-                         and isinstance(rule.args[0], ConstantForm))))
+                and isinstance(self.hyper, ConstantHypercomplexField)
+                and (self.torsion_rule is _bundle_torsion
+                     or (self.torsion_rule is _dual_torsion
+                         and isinstance(self.t_form, ConstantForm))))
 
     def at(self, x: np.ndarray) -> QKTContext:
         """The lazy evaluation context of this structure on the point array ``x``."""
@@ -627,20 +641,21 @@ def _bundle_torsion(ctx: QKTContext) -> np.ndarray:
     return _alpha_versions(ctx).sum(axis=-4) / 3.0
 
 
-def _dual_torsion(t_form: FormField, ctx: QKTContext) -> np.ndarray:
-    """The dimension-4 torsion: the Hodge dual of the 1-form ``t_form``."""
-    return hodge_star_array(t_form(ctx.x), ctx.ginv, ctx.vol)
+def _dual_torsion(ctx: QKTContext) -> np.ndarray:
+    """The dimension-4 torsion: the Hodge dual of the structure's 1-form ``t_form``."""
+    return hodge_star_array(ctx.struct.t_form(ctx.x), ctx.ginv, ctx.vol)
 
 
-def existence_residual(data: QuaternionicHermitianData,
+def existence_residual(patch: CoordinatePatch,
+                       hyper: HypercomplexField,
                        p: np.ndarray,
                        scheme: FDScheme) -> float:
     """Worst defect of the pairwise compatibility condition at the points ``p``."""
-    if data.n < 2:
+    if patch.n < 2:
         raise DimensionError("the existence condition applies to n >= 2 only")
-    data.patch.require_interior(p, scheme.margin)
-    struct = QKTStructure(data, scheme, _bundle_torsion)
-    points = np.reshape(p, (-1, data.dim))
+    patch.require_interior(p, scheme.margin)
+    struct = QKTStructure(patch, hyper, scheme, _bundle_torsion)
+    points = np.reshape(p, (-1, patch.dim))
     return worst(*(struct.at(chunk).existence for chunk in point_chunks(points)))
 
 
@@ -656,18 +671,19 @@ def _check_algebra(ctx: QKTContext) -> float:
     return worst(residuals["algebra"], residuals["square"], residuals["hermitian"])
 
 
-def build_qkt(data: QuaternionicHermitianData,
+def build_qkt(patch: CoordinatePatch,
+              hyper: HypercomplexField,
               scheme: FDScheme,
               check_points: Sequence[np.ndarray] | None = None) -> QKTStructure:
     """Build the unique torsion connection on a 4n-dimensional patch, n >= 2."""
-    if data.n < 2:
+    if patch.n < 2:
         raise DimensionError("build_qkt needs n >= 2; use build_qkt_dim4 for n = 1")
     if check_points is None:
-        check_points = [data.patch.center()]
+        check_points = [patch.center()]
     for p in check_points:
-        data.patch.require_interior(p, scheme.margin)
+        patch.require_interior(p, scheme.margin)
 
-    struct = QKTStructure(data, scheme, _bundle_torsion)
+    struct = QKTStructure(patch, hyper, scheme, _bundle_torsion)
     # all check points in one context
     ctx = struct.at(np.array(check_points, dtype=float))
     worst_alg = _check_algebra(ctx)
@@ -690,8 +706,7 @@ def build_qkt_dim4(patch: CoordinatePatch,
     """Build the dimension-4 structure with torsion the Hodge dual of ``t_form``."""
     if patch.n != 1:
         raise DimensionError("build_qkt_dim4 needs n = 1")
-    struct = QKTStructure(QuaternionicHermitianData(patch, hyper), scheme,
-                          functools.partial(_dual_torsion, t_form), nested_torsion=t_form.nested)
+    struct = QKTStructure(patch, hyper, scheme, _dual_torsion, t_form=t_form)
     worst_alg = _check_algebra(struct.at(patch.center()))
     if not worst_alg <= ALGEBRA_TOL:
         raise NotQKTError(

@@ -5,7 +5,8 @@ kernels that apply them to forms and tensors, type projectors for 3-forms
 and torsion tensors, and the Nijenhuis tensor computed from coordinate Lie
 brackets.  The Kaehler 2-forms F_a(X, Y) = g(X, J_a Y), their Lee and
 cross Lee forms and K_a are layers of the evaluation context in
-``qkt_connection`` (``F``, ``theta``, ``theta_cross``, ``K``).
+``qkt_connection`` (``F``, ``theta``, ``theta_cross``, ``K``), and a triple
+meets its patch only in ``qkt_connection.QKTStructure``.
 
 The action of an almost complex structure on an r-form is
 ``(J psi)(X_1, ..., X_r) = (-1)^r psi(J X_1, ..., J X_r)``; on 1-forms in
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .tensor_core import CoordinatePatch, FDScheme, gradient
+from .tensor_core import FDScheme, gradient
 
 # cyclic permutations (alpha, beta, gamma) of (1, 2, 3), 0-indexed
 CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -55,7 +56,6 @@ class HypercomplexField:
     """Three almost complex structure fields J1, J2, J3."""
 
     funcs: tuple
-    nested: bool = False
 
     def matrices(self, p: np.ndarray) -> np.ndarray:
         """All three structures at the points ``p``, stacked as J[..., alpha, k, j]."""
@@ -63,7 +63,7 @@ class HypercomplexField:
 
     def gradient(self, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
         """dJ[..., i, alpha] = d_i J_alpha at the points ``p``, one stencil for all three."""
-        return gradient(self.matrices, p, scheme, nested=self.nested)
+        return gradient(self.matrices, p, scheme)
 
 
 @dataclass(frozen=True, init=False)
@@ -82,7 +82,6 @@ class ConstantHypercomplexField(HypercomplexField):
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "funcs", tuple(
             lambda p, _m=m: np.broadcast_to(_m, np.shape(p)[:-1] + _m.shape) for m in stack))
-        object.__setattr__(self, "nested", False)
 
     def matrices(self, p: np.ndarray) -> np.ndarray:
         points = np.shape(p)[:-1]
@@ -115,25 +114,6 @@ def rotated_hypercomplex(n: int, tilt_degrees: float) -> ConstantHypercomplexFie
     rot[1, 0] = np.sin(angle)
     j2 = rot @ base.stack[1] @ rot.T
     return ConstantHypercomplexField(base.stack[0], j2, base.stack[2])
-
-
-@dataclass(frozen=True)
-class QuaternionicHermitianData:
-    """A coordinate patch together with a compatible hypercomplex triple."""
-
-    patch: CoordinatePatch
-    hyper: HypercomplexField
-
-    @property
-    def n(self) -> int:
-        return self.patch.n
-
-    @property
-    def dim(self) -> int:
-        return self.patch.dim
-
-    def metric_at(self, p: np.ndarray) -> np.ndarray:
-        return self.patch.metric_at(p)
 
 
 def quaternionic_residuals(g: np.ndarray, J: np.ndarray) -> dict:

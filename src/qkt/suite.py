@@ -369,6 +369,10 @@ def run_suite(spec: ManifoldSpec, suite: str = "all") -> VerificationReport:
     unknown = sorted(set(spec.tol_overrides).difference(_CHECKS))
     if unknown:
         raise InputError(f"tolerance override for unknown identity ids {unknown}")
+    invalid = sorted(key for key, tol in spec.tol_overrides.items()
+                     if not (math.isfinite(tol) and tol >= 0))
+    if invalid:
+        raise InputError(f"tolerance overrides must be finite and >= 0, got {invalid}")
     with np.errstate(all="ignore"):
         return _run_suite(spec, suite)
 

@@ -32,8 +32,9 @@ Conventions used throughout the package:
 * the codifferential is ``delta = -sum_i iota_{e_i} nabla^g_{e_i}`` over a
   g-orthonormal frame, computed as the metric trace of the covariant
   derivative;
-* the 4-dimensional Hodge star satisfies ``**`` = (-1)^{k(4-k)}, so it
-  squares to +1 on even degrees and to -1 on odd degrees.
+* the 4-dimensional Hodge star takes ``dx1 ^ dx2 ^ dx3 ^ dx4`` as positive
+  on every patch and satisfies ``**`` = (-1)^{k(4-k)}, so it squares to +1
+  on even degrees and to -1 on odd degrees.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class FDScheme:
     h2: float = 1e-3
 
     def __post_init__(self):
-        if self.h <= 0 or self.h2 <= 0:
-            raise InputError("finite-difference steps must be positive")
+        if not all(math.isfinite(step) and step > 0 for step in (self.h, self.h2)):
+            raise InputError("finite-difference steps must be finite and positive")
 
     def step(self, nested: bool) -> float:
         return self.h2 if nested else self.h
@@ -91,13 +92,12 @@ class FDScheme:
 
 @dataclass(frozen=True)
 class CoordinatePatch:
-    """An open box in R^{4n} with a metric field and an orientation."""
+    """An open box in R^{4n} with a metric field."""
 
     n: int
     lo: np.ndarray
     hi: np.ndarray
     metric: Callable[[np.ndarray], np.ndarray]
-    orientation: int = 1
 
     def __post_init__(self):
         if self.n < 1:
@@ -110,8 +110,6 @@ class CoordinatePatch:
             raise DimensionError("domain bounds must have length 4n")
         if not np.all(hi > lo):
             raise InputError("domain box must have positive volume")
-        if self.orientation not in (+1, -1):
-            raise InputError("orientation must be +1 or -1")
 
     @property
     def dim(self) -> int:
@@ -340,7 +338,7 @@ def hodge_star_array(arr: np.ndarray, ginv: np.ndarray, vol: np.ndarray) -> np.n
     """Hodge star of k-form component arrays in dimension 4.
 
     ``ginv`` (..., 4, 4) is the inverse metric and ``vol`` (...) the factor
-    orientation * sqrt(det g) at the points, their leading axes the point
+    sqrt(det g) at the points, their leading axes the point
     axes; ``arr`` carries the same point axes ahead of its k slots.
     """
     if ginv.shape[-2:] != (4, 4):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -11,11 +12,7 @@ from .conformal import ConformalFactor, conformal_rescale
 from .errors import DimensionError, GeometryError, InputError
 from .expressions import parse_expression
 from .qkt_connection import QKTStructure, build_qkt, build_qkt_dim4
-from .quaternionic import (
-    QuaternionicHermitianData,
-    build_standard_hypercomplex,
-    rotated_hypercomplex,
-)
+from .quaternionic import build_standard_hypercomplex, rotated_hypercomplex
 from .tensor_core import (
     ConformalMetric,
     ConstantForm,
@@ -59,6 +56,8 @@ class ManifoldSpec:
                 raise InputError("dim4_torsion needs 4 torsion 1-form components --t")
         if self.kind == "hopf_local" and self.n != 1:
             raise DimensionError("hopf_local is a dimension-4 model (n = 1)")
+        if not math.isfinite(self.j2_tilt_degrees):
+            raise InputError(f"j2_tilt_degrees must be finite, got {self.j2_tilt_degrees!r}")
         if self.point_count < 1:
             raise InputError("point_count must be positive")
         if self.seed < 0:
@@ -180,8 +179,7 @@ def build_flat(spec: ManifoldSpec, check_points: Sequence[np.ndarray] | None = N
     if spec.n == 1:
         zero = ConstantForm(1, np.zeros(4))
         return build_qkt_dim4(patch, hyper, zero, scheme)
-    data = QuaternionicHermitianData(patch, hyper)
-    return build_qkt(data, scheme, check_points=check_points)
+    return build_qkt(patch, hyper, scheme, check_points=check_points)
 
 
 def build_manifold(spec: ManifoldSpec,
@@ -207,8 +205,7 @@ def build_manifold(spec: ManifoldSpec,
     if spec.n >= 2:
         flat = _flat_patch(spec.n, lo, hi)
         patch = replace(flat, metric=ConformalMetric(factor, flat.metric))
-        data = QuaternionicHermitianData(patch, _hypercomplex(spec))
-        struct = build_qkt(data, scheme, check_points=check_points)
+        struct = build_qkt(patch, _hypercomplex(spec), scheme, check_points=check_points)
         return replace(struct, base=conformal_ingredients(spec))
 
     return conformal_rescale(conformal_ingredients(spec), factor)

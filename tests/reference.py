@@ -9,8 +9,9 @@ Einstein-Weyl deviation of its Weyl connection, and thin field wrappers
 around the array kernels (tensor fields, the exterior derivative of a form
 field, the covariant derivative, the Levi-Civita connection field, the
 torsion and connection of a built structure as fields, the Hodge star at
-a metric).  The library computes the
-same objects stacked and over point arrays.
+a metric), and an unchecked structure of a patch and a triple for the
+helpers to read.  The library computes the same objects stacked and over
+point arrays.
 """
 
 from dataclasses import dataclass
@@ -20,9 +21,9 @@ import numpy as np
 
 from qkt.curvature import curvature_tensor, ricci_tensor
 from qkt.errors import DegenerateMetricError, DegreeError, DimensionError
+from qkt.qkt_connection import QKTStructure, _bundle_torsion
 from qkt.quaternionic import (
     CYCLIC,
-    QuaternionicHermitianData,
     frame_trace_pair,
     j_apply_form,
     j_apply_oneform,
@@ -127,19 +128,18 @@ def wedge(a: FormField, b: FormField) -> FormField:
     return FormField(a.degree + b.degree, wedge_at, nested=a.nested or b.nested)
 
 
-def hodge_star(arr: np.ndarray, g: np.ndarray, orientation: int = 1) -> np.ndarray:
+def hodge_star(arr: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The Hodge star of the form components ``arr`` at the metric ``g`` itself."""
     g = np.asarray(g, dtype=float)
-    return hodge_star_array(arr, np.linalg.inv(g), orientation * np.sqrt(np.linalg.det(g)))
+    return hodge_star_array(arr, np.linalg.inv(g), np.sqrt(np.linalg.det(g)))
 
 
 def hodge_star_4d(omega: FormField,
-                  metric: Callable[[np.ndarray], np.ndarray],
-                  orientation: int = 1) -> FormField:
-    """Metric/orientation-compatible star of a form field, dimension 4."""
+                  metric: Callable[[np.ndarray], np.ndarray]) -> FormField:
+    """Metric-compatible star of a form field, dimension 4."""
 
-    def star_at(p, _omega=omega, _metric=metric, _ori=orientation):
-        return hodge_star(_omega(p), _metric(p), _ori)
+    def star_at(p, _omega=omega, _metric=metric):
+        return hodge_star(_omega(p), _metric(p))
 
     return FormField(4 - omega.degree, star_at, nested=omega.nested)
 
@@ -173,53 +173,60 @@ def orthonormal_frame(g: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
     return frame
 
 
-def j_at(data: QuaternionicHermitianData, alpha: int, p: np.ndarray) -> np.ndarray:
-    """The almost complex structure J_alpha of ``data`` at the points ``p``."""
-    return data.hyper.matrices(p)[..., alpha, :, :]
+def unchecked(patch, hyper) -> QKTStructure:
+    """The structure on ``patch`` and ``hyper`` with the n >= 2 torsion rule,
+    without the builders' checks: the patch and triple that the helpers below
+    read, and a fresh context on every ``at``."""
+    return QKTStructure(patch, hyper, FDScheme(), _bundle_torsion)
 
 
-def kaehler_form(data: QuaternionicHermitianData, alpha: int, p: np.ndarray) -> np.ndarray:
+def j_at(struct, alpha: int, p: np.ndarray) -> np.ndarray:
+    """The almost complex structure J_alpha of ``struct`` at the points ``p``."""
+    return struct.hyper.matrices(p)[..., alpha, :, :]
+
+
+def kaehler_form(struct, alpha: int, p: np.ndarray) -> np.ndarray:
     """F_a(X, Y) = g(X, J_a Y) as an antisymmetric matrix."""
-    return data.metric_at(p) @ j_at(data, alpha, p)
+    return struct.patch.metric_at(p) @ j_at(struct, alpha, p)
 
 
-def kaehler_field(data: QuaternionicHermitianData, alpha: int) -> FormField:
-    return FormField(2, lambda p: kaehler_form(data, alpha, p), nested=False)
+def kaehler_field(struct, alpha: int) -> FormField:
+    return FormField(2, lambda p: kaehler_form(struct, alpha, p), nested=False)
 
 
-def lee_form(data: QuaternionicHermitianData,
+def lee_form(struct,
              alpha: int,
              p: np.ndarray,
              scheme: FDScheme) -> np.ndarray:
     """Lee form theta_a = (delta F_a) o J_a at ``p``."""
-    data.patch.require_interior(p, scheme.h)
-    delta_f = codifferential(kaehler_field(data, alpha), data.patch.metric, p, scheme)
-    return delta_f @ j_at(data, alpha, p)
+    struct.patch.require_interior(p, scheme.h)
+    delta_f = codifferential(kaehler_field(struct, alpha), struct.patch.metric, p, scheme)
+    return delta_f @ j_at(struct, alpha, p)
 
 
-def cross_lee_form(data: QuaternionicHermitianData,
+def cross_lee_form(struct,
                    alpha: int,
                    beta: int,
                    p: np.ndarray,
                    scheme: FDScheme) -> np.ndarray:
     """theta_{a,b}(X) = -1/2 sum_i dF_a^+(X, e_i, J_b e_i)."""
-    data.patch.require_interior(p, scheme.margin)
-    dF = exterior_derivative(kaehler_field(data, alpha), scheme)(p)
-    dF_plus = project_plus_3form(dF, j_at(data, alpha, p))
-    ginv = np.linalg.inv(data.metric_at(p))
-    return -0.5 * frame_trace_pair(dF_plus, ginv, j_at(data, beta, p))
+    struct.patch.require_interior(p, scheme.margin)
+    dF = exterior_derivative(kaehler_field(struct, alpha), scheme)(p)
+    dF_plus = project_plus_3form(dF, j_at(struct, alpha, p))
+    ginv = np.linalg.inv(struct.patch.metric_at(p))
+    return -0.5 * frame_trace_pair(dF_plus, ginv, j_at(struct, beta, p))
 
 
-def compute_K(data: QuaternionicHermitianData,
+def compute_K(struct,
               alpha: int,
               p: np.ndarray,
               scheme: FDScheme) -> np.ndarray:
     """The compatibility 1-form K_a = (J_b theta_a + theta_{a,c}) / (1-n)."""
-    if data.n < 2:
+    if struct.n < 2:
         raise DimensionError("K is defined for n >= 2; dimension 4 uses the star path")
     _, b, c = CYCLIC[alpha]
-    jb_theta = j_apply_oneform(j_at(data, b, p), lee_form(data, alpha, p, scheme))
-    return (jb_theta + cross_lee_form(data, alpha, c, p, scheme)) / (1.0 - data.n)
+    jb_theta = j_apply_oneform(j_at(struct, b, p), lee_form(struct, alpha, p, scheme))
+    return (jb_theta + cross_lee_form(struct, alpha, c, p, scheme)) / (1.0 - struct.n)
 
 
 def existence_defect(ctx) -> float:
@@ -235,7 +242,7 @@ def existence_defect(ctx) -> float:
     return float(defect)
 
 
-def dc_3form(data: QuaternionicHermitianData,
+def dc_3form(struct,
              alpha: int,
              two_form: FormField,
              p: np.ndarray,
@@ -245,7 +252,7 @@ def dc_3form(data: QuaternionicHermitianData,
     Applied to F_b this yields d_a F_b.
     """
     d_psi = exterior_derivative(two_form, scheme)(p)
-    return j_apply_form(j_at(data, alpha, p), d_psi)
+    return j_apply_form(j_at(struct, alpha, p), d_psi)
 
 
 @dataclass(frozen=True)

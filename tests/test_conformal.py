@@ -16,7 +16,7 @@ from qkt.qkt_connection import (
     structure_invariant_residuals,
     torsion_one_forms,
 )
-from qkt.quaternionic import QuaternionicHermitianData, build_standard_hypercomplex
+from qkt.quaternionic import build_standard_hypercomplex
 from qkt.tensor_core import (
     ConformalMetric,
     ConstantForm,
@@ -38,8 +38,7 @@ def flat_struct(n, lo=-0.6, hi=0.6):
     if n == 1:
         return build_qkt_dim4(patch, build_standard_hypercomplex(1),
                               ConstantForm(1, np.zeros(4)), SCHEME)
-    data = QuaternionicHermitianData(patch, build_standard_hypercomplex(n))
-    return build_qkt(data, SCHEME)
+    return build_qkt(patch, build_standard_hypercomplex(n), SCHEME)
 
 
 def law_residuals(base, barred, points):
@@ -96,8 +95,7 @@ def test_laws_against_independently_built_structure():
     base = flat_struct(2)
     patch = CoordinatePatch(n=2, lo=base.patch.lo, hi=base.patch.hi,
                             metric=ConformalMetric(EXP_FACTOR, base.patch.metric))
-    independent = build_qkt(
-        QuaternionicHermitianData(patch, build_standard_hypercomplex(2)), SCHEME)
+    independent = build_qkt(patch, build_standard_hypercomplex(2), SCHEME)
     out = law_residuals(base, independent, [POINT8])
     for key, value in out.items():
         assert value <= 1e-5, key

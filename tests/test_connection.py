@@ -8,8 +8,6 @@ import qkt.tensor_core as tensor_core
 from qkt.errors import DimensionError, NotQKTError
 from qkt.qkt_connection import (
     QKTContext,
-    QKTStructure,
-    _bundle_torsion,
     _extract_sp1,
     build_qkt,
     build_qkt_dim4,
@@ -24,7 +22,6 @@ from qkt.qkt_connection import (
 from qkt.quaternionic import (
     CYCLIC,
     HypercomplexField,
-    QuaternionicHermitianData,
     build_standard_hypercomplex,
     j_apply_form,
     j_apply_oneform,
@@ -55,6 +52,7 @@ from reference import (
     lee_form,
     nabla_array,
     torsion_field,
+    unchecked,
 )
 
 SCHEME = FDScheme()
@@ -70,12 +68,6 @@ def flat_patch(n):
 FIRST_ORDER = ("theta", "theta_cross", "dcF_plus", "K", "existence")
 
 
-def fresh_context(data, p):
-    """A fresh context of the structure of ``data`` at ``p``, whose first-order
-    layers are not yet computed."""
-    return QKTStructure(data, SCHEME, _bundle_torsion).at(p)
-
-
 def t_field(struct):
     """The torsion 1-form of a built structure as a field."""
     return FormField(1, lambda q: struct.at(q).t, nested=True)
@@ -86,18 +78,18 @@ def conformal_data(n=2):
     metric = lambda p: np.exp(p[..., 0, None, None]) * np.eye(dim)
     patch = CoordinatePatch(n=n, lo=-0.6 * np.ones(dim), hi=0.6 * np.ones(dim),
                             metric=metric)
-    return QuaternionicHermitianData(patch, build_standard_hypercomplex(n))
+    return unchecked(patch, build_standard_hypercomplex(n))
 
 
 @pytest.fixture(scope="module")
 def conformal_struct():
-    return build_qkt(conformal_data(), SCHEME)
+    data = conformal_data()
+    return build_qkt(data.patch, data.hyper, SCHEME)
 
 
 @pytest.fixture(scope="module")
 def flat_struct_n2():
-    data = QuaternionicHermitianData(flat_patch(2), build_standard_hypercomplex(2))
-    return build_qkt(data, SCHEME)
+    return build_qkt(flat_patch(2), build_standard_hypercomplex(2), SCHEME)
 
 
 @pytest.fixture(scope="module")
@@ -116,9 +108,8 @@ DX1_8 = np.eye(8)[0]
 # ---------------------------------------------------------------------------
 
 def test_compute_K_flat_vanishes(flat_struct_n2):
-    data = flat_struct_n2.data
     for a in range(3):
-        assert np.max(np.abs(compute_K(data, a, np.zeros(8), SCHEME))) <= 1e-12
+        assert np.max(np.abs(compute_K(flat_struct_n2, a, np.zeros(8), SCHEME))) <= 1e-12
 
 
 def test_compute_K_conformal_value():
@@ -134,7 +125,7 @@ def test_compute_K_scales_with_lee_data():
     # doubling the exponent of the conformal factor doubles d ln f and K
     dim = 8
     one = conformal_data()
-    two = QuaternionicHermitianData(
+    two = unchecked(
         CoordinatePatch(n=2, lo=-0.6 * np.ones(dim), hi=0.6 * np.ones(dim),
                         metric=lambda p: np.exp(2.0 * p[..., 0, None, None]) * np.eye(dim)),
         build_standard_hypercomplex(2))
@@ -144,21 +135,21 @@ def test_compute_K_scales_with_lee_data():
 
 
 def test_compute_K_rejects_dim4():
-    data = QuaternionicHermitianData(flat_patch(1), build_standard_hypercomplex(1))
+    data = unchecked(flat_patch(1), build_standard_hypercomplex(1))
     with pytest.raises(DimensionError):
         compute_K(data, 0, np.zeros(4), SCHEME)
 
 
 def test_existence_residual_flat_and_conformal():
-    flat = QuaternionicHermitianData(flat_patch(2), build_standard_hypercomplex(2))
-    assert existence_residual(flat, np.zeros(8), SCHEME) <= 1e-10
-    assert existence_residual(conformal_data(), POINT8, SCHEME) <= 1e-5
+    assert existence_residual(flat_patch(2), build_standard_hypercomplex(2), np.zeros(8),
+                              SCHEME) <= 1e-10
+    conformal = conformal_data()
+    assert existence_residual(conformal.patch, conformal.hyper, POINT8, SCHEME) <= 1e-5
 
 
 def test_existence_residual_detects_incompatible_j2():
-    data = QuaternionicHermitianData(
-        conformal_data().patch, rotated_hypercomplex(2, 5.0))
-    assert existence_residual(data, POINT8, SCHEME) > 1e-2
+    patch = conformal_data().patch
+    assert existence_residual(patch, rotated_hypercomplex(2, 5.0), POINT8, SCHEME) > 1e-2
 
 
 @pytest.mark.parametrize("batched", [False, True])
@@ -167,7 +158,7 @@ def test_bundle_matches_standalone_formulas_exactly(batched):
     # gradient must reproduce the separate exterior-derivative and Lee-form
     # paths bit for bit, also when the point sits in a batch
     data = conformal_data()
-    ctx = fresh_context(data, np.stack([-POINT8, POINT8]) if batched else POINT8)
+    ctx = data.at(np.stack([-POINT8, POINT8]) if batched else POINT8)
     J, theta, cross, dcF_plus = (value[1] if batched else value for value in
                                  (ctx.J, ctx.theta, ctx.theta_cross, ctx.dcF_plus))
     for a in range(3):
@@ -204,7 +195,7 @@ def test_existence_is_the_eq4_defect(hyper):
         return diagonal[..., None] * np.eye(8)
 
     patch = CoordinatePatch(n=2, lo=-0.6 * np.ones(8), hi=0.6 * np.ones(8), metric=metric)
-    ctx = fresh_context(QuaternionicHermitianData(patch, hyper), POINT8)
+    ctx = unchecked(patch, hyper).at(POINT8)
     reference = existence_defect(ctx)
     assert reference > 0.1
     assert abs(ctx.existence - reference) <= 1e-14 * reference
@@ -223,7 +214,8 @@ def test_build_checks_all_check_points_in_one_context(monkeypatch):
     layer.__set_name__(QKTContext, "existence")
     monkeypatch.setattr(QKTContext, "existence", layer)
     points = [POINT8, -POINT8]
-    struct = build_qkt(conformal_data(), SCHEME, check_points=points)
+    data = conformal_data()
+    struct = build_qkt(data.patch, data.hyper, SCHEME, check_points=points)
     assert built == [(2, 8)]
     assert struct.caches == {}
     for p in points:
@@ -262,7 +254,7 @@ def count_calls(monkeypatch, original):
 def test_bundle_takes_one_stencil_of_the_three_kaehler_forms(monkeypatch):
     # a fresh point costs one stencil: the metric (Gamma^g) and the stacked F together
     calls = count_calls(monkeypatch, tensor_core.gradient)
-    ctx = fresh_context(conformal_data(), POINT8)
+    ctx = conformal_data().at(POINT8)
     for name in FIRST_ORDER:
         getattr(ctx, name)
     assert len(calls) == 1
@@ -270,10 +262,10 @@ def test_bundle_takes_one_stencil_of_the_three_kaehler_forms(monkeypatch):
 
 def test_extract_sp1_one_stencil_and_one_solve(monkeypatch):
     data = conformal_data()
-    varying = QuaternionicHermitianData(data.patch, HypercomplexField(data.hyper.funcs))
+    varying = HypercomplexField(data.hyper.funcs)
     points = [POINT8, -POINT8]
-    structs = [build_qkt(data, SCHEME, check_points=points),
-               build_qkt(varying, SCHEME, check_points=points)]
+    structs = [build_qkt(data.patch, hyper, SCHEME, check_points=points)
+               for hyper in (data.hyper, varying)]
     contexts = [[struct.at(p) for p in points] for struct in structs]
     for ctx in contexts[0] + contexts[1]:
         ctx.Gamma
@@ -333,8 +325,8 @@ def test_constant_structure_takes_no_stencil(monkeypatch, flat_struct_n2):
     t_form = ConstantForm(1, np.array([0.5, 0.0, 0.0, 0.0]))
     const_dim4 = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1), t_form, SCHEME)
     cases = (
-        (flat_struct_n2, build_qkt(QuaternionicHermitianData(
-            flat_struct_n2.patch, HypercomplexField(flat_struct_n2.data.hyper.funcs)), SCHEME),
+        (flat_struct_n2, build_qkt(flat_struct_n2.patch,
+                                   HypercomplexField(flat_struct_n2.hyper.funcs), SCHEME),
          POINT8),
         (const_dim4, build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
                                     FormField(1, t_form.func), SCHEME), POINT4),
@@ -360,9 +352,8 @@ def test_constant_structure_takes_no_stencil(monkeypatch, flat_struct_n2):
 
 
 def test_existence_residual_rejects_dim4():
-    data = QuaternionicHermitianData(flat_patch(1), build_standard_hypercomplex(1))
     with pytest.raises(DimensionError):
-        existence_residual(data, np.zeros(4), SCHEME)
+        existence_residual(flat_patch(1), build_standard_hypercomplex(1), np.zeros(4), SCHEME)
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +371,16 @@ def test_flat_build_is_levi_civita(flat_struct_n2):
 
 
 def test_build_rejects_tilted_structure():
-    data = QuaternionicHermitianData(
-        conformal_data().patch, rotated_hypercomplex(2, 5.0))
     with pytest.raises(NotQKTError) as err:
-        build_qkt(data, SCHEME, check_points=[POINT8])
+        build_qkt(conformal_data().patch, rotated_hypercomplex(2, 5.0), SCHEME,
+                  check_points=[POINT8])
     assert err.value.residual > 1e-2
     assert err.value.details["eq4"] > 1e-2
 
 
 def test_build_needs_n_at_least_two():
-    data = QuaternionicHermitianData(flat_patch(1), build_standard_hypercomplex(1))
     with pytest.raises(DimensionError):
-        build_qkt(data, SCHEME)
+        build_qkt(flat_patch(1), build_standard_hypercomplex(1), SCHEME)
 
 
 def test_conformal_torsion_matches_transport_formula(conformal_struct):
@@ -420,7 +409,7 @@ def test_torsion_12_raised_consistently(conformal_struct):
     struct = conformal_struct
     T3 = struct.at(POINT8).T
     T12 = struct.at(POINT8).T12
-    g = struct.data.metric_at(POINT8)
+    g = struct.patch.metric_at(POINT8)
     assert np.max(np.abs(np.einsum("kij,km->ijm", T12, g) - T3)) <= 1e-12
 
 
@@ -428,8 +417,8 @@ def test_torsion_recovered_from_connection_difference(conformal_struct):
     # g(2 (nabla_X - nabla^g_X) Y, Z) reproduces the stored 3-form
     struct = conformal_struct
     gamma = struct.at(POINT8).Gamma
-    gamma_g = levi_civita(struct.data.patch.metric, POINT8, SCHEME)
-    g = struct.data.metric_at(POINT8)
+    gamma_g = levi_civita(struct.patch.metric, POINT8, SCHEME)
+    g = struct.patch.metric_at(POINT8)
     recovered = 2.0 * np.einsum("lij,lm->ijm", gamma - gamma_g, g)
     assert np.max(np.abs(recovered - struct.at(POINT8).T)) <= 1e-10
 
@@ -441,7 +430,7 @@ def test_dim4_lee_identities_with_nonzero_theta():
     metric = lambda p: np.exp(p[..., 0, None, None]) * np.eye(dim)
     patch = CoordinatePatch(n=1, lo=-0.6 * np.ones(dim), hi=0.6 * np.ones(dim),
                             metric=metric)
-    data = QuaternionicHermitianData(patch, build_standard_hypercomplex(1))
+    data = unchecked(patch, build_standard_hypercomplex(1))
     p = POINT4
     J = data.hyper.matrices(p)
     for a, b, c in CYCLIC:
@@ -480,10 +469,27 @@ def test_dim4_recovers_input_one_form(sine_dim4):
     expected = np.array([np.sin(POINT4[1]), 0.0, 0.0, 0.0])
     assert np.max(np.abs(t - expected)) <= 1e-10
     # each t_a ^ F_a reproduces the torsion
-    g = sine_dim4.data.metric_at(POINT4)
+    g = sine_dim4.patch.metric_at(POINT4)
     for a, t_a in enumerate((t1, t2, t3)):
-        F = g @ j_at(sine_dim4.data, a, POINT4)
+        F = g @ j_at(sine_dim4, a, POINT4)
         assert np.max(np.abs(sine_dim4.at(POINT4).T - wedge_arrays(t_a, F))) <= 1e-10
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_dim4_torsion_step_follows_the_one_form(nested):
+    # the dual of an analytic 1-form is differenced at h, the dual of a
+    # 1-form that is itself finite-differenced (nested=True) at h2
+    def t_at(q):
+        zero = np.zeros(np.shape(q)[:-1])
+        return np.stack([np.sin(q[..., 1]), zero, q[..., 0] * q[..., 2], zero], axis=-1)
+
+    struct = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
+                            FormField(1, t_at, nested=nested), SCHEME)
+    assert struct.nested_torsion is nested
+    at_h, at_h2 = (tensor_core.gradient(lambda q: struct.at(q).T, POINT4, SCHEME, step)
+                   for step in (False, True))
+    assert not np.array_equal(at_h, at_h2)
+    assert np.array_equal(struct.at(POINT4).derivative("T"), at_h2 if nested else at_h)
 
 
 def test_dim4_requires_n_one():
@@ -501,10 +507,10 @@ def test_dim4_star_dT_equals_minus_delta_t(sine_dim4):
     for built, form in ((struct, t_field(struct)), (nontrivial, t_form)):
         p = POINT4
         dT = exterior_derivative(torsion_field(built), SCHEME)(p)
-        star_dT = hodge_star(dT, built.data.metric_at(p), built.patch.orientation)
-        delta_t = codifferential(form, built.data.patch.metric, p, SCHEME)
+        star_dT = hodge_star(dT, built.patch.metric_at(p))
+        delta_t = codifferential(form, built.patch.metric, p, SCHEME)
         assert abs(float(star_dT) + float(delta_t)) <= 1e-5
-    delta = codifferential(t_form, nontrivial.data.patch.metric, POINT4, SCHEME)
+    delta = codifferential(t_form, nontrivial.patch.metric, POINT4, SCHEME)
     assert abs(float(delta) + np.cos(POINT4[0])) <= 1e-8  # genuinely nonzero case
 
 
@@ -554,7 +560,7 @@ def test_sp1_forms_flat(flat_struct_n2):
 
 def test_sp1_forms_conformal(conformal_struct):
     ctx = conformal_struct.at(POINT8)
-    J = conformal_struct.data.hyper.matrices(POINT8)
+    J = conformal_struct.hyper.matrices(POINT8)
     for a in range(3):
         expected = -j_apply_oneform(J[a], DX1_8)
         assert np.max(np.abs(ctx.omega[a] - expected)) <= 1e-5
@@ -625,7 +631,7 @@ def test_classify_dim4_constant_torsion():
     assert record.is_parallel_torsion and record.is_strong
     assert record.is_hkt is None
     # parallel torsion <=> the 1-form is Levi-Civita parallel (here: constant)
-    gamma_g = levi_civita(struct.data.patch.metric, POINT4, SCHEME)
+    gamma_g = levi_civita(struct.patch.metric, POINT4, SCHEME)
     nabla_t = nabla_array(gamma_g, TensorField("d", t_field(struct).func, nested=True),
                           POINT4, SCHEME)
     assert np.max(np.abs(nabla_t)) <= 1e-8

@@ -15,7 +15,7 @@ from qkt.curvature import (
 from qkt.errors import DimensionError
 from qkt.expressions import parse_expression
 from qkt.qkt_connection import build_qkt, build_qkt_dim4, classify
-from qkt.quaternionic import QuaternionicHermitianData, build_standard_hypercomplex
+from qkt.quaternionic import build_standard_hypercomplex
 from qkt.tensor_core import (
     ConstantForm,
     ConstantMetric,
@@ -50,8 +50,7 @@ def conformal_struct():
     metric = lambda p: np.exp(p[..., 0, None, None]) * np.eye(dim)
     patch = CoordinatePatch(n=2, lo=-0.6 * np.ones(dim), hi=0.6 * np.ones(dim),
                             metric=metric)
-    return build_qkt(
-        QuaternionicHermitianData(patch, build_standard_hypercomplex(2)), SCHEME)
+    return build_qkt(patch, build_standard_hypercomplex(2), SCHEME)
 
 
 @pytest.fixture(scope="module")
@@ -155,12 +154,11 @@ def test_ricci_forms_flat():
 
 def test_hkt_flat_has_vanishing_ricci_forms():
     # classification and the sp(1) curvature agree on the flat model
-    data = QuaternionicHermitianData(flat_patch(2), build_standard_hypercomplex(2))
-    struct = build_qkt(data, SCHEME)
+    struct = build_qkt(flat_patch(2), build_standard_hypercomplex(2), SCHEME)
     record = classify(struct, [np.zeros(8)])
     assert record.is_hkt
     ctx = struct.at(np.zeros(8))
-    curv = field_curvature(connection_field(struct), struct.data.patch.metric, np.zeros(8))
+    curv = field_curvature(connection_field(struct), struct.patch.metric, np.zeros(8))
     rho = ricci_forms(curv, ctx.ginv, ctx.J)
     assert np.array_equal(rho, ctx.rho)
     assert np.max(np.abs(rho)) <= 1e-3
@@ -203,8 +201,7 @@ def test_trace_identities(conformal_struct, const_dim4):
 
 
 def test_eq27_flat_lambda_zero():
-    data = QuaternionicHermitianData(flat_patch(2), build_standard_hypercomplex(2))
-    struct = build_qkt(data, SCHEME)
+    struct = build_qkt(flat_patch(2), build_standard_hypercomplex(2), SCHEME)
     out = trace_identity_residuals(struct.at(np.zeros(8)))
     assert abs(out["eq27_lambda"]) <= 1e-10
     assert out["eq27_fit"] <= 1e-10
@@ -249,7 +246,7 @@ def test_ricci_data_shapes(sine_dim4):
     assert data.rho.shape == (3, 4, 4)
     assert data.K is not None
     assert data.Scal == pytest.approx(
-        float(np.trace(np.linalg.inv(sine_dim4.data.metric_at(POINT4)) @ data.Ric)),
+        float(np.trace(np.linalg.inv(sine_dim4.patch.metric_at(POINT4)) @ data.Ric)),
         abs=1e-10)
 
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from qkt.quaternionic import (
     CYCLIC,
-    QuaternionicHermitianData,
     build_standard_hypercomplex,
     dT_type22_residual,
     frame_trace_pair,
@@ -35,13 +34,14 @@ from reference import (
     lee_form,
     orthonormal_frame,
     torsion_field,
+    unchecked,
 )
 
 SCHEME = FDScheme()
 
 
 def metric_and_j(data, p):
-    return data.metric_at(p), data.hyper.matrices(p)
+    return data.patch.metric_at(p), data.hyper.matrices(p)
 
 
 def bracket(data, alpha, p):
@@ -60,14 +60,14 @@ def flat_data(n=1):
     eye = np.eye(dim)
     patch = CoordinatePatch(n=n, lo=-np.ones(dim), hi=np.ones(dim),
                             metric=ConstantMetric(eye))
-    return QuaternionicHermitianData(patch, build_standard_hypercomplex(n))
+    return unchecked(patch, build_standard_hypercomplex(n))
 
 
 def conformal_data(n=2, growth=1.0):
     dim = 4 * n
     metric = lambda p: np.exp(growth * p[..., 0, None, None]) * np.eye(dim)
     patch = CoordinatePatch(n=n, lo=-np.ones(dim), hi=np.ones(dim), metric=metric)
-    return QuaternionicHermitianData(patch, build_standard_hypercomplex(n))
+    return unchecked(patch, build_standard_hypercomplex(n))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def test_j3_action_on_first_vector():
 
 def test_rotated_structure_breaks_algebra():
     tilted = rotated_hypercomplex(2, 5.0)
-    data = QuaternionicHermitianData(flat_data(2).patch, tilted)
+    data = unchecked(flat_data(2).patch, tilted)
     res = quaternionic_residuals(*metric_and_j(data, np.zeros(8)))
     assert res["algebra"] > 1e-2
     assert res["square"] <= 1e-14  # the tilt keeps J2 an almost complex structure
@@ -130,7 +130,7 @@ def test_kaehler_form_flat_value():
 def test_kaehler_antisymmetry_and_invariance():
     data = conformal_data()
     p = np.full(8, 0.2)
-    g = data.metric_at(p)
+    g = data.patch.metric_at(p)
     for a in range(3):
         F = kaehler_form(data, a, p)
         assert np.max(np.abs(F + F.T)) <= 1e-12
@@ -347,7 +347,7 @@ def test_trace_is_frame_independent():
     rng = np.random.default_rng(9)
     data = conformal_data(2)
     p = np.full(8, 0.1)
-    g = data.metric_at(p)
+    g = data.patch.metric_at(p)
     J = j_at(data, 0, p)
     arr = rng.normal(size=(8, 8, 8))
     contracted = frame_trace_pair(arr, np.linalg.inv(g), J)

@@ -412,10 +412,10 @@ def _conformal_metric(calls):
 
 def _conformal_struct(calls):
     from qkt.qkt_connection import build_qkt
-    from qkt.quaternionic import QuaternionicHermitianData, build_standard_hypercomplex
+    from qkt.quaternionic import build_standard_hypercomplex
 
     patch = CoordinatePatch(n=2, lo=-np.ones(8), hi=np.ones(8), metric=_conformal_metric(calls))
-    struct = build_qkt(QuaternionicHermitianData(patch, build_standard_hypercomplex(2)), SCHEME)
+    struct = build_qkt(patch, build_standard_hypercomplex(2), SCHEME)
     calls.clear()
     return struct
 

@@ -100,7 +100,7 @@ def test_build_dim4_star_torsion():
 def test_build_hopf_local():
     struct = build_manifold(ManifoldSpec(kind="hopf_local", n=1, **FAST))
     assert struct.patch.contains(np.ones(4))
-    assert struct.data.metric_at(np.ones(4))[0, 0] == pytest.approx(0.25)
+    assert struct.patch.metric_at(np.ones(4))[0, 0] == pytest.approx(0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +368,6 @@ def reject_constant(constant):
     raise ValueError(f"non-standard JSON constant {constant}")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_non_finite_residuals_fail(tmp_path, capsys):
     # exp(709)*x1 is finite, but its curvature overflows: each row that
     # computed NaN or inf must FAIL instead of reading 0.0.  The finite rows
@@ -459,6 +458,17 @@ def test_cli_tol_override(capsys):
     ["--manifold", "conformal_flat", "--n", "2"],
     ["--manifold", "flat", "--n", "1", "--seed", "-2"],
     ["--manifold", "flat", "--n", "1", "--tol-override", "nosuch_id=1"],
+    # non-finite settings
+    ["--manifold", "flat", "--n", "2", "--j2-tilt", "nan"],
+    ["--manifold", "flat", "--n", "2", "--j2-tilt", "inf"],
+    ["--manifold", "flat", "--n", "1", "--tol-override", "first_bianchi=nan"],
+    ["--manifold", "flat", "--n", "1", "--tol-override", "first_bianchi=-1"],
+    # steps that leave the largest coordinate of the box unmoved: every
+    # difference would be exactly 0 and every row would pass
+    ["--manifold", "conformal_flat", "--n", "2", "--f", "exp(x1)", "--h", "1e-200"],
+    ["--manifold", "dim4_torsion", "--n", "1", "--t", "sin(x2),0,x1*x3,0",
+     "--h", "1e-200", "--h2", "1e-200"],
+    ["--manifold", "hopf_local", "--n", "1", "--h", "1e-17"],
 ])
 def test_cli_input_errors_exit_2(args, capsys):
     assert cli.main(["verify", *args, "--points", "1"]) == 2
@@ -480,9 +490,21 @@ def test_input_errors_are_classified():
     from qkt.tensor_core import CoordinatePatch, FDScheme
 
     for make in (lambda: FDScheme(h=0.0),
+                 lambda: FDScheme(h=float("nan")),
+                 lambda: FDScheme(h2=float("inf")),
                  lambda: CoordinatePatch(n=1, lo=np.ones(4), hi=np.ones(4), metric=None),
                  lambda: ManifoldSpec(kind="flat", n=1, point_count=0),
-                 lambda: ManifoldSpec(kind="flat", n=1, h2=-1.0)):
+                 lambda: ManifoldSpec(kind="flat", n=1, h2=-1.0),
+                 lambda: ManifoldSpec(kind="flat", n=2, j2_tilt_degrees=float("nan")),
+                 lambda: run_suite(ManifoldSpec(kind="flat", n=1, point_count=1,
+                                                tol_overrides={"first_bianchi": float("nan")})),
+                 lambda: run_suite(ManifoldSpec(kind="flat", n=1, point_count=1,
+                                                tol_overrides={"first_bianchi": -1.0})),
+                 # steps that leave the largest coordinate of the box unmoved,
+                 # through build_qkt and through build_qkt_dim4 + conformal_rescale
+                 lambda: build_manifold(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)",
+                                                     h=1e-200)),
+                 lambda: build_manifold(ManifoldSpec(kind="hopf_local", n=1, h2=1e-17))):
         with pytest.raises(InputError) as err:
             make()
         assert isinstance(err.value, GeometryError) and isinstance(err.value, ValueError)
