@@ -23,7 +23,7 @@ import numpy as np
 from .errors import GeometryError
 from .qkt_connection import QKTContext, QKTStructure
 from .quaternionic import CYC_A, CYC_B, CYC_C, j_apply_oneform
-from .tensor_core import ConformalMetric, antisymmetrized_gradient, first_point
+from .tensor_core import ConformalMetric, antisymmetrized_gradient, first_point, lower_first
 
 MIN_FACTOR = 1e-8
 
@@ -80,8 +80,8 @@ def conformal_law_residuals(base: QKTContext, barred: QKTContext) -> dict:
     residual = barred.residual
 
     # connection transport law
-    lowered1 = np.einsum("...lij,...lm->...ijm", barred.Gamma, barred.g)
-    lowered0 = np.einsum("...lij,...lm->...ijm", base.Gamma, g)
+    lowered1 = lower_first(barred.Gamma, barred.g)
+    lowered0 = lower_first(base.Gamma, g)
     sym = 0.5 * (
         df[..., :, None, None] * g[..., None, :, :]
         + df[..., None, :, None] * g[..., :, None, :]

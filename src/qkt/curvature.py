@@ -24,6 +24,7 @@ from .quaternionic import CYC_B, CYC_C, frame_trace_pair
 from .tensor_core import (
     antisymmetrized_gradient,
     covariant_derivative_array,
+    lower_first,
     trace_codifferential,
     wedge_arrays,
 )
@@ -56,11 +57,13 @@ def curvature_tensor(gamma: np.ndarray, d_gamma: np.ndarray, g: np.ndarray) -> C
     ``d_gamma[..., a, l, i, j]`` and the metric ``g`` at the same points."""
     term_i = _shifted(d_gamma, 1, 3, 0, 2)   # d_i Gamma[l, j, k] -> [l, k, i, j]
     term_j = _shifted(d_gamma, 1, 3, 2, 0)   # d_j Gamma[l, i, k] -> [l, k, i, j]
-    quad_i = np.einsum("...lim,...mjk->...lkij", gamma, gamma)
-    quad_j = np.einsum("...ljm,...mik->...lkij", gamma, gamma)
-    R13 = term_i - term_j + quad_i - quad_j
-    R4 = np.einsum("...lkij,...lv->...ijkv", R13, g)
-    return CurvatureValue(R13=R13, R4=R4)
+    # both quadratic terms from one product: M[l, a, b, k] = Gamma[l, a, m] Gamma[m, b, k]
+    d, points = gamma.shape[-1], gamma.shape[:-3]
+    M = (gamma.reshape(points + (d * d, d)) @ gamma.reshape(points + (d, d * d))) \
+        .reshape(points + (d,) * 4)
+    M -= np.swapaxes(M, -3, -2)
+    R13 = term_i - term_j + _shifted(M, 0, 3, 1, 2)
+    return CurvatureValue(R13=R13, R4=_shifted(lower_first(R13, g), 1, 2, 0, 3))  # [k, i, j, v]
 
 
 def ricci_forms(curv: CurvatureValue, ginv: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -70,7 +73,15 @@ def ricci_forms(curv: CurvatureValue, ginv: np.ndarray, J: np.ndarray) -> np.nda
 
 def ricci_tensor(curv: CurvatureValue) -> np.ndarray:
     """Ric[..., X, Y] as the pure (1,3) trace (valid for non-metric connections too)."""
-    return np.einsum("...akaj->...jk", curv.R13)
+    return np.swapaxes(np.trace(curv.R13, axis1=-4, axis2=-2), -1, -2)
+
+
+def curvature_commutator(R13: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """[R(X, Y), J_a][..., a, l, k, i, j] of R13[..., l, k, i, j] and J[..., a, k, j]."""
+    d, points, shape = J.shape[-1], R13.shape[:-4], J.shape[:-1] + R13.shape[-3:]
+    # R J_a: J_a^T against the k slot of R[l, k, (ij)]; J_a R: J_a against R[l, (kij)]
+    RJ = np.swapaxes(J, -1, -2)[..., None, :, :] @ R13.reshape(points + (1, d, d, d * d))
+    return RJ.reshape(shape) - (J @ R13.reshape(points + (1, d, d ** 3))).reshape(shape)
 
 
 def _cyclic3(arr: np.ndarray) -> np.ndarray:
@@ -96,9 +107,8 @@ def sp1_curvature_residuals(ctx) -> dict:
     makes the relation consistent with eq11 for every n.
     """
     n = ctx.struct.n
-    R13, J, rho = ctx.curv.R13, ctx.J, ctx.rho
-    lie = (np.einsum("...lmij,...amk->...alkij", R13, J)
-           - np.einsum("...alm,...mkij->...alkij", J, R13))
+    J, rho = ctx.J, ctx.rho
+    lie = curvature_commutator(ctx.curv.R13, J)
     rhs = (np.einsum("...aij,...alk->...alkij", rho[..., CYC_C, :, :], J[..., CYC_B, :, :])
            - np.einsum("...aij,...alk->...alkij", rho[..., CYC_B, :, :], J[..., CYC_C, :, :])) / n
 
@@ -185,8 +195,7 @@ def trace_identity_residuals(ctx) -> dict:
         )
         out["eq22"] = ctx.residual((n - 1.0) * P - rhs)
 
-    lam = (np.einsum("...axy,...xy->...", P, ctx.g)
-           / (3.0 * np.einsum("...xy,...xy->...", ctx.g, ctx.g)))
+    lam = np.sum(P * g, axis=(-3, -2, -1)) / (3.0 * np.sum(ctx.g * ctx.g, axis=(-2, -1)))
     out["eq27_lambda"] = lam
     out["eq27_fit"] = ctx.residual(P - lam[..., None, None, None] * g)
     return out
@@ -228,8 +237,8 @@ def dim4_einstein_suite(ctx) -> dict:
     sym_ric = 0.5 * (ctx.Ric + _swap(ctx.Ric))
     eq569 = ctx.residual(ctx.Ric_g - sym_ric - 0.5 * ctx.t_square)
 
-    scal = np.einsum("...jk,...jk->...", ctx.ginv, ctx.Ric)[..., None, None]
-    scal_k = np.einsum("...jk,...jk->...", ctx.ginv, K)[..., None, None]
+    scal = np.sum(ctx.ginv * ctx.Ric, axis=(-2, -1))[..., None, None]
+    scal_k = np.sum(ctx.ginv * K, axis=(-2, -1))[..., None, None]
 
     return {
         "eq5.67": eq567,

@@ -45,6 +45,7 @@ from .quaternionic import (
     j_apply_oneform,
     project_plus_3form,
     quaternionic_residuals,
+    skew_bracket,
     torsion_02_part,
 )
 from .tensor_core import (
@@ -60,6 +61,7 @@ from .tensor_core import (
     fold,
     gradient,
     hodge_star_array,
+    raise_last,
     require_nondegenerate,
     stencil,
     trace_codifferential,
@@ -138,35 +140,42 @@ class QKTContext:
     dcF_plus (the last two from one dF), K, and the one eq4/eq5 defect
     ``existence``, so a stencil sub-context that reads T never computes the
     defect.  A derivative differences a layer of one of two stencil
-    sub-contexts, each built at most once, at the structure's scheme
-    (:meth:`derivative` picks the step).  Every layer takes
-    leading point axes, and so does every identity record: the suite opens
-    one context per chunk of sample points, and a record returns one
-    residual per point (:meth:`residual`).
+    sub-contexts, each built at most once (:meth:`derivative` picks the
+    step).  Every layer takes leading point axes, and so does every identity
+    record: the suite opens one context per chunk of sample points, all of
+    them reading one :attr:`base` context of a constant base, and a record
+    returns one residual per point (:meth:`residual`).
     """
 
-    def __init__(self, struct: QKTStructure, x: np.ndarray):
+    def __init__(self, struct: QKTStructure, x: np.ndarray, base: QKTContext | None = None):
         x = np.asarray(x, dtype=float).view()
         x.flags.writeable = False
         vars(self).update(struct=struct, x=x)
+        if base is not None:
+            vars(self)["base"] = base
 
     def __setattr__(self, name, value):
         raise AttributeError(f"context layer {name!r} is read-only")
 
+    def _on_stencil(self, h: float) -> "QKTContext":
+        shared = self.struct.base is not None and self.struct.base.constant
+        return QKTContext(self.struct, stencil(self.x, h), self.base if shared else None)
+
     @functools.cached_property
     def _stencil_h(self) -> "QKTContext":
-        return QKTContext(self.struct, stencil(self.x, self.struct.scheme.h))
+        return self._on_stencil(self.struct.scheme.h)
 
     @functools.cached_property
     def _stencil_h2(self) -> "QKTContext":
-        return QKTContext(self.struct, stencil(self.x, self.struct.scheme.h2))
+        return self._on_stencil(self.struct.scheme.h2)
 
     @functools.cached_property
     def base(self) -> "QKTContext":
-        """The context of the structure on the base metric g_0 (``struct.base``)
-        at the same points: the one that the rescaled torsion rule and the
-        conformal laws both read."""
-        return self.struct.base.at(self.x)
+        """The context of ``struct.base`` that the rescaled torsion rule and the
+        conformal laws read.  A constant base's sits at one point, its layers
+        broadcast against x, and the stencil sub-contexts share it."""
+        base = self.struct.base
+        return base.at(self.x.reshape(-1, self.x.shape[-1])[0] if base.constant else self.x)
 
     def residual(self, *arrays) -> np.ndarray:
         """Per point of x, the largest |entry| of ``arrays`` beyond the point axes; NaN wins."""
@@ -290,13 +299,13 @@ class QKTContext:
         J = self.J
         dF = antisymmetrized_gradient(np.moveaxis(self._d_g_and_F[..., 1:, :, :], -4, -3),
                                       degree=2)
-        # the 3-form arrays of a stencil batch are the largest temporaries: drop each when done
-        dcF_plus = project_plus_3form(j_apply_form(J, dF), J)
+        # one projection: J commutes with it, so dcF_plus is the twist of dF_plus.
+        # The 3-form arrays of a stencil batch are the largest temporaries: drop each when done
         dF_plus = project_plus_3form(dF, J)
         del dF
         theta_cross = -0.5 * frame_trace_pair(dF_plus[..., None, :, :, :], self.ginv,
                                               J[..., None, :, :, :])
-        return theta_cross, dcF_plus
+        return theta_cross, j_apply_form(J, dF_plus)
 
     @property
     def theta_cross(self):
@@ -340,7 +349,7 @@ class QKTContext:
     @_layer
     def T12(self):
         """The torsion as a (1,2) tensor T12[..., k, i, j]."""
-        return np.einsum("...ijm,...mk->...kij", self.T, self.ginv)
+        return raise_last(np.swapaxes(self.ginv, -1, -2), self.T)
 
     @_layer
     def Gamma(self):
@@ -626,9 +635,10 @@ class QKTStructure:
                      or (self.torsion_rule is _dual_torsion
                          and isinstance(self.t_form, ConstantForm))))
 
-    def at(self, x: np.ndarray) -> QKTContext:
-        """The lazy evaluation context of this structure on the point array ``x``."""
-        return QKTContext(self, x)
+    def at(self, x: np.ndarray, base: QKTContext | None = None) -> QKTContext:
+        """The lazy evaluation context of this structure on the point array ``x``;
+        ``base``: a context of a constant ``self.base`` to share, as ``run_suite`` does."""
+        return QKTContext(self, x, base)
 
     # an alias of at() that only perfbench/layertrace.py names; ROADMAP item 1
     # deletes it together with the tracer's wrappers
@@ -746,16 +756,11 @@ def c7_residual(ctx: QKTContext) -> np.ndarray | None:
 def nijenhuis_via_connection(ctx: QKTContext) -> np.ndarray:
     """The three Nijenhuis tensors N[..., a, k, i, j], rebuilt from the Lee-form
     difference 1-forms."""
-    J = ctx.J
-    A = ctx.lee_differences
-    JA = j_apply_oneform(J, A)
-    Jb, Jc = J[..., CYC_B, :, :], J[..., CYC_C, :, :]
-    return (
-        np.einsum("...j,...ki->...kij", A, Jb)
-        - np.einsum("...i,...kj->...kij", A, Jb)
-        - np.einsum("...j,...ki->...kij", JA, Jc)
-        + np.einsum("...i,...kj->...kij", JA, Jc)
-    )
+    J, A = ctx.J, ctx.lee_differences
+    # N[k, i, j] = W[i, k, j] - W[j, k, i] for W[i, k, j] = (J_a A)_i (J_c)^k_j - A_i (J_b)^k_j
+    W = j_apply_oneform(J, A)[..., :, None, None] * J[..., CYC_C, None, :, :]
+    W -= A[..., :, None, None] * J[..., CYC_B, None, :, :]
+    return skew_bracket(W)
 
 
 def structure_invariant_residuals(ctx: QKTContext) -> dict:

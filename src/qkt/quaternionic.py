@@ -140,27 +140,36 @@ def j_apply_oneform(J: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return -((psi[..., None, :] @ J)[..., 0, :])
 
 
+def j_apply_slot(J: np.ndarray, arr: np.ndarray, slot: int) -> np.ndarray:
+    """J on one slot, no sign: arr(.., J X_slot, ..); one matmul and no transpose."""
+    d = J.shape[-1]
+    r = arr.ndim - (J.ndim - 2)
+    head = arr.shape[:arr.ndim - r]
+    if slot == r - 1:
+        out, tail = arr.reshape(head + (-1, d)) @ J, 2
+    else:
+        out, tail = np.swapaxes(J, -1, -2)[..., None, :, :] @ arr.reshape(
+            head + (d ** slot, d, -1)), 3
+    return out.reshape(out.shape[:out.ndim - tail] + (d,) * r)
+
+
 def j_apply_form(J: np.ndarray, arr: np.ndarray) -> np.ndarray:
     """(J psi)(X_1..X_r) = (-1)^r psi(J X_1, ..., J X_r): J on every slot, with sign."""
     out = np.asarray(arr, dtype=float)
-    s = J.ndim - 2
-    r = out.ndim - s
-    for _ in range(r):
-        # move the first slot last and contract it: r passes restore the order
-        moved = np.moveaxis(out, s, -1)
-        out = (moved.reshape(moved.shape[:s] + (-1, J.shape[-1])) @ J).reshape(moved.shape)
+    r = out.ndim - (J.ndim - 2)
+    for slot in range(r):
+        out = j_apply_slot(J, out, slot)
     return ((-1.0) ** r) * out
 
 
-def j_apply_pair(J: np.ndarray, arr: np.ndarray, slots: tuple, upper: bool = False) -> np.ndarray:
-    """J on slots (i, j), no sign: arr(.., J X_i, .., J X_j, ..); ``upper``: slot i is an upper index."""
-    r = arr.ndim - (J.ndim - 2)
-    i, j = (arr.ndim - r + slot for slot in slots)
-    # the two slots last, J^T (or J) @ x @ J, then the slots back in place
-    order = [axis for axis in range(arr.ndim) if axis not in (i, j)] + [i, j]
-    J = J.reshape(J.shape[:-2] + (1,) * (r - 2) + J.shape[-2:])
-    out = (J if upper else np.swapaxes(J, -1, -2)) @ arr.transpose(order) @ J
-    return out.transpose(np.argsort(order))
+def _pair_terms(J: np.ndarray, arr: np.ndarray, first: np.ndarray) -> tuple:
+    """(J_1 (J_2 + J_3) arr, J_2 J_3 arr), J_s being J on the s-th of the first three
+    slots and ``first`` in its place on the first: the three pairs in four passes."""
+    # at most three arrays of the output's size live at once
+    third = j_apply_slot(J, arr, 2)
+    last = j_apply_slot(J, third, 1)
+    third += j_apply_slot(J, arr, 1)
+    return j_apply_slot(first, third, 0), last
 
 
 def frame_trace_pair(arr: np.ndarray, ginv: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -186,11 +195,11 @@ def project_plus_3form(psi: np.ndarray, J: np.ndarray) -> np.ndarray:
     A stack of J's projects the matching stack of 3-forms.
 
     The image satisfies psi(X,Y,Z) = psi(JX,JY,Z) + psi(JX,Y,JZ) + psi(X,JY,JZ)
-    exactly; the kernel is the (3,0)+(0,3) part.
+    exactly; the kernel is the (3,0)+(0,3) part.  J commutes with the projector.
     """
-    out = 3.0 * psi
-    for slots in ((0, 1), (0, 2), (1, 2)):
-        out += j_apply_pair(J, psi, slots)
+    out, last = _pair_terms(J, psi, J)
+    out += last
+    out += 3.0 * psi
     out *= 0.25
     return out
 
@@ -200,23 +209,26 @@ def torsion_02_part(T: np.ndarray, J: np.ndarray) -> np.ndarray:
 
     Computes (T(X,Y) - T(JX,JY) + J T(JX,Y) + J T(X,JY)) / 4.
     """
-    t_jj = j_apply_pair(J, T, (1, 2))
-    jt_jx = j_apply_pair(J, T, (0, 1), upper=True)
-    jt_xj = j_apply_pair(J, T, (0, 2), upper=True)
-    return 0.25 * (T - t_jj + jt_jx + jt_xj)
+    # J^T on the upper slot k acts as J does on a lower slot
+    out, last = _pair_terms(J, T, np.swapaxes(J, -1, -2))
+    out -= last
+    out += T
+    out *= 0.25
+    return out
 
 
 def nijenhuis_bracket(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
     """Nijenhuis tensor N[..., k, i, j] of J[..., k, j] from coordinate Lie
     brackets, given its gradient dJ[..., i, k, j] = d_i J[k, j]."""
     # For coordinate fields: [JX, JY]^k = J^m_i d_m J^k_j - J^m_j d_m J^k_i,
-    # [JX, Y]^k = -d_j J^k_i, [X, JY]^k = d_i J^k_j, [X, Y] = 0.
-    return (
-        np.einsum("...mi,...mkj->...kij", J, dJ)
-        - np.einsum("...mj,...mki->...kij", J, dJ)
-        + np.einsum("...km,...jmi->...kij", J, dJ)
-        - np.einsum("...km,...imj->...kij", J, dJ)
-    )
+    # [JX, Y]^k = -d_j J^k_i, [X, JY]^k = d_i J^k_j, [X, Y] = 0; so N[k, i, j] is
+    # W[i, k, j] - W[j, k, i] with W[i, k, j] = J^m_i d_m J^k_j - J^k_m d_i J^m_j
+    return skew_bracket(j_apply_slot(J, dJ, 0) - J[..., None, :, :] @ dJ)
+
+
+def skew_bracket(W: np.ndarray) -> np.ndarray:
+    """N[..., k, i, j] = W[..., i, k, j] - W[..., j, k, i]: the Nijenhuis bracket shape."""
+    return np.swapaxes(W, -3, -2) - np.moveaxis(W, -3, -1)
 
 
 def dT_type22_residual(dT: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -227,7 +239,7 @@ def dT_type22_residual(dT: np.ndarray, J: np.ndarray) -> np.ndarray:
     + dT(X,JY,JZ,U) for each structure.
     """
     stacked = dT[..., None, :, :, :, :]
-    defect = np.repeat(stacked, 3, axis=-5)
-    for slots in ((0, 1), (0, 2), (1, 2)):
-        defect -= j_apply_pair(J, stacked, slots)
-    return np.max(np.abs(defect), axis=(-5, -4, -3, -2, -1))
+    defect, last = _pair_terms(J, stacked, J)
+    defect += last
+    defect -= stacked
+    return np.max(np.abs(defect, out=defect), axis=(-5, -4, -3, -2, -1))

@@ -52,7 +52,9 @@ from .quaternionic import (
     CYC_B,
     CYC_C,
     j_apply_oneform,
+    j_apply_slot,
     nijenhuis_bracket,
+    skew_bracket,
     torsion_02_part,
 )
 from .tensor_core import (
@@ -188,14 +190,10 @@ def _nijenhuis_eq2(ctx: QKTContext):
     """4 T^{0,2}_a plus the nabla-J terms of the bracket formula, per structure a."""
     J = ctx.J
     nab_j = ctx.nabla_J   # [..., a, m, k, j]
-    t02 = torsion_02_part(ctx.T12[..., None, :, :, :], J)
-    return (
-        4.0 * t02
-        + np.einsum("...mi,...mkj->...kij", J, nab_j)
-        - np.einsum("...mj,...mki->...kij", J, nab_j)
-        - np.einsum("...jkm,...mi->...kij", nab_j, J)
-        + np.einsum("...ikm,...mj->...kij", nab_j, J)
-    )
+    # W[i, k, j] = J^m_i (nabla_m J)^k_j + (nabla_i J)^k_m J^m_j
+    W = j_apply_slot(J, nab_j, 0)
+    W += j_apply_slot(J, nab_j, 2)
+    return 4.0 * torsion_02_part(ctx.T12[..., None, :, :, :], J) + skew_bracket(W)
 
 
 def _dim4_structural(ctx: QKTContext) -> dict:
@@ -404,11 +402,13 @@ def _run_suite(spec: ManifoldSpec, suite: str) -> VerificationReport:
               if suite in ("all", group_suite)
               and _GROUP_APPLIES.get(name, lambda spec, struct: True)(spec, struct)}
     classified: dict = {}
+    # a constant base is the same at every point: one context of it serves every chunk
+    base = struct.base.at(points[0]) if struct.base is not None and struct.base.constant else None
     # one context per chunk of sample points, read by every group and the
     # classification; the next chunk's context replaces it before computing
     # any layer
     for chunk in point_chunks(points):
-        ctx = struct.at(chunk)
+        ctx = struct.at(chunk, base)
         last = {name: _GROUP_EVALUATORS[name](ctx) for name in groups}
         for name, values in last.items():
             fold(groups[name], values)

@@ -15,13 +15,13 @@ Conventions used throughout the package:
   ``(..., d, *value_shape)``: the derivative axis sits right after the
   point axes;
 * evaluation contexts: a built structure evaluates its layers (g, J, the
-  Lee and cross Lee forms, K, T, Gamma, the sp(1) forms, the torsion traces
-  and the curvature) through ``QKTStructure.at(x)``, one lazy context per point
-  array.  Each layer is computed at most once per context and handed out
-  read-only, and a derivative reads the same layer off one of two stencil
-  sub-contexts, built on :func:`stencil` at step ``h`` or ``h2``, so each
-  point set of a context is evaluated once.  Nothing is cached on a
-  structure or across point arrays: dropping the context frees its arrays;
+  Lee and cross Lee forms, K, T, Gamma, the sp(1) forms, the torsion traces,
+  the curvature) through ``QKTStructure.at(x)``, one lazy context per point
+  array, each layer computed at most once and read-only; a derivative reads
+  the layer off one of two :func:`stencil` sub-contexts, at step h or h2.
+  Nothing is cached on a structure: dropping a context frees its arrays,
+  and ``run_suite`` opens a constant base's context once per call, at one
+  point, for every chunk.  A contraction is a reshape and a batched matmul;
 * metric ``g[i, j]``; connection coefficients ``Gamma[l, i, j]``, the l-th
   component of the derivative of the j-th coordinate field along the i-th
   direction;
@@ -201,10 +201,11 @@ def worst(*values) -> float:
 
 def fold(out: dict, values: dict) -> dict:
     """Fold ``values``, scalars or per-point arrays, into the running maxima ``out``
-    (NaN wins); None values are skipped."""
+    (NaN wins); None values are skipped.  One reduction per key, compared as floats."""
     for key, value in values.items():
         if value is not None:
-            out[key] = worst(out.get(key, 0.0), value)
+            new, old = float(np.max(value)), out.get(key, 0.0)
+            out[key] = new if new > old or new != new else old
     return out
 
 
@@ -218,8 +219,13 @@ def partial_derivative(field: Callable[[np.ndarray], np.ndarray],
                        scheme: FDScheme,
                        nested: bool = False) -> np.ndarray:
     """Order-2 central difference of a field along one axis at the points ``p``:
-    one slice of :func:`gradient`."""
-    return np.take(gradient(field, p, scheme, nested), direction, axis=np.ndim(p) - 1)
+    one slice of :func:`gradient`, from the two points p +- h e_direction only."""
+    p = np.asarray(p, dtype=float)
+    h = scheme.step(nested)
+    step = h * np.eye(p.shape[-1])[direction]
+    values = np.asarray(field(p[..., None, :] + np.stack([step, -step])), dtype=float)
+    plus, minus = np.moveaxis(values, p.ndim - 1, 0)
+    return (plus - minus) / (2.0 * h)
 
 
 def stencil(p: np.ndarray, h: float) -> np.ndarray:
@@ -326,13 +332,6 @@ def _levi_civita_symbol_4() -> np.ndarray:
 
 EPSILON_4 = _levi_civita_symbol_4()
 
-_STAR_SPECS = {
-    1: "...a,abcd->...bcd",
-    2: "...ab,abcd->...cd",
-    3: "...abc,abcd->...d",
-    4: "...abcd,abcd->...",
-}
-
 
 def hodge_star_array(arr: np.ndarray, ginv: np.ndarray, vol: np.ndarray) -> np.ndarray:
     """Hodge star of k-form component arrays in dimension 4.
@@ -356,8 +355,9 @@ def hodge_star_array(arr: np.ndarray, ginv: np.ndarray, vol: np.ndarray) -> np.n
         # k passes restore the original axis order with all indices raised
         moved = np.moveaxis(raised, lead, -1)
         raised = (moved.reshape(moved.shape[:lead] + (-1, 4)) @ ginv).reshape(moved.shape)
+    starred = raised.reshape(raised.shape[:lead] + (-1,)) @ EPSILON_4.reshape(4 ** k, -1)
     vol = np.reshape(vol, np.shape(vol) + (1,) * (4 - k))
-    return vol * np.einsum(_STAR_SPECS[k], raised, EPSILON_4) / math.factorial(k)
+    return vol * starred.reshape(starred.shape[:-1] + (4,) * (4 - k)) / math.factorial(k)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +420,21 @@ def levi_civita(metric: Callable[[np.ndarray], np.ndarray],
 def christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma[..., l, i, j] from g^{-1} and dg[..., a, i, j] = d_a g_ij."""
     lowered = 0.5 * (dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1))
-    return np.einsum("...lm,...ijm->...lij", ginv, lowered)
+    return raise_last(ginv, lowered)
+
+
+def raise_last(ginv: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """out[..., l, i, j] = sum_m ginv[..., l, m] arr[..., i, j, m], one matmul."""
+    d = ginv.shape[-1]
+    out = ginv @ np.swapaxes(arr.reshape(arr.shape[:-3] + (d * d, d)), -1, -2)
+    return out.reshape(out.shape[:-1] + (d, d))
+
+
+def lower_first(arr: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """out[..., *rest, m] = sum_l arr[..., l, *rest] g[..., l, m] at the point axes of g."""
+    points, d = g.shape[:-2], g.shape[-1]
+    out = np.swapaxes(arr.reshape(arr.shape[:len(points)] + (d, -1)), -1, -2) @ g
+    return out.reshape(out.shape[:-2] + arr.shape[len(points) + 1:] + (d,))
 
 
 def covariant_derivative_array(gamma: np.ndarray,

@@ -11,7 +11,9 @@ field, the covariant derivative, the Levi-Civita connection field, the
 torsion and connection of a built structure as fields, the Hodge star at
 a metric), and an unchecked structure of a patch and a triple for the
 helpers to read.  The library computes the same objects stacked and over
-point arrays.
+point arrays.  At the end: J on pairs of slots with the six-pass type
+projector, and the einsum formulas of the contractions that the library
+makes as batched matmuls.
 """
 
 from dataclasses import dataclass
@@ -30,6 +32,7 @@ from qkt.quaternionic import (
     project_plus_3form,
 )
 from qkt.tensor_core import (
+    EPSILON_4,
     MIN_METRIC_EIGENVALUE,
     FDScheme,
     FormField,
@@ -286,3 +289,97 @@ def einstein_weyl_deviation(ctx) -> float:
     sym_ric_w = 0.5 * (ric_w + ric_w.T)
     trace_w = np.einsum("jk,jk->", ctx.ginv, sym_ric_w)
     return float(np.max(np.abs(sym_ric_w - (trace_w / 4.0) * ctx.g)))
+
+
+# ---------------------------------------------------------------------------
+# J on pairs of slots, and the six-pass type projector
+# ---------------------------------------------------------------------------
+
+def j_apply_pair(J: np.ndarray, arr: np.ndarray, slots: tuple, upper: bool = False) -> np.ndarray:
+    """J on slots (i, j), no sign: arr(.., J X_i, .., J X_j, ..); ``upper``: slot i is an upper index."""
+    r = arr.ndim - (J.ndim - 2)
+    i, j = (arr.ndim - r + slot for slot in slots)
+    # the two slots last, J^T (or J) @ x @ J, then the slots back in place
+    order = [axis for axis in range(arr.ndim) if axis not in (i, j)] + [i, j]
+    J = J.reshape(J.shape[:-2] + (1,) * (r - 2) + J.shape[-2:])
+    out = (J if upper else np.swapaxes(J, -1, -2)) @ arr.transpose(order) @ J
+    return out.transpose(np.argsort(order))
+
+
+def project_plus_six_pass(psi: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """The (1,2)+(2,1) part of a 3-form, (3 psi + J on each pair of slots) / 4, in six passes."""
+    out = 3.0 * psi
+    for slots in ((0, 1), (0, 2), (1, 2)):
+        out += j_apply_pair(J, psi, slots)
+    return 0.25 * out
+
+
+# ---------------------------------------------------------------------------
+# einsum formulas of the library's matmul contractions
+# ---------------------------------------------------------------------------
+
+def christoffel_einsum(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    lowered = 0.5 * (dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1))
+    return np.einsum("...lm,...ijm->...lij", ginv, lowered)
+
+
+def torsion_12_einsum(T: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """The (1,2) torsion T12[..., k, i, j] of the 3-form T."""
+    return np.einsum("...ijm,...mk->...kij", T, ginv)
+
+
+def lowered_connection_einsum(gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The connection of the conformal law, lowered: [..., i, j, m]."""
+    return np.einsum("...lij,...lm->...ijm", gamma, g)
+
+
+def curvature_einsum(gamma: np.ndarray, d_gamma: np.ndarray, g: np.ndarray) -> tuple:
+    """(R13, R4) of the connection ``gamma`` with gradient ``d_gamma``."""
+    R13 = (np.einsum("...iljk->...lkij", d_gamma) - np.einsum("...jlik->...lkij", d_gamma)
+           + np.einsum("...lim,...mjk->...lkij", gamma, gamma)
+           - np.einsum("...ljm,...mik->...lkij", gamma, gamma))
+    return R13, np.einsum("...lkij,...lv->...ijkv", R13, g)
+
+
+def ricci_einsum(R13: np.ndarray) -> np.ndarray:
+    return np.einsum("...akaj->...jk", R13)
+
+
+def curvature_commutator_einsum(R13: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """[R(X, Y), J_a][..., a, l, k, i, j], the eq11 commutator."""
+    return (np.einsum("...lmij,...amk->...alkij", R13, J)
+            - np.einsum("...alm,...mkij->...alkij", J, R13))
+
+
+def hodge_star_einsum(arr: np.ndarray, ginv: np.ndarray, vol: np.ndarray, k: int) -> np.ndarray:
+    """The dimension-4 star of k-forms: each slot raised, then epsilon contracted."""
+    slots = "abcd"[:k]
+    raised = arr
+    for s in range(k):
+        raised = np.einsum(f"...mz,...{slots[:s]}m{slots[s + 1:]}->...{slots[:s]}z{slots[s + 1:]}",
+                           ginv, raised)
+    vol = np.reshape(vol, np.shape(vol) + (1,) * (4 - k))
+    return vol * np.einsum(f"...{slots},abcd->...{'abcd'[k:]}", raised, EPSILON_4) \
+        / np.prod(np.arange(1, k + 1))
+
+
+def nijenhuis_bracket_einsum(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
+    return (np.einsum("...mi,...mkj->...kij", J, dJ) - np.einsum("...mj,...mki->...kij", J, dJ)
+            + np.einsum("...km,...jmi->...kij", J, dJ) - np.einsum("...km,...imj->...kij", J, dJ))
+
+
+def nijenhuis_eq2_einsum(J: np.ndarray, nab_j: np.ndarray, T12: np.ndarray) -> np.ndarray:
+    """4 T^{0,2}_a plus the nabla-J terms of the bracket formula (eq2)."""
+    t02 = 0.25 * (T12 - j_apply_pair(J, T12, (1, 2)) + j_apply_pair(J, T12, (0, 1), upper=True)
+                  + j_apply_pair(J, T12, (0, 2), upper=True))
+    return (4.0 * t02
+            + np.einsum("...mi,...mkj->...kij", J, nab_j) - np.einsum("...mj,...mki->...kij", J, nab_j)
+            - np.einsum("...jkm,...mi->...kij", nab_j, J) + np.einsum("...ikm,...mj->...kij", nab_j, J))
+
+
+def nijenhuis_via_connection_einsum(J: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The Nijenhuis tensors rebuilt from the Lee-form difference 1-forms A[..., a]."""
+    JA = j_apply_oneform(J, A)
+    Jb, Jc = J[..., [1, 2, 0], :, :], J[..., [2, 0, 1], :, :]
+    return (np.einsum("...j,...ki->...kij", A, Jb) - np.einsum("...i,...kj->...kij", A, Jb)
+            - np.einsum("...j,...ki->...kij", JA, Jc) + np.einsum("...i,...kj->...kij", JA, Jc))

@@ -144,8 +144,10 @@ def test_nan_at_one_sample_point_fails_its_rows(count, index, length):
 
 
 def test_conformal_laws_share_the_rescaled_base_context(monkeypatch):
-    # the conformal laws read the base context that the rescaled torsion
-    # rule opened: per chunk one base context at the sample points and one
+    # the flat base is constant: the run opens one context of it, at one
+    # point, and every chunk context and every stencil sub-context reads that
+    # one, for the conformal laws and for the rescaled torsion rule alike.
+    # Before, each chunk opened one base context at its sample points and one
     # on their h2 stencil, where the torsion is differenced
     built = []
     build = suite_module.build_manifold
@@ -154,19 +156,20 @@ def test_conformal_laws_share_the_rescaled_base_context(monkeypatch):
     opened = []
     init = QKTContext.__init__
 
-    def recording(ctx, struct, x):
+    def recording(ctx, struct, x, base=None):
         if built:
-            opened.append((struct, np.shape(x), np.asarray(x).tobytes()))
-        init(ctx, struct, x)
+            opened.append((struct, np.shape(x), base, ctx))
+        init(ctx, struct, x, base)
 
     monkeypatch.setattr(QKTContext, "__init__", recording)
     spec = ManifoldSpec(kind="hopf_local", n=1, point_count=20, seed=5)
     assert run_suite(spec, "all").all_pass
     (struct,) = built
-    base = [(shape, key) for owner, shape, key in opened if owner is struct.base]
-    assert len(base) == len(set(base))
-    assert collections.Counter(shape for shape, _ in base) == {(10, 4): 2, (10, 8, 4): 2}
-    assert all(owner in (struct, struct.base) for owner, _, _ in opened)
+    (base,) = [ctx for owner, _, _, ctx in opened if owner is struct.base]
+    assert base.x.shape == (4,)
+    shapes = collections.Counter(shape for owner, shape, _, _ in opened if owner is struct)
+    assert shapes[(10, 4)] == 2 and shapes[(10, 8, 4)] > 0 and shapes[(10, 8, 8, 4)] > 0
+    assert all(owner is struct.base or shared is base for owner, _, shared, _ in opened)
 
 
 def test_dim4_build_error_reports_the_worst_quaternionic_residual(monkeypatch):

@@ -163,7 +163,7 @@ def test_bundle_matches_standalone_formulas_exactly(batched):
                                  (ctx.J, ctx.theta, ctx.theta_cross, ctx.dcF_plus))
     for a in range(3):
         dF = exterior_derivative(kaehler_field(data, a), SCHEME)(POINT8)
-        assert np.array_equal(dcF_plus[a], project_plus_3form(j_apply_form(J[a], dF), J[a]))
+        assert np.array_equal(dcF_plus[a], j_apply_form(J[a], project_plus_3form(dF, J[a])))
         assert np.array_equal(theta[a], lee_form(data, a, POINT8, SCHEME))
         for b in range(3):
             assert np.array_equal(cross[a, b], cross_lee_form(data, a, b, POINT8, SCHEME))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qkt.errors import (
     BoundaryError,
@@ -16,12 +16,14 @@ from qkt.tensor_core import (
     FormField,
     antisymmetrized_gradient,
     covariant_derivative_array,
+    fold,
     gradient,
     hodge_star_array,
     levi_civita,
     partial_derivative,
     validate_metric,
     wedge_arrays,
+    worst,
 )
 from reference import (
     TensorField,
@@ -73,6 +75,60 @@ def test_partial_derivative_matches_analytic_exponential():
     f = lambda p: np.exp(p[..., 0])
     value = partial_derivative(f, 0, np.zeros(4), SCHEME)
     assert abs(value - 1.0) <= 1e-8
+
+
+def test_partial_derivative_is_the_gradient_slice_from_two_points():
+    # one field call on the points p +- h e_direction, not on the 2d stencil points
+    p = RNG.uniform(-0.5, 0.5, size=(3, 4))
+    shapes = []
+
+    def field(q):
+        shapes.append(q.shape)
+        return np.stack([np.sin(q[..., 0] * q[..., 1]), np.exp(q[..., 2]) * q[..., 3]], axis=-1)
+
+    grad = gradient(field, p, SCHEME)
+    for direction in range(4):
+        shapes.clear()
+        value = partial_derivative(field, direction, p, SCHEME)
+        assert shapes == [(3, 2, 4)]
+        assert np.max(np.abs(value - grad[:, direction])) <= 1e-15 * np.max(np.abs(grad))
+
+
+def test_halved_scheme_halves_both_steps_and_stays_checked():
+    assert FDScheme(h=1e-4, h2=3e-3).halved() == FDScheme(h=5e-5, h2=1.5e-3)
+    # the smallest subnormal step halves to 0, which the positivity check rejects
+    with pytest.raises(ValueError):
+        FDScheme(h=5e-324, h2=1e-3).halved()
+    with pytest.raises(ValueError):
+        FDScheme(h=1e-4, h2=5e-324).halved()
+
+
+def _fold_by_worst(out: dict, values: dict) -> dict:
+    """The fold before one-reduction-per-key: every key through ``worst``."""
+    for key, value in values.items():
+        if value is not None:
+            out[key] = worst(out.get(key, 0.0), value)
+    return out
+
+
+RESIDUALS = st.floats(allow_nan=True, allow_infinity=True, width=64)
+VALUES = st.one_of(st.none(), RESIDUALS,
+                   st.lists(RESIDUALS, min_size=1, max_size=5).map(np.array))
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.dictionaries(st.sampled_from("abc"), VALUES), max_size=6))
+@example(steps=[{"a": np.array([1.0, np.nan])}, {"a": 2.0}])
+@example(steps=[{"a": -1.0, "b": np.array([-3.0, -2.0])}, {"b": None}])
+def test_fold_matches_the_worst_based_fold(steps):
+    folded, reference_fold = {}, {}
+    for values in steps:
+        fold(folded, values)
+        _fold_by_worst(reference_fold, values)
+    assert folded.keys() == reference_fold.keys()
+    for key, value in folded.items():
+        assert isinstance(value, float)
+        assert value == reference_fold[key] or (np.isnan(value) and np.isnan(reference_fold[key]))
 
 
 def test_scheme_validation():

@@ -596,16 +596,19 @@ RECORDS = ("structure_invariant_residuals", "torsion_one_form_spread", "lcqk_res
 
 def test_each_record_runs_once_per_chunk(monkeypatch):
     # 13 points at d = 4 make chunks of 10 and 3 points; every record reads
-    # the context of each chunk once
+    # the context of each chunk once, and the conformal laws read the run's
+    # one context of the constant base, at one point, beside it
     seen = {name: [] for name in RECORDS}
     for name in RECORDS:
-        def counting(ctx, *args, _name=name, _record=getattr(suite_module, name)):
-            seen[_name].append(ctx.x.shape)
-            return _record(ctx, *args)
+        def counting(*contexts, _name=name, _record=getattr(suite_module, name)):
+            seen[_name].append([ctx.x.shape for ctx in contexts])
+            return _record(*contexts)
         monkeypatch.setattr(suite_module, name, counting)
     spec = ManifoldSpec(kind="hopf_local", n=1, point_count=13, seed=5)
     assert run_suite(spec, "all").all_pass
-    assert seen == {name: [(10, 4), (3, 4)] for name in RECORDS}
+    expected = {name: [[(10, 4)], [(3, 4)]] for name in RECORDS}
+    expected["conformal_law_residuals"] = [[(4,), (10, 4)], [(4,), (3, 4)]]
+    assert seen == expected
 
 
 def test_every_gradient_makes_one_field_call(monkeypatch, tmp_path, capsys):
@@ -631,7 +634,8 @@ def test_every_gradient_makes_one_field_call(monkeypatch, tmp_path, capsys):
 def test_hodge_stars_reuse_the_context_inverse_and_volume(monkeypatch):
     # the stars of the dimension-4 torsion and of _dim4_structural read the
     # context's ginv and vol layers: a 20-point hopf_local run made 16 inv and
-    # 10 det calls while every star inverted g and took its determinant again
+    # 10 det calls while every star inverted g and took its determinant again,
+    # and 8 and 6 while every chunk and its h2 stencil opened a base context
     calls = {"inv": 0, "det": 0}
     for name in calls:
         def counting(*args, _name=name, _original=getattr(np.linalg, name)):
@@ -639,4 +643,4 @@ def test_hodge_stars_reuse_the_context_inverse_and_volume(monkeypatch):
             return _original(*args)
         monkeypatch.setattr(np.linalg, name, counting)
     assert run_suite(ManifoldSpec(kind="hopf_local", n=1, point_count=20, seed=5), "all").all_pass
-    assert calls == {"inv": 8, "det": 6}
+    assert calls == {"inv": 5, "det": 3}
