@@ -77,14 +77,17 @@ ALGEBRA_TOL = 1e-8
 FIRST_ORDER_TOL = 1e-5
 CURVATURE_TOL = 1e-4
 
-# Sample points are evaluated in chunks, one context per chunk.  A context's
-# largest arrays are rank-4 tensors on the nested stencils of its points,
-# (2d)^2 d^4 elements per sample point.  A chunk takes as many points as keep
-# those elements within CHUNK_ELEMENTS, and at least one: ten points at d = 4,
-# one point at d >= 8.  On a 20-point hopf_local run a chunk of ten raised the
-# peak memory by 0.4 MB over one point per context, a chunk of twenty by 2.2 MB.
+# Sample points are evaluated in chunks, one context per chunk.  A chunk takes
+# as many points as keep (2d)^2 d^4 elements per sample point within
+# CHUNK_ELEMENTS, and at least one: ten points at d = 4, one point at d >= 8.
+# The unit is a rank-4 tensor on every nested stencil point, which a context no
+# longer builds: g and the F_a are differentiated by the product rule, so a
+# nested stencil holds at most f, g_0 and J (f alone on the zoo's conformal
+# kinds), and the largest kept arrays are rank-3 stacks (d_aF_a^+, nabla J_a)
+# on the 2d step-h2 stencil points.  On a 20-point hopf_local run (Python
+# 3.11, numpy 2.4) a chunk of ten raised the peak RSS by 0.15 MB over one
+# point per context, a chunk of twenty by 1.5 MB.
 CHUNK_ELEMENTS = 10 * (2 * 4) ** 2 * 4 ** 4
-
 
 def chunk_length(dim: int) -> int:
     """Sample points per context in dimension ``dim``."""
@@ -135,16 +138,19 @@ class QKTContext:
     ``qkt.curvature`` or ``qkt.suite``) is a layer here, never a second
     formula in a record.  The metric is g = f g_0: for a
     :class:`ConformalMetric` the factor f is evaluated once per point array,
-    and for any other metric f = 1 and g_0 = g.  The first-order data of
-    the torsion formula are separate layers: theta, theta_cross and
-    dcF_plus (the last two from one dF), K, and the one eq4/eq5 defect
-    ``existence``, so a stencil sub-context that reads T never computes the
-    defect.  A derivative differences a layer of one of two stencil
-    sub-contexts, each built at most once (:meth:`derivative` picks the
-    step).  Every layer takes leading point axes, and so does every identity
-    record: the suite opens one context per chunk of sample points, all of
-    them reading one :attr:`base` context of a constant base, and a record
-    returns one residual per point (:meth:`residual`).
+    and for any other metric f = 1 and g_0 = g.  Of g, J and the F_a only
+    f, g_0 and J are differenced, at step h; dg and the dF_a follow from
+    them by the product rule, and a layer that is the same at every point
+    differentiates to zeros without a stencil (:meth:`derivative`).  The
+    first-order data of the torsion formula are separate layers: theta,
+    theta_cross and dcF_plus (one layer, from one dF that it drops), K,
+    and the one eq4/eq5 defect ``existence``, so a stencil sub-context that
+    reads T never computes the defect.  A derivative differences a layer of
+    one of two stencil sub-contexts, each built at most once.  Every layer
+    takes leading point axes, and so does every identity record: the suite
+    opens one context per chunk of sample points, all of them reading one
+    :attr:`base` context of a constant base, and a record returns one
+    residual per point (:meth:`residual`).
     """
 
     def __init__(self, struct: QKTStructure, x: np.ndarray, base: QKTContext | None = None):
@@ -184,20 +190,23 @@ class QKTContext:
             np.max(np.abs(arr).reshape(points + (-1,)), axis=-1) for arr in arrays))
 
     def derivative(self, layer: str) -> np.ndarray:
-        """The gradient of ``layer`` at x.
+        """The gradient of ``layer`` at x, [..., a, *value] = d_a layer.
 
-        The step is h for the layers evaluated without finite differences
-        (``_g_and_F``, ``f``, and ``T`` when it is the dual of an analytic
-        ``t_form``: :attr:`QKTStructure.nested_torsion`) and h2 for every
-        other layer.  One :func:`gradient` call; its field returns the layer
-        of the stencil sub-context, which sits on the very stencil array
-        ``gradient`` builds.  On a constant structure every layer is the same
-        at every point, so the gradient is exact zeros, without a stencil.
+        A layer that is the same at every point
+        (:meth:`QKTStructure.constant_layer`) gives exact zeros, one read-only
+        broadcast, without a stencil.  Any other layer takes one
+        :func:`gradient` call whose field returns the layer of a stencil
+        sub-context, which sits on the very stencil array ``gradient`` builds.
+        The step is h for the pointwise layers ``f``, ``g0`` and ``J`` (and
+        ``T`` when it is the dual of a ``t_form`` evaluated without finite
+        differences: :attr:`QKTStructure.nested_torsion`) and h2 for every
+        other layer.  dg and dF follow from the pointwise layers by the
+        product rule, so a nested stencil evaluates nothing else.
         """
-        if self.struct.constant:
+        if self.struct.constant_layer(layer):
             shape, points = np.shape(getattr(self, layer)), self.x.ndim - 1
-            return np.zeros(shape[:points] + self.x.shape[-1:] + shape[points:])
-        nested = layer not in ("_g_and_F", "f") and (layer != "T" or self.struct.nested_torsion)
+            return np.broadcast_to(0.0, shape[:points] + self.x.shape[-1:] + shape[points:])
+        nested = layer not in ("f", "g0", "J") and (layer != "T" or self.struct.nested_torsion)
         sub = self._stencil_h2 if nested else self._stencil_h
         return gradient(lambda _: getattr(sub, layer), self.x, self.struct.scheme, nested)
 
@@ -243,29 +252,30 @@ class QKTContext:
         """The Kaehler forms F[..., alpha] = g J_alpha."""
         return self.g[..., None, :, :] @ self.J
 
-    @property
-    def _g_and_F(self):
-        return np.concatenate([self.g[..., None, :, :], self.F], axis=-3)
+    @_layer
+    def df(self):
+        """df[..., a] = d_a f."""
+        return self.derivative("f")
 
     @_layer
-    def _d_g_and_F(self):
-        """d g and d F_a from one stencil: [..., a, 0] = d_a g, [..., a, 1:] = d_a F."""
-        return self.derivative("_g_and_F")
-
-    @property
     def dg(self):
-        """dg[..., a, i, j] = d_a g_ij."""
-        return self._d_g_and_F[..., 0, :, :]
+        """dg[..., a, i, j] = d_a g_ij, by the product rule df (x) g_0 + f dg_0."""
+        return (self.df[..., :, None, None] * self.g0[..., None, :, :]
+                + self.f[..., None, None, None] * self.derivative("g0"))
 
     @_layer
     def dJ(self):
         """dJ[..., i, alpha] = d_i J_alpha."""
-        return self.struct.hyper.gradient(self.x, self.struct.scheme)
+        return self.derivative("J")
 
-    @_layer
-    def df(self):
-        """df[..., a] = d_a f, from the same stencil as g."""
-        return self.derivative("f")
+    def _dF(self) -> np.ndarray:
+        """dF[..., a, alpha, i, j] = d_a (F_alpha)_ij, by the product rule
+        (d_a g) J_alpha + g d_a J_alpha, the second term for a varying triple
+        only.  Not a layer: each call computes it afresh."""
+        dF = self.dg[..., :, None, :, :] @ self.J[..., None, :, :, :]
+        if not self.struct.constant_layer("J"):
+            dF += self.g[..., None, None, :, :] @ self.dJ
+        return dF
 
     @_layer
     def df_wedge_F(self):
@@ -286,36 +296,36 @@ class QKTContext:
     # -- first order ------------------------------------------------------
 
     @_layer
-    def theta(self):
-        """The Lee forms theta[..., a] = (delta F_a) o J_a."""
-        # the one stencil of g and the stacked F serves Gamma^g, dF and nabla^g F
-        nabla_f = covariant_derivative_array(self.gamma_g, "dd", self.F,
-                                             self._d_g_and_F[..., 1:, :, :])
-        return -j_apply_oneform(self.J, trace_codifferential(nabla_f, self.ginv, degree=2))
-
-    @_layer
-    def _dF_plus_parts(self):
-        """(theta_cross, dcF_plus) from one dF."""
-        J = self.J
-        dF = antisymmetrized_gradient(np.moveaxis(self._d_g_and_F[..., 1:, :, :], -4, -3),
-                                      degree=2)
+    def _dF_parts(self):
+        """(theta, theta_cross, dcF_plus) from one dF, dropped when done."""
+        J, ginv = self.J, self.ginv
+        dF = self._dF()
+        nabla_f = covariant_derivative_array(self.gamma_g, "dd", self.F, dF)
+        theta = -j_apply_oneform(J, trace_codifferential(nabla_f, ginv, degree=2))
+        del nabla_f
+        dF = antisymmetrized_gradient(np.moveaxis(dF, -4, -3), degree=2)
         # one projection: J commutes with it, so dcF_plus is the twist of dF_plus.
         # The 3-form arrays of a stencil batch are the largest temporaries: drop each when done
         dF_plus = project_plus_3form(dF, J)
         del dF
-        theta_cross = -0.5 * frame_trace_pair(dF_plus[..., None, :, :, :], self.ginv,
+        theta_cross = -0.5 * frame_trace_pair(dF_plus[..., None, :, :, :], ginv,
                                               J[..., None, :, :, :])
-        return theta_cross, j_apply_form(J, dF_plus)
+        return theta, theta_cross, j_apply_form(J, dF_plus)
+
+    @property
+    def theta(self):
+        """The Lee forms theta[..., a] = (delta F_a) o J_a."""
+        return self._dF_parts[0]
 
     @property
     def theta_cross(self):
         """The cross Lee forms theta_cross[..., a, b](X) = -1/2 sum_i dF_a^+(X, e_i, J_b e_i)."""
-        return self._dF_plus_parts[0]
+        return self._dF_parts[1]
 
     @property
     def dcF_plus(self):
         """The (1,2)+(2,1) parts of the twisted derivatives d_a F_a."""
-        return self._dF_plus_parts[1]
+        return self._dF_parts[2]
 
     @_layer
     def K(self):
@@ -350,6 +360,11 @@ class QKTContext:
     def T12(self):
         """The torsion as a (1,2) tensor T12[..., k, i, j]."""
         return raise_last(np.swapaxes(self.ginv, -1, -2), self.T)
+
+    @_layer
+    def T02(self):
+        """The (0,2) parts T02[..., a, k, i, j] of the (1,2) torsion with respect to each J_a."""
+        return torsion_02_part(self.T12[..., None, :, :, :], self.J)
 
     @_layer
     def Gamma(self):
@@ -635,6 +650,17 @@ class QKTStructure:
                      or (self.torsion_rule is _dual_torsion
                          and isinstance(self.t_form, ConstantForm))))
 
+    def constant_layer(self, layer: str) -> bool:
+        """Whether the context layer ``layer`` is the same at every point: f of a
+        metric that is not a :class:`ConformalMetric`, g0 of a constant (base)
+        metric, J of a constant triple, and every layer of a constant structure."""
+        metric = self.patch.metric
+        conformal = isinstance(metric, ConformalMetric)
+        pointwise = {"f": not conformal,
+                     "g0": isinstance(metric.base if conformal else metric, ConstantMetric),
+                     "J": isinstance(self.hyper, ConstantHypercomplexField)}
+        return self.constant or pointwise.get(layer, False)
+
     def at(self, x: np.ndarray, base: QKTContext | None = None) -> QKTContext:
         """The lazy evaluation context of this structure on the point array ``x``;
         ``base``: a context of a constant ``self.base`` to share, as ``run_suite`` does."""
@@ -770,7 +796,7 @@ def structure_invariant_residuals(ctx: QKTContext) -> dict:
     return {
         "torsion_skew": ctx.residual(T + np.swapaxes(T, -3, -2), T + np.swapaxes(T, -2, -1)),
         "metricity": ctx.residual(covariant_derivative_array(ctx.Gamma, "dd", ctx.g, ctx.dg)),
-        "torsion_purity": ctx.residual(torsion_02_part(ctx.T12[..., None, :, :, :], ctx.J)),
+        "torsion_purity": ctx.residual(ctx.T02),
         "eq1": ctx.eq1,
         "quaternionic": np.maximum(quat["square"], quat["algebra"]),
         "hermitian": quat["hermitian"],

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .tensor_core import FDScheme, gradient
 
 # cyclic permutations (alpha, beta, gamma) of (1, 2, 3), 0-indexed
 CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -61,17 +60,13 @@ class HypercomplexField:
         """All three structures at the points ``p``, stacked as J[..., alpha, k, j]."""
         return np.stack([np.asarray(f(p), dtype=float) for f in self.funcs], axis=-3)
 
-    def gradient(self, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
-        """dJ[..., i, alpha] = d_i J_alpha at the points ``p``, one stencil for all three."""
-        return gradient(self.matrices, p, scheme)
-
 
 @dataclass(frozen=True, init=False)
 class ConstantHypercomplexField(HypercomplexField):
     """Three constant structures, held as one read-only stack.
 
-    Every point gets the same stack, and the derivatives vanish exactly,
-    without a stencil.
+    Every point gets the same stack, and an evaluation context
+    differentiates it to exact zeros, without a stencil.
     """
 
     stack: np.ndarray = field(default=None, repr=False, compare=False)
@@ -86,9 +81,6 @@ class ConstantHypercomplexField(HypercomplexField):
     def matrices(self, p: np.ndarray) -> np.ndarray:
         points = np.shape(p)[:-1]
         return np.broadcast_to(self.stack, points + self.stack.shape) if points else self.stack
-
-    def gradient(self, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
-        return np.broadcast_to(0.0, np.shape(p) + self.stack.shape)
 
 
 def build_standard_hypercomplex(n: int) -> ConstantHypercomplexField:

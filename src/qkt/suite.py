@@ -55,7 +55,6 @@ from .quaternionic import (
     j_apply_slot,
     nijenhuis_bracket,
     skew_bracket,
-    torsion_02_part,
 )
 from .tensor_core import (
     fold,
@@ -193,7 +192,7 @@ def _nijenhuis_eq2(ctx: QKTContext):
     # W[i, k, j] = J^m_i (nabla_m J)^k_j + (nabla_i J)^k_m J^m_j
     W = j_apply_slot(J, nab_j, 0)
     W += j_apply_slot(J, nab_j, 2)
-    return 4.0 * torsion_02_part(ctx.T12[..., None, :, :, :], J) + skew_bracket(W)
+    return 4.0 * ctx.T02 + skew_bracket(W)
 
 
 def _dim4_structural(ctx: QKTContext) -> dict:

@@ -110,13 +110,16 @@ def _first_primes(count: int) -> list:
     return primes
 
 
-def _radical_inverse(index: int, base: int) -> float:
-    result = 0.0
-    scale = 1.0 / base
-    while index > 0:
-        index, digit = divmod(index, base)
-        result += digit * scale
-        scale /= base
+def _radical_inverses(indices: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """The van der Corput radical inverses (count, dim) of the integer ``indices``
+    (count, 1) in the ``bases`` (dim,), digits added lowest first as in a loop
+    over one index; an exhausted index adds zero digits, leaving its sum as is."""
+    result = np.zeros(np.broadcast_shapes(indices.shape, bases.shape))
+    scale = 1.0 / bases
+    while indices.any():
+        indices, digits = np.divmod(indices, bases)
+        result += digits * scale
+        scale /= bases
     return result
 
 
@@ -131,16 +134,13 @@ def halton_points(lo: np.ndarray,
     hi = np.asarray(hi, dtype=float) - margin
     if not np.all(hi > lo):
         raise GeometryError("sampling margin leaves an empty interior")
-    dim = len(lo)
-    bases = _first_primes(dim)
     start = 100 * (seed + 1)
-    points = []
-    for k in range(count):
-        u = np.array([
-            _radical_inverse(start + k, bases[j]) for j in range(dim)
-        ])
-        points.append(lo + u * (hi - lo))
-    return points
+    if start + count - 1 > np.iinfo(np.int64).max:
+        # a wrapped, negative index would never run out of digits
+        raise InputError(f"seed {seed} puts the Halton indices past the 64-bit range")
+    indices = np.arange(start, start + count, dtype=np.int64)[:, None]
+    u = _radical_inverses(indices, np.array(_first_primes(len(lo))))
+    return list(lo + u * (hi - lo))
 
 
 def sample_points(spec: ManifoldSpec) -> list:

@@ -44,6 +44,7 @@ from qkt.tensor_core import (
     trace_codifferential,
     wedge_arrays,
 )
+from qkt.zoo import _first_primes
 
 
 @dataclass(frozen=True)
@@ -289,6 +290,44 @@ def einstein_weyl_deviation(ctx) -> float:
     sym_ric_w = 0.5 * (ric_w + ric_w.T)
     trace_w = np.einsum("jk,jk->", ctx.ginv, sym_ric_w)
     return float(np.max(np.abs(sym_ric_w - (trace_w / 4.0) * ctx.g)))
+
+
+# ---------------------------------------------------------------------------
+# first derivatives of g and F from their products, and Halton points
+# ---------------------------------------------------------------------------
+
+def g_and_F_difference(struct, x: np.ndarray) -> tuple:
+    """(dg[..., a, i, j], dF[..., a, alpha, i, j]) at the points ``x``: one
+    step-h stencil of g and the three F_a = g J_a, stacked and differenced."""
+
+    def g_and_F(q):
+        ctx = struct.at(q)
+        return np.concatenate([ctx.g[..., None, :, :], ctx.F], axis=-3)
+
+    both = gradient(g_and_F, x, struct.scheme)
+    return both[..., 0, :, :], both[..., 1:, :, :]
+
+
+def radical_inverse(index: int, base: int) -> float:
+    """The van der Corput radical inverse of one index, its digits lowest first."""
+    result = 0.0
+    scale = 1.0 / base
+    while index > 0:
+        index, digit = divmod(index, base)
+        result += digit * scale
+        scale /= base
+    return result
+
+
+def halton_points_loop(lo: np.ndarray, hi: np.ndarray, count: int, seed: int,
+                       margin: float) -> list:
+    """``zoo.halton_points`` by one radical inverse per point and coordinate."""
+    lo = np.asarray(lo, dtype=float) + margin
+    hi = np.asarray(hi, dtype=float) - margin
+    bases = _first_primes(len(lo))
+    start = 100 * (seed + 1)
+    return [lo + np.array([radical_inverse(start + k, base) for base in bases]) * (hi - lo)
+            for k in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ per-point residuals of every record itself.  The chunk length only trades
 memory for speed: these tests pin that the report does not depend on it,
 that a non-finite residual at any one point, chunk boundaries included,
 fails its row, and that the conformal laws share the base context that the
-rescaled torsion rule opened.
+rescaled torsion rule opened.  One test bounds the traced peak memory of a
+curvature run.
 """
 
 import collections
 import dataclasses
+import gc
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +48,12 @@ SPECS = {
                  point_count=4),
     "hopf": dict(kind="hopf_local", n=1, point_count=4),
 }
+
+# One conformal_flat n = 2 exp(x1) curvature run at 2 points (the conf8_curv
+# workload) peaks at 1.50 MB of traced allocations (Python 3.11, numpy 2.4),
+# and did at 2.27 MB when every nested stencil point evaluated g and the
+# three F_a; the bound leaves under 10 % headroom over 1.50 MB
+CURVATURE_PEAK_BYTES_MAX = 1_650_000
 
 
 def test_chunk_length_follows_the_stencil_budget():
@@ -192,3 +201,16 @@ def test_dim4_build_error_reports_the_worst_quaternionic_residual(monkeypatch):
     assert row.identity_id == "quaternionic_identities"
     assert row.max_residual == pytest.approx(1.0) and not row.passed
     assert "build_error" in report.meta
+
+
+def test_curvature_run_peak_memory():
+    spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=2)
+    run_suite(spec, "curvature")   # fill the expression and shuffle caches first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_suite(spec, "curvature")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CURVATURE_PEAK_BYTES_MAX

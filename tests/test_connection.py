@@ -224,13 +224,14 @@ def test_build_checks_all_check_points_in_one_context(monkeypatch):
 
 
 def test_stencil_contexts_skip_the_eq4_and_eq5_defects():
-    # the torsion of a stencil sub-context reads theta, theta_cross and K,
-    # never the eq4/eq5 defect that only sample-point contexts read
+    # the torsion of a stencil sub-context reads theta, theta_cross (one layer
+    # with dcF_plus) and K, never the eq4/eq5 defect that only sample-point
+    # contexts read
     struct = build_manifold(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1))
     ctx = struct.at(POINT8)
     ctx.curv
     sub = ctx._stencil_h2
-    assert {"T", "theta", "_dF_plus_parts", "K"} <= set(vars(sub))
+    assert {"T", "_dF_parts", "K"} <= set(vars(sub))
     assert "existence" not in vars(sub)
     assert ctx.existence <= 1e-5
 
@@ -252,7 +253,8 @@ def count_calls(monkeypatch, original):
 
 
 def test_bundle_takes_one_stencil_of_the_three_kaehler_forms(monkeypatch):
-    # a fresh point costs one stencil: the metric (Gamma^g) and the stacked F together
+    # a fresh point costs one stencil, of the metric: Gamma^g and the three dF_a
+    # follow from dg by the product rule, and the constant triple takes none
     calls = count_calls(monkeypatch, tensor_core.gradient)
     ctx = conformal_data().at(POINT8)
     for name in FIRST_ORDER:
@@ -276,8 +278,10 @@ def test_extract_sp1_one_stencil_and_one_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", None)
     constant, sampled = ([_extract_sp1(ctx.J, ctx.nabla_J) for ctx in row]
                          for row in contexts)
-    # the standard structure is constant: its derivative is exactly zero, no stencil
-    assert len(grads) == len(points)
+    # the standard triple is constant: its derivative is exactly zero, no stencil;
+    # the varying triple's dJ was read when Gamma built dF, so nabla J takes none
+    assert all("dJ" in vars(ctx) for ctx in contexts[1])
+    assert len(grads) == 0
     # one batched solve of the stacked 2x2 normal equations per call, all three triples
     assert len(solves) == 2 * len(points)
     assert all(normal.shape == (3, 2, 2) for normal, _ in solves)

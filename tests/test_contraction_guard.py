@@ -166,6 +166,7 @@ def test_nijenhuis_contractions_match_einsum(d, lead):
     dJ, T12 = _random(rng, lead, 3, d, d, d), _random(rng, lead, d, d, d)
     assert_matches(nijenhuis_bracket(J, dJ), reference.nijenhuis_bracket_einsum(J, dJ))
     ctx = types.SimpleNamespace(J=J, nabla_J=dJ, T12=T12, lee_differences=A)
+    ctx.T02 = QKTContext.T02.func(ctx)
     assert_matches(_nijenhuis_eq2(ctx),
                    reference.nijenhuis_eq2_einsum(J, dJ, T12[..., None, :, :, :]))
     assert_matches(nijenhuis_via_connection(ctx), reference.nijenhuis_via_connection_einsum(J, A))

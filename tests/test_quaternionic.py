@@ -22,6 +22,7 @@ from qkt.tensor_core import (
     CoordinatePatch,
     FDScheme,
     FormField,
+    gradient,
     wedge_arrays,
 )
 from reference import (
@@ -48,7 +49,8 @@ def metric_and_j(data, p):
 
 def bracket(data, alpha, p):
     """The Nijenhuis tensor of J_alpha from the triple's own stencil."""
-    return nijenhuis_bracket(j_at(data, alpha, p), data.hyper.gradient(p, SCHEME)[:, alpha])
+    dJ = gradient(data.hyper.matrices, p, SCHEME)
+    return nijenhuis_bracket(j_at(data, alpha, p), dJ[:, alpha])
 
 
 def type22(data, T_field, p):
@@ -95,7 +97,11 @@ def test_constant_triple_shares_one_read_only_stack():
     assert np.array_equal(J, np.stack([f(np.zeros(8)) for f in H.funcs]))
     with pytest.raises(ValueError):
         J[0, 0, 0] = 1.0
-    assert np.array_equal(H.gradient(np.zeros(8), SCHEME), np.zeros((8, 3, 8, 8)))
+    # a context differentiates a constant triple to exact zeros, without a stencil,
+    # also on a metric that varies
+    ctx = unchecked(conformal_data().patch, H).at(np.zeros(8))
+    assert np.array_equal(ctx.dJ, np.zeros((8, 3, 8, 8)))
+    assert "_stencil_h" not in vars(ctx)
 
 
 def test_j3_action_on_first_vector():

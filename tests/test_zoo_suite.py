@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+import reference
 import qkt.cli as cli
 import qkt.suite as suite_module
 import qkt.tensor_core as tensor_core
@@ -60,6 +61,24 @@ def test_halton_interior_and_determinism():
     assert not np.array_equal(first[0], other[0])
     for p in first:
         assert np.all(p > lo + 3e-3) and np.all(p < hi - 3e-3)
+
+
+@pytest.mark.parametrize("dim", [4, 8, 12])
+def test_halton_points_equal_the_one_index_loop_bitwise(dim):
+    lo, hi = -0.4 * np.ones(dim), 0.4 * np.ones(dim)
+    for seed in range(128):
+        points = halton_points(lo, hi, 20, seed, margin=3e-3)
+        loop = reference.halton_points_loop(lo, hi, 20, seed, margin=3e-3)
+        assert np.array(points).tobytes() == np.array(loop).tobytes()
+
+
+def test_halton_indices_past_64_bits_are_an_input_error():
+    lo, hi = -np.ones(4), np.ones(4)
+    last = (2 ** 63 - 1) // 100 - 1   # the largest seed whose first index fits
+    point, = halton_points(lo, hi, 1, last, margin=0.0)
+    assert point.tobytes() == reference.halton_points_loop(lo, hi, 1, last, 0.0)[0].tobytes()
+    with pytest.raises(InputError):
+        halton_points(lo, hi, 10, last, margin=0.0)
 
 
 def test_sample_points_respect_margin():
