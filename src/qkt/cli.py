@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ExpressionError, GeometryError, InputError
@@ -21,7 +22,10 @@ def _parse_tol_overrides(pairs):
     return overrides
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qkt`` parser, built once per process: parsing keeps no state in
+    it (the ``append`` action copies its default for every parse)."""
     parser = argparse.ArgumentParser(
         prog="qkt",
         description="Verify torsion-connection identities on example manifolds.",

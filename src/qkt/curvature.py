@@ -108,17 +108,23 @@ def sp1_curvature_residuals(ctx) -> dict:
     """
     n = ctx.struct.n
     J, rho = ctx.J, ctx.rho
+    # lie and rhs, a (3, d, d, d, d) stack per point, are the largest arrays
+    # of a sample context: combined in place, and dropped before eq12
     lie = curvature_commutator(ctx.curv.R13, J)
-    rhs = (np.einsum("...aij,...alk->...alkij", rho[..., CYC_C, :, :], J[..., CYC_B, :, :])
-           - np.einsum("...aij,...alk->...alkij", rho[..., CYC_B, :, :], J[..., CYC_C, :, :])) / n
+    rhs = np.einsum("...aij,...alk->...alkij", rho[..., CYC_C, :, :], J[..., CYC_B, :, :])
+    rhs -= np.einsum("...aij,...alk->...alkij", rho[..., CYC_B, :, :], J[..., CYC_C, :, :])
+    rhs /= n
+    lie -= rhs
+    del rhs
+    eq11 = ctx.residual(lie)
+    del lie
 
     omegas = ctx.omega
     # one stencil of the three sp(1) forms
     d_omega = antisymmetrized_gradient(
         np.moveaxis(ctx.derivative("omega"), -3, -2), degree=1)
     wedge_bc = wedge_arrays(omegas[..., CYC_B, :], omegas[..., CYC_C, :], stack=omegas.ndim - 1)
-    return {"eq11": ctx.residual(lie - rhs),
-            "eq12": ctx.residual(rho - n * (d_omega + wedge_bc))}
+    return {"eq11": eq11, "eq12": ctx.residual(rho - n * (d_omega + wedge_bc))}
 
 
 def bianchi_and_symmetry_residuals(ctx) -> dict:
@@ -149,6 +155,7 @@ def bianchi_and_symmetry_residuals(ctx) -> dict:
         - 0.25 * _shifted(gtt, 2, 0, 1, 3)
     )
     eq15 = ctx.residual(ctx.curv_g.R4 - predicted_Rg)
+    del predicted_Rg
 
     # pair-swap defect D(X,Y,Z,U) = R(X,Y,Z,U) - R(Z,U,X,Y)
     D = R4 - _shifted(R4, 2, 3, 0, 1)
@@ -159,6 +166,7 @@ def bianchi_and_symmetry_residuals(ctx) -> dict:
         + _shifted(nab, 2, 3, 1, 0)      # (nabla_U T)(Z, X, Y)
     )
     tir1 = ctx.residual(D - predicted_D)
+    del D, predicted_D
 
     # nabla^g T = nabla T + cyclic g(T,T) / 2
     sof = ctx.residual(ctx.nabla_g_T - (nab + 0.5 * cyc_gtt))

@@ -19,7 +19,9 @@ its metric, the triple, the scheme, the torsion rule and, in dimension 4,
 the 1-form.  Every quantity of a built structure is a layer of a :class:`QKTContext`,
 the lazy evaluation context that ``QKTStructure.at(x)`` returns for one
 point array ``x``.  Sample points are evaluated in chunks
-(:func:`point_chunks`), one context per chunk.
+(:func:`point_chunks`), one context per chunk, and each context differences
+its step-h2 layers in one pass over stencil slices of its points
+(:func:`slice_length`).
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from .tensor_core import (
     hodge_star_array,
     raise_last,
     require_nondegenerate,
+    shuffle_sum,
     stencil,
     trace_codifferential,
     validate_metric,
@@ -77,21 +80,34 @@ ALGEBRA_TOL = 1e-8
 FIRST_ORDER_TOL = 1e-5
 CURVATURE_TOL = 1e-4
 
-# Sample points are evaluated in chunks, one context per chunk.  A chunk takes
-# as many points as keep (2d)^2 d^4 elements per sample point within
-# CHUNK_ELEMENTS, and at least one: ten points at d = 4, one point at d >= 8.
-# The unit is a rank-4 tensor on every nested stencil point, which a context no
-# longer builds: g and the F_a are differentiated by the product rule, so a
-# nested stencil holds at most f, g_0 and J (f alone on the zoo's conformal
-# kinds), and the largest kept arrays are rank-3 stacks (d_aF_a^+, nabla J_a)
-# on the 2d step-h2 stencil points.  On a 20-point hopf_local run (Python
-# 3.11, numpy 2.4) a chunk of ten raised the peak RSS by 0.15 MB over one
-# point per context, a chunk of twenty by 1.5 MB.
-CHUNK_ELEMENTS = 10 * (2 * 4) ** 2 * 4 ** 4
+# One budget of CHUNK_ELEMENTS float64 elements caps what a context holds at
+# once, counted per sample point (measured on the benchmark's conformal_flat
+# n = 2 and hopf_local runs, Python 3.11, numpy 2.4):
+#   * a sample context keeps about 16 d^4 elements per point: its rank-4 layers
+#     (R and R^g with their lowerings, nabla T, nabla^g T, dT, g(T, T)) and the
+#     kept step-h2 gradients (of T, Gamma, Gamma^g and, in dimension 4,
+#     Gamma^W); 13-15 d^4 at d = 8 and 20 d^4 at d = 4, where the rank-3 layers
+#     weigh more.  So a context takes 40 points at d = 4 and 2 at d = 8;
+#   * a stencil slice of its step-h2 pass holds about 64 d^4 elements per
+#     point: a stencil context on 2d points, each keeping 12-19 d^3 elements
+#     (d_aF_a^+, nabla J_a, (J_a df) ^ F_a, Gamma, ...) and building transients
+#     (dF and its projections) on top, 25 d^3 in all at d = 4.
+# The pass runs before the context's rank-4 layers exist, beside its
+# first-order layers and the gradients it keeps, about 8 d^4 per point, so
+# its slices take what those leave: 7 points beside a 20-point context at
+# d = 4, and 1 point (at least one) at d = 8.
+CHUNK_ELEMENTS = 10 * 64 * 4 ** 4
+
 
 def chunk_length(dim: int) -> int:
     """Sample points per context in dimension ``dim``."""
-    return max(1, CHUNK_ELEMENTS // ((2 * dim) ** 2 * dim ** 4))
+    return max(1, CHUNK_ELEMENTS // (16 * dim ** 4))
+
+
+def slice_length(dim: int, points: int) -> int:
+    """Sample points per stencil slice of the step-h2 pass of a context on
+    ``points`` sample points in dimension ``dim``."""
+    return max(1, (CHUNK_ELEMENTS - points * 8 * dim ** 4) // (64 * dim ** 4))
 
 
 def point_chunks(points) -> Iterator[np.ndarray]:
@@ -129,6 +145,12 @@ def _layer(compute):
     return functools.cached_property(read_only)
 
 
+# The layers a context may difference at step h2, on stencils of its points
+# (Gamma^W is read in dimension 4 only); :meth:`QKTStructure.nested_layers`
+# drops those that a structure differences at h or that are constant on it.
+NESTED_LAYERS = ("T", "t", "Gamma", "gamma_g", "omega", "lchkt_candidates", "gamma_w")
+
+
 class QKTContext:
     """The layers of one structure on one point array ``x`` (..., d).
 
@@ -144,44 +166,52 @@ class QKTContext:
     differentiates to zeros without a stencil (:meth:`derivative`).  The
     first-order data of the torsion formula are separate layers: theta,
     theta_cross and dcF_plus (one layer, from one dF that it drops), K,
-    and the one eq4/eq5 defect ``existence``, so a stencil sub-context that
-    reads T never computes the defect.  A derivative differences a layer of
-    one of two stencil sub-contexts, each built at most once.  Every layer
+    and the one eq4/eq5 defect ``existence``, so a stencil context that
+    reads T never computes the defect.
+
+    ``nested`` names the layers the context differences at step h2 (out of
+    :data:`NESTED_LAYERS`; all of them when None).  Their gradients come from
+    one pass over the points in stencil slices of :func:`slice_length`
+    points: each slice's stencil context is built, read for exactly those
+    layers and dropped before the next, so a context keeps the gradients and
+    no step-h2 stencil.  A stencil context differences nothing at h2.  The
+    step-h stencil context of the pointwise layers is kept.  Every layer
     takes leading point axes, and so does every identity record: the suite
     opens one context per chunk of sample points, all of them reading one
     :attr:`base` context of a constant base, and a record returns one
     residual per point (:meth:`residual`).
     """
 
-    def __init__(self, struct: QKTStructure, x: np.ndarray, base: QKTContext | None = None):
+    def __init__(self, struct: QKTStructure, x: np.ndarray, base: QKTContext | None = None,
+                 nested: Sequence[str] | None = None):
         x = np.asarray(x, dtype=float).view()
         x.flags.writeable = False
-        vars(self).update(struct=struct, x=x)
+        vars(self).update(struct=struct, x=x, declared=nested,
+                          nested=struct.nested_layers(nested))
         if base is not None:
             vars(self)["base"] = base
 
     def __setattr__(self, name, value):
         raise AttributeError(f"context layer {name!r} is read-only")
 
-    def _on_stencil(self, h: float) -> "QKTContext":
+    def _on_stencil(self, points: np.ndarray, h: float) -> "QKTContext":
         shared = self.struct.base is not None and self.struct.base.constant
-        return QKTContext(self.struct, stencil(self.x, h), self.base if shared else None)
+        return QKTContext(self.struct, stencil(points, h), self.base if shared else None, ())
 
     @functools.cached_property
     def _stencil_h(self) -> "QKTContext":
-        return self._on_stencil(self.struct.scheme.h)
-
-    @functools.cached_property
-    def _stencil_h2(self) -> "QKTContext":
-        return self._on_stencil(self.struct.scheme.h2)
+        return self._on_stencil(self.x, self.struct.scheme.h)
 
     @functools.cached_property
     def base(self) -> "QKTContext":
         """The context of ``struct.base`` that the rescaled torsion rule and the
         conformal laws read.  A constant base's sits at one point, its layers
-        broadcast against x, and the stencil sub-contexts share it."""
+        broadcast against x, and the stencil contexts share it; any other
+        base's differences the layers this context names."""
         base = self.struct.base
-        return base.at(self.x.reshape(-1, self.x.shape[-1])[0] if base.constant else self.x)
+        if base.constant:
+            return base.at(self.x.reshape(-1, self.x.shape[-1])[0])
+        return base.at(self.x, nested=self.declared)
 
     def residual(self, *arrays) -> np.ndarray:
         """Per point of x, the largest |entry| of ``arrays`` beyond the point axes; NaN wins."""
@@ -194,21 +224,45 @@ class QKTContext:
 
         A layer that is the same at every point
         (:meth:`QKTStructure.constant_layer`) gives exact zeros, one read-only
-        broadcast, without a stencil.  Any other layer takes one
-        :func:`gradient` call whose field returns the layer of a stencil
-        sub-context, which sits on the very stencil array ``gradient`` builds.
-        The step is h for the pointwise layers ``f``, ``g0`` and ``J`` (and
-        ``T`` when it is the dual of a ``t_form`` evaluated without finite
-        differences: :attr:`QKTStructure.nested_torsion`) and h2 for every
-        other layer.  dg and dF follow from the pointwise layers by the
-        product rule, so a nested stencil evaluates nothing else.
+        broadcast, without a stencil.  The pointwise layers ``f``, ``g0`` and
+        ``J`` (and ``T`` when it is the dual of a ``t_form`` evaluated without
+        finite differences: :attr:`QKTStructure.nested_torsion`) take one
+        :func:`gradient` call at step h, on the kept step-h stencil context.
+        Every other layer is differenced at step h2 in the context's one pass
+        (:attr:`nested`); one that the context does not name there is a
+        ``LookupError``, never a stencil of its own.  dg and dF follow from the
+        pointwise layers by the product rule, so a nested stencil evaluates
+        nothing else.
         """
         if self.struct.constant_layer(layer):
             shape, points = np.shape(getattr(self, layer)), self.x.ndim - 1
             return np.broadcast_to(0.0, shape[:points] + self.x.shape[-1:] + shape[points:])
-        nested = layer not in ("f", "g0", "J") and (layer != "T" or self.struct.nested_torsion)
-        sub = self._stencil_h2 if nested else self._stencil_h
-        return gradient(lambda _: getattr(sub, layer), self.x, self.struct.scheme, nested)
+        if layer in ("f", "g0", "J") or (layer == "T" and not self.struct.nested_torsion):
+            sub = self._stencil_h
+            return gradient(lambda _: getattr(sub, layer), self.x, self.struct.scheme)
+        if layer not in self.nested:
+            raise LookupError(f"layer {layer!r} is not among the step-h2 layers "
+                              f"{self.nested} this context differences")
+        return self._nested_gradients[self.nested.index(layer)]
+
+    @_layer
+    def _nested_gradients(self):
+        """The step-h2 gradients of the :attr:`nested` layers, in that order,
+        from one pass over the points in stencil slices: one :func:`gradient`
+        call per slice, whose field reads every nested layer off the slice's
+        stencil context."""
+        scheme, d = self.struct.scheme, self.x.shape[-1]
+        points = self.x.reshape(-1, d)
+        step = slice_length(d, len(points))
+        slices = []
+        for start in range(0, len(points), step):
+            p = points[start:start + step]
+            sub = self._on_stencil(p, scheme.h2)
+            slices.append(gradient(lambda _: tuple(getattr(sub, layer) for layer in self.nested),
+                                   p, scheme, True))
+            del sub
+        return tuple((parts[0] if len(parts) == 1 else np.concatenate(parts))
+                     .reshape(self.x.shape[:-1] + parts[0].shape[1:]) for parts in zip(*slices))
 
     # -- metric and hypercomplex data -------------------------------------
 
@@ -297,7 +351,11 @@ class QKTContext:
 
     @_layer
     def _dF_parts(self):
-        """(theta, theta_cross, dcF_plus) from one dF, dropped when done."""
+        """(theta, theta_cross, dcF_plus) from one dF, dropped when done;
+        exact zeros on a constant structure, where dF and Gamma^g vanish."""
+        if self.struct.constant:
+            points, d = self.x.shape[:-1], self.x.shape[-1]
+            return tuple(np.zeros(points + (3,) + tail) for tail in ((d,), (3, d), (d, d, d)))
         J, ginv = self.J, self.ginv
         dF = self._dF()
         nabla_f = covariant_derivative_array(self.gamma_g, "dd", self.F, dF)
@@ -556,7 +614,8 @@ class QKTContext:
 
 def _alpha_versions(ctx: QKTContext) -> np.ndarray:
     """The three alpha-versions d_a F_a^+ - (J_a K_a ^ F_c + K_a ^ F_b) / 2 of
-    the torsion, stacked after the point axes; n >= 2."""
+    the torsion, stacked after the point axes; n >= 2.  Only the existence
+    defect reads them apart."""
     K, F = ctx.K, ctx.F
     stack = K.ndim - 1
     return ctx.dcF_plus - 0.5 * (
@@ -661,10 +720,27 @@ class QKTStructure:
                      "J": isinstance(self.hyper, ConstantHypercomplexField)}
         return self.constant or pointwise.get(layer, False)
 
-    def at(self, x: np.ndarray, base: QKTContext | None = None) -> QKTContext:
+    def nested_layers(self, layers: Sequence[str] | None = None) -> tuple:
+        """Of ``layers`` (None: all of :data:`NESTED_LAYERS`, Gamma^W in
+        dimension 4 only), in the order of :data:`NESTED_LAYERS`, those that a
+        context of this structure differences at step h2: not the torsion when
+        it is differenced at h (:attr:`nested_torsion`), and no layer that is
+        the same at every point."""
+        if layers is None:
+            layers = [layer for layer in NESTED_LAYERS if layer != "gamma_w" or self.n == 1]
+        unknown = set(layers).difference(NESTED_LAYERS)
+        if unknown:
+            raise ValueError(f"{sorted(unknown)} are not step-h2 layers {NESTED_LAYERS}")
+        return tuple(layer for layer in NESTED_LAYERS
+                     if layer in layers and not self.constant_layer(layer)
+                     and (layer != "T" or self.nested_torsion))
+
+    def at(self, x: np.ndarray, base: QKTContext | None = None,
+           nested: Sequence[str] | None = None) -> QKTContext:
         """The lazy evaluation context of this structure on the point array ``x``;
-        ``base``: a context of a constant ``self.base`` to share, as ``run_suite`` does."""
-        return QKTContext(self, x, base)
+        ``base``: a context of a constant ``self.base`` to share, and ``nested``:
+        the layers to difference at step h2 (None: all), as ``run_suite`` passes them."""
+        return QKTContext(self, x, base, nested)
 
     # an alias of at() that only perfbench/layertrace.py names; ROADMAP item 1
     # deletes it together with the tracer's wrappers
@@ -673,8 +749,16 @@ class QKTStructure:
 
 
 def _bundle_torsion(ctx: QKTContext) -> np.ndarray:
-    """The torsion for n >= 2: the mean of the three alpha-versions."""
-    return _alpha_versions(ctx).sum(axis=-4) / 3.0
+    """The torsion for n >= 2, the mean of the three alpha-versions in one sum:
+    (sum_a d_aF_a^+ - Alt sum_a [(J_a K_a) (x) F_c + K_a (x) F_b] / 2) / 3."""
+    K, F = ctx.K, ctx.F
+    d, points = K.shape[-1], K.shape[:-2]
+    # the six (1-form, 2-form) pairs on one stacked axis, contracted by one matmul
+    ones = np.concatenate([j_apply_oneform(ctx.J, K), K], axis=-2)
+    twos = np.concatenate([F[..., CYC_C, :, :], F[..., CYC_B, :, :]], axis=-3)
+    outer = np.swapaxes(ones, -1, -2) @ twos.reshape(points + (6, d * d))
+    wedges = shuffle_sum(outer.reshape(points + (d,) * 3), 1, 2)
+    return (ctx.dcF_plus.sum(axis=-4) - 0.5 * wedges) / 3.0
 
 
 def _dual_torsion(ctx: QKTContext) -> np.ndarray:
@@ -692,7 +776,7 @@ def existence_residual(patch: CoordinatePatch,
     patch.require_interior(p, scheme.margin)
     struct = QKTStructure(patch, hyper, scheme, _bundle_torsion)
     points = np.reshape(p, (-1, patch.dim))
-    return worst(*(struct.at(chunk).existence for chunk in point_chunks(points)))
+    return worst(*(struct.at(chunk, nested=()).existence for chunk in point_chunks(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -838,6 +922,10 @@ class Classification:
         )
 
 
+# the step-h2 layer that the classification residuals read, through dT and nabla T
+CLASSIFICATION_NESTED = ("T",)
+
+
 def classification_residuals(ctx: QKTContext) -> dict:
     """The residuals behind the structure flags, per point."""
     theta = ctx.theta
@@ -859,5 +947,5 @@ def classify(struct: QKTStructure, points: Sequence[np.ndarray]) -> Classificati
     one context per chunk of points."""
     residuals = {"hkt": 0.0} if struct.n >= 2 else {}
     for chunk in point_chunks(points):
-        fold(residuals, classification_residuals(struct.at(chunk)))
+        fold(residuals, classification_residuals(struct.at(chunk, nested=CLASSIFICATION_NESTED)))
     return Classification.of(residuals)

@@ -22,6 +22,7 @@ Point axes, when present, lead the stack: ``J[..., alpha, k, j]``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,8 +84,10 @@ class ConstantHypercomplexField(HypercomplexField):
         return np.broadcast_to(self.stack, points + self.stack.shape) if points else self.stack
 
 
+@functools.cache
 def build_standard_hypercomplex(n: int) -> ConstantHypercomplexField:
-    """The constant hypercomplex structure of H^n, block-diagonal per quadruple."""
+    """The constant hypercomplex structure of H^n, block-diagonal per quadruple;
+    built once per n, as it is immutable."""
     if n < 1:
         raise DimensionError(f"need n >= 1, got {n}")
     return ConstantHypercomplexField(
@@ -230,8 +233,15 @@ def dT_type22_residual(dT: np.ndarray, J: np.ndarray) -> np.ndarray:
     Zero exactly when dT(X,Y,Z,U) = dT(JX,JY,Z,U) + dT(JX,Y,JZ,U)
     + dT(X,JY,JZ,U) for each structure.
     """
-    stacked = dT[..., None, :, :, :, :]
-    defect, last = _pair_terms(J, stacked, J)
-    defect += last
-    defect -= stacked
-    return np.max(np.abs(defect, out=defect), axis=(-5, -4, -3, -2, -1))
+    worst = None
+    # one structure at a time: a stack of the three 4-form defects is the
+    # largest temporary of a sample context
+    for alpha in range(J.shape[-3]):
+        J_alpha = J[..., alpha, :, :]
+        defect, last = _pair_terms(J_alpha, dT, J_alpha)
+        defect += last
+        defect -= dT
+        del last
+        defect = np.max(np.abs(defect, out=defect), axis=(-4, -3, -2, -1))
+        worst = defect if worst is None else np.maximum(worst, defect)
+    return worst

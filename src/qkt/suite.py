@@ -4,16 +4,17 @@ Every identity the library verifies appears exactly once in the
 catalogue with its equation tag, default tolerance, and the evaluator
 group and key that compute it.  ``run_suite`` splits the seeded
 quasi-random interior points into chunks
-(``qkt_connection.point_chunks``), opens one context per chunk, and runs
-the selected groups' identity records once per chunk; each record returns
-one residual per point, and only the runner reduces them to the max
-residual per identity (NaN wins).  Whether a row exists is decided once: by
-the kind/n rule of its group (``lc``, ``conformal``, ``dim4``), and by its
-record, which omits (or returns None for) a key that does not exist for
-the structure's n.  Quantities that are classifiers rather than
-identities (type of dT, Einstein deviations, the proportionality probe)
-come from the same pass and are reported as diagnostics in the metadata
-instead of as pass/fail rows.
+(``qkt_connection.point_chunks``), opens one context per chunk that
+differences at step h2 exactly the layers the selected groups and the
+diagnostics name, and runs the selected groups' identity records once per
+chunk; each record returns one residual per point, and only the runner
+reduces them to the max residual per identity (NaN wins).  Whether a row
+exists is decided once: by the kind/n rule of its group (``lc``,
+``conformal``, ``dim4``), and by its record, which omits (or returns None
+for) a key that does not exist for the structure's n.  Quantities that
+are classifiers rather than identities (type of dT, Einstein deviations,
+the proportionality probe) come from the same pass and are reported as
+diagnostics in the metadata instead of as pass/fail rows.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .curvature import (
 )
 from .errors import InputError, NotQKTError
 from .qkt_connection import (
+    CLASSIFICATION_NESTED,
     Classification,
     QKTContext,
     c7_residual,
@@ -195,18 +197,22 @@ def _nijenhuis_eq2(ctx: QKTContext):
     return 4.0 * ctx.T02 + skew_bracket(W)
 
 
-def _dim4_structural(ctx: QKTContext) -> dict:
-    J, F, ginv, vol = ctx.J, ctx.F, ctx.ginv, ctx.vol
-    T, t = ctx.T, ctx.t
-
-    # star identity on the 1-form probes e^1..e^4 and t, stacked after the points
+def _star_identity(ctx: QKTContext) -> np.ndarray:
+    """The star identity on the 1-form probes e^1..e^4 and t, stacked after the points."""
+    J, t = ctx.J, ctx.t
     probes = np.concatenate([np.broadcast_to(np.eye(4), t.shape[:-1] + (4, 4)),
                              t[..., None, :]], axis=-2)
-    star = hodge_star_array(probes, ginv[..., None, :, :], vol[..., None])
+    star = hodge_star_array(probes, ctx.ginv[..., None, :, :], ctx.vol[..., None])
     J_psi = j_apply_oneform(J[..., None, :, :, :], probes[..., None, :])
-    wedge = wedge_arrays(J_psi, F[..., None, :, :, :], stack=J_psi.ndim - 1)
+    wedge = wedge_arrays(J_psi, ctx.F[..., None, :, :, :], stack=J_psi.ndim - 1)
+    return ctx.residual(star[..., None, :, :, :] + wedge)
+
+
+def _dim4_structural(ctx: QKTContext) -> dict:
+    ginv, vol, T, t = ctx.ginv, ctx.vol, ctx.T, ctx.t
     return {
-        "tri1": ctx.residual(star[..., None, :, :, :] + wedge),
+        # its stacks are freed before dT and nabla T start the step-h2 pass
+        "tri1": _star_identity(ctx),
         # the torsion shape
         "v1": ctx.residual(T[..., None, :, :, :] - ctx.t_wedge_F,
                            T - hodge_star_array(t, ginv, vol)),
@@ -245,6 +251,28 @@ _GROUP_EVALUATORS = {
     "dim4": _eval_dim4,
 }
 
+# The layers each group's records difference at step h2 (ctx.derivative);
+# run_suite opens its contexts with the union over the groups it runs and
+# the diagnostics, and a context raises on any other.  The structural group
+# reads T and t through _dim4_structural, in dimension 4 only.
+_GROUP_NESTED = {
+    "structural": (),
+    "lc": ("t", "lchkt_candidates"),
+    "conformal": ("t",),
+    "curvature": ("T", "Gamma", "gamma_g", "omega"),
+    "dim4": ("t", "Gamma", "gamma_g", "gamma_w"),
+}
+_DIM4_STRUCTURAL_NESTED = ("T", "t")
+
+
+def _nested_layers(groups, n: int) -> tuple:
+    """The step-h2 layers that the records of ``groups`` read for quaternionic dimension n."""
+    layers = [layer for name in groups for layer in _GROUP_NESTED[name]]
+    if n == 1 and "structural" in groups:
+        layers += _DIM4_STRUCTURAL_NESTED
+    return tuple(dict.fromkeys(layers))
+
+
 # The kind/n rule of each group that holds for some structures only; within
 # a group the records decide which keys exist for the structure's n.
 _GROUP_APPLIES = {
@@ -259,7 +287,8 @@ _GROUP_APPLIES = {
 # ---------------------------------------------------------------------------
 
 def _diagnostics(ctx: QKTContext, classified: dict) -> None:
-    """Fold the classification residuals of one chunk of sample points into ``classified``."""
+    """Fold the classification residuals of one chunk of sample points into
+    ``classified``; they read the step-h2 layers ``CLASSIFICATION_NESTED``."""
     fold(classified, classification_residuals(ctx))
 
 
@@ -406,8 +435,9 @@ def _run_suite(spec: ManifoldSpec, suite: str) -> VerificationReport:
     # one context per chunk of sample points, read by every group and the
     # classification; the next chunk's context replaces it before computing
     # any layer
+    nested = (*CLASSIFICATION_NESTED, *_nested_layers(groups, struct.n))
     for chunk in point_chunks(points):
-        ctx = struct.at(chunk, base)
+        ctx = struct.at(chunk, base, nested)
         last = {name: _GROUP_EVALUATORS[name](ctx) for name in groups}
         for name, values in last.items():
             fold(groups[name], values)

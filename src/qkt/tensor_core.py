@@ -18,7 +18,8 @@ Conventions used throughout the package:
   Lee and cross Lee forms, K, T, Gamma, the sp(1) forms, the torsion traces,
   the curvature) through ``QKTStructure.at(x)``, one lazy context per point
   array, each layer computed at most once and read-only; a derivative reads
-  the layer off one of two :func:`stencil` sub-contexts, at step h or h2.
+  the layer off :func:`stencil` contexts: the one kept at step h, or the
+  slices of the context's one pass at step h2, each dropped after use.
   Nothing is cached on a structure: dropping a context frees its arrays,
   and ``run_suite`` opens a constant base's context once per call, at one
   point, for every chunk.  A contraction is a reshape and a batched matmul;
@@ -243,16 +244,22 @@ def gradient(field: Callable[[np.ndarray], np.ndarray],
 
     The field is evaluated once, on the (..., 2d, d) :func:`stencil` array;
     the result is (..., d, *value_shape), the derivative axis right after
-    the point axes.
+    the point axes.  A field that returns a tuple of arrays gets the tuple
+    of their derivatives.
     """
     p = np.asarray(p, dtype=float)
     d = p.shape[-1]
     h = scheme.step(nested)
-    values = np.asarray(field(stencil(p, h)), dtype=float)
     head = (slice(None),) * (p.ndim - 1)
-    out = values[head + (slice(d),)] - values[head + (slice(d, None),)]
-    out /= 2.0 * h
-    return out
+
+    def difference(values):
+        values = np.asarray(values, dtype=float)
+        out = values[head + (slice(d),)] - values[head + (slice(d, None),)]
+        out /= 2.0 * h
+        return out
+
+    values = field(stencil(p, h))
+    return tuple(map(difference, values)) if isinstance(values, tuple) else difference(values)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +319,14 @@ def wedge_arrays(a: np.ndarray, b: np.ndarray, stack: int = 0) -> np.ndarray:
         return a * b
     outer = a.reshape(a.shape + (1,) * q) \
         * b.reshape(b.shape[:stack] + (1,) * p + b.shape[stack:])
+    return shuffle_sum(outer, p, q)
+
+
+def shuffle_sum(outer: np.ndarray, p: int, q: int) -> np.ndarray:
+    """The wedge of a p-form and a q-form from their outer product, or from a
+    sum of such products: the signed sum over the (p, q) shuffles of the
+    last p + q axes."""
+    stack = outer.ndim - p - q
     lead = tuple(range(stack))
     result = np.zeros(outer.shape)
     for sign, axes in _shuffles(p, q):

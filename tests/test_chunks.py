@@ -1,19 +1,24 @@
 """Sample points in chunks: one context per chunk, one residual per point.
 
 ``run_suite`` opens one context per chunk of sample points and reduces the
-per-point residuals of every record itself.  The chunk length only trades
-memory for speed: these tests pin that the report does not depend on it,
-that a non-finite residual at any one point, chunk boundaries included,
-fails its row, and that the conformal laws share the base context that the
-rescaled torsion rule opened.  One test bounds the traced peak memory of a
-curvature run.
+per-point residuals of every record itself; each context differences its
+step-h2 layers in one pass over stencil slices of its points.  The two
+lengths only trade memory for speed: these tests pin that the report
+depends on neither, that a non-finite residual at any one point, chunk
+boundaries included, fails its row, and that the conformal laws share the
+base context that the rescaled torsion rule opened.  They pin that a
+context differences exactly the step-h2 layers its readers declare and
+keeps no stencil of them, and two tests bound the traced peak memory of a
+curvature run and of a dimension-4 all-suite run.
 """
 
 import collections
 import dataclasses
 import gc
 import importlib.util
+import itertools
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +29,16 @@ from hypothesis import strategies as st
 import qkt.qkt_connection as qkt_connection
 import qkt.suite as suite_module
 from qkt.errors import NotQKTError
-from qkt.qkt_connection import QKTContext, build_qkt_dim4, chunk_length, classify, point_chunks
+from qkt.qkt_connection import (
+    CLASSIFICATION_NESTED,
+    QKTContext,
+    build_qkt_dim4,
+    chunk_length,
+    classification_residuals,
+    classify,
+    point_chunks,
+    slice_length,
+)
 from qkt.quaternionic import build_standard_hypercomplex
 from qkt.suite import run_suite
 from qkt.tensor_core import ConstantForm, ConstantMetric, CoordinatePatch
@@ -50,18 +64,33 @@ SPECS = {
 }
 
 # One conformal_flat n = 2 exp(x1) curvature run at 2 points (the conf8_curv
-# workload) peaks at 1.50 MB of traced allocations (Python 3.11, numpy 2.4),
-# and did at 2.27 MB when every nested stencil point evaluated g and the
-# three F_a; the bound leaves under 10 % headroom over 1.50 MB
+# workload) peaks at 1.32 MB of traced allocations (Python 3.11, numpy 2.4),
+# at 1.50 MB with one context per sample point, and did at 2.27 MB when
+# every nested stencil point evaluated g and the three F_a; the bound was
+# set with under 10 % headroom over 1.50 MB
 CURVATURE_PEAK_BYTES_MAX = 1_650_000
+# One hopf_local all-suite run at 20 points (the hopf4_all workload) peaks at
+# 1.16 MB in one sample context with stencil slices of 7, 7 and 6 points; it
+# did at 1.44 MB in two 10-point contexts that each kept their step-h2
+# stencil, and at 1.50 MB in slices of 10.  The bound leaves under 10 %
+# headroom over 1.16 MB
+HOPF_ALL_PEAK_BYTES_MAX = 1_270_000
 
 
 def test_chunk_length_follows_the_stencil_budget():
-    assert chunk_length(4) == 10
-    assert chunk_length(8) == chunk_length(12) == 1
-    points = np.arange(23 * 4, dtype=float).reshape(23, 4)
+    # a sample context takes 16 d^4 elements per point of the budget, and the
+    # stencil slices of its step-h2 pass 64 d^4 per point of what its 8 d^4 per
+    # point at pass time leave: one 20-point hopf_local context in slices of
+    # 7, 7 and 6 points, and two points per context at d = 8 in slices of one
+    assert chunk_length(4) == 40
+    assert chunk_length(8) == 2
+    assert chunk_length(12) == 1
+    assert slice_length(4, 20) == 7 and slice_length(4, 1) == 9
+    assert slice_length(4, 40) == 5
+    assert slice_length(8, 1) == slice_length(8, 2) == slice_length(12, 1) == 1
+    points = np.arange(83 * 4, dtype=float).reshape(83, 4)
     chunks = list(point_chunks(points))
-    assert [len(chunk) for chunk in chunks] == [10, 10, 3]
+    assert [len(chunk) for chunk in chunks] == [40, 40, 3]
     assert np.array_equal(np.concatenate(chunks), points)
 
 
@@ -83,16 +112,21 @@ def _assert_same(report: dict, reference: dict):
 @pytest.mark.parametrize("suite", SUITES)
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_report_does_not_depend_on_the_chunk_length(monkeypatch, name, suite):
+    # the sample length (points per context) and the slice length (points per
+    # stencil slice of a context's step-h2 pass) vary independently over 1, 3
+    # and the default; a length of 3 pairs the point axis with the
+    # quaternionic axis whenever a record broadcasts one against the other
     spec = ManifoldSpec(seed=3, **SPECS[name])
-    chunked = _report(spec, suite)
-    monkeypatch.setattr(qkt_connection, "CHUNK_ELEMENTS", 0)    # one point per chunk
-    assert chunk_length(4) == chunk_length(8) == 1
-    _assert_same(chunked, _report(spec, suite))
-    if suite == "all":
-        # a chunk of 3 pairs the point axis with the quaternionic axis
-        # whenever a record broadcasts one against the other
-        monkeypatch.setattr(qkt_connection, "chunk_length", lambda dim: 3)
-        _assert_same(_report(spec, suite), chunked)
+    default = _report(spec, suite)
+    rules = qkt_connection.chunk_length, qkt_connection.slice_length
+    for chunk, sliced in itertools.product((1, 3, None), repeat=2):
+        if chunk is sliced is None:
+            continue
+        monkeypatch.setattr(qkt_connection, "chunk_length",
+                            rules[0] if chunk is None else lambda dim, _n=chunk: _n)
+        monkeypatch.setattr(qkt_connection, "slice_length",
+                            rules[1] if sliced is None else lambda dim, points, _n=sliced: _n)
+        _assert_same(_report(spec, suite), default)
 
 
 @pytest.mark.parametrize("name", ["conformal-1", "conformal-2", "hopf"])
@@ -154,8 +188,8 @@ def test_nan_at_one_sample_point_fails_its_rows(count, index, length):
 
 def test_conformal_laws_share_the_rescaled_base_context(monkeypatch):
     # the flat base is constant: the run opens one context of it, at one
-    # point, and every chunk context and every stencil sub-context reads that
-    # one, for the conformal laws and for the rescaled torsion rule alike.
+    # point, and the sample context and every stencil context reads that one,
+    # for the conformal laws and for the rescaled torsion rule alike.
     # Before, each chunk opened one base context at its sample points and one
     # on their h2 stencil, where the torsion is differenced
     built = []
@@ -165,10 +199,10 @@ def test_conformal_laws_share_the_rescaled_base_context(monkeypatch):
     opened = []
     init = QKTContext.__init__
 
-    def recording(ctx, struct, x, base=None):
+    def recording(ctx, struct, x, base=None, nested=None):
         if built:
             opened.append((struct, np.shape(x), base, ctx))
-        init(ctx, struct, x, base)
+        init(ctx, struct, x, base, nested)
 
     monkeypatch.setattr(QKTContext, "__init__", recording)
     spec = ManifoldSpec(kind="hopf_local", n=1, point_count=20, seed=5)
@@ -177,7 +211,11 @@ def test_conformal_laws_share_the_rescaled_base_context(monkeypatch):
     (base,) = [ctx for owner, _, _, ctx in opened if owner is struct.base]
     assert base.x.shape == (4,)
     shapes = collections.Counter(shape for owner, shape, _, _ in opened if owner is struct)
-    assert shapes[(10, 4)] == 2 and shapes[(10, 8, 4)] > 0 and shapes[(10, 8, 8, 4)] > 0
+    # one context of the 20 sample points with its step-h stencil, and the
+    # stencil slices of its step-h2 pass (7, 7 and 6 points), each with its
+    # own step-h stencil
+    assert shapes == {(20, 4): 1, (20, 8, 4): 1, (7, 8, 4): 2, (6, 8, 4): 1,
+                      (7, 8, 8, 4): 2, (6, 8, 8, 4): 1}
     assert all(owner is struct.base or shared is base for owner, _, shared, _ in opened)
 
 
@@ -203,14 +241,122 @@ def test_dim4_build_error_reports_the_worst_quaternionic_residual(monkeypatch):
     assert "build_error" in report.meta
 
 
-def test_curvature_run_peak_memory():
-    spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=2)
-    run_suite(spec, "curvature")   # fill the expression and shuffle caches first
+def _traced_peak(spec: ManifoldSpec, suite: str) -> int:
+    run_suite(spec, suite)   # fill the expression and shuffle caches first
     gc.collect()
     tracemalloc.start()
     try:
-        run_suite(spec, "curvature")
-        peak = tracemalloc.get_traced_memory()[1]
+        run_suite(spec, suite)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= CURVATURE_PEAK_BYTES_MAX
+
+
+def test_curvature_run_peak_memory():
+    spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=2)
+    assert _traced_peak(spec, "curvature") <= CURVATURE_PEAK_BYTES_MAX
+
+
+def test_hopf_all_run_peak_memory():
+    spec = ManifoldSpec(kind="hopf_local", n=1, point_count=20)
+    assert _traced_peak(spec, "all") <= HOPF_ALL_PEAK_BYTES_MAX
+
+
+# ---------------------------------------------------------------------------
+# the step-h2 pass
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_no_context_keeps_a_step_h2_stencil(monkeypatch, name):
+    # each stencil slice of a context's step-h2 pass is dropped before the
+    # next, and no reference cycle keeps one alive: after run_suite, with every
+    # context the run opened through QKTStructure.at still held, no step-h2
+    # stencil context is (its d_aF_a^+ and nabla J_a went with it)
+    spec = ManifoldSpec(seed=3, **SPECS[name])
+    opened, stencils = [], []
+    at, on_stencil = qkt_connection.QKTStructure.at, QKTContext._on_stencil
+    monkeypatch.setattr(qkt_connection.QKTStructure, "at",
+                        lambda *args, **kwargs: opened.append(at(*args, **kwargs)) or opened[-1])
+
+    def recording(ctx, points, h):
+        sub = on_stencil(ctx, points, h)
+        if h == spec.h2:
+            stencils.append(weakref.ref(sub))
+        return sub
+
+    monkeypatch.setattr(QKTContext, "_on_stencil", recording)
+    gc.disable()
+    try:
+        run_suite(spec, "all")
+        assert opened
+        assert [ref() for ref in stencils] == [None] * len(stencils)
+    finally:
+        gc.enable()
+    assert bool(stencils) == (name not in ("flat-1", "flat-2"))
+    for ctx in opened:
+        held = {key for key, value in vars(ctx).items() if isinstance(value, QKTContext)}
+        assert held <= {"base", "_stencil_h"}, held
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_each_group_declares_the_nested_layers_its_records_read(monkeypatch, name):
+    # a context differences exactly the step-h2 layers its readers declare:
+    # each group's records (run alone on one context) and the diagnostics
+    # request every layer they declare and no other
+    spec = ManifoldSpec(seed=3, **SPECS[name])
+    struct = build_manifold(spec)
+    points = np.array(sample_points(spec))
+    readers = {group: (suite_module._GROUP_EVALUATORS[group],
+                       suite_module._nested_layers([group], struct.n))
+               for group in suite_module._GROUP_EVALUATORS
+               if suite_module._GROUP_APPLIES.get(group, lambda *_: True)(spec, struct)}
+    readers["diagnostics"] = (classification_residuals, CLASSIFICATION_NESTED)
+    requested = []
+    derivative = QKTContext.derivative
+    monkeypatch.setattr(QKTContext, "derivative",
+                        lambda ctx, layer: requested.append((ctx, layer)) or derivative(ctx, layer))
+    stenciled = set(struct.nested_layers())
+    for group, (reader, declared) in readers.items():
+        ctx = struct.at(points, nested=declared)
+        requested.clear()
+        with np.errstate(all="ignore"):
+            reader(ctx)
+        read = {layer for owner, layer in requested if owner is ctx} & stenciled
+        assert read == set(ctx.nested), group
+
+
+@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_each_suite_differences_the_nested_layers_it_reads(monkeypatch, name, suite):
+    # the same, recorded while each suite runs alone: every sample context of
+    # the run requests each step-h2 layer it differences
+    spec = ManifoldSpec(seed=3, **SPECS[name])
+    opened, requested = [], collections.defaultdict(set)
+    at, derivative = qkt_connection.QKTStructure.at, QKTContext.derivative
+    monkeypatch.setattr(qkt_connection.QKTStructure, "at",
+                        lambda *args, **kwargs: opened.append(at(*args, **kwargs)) or opened[-1])
+    monkeypatch.setattr(QKTContext, "derivative",
+                        lambda ctx, layer: requested[id(ctx)].add(layer) or derivative(ctx, layer))
+    run_suite(spec, suite)
+    samples = [ctx for ctx in opened if ctx.declared is not None and ctx.x.ndim == 2]
+    assert samples
+    for ctx in samples:
+        assert requested[id(ctx)] & set(ctx.struct.nested_layers()) == set(ctx.nested)
+
+
+def test_an_undeclared_nested_layer_raises(monkeypatch):
+    # a request outside a context's step-h2 layers is an error, never a
+    # stencil of its own
+    monkeypatch.setitem(suite_module._GROUP_NESTED, "curvature", ("T", "Gamma", "gamma_g"))
+    spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=2)
+    with pytest.raises(LookupError, match="'omega'"):
+        run_suite(spec, "curvature")
+    struct = build_manifold(spec)
+    x = np.array(sample_points(spec))
+    with pytest.raises(LookupError, match="'T'"):
+        struct.at(x, nested=()).derivative("T")
+    with pytest.raises(ValueError, match="theta"):
+        struct.at(x, nested=("theta",))
+    # the pointwise layers are differenced at step h whatever the context names
+    assert struct.at(x, nested=()).derivative("f").shape == (2, 8)
+    assert struct.at(x).nested == ("T", "t", "Gamma", "gamma_g", "omega", "lchkt_candidates")

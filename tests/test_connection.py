@@ -6,8 +6,10 @@ import pytest
 
 import qkt.tensor_core as tensor_core
 from qkt.errors import DimensionError, NotQKTError
+from qkt.conformal import ConformalFactor
 from qkt.qkt_connection import (
     QKTContext,
+    _alpha_versions,
     _extract_sp1,
     build_qkt,
     build_qkt_dim4,
@@ -30,6 +32,7 @@ from qkt.quaternionic import (
     rotated_hypercomplex,
 )
 from qkt.tensor_core import (
+    ConformalMetric,
     ConstantForm,
     ConstantMetric,
     CoordinatePatch,
@@ -201,6 +204,41 @@ def test_existence_is_the_eq4_defect(hyper):
     assert abs(ctx.existence - reference) <= 1e-14 * reference
 
 
+def _varying_base(p):
+    """(1 + 0.3 sin x2) I + 0.1 p (x) p: a base metric that is not constant."""
+    dim = np.shape(p)[-1]
+    return ((1.0 + 0.3 * np.sin(p[..., 1]))[..., None, None] * np.eye(dim)
+            + 0.1 * p[..., :, None] * p[..., None, :])
+
+
+TORSION_CASES = {
+    "flat-2": lambda: build_manifold(ManifoldSpec(kind="flat", n=2)),
+    "conformal-2": lambda: build_manifold(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)")),
+    "conformal-3": lambda: build_manifold(
+        ManifoldSpec(kind="conformal_flat", n=3, f="exp(x1+0.5*x3)")),
+    "tilted": lambda: unchecked(conformal_data().patch, rotated_hypercomplex(2, 5.0)),
+    "varying-base": lambda: unchecked(
+        CoordinatePatch(n=2, lo=-0.6 * np.ones(8), hi=0.6 * np.ones(8),
+                        metric=ConformalMetric(ConformalFactor(lambda p: np.exp(p[..., 0])),
+                                               _varying_base)),
+        build_standard_hypercomplex(2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TORSION_CASES))
+def test_torsion_is_the_mean_of_the_alpha_versions(case):
+    # T comes from one summed wedge of the six (1-form, 2-form) pairs; it is
+    # the mean of the three alpha-versions up to rounding (measured at most
+    # 2.9e-16 relative), on a triple that misses the existence condition too
+    struct = TORSION_CASES[case]()
+    dim = struct.patch.dim
+    x = np.stack([POINT8, -POINT8, 0.5 * POINT8])[:, np.arange(dim) % 8]
+    ctx = struct.at(x)
+    mean = _alpha_versions(ctx).sum(axis=-4) / 3.0
+    assert np.max(np.abs(ctx.T - mean)) <= 1e-14 * np.max(np.abs(mean))
+    assert (np.max(np.abs(mean)) == 0.0) == (case == "flat-2")
+
+
 def test_build_checks_all_check_points_in_one_context(monkeypatch):
     # one batched existence defect over the (k, d) check points; the structure keeps none
     built = []
@@ -223,14 +261,18 @@ def test_build_checks_all_check_points_in_one_context(monkeypatch):
     assert built == [(2, 8), (8,), (8,)]
 
 
-def test_stencil_contexts_skip_the_eq4_and_eq5_defects():
-    # the torsion of a stencil sub-context reads theta, theta_cross (one layer
+def test_stencil_contexts_skip_the_eq4_and_eq5_defects(monkeypatch):
+    # the torsion of a stencil context reads theta, theta_cross (one layer
     # with dcF_plus) and K, never the eq4/eq5 defect that only sample-point
     # contexts read
     struct = build_manifold(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1))
+    made = []
+    on_stencil = QKTContext._on_stencil
+    monkeypatch.setattr(QKTContext, "_on_stencil",
+                        lambda ctx, points, h: made.append(on_stencil(ctx, points, h)) or made[-1])
     ctx = struct.at(POINT8)
     ctx.curv
-    sub = ctx._stencil_h2
+    (sub,) = [sub for sub in made if sub.x.shape == (1, 16, 8)]   # the one step-h2 slice
     assert {"T", "_dF_parts", "K"} <= set(vars(sub))
     assert "existence" not in vars(sub)
     assert ctx.existence <= 1e-5

@@ -14,7 +14,7 @@ from qkt.curvature import (
 )
 from qkt.errors import DimensionError
 from qkt.expressions import parse_expression
-from qkt.qkt_connection import build_qkt, build_qkt_dim4, classify
+from qkt.qkt_connection import QKTContext, build_qkt, build_qkt_dim4, classify
 from qkt.quaternionic import build_standard_hypercomplex
 from qkt.tensor_core import (
     ConstantForm,
@@ -122,7 +122,7 @@ def test_gTT_matches_einsum(conformal_struct):
     assert np.max(np.abs(ctx.gTT - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_structures_freed_without_gc():
+def test_structures_freed_without_gc(monkeypatch):
     # contexts must not form reference cycles with their structure or their
     # stencil sub-contexts: a cycle keeps every layer alive until a full
     # garbage-collection pass
@@ -133,11 +133,21 @@ def test_structures_freed_without_gc():
         base = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
                               ConstantForm(1, np.array([0.5, 0.0, 0.0, 0.0])), SCHEME)
         struct = conformal_rescale(base, ConformalFactor(lambda p: np.exp(p[..., 0])))
+        made = []
+        on_stencil = QKTContext._on_stencil
+
+        def recording(ctx, points, h):
+            sub = on_stencil(ctx, points, h)
+            made.append(weakref.ref(sub))
+            return sub
+
+        monkeypatch.setattr(QKTContext, "_on_stencil", recording)
         ctx = struct.at(POINT4)
         assert np.isfinite(ctx.omega).all() and np.isfinite(ctx.dt).all()
         assert np.isfinite(ctx.curv.R4).all()
-        refs = [weakref.ref(obj) for obj in
-                (base, struct, ctx, ctx._stencil_h, ctx._stencil_h2, ctx._stencil_h2._stencil_h)]
+        # the step-h stencil, the step-h2 slice and the slice's step-h stencil
+        assert len(made) == 3
+        refs = [weakref.ref(obj) for obj in (base, struct, ctx)] + made
         del base, struct, ctx
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:

@@ -26,13 +26,16 @@ layertrace = _load("layertrace")
 workloads = _load("workloads")
 
 TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
-# one conf8_curv operation makes 13 gradient calls, each one field call on a
+# one conf8_curv operation makes 6 gradient calls, each one field call on a
 # point array: at step h only the conformal factor f is differenced (dg and the
 # dF_a follow from df by the product rule), and the flat structures take none.
-# It made 13 with g and the F_a differenced on one stencil too, 17 with them
-# apart, 78 with one call per stencil point, and 266 with one stencil per
-# Kaehler form and per almost complex structure
-GRADIENT_CALLS_MAX = 13
+# The build's check context and the one sample context difference f, and each
+# of the sample context's two one-point stencil slices its own f and, in one
+# call, T, Gamma, Gamma^g and omega at h2.  It made 12 with one call per slice
+# and layer, 13 with one context per sample point, 17 with g and the F_a
+# differenced apart, 78 with one call per stencil point, and 266 with one
+# stencil per Kaehler form and per almost complex structure
+GRADIENT_CALLS_MAX = 6
 
 
 def _report(tmp_path, name):
@@ -62,5 +65,6 @@ def test_traced_names_resolve_and_tracing_changes_nothing(tmp_path, capsys):
 
     calls = tracer.layer_seconds()
     assert 0 < calls["tensor_core.gradient"][0] <= GRADIENT_CALLS_MAX
-    # one curvature per connection (torsion and Levi-Civita) per sample point
-    assert calls["curvature.curvature_tensor"][0] == 4
+    # one curvature per connection (torsion and Levi-Civita) in the one
+    # context of both sample points
+    assert calls["curvature.curvature_tensor"][0] == 2

@@ -31,10 +31,11 @@ CONFORMAL = ("conformal-1", "conformal-2", "hopf")
 
 
 def _contexts(struct, x):
-    """A context on the points ``x`` and its step-h2 stencil sub-context, the
-    points whose own stencils are the nested ones."""
+    """A context on the points ``x`` and a stencil context on their step-h2
+    stencil, as a slice of its step-h2 pass opens it: the points whose own
+    stencils are the nested ones."""
     ctx = struct.at(x)
-    return ctx, ctx._stencil_h2
+    return ctx, ctx._on_stencil(ctx.x, struct.scheme.h2)
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
@@ -97,14 +98,15 @@ def test_product_rule_matches_the_difference_of_the_products_to_second_order(nam
 
 @pytest.mark.parametrize("name", CONFORMAL)
 def test_step_h_stencils_of_the_conformal_kinds_evaluate_f_alone(monkeypatch, name):
-    # every step-h stencil sub-context, the nested ones of the h2-stencil
-    # contexts included, holds f and nothing else: no g and no F_a, and no
-    # dF either, which would need dg and J there
+    # every step-h stencil context, the nested ones of the step-h2 slices
+    # included, holds f and nothing else: no g and no F_a, and no dF either,
+    # which would need dg and J there; no stencil context differences a layer
+    # at h2
     made = []
     original = QKTContext._on_stencil
 
-    def recording(ctx, h):
-        sub = original(ctx, h)
+    def recording(ctx, points, h):
+        sub = original(ctx, points, h)
         made.append((ctx, h, sub))
         return sub
 
@@ -116,4 +118,5 @@ def test_step_h_stencils_of_the_conformal_kinds_evaluate_f_alone(monkeypatch, na
     nested = [sub for ctx, h, sub in made if h == spec.h and any(ctx is s for s in at_h2)]
     assert at_h2 and nested
     for sub in at_h:
-        assert set(vars(sub)) - {"struct", "x", "base"} == {"f"}
+        assert set(vars(sub)) - {"struct", "x", "base", "declared", "nested"} == {"f"}
+    assert all(sub.nested == () for _, _, sub in made)

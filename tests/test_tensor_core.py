@@ -481,7 +481,8 @@ P8 = np.array([0.1, -0.2, 0.3, 0.05, 0.2, 0.0, -0.1, 0.15])
 
 def test_memoized_metric_evaluates_each_point_once():
     # a context evaluates the metric once per point set: x, its h-stencil,
-    # its h2-stencil and that stencil's h-stencil, and no point twice
+    # the h2-stencil of its one stencil slice (a point array with the slice's
+    # point axis) and that stencil's h-stencil, and no point twice
     calls = []
     ctx = _conformal_struct(calls).at(P8)
     assert ctx.g is ctx.g
@@ -490,7 +491,7 @@ def test_memoized_metric_evaluates_each_point_once():
         getattr(ctx, layer)
     shapes = [call for call in calls if isinstance(call, tuple)]
     rows = [call for call in calls if isinstance(call, bytes)]
-    assert sorted(shapes) == [(8,), (16, 8), (16, 8), (16, 16, 8)]
+    assert sorted(shapes) == [(1, 16, 8), (1, 16, 16, 8), (8,), (16, 8)]
     assert len(rows) == len(set(rows)) == 1 + 16 + 16 + 16 * 16
 
 
@@ -527,6 +528,26 @@ def test_shared_gradient_gives_identical_derivatives():
         covariant_derivative_array(gamma, "dd", omega(p), grad),
         nabla_array(gamma, field, p, SCHEME))
     assert np.array_equal(grad, before)
+
+
+def test_gradient_of_a_tuple_field_is_the_tuple_of_gradients():
+    # one field call on the stencil, each array differenced as alone
+    calls = []
+    scalar = lambda q: np.sin(q[..., 0]) * q[..., 2]
+    form = lambda q: q[..., :, None] * q[..., None, ::-1]
+
+    def both(q):
+        calls.append(q.shape)
+        return scalar(q), form(q)
+
+    p = np.array([[0.1, -0.2, 0.3, 0.05], [0.2, 0.0, -0.1, 0.3]])
+    for nested in (False, True):
+        calls.clear()
+        grads = gradient(both, p, SCHEME, nested)
+        assert calls == [(2, 8, 4)]
+        assert isinstance(grads, tuple) and len(grads) == 2
+        for grad, alone in zip(grads, (scalar, form)):
+            assert np.array_equal(grad, gradient(alone, p, SCHEME, nested))
 
 
 # ---------------------------------------------------------------------------

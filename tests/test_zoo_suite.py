@@ -445,7 +445,7 @@ def test_report_json_spells_out_non_finite_numbers():
 
 def test_torsion_differentiated_once_per_point(monkeypatch):
     # one derivative of T per chunk, and together the chunks hold every
-    # sample point once
+    # sample point once: 43 points at d = 4 make chunks of 40 and 3 points
     derivative = QKTContext.derivative
     calls = []
 
@@ -454,10 +454,10 @@ def test_torsion_differentiated_once_per_point(monkeypatch):
         return derivative(ctx, layer)
 
     monkeypatch.setattr(QKTContext, "derivative", recording)
-    spec = ManifoldSpec(kind="hopf_local", n=1, point_count=13, seed=5)
+    spec = ManifoldSpec(kind="hopf_local", n=1, point_count=43, seed=5)
     assert run_suite(spec, "all").all_pass
     chunks = [x for layer, x in calls if layer == "T"]
-    assert [len(x) for x in chunks] == [10, 3]
+    assert [len(x) for x in chunks] == [40, 3]
     assert np.array_equal(np.concatenate(chunks), np.array(sample_points(spec)))
 
 
@@ -468,6 +468,23 @@ def test_cli_tol_override(capsys):
         "--tol-override", "existence_condition=1e-30",
     ])
     assert code == 1
+
+
+def test_cli_calls_share_no_parsed_state(tmp_path, capsys):
+    # the parser is built once per process; the --tol-override lists of two
+    # main calls do not leak into each other
+    assert cli.build_parser() is cli.build_parser()
+    args = ["verify", "--manifold", "flat", "--n", "1", "--points", "2", "--suite", "connection"]
+    tolerances = []
+    for overrides in (["hermitian_metric=0.5"], ["torsion_skew_symmetry=0.25"]):
+        path = tmp_path / "report.json"
+        extra = [arg for pair in overrides for arg in ("--tol-override", pair)]
+        assert cli.main([*args, *extra, "--report", str(path)]) == 0
+        report = json.loads(path.read_text(encoding="utf-8"))
+        tolerances.append({row["identity_id"]: row["tolerance"] for row in report["results"]})
+    first, second = tolerances
+    assert first["hermitian_metric"] == 0.5 and second["hermitian_metric"] == 1e-10
+    assert first["torsion_skew_symmetry"] == 1e-10 and second["torsion_skew_symmetry"] == 0.25
 
 
 @pytest.mark.parametrize("args", [
@@ -614,7 +631,7 @@ RECORDS = ("structure_invariant_residuals", "torsion_one_form_spread", "lcqk_res
 
 
 def test_each_record_runs_once_per_chunk(monkeypatch):
-    # 13 points at d = 4 make chunks of 10 and 3 points; every record reads
+    # 43 points at d = 4 make chunks of 40 and 3 points; every record reads
     # the context of each chunk once, and the conformal laws read the run's
     # one context of the constant base, at one point, beside it
     seen = {name: [] for name in RECORDS}
@@ -623,15 +640,18 @@ def test_each_record_runs_once_per_chunk(monkeypatch):
             seen[_name].append([ctx.x.shape for ctx in contexts])
             return _record(*contexts)
         monkeypatch.setattr(suite_module, name, counting)
-    spec = ManifoldSpec(kind="hopf_local", n=1, point_count=13, seed=5)
+    spec = ManifoldSpec(kind="hopf_local", n=1, point_count=43, seed=5)
     assert run_suite(spec, "all").all_pass
-    expected = {name: [[(10, 4)], [(3, 4)]] for name in RECORDS}
-    expected["conformal_law_residuals"] = [[(4,), (10, 4)], [(4,), (3, 4)]]
+    expected = {name: [[(40, 4)], [(3, 4)]] for name in RECORDS}
+    expected["conformal_law_residuals"] = [[(4,), (40, 4)], [(4,), (3, 4)]]
     assert seen == expected
 
 
 def test_every_gradient_makes_one_field_call(monkeypatch, tmp_path, capsys):
-    # a stencil is one field call on the (..., 2d, d) point array, never 2d calls
+    # a stencil is one field call on the (..., 2d, d) point array, never 2d
+    # calls: f on the step-h stencils of the build's check context, of the
+    # sample context and of its two stencil slices, and T, Gamma, Gamma^g and
+    # omega together on each slice (12 calls with one per slice and layer)
     counts = []
 
     def wrapper(original):
@@ -647,14 +667,17 @@ def test_every_gradient_makes_one_field_call(monkeypatch, tmp_path, capsys):
                      "--suite", "curvature", "--points", "2", "--seed", "0",
                      "--report", str(tmp_path / "report.json")])
     assert code == 0
-    assert len(counts) > 10 and set(counts) == {1}
+    assert len(counts) == 6 and set(counts) == {1}
 
 
 def test_hodge_stars_reuse_the_context_inverse_and_volume(monkeypatch):
     # the stars of the dimension-4 torsion and of _dim4_structural read the
     # context's ginv and vol layers: a 20-point hopf_local run made 16 inv and
     # 10 det calls while every star inverted g and took its determinant again,
-    # and 8 and 6 while every chunk and its h2 stencil opened a base context
+    # 8 and 6 while every chunk and its h2 stencil opened a base context, and
+    # 5 and 3 with two 10-point chunks.  Now the constant base, the one sample
+    # context and its three stencil slices invert g, and the base and the
+    # sample context take the determinant
     calls = {"inv": 0, "det": 0}
     for name in calls:
         def counting(*args, _name=name, _original=getattr(np.linalg, name)):
@@ -662,4 +685,4 @@ def test_hodge_stars_reuse_the_context_inverse_and_volume(monkeypatch):
             return _original(*args)
         monkeypatch.setattr(np.linalg, name, counting)
     assert run_suite(ManifoldSpec(kind="hopf_local", n=1, point_count=20, seed=5), "all").all_pass
-    assert calls == {"inv": 5, "det": 3}
+    assert calls == {"inv": 5, "det": 2}
