@@ -149,6 +149,9 @@ def _layer(compute):
 # (Gamma^W is read in dimension 4 only); :meth:`QKTStructure.nested_layers`
 # drops those that a structure differences at h or that are constant on it.
 NESTED_LAYERS = ("T", "t", "Gamma", "gamma_g", "omega", "lchkt_candidates", "gamma_w")
+# The step-h2 layers read off a context's base: the conformal laws' dt of the
+# base (the rescaled torsion rule reads the base's T, not its derivative).
+BASE_NESTED = ("t",)
 
 
 class QKTContext:
@@ -186,8 +189,7 @@ class QKTContext:
                  nested: Sequence[str] | None = None):
         x = np.asarray(x, dtype=float).view()
         x.flags.writeable = False
-        vars(self).update(struct=struct, x=x, declared=nested,
-                          nested=struct.nested_layers(nested))
+        vars(self).update(struct=struct, x=x, nested=struct.nested_layers(nested))
         if base is not None:
             vars(self)["base"] = base
 
@@ -207,11 +209,12 @@ class QKTContext:
         """The context of ``struct.base`` that the rescaled torsion rule and the
         conformal laws read.  A constant base's sits at one point, its layers
         broadcast against x, and the stencil contexts share it; any other
-        base's differences the layers this context names."""
+        base's differences at step h2 the layers of :data:`BASE_NESTED` that
+        this context names."""
         base = self.struct.base
         if base.constant:
             return base.at(self.x.reshape(-1, self.x.shape[-1])[0])
-        return base.at(self.x, nested=self.declared)
+        return base.at(self.x, nested=[layer for layer in BASE_NESTED if layer in self.nested])
 
     def residual(self, *arrays) -> np.ndarray:
         """Per point of x, the largest |entry| of ``arrays`` beyond the point axes; NaN wins."""
@@ -351,11 +354,7 @@ class QKTContext:
 
     @_layer
     def _dF_parts(self):
-        """(theta, theta_cross, dcF_plus) from one dF, dropped when done;
-        exact zeros on a constant structure, where dF and Gamma^g vanish."""
-        if self.struct.constant:
-            points, d = self.x.shape[:-1], self.x.shape[-1]
-            return tuple(np.zeros(points + (3,) + tail) for tail in ((d,), (3, d), (d, d, d)))
+        """(theta, theta_cross, dcF_plus) from one dF, dropped when done."""
         J, ginv = self.J, self.ginv
         dF = self._dF()
         nabla_f = covariant_derivative_array(self.gamma_g, "dd", self.F, dF)

@@ -22,7 +22,6 @@ Point axes, when present, lead the stack: ``J[..., alpha, k, j]``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,10 +83,8 @@ class ConstantHypercomplexField(HypercomplexField):
         return np.broadcast_to(self.stack, points + self.stack.shape) if points else self.stack
 
 
-@functools.cache
 def build_standard_hypercomplex(n: int) -> ConstantHypercomplexField:
-    """The constant hypercomplex structure of H^n, block-diagonal per quadruple;
-    built once per n, as it is immutable."""
+    """The constant hypercomplex structure of H^n, block-diagonal per quadruple."""
     if n < 1:
         raise DimensionError(f"need n >= 1, got {n}")
     return ConstantHypercomplexField(

@@ -184,6 +184,13 @@ def unchecked(patch, hyper) -> QKTStructure:
     return QKTStructure(patch, hyper, FDScheme(), _bundle_torsion)
 
 
+def varying_base(p: np.ndarray) -> np.ndarray:
+    """A base metric that is not constant: (1 + 0.3 sin x2) I + 0.1 p (x) p."""
+    dim = np.shape(p)[-1]
+    return ((1.0 + 0.3 * np.sin(p[..., 1]))[..., None, None] * np.eye(dim)
+            + 0.1 * p[..., :, None] * p[..., None, :])
+
+
 def j_at(struct, alpha: int, p: np.ndarray) -> np.ndarray:
     """The almost complex structure J_alpha of ``struct`` at the points ``p``."""
     return struct.hyper.matrices(p)[..., alpha, :, :]

@@ -28,6 +28,8 @@ from hypothesis import strategies as st
 
 import qkt.qkt_connection as qkt_connection
 import qkt.suite as suite_module
+import reference
+from qkt.conformal import ConformalFactor, conformal_rescale
 from qkt.errors import NotQKTError
 from qkt.qkt_connection import (
     CLASSIFICATION_NESTED,
@@ -41,7 +43,7 @@ from qkt.qkt_connection import (
 )
 from qkt.quaternionic import build_standard_hypercomplex
 from qkt.suite import run_suite
-from qkt.tensor_core import ConstantForm, ConstantMetric, CoordinatePatch
+from qkt.tensor_core import ConformalMetric, ConstantForm, ConstantMetric, CoordinatePatch
 from qkt.zoo import ManifoldSpec, build_manifold, sample_points
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -298,31 +300,65 @@ def test_no_context_keeps_a_step_h2_stencil(monkeypatch, name):
         assert held <= {"base", "_stencil_h"}, held
 
 
+def _assert_each_reader_requests_what_it_declares(monkeypatch, struct, points, readers):
+    # each reader, run alone on one context opened with its declared layers,
+    # requests every step-h2 layer the context differences and no other; a
+    # base context's pass runs on its first step-h2 read, and then it
+    # differences exactly the layers read of it
+    requested = []
+    derivative = QKTContext.derivative
+    monkeypatch.setattr(QKTContext, "derivative",
+                        lambda ctx, layer: requested.append((ctx, layer)) or derivative(ctx, layer))
+
+    def read(owner):
+        return {layer for who, layer in requested if who is owner} & set(
+            owner.struct.nested_layers())
+
+    for name, (reader, declared) in readers.items():
+        ctx = struct.at(points, nested=declared)
+        requested.clear()
+        with np.errstate(all="ignore"):
+            reader(ctx)
+        assert read(ctx) == set(ctx.nested), name
+        base = vars(ctx).get("base")
+        if base is not None:
+            ran = "_nested_gradients" in vars(base)
+            assert read(base) == (set(base.nested) if ran else set()), name
+
+
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_each_group_declares_the_nested_layers_its_records_read(monkeypatch, name):
-    # a context differences exactly the step-h2 layers its readers declare:
-    # each group's records (run alone on one context) and the diagnostics
-    # request every layer they declare and no other
+    # each group's records and the diagnostics
     spec = ManifoldSpec(seed=3, **SPECS[name])
     struct = build_manifold(spec)
-    points = np.array(sample_points(spec))
     readers = {group: (suite_module._GROUP_EVALUATORS[group],
                        suite_module._nested_layers([group], struct.n))
                for group in suite_module._GROUP_EVALUATORS
                if suite_module._GROUP_APPLIES.get(group, lambda *_: True)(spec, struct)}
     readers["diagnostics"] = (classification_residuals, CLASSIFICATION_NESTED)
-    requested = []
-    derivative = QKTContext.derivative
-    monkeypatch.setattr(QKTContext, "derivative",
-                        lambda ctx, layer: requested.append((ctx, layer)) or derivative(ctx, layer))
-    stenciled = set(struct.nested_layers())
-    for group, (reader, declared) in readers.items():
-        ctx = struct.at(points, nested=declared)
-        requested.clear()
-        with np.errstate(all="ignore"):
-            reader(ctx)
-        read = {layer for owner, layer in requested if owner is ctx} & stenciled
-        assert read == set(ctx.nested), group
+    _assert_each_reader_requests_what_it_declares(
+        monkeypatch, struct, np.array(sample_points(spec)), readers)
+
+
+def test_a_varying_base_differences_what_the_conformal_laws_read(monkeypatch):
+    # the zoo's conformal kinds rescale the constant flat base; over a base
+    # that is not constant, the base context differences at h2 only what its
+    # readers take of it (the conformal laws' dt), alone and in the union of
+    # every group that the all suite opens
+    patch = CoordinatePatch(n=2, lo=-0.6 * np.ones(8), hi=0.6 * np.ones(8),
+                            metric=ConformalMetric(ConformalFactor(lambda p: np.exp(p[..., 0])),
+                                                   reference.varying_base))
+    struct = conformal_rescale(reference.unchecked(patch, build_standard_hypercomplex(2)),
+                               ConformalFactor(lambda p: np.exp(0.5 * p[..., 2])))
+    groups = [group for group in suite_module._GROUP_EVALUATORS if group != "dim4"]
+    readers = {group: (suite_module._GROUP_EVALUATORS[group],
+                       suite_module._nested_layers([group], struct.n)) for group in groups}
+    readers["all"] = (lambda ctx: [suite_module._GROUP_EVALUATORS[group](ctx) for group in groups],
+                      suite_module._nested_layers(groups, struct.n))
+    points = np.array([[0.05, -0.1, 0.2, 0.0, 0.11, -0.02, 0.3, -0.2],
+                       [-0.2, 0.15, -0.1, 0.25, 0.0, 0.1, -0.3, 0.05]])
+    _assert_each_reader_requests_what_it_declares(monkeypatch, struct, points, readers)
+    assert set(struct.at(points, nested=readers["all"][1]).base.nested) == {"t"}
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -331,14 +367,19 @@ def test_each_suite_differences_the_nested_layers_it_reads(monkeypatch, name, su
     # the same, recorded while each suite runs alone: every sample context of
     # the run requests each step-h2 layer it differences
     spec = ManifoldSpec(seed=3, **SPECS[name])
-    opened, requested = [], collections.defaultdict(set)
+    samples, requested = [], collections.defaultdict(set)
     at, derivative = qkt_connection.QKTStructure.at, QKTContext.derivative
-    monkeypatch.setattr(qkt_connection.QKTStructure, "at",
-                        lambda *args, **kwargs: opened.append(at(*args, **kwargs)) or opened[-1])
+
+    def opening(struct, x, base=None, nested=None):
+        ctx = at(struct, x, base, nested)
+        if nested is not None and ctx.x.ndim == 2:
+            samples.append(ctx)
+        return ctx
+
+    monkeypatch.setattr(qkt_connection.QKTStructure, "at", opening)
     monkeypatch.setattr(QKTContext, "derivative",
                         lambda ctx, layer: requested[id(ctx)].add(layer) or derivative(ctx, layer))
     run_suite(spec, suite)
-    samples = [ctx for ctx in opened if ctx.declared is not None and ctx.x.ndim == 2]
     assert samples
     for ctx in samples:
         assert requested[id(ctx)] & set(ctx.struct.nested_layers()) == set(ctx.nested)

@@ -56,6 +56,7 @@ from reference import (
     nabla_array,
     torsion_field,
     unchecked,
+    varying_base,
 )
 
 SCHEME = FDScheme()
@@ -204,13 +205,6 @@ def test_existence_is_the_eq4_defect(hyper):
     assert abs(ctx.existence - reference) <= 1e-14 * reference
 
 
-def _varying_base(p):
-    """(1 + 0.3 sin x2) I + 0.1 p (x) p: a base metric that is not constant."""
-    dim = np.shape(p)[-1]
-    return ((1.0 + 0.3 * np.sin(p[..., 1]))[..., None, None] * np.eye(dim)
-            + 0.1 * p[..., :, None] * p[..., None, :])
-
-
 TORSION_CASES = {
     "flat-2": lambda: build_manifold(ManifoldSpec(kind="flat", n=2)),
     "conformal-2": lambda: build_manifold(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)")),
@@ -220,7 +214,7 @@ TORSION_CASES = {
     "varying-base": lambda: unchecked(
         CoordinatePatch(n=2, lo=-0.6 * np.ones(8), hi=0.6 * np.ones(8),
                         metric=ConformalMetric(ConformalFactor(lambda p: np.exp(p[..., 0])),
-                                               _varying_base)),
+                                               varying_base)),
         build_standard_hypercomplex(2)),
 }
 

@@ -65,17 +65,10 @@ def _rotated_triple(n: int) -> HypercomplexField:
         lambda p, _m=m: rotation(p) @ _m @ np.swapaxes(rotation(p), -1, -2) for m in stack))
 
 
-def _varying_base(p):
-    """A base metric that is not constant: (1 + 0.3 sin x2) I + 0.1 p (x) p."""
-    dim = np.shape(p)[-1]
-    return ((1.0 + 0.3 * np.sin(p[..., 1]))[..., None, None] * np.eye(dim)
-            + 0.1 * p[..., :, None] * p[..., None, :])
-
-
 EXP_X1 = ConformalFactor(lambda p: np.exp(p[..., 0]))
 VARYING = {
     "varying-triple": (ConstantMetric(np.eye(8)), _rotated_triple(2)),
-    "varying-base": (_varying_base, build_standard_hypercomplex(2)),
+    "varying-base": (reference.varying_base, build_standard_hypercomplex(2)),
 }
 
 
@@ -118,5 +111,5 @@ def test_step_h_stencils_of_the_conformal_kinds_evaluate_f_alone(monkeypatch, na
     nested = [sub for ctx, h, sub in made if h == spec.h and any(ctx is s for s in at_h2)]
     assert at_h2 and nested
     for sub in at_h:
-        assert set(vars(sub)) - {"struct", "x", "base", "declared", "nested"} == {"f"}
+        assert set(vars(sub)) - {"struct", "x", "base", "nested"} == {"f"}
     assert all(sub.nested == () for _, _, sub in made)
