@@ -112,8 +112,11 @@ def slice_length(dim: int, points: int) -> int:
 
 def point_chunks(points) -> Iterator[np.ndarray]:
     """The rows of the (P, d) point array ``points`` in consecutive (c, d) chunks
-    of at most :func:`chunk_length` points."""
+    of at most :func:`chunk_length` points; no points is an :class:`InputError`,
+    not a residual of 0.0."""
     points = np.asarray(points, dtype=float)
+    if points.size == 0:
+        raise InputError(f"no sample points (shape {points.shape})")
     step = chunk_length(points.shape[-1])
     for start in range(0, len(points), step):
         yield points[start:start + step]
@@ -146,12 +149,9 @@ def _layer(compute):
 
 
 # The layers a context may difference at step h2, on stencils of its points
-# (Gamma^W is read in dimension 4 only); :meth:`QKTStructure.nested_layers`
+# (Gamma^W is read in dimension 4 only); :attr:`QKTStructure.nested_layers`
 # drops those that a structure differences at h or that are constant on it.
 NESTED_LAYERS = ("T", "t", "Gamma", "gamma_g", "omega", "lchkt_candidates", "gamma_w")
-# The step-h2 layers read off a context's base: the conformal laws' dt of the
-# base (the rescaled torsion rule reads the base's T, not its derivative).
-BASE_NESTED = ("t",)
 
 
 class QKTContext:
@@ -172,24 +172,24 @@ class QKTContext:
     and the one eq4/eq5 defect ``existence``, so a stencil context that
     reads T never computes the defect.
 
-    ``nested`` names the layers the context differences at step h2 (out of
-    :data:`NESTED_LAYERS`; all of them when None).  Their gradients come from
-    one pass over the points in stencil slices of :func:`slice_length`
-    points: each slice's stencil context is built, read for exactly those
-    layers and dropped before the next, so a context keeps the gradients and
-    no step-h2 stencil.  A stencil context differences nothing at h2.  The
-    step-h stencil context of the pointwise layers is kept.  Every layer
+    The step-h2 layers are those of the structure
+    (:attr:`QKTStructure.nested_layers`), the same whatever reads them.  Their
+    gradients come from one pass over the points in stencil slices of
+    :func:`slice_length` points, run on the context's first step-h2 read:
+    each slice's stencil context is built, read for exactly those layers and
+    dropped before the next, so a context keeps the gradients and no step-h2
+    stencil.  No stencil context makes a step-h2 read, so none runs a pass.
+    The step-h stencil context of the pointwise layers is kept.  Every layer
     takes leading point axes, and so does every identity record: the suite
     opens one context per chunk of sample points, all of them reading one
     :attr:`base` context of a constant base, and a record returns one
     residual per point (:meth:`residual`).
     """
 
-    def __init__(self, struct: QKTStructure, x: np.ndarray, base: QKTContext | None = None,
-                 nested: Sequence[str] | None = None):
+    def __init__(self, struct: QKTStructure, x: np.ndarray, base: QKTContext | None = None):
         x = np.asarray(x, dtype=float).view()
         x.flags.writeable = False
-        vars(self).update(struct=struct, x=x, nested=struct.nested_layers(nested))
+        vars(self).update(struct=struct, x=x)
         if base is not None:
             vars(self)["base"] = base
 
@@ -198,7 +198,7 @@ class QKTContext:
 
     def _on_stencil(self, points: np.ndarray, h: float) -> "QKTContext":
         shared = self.struct.base is not None and self.struct.base.constant
-        return QKTContext(self.struct, stencil(points, h), self.base if shared else None, ())
+        return QKTContext(self.struct, stencil(points, h), self.base if shared else None)
 
     @functools.cached_property
     def _stencil_h(self) -> "QKTContext":
@@ -209,12 +209,12 @@ class QKTContext:
         """The context of ``struct.base`` that the rescaled torsion rule and the
         conformal laws read.  A constant base's sits at one point, its layers
         broadcast against x, and the stencil contexts share it; any other
-        base's differences at step h2 the layers of :data:`BASE_NESTED` that
-        this context names."""
+        base's sits at x, and its first step-h2 read (the conformal laws' dt)
+        differences every step-h2 layer of the base."""
         base = self.struct.base
         if base.constant:
             return base.at(self.x.reshape(-1, self.x.shape[-1])[0])
-        return base.at(self.x, nested=[layer for layer in BASE_NESTED if layer in self.nested])
+        return base.at(self.x)
 
     def residual(self, *arrays) -> np.ndarray:
         """Per point of x, the largest |entry| of ``arrays`` beyond the point axes; NaN wins."""
@@ -231,11 +231,12 @@ class QKTContext:
         ``J`` (and ``T`` when it is the dual of a ``t_form`` evaluated without
         finite differences: :attr:`QKTStructure.nested_torsion`) take one
         :func:`gradient` call at step h, on the kept step-h stencil context.
-        Every other layer is differenced at step h2 in the context's one pass
-        (:attr:`nested`); one that the context does not name there is a
-        ``LookupError``, never a stencil of its own.  dg and dF follow from the
-        pointwise layers by the product rule, so a nested stencil evaluates
-        nothing else.
+        Every other layer of :data:`NESTED_LAYERS` is differenced at step h2
+        in the context's one pass, together with the structure's other step-h2
+        layers (:attr:`QKTStructure.nested_layers`); any other layer, or one
+        that the structure does not difference at h2, is a ``LookupError``,
+        never a stencil of its own.  dg and dF follow from the pointwise layers
+        by the product rule, so a nested stencil evaluates nothing else.
         """
         if self.struct.constant_layer(layer):
             shape, points = np.shape(getattr(self, layer)), self.x.ndim - 1
@@ -243,25 +244,26 @@ class QKTContext:
         if layer in ("f", "g0", "J") or (layer == "T" and not self.struct.nested_torsion):
             sub = self._stencil_h
             return gradient(lambda _: getattr(sub, layer), self.x, self.struct.scheme)
-        if layer not in self.nested:
-            raise LookupError(f"layer {layer!r} is not among the step-h2 layers "
-                              f"{self.nested} this context differences")
-        return self._nested_gradients[self.nested.index(layer)]
+        layers = self.struct.nested_layers
+        if layer not in layers:
+            raise LookupError(f"layer {layer!r} is not among the step-h2 layers {layers} "
+                              f"of this structure")
+        return self._nested_gradients[layers.index(layer)]
 
     @_layer
     def _nested_gradients(self):
-        """The step-h2 gradients of the :attr:`nested` layers, in that order,
-        from one pass over the points in stencil slices: one :func:`gradient`
-        call per slice, whose field reads every nested layer off the slice's
-        stencil context."""
-        scheme, d = self.struct.scheme, self.x.shape[-1]
+        """The step-h2 gradients of :attr:`QKTStructure.nested_layers`, in that
+        order, from one pass over the points in stencil slices: one
+        :func:`gradient` call per slice, whose field reads every step-h2 layer
+        off the slice's stencil context."""
+        layers, scheme, d = self.struct.nested_layers, self.struct.scheme, self.x.shape[-1]
         points = self.x.reshape(-1, d)
         step = slice_length(d, len(points))
         slices = []
         for start in range(0, len(points), step):
             p = points[start:start + step]
             sub = self._on_stencil(p, scheme.h2)
-            slices.append(gradient(lambda _: tuple(getattr(sub, layer) for layer in self.nested),
+            slices.append(gradient(lambda _: tuple(getattr(sub, layer) for layer in layers),
                                    p, scheme, True))
             del sub
         return tuple((parts[0] if len(parts) == 1 else np.concatenate(parts))
@@ -719,27 +721,25 @@ class QKTStructure:
                      "J": isinstance(self.hyper, ConstantHypercomplexField)}
         return self.constant or pointwise.get(layer, False)
 
-    def nested_layers(self, layers: Sequence[str] | None = None) -> tuple:
-        """Of ``layers`` (None: all of :data:`NESTED_LAYERS`, Gamma^W in
-        dimension 4 only), in the order of :data:`NESTED_LAYERS`, those that a
-        context of this structure differences at step h2: not the torsion when
-        it is differenced at h (:attr:`nested_torsion`), and no layer that is
-        the same at every point."""
-        if layers is None:
-            layers = [layer for layer in NESTED_LAYERS if layer != "gamma_w" or self.n == 1]
-        unknown = set(layers).difference(NESTED_LAYERS)
-        if unknown:
-            raise ValueError(f"{sorted(unknown)} are not step-h2 layers {NESTED_LAYERS}")
-        return tuple(layer for layer in NESTED_LAYERS
-                     if layer in layers and not self.constant_layer(layer)
-                     and (layer != "T" or self.nested_torsion))
+    @property
+    def nested_layers(self) -> tuple:
+        """The layers that every context of this structure differences at step
+        h2, in one pass, whatever reads them: :data:`NESTED_LAYERS` without
+        Gamma^W when n >= 2, without the torsion when it is differenced at h
+        (:attr:`nested_torsion`), and without the layers that are the same at
+        every point (all of them on a constant structure)."""
+        if self.constant:
+            return ()
+        # a list, not a generator: every step-h2 request reads this
+        return tuple([layer for layer in NESTED_LAYERS
+                      if (layer != "T" or self.nested_torsion)
+                      and (layer != "gamma_w" or self.n == 1)])
 
-    def at(self, x: np.ndarray, base: QKTContext | None = None,
-           nested: Sequence[str] | None = None) -> QKTContext:
+    def at(self, x: np.ndarray, base: QKTContext | None = None) -> QKTContext:
         """The lazy evaluation context of this structure on the point array ``x``;
-        ``base``: a context of a constant ``self.base`` to share, and ``nested``:
-        the layers to difference at step h2 (None: all), as ``run_suite`` passes them."""
-        return QKTContext(self, x, base, nested)
+        ``base``: a context of a constant ``self.base`` to share, as ``run_suite``
+        passes it."""
+        return QKTContext(self, x, base)
 
     # an alias of at() that only perfbench/layertrace.py names; ROADMAP item 1
     # deletes it together with the tracer's wrappers
@@ -775,7 +775,7 @@ def existence_residual(patch: CoordinatePatch,
     patch.require_interior(p, scheme.margin)
     struct = QKTStructure(patch, hyper, scheme, _bundle_torsion)
     points = np.reshape(p, (-1, patch.dim))
-    return worst(*(struct.at(chunk, nested=()).existence for chunk in point_chunks(points)))
+    return worst(*(struct.at(chunk).existence for chunk in point_chunks(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -921,10 +921,6 @@ class Classification:
         )
 
 
-# the step-h2 layer that the classification residuals read, through dT and nabla T
-CLASSIFICATION_NESTED = ("T",)
-
-
 def classification_residuals(ctx: QKTContext) -> dict:
     """The residuals behind the structure flags, per point."""
     theta = ctx.theta
@@ -946,5 +942,5 @@ def classify(struct: QKTStructure, points: Sequence[np.ndarray]) -> Classificati
     one context per chunk of points."""
     residuals = {"hkt": 0.0} if struct.n >= 2 else {}
     for chunk in point_chunks(points):
-        fold(residuals, classification_residuals(struct.at(chunk, nested=CLASSIFICATION_NESTED)))
+        fold(residuals, classification_residuals(struct.at(chunk)))
     return Classification.of(residuals)

@@ -4,11 +4,12 @@ Every identity the library verifies appears exactly once in the
 catalogue with its equation tag, default tolerance, and the evaluator
 group and key that compute it.  ``run_suite`` splits the seeded
 quasi-random interior points into chunks
-(``qkt_connection.point_chunks``), opens one context per chunk that
-differences at step h2 exactly the layers the selected groups and the
-diagnostics name, and runs the selected groups' identity records once per
-chunk; each record returns one residual per point, and only the runner
-reduces them to the max residual per identity (NaN wins).  Whether a row
+(``qkt_connection.point_chunks``), opens one context per chunk, and runs
+the selected groups' identity records and the diagnostics once per chunk
+on it.  On its first step-h2 read the context differences, in one pass,
+the step-h2 layers of the structure, whichever records read them.  Each
+record returns one residual per point, and only the runner reduces them
+to the max residual per identity (NaN wins).  Whether a row
 exists is decided once: by the kind/n rule of its group (``lc``,
 ``conformal``, ``dim4``), and by its record, which omits (or returns None
 for) a key that does not exist for the structure's n.  Quantities that
@@ -39,7 +40,6 @@ from .curvature import (
 )
 from .errors import InputError, NotQKTError
 from .qkt_connection import (
-    CLASSIFICATION_NESTED,
     Classification,
     QKTContext,
     c7_residual,
@@ -251,28 +251,6 @@ _GROUP_EVALUATORS = {
     "dim4": _eval_dim4,
 }
 
-# The layers each group's records difference at step h2 (ctx.derivative);
-# run_suite opens its contexts with the union over the groups it runs and
-# the diagnostics, and a context raises on any other.  The structural group
-# reads T and t through _dim4_structural, in dimension 4 only.
-_GROUP_NESTED = {
-    "structural": (),
-    "lc": ("t", "lchkt_candidates"),
-    "conformal": ("t",),
-    "curvature": ("T", "Gamma", "gamma_g", "omega"),
-    "dim4": ("t", "Gamma", "gamma_g", "gamma_w"),
-}
-_DIM4_STRUCTURAL_NESTED = ("T", "t")
-
-
-def _nested_layers(groups, n: int) -> tuple:
-    """The step-h2 layers that the records of ``groups`` read for quaternionic dimension n."""
-    layers = [layer for name in groups for layer in _GROUP_NESTED[name]]
-    if n == 1 and "structural" in groups:
-        layers += _DIM4_STRUCTURAL_NESTED
-    return tuple(dict.fromkeys(layers))
-
-
 # The kind/n rule of each group that holds for some structures only; within
 # a group the records decide which keys exist for the structure's n.
 _GROUP_APPLIES = {
@@ -288,7 +266,7 @@ _GROUP_APPLIES = {
 
 def _diagnostics(ctx: QKTContext, classified: dict) -> None:
     """Fold the classification residuals of one chunk of sample points into
-    ``classified``; they read the step-h2 layers ``CLASSIFICATION_NESTED``."""
+    ``classified``."""
     fold(classified, classification_residuals(ctx))
 
 
@@ -435,9 +413,8 @@ def _run_suite(spec: ManifoldSpec, suite: str) -> VerificationReport:
     # one context per chunk of sample points, read by every group and the
     # classification; the next chunk's context replaces it before computing
     # any layer
-    nested = (*CLASSIFICATION_NESTED, *_nested_layers(groups, struct.n))
     for chunk in point_chunks(points):
-        ctx = struct.at(chunk, base, nested)
+        ctx = struct.at(chunk, base)
         last = {name: _GROUP_EVALUATORS[name](ctx) for name in groups}
         for name, values in last.items():
             fold(groups[name], values)

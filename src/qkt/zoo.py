@@ -49,6 +49,11 @@ class ManifoldSpec:
             raise DimensionError(f"quaternionic dimension must be >= 1, got {self.n}")
         if self.kind == "conformal_flat" and self.f is None:
             raise InputError("conformal_flat needs a conformal factor expression --f")
+        # an option the kind ignores would still be recorded in the report's spec
+        if self.f is not None and self.kind != "conformal_flat":
+            raise InputError(f"{self.kind} takes no conformal factor --f")
+        if self.t_components is not None and self.kind != "dim4_torsion":
+            raise InputError(f"{self.kind} takes no torsion 1-form components --t")
         if self.kind == "dim4_torsion":
             if self.n != 1:
                 raise DimensionError("dim4_torsion needs n = 1")

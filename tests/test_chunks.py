@@ -7,9 +7,11 @@ lengths only trade memory for speed: these tests pin that the report
 depends on neither, that a non-finite residual at any one point, chunk
 boundaries included, fails its row, and that the conformal laws share the
 base context that the rescaled torsion rule opened.  They pin that a
-context differences exactly the step-h2 layers its readers declare and
-keeps no stencil of them, and two tests bound the traced peak memory of a
-curvature run and of a dimension-4 all-suite run.
+context differences the step-h2 layers of its structure in at most one
+pass, that no stencil context runs one, and that a context keeps no
+stencil of them; two tests bound the traced peak memory of a curvature
+run and of a dimension-4 all-suite run.  Empty point sets are input
+errors.
 """
 
 import collections
@@ -30,14 +32,14 @@ import qkt.qkt_connection as qkt_connection
 import qkt.suite as suite_module
 import reference
 from qkt.conformal import ConformalFactor, conformal_rescale
-from qkt.errors import NotQKTError
+from qkt.errors import InputError, NotQKTError
 from qkt.qkt_connection import (
-    CLASSIFICATION_NESTED,
+    NESTED_LAYERS,
     QKTContext,
     build_qkt_dim4,
     chunk_length,
-    classification_residuals,
     classify,
+    existence_residual,
     point_chunks,
     slice_length,
 )
@@ -201,10 +203,10 @@ def test_conformal_laws_share_the_rescaled_base_context(monkeypatch):
     opened = []
     init = QKTContext.__init__
 
-    def recording(ctx, struct, x, base=None, nested=None):
+    def recording(ctx, struct, x, base=None):
         if built:
             opened.append((struct, np.shape(x), base, ctx))
-        init(ctx, struct, x, base, nested)
+        init(ctx, struct, x, base)
 
     monkeypatch.setattr(QKTContext, "__init__", recording)
     spec = ManifoldSpec(kind="hopf_local", n=1, point_count=20, seed=5)
@@ -300,104 +302,116 @@ def test_no_context_keeps_a_step_h2_stencil(monkeypatch, name):
         assert held <= {"base", "_stencil_h"}, held
 
 
-def _assert_each_reader_requests_what_it_declares(monkeypatch, struct, points, readers):
-    # each reader, run alone on one context opened with its declared layers,
-    # requests every step-h2 layer the context differences and no other; a
-    # base context's pass runs on its first step-h2 read, and then it
-    # differences exactly the layers read of it
-    requested = []
-    derivative = QKTContext.derivative
-    monkeypatch.setattr(QKTContext, "derivative",
-                        lambda ctx, layer: requested.append((ctx, layer)) or derivative(ctx, layer))
+def _record_passes(monkeypatch, h2: float):
+    """Record every stencil context, the points that each context's step-h2
+    pass covers, and each context's step-h2 requests, from now on."""
+    stencils, covered, requested = [], collections.Counter(), collections.defaultdict(set)
+    on_stencil, derivative = QKTContext._on_stencil, QKTContext.derivative
 
-    def read(owner):
-        return {layer for who, layer in requested if who is owner} & set(
-            owner.struct.nested_layers())
+    def recording(ctx, points, h):
+        sub = on_stencil(ctx, points, h)
+        stencils.append(sub)
+        if h == h2:
+            covered[ctx] += len(points)
+        return sub
 
-    for name, (reader, declared) in readers.items():
-        ctx = struct.at(points, nested=declared)
-        requested.clear()
-        with np.errstate(all="ignore"):
-            reader(ctx)
-        assert read(ctx) == set(ctx.nested), name
-        base = vars(ctx).get("base")
-        if base is not None:
-            ran = "_nested_gradients" in vars(base)
-            assert read(base) == (set(base.nested) if ran else set()), name
+    def requesting(ctx, layer):
+        if layer in ctx.struct.nested_layers:
+            requested[ctx].add(layer)
+        return derivative(ctx, layer)
+
+    monkeypatch.setattr(QKTContext, "_on_stencil", recording)
+    monkeypatch.setattr(QKTContext, "derivative", requesting)
+    return stencils, covered, requested
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_each_group_declares_the_nested_layers_its_records_read(monkeypatch, name):
-    # each group's records and the diagnostics
-    spec = ManifoldSpec(seed=3, **SPECS[name])
-    struct = build_manifold(spec)
-    readers = {group: (suite_module._GROUP_EVALUATORS[group],
-                       suite_module._nested_layers([group], struct.n))
-               for group in suite_module._GROUP_EVALUATORS
-               if suite_module._GROUP_APPLIES.get(group, lambda *_: True)(spec, struct)}
-    readers["diagnostics"] = (classification_residuals, CLASSIFICATION_NESTED)
-    _assert_each_reader_requests_what_it_declares(
-        monkeypatch, struct, np.array(sample_points(spec)), readers)
-
-
-def test_a_varying_base_differences_what_the_conformal_laws_read(monkeypatch):
-    # the zoo's conformal kinds rescale the constant flat base; over a base
-    # that is not constant, the base context differences at h2 only what its
-    # readers take of it (the conformal laws' dt), alone and in the union of
-    # every group that the all suite opens
-    patch = CoordinatePatch(n=2, lo=-0.6 * np.ones(8), hi=0.6 * np.ones(8),
-                            metric=ConformalMetric(ConformalFactor(lambda p: np.exp(p[..., 0])),
-                                                   reference.varying_base))
-    struct = conformal_rescale(reference.unchecked(patch, build_standard_hypercomplex(2)),
-                               ConformalFactor(lambda p: np.exp(0.5 * p[..., 2])))
-    groups = [group for group in suite_module._GROUP_EVALUATORS if group != "dim4"]
-    readers = {group: (suite_module._GROUP_EVALUATORS[group],
-                       suite_module._nested_layers([group], struct.n)) for group in groups}
-    readers["all"] = (lambda ctx: [suite_module._GROUP_EVALUATORS[group](ctx) for group in groups],
-                      suite_module._nested_layers(groups, struct.n))
-    points = np.array([[0.05, -0.1, 0.2, 0.0, 0.11, -0.02, 0.3, -0.2],
-                       [-0.2, 0.15, -0.1, 0.25, 0.0, 0.1, -0.3, 0.05]])
-    _assert_each_reader_requests_what_it_declares(monkeypatch, struct, points, readers)
-    assert set(struct.at(points, nested=readers["all"][1]).base.nested) == {"t"}
+def _assert_one_pass_each(stencils, covered, requested):
+    # no stencil context, at step h or h2, holds step-h2 gradients or opens a
+    # step-h2 slice; a context runs a pass if and only if it makes a step-h2
+    # request, and then one, which covers each of its points once and
+    # differences every step-h2 layer of its structure
+    assert not any("_nested_gradients" in vars(sub) for sub in stencils)
+    assert not any(ctx is sub for ctx in covered for sub in stencils)
+    assert set(requested) == set(covered)
+    for ctx, count in covered.items():
+        assert count == ctx.x.size // ctx.x.shape[-1]
+        assert len(ctx._nested_gradients) == len(ctx.struct.nested_layers)
+        assert requested[ctx] <= set(ctx.struct.nested_layers)
 
 
 @pytest.mark.parametrize("suite", SUITES)
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_each_suite_differences_the_nested_layers_it_reads(monkeypatch, name, suite):
-    # the same, recorded while each suite runs alone: every sample context of
-    # the run requests each step-h2 layer it differences
+    # whatever a suite reads at step h2 comes from one pass per sample
+    # context over the structure's step-h2 layers; a stencil context never
+    # runs one, so no stencil of a stencil is built
     spec = ManifoldSpec(seed=3, **SPECS[name])
-    samples, requested = [], collections.defaultdict(set)
-    at, derivative = qkt_connection.QKTStructure.at, QKTContext.derivative
-
-    def opening(struct, x, base=None, nested=None):
-        ctx = at(struct, x, base, nested)
-        if nested is not None and ctx.x.ndim == 2:
-            samples.append(ctx)
-        return ctx
-
-    monkeypatch.setattr(qkt_connection.QKTStructure, "at", opening)
-    monkeypatch.setattr(QKTContext, "derivative",
-                        lambda ctx, layer: requested[id(ctx)].add(layer) or derivative(ctx, layer))
+    recorded = _record_passes(monkeypatch, spec.h2)
     run_suite(spec, suite)
-    assert samples
-    for ctx in samples:
-        assert requested[id(ctx)] & set(ctx.struct.nested_layers()) == set(ctx.nested)
+    _assert_one_pass_each(*recorded)
+    # the classification diagnostics read dT on every suite, at step h2
+    # unless the structure is constant or its torsion is differenced at h;
+    # then only the records that read t (none in the conformal suite) do
+    if name in ("flat-1", "flat-2"):
+        assert not recorded[1]
+    else:
+        assert bool(recorded[1]) == (name != "dim4" or suite != "conformal")
 
 
-def test_an_undeclared_nested_layer_raises(monkeypatch):
-    # a request outside a context's step-h2 layers is an error, never a
-    # stencil of its own
-    monkeypatch.setitem(suite_module._GROUP_NESTED, "curvature", ("T", "Gamma", "gamma_g"))
+def test_a_varying_base_differences_what_the_conformal_laws_read(monkeypatch):
+    # the zoo's conformal kinds rescale the constant flat base; a base that is
+    # not constant is opened at the sample points, and the conformal laws'
+    # read of its dt runs its one step-h2 pass, over every step-h2 layer of
+    # the base, t included
+    patch = CoordinatePatch(n=2, lo=-0.6 * np.ones(8), hi=0.6 * np.ones(8),
+                            metric=ConformalMetric(ConformalFactor(lambda p: np.exp(p[..., 0])),
+                                                   reference.varying_base))
+    struct = conformal_rescale(reference.unchecked(patch, build_standard_hypercomplex(2)),
+                               ConformalFactor(lambda p: np.exp(0.5 * p[..., 2])))
+    points = np.array([[0.05, -0.1, 0.2, 0.0, 0.11, -0.02, 0.3, -0.2],
+                       [-0.2, 0.15, -0.1, 0.25, 0.0, 0.1, -0.3, 0.05]])
+    stencils, covered, requested = _record_passes(monkeypatch, struct.scheme.h2)
+    ctx = struct.at(points)
+    with np.errstate(all="ignore"):
+        for group in ("structural", "lc", "conformal", "curvature"):
+            suite_module._GROUP_EVALUATORS[group](ctx)
+    _assert_one_pass_each(stencils, covered, requested)
+    base = vars(ctx)["base"]
+    assert requested[base] == {"t"} and base in covered
+    assert struct.base.nested_layers == ("T", "t", "Gamma", "gamma_g", "omega", "lchkt_candidates")
+
+
+def test_an_undeclared_nested_layer_raises():
+    # a request for a layer that the structure does not difference at step h2
+    # is an error, never a stencil of its own
     spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=2)
-    with pytest.raises(LookupError, match="'omega'"):
-        run_suite(spec, "curvature")
     struct = build_manifold(spec)
     x = np.array(sample_points(spec))
-    with pytest.raises(LookupError, match="'T'"):
-        struct.at(x, nested=()).derivative("T")
-    with pytest.raises(ValueError, match="theta"):
-        struct.at(x, nested=("theta",))
-    # the pointwise layers are differenced at step h whatever the context names
-    assert struct.at(x, nested=()).derivative("f").shape == (2, 8)
-    assert struct.at(x).nested == ("T", "t", "Gamma", "gamma_g", "omega", "lchkt_candidates")
+    assert struct.nested_layers == ("T", "t", "Gamma", "gamma_g", "omega", "lchkt_candidates")
+    assert set(struct.nested_layers) < set(NESTED_LAYERS)
+    with pytest.raises(LookupError, match="'theta'"):
+        struct.at(x).derivative("theta")
+    with pytest.raises(LookupError, match="'gamma_w'"):
+        struct.at(x).derivative("gamma_w")
+    # the pointwise layers are differenced at step h, without a pass
+    ctx = struct.at(x)
+    assert ctx.derivative("f").shape == (2, 8)
+    assert "_nested_gradients" not in vars(ctx)
+    assert build_manifold(ManifoldSpec(kind="flat", n=2)).nested_layers == ()
+
+
+# ---------------------------------------------------------------------------
+# empty point sets
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("points", [np.empty((0, 4)), []], ids=["empty-array", "empty-list"])
+def test_classify_rejects_an_empty_point_set(points):
+    struct = build_manifold(ManifoldSpec(kind="hopf_local", n=1, point_count=2))
+    with pytest.raises(InputError, match="no sample points"):
+        classify(struct, points)
+
+
+def test_existence_residual_rejects_an_empty_point_set():
+    struct = build_manifold(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1))
+    with pytest.raises(InputError, match="no sample points"):
+        existence_residual(struct.patch, struct.hyper, np.empty((0, 8)), struct.scheme)

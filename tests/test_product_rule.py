@@ -111,5 +111,5 @@ def test_step_h_stencils_of_the_conformal_kinds_evaluate_f_alone(monkeypatch, na
     nested = [sub for ctx, h, sub in made if h == spec.h and any(ctx is s for s in at_h2)]
     assert at_h2 and nested
     for sub in at_h:
-        assert set(vars(sub)) - {"struct", "x", "base", "nested"} == {"f"}
-    assert all(sub.nested == () for _, _, sub in made)
+        assert set(vars(sub)) - {"struct", "x", "base"} == {"f"}
+    assert all("_nested_gradients" not in vars(sub) for _, _, sub in made)

@@ -364,6 +364,36 @@ def test_cli_rejects_bad_expression(capsys):
     assert code == 2
 
 
+CLI_KIND_ARGS = {
+    "flat": ["--n", "2"],
+    "conformal_flat": ["--n", "2", "--f", "exp(x1)"],
+    "dim4_torsion": ["--n", "1", "--t", "sin(x2),0,0.3*x1,0"],
+    "hopf_local": ["--n", "1"],
+}
+
+
+@pytest.mark.parametrize("kind", ["flat", "dim4_torsion", "hopf_local"])
+def test_cli_rejects_a_conformal_factor_the_kind_ignores(kind, tmp_path, capsys):
+    # hopf_local runs on its own factor: the --f would be recorded in the
+    # report's spec and never read
+    report = tmp_path / "report.json"
+    code = cli.main(["verify", "--manifold", kind, *CLI_KIND_ARGS[kind], "--f", "exp(x1)",
+                     "--points", "1", "--report", str(report)])
+    assert code == 2
+    assert "--f" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("kind", ["flat", "conformal_flat", "hopf_local"])
+def test_cli_rejects_torsion_components_the_kind_ignores(kind, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code = cli.main(["verify", "--manifold", kind, *CLI_KIND_ARGS[kind], "--t", "0,0,0,0",
+                     "--points", "1", "--report", str(report)])
+    assert code == 2
+    assert "--t" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_cli_rejects_overflowing_factor(capsys):
     code = cli.main([
         "verify", "--manifold", "conformal_flat", "--n", "1",
