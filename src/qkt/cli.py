@@ -89,9 +89,13 @@ def main(argv=None) -> int:
     print(f"{len(report.results) - len(failed)}/{len(report.results)} identities pass")
 
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
+        try:
+            with open(args.report, "w", encoding="utf-8") as handle:
+                handle.write(report.to_json())
+                handle.write("\n")
+        except OSError as err:
+            print(f"error: cannot write the report: {err}", file=sys.stderr)
+            return 2
         print(f"report written to {args.report}")
 
     return 0 if (report.all_pass and not build_error and report.results) else 1

@@ -112,11 +112,13 @@ def slice_length(dim: int, points: int) -> int:
 
 def point_chunks(points) -> Iterator[np.ndarray]:
     """The rows of the (P, d) point array ``points`` in consecutive (c, d) chunks
-    of at most :func:`chunk_length` points; no points is an :class:`InputError`,
-    not a residual of 0.0."""
+    of at most :func:`chunk_length` points, one (d,) point as one row; no points
+    is an :class:`InputError`, not a residual of 0.0."""
     points = np.asarray(points, dtype=float)
     if points.size == 0:
         raise InputError(f"no sample points (shape {points.shape})")
+    if points.ndim < 2:
+        points = points.reshape(1, -1)
     step = chunk_length(points.shape[-1])
     for start in range(0, len(points), step):
         yield points[start:start + step]
@@ -738,7 +740,12 @@ class QKTStructure:
     def at(self, x: np.ndarray, base: QKTContext | None = None) -> QKTContext:
         """The lazy evaluation context of this structure on the point array ``x``;
         ``base``: a context of a constant ``self.base`` to share, as ``run_suite``
-        passes it."""
+        passes it.  Points whose last axis is not the patch dimension are a
+        :class:`DimensionError`."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.patch.dim,):
+            raise DimensionError(f"points of shape {x.shape} on a "
+                                 f"{self.patch.dim}-dimensional patch")
         return QKTContext(self, x, base)
 
     # an alias of at() that only perfbench/layertrace.py names; ROADMAP item 1
@@ -782,12 +789,24 @@ def existence_residual(patch: CoordinatePatch,
 # builders
 # ---------------------------------------------------------------------------
 
-def _check_algebra(ctx: QKTContext) -> float:
-    """Validate the metric at the context's points; the worst quaternionic
-    residual there."""
+def _check(ctx: QKTContext) -> QKTStructure:
+    """The structure of the check context ``ctx`` if it passes at the context's
+    points: a valid metric, the quaternionic identities within ALGEBRA_TOL and,
+    for n >= 2, the existence defect within EXISTENCE_TOL.  Otherwise the
+    :class:`NotQKTError`, with the residual of each check in ``details``."""
     validate_metric(ctx.g, ctx.x)
-    residuals = quaternionic_residuals(ctx.g, ctx.J)
-    return worst(residuals["algebra"], residuals["square"], residuals["hermitian"])
+    quat = quaternionic_residuals(ctx.g, ctx.J)
+    alg = worst(quat["algebra"], quat["square"], quat["hermitian"])
+    details, message = {}, "hypercomplex triple incompatible with the metric: "
+    if ctx.struct.n >= 2:
+        details["eq4"] = exist = worst(ctx.existence)
+        message = (f"no compatible torsion connection: existence residual {exist:.3e} "
+                   f"(tolerance {EXISTENCE_TOL:.1e}), ")
+    details["algebra"] = alg
+    if alg <= ALGEBRA_TOL and details.get("eq4", 0.0) <= EXISTENCE_TOL:
+        return ctx.struct
+    raise NotQKTError(f"{message}quaternionic algebra residual {alg:.3e}",
+                      residual=worst(*details.values()), details=details)
 
 
 def build_qkt(patch: CoordinatePatch,
@@ -801,21 +820,10 @@ def build_qkt(patch: CoordinatePatch,
         check_points = [patch.center()]
     for p in check_points:
         patch.require_interior(p, scheme.margin)
-
-    struct = QKTStructure(patch, hyper, scheme, _bundle_torsion)
-    # all check points in one context
-    ctx = struct.at(np.array(check_points, dtype=float))
-    worst_alg = _check_algebra(ctx)
-    worst_exist = worst(ctx.existence)
-    if not (worst_alg <= ALGEBRA_TOL and worst_exist <= EXISTENCE_TOL):
-        raise NotQKTError(
-            f"no compatible torsion connection: existence residual "
-            f"{worst_exist:.3e} (tolerance {EXISTENCE_TOL:.1e}), quaternionic "
-            f"algebra residual {worst_alg:.3e}",
-            residual=worst(worst_exist, worst_alg),
-            details={"eq4": worst_exist, "algebra": worst_alg},
-        )
-    return struct
+    points = np.array(check_points, dtype=float)
+    if points.size == 0:
+        raise InputError(f"no check points (shape {points.shape})")
+    return _check(QKTStructure(patch, hyper, scheme, _bundle_torsion).at(points))
 
 
 def build_qkt_dim4(patch: CoordinatePatch,
@@ -826,15 +834,7 @@ def build_qkt_dim4(patch: CoordinatePatch,
     if patch.n != 1:
         raise DimensionError("build_qkt_dim4 needs n = 1")
     struct = QKTStructure(patch, hyper, scheme, _dual_torsion, t_form=t_form)
-    worst_alg = _check_algebra(struct.at(patch.center()))
-    if not worst_alg <= ALGEBRA_TOL:
-        raise NotQKTError(
-            f"hypercomplex triple incompatible with the metric: "
-            f"quaternionic algebra residual {worst_alg:.3e}",
-            residual=worst_alg,
-            details={"algebra": worst_alg},
-        )
-    return struct
+    return _check(struct.at(patch.center()))
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,9 @@ class CoordinatePatch:
         return bool(np.all(p > self.lo + margin) and np.all(p < self.hi - margin))
 
     def require_interior(self, p: np.ndarray, margin: float) -> None:
+        if np.shape(p)[-1:] != (self.dim,):
+            raise DimensionError(f"points of shape {np.shape(p)} on a "
+                                 f"{self.dim}-dimensional patch")
         if not self.contains(p, margin):
             raise BoundaryError(
                 f"point {np.asarray(p)} is within {margin} of the domain boundary"

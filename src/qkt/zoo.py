@@ -194,7 +194,7 @@ def build_manifold(spec: ManifoldSpec,
     lo, hi = spec.box()
     scheme = spec.scheme()
     if check_points is None:
-        check_points = sample_points(spec)[: min(3, spec.point_count)]
+        check_points = sample_points(spec)[:3]
 
     if spec.kind == "flat":
         return build_flat(spec, check_points)
@@ -211,14 +211,17 @@ def build_manifold(spec: ManifoldSpec,
         flat = _flat_patch(spec.n, lo, hi)
         patch = replace(flat, metric=ConformalMetric(factor, flat.metric))
         struct = build_qkt(patch, _hypercomplex(spec), scheme, check_points=check_points)
-        return replace(struct, base=conformal_ingredients(spec))
+        # the checked structure on g_0: the check on f g_0 covers the zoo's
+        # orthogonal triples, and a constant structure's existence defect is 0
+        return replace(struct, base=replace(struct, patch=flat))
 
     return conformal_rescale(conformal_ingredients(spec), factor)
 
 
 def conformal_ingredients(spec: ManifoldSpec) -> QKTStructure | None:
-    """The flat base structure of a conformal kind, the ``base`` of the
-    structure that :func:`build_manifold` returns; None for the other kinds."""
+    """The flat base structure of a conformal kind, built and checked on its own;
+    for n >= 2 equal to the ``base`` of :func:`build_manifold`'s structure, the
+    checked structure on the flat patch.  None for the other kinds."""
     if spec.kind not in ("conformal_flat", "hopf_local"):
         return None
     return build_flat(spec)

@@ -32,7 +32,7 @@ import qkt.qkt_connection as qkt_connection
 import qkt.suite as suite_module
 import reference
 from qkt.conformal import ConformalFactor, conformal_rescale
-from qkt.errors import InputError, NotQKTError
+from qkt.errors import DimensionError, InputError, NotQKTError
 from qkt.qkt_connection import (
     NESTED_LAYERS,
     QKTContext,
@@ -401,7 +401,7 @@ def test_an_undeclared_nested_layer_raises():
 
 
 # ---------------------------------------------------------------------------
-# empty point sets
+# empty point sets and points of the wrong shape
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("points", [np.empty((0, 4)), []], ids=["empty-array", "empty-list"])
@@ -415,3 +415,31 @@ def test_existence_residual_rejects_an_empty_point_set():
     struct = build_manifold(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1))
     with pytest.raises(InputError, match="no sample points"):
         existence_residual(struct.patch, struct.hyper, np.empty((0, 8)), struct.scheme)
+
+
+def test_build_manifold_rejects_an_empty_check_point_set():
+    spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1)
+    with pytest.raises(InputError, match="no check points"):
+        build_manifold(spec, check_points=[])
+
+
+def test_classify_takes_one_point_as_one_row():
+    struct = build_manifold(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1))
+    p = np.full(8, 0.1)
+    assert [chunk.shape for chunk in point_chunks(p)] == [(1, 8)]
+    assert classify(struct, p) == classify(struct, [p])
+    with pytest.raises(DimensionError, match=r"shape \(1, 4\)"):
+        classify(struct, np.full(4, 0.1))
+
+
+def test_a_context_rejects_points_of_another_dimension():
+    struct = build_manifold(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1))
+    for x in (np.full((2, 3), 0.1), np.full(4, 0.1), np.float64(0.1)):
+        with pytest.raises(DimensionError, match="8-dimensional patch"):
+            struct.at(x)
+
+
+def test_existence_residual_rejects_points_of_another_dimension():
+    struct = build_manifold(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1))
+    with pytest.raises(DimensionError, match=r"shape \(2, 3\)"):
+        existence_residual(struct.patch, struct.hyper, np.full((2, 3), 0.1), struct.scheme)

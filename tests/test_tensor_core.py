@@ -140,6 +140,9 @@ def test_boundary_guard():
     patch = flat_patch()
     with pytest.raises(BoundaryError):
         patch.require_interior(np.array([0.9999, 0, 0, 0]), margin=1e-2)
+    # a point of another dimension is not a boundary question
+    with pytest.raises(DimensionError, match="4-dimensional patch"):
+        patch.require_interior(np.full((2, 3), 0.1), margin=1e-2)
 
 
 # ---------------------------------------------------------------------------

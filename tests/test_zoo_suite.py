@@ -6,14 +6,22 @@ import pytest
 
 import reference
 import qkt.cli as cli
+import qkt.qkt_connection as qkt_connection
 import qkt.suite as suite_module
 import qkt.tensor_core as tensor_core
-from qkt.errors import DimensionError, InputError
+from qkt.errors import DimensionError, InputError, NotQKTError
 from qkt.expressions import Expression
-from qkt.qkt_connection import QKTContext
+from qkt.qkt_connection import EXISTENCE_TOL, QKTContext
+from qkt.quaternionic import quaternionic_residuals
 from qkt.suite import CATALOGUE, IdentityResult, VerificationReport, run_suite
-from qkt.tensor_core import worst
-from qkt.zoo import ManifoldSpec, build_manifold, halton_points, sample_points
+from qkt.tensor_core import ConstantMetric, worst
+from qkt.zoo import (
+    ManifoldSpec,
+    build_manifold,
+    conformal_ingredients,
+    halton_points,
+    sample_points,
+)
 
 FAST = dict(point_count=4, seed=42)
 
@@ -120,6 +128,72 @@ def test_build_hopf_local():
     struct = build_manifold(ManifoldSpec(kind="hopf_local", n=1, **FAST))
     assert struct.patch.contains(np.ones(4))
     assert struct.patch.metric_at(np.ones(4))[0, 0] == pytest.approx(0.25)
+
+
+# ---------------------------------------------------------------------------
+# the n >= 2 conformal base: the checked structure on the flat patch
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, f", [(2, "exp(x1)"), (3, "exp(0.5*x2)")])
+def test_conformal_base_is_the_flat_structure(n, f):
+    spec = ManifoldSpec(kind="conformal_flat", n=n, f=f, point_count=2)
+    base, flat = build_manifold(spec).base, conformal_ingredients(spec)
+    assert np.array_equal(base.patch.lo, flat.patch.lo)
+    assert np.array_equal(base.patch.hi, flat.patch.hi)
+    assert isinstance(base.patch.metric, ConstantMetric)
+    assert np.array_equal(base.patch.metric.g, flat.patch.metric.g)
+    assert np.array_equal(base.hyper.stack, flat.hyper.stack)
+    assert base.scheme == flat.scheme
+    assert base.torsion_rule is flat.torsion_rule
+    assert base.t_form is None and flat.t_form is None
+    assert base.base is None and base.constant
+
+
+@pytest.mark.parametrize("tilt", [0.0, 5.0], ids=["standard", "tilted"])
+def test_conformal_base_fails_only_where_the_conformal_check_fails(monkeypatch, tilt):
+    # the base's own check residuals at the check points: the metric-free
+    # algebra and square are the conformal structure's, hermitian stays at
+    # rounding, and the constant structure's existence defect is exactly 0;
+    # the structures are built without the check, which a tilt fails
+    spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=3,
+                        j2_tilt_degrees=tilt)
+    if tilt:
+        with pytest.raises(NotQKTError):
+            build_manifold(spec)
+    monkeypatch.setattr(qkt_connection, "_check", lambda ctx: ctx.struct)
+    struct = build_manifold(spec)
+    points = np.array(sample_points(spec))
+    barred, base = struct.at(points), struct.base.at(points)
+    quat, own = (quaternionic_residuals(ctx.g, ctx.J) for ctx in (barred, base))
+    for key in ("algebra", "square"):
+        assert np.array_equal(own[key], quat[key])
+    assert np.max(own["hermitian"]) <= 1e-15
+    assert np.max(base.existence) == 0.0
+    assert (worst(barred.existence) > EXISTENCE_TOL) == bool(tilt)
+
+
+@pytest.mark.parametrize("spec, suite, contexts", [
+    (ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=2, seed=5), "curvature", 9),
+    (ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=4, seed=5), "all", 15),
+    (ManifoldSpec(kind="hopf_local", n=1, point_count=20, seed=5), "all", 10),
+], ids=["conf8_curv", "conf8_all", "hopf4_all"])
+def test_a_run_checks_its_structure_once(monkeypatch, spec, suite, contexts):
+    # one check context of the build; at n >= 2 the flat base gets no build
+    # or check of its own, so the only context on the flat metric is the
+    # base context that every chunk shares
+    opened = []
+    init = QKTContext.__init__
+
+    def recording(ctx, struct, x, base=None):
+        opened.append((struct, np.shape(x)))
+        init(ctx, struct, x, base)
+
+    monkeypatch.setattr(QKTContext, "__init__", recording)
+    assert run_suite(spec, suite).all_pass
+    assert len(opened) == contexts
+    if spec.n >= 2:
+        flat = [shape for struct, shape in opened if isinstance(struct.patch.metric, ConstantMetric)]
+        assert flat == [(8,)]
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +418,16 @@ def test_cli_pass_and_report(tmp_path, capsys):
     assert "PASS" in captured
     payload = json.loads(out.read_text())
     assert payload["meta"]["seed"] == 7
+
+
+def test_cli_report_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code = cli.main(["verify", "--manifold", "flat", "--n", "1", "--points", "1",
+                     "--suite", "connection", "--report", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_cli_negative_control_exit_code(capsys):
