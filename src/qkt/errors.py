@@ -31,13 +31,14 @@ class NotQKTError(GeometryError):
     Carries the offending residual so callers (and reports) can show how
     badly the candidate structure misses the existence condition, and the
     residual of each failed check by name in ``details`` ("algebra", and
-    "eq4" for the n >= 2 build).
+    "eq4" for the n >= 2 build), over the ``points`` points checked.
     """
 
-    def __init__(self, message: str, residual: float, details: dict):
+    def __init__(self, message: str, residual: float, details: dict, points: int):
         super().__init__(message)
         self.residual = float(residual)
         self.details = details
+        self.points = points
 
 
 class ExpressionError(ValueError):

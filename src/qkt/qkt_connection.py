@@ -88,10 +88,10 @@ CURVATURE_TOL = 1e-4
 #     kept step-h2 gradients (of T, Gamma, Gamma^g and, in dimension 4,
 #     Gamma^W); 13-15 d^4 at d = 8 and 20 d^4 at d = 4, where the rank-3 layers
 #     weigh more.  So a context takes 40 points at d = 4 and 2 at d = 8;
-#   * a stencil slice of its step-h2 pass holds about 64 d^4 elements per
-#     point: a stencil context on 2d points, each keeping 12-19 d^3 elements
-#     (d_aF_a^+, nabla J_a, (J_a df) ^ F_a, Gamma, ...) and building transients
-#     (dF and its projections) on top, 25 d^3 in all at d = 4.
+#   * a stencil slice of its step-h2 pass holds at most 64 d^4 elements per
+#     point: a stencil context on 2d points, each keeping 9-16 d^3 elements
+#     (d_aF_a^+, (J_a df) ^ F_a, Gamma, ...; and nabla J_a for a varying triple)
+#     and building transients (dF and its projections), 22-25 d^3 at d = 4.
 # The pass runs before the context's rank-4 layers exist, beside its
 # first-order layers and the gradients it keeps, about 8 d^4 per point, so
 # its slices take what those leave: 7 points beside a 20-point context at
@@ -117,8 +117,7 @@ def point_chunks(points) -> Iterator[np.ndarray]:
     points = np.asarray(points, dtype=float)
     if points.size == 0:
         raise InputError(f"no sample points (shape {points.shape})")
-    if points.ndim < 2:
-        points = points.reshape(1, -1)
+    points = np.atleast_2d(points)
     step = chunk_length(points.shape[-1])
     for start in range(0, len(points), step):
         yield points[start:start + step]
@@ -152,7 +151,7 @@ def _layer(compute):
 
 # The layers a context may difference at step h2, on stencils of its points
 # (Gamma^W is read in dimension 4 only); :attr:`QKTStructure.nested_layers`
-# drops those that a structure differences at h or that are constant on it.
+# drops those that a structure differences at h, constant ones and a constant triple's omega.
 NESTED_LAYERS = ("T", "t", "Gamma", "gamma_g", "omega", "lchkt_candidates", "gamma_w")
 
 
@@ -165,23 +164,17 @@ class QKTContext:
     ``qkt.curvature`` or ``qkt.suite``) is a layer here, never a second
     formula in a record.  The metric is g = f g_0: for a
     :class:`ConformalMetric` the factor f is evaluated once per point array,
-    and for any other metric f = 1 and g_0 = g.  Of g, J and the F_a only
-    f, g_0 and J are differenced, at step h; dg and the dF_a follow from
-    them by the product rule, and a layer that is the same at every point
-    differentiates to zeros without a stencil (:meth:`derivative`).  The
-    first-order data of the torsion formula are separate layers: theta,
-    theta_cross and dcF_plus (one layer, from one dF that it drops), K,
-    and the one eq4/eq5 defect ``existence``, so a stencil context that
-    reads T never computes the defect.
+    and for any other metric f = 1 and g_0 = g.  Every derivative is a
+    :meth:`derivative`.  The first-order data of the torsion formula are
+    separate layers: theta, theta_cross and dcF_plus (one layer, from one dF
+    that it drops), K, and the one eq4/eq5 defect ``existence``, so a
+    stencil context that reads T never computes the defect.
 
-    The step-h2 layers are those of the structure
-    (:attr:`QKTStructure.nested_layers`), the same whatever reads them.  Their
-    gradients come from one pass over the points in stencil slices of
-    :func:`slice_length` points, run on the context's first step-h2 read:
-    each slice's stencil context is built, read for exactly those layers and
-    dropped before the next, so a context keeps the gradients and no step-h2
-    stencil.  No stencil context makes a step-h2 read, so none runs a pass.
-    The step-h stencil context of the pointwise layers is kept.  Every layer
+    The step-h2 layers (:attr:`QKTStructure.nested_layers`) come from one
+    pass over the points in stencil slices (:attr:`_nested_gradients`), so a
+    context keeps their gradients and no step-h2 stencil; no stencil context
+    makes a step-h2 read, so none runs a pass.  The step-h stencil context
+    of the pointwise layers is kept.  Every layer
     takes leading point axes, and so does every identity record: the suite
     opens one context per chunk of sample points, all of them reading one
     :attr:`base` context of a constant base, and a record returns one
@@ -233,12 +226,14 @@ class QKTContext:
         ``J`` (and ``T`` when it is the dual of a ``t_form`` evaluated without
         finite differences: :attr:`QKTStructure.nested_torsion`) take one
         :func:`gradient` call at step h, on the kept step-h stencil context.
-        Every other layer of :data:`NESTED_LAYERS` is differenced at step h2
-        in the context's one pass, together with the structure's other step-h2
-        layers (:attr:`QKTStructure.nested_layers`); any other layer, or one
-        that the structure does not difference at h2, is a ``LookupError``,
-        never a stencil of its own.  dg and dF follow from the pointwise layers
-        by the product rule, so a nested stencil evaluates nothing else.
+        For a constant triple, d omega is the sp(1) solve of [d Gamma, J_a],
+        since it is linear in Gamma there.  Every other layer of
+        :data:`NESTED_LAYERS` is differenced at step h2 in the context's one
+        pass, together with the structure's other step-h2 layers
+        (:attr:`QKTStructure.nested_layers`); any other layer, or one that the
+        structure does not difference at h2, is a ``LookupError``, never a
+        stencil of its own.  dg and dF follow from the pointwise layers by the
+        product rule, so a nested stencil evaluates nothing else.
         """
         if self.struct.constant_layer(layer):
             shape, points = np.shape(getattr(self, layer)), self.x.ndim - 1
@@ -246,6 +241,11 @@ class QKTContext:
         if layer in ("f", "g0", "J") or (layer == "T" and not self.struct.nested_torsion):
             sub = self._stencil_h
             return gradient(lambda _: getattr(sub, layer), self.x, self.struct.scheme)
+        if layer == "omega" and self.struct.constant_layer("J"):
+            grad = self.derivative("Gamma")   # the derivative axis as one more point axis
+            J = np.broadcast_to(self.J[..., None, :, :, :], grad.shape[:-3] + self.J.shape[-3:])
+            zero = np.broadcast_to(0.0, J.shape[:-3] + J.shape[-1:] + J.shape[-3:])
+            return _extract_sp1(J, covariant_derivative_array(grad, "ud", J, zero))[0]
         layers = self.struct.nested_layers
         if layer not in layers:
             raise LookupError(f"layer {layer!r} is not among the step-h2 layers {layers} "
@@ -255,9 +255,10 @@ class QKTContext:
     @_layer
     def _nested_gradients(self):
         """The step-h2 gradients of :attr:`QKTStructure.nested_layers`, in that
-        order, from one pass over the points in stencil slices: one
-        :func:`gradient` call per slice, whose field reads every step-h2 layer
-        off the slice's stencil context."""
+        order, from one pass over the points in stencil slices of
+        :func:`slice_length` points: one :func:`gradient` call per slice, whose
+        field reads every step-h2 layer off the slice's stencil context, which
+        is dropped before the next slice."""
         layers, scheme, d = self.struct.nested_layers, self.struct.scheme, self.x.shape[-1]
         points = self.x.reshape(-1, d)
         step = slice_length(d, len(points))
@@ -728,14 +729,16 @@ class QKTStructure:
         """The layers that every context of this structure differences at step
         h2, in one pass, whatever reads them: :data:`NESTED_LAYERS` without
         Gamma^W when n >= 2, without the torsion when it is differenced at h
-        (:attr:`nested_torsion`), and without the layers that are the same at
-        every point (all of them on a constant structure)."""
+        (:attr:`nested_torsion`), without omega for a constant triple (see
+        :meth:`QKTContext.derivative`), and without the layers that are the
+        same at every point (all of them on a constant structure)."""
         if self.constant:
             return ()
         # a list, not a generator: every step-h2 request reads this
         return tuple([layer for layer in NESTED_LAYERS
                       if (layer != "T" or self.nested_torsion)
-                      and (layer != "gamma_w" or self.n == 1)])
+                      and (layer != "gamma_w" or self.n == 1)
+                      and (layer != "omega" or not self.constant_layer("J"))])
 
     def at(self, x: np.ndarray, base: QKTContext | None = None) -> QKTContext:
         """The lazy evaluation context of this structure on the point array ``x``;
@@ -777,36 +780,56 @@ def existence_residual(patch: CoordinatePatch,
                        p: np.ndarray,
                        scheme: FDScheme) -> float:
     """Worst defect of the pairwise compatibility condition at the points ``p``."""
-    if patch.n < 2:
-        raise DimensionError("the existence condition applies to n >= 2 only")
+    struct = bundle_structure(patch, hyper, scheme)
     patch.require_interior(p, scheme.margin)
-    struct = QKTStructure(patch, hyper, scheme, _bundle_torsion)
-    points = np.reshape(p, (-1, patch.dim))
-    return worst(*(struct.at(chunk).existence for chunk in point_chunks(points)))
+    return worst(*(struct.at(chunk).existence for chunk in point_chunks(p)))
 
 
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
 
-def _check(ctx: QKTContext) -> QKTStructure:
-    """The structure of the check context ``ctx`` if it passes at the context's
-    points: a valid metric, the quaternionic identities within ALGEBRA_TOL and,
-    for n >= 2, the existence defect within EXISTENCE_TOL.  Otherwise the
-    :class:`NotQKTError`, with the residual of each check in ``details``."""
-    validate_metric(ctx.g, ctx.x)
-    quat = quaternionic_residuals(ctx.g, ctx.J)
+def _check(*contexts: QKTContext, count: int | None = None) -> QKTStructure:
+    """The structure of the contexts on (c, d) point arrays if it passes at the
+    first ``count`` of their points, in order (all by default): a valid metric,
+    the quaternionic identities within ALGEBRA_TOL and, for n >= 2, the
+    existence defect within EXISTENCE_TOL.  Otherwise the :class:`NotQKTError`,
+    with the residual of each check in ``details`` and the points checked."""
+    def rows(layer):
+        return np.concatenate([getattr(ctx, layer) for ctx in contexts])[:count]
+
+    struct, x, g = contexts[0].struct, rows("x"), rows("g")
+    validate_metric(g, x)
+    quat = quaternionic_residuals(g, rows("J"))
     alg = worst(quat["algebra"], quat["square"], quat["hermitian"])
     details, message = {}, "hypercomplex triple incompatible with the metric: "
-    if ctx.struct.n >= 2:
-        details["eq4"] = exist = worst(ctx.existence)
+    if struct.n >= 2:
+        details["eq4"] = exist = worst(rows("existence"))
         message = (f"no compatible torsion connection: existence residual {exist:.3e} "
                    f"(tolerance {EXISTENCE_TOL:.1e}), ")
     details["algebra"] = alg
     if alg <= ALGEBRA_TOL and details.get("eq4", 0.0) <= EXISTENCE_TOL:
-        return ctx.struct
+        return struct
     raise NotQKTError(f"{message}quaternionic algebra residual {alg:.3e}",
-                      residual=worst(*details.values()), details=details)
+                      residual=worst(*details.values()), details=details, points=len(x))
+
+
+def check_at(struct: QKTStructure, check_points=None) -> QKTStructure:
+    """``struct`` if it passes :func:`_check` in one context on ``check_points``
+    (the patch center by default), one (d,) point as one row."""
+    points = np.asarray(struct.patch.center() if check_points is None else check_points, float)
+    if points.size == 0:
+        raise InputError(f"no check points (shape {points.shape})")
+    struct.patch.require_interior(points, struct.scheme.margin)
+    return _check(struct.at(np.atleast_2d(points)))
+
+
+def bundle_structure(patch: CoordinatePatch, hyper: HypercomplexField,
+                     scheme: FDScheme) -> QKTStructure:
+    """The n >= 2 structure with the torsion of its bundle data, unchecked."""
+    if patch.n < 2:
+        raise DimensionError("the bundle torsion needs n >= 2; use build_qkt_dim4 for n = 1")
+    return QKTStructure(patch, hyper, scheme, _bundle_torsion)
 
 
 def build_qkt(patch: CoordinatePatch,
@@ -814,16 +837,7 @@ def build_qkt(patch: CoordinatePatch,
               scheme: FDScheme,
               check_points: Sequence[np.ndarray] | None = None) -> QKTStructure:
     """Build the unique torsion connection on a 4n-dimensional patch, n >= 2."""
-    if patch.n < 2:
-        raise DimensionError("build_qkt needs n >= 2; use build_qkt_dim4 for n = 1")
-    if check_points is None:
-        check_points = [patch.center()]
-    for p in check_points:
-        patch.require_interior(p, scheme.margin)
-    points = np.array(check_points, dtype=float)
-    if points.size == 0:
-        raise InputError(f"no check points (shape {points.shape})")
-    return _check(QKTStructure(patch, hyper, scheme, _bundle_torsion).at(points))
+    return check_at(bundle_structure(patch, hyper, scheme), check_points)
 
 
 def build_qkt_dim4(patch: CoordinatePatch,
@@ -833,8 +847,7 @@ def build_qkt_dim4(patch: CoordinatePatch,
     """Build the dimension-4 structure with torsion the Hodge dual of ``t_form``."""
     if patch.n != 1:
         raise DimensionError("build_qkt_dim4 needs n = 1")
-    struct = QKTStructure(patch, hyper, scheme, _dual_torsion, t_form=t_form)
-    return _check(struct.at(patch.center()))
+    return check_at(QKTStructure(patch, hyper, scheme, _dual_torsion, t_form=t_form))
 
 
 # ---------------------------------------------------------------------------

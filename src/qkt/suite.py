@@ -42,6 +42,7 @@ from .errors import InputError, NotQKTError
 from .qkt_connection import (
     Classification,
     QKTContext,
+    _check,
     c7_residual,
     classification_residuals,
     nijenhuis_via_connection,
@@ -63,7 +64,8 @@ from .tensor_core import (
     hodge_star_array,
     wedge_arrays,
 )
-from .zoo import ManifoldSpec, build_manifold, sample_points
+# build_manifold is not called here: perfbench/layertrace.py wraps it in this namespace
+from .zoo import ManifoldSpec, build_manifold, build_structure, sample_points
 
 # the suite of each evaluator group, in evaluation order
 _GROUP_SUITES = {
@@ -390,15 +392,21 @@ def _result(spec: ManifoldSpec, check: IdentityCheck, value, points: int) -> Ide
 
 def _run_suite(spec: ManifoldSpec, suite: str) -> VerificationReport:
     points = sample_points(spec)
-    check = points[:3]
+    chunks = list(point_chunks(points))
 
     try:
-        struct = build_manifold(spec, check_points=check)
+        struct = build_structure(spec)
+        # a constant base is the same at every point: one context of it serves every chunk
+        base = struct.base.at(points[0]) if struct.base and struct.base.constant else None
+        # the n >= 2 build check reads the first three points in the run's own contexts
+        checked = [struct.at(chunk, base) for chunk in chunks[:math.ceil(3 / len(chunks[0]))]]
+        if struct.n >= 2:
+            _check(*checked, count=3)
     except NotQKTError as err:
         # the rows of the build's own checks, over its check points
         values = {"existence_condition": err.details.get("eq4"),
                   "quaternionic_identities": err.details["algebra"]}
-        results = [_result(spec, _CHECKS[name], value, len(check))
+        results = [_result(spec, _CHECKS[name], value, err.points)
                    for name, value in values.items() if value is not None]
         return VerificationReport(
             meta=_meta(spec, suite, {"build_error": str(err)}),
@@ -409,13 +417,11 @@ def _run_suite(spec: ManifoldSpec, suite: str) -> VerificationReport:
               if suite in ("all", group_suite)
               and _GROUP_APPLIES.get(name, lambda spec, struct: True)(spec, struct)}
     classified: dict = {}
-    # a constant base is the same at every point: one context of it serves every chunk
-    base = struct.base.at(points[0]) if struct.base is not None and struct.base.constant else None
     # one context per chunk of sample points, read by every group and the
     # classification; the next chunk's context replaces it before computing
     # any layer
-    for chunk in point_chunks(points):
-        ctx = struct.at(chunk, base)
+    for chunk in chunks:
+        ctx = checked.pop(0) if checked else struct.at(chunk, base)
         last = {name: _GROUP_EVALUATORS[name](ctx) for name in groups}
         for name, values in last.items():
             fold(groups[name], values)

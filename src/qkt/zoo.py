@@ -11,7 +11,7 @@ import numpy as np
 from .conformal import ConformalFactor, conformal_rescale
 from .errors import DimensionError, GeometryError, InputError
 from .expressions import parse_expression
-from .qkt_connection import QKTStructure, build_qkt, build_qkt_dim4
+from .qkt_connection import QKTStructure, bundle_structure, build_qkt_dim4, check_at
 from .quaternionic import build_standard_hypercomplex, rotated_hypercomplex
 from .tensor_core import (
     ConformalMetric,
@@ -157,10 +157,6 @@ def sample_points(spec: ManifoldSpec) -> list:
 # construction
 # ---------------------------------------------------------------------------
 
-def _flat_patch(n: int, lo: np.ndarray, hi: np.ndarray) -> CoordinatePatch:
-    return CoordinatePatch(n=n, lo=lo, hi=hi, metric=ConstantMetric(np.eye(4 * n)))
-
-
 def _hypercomplex(spec: ManifoldSpec):
     if spec.j2_tilt_degrees:
         return rotated_hypercomplex(spec.n, spec.j2_tilt_degrees)
@@ -176,52 +172,51 @@ def _torsion_form(spec: ManifoldSpec) -> FormField:
     return FormField(1, t_at, nested=False)
 
 
-def build_flat(spec: ManifoldSpec, check_points: Sequence[np.ndarray] | None = None) -> QKTStructure:
+def _flat(spec: ManifoldSpec, t_form: FormField | None = None) -> QKTStructure:
+    """The structure on the flat metric over the box of ``spec``; for n = 1 with
+    torsion the dual of ``t_form`` (zero by default), checked at the patch center."""
     lo, hi = spec.box()
-    scheme = spec.scheme()
-    patch = _flat_patch(spec.n, lo, hi)
-    hyper = _hypercomplex(spec)
+    patch = CoordinatePatch(n=spec.n, lo=lo, hi=hi, metric=ConstantMetric(np.eye(spec.dim)))
     if spec.n == 1:
-        zero = ConstantForm(1, np.zeros(4))
-        return build_qkt_dim4(patch, hyper, zero, scheme)
-    return build_qkt(patch, hyper, scheme, check_points=check_points)
+        t_form = ConstantForm(1, np.zeros(4)) if t_form is None else t_form
+        return build_qkt_dim4(patch, _hypercomplex(spec), t_form, spec.scheme())
+    return bundle_structure(patch, _hypercomplex(spec), spec.scheme())
+
+
+def build_structure(spec: ManifoldSpec) -> QKTStructure:
+    """The structure described by ``spec``: the n = 1 builders check it at the
+    patch center, and an n >= 2 one is left to :func:`build_manifold` or
+    ``run_suite`` to check at sample points."""
+    if spec.kind in ("flat", "dim4_torsion"):
+        return _flat(spec, _torsion_form(spec) if spec.kind == "dim4_torsion" else None)
+    # conformal kinds: the metric f g_0 over the flat patch, with the flat
+    # structure on g_0 as the base that the conformal laws compare against
+    f_text = HOPF_FACTOR if spec.kind == "hopf_local" else spec.f
+    factor, flat = ConformalFactor(parse_expression(f_text)), _flat(spec)
+    if spec.n == 1:
+        return conformal_rescale(flat, factor)
+    # the same triple, scheme and rule on f g_0, whose check covers the zoo's
+    # orthogonal triples; a constant structure's existence defect is 0
+    metric = ConformalMetric(factor, flat.patch.metric)
+    return replace(flat, patch=replace(flat.patch, metric=metric), base=flat)
 
 
 def build_manifold(spec: ManifoldSpec,
                    check_points: Sequence[np.ndarray] | None = None) -> QKTStructure:
-    """Build the structure described by ``spec``; raises NotQKTError when the
-    compatibility checks fail (for example under a deliberate J2 tilt)."""
-    lo, hi = spec.box()
-    scheme = spec.scheme()
-    if check_points is None:
-        check_points = sample_points(spec)[:3]
-
-    if spec.kind == "flat":
-        return build_flat(spec, check_points)
-
-    if spec.kind == "dim4_torsion":
-        patch = _flat_patch(1, lo, hi)
-        return build_qkt_dim4(patch, _hypercomplex(spec), _torsion_form(spec), scheme)
-
-    # conformal kinds: the metric f g_0 over the flat patch, with the flat
-    # structure on g_0 as the base that the conformal laws compare against
-    f_text = HOPF_FACTOR if spec.kind == "hopf_local" else spec.f
-    factor = ConformalFactor(parse_expression(f_text))
+    """Build the structure described by ``spec`` and, for n >= 2, check it in one
+    context on ``check_points`` (the first three sample points by default); a
+    failed check (under a deliberate J2 tilt, for example) raises NotQKTError."""
+    struct = build_structure(spec)
     if spec.n >= 2:
-        flat = _flat_patch(spec.n, lo, hi)
-        patch = replace(flat, metric=ConformalMetric(factor, flat.metric))
-        struct = build_qkt(patch, _hypercomplex(spec), scheme, check_points=check_points)
-        # the checked structure on g_0: the check on f g_0 covers the zoo's
-        # orthogonal triples, and a constant structure's existence defect is 0
-        return replace(struct, base=replace(struct, patch=flat))
-
-    return conformal_rescale(conformal_ingredients(spec), factor)
+        check_at(struct, sample_points(spec)[:3] if check_points is None else check_points)
+    return struct
 
 
 def conformal_ingredients(spec: ManifoldSpec) -> QKTStructure | None:
-    """The flat base structure of a conformal kind, built and checked on its own;
-    for n >= 2 equal to the ``base`` of :func:`build_manifold`'s structure, the
-    checked structure on the flat patch.  None for the other kinds."""
+    """The flat base structure of a conformal kind, built and checked on its own
+    at the patch center; for n >= 2 equal to the ``base`` of
+    :func:`build_manifold`'s structure.  None for the other kinds."""
     if spec.kind not in ("conformal_flat", "hopf_local"):
         return None
-    return build_flat(spec)
+    flat = _flat(spec)
+    return check_at(flat) if spec.n >= 2 else flat

@@ -4,8 +4,9 @@ Each one computes a quantity by its textbook formula, one structure or one
 form at a time, on a single point: the Kaehler forms, the codifferential,
 the Lee forms and cross Lee forms from their own stencils, K from them,
 the eq4 existence defect by its own formula, the twisted derivative of one
-2-form, a Gram-Schmidt frame, the Ricci data of a structure, the
-Einstein-Weyl deviation of its Weyl connection, and thin field wrappers
+2-form, a Gram-Schmidt frame, the step-h2 difference of a context layer,
+the Ricci data of a structure, the Einstein-Weyl deviation of its Weyl
+connection, and thin field wrappers
 around the array kernels (tensor fields, the exterior derivative of a form
 field, the covariant derivative, the Levi-Civita connection field, the
 torsion and connection of a built structure as fields, the Hodge star at
@@ -182,6 +183,12 @@ def unchecked(patch, hyper) -> QKTStructure:
     without the builders' checks: the patch and triple that the helpers below
     read, and a fresh context on every ``at``."""
     return QKTStructure(patch, hyper, FDScheme(), _bundle_torsion)
+
+
+def nested_difference(struct, x: np.ndarray, layer: str) -> np.ndarray:
+    """The step-h2 central difference [..., a, *value] of the context layer
+    ``layer`` at the points ``x``, read off a fresh context on their stencil."""
+    return gradient(lambda q: getattr(struct.at(q), layer), x, struct.scheme, True)
 
 
 def varying_base(p: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 The conditions for a torsion connection (a valid metric, the quaternionic
 identities and, for n >= 2, the existence defect) are checked by one
 function of ``qkt.qkt_connection`` that both builders call on their check
-context.  ``NotQKTError`` is constructed there and nowhere else, so a second
-copy of the check cannot grow beside it.
+context and ``run_suite`` on its own chunk contexts.  ``NotQKTError`` is
+constructed there and nowhere else, so a second copy of the check cannot
+grow beside it.
 """
 
 import ast

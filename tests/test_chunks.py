@@ -68,11 +68,12 @@ SPECS = {
 }
 
 # One conformal_flat n = 2 exp(x1) curvature run at 2 points (the conf8_curv
-# workload) peaks at 1.32 MB of traced allocations (Python 3.11, numpy 2.4),
-# at 1.50 MB with one context per sample point, and did at 2.27 MB when
-# every nested stencil point evaluated g and the three F_a; the bound was
-# set with under 10 % headroom over 1.50 MB
-CURVATURE_PEAK_BYTES_MAX = 1_650_000
+# workload) peaks at 1.22 MB of traced allocations (Python 3.11, numpy 2.4).
+# It did at 1.34 MB while the build checked in a context of its own and each
+# stencil slice solved for omega, at 1.50 MB with one context per sample
+# point, and at 2.27 MB when every nested stencil point evaluated g and the
+# three F_a.  The bound leaves under 10 % headroom over 1.22 MB
+CURVATURE_PEAK_BYTES_MAX = 1_330_000
 # One hopf_local all-suite run at 20 points (the hopf4_all workload) peaks at
 # 1.16 MB in one sample context with stencil slices of 7, 7 and 6 points; it
 # did at 1.44 MB in two 10-point contexts that each kept their step-h2
@@ -176,14 +177,14 @@ def test_nan_at_one_sample_point_fails_its_rows(count, index, length):
     index %= count
     spec = ManifoldSpec(kind="flat", n=1, point_count=count, seed=1)
     target = sample_points(spec)[index]
-    build = suite_module.build_manifold
+    build = suite_module.build_structure
     chunk_rule = qkt_connection.chunk_length
     try:
-        suite_module.build_manifold = lambda *a, **k: _poisoned(build(*a, **k), target)
+        suite_module.build_structure = lambda *a, **k: _poisoned(build(*a, **k), target)
         qkt_connection.chunk_length = lambda dim: length
         rows = {row.identity_id: row for row in run_suite(spec, "connection").results}
     finally:
-        suite_module.build_manifold = build
+        suite_module.build_structure = build
         qkt_connection.chunk_length = chunk_rule
     # the rows that read T at the sample point itself
     for name in ("torsion_skew_symmetry", "torsion_type_purity", "torsion_is_star_of_t"):
@@ -197,8 +198,8 @@ def test_conformal_laws_share_the_rescaled_base_context(monkeypatch):
     # Before, each chunk opened one base context at its sample points and one
     # on their h2 stencil, where the torsion is differenced
     built = []
-    build = suite_module.build_manifold
-    monkeypatch.setattr(suite_module, "build_manifold",
+    build = suite_module.build_structure
+    monkeypatch.setattr(suite_module, "build_structure",
                         lambda *args, **kwargs: built.append(build(*args, **kwargs)) or built[-1])
     opened = []
     init = QKTContext.__init__
@@ -233,11 +234,11 @@ def test_dim4_build_error_reports_the_worst_quaternionic_residual(monkeypatch):
     assert err.value.details["algebra"] == pytest.approx(1.0)
     assert "1.000e+00" in str(err.value)
 
-    def build(spec, check_points=None):
+    def build(spec):
         return build_qkt_dim4(patch, build_standard_hypercomplex(1),
                               ConstantForm(1, np.zeros(4)), spec.scheme())
 
-    monkeypatch.setattr(suite_module, "build_manifold", build)
+    monkeypatch.setattr(suite_module, "build_structure", build)
     report = run_suite(ManifoldSpec(kind="flat", n=1, point_count=4), "all")
     (row,) = report.results
     assert row.identity_id == "quaternionic_identities"
@@ -275,7 +276,7 @@ def test_no_context_keeps_a_step_h2_stencil(monkeypatch, name):
     # each stencil slice of a context's step-h2 pass is dropped before the
     # next, and no reference cycle keeps one alive: after run_suite, with every
     # context the run opened through QKTStructure.at still held, no step-h2
-    # stencil context is (its d_aF_a^+ and nabla J_a went with it)
+    # stencil context is (its d_aF_a^+ went with it)
     spec = ManifoldSpec(seed=3, **SPECS[name])
     opened, stencils = [], []
     at, on_stencil = qkt_connection.QKTStructure.at, QKTContext._on_stencil
@@ -378,7 +379,8 @@ def test_a_varying_base_differences_what_the_conformal_laws_read(monkeypatch):
     _assert_one_pass_each(stencils, covered, requested)
     base = vars(ctx)["base"]
     assert requested[base] == {"t"} and base in covered
-    assert struct.base.nested_layers == ("T", "t", "Gamma", "gamma_g", "omega", "lchkt_candidates")
+    # the base's triple is constant, so its omega is not among them
+    assert struct.base.nested_layers == ("T", "t", "Gamma", "gamma_g", "lchkt_candidates")
 
 
 def test_an_undeclared_nested_layer_raises():
@@ -387,7 +389,7 @@ def test_an_undeclared_nested_layer_raises():
     spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=2)
     struct = build_manifold(spec)
     x = np.array(sample_points(spec))
-    assert struct.nested_layers == ("T", "t", "Gamma", "gamma_g", "omega", "lchkt_candidates")
+    assert struct.nested_layers == ("T", "t", "Gamma", "gamma_g", "lchkt_candidates")
     assert set(struct.nested_layers) < set(NESTED_LAYERS)
     with pytest.raises(LookupError, match="'theta'"):
         struct.at(x).derivative("theta")
@@ -421,6 +423,22 @@ def test_build_manifold_rejects_an_empty_check_point_set():
     spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1)
     with pytest.raises(InputError, match="no check points"):
         build_manifold(spec, check_points=[])
+
+
+def test_build_manifold_takes_one_point_as_one_row():
+    # as point_chunks does: one (d,) check point is one row, not d scalars
+    spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1)
+    p = np.full(8, 0.1)
+    assert build_manifold(spec, check_points=p).n == 2
+    tilted = dataclasses.replace(spec, j2_tilt_degrees=5.0)
+    errors = []
+    for points in (p, [p]):
+        with pytest.raises(NotQKTError) as err:
+            build_manifold(tilted, check_points=points)
+        errors.append(err.value)
+    assert errors[0].details == errors[1].details and errors[0].points == errors[1].points == 1
+    with pytest.raises(DimensionError, match=r"shape \(4,\)"):
+        build_manifold(spec, check_points=np.full(4, 0.1))
 
 
 def test_classify_takes_one_point_as_one_row():

@@ -5,7 +5,9 @@ dg = df (x) g0 + f dg0 and dF_a = (dg) J_a + g dJ_a from them.  On the zoo
 (g0 = I and the standard triple, entries 0 and +-1) every product is
 exact, so the product rule equals the difference of the products bit for
 bit; for a varying triple or base metric the two differ at O(h^2).  A
-nested stencil therefore evaluates the conformal factor alone.
+nested stencil therefore evaluates the conformal factor alone.  For a
+constant triple d omega follows from d Gamma; a varying triple differences
+omega at step h2.
 """
 
 import numpy as np
@@ -113,3 +115,48 @@ def test_step_h_stencils_of_the_conformal_kinds_evaluate_f_alone(monkeypatch, na
     for sub in at_h:
         assert set(vars(sub)) - {"struct", "x", "base"} == {"f"}
     assert all("_nested_gradients" not in vars(sub) for _, _, sub in made)
+
+
+# ---------------------------------------------------------------------------
+# d omega: from d Gamma for a constant triple, at step h2 for a varying one
+# ---------------------------------------------------------------------------
+
+OMEGA = {
+    "conformal-2": dict(kind="conformal_flat", n=2, f="exp(0.5*x1*x2+0.3*x3)"),
+    "hopf": dict(kind="hopf_local", n=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OMEGA))
+def test_d_omega_of_a_constant_triple_is_the_difference_of_omega(name):
+    # nabla J_a = [Gamma, J_a] and the solve for the omega_a are linear in
+    # Gamma when J is constant: d omega is the solve of [d Gamma, J_a], and no
+    # stencil slice solves for omega.  It equals the step-h2 difference of
+    # omega up to rounding
+    spec = ManifoldSpec(**OMEGA[name], point_count=3)
+    struct = build_manifold(spec)
+    assert struct.constant_layer("J") and "omega" not in struct.nested_layers
+    x = np.array(sample_points(spec))
+    ref = reference.nested_difference(struct, x, "omega")
+    d_omega = struct.at(x).derivative("omega")
+    assert d_omega.shape == ref.shape == (3, spec.dim, 3, spec.dim)
+    assert np.max(np.abs(ref)) > 0.05
+    assert np.max(np.abs(d_omega - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_a_varying_triple_differences_omega_at_step_h2():
+    # a point-dependent triple has dJ != 0 in nabla J_a, so omega stays a
+    # step-h2 layer of the pass
+    patch = CoordinatePatch(n=2, lo=-0.4 * np.ones(8), hi=0.4 * np.ones(8),
+                            metric=ConformalMetric(EXP_X1, ConstantMetric(np.eye(8))))
+    struct = reference.unchecked(patch, _rotated_triple(2))
+    assert "omega" in struct.nested_layers
+    assert "omega" not in reference.unchecked(patch, build_standard_hypercomplex(2)).nested_layers
+    x = np.array([[0.1, -0.2, 0.3, 0.05, -0.1, 0.2, 0.0, 0.15],
+                  [-0.25, 0.1, -0.05, 0.2, 0.3, -0.3, 0.1, 0.0]])
+    ctx = struct.at(x)
+    d_omega = ctx.derivative("omega")
+    assert "_nested_gradients" in vars(ctx)
+    ref = reference.nested_difference(struct, x, "omega")
+    assert np.max(np.abs(ref)) > 0.05
+    assert np.max(np.abs(d_omega - ref)) <= 1e-9 * np.max(np.abs(ref))

@@ -12,7 +12,7 @@ import qkt.tensor_core as tensor_core
 from qkt.errors import DimensionError, InputError, NotQKTError
 from qkt.expressions import Expression
 from qkt.qkt_connection import EXISTENCE_TOL, QKTContext
-from qkt.quaternionic import quaternionic_residuals
+from qkt.quaternionic import build_standard_hypercomplex, quaternionic_residuals
 from qkt.suite import CATALOGUE, IdentityResult, VerificationReport, run_suite
 from qkt.tensor_core import ConstantMetric, worst
 from qkt.zoo import (
@@ -173,14 +173,18 @@ def test_conformal_base_fails_only_where_the_conformal_check_fails(monkeypatch, 
 
 
 @pytest.mark.parametrize("spec, suite, contexts", [
-    (ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=2, seed=5), "curvature", 9),
-    (ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=4, seed=5), "all", 15),
+    (ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=2, seed=5), "curvature", 7),
+    (ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=4, seed=5), "all", 13),
     (ManifoldSpec(kind="hopf_local", n=1, point_count=20, seed=5), "all", 10),
 ], ids=["conf8_curv", "conf8_all", "hopf4_all"])
 def test_a_run_checks_its_structure_once(monkeypatch, spec, suite, contexts):
-    # one check context of the build; at n >= 2 the flat base gets no build
-    # or check of its own, so the only context on the flat metric is the
-    # base context that every chunk shares
+    # at n >= 2 the build check reads the run's own chunk contexts, so the
+    # build opens no context (conf8_curv: the base, one chunk with its step-h
+    # stencil and two slices with theirs, 7, where a check context with its
+    # stencil made 9; conf8_all: 13 from 15), and the flat base gets no build
+    # or check of its own, so the only context on the flat metric is the base
+    # context that every chunk shares.  At n = 1 the build checks at the patch
+    # center (hopf4_all: that check context, the flat base's, and 8 of the run)
     opened = []
     init = QKTContext.__init__
 
@@ -194,6 +198,65 @@ def test_a_run_checks_its_structure_once(monkeypatch, spec, suite, contexts):
     if spec.n >= 2:
         flat = [shape for struct, shape in opened if isinstance(struct.patch.metric, ConstantMetric)]
         assert flat == [(8,)]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+def test_a_tilted_run_reports_what_build_manifold_raises(monkeypatch, count):
+    # the run checks its first (up to) three sample points in its own chunk
+    # contexts, two points each at d = 8, so the third is in the second chunk;
+    # its report and error are those of build_manifold's one check context on
+    # the same points
+    spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=count,
+                        j2_tilt_degrees=5.0)
+    raised, check = [], suite_module._check
+
+    def recording(*contexts, **kwargs):
+        try:
+            return check(*contexts, **kwargs)
+        except NotQKTError as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr(suite_module, "_check", recording)
+    report = run_suite(spec, "all")
+    with pytest.raises(NotQKTError) as built:
+        build_manifold(spec, check_points=sample_points(spec)[:3])
+    (err,) = raised
+    assert err.details == built.value.details
+    assert err.points == built.value.points == min(3, count)
+    assert report.meta["build_error"] == str(built.value)
+    assert [(row.identity_id, row.max_residual, row.points) for row in report.results] == [
+        ("existence_condition", built.value.details["eq4"], min(3, count)),
+        ("quaternionic_identities", built.value.details["algebra"], min(3, count))]
+
+
+def test_a_dimension4_build_error_counts_its_one_check_point():
+    # the n = 1 builders check at the patch center alone
+    report = run_suite(ManifoldSpec(kind="hopf_local", n=1, point_count=4,
+                                    j2_tilt_degrees=5.0), "all")
+    assert "build_error" in report.meta
+    assert [(row.identity_id, row.points) for row in report.results] == [
+        ("quaternionic_identities", 1)]
+
+
+def test_a_metric_bad_only_at_the_third_check_point_exits_2(monkeypatch, capsys):
+    # a metric that is not symmetric at the third sample point alone, where
+    # only the build check looks for symmetry: the check reaches that point
+    # in the second chunk's context, before any group reads it
+    spec = ManifoldSpec(kind="flat", n=2, point_count=4)
+    target = sample_points(spec)[2]
+
+    def metric(p):
+        g = np.array(np.broadcast_to(np.eye(8), np.shape(p)[:-1] + (8, 8)))
+        g[np.all(p == target, axis=-1), 0, 1] = 1e-3
+        return g
+
+    patch = tensor_core.CoordinatePatch(n=2, lo=spec.box()[0], hi=spec.box()[1], metric=metric)
+    struct = reference.unchecked(patch, build_standard_hypercomplex(2))
+    monkeypatch.setattr(suite_module, "build_structure", lambda spec: struct)
+    assert cli.main(["verify", "--manifold", "flat", "--n", "2", "--points", "4",
+                     "--suite", "curvature"]) == 2
+    assert "metric not symmetric at" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +413,9 @@ def test_corrupted_structure_reports_failure():
 def test_metric_expression_evaluated_once_per_point(monkeypatch, suite):
     # neither suite evaluates the conformal factor outside the metric, so
     # every expression call here comes from the patch metric.  The build
-    # checks its check points in one context and the suite evaluates each
-    # sample point in its own: each of the two evaluates no point twice.
+    # check reads the suite's own chunk contexts, so the run evaluates no
+    # point twice (when the build checked in a context of its own, the three
+    # check points and their stencils were evaluated twice).
     calls = []
     original = Expression.__call__
 
@@ -362,7 +426,7 @@ def test_metric_expression_evaluated_once_per_point(monkeypatch, suite):
         return original(self, points)
 
     built = []
-    build = suite_module.build_manifold
+    build = suite_module.build_structure
 
     def build_and_mark(*args, **kwargs):
         struct = build(*args, **kwargs)
@@ -370,14 +434,14 @@ def test_metric_expression_evaluated_once_per_point(monkeypatch, suite):
         return struct
 
     monkeypatch.setattr(Expression, "__call__", recording)
-    monkeypatch.setattr(suite_module, "build_manifold", build_and_mark)
+    monkeypatch.setattr(suite_module, "build_structure", build_and_mark)
     spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=2, seed=3)
     report = run_suite(spec, suite)
     assert report.all_pass
     assert len({owner for owner, _ in calls}) == 1
-    at_build, in_suite = calls[:built[0]], calls[built[0]:]
-    assert len(at_build) == len(set(at_build)) == 2 * (1 + 16)
-    assert len(in_suite) == len(set(in_suite)) > 100
+    # the build evaluates no point: the check reads the suite's own contexts
+    assert built == [0]
+    assert len(calls) == len(set(calls)) > 100
 
 
 def test_conformal_factor_evaluated_once_per_point_array(monkeypatch):
@@ -675,8 +739,8 @@ def test_flat_run_takes_no_metric_stencil(monkeypatch):
     # torsion for n >= 2, the dual of the zero constant 1-form for n = 1), so
     # its run takes no stencil at all, of the metric or of any other field
     built = []
-    build = suite_module.build_manifold
-    monkeypatch.setattr(suite_module, "build_manifold",
+    build = suite_module.build_structure
+    monkeypatch.setattr(suite_module, "build_structure",
                         lambda *args, **kwargs: built.append(build(*args, **kwargs)) or built[-1])
     fields = []
 
@@ -703,7 +767,7 @@ def test_hopf_local_base_contexts_reach_no_gradient(monkeypatch):
     # constant: its torsion is the dual of the zero constant 1-form, so no
     # derivative of one of its contexts takes a stencil
     bases = []
-    build = suite_module.build_manifold
+    build = suite_module.build_structure
 
     def recording_base(*args, **kwargs):
         struct = build(*args, **kwargs)
@@ -726,7 +790,7 @@ def test_hopf_local_base_contexts_reach_no_gradient(monkeypatch):
             return original(field, p, *args, **kwargs)
         return recording
 
-    monkeypatch.setattr(suite_module, "build_manifold", recording_base)
+    monkeypatch.setattr(suite_module, "build_structure", recording_base)
     monkeypatch.setattr(QKTContext, "derivative", scoped)
     _wrap_gradient(monkeypatch, wrapper)
     assert run_suite(ManifoldSpec(kind="hopf_local", n=1, point_count=2, seed=5), "all").all_pass
@@ -763,9 +827,10 @@ def test_each_record_runs_once_per_chunk(monkeypatch):
 
 def test_every_gradient_makes_one_field_call(monkeypatch, tmp_path, capsys):
     # a stencil is one field call on the (..., 2d, d) point array, never 2d
-    # calls: f on the step-h stencils of the build's check context, of the
-    # sample context and of its two stencil slices, and T, Gamma, Gamma^g and
-    # omega together on each slice (12 calls with one per slice and layer)
+    # calls: f on the step-h stencils of the sample context (which the build
+    # check reads) and of its two stencil slices, and T, Gamma and Gamma^g
+    # together on each slice (6 calls with a check context of the build's
+    # own, 12 with one per slice and layer)
     counts = []
 
     def wrapper(original):
@@ -781,7 +846,7 @@ def test_every_gradient_makes_one_field_call(monkeypatch, tmp_path, capsys):
                      "--suite", "curvature", "--points", "2", "--seed", "0",
                      "--report", str(tmp_path / "report.json")])
     assert code == 0
-    assert len(counts) == 6 and set(counts) == {1}
+    assert len(counts) == 5 and set(counts) == {1}
 
 
 def test_hodge_stars_reuse_the_context_inverse_and_volume(monkeypatch):
