@@ -28,17 +28,15 @@ class InputError(GeometryError, ValueError):
 class NotQKTError(GeometryError):
     """The compatibility condition for a torsion connection failed.
 
-    Carries the offending residual so callers (and reports) can show how
-    badly the candidate structure misses the existence condition, and the
-    residual of each failed check by name in ``details`` ("algebra", and
-    "eq4" for the n >= 2 build), over the ``points`` points checked.
+    Carries the worst residual, to show how badly the candidate structure
+    misses the conditions, and each check's residual by name in ``details``
+    ("algebra", and "eq4" for n >= 2); the caller counts the points checked.
     """
 
-    def __init__(self, message: str, residual: float, details: dict, points: int):
+    def __init__(self, message: str, residual: float, details: dict):
         super().__init__(message)
         self.residual = float(residual)
         self.details = details
-        self.points = points
 
 
 class ExpressionError(ValueError):

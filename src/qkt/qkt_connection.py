@@ -27,7 +27,6 @@ its step-h2 layers in one pass over stencil slices of its points
 from __future__ import annotations
 
 import functools
-import types
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -75,6 +74,7 @@ from .tensor_core import (
 
 EXISTENCE_TOL = 1e-4
 ALGEBRA_TOL = 1e-8
+CHECK_POINTS = 3   # the first sample points of a run that the build check reads
 # the classification flags: first-order residuals (hkt, integrable) and the
 # residuals of the derivatives of the torsion (parallel, strong)
 FIRST_ORDER_TOL = 1e-5
@@ -679,10 +679,6 @@ class QKTStructure:
     # rescaled structure's torsion rule transports
     base: QKTStructure | None = None
 
-    # perfbench/layertrace.py's Tracer.cache_sizes() reads per-structure
-    # caches here; a structure keeps none, so the mapping stays empty
-    caches = types.MappingProxyType({})
-
     def __post_init__(self):
         # a step that leaves the largest coordinate unmoved makes every
         # difference exactly 0, and every row would pass
@@ -779,8 +775,10 @@ def existence_residual(patch: CoordinatePatch,
                        hyper: HypercomplexField,
                        p: np.ndarray,
                        scheme: FDScheme) -> float:
-    """Worst defect of the pairwise compatibility condition at the points ``p``."""
-    struct = bundle_structure(patch, hyper, scheme)
+    """Worst defect of the pairwise compatibility condition at the points ``p``; n >= 2."""
+    if patch.n < 2:
+        raise DimensionError("the existence condition needs n >= 2")
+    struct = qkt_structure(patch, hyper, scheme)
     patch.require_interior(p, scheme.margin)
     return worst(*(struct.at(chunk).existence for chunk in point_chunks(p)))
 
@@ -790,11 +788,11 @@ def existence_residual(patch: CoordinatePatch,
 # ---------------------------------------------------------------------------
 
 def _check(*contexts: QKTContext, count: int | None = None) -> QKTStructure:
-    """The structure of the contexts on (c, d) point arrays if it passes at the
-    first ``count`` of their points, in order (all by default): a valid metric,
-    the quaternionic identities within ALGEBRA_TOL and, for n >= 2, the
-    existence defect within EXISTENCE_TOL.  Otherwise the :class:`NotQKTError`,
-    with the residual of each check in ``details`` and the points checked."""
+    """The one check of a built structure, for every n: its structure if the
+    contexts on (c, d) point arrays pass at the first ``count`` of their points,
+    in order (all by default): a valid metric, the quaternionic identities within
+    ALGEBRA_TOL and, for n >= 2, the existence defect within EXISTENCE_TOL.
+    Otherwise the :class:`NotQKTError`, with the residual of each check in ``details``."""
     def rows(layer):
         return np.concatenate([getattr(ctx, layer) for ctx in contexts])[:count]
 
@@ -811,7 +809,7 @@ def _check(*contexts: QKTContext, count: int | None = None) -> QKTStructure:
     if alg <= ALGEBRA_TOL and details.get("eq4", 0.0) <= EXISTENCE_TOL:
         return struct
     raise NotQKTError(f"{message}quaternionic algebra residual {alg:.3e}",
-                      residual=worst(*details.values()), details=details, points=len(x))
+                      residual=worst(*details.values()), details=details)
 
 
 def check_at(struct: QKTStructure, check_points=None) -> QKTStructure:
@@ -824,12 +822,14 @@ def check_at(struct: QKTStructure, check_points=None) -> QKTStructure:
     return _check(struct.at(np.atleast_2d(points)))
 
 
-def bundle_structure(patch: CoordinatePatch, hyper: HypercomplexField,
-                     scheme: FDScheme) -> QKTStructure:
-    """The n >= 2 structure with the torsion of its bundle data, unchecked."""
-    if patch.n < 2:
-        raise DimensionError("the bundle torsion needs n >= 2; use build_qkt_dim4 for n = 1")
-    return QKTStructure(patch, hyper, scheme, _bundle_torsion)
+def qkt_structure(patch: CoordinatePatch, hyper: HypercomplexField, scheme: FDScheme,
+                  t_form: FormField | None = None) -> QKTStructure:
+    """The structure on ``patch`` and ``hyper``, unchecked: with the torsion of its
+    bundle data for n >= 2, with the Hodge dual of ``t_form`` (zero by default) for n = 1."""
+    if patch.n >= 2:
+        return QKTStructure(patch, hyper, scheme, _bundle_torsion)
+    t_form = ConstantForm(1, np.zeros(4)) if t_form is None else t_form
+    return QKTStructure(patch, hyper, scheme, _dual_torsion, t_form=t_form)
 
 
 def build_qkt(patch: CoordinatePatch,
@@ -837,7 +837,9 @@ def build_qkt(patch: CoordinatePatch,
               scheme: FDScheme,
               check_points: Sequence[np.ndarray] | None = None) -> QKTStructure:
     """Build the unique torsion connection on a 4n-dimensional patch, n >= 2."""
-    return check_at(bundle_structure(patch, hyper, scheme), check_points)
+    if patch.n < 2:
+        raise DimensionError("the bundle torsion needs n >= 2; use build_qkt_dim4 for n = 1")
+    return check_at(qkt_structure(patch, hyper, scheme), check_points)
 
 
 def build_qkt_dim4(patch: CoordinatePatch,
@@ -847,7 +849,7 @@ def build_qkt_dim4(patch: CoordinatePatch,
     """Build the dimension-4 structure with torsion the Hodge dual of ``t_form``."""
     if patch.n != 1:
         raise DimensionError("build_qkt_dim4 needs n = 1")
-    return check_at(QKTStructure(patch, hyper, scheme, _dual_torsion, t_form=t_form))
+    return check_at(qkt_structure(patch, hyper, scheme, t_form))
 
 
 # ---------------------------------------------------------------------------

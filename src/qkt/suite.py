@@ -40,6 +40,7 @@ from .curvature import (
 )
 from .errors import InputError, NotQKTError
 from .qkt_connection import (
+    CHECK_POINTS,
     Classification,
     QKTContext,
     _check,
@@ -398,15 +399,15 @@ def _run_suite(spec: ManifoldSpec, suite: str) -> VerificationReport:
         struct = build_structure(spec)
         # a constant base is the same at every point: one context of it serves every chunk
         base = struct.base.at(points[0]) if struct.base and struct.base.constant else None
-        # the n >= 2 build check reads the first three points in the run's own contexts
-        checked = [struct.at(chunk, base) for chunk in chunks[:math.ceil(3 / len(chunks[0]))]]
-        if struct.n >= 2:
-            _check(*checked, count=3)
+        # the build check reads the first CHECK_POINTS points in the run's own contexts
+        checked = [struct.at(chunk, base)
+                   for chunk in chunks[:math.ceil(CHECK_POINTS / len(chunks[0]))]]
+        _check(*checked, count=CHECK_POINTS)
     except NotQKTError as err:
         # the rows of the build's own checks, over its check points
         values = {"existence_condition": err.details.get("eq4"),
                   "quaternionic_identities": err.details["algebra"]}
-        results = [_result(spec, _CHECKS[name], value, err.points)
+        results = [_result(spec, _CHECKS[name], value, min(CHECK_POINTS, len(points)))
                    for name, value in values.items() if value is not None]
         return VerificationReport(
             meta=_meta(spec, suite, {"build_error": str(err)}),

@@ -11,11 +11,10 @@ import numpy as np
 from .conformal import ConformalFactor, conformal_rescale
 from .errors import DimensionError, GeometryError, InputError
 from .expressions import parse_expression
-from .qkt_connection import QKTStructure, bundle_structure, build_qkt_dim4, check_at
+from .qkt_connection import CHECK_POINTS, QKTStructure, check_at, qkt_structure
 from .quaternionic import build_standard_hypercomplex, rotated_hypercomplex
 from .tensor_core import (
     ConformalMetric,
-    ConstantForm,
     ConstantMetric,
     CoordinatePatch,
     FDScheme,
@@ -173,20 +172,16 @@ def _torsion_form(spec: ManifoldSpec) -> FormField:
 
 
 def _flat(spec: ManifoldSpec, t_form: FormField | None = None) -> QKTStructure:
-    """The structure on the flat metric over the box of ``spec``; for n = 1 with
-    torsion the dual of ``t_form`` (zero by default), checked at the patch center."""
+    """The unchecked structure on the flat metric over the box of ``spec``; for
+    n = 1 with torsion the dual of ``t_form`` (zero by default)."""
     lo, hi = spec.box()
     patch = CoordinatePatch(n=spec.n, lo=lo, hi=hi, metric=ConstantMetric(np.eye(spec.dim)))
-    if spec.n == 1:
-        t_form = ConstantForm(1, np.zeros(4)) if t_form is None else t_form
-        return build_qkt_dim4(patch, _hypercomplex(spec), t_form, spec.scheme())
-    return bundle_structure(patch, _hypercomplex(spec), spec.scheme())
+    return qkt_structure(patch, _hypercomplex(spec), spec.scheme(), t_form)
 
 
 def build_structure(spec: ManifoldSpec) -> QKTStructure:
-    """The structure described by ``spec``: the n = 1 builders check it at the
-    patch center, and an n >= 2 one is left to :func:`build_manifold` or
-    ``run_suite`` to check at sample points."""
+    """The structure described by ``spec``, unchecked for every n: :func:`build_manifold`
+    or ``run_suite`` checks it at sample points."""
     if spec.kind in ("flat", "dim4_torsion"):
         return _flat(spec, _torsion_form(spec) if spec.kind == "dim4_torsion" else None)
     # conformal kinds: the metric f g_0 over the flat patch, with the flat
@@ -203,20 +198,17 @@ def build_structure(spec: ManifoldSpec) -> QKTStructure:
 
 def build_manifold(spec: ManifoldSpec,
                    check_points: Sequence[np.ndarray] | None = None) -> QKTStructure:
-    """Build the structure described by ``spec`` and, for n >= 2, check it in one
-    context on ``check_points`` (the first three sample points by default); a
-    failed check (under a deliberate J2 tilt, for example) raises NotQKTError."""
-    struct = build_structure(spec)
-    if spec.n >= 2:
-        check_at(struct, sample_points(spec)[:3] if check_points is None else check_points)
-    return struct
+    """Build the structure described by ``spec`` and check it in one context on
+    ``check_points`` (the first CHECK_POINTS sample points by default); a failed
+    check (under a deliberate J2 tilt, for example) raises NotQKTError."""
+    points = sample_points(spec)[:CHECK_POINTS] if check_points is None else check_points
+    return check_at(build_structure(spec), points)
 
 
 def conformal_ingredients(spec: ManifoldSpec) -> QKTStructure | None:
     """The flat base structure of a conformal kind, built and checked on its own
-    at the patch center; for n >= 2 equal to the ``base`` of
-    :func:`build_manifold`'s structure.  None for the other kinds."""
+    at the patch center; equal to the ``base`` of :func:`build_manifold`'s
+    structure.  None for the other kinds."""
     if spec.kind not in ("conformal_flat", "hopf_local"):
         return None
-    flat = _flat(spec)
-    return check_at(flat) if spec.n >= 2 else flat
+    return check_at(_flat(spec))

@@ -24,7 +24,7 @@ import numpy as np
 
 from qkt.curvature import curvature_tensor, ricci_tensor
 from qkt.errors import DegenerateMetricError, DegreeError, DimensionError
-from qkt.qkt_connection import QKTStructure, _bundle_torsion
+from qkt.qkt_connection import QKTStructure, qkt_structure
 from qkt.quaternionic import (
     CYCLIC,
     frame_trace_pair,
@@ -179,10 +179,10 @@ def orthonormal_frame(g: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
 
 
 def unchecked(patch, hyper) -> QKTStructure:
-    """The structure on ``patch`` and ``hyper`` with the n >= 2 torsion rule,
-    without the builders' checks: the patch and triple that the helpers below
-    read, and a fresh context on every ``at``."""
-    return QKTStructure(patch, hyper, FDScheme(), _bundle_torsion)
+    """The structure on ``patch`` and ``hyper`` from the library's unchecked
+    constructor (zero torsion 1-form for n = 1): the patch and triple that the
+    helpers below read, and a fresh context on every ``at``."""
+    return qkt_structure(patch, hyper, FDScheme())
 
 
 def nested_difference(struct, x: np.ndarray, layer: str) -> np.ndarray:

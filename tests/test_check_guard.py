@@ -1,11 +1,14 @@
-"""Source guard: one build check.
+"""Source guard: one build check, run in one way for every n.
 
 The conditions for a torsion connection (a valid metric, the quaternionic
 identities and, for n >= 2, the existence defect) are checked by one
-function of ``qkt.qkt_connection`` that both builders call on their check
-context and ``run_suite`` on its own chunk contexts.  ``NotQKTError`` is
+function of ``qkt.qkt_connection``, ``_check``.  ``NotQKTError`` is
 constructed there and nowhere else, so a second copy of the check cannot
-grow beside it.
+grow beside it.  Structures are built unchecked and checked once: ``_check``
+runs through ``check_at`` (a context of its own on the check points, for the
+public builders ``build_qkt``, ``build_qkt_dim4``, ``build_manifold`` and
+``conformal_ingredients``) or in ``run_suite``'s own chunk contexts, and no
+other function calls either, so no constructor checks on its own.
 """
 
 import ast
@@ -13,9 +16,17 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qkt"
 
+# callee -> the functions that may call it
+ALLOWED_CALLERS = {
+    "NotQKTError": {"_check"},
+    "_check": {"check_at", "_run_suite"},
+    "check_at": {"build_qkt", "build_qkt_dim4", "build_manifold", "conformal_ingredients"},
+}
 
-def not_qkt_constructions(source: str, filename: str) -> list:
-    """(file, enclosing function, line) of every ``NotQKTError(...)`` call."""
+
+def calls(source: str, filename: str) -> list:
+    """(file, enclosing function, callee, line) of every call, by bare name or
+    attribute, to a callee of ALLOWED_CALLERS."""
     found = []
 
     def visit(node, function):
@@ -23,8 +34,8 @@ def not_qkt_constructions(source: str, filename: str) -> list:
             if isinstance(child, ast.Call):
                 callee = child.func
                 name = getattr(callee, "id", None) or getattr(callee, "attr", None)
-                if name == "NotQKTError":
-                    found.append((filename, function, child.lineno))
+                if name in ALLOWED_CALLERS:
+                    found.append((filename, function, name, child.lineno))
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_function else function)
 
@@ -32,19 +43,46 @@ def not_qkt_constructions(source: str, filename: str) -> list:
     return found
 
 
+def misplaced(found: list) -> list:
+    """The calls of ``found`` from a function that ALLOWED_CALLERS does not list."""
+    return [call for call in found if call[1] not in ALLOWED_CALLERS[call[2]]]
+
+
+def library_calls() -> list:
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    return [call for path in files for call in calls(path.read_text(encoding="utf-8"), path.name)]
+
+
 def test_guard_detects_a_second_construction():
     code = ("class NotQKTError(GeometryError):\n    pass\n"
             "def _check(ctx):\n    raise NotQKTError('a', 1.0, {})\n"
             "def build(ctx):\n"
             "    err = errors.NotQKTError('b', residual=1.0, details={})\n    raise err\n")
-    assert not_qkt_constructions(code, "probe.py") == [("probe.py", "_check", 4),
-                                                       ("probe.py", "build", 6)]
+    assert misplaced(calls(code, "probe.py")) == [("probe.py", "build", "NotQKTError", 6)]
 
 
 def test_one_not_qkt_construction_in_library():
-    files = sorted(SRC.glob("*.py"))
-    assert files
-    found = []
-    for path in files:
-        found += not_qkt_constructions(path.read_text(encoding="utf-8"), path.name)
-    assert [(name, function) for name, function, _ in found] == [("qkt_connection.py", "_check")]
+    found = [call[:3] for call in library_calls() if call[2] == "NotQKTError"]
+    assert found == [("qkt_connection.py", "_check", "NotQKTError")]
+
+
+def test_guard_detects_a_builder_that_checks_on_its_own():
+    code = ("def build_structure(spec):\n"
+            "    struct = _flat(spec)\n"
+            "    return check_at(struct) if spec.n == 1 else struct\n"
+            "def _flat(spec):\n"
+            "    return qkt_connection._check(qkt_structure(spec).at(center))\n"
+            "def build_manifold(spec, check_points=None):\n"
+            "    return check_at(build_structure(spec), check_points)\n")
+    assert misplaced(calls(code, "zoo.py")) == [("zoo.py", "build_structure", "check_at", 3),
+                                               ("zoo.py", "_flat", "_check", 5)]
+
+
+def test_checks_run_only_from_their_allowed_callers():
+    found = library_calls()
+    assert misplaced(found) == []
+    # every allowed caller still calls, so a renamed one cannot empty the guard
+    assert {(function, callee) for _, function, callee, _ in found} == {
+        (function, callee) for callee, functions in ALLOWED_CALLERS.items()
+        for function in functions}

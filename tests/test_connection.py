@@ -234,7 +234,8 @@ def test_torsion_is_the_mean_of_the_alpha_versions(case):
 
 
 def test_build_checks_all_check_points_in_one_context(monkeypatch):
-    # one batched existence defect over the (k, d) check points; the structure keeps none
+    # one batched existence defect over the (k, d) check points; the structure
+    # keeps none, and has no cache attribute at all
     built = []
     original = QKTContext.existence.func
 
@@ -249,7 +250,7 @@ def test_build_checks_all_check_points_in_one_context(monkeypatch):
     data = conformal_data()
     struct = build_qkt(data.patch, data.hyper, SCHEME, check_points=points)
     assert built == [(2, 8)]
-    assert struct.caches == {}
+    assert not hasattr(struct, "caches")
     for p in points:
         assert struct.at(p).existence <= 1e-4
     assert built == [(2, 8), (8,), (8,)]

@@ -18,6 +18,7 @@ from qkt.tensor_core import ConstantMetric, worst
 from qkt.zoo import (
     ManifoldSpec,
     build_manifold,
+    build_structure,
     conformal_ingredients,
     halton_points,
     sample_points,
@@ -175,16 +176,16 @@ def test_conformal_base_fails_only_where_the_conformal_check_fails(monkeypatch, 
 @pytest.mark.parametrize("spec, suite, contexts", [
     (ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=2, seed=5), "curvature", 7),
     (ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=4, seed=5), "all", 13),
-    (ManifoldSpec(kind="hopf_local", n=1, point_count=20, seed=5), "all", 10),
+    (ManifoldSpec(kind="hopf_local", n=1, point_count=20, seed=5), "all", 9),
 ], ids=["conf8_curv", "conf8_all", "hopf4_all"])
 def test_a_run_checks_its_structure_once(monkeypatch, spec, suite, contexts):
-    # at n >= 2 the build check reads the run's own chunk contexts, so the
+    # for every n the build check reads the run's own chunk contexts, so the
     # build opens no context (conf8_curv: the base, one chunk with its step-h
     # stencil and two slices with theirs, 7, where a check context with its
-    # stencil made 9; conf8_all: 13 from 15), and the flat base gets no build
-    # or check of its own, so the only context on the flat metric is the base
-    # context that every chunk shares.  At n = 1 the build checks at the patch
-    # center (hopf4_all: that check context, the flat base's, and 8 of the run)
+    # stencil made 9; conf8_all: 13 from 15; hopf4_all: the flat base's and 8
+    # of the run, 9, where a check context at the patch center made 10), and
+    # the flat base gets no build or check of its own, so the only context on
+    # the flat metric is the base context that every chunk shares
     opened = []
     init = QKTContext.__init__
 
@@ -195,19 +196,22 @@ def test_a_run_checks_its_structure_once(monkeypatch, spec, suite, contexts):
     monkeypatch.setattr(QKTContext, "__init__", recording)
     assert run_suite(spec, suite).all_pass
     assert len(opened) == contexts
-    if spec.n >= 2:
-        flat = [shape for struct, shape in opened if isinstance(struct.patch.metric, ConstantMetric)]
-        assert flat == [(8,)]
+    flat = [shape for struct, shape in opened if isinstance(struct.patch.metric, ConstantMetric)]
+    assert flat == [(spec.dim,)]
 
 
-@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
-def test_a_tilted_run_reports_what_build_manifold_raises(monkeypatch, count):
+TILTED = {"conformal_flat": dict(n=2, f="exp(x1)"), "hopf_local": dict(n=1)}
+
+
+@pytest.mark.parametrize("kind, count", [("conformal_flat", count) for count in range(1, 6)]
+                         + [("hopf_local", count) for count in (1, 3, 4)],
+                         ids=["1", "2", "3", "4", "5", "hopf-1", "hopf-3", "hopf-4"])
+def test_a_tilted_run_reports_what_build_manifold_raises(monkeypatch, kind, count):
     # the run checks its first (up to) three sample points in its own chunk
-    # contexts, two points each at d = 8, so the third is in the second chunk;
-    # its report and error are those of build_manifold's one check context on
-    # the same points
-    spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=count,
-                        j2_tilt_degrees=5.0)
+    # contexts, two points each at d = 8, so the third is in the second chunk,
+    # and all in one at d = 4; its report and error are those of
+    # build_manifold's one check context on the same points, for every n
+    spec = ManifoldSpec(kind=kind, point_count=count, j2_tilt_degrees=5.0, **TILTED[kind])
     raised, check = [], suite_module._check
 
     def recording(*contexts, **kwargs):
@@ -220,43 +224,38 @@ def test_a_tilted_run_reports_what_build_manifold_raises(monkeypatch, count):
     monkeypatch.setattr(suite_module, "_check", recording)
     report = run_suite(spec, "all")
     with pytest.raises(NotQKTError) as built:
-        build_manifold(spec, check_points=sample_points(spec)[:3])
+        build_manifold(spec)
     (err,) = raised
     assert err.details == built.value.details
-    assert err.points == built.value.points == min(3, count)
     assert report.meta["build_error"] == str(built.value)
-    assert [(row.identity_id, row.max_residual, row.points) for row in report.results] == [
-        ("existence_condition", built.value.details["eq4"], min(3, count)),
-        ("quaternionic_identities", built.value.details["algebra"], min(3, count))]
-
-
-def test_a_dimension4_build_error_counts_its_one_check_point():
-    # the n = 1 builders check at the patch center alone
-    report = run_suite(ManifoldSpec(kind="hopf_local", n=1, point_count=4,
-                                    j2_tilt_degrees=5.0), "all")
-    assert "build_error" in report.meta
-    assert [(row.identity_id, row.points) for row in report.results] == [
-        ("quaternionic_identities", 1)]
+    rows = [(name, built.value.details[key], min(3, count))
+            for name, key in (("existence_condition", "eq4"), ("quaternionic_identities", "algebra"))
+            if key in built.value.details]
+    assert [(row.identity_id, row.max_residual, row.points) for row in report.results] == rows
+    assert len(rows) == (2 if spec.n >= 2 else 1)
 
 
 def test_a_metric_bad_only_at_the_third_check_point_exits_2(monkeypatch, capsys):
     # a metric that is not symmetric at the third sample point alone, where
     # only the build check looks for symmetry: the check reaches that point
-    # in the second chunk's context, before any group reads it
-    spec = ManifoldSpec(kind="flat", n=2, point_count=4)
-    target = sample_points(spec)[2]
+    # in the second chunk's context at d = 8, in the one chunk's at d = 4,
+    # before any group reads it
+    for n in (2, 1):
+        spec = ManifoldSpec(kind="flat", n=n, point_count=4)
+        target, dim = sample_points(spec)[2], spec.dim
 
-    def metric(p):
-        g = np.array(np.broadcast_to(np.eye(8), np.shape(p)[:-1] + (8, 8)))
-        g[np.all(p == target, axis=-1), 0, 1] = 1e-3
-        return g
+        def metric(p, target=target, dim=dim):
+            g = np.array(np.broadcast_to(np.eye(dim), np.shape(p)[:-1] + (dim, dim)))
+            g[np.all(p == target, axis=-1), 0, 1] = 1e-3
+            return g
 
-    patch = tensor_core.CoordinatePatch(n=2, lo=spec.box()[0], hi=spec.box()[1], metric=metric)
-    struct = reference.unchecked(patch, build_standard_hypercomplex(2))
-    monkeypatch.setattr(suite_module, "build_structure", lambda spec: struct)
-    assert cli.main(["verify", "--manifold", "flat", "--n", "2", "--points", "4",
-                     "--suite", "curvature"]) == 2
-    assert "metric not symmetric at" in capsys.readouterr().err
+        patch = tensor_core.CoordinatePatch(n=n, lo=spec.box()[0], hi=spec.box()[1],
+                                            metric=metric)
+        struct = reference.unchecked(patch, build_standard_hypercomplex(n))
+        monkeypatch.setattr(suite_module, "build_structure", lambda spec, struct=struct: struct)
+        assert cli.main(["verify", "--manifold", "flat", "--n", str(n), "--points", "4",
+                         "--suite", "curvature"]) == 2, n
+        assert "metric not symmetric at" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +317,28 @@ def test_row_sets_pinned(kind, n, suite):
     expected = sum(per_suite.values(), ()) if suite == "all" else per_suite[suite]
     spec = ManifoldSpec(kind=kind, n=n, point_count=1, seed=0, **KIND_ARGS.get(kind, {}))
     assert tuple(r.identity_id for r in run_suite(spec, suite).results) == expected
+
+
+@pytest.mark.parametrize("tilt", [0.0, 5.0], ids=["standard", "tilted"])
+@pytest.mark.parametrize("kind, n", list(PINNED_ROWS))
+def test_structures_are_built_unchecked_and_checked_once_per_run(monkeypatch, kind, n, tilt):
+    # build_structure checks nothing, for any n, so a tilted triple still
+    # builds; the run checks the structure once
+    spec = ManifoldSpec(kind=kind, n=n, point_count=4, seed=0, j2_tilt_degrees=tilt,
+                        **KIND_ARGS.get(kind, {}))
+    calls, check = [], qkt_connection._check
+
+    def counting(*contexts, **kwargs):
+        calls.append(contexts)
+        return check(*contexts, **kwargs)
+
+    for module in (qkt_connection, suite_module):
+        monkeypatch.setattr(module, "_check", counting)
+    assert build_structure(spec).n == n
+    assert calls == []
+    report = run_suite(spec, "connection")
+    assert len(calls) == 1
+    assert ("build_error" in report.meta) == bool(tilt)
 
 
 @pytest.mark.parametrize("kind, n", list(PINNED_ROWS))
