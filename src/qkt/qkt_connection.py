@@ -12,7 +12,8 @@ of the twisted derivatives.  In dimension 4 the torsion is instead the
 Hodge dual of a freely chosen 1-form, the structure's ``t_form``.  Either
 way the connection is nabla^g + T/2 and the sp(1) connection 1-forms are
 recovered by solving nabla J_a = -omega_b (x) J_c + omega_c (x) J_b
-pointwise.
+pointwise, from normal equations contracted before nabla J_a is expanded;
+the Lee forms are likewise traced from dF_a, without nabla^g F_a.
 
 A :class:`QKTStructure` is the one record of a structure: the patch with
 its metric, the triple, the scheme, the torsion rule and, in dimension 4,
@@ -90,8 +91,8 @@ CURVATURE_TOL = 1e-4
 #     weigh more.  So a context takes 40 points at d = 4 and 2 at d = 8;
 #   * a stencil slice of its step-h2 pass holds at most 64 d^4 elements per
 #     point: a stencil context on 2d points, each keeping 9-16 d^3 elements
-#     (d_aF_a^+, (J_a df) ^ F_a, Gamma, ...; and nabla J_a for a varying triple)
-#     and building transients (dF and its projections), 22-25 d^3 at d = 4.
+#     (d_aF_a^+, (J_a df) ^ F_a, Gamma, ...) and building transients (dF and
+#     its projections; there is no nabla F_a, and no nabla J_a), 22-25 d^3 at d = 4.
 # The pass runs before the context's rank-4 layers exist, beside its
 # first-order layers and the gradients it keeps, about 8 d^4 per point, so
 # its slices take what those leave: 7 points beside a 20-point context at
@@ -151,7 +152,7 @@ def _layer(compute):
 
 # The layers a context may difference at step h2, on stencils of its points
 # (Gamma^W is read in dimension 4 only); :attr:`QKTStructure.nested_layers`
-# drops those that a structure differences at h, constant ones and a constant triple's omega.
+# drops those differenced at h, constant ones and a constant triple's omega.
 NESTED_LAYERS = ("T", "t", "Gamma", "gamma_g", "omega", "lchkt_candidates", "gamma_w")
 
 
@@ -226,8 +227,8 @@ class QKTContext:
         ``J`` (and ``T`` when it is the dual of a ``t_form`` evaluated without
         finite differences: :attr:`QKTStructure.nested_torsion`) take one
         :func:`gradient` call at step h, on the kept step-h stencil context.
-        For a constant triple, d omega is the sp(1) solve of [d Gamma, J_a],
-        since it is linear in Gamma there.  Every other layer of
+        For a constant triple, d omega is :func:`_sp1_solve` of d Gamma, since
+        the solve is linear in Gamma there.  Every other layer of
         :data:`NESTED_LAYERS` is differenced at step h2 in the context's one
         pass, together with the structure's other step-h2 layers
         (:attr:`QKTStructure.nested_layers`); any other layer, or one that the
@@ -242,10 +243,8 @@ class QKTContext:
             sub = self._stencil_h
             return gradient(lambda _: getattr(sub, layer), self.x, self.struct.scheme)
         if layer == "omega" and self.struct.constant_layer("J"):
-            grad = self.derivative("Gamma")   # the derivative axis as one more point axis
-            J = np.broadcast_to(self.J[..., None, :, :, :], grad.shape[:-3] + self.J.shape[-3:])
-            zero = np.broadcast_to(0.0, J.shape[:-3] + J.shape[-1:] + J.shape[-3:])
-            return _extract_sp1(J, covariant_derivative_array(grad, "ud", J, zero))[0]
+            # the derivative axis as one more point axis
+            return _sp1_solve(self.J[..., None, :, :, :], self.derivative("Gamma"))[0]
         layers = self.struct.nested_layers
         if layer not in layers:
             raise LookupError(f"layer {layer!r} is not among the step-h2 layers {layers} "
@@ -297,7 +296,11 @@ class QKTContext:
 
     @_layer
     def ginv(self):
-        return np.linalg.inv(self.g)
+        """g^{-1} = g_0^{-1} / f, a constant g_0 inverted once (:class:`ConstantMetric`)."""
+        metric = self.struct.patch.metric
+        base = metric.base if isinstance(metric, ConformalMetric) else metric
+        inverse = base.inverse if isinstance(base, ConstantMetric) else np.linalg.inv(self.g0)
+        return inverse / self.f[..., None, None]
 
     @_layer
     def vol(self):
@@ -321,9 +324,12 @@ class QKTContext:
 
     @_layer
     def dg(self):
-        """dg[..., a, i, j] = d_a g_ij, by the product rule df (x) g_0 + f dg_0."""
-        return (self.df[..., :, None, None] * self.g0[..., None, :, :]
-                + self.f[..., None, None, None] * self.derivative("g0"))
+        """dg[..., a, i, j] = d_a g_ij, by the product rule df (x) g_0 + f dg_0, the
+        second term for a varying g_0 only."""
+        dg = self.df[..., :, None, None] * self.g0[..., None, :, :]
+        if not self.struct.constant_layer("g0"):
+            dg += self.f[..., None, None, None] * self.derivative("g0")
+        return dg
 
     @_layer
     def dJ(self):
@@ -331,12 +337,12 @@ class QKTContext:
         return self.derivative("J")
 
     def _dF(self) -> np.ndarray:
-        """dF[..., a, alpha, i, j] = d_a (F_alpha)_ij, by the product rule
+        """dF[..., alpha, a, i, j] = d_a (F_alpha)_ij, by the product rule
         (d_a g) J_alpha + g d_a J_alpha, the second term for a varying triple
         only.  Not a layer: each call computes it afresh."""
-        dF = self.dg[..., :, None, :, :] @ self.J[..., None, :, :, :]
+        dF = self.dg[..., None, :, :, :] @ self.J[..., :, None, :, :]
         if not self.struct.constant_layer("J"):
-            dF += self.g[..., None, None, :, :] @ self.dJ
+            dF += self.g[..., None, None, :, :] @ np.swapaxes(self.dJ, -4, -3)
         return dF
 
     @_layer
@@ -360,12 +366,17 @@ class QKTContext:
     @_layer
     def _dF_parts(self):
         """(theta, theta_cross, dcF_plus) from one dF, dropped when done."""
-        J, ginv = self.J, self.ginv
+        J, ginv, gamma, F = self.J, self.ginv, self.gamma_g, self.F
+        d, points = J.shape[-1], J.shape[:-3]
         dF = self._dF()
-        nabla_f = covariant_derivative_array(self.gamma_g, "dd", self.F, dF)
-        theta = -j_apply_oneform(J, trace_codifferential(nabla_f, ginv, degree=2))
-        del nabla_f
-        dF = antisymmetrized_gradient(np.moveaxis(dF, -4, -3), degree=2)
+        # delta F_a = -(g^ij d_i F_a(e_j) - F_a(v) - Gamma^m_ik (g^-1 F_a)^i_m), v^m = g^ij Gamma^m_ij
+        weights = ginv.reshape(points + (d * d, 1))
+        delta = np.swapaxes(gamma.reshape(points + (d, d * d)) @ weights, -1, -2)[..., None, :, :] @ F
+        delta += np.swapaxes(ginv[..., None, :, :] @ F, -1, -2).reshape(points + (3, 1, d * d)) \
+            @ gamma.reshape(points + (1, d * d, d))
+        delta -= np.swapaxes(weights, -1, -2)[..., None, :, :] @ dF.reshape(points + (3, d * d, d))
+        theta = (delta @ J)[..., 0, :]
+        dF = antisymmetrized_gradient(dF, degree=2)
         # one projection: J commutes with it, so dcF_plus is the twist of dF_plus.
         # The 3-form arrays of a stencil batch are the largest temporaries: drop each when done
         dF_plus = project_plus_3form(dF, J)
@@ -435,21 +446,30 @@ class QKTContext:
 
     @_layer
     def nabla_J(self):
-        """nabla_J[..., alpha, i, k, j] = (nabla_i J_alpha)[k, j] under the torsion connection."""
+        """nabla_J[..., alpha, i, k, j] = (nabla_i J_alpha)[k, j] under the torsion
+        connection; only eq1 and eq2 read it."""
         return covariant_derivative_array(self.Gamma, "ud", self.J, self.dJ)
 
     @_layer
-    def sp1(self):
-        """(omega[..., alpha], eq1 residual) from nabla J_a."""
-        return _extract_sp1(self.J, self.nabla_J)
+    def _sp1(self):
+        """(omega, coefficients) of :func:`_sp1_solve`, without nabla J."""
+        return _sp1_solve(self.J, self.Gamma, None if self.struct.constant_layer("J") else self.dJ)
 
     @property
     def omega(self):
-        return self.sp1[0]
+        """The sp(1) connection 1-forms omega[..., alpha]."""
+        return self._sp1[0]
 
-    @property
+    @_layer
     def eq1(self):
-        return self.sp1[1]
+        """Per point, the worst least-squares defect of nabla J_a = -omega_b (x) J_c
+        + omega_c (x) J_b and the worst disagreement of the two recoveries of each omega."""
+        J, coeffs = self.J, self._sp1[1]
+        design = np.stack([-J[..., CYC_C, :, :], J[..., CYC_B, :, :]], axis=-3)   # [..., a, s, k, j]
+        defect = np.swapaxes(coeffs, -1, -2) @ design.reshape(coeffs.shape[:-1] + (-1,))
+        defect -= self.nabla_J.reshape(defect.shape)
+        return np.maximum(np.max(np.abs(defect, out=defect), axis=(-3, -2, -1)), np.max(
+            np.abs(coeffs[..., CYC_C, 0, :] - coeffs[..., CYC_B, 1, :]), axis=(-2, -1)))
 
     @_layer
     def auxiliary(self):
@@ -627,32 +647,26 @@ def _alpha_versions(ctx: QKTContext) -> np.ndarray:
         + wedge_arrays(K, F[..., CYC_B, :, :], stack=stack))
 
 
-def _extract_sp1(J: np.ndarray, nabla_j: np.ndarray):
-    """Solve nabla J_a = -omega_b (x) J_c + omega_c (x) J_b for the omegas.
-
-    ``J`` and ``nabla_j[..., a, i, k, j]`` = (nabla_i J_a)[k, j] carry the
-    same point axes.  Each omega is recovered from both equations containing
-    it; the returned per-point residual tracks the worst least-squares
-    defect and the worst disagreement between the two recoveries.
-    """
-    dim = J.shape[-1]
-    points = J.shape[:-3]
-    # per cyclic triple (a, b, c): design [-J_c, J_b] with one column per
-    # direction on the right, solved through the stacked 2x2 normal equations
-    # (general, since the columns are orthogonal only for a compatible triple)
-    flat = J.reshape(points + (3, dim * dim))
-    design = np.stack([-flat[..., CYC_C, :], flat[..., CYC_B, :]], axis=-1)
-    rhs = np.swapaxes(nabla_j.reshape(points + (3, dim, dim * dim)), -2, -1)  # [..., a, kj, i]
-    design_t = np.swapaxes(design, -1, -2)
-    coeffs = np.linalg.solve(design_t @ design, design_t @ rhs)  # [..., a, 2, i]
-    defect = design @ coeffs
-    defect -= rhs
-    residual = np.max(np.abs(defect, out=defect), axis=(-3, -2, -1))
-    # omega_k comes from the triple with b = k and the triple with c = k
-    from_b, from_c = coeffs[..., CYC_C, 0, :], coeffs[..., CYC_B, 1, :]
-    omegas = (from_b + from_c) / 2.0
-    residual = np.maximum(residual, np.max(np.abs(from_b - from_c), axis=(-2, -1)))
-    return omegas, residual
+def _sp1_solve(J: np.ndarray, gamma: np.ndarray, dJ: np.ndarray | None = None):
+    """The one sp(1) solve: (omega[..., alpha], coefficients[..., a, 2, i]) of
+    nabla_i J_a = d_i J_a + [Gamma_i, J_a], (Gamma_i)^k_m = gamma[..., k, i, m],
+    fitted by least squares on D = (-J_c, J_b) per cyclic (a, b, c); without
+    the dJ term when ``dJ`` is None.  The normal equations are
+    contracted before expanding: D^T nabla J_a = D^T dJ_a + <Gamma, D J_a^T -
+    J_a^T D>, a general 2x2 system (the columns are orthogonal only for a
+    compatible triple).  omega_k is the mean of its recoveries from b = k and
+    c = k.  Axes of ``gamma`` ahead of J's broadcast."""
+    d = J.shape[-1]
+    design = np.stack([-J[..., CYC_C, :, :], J[..., CYC_B, :, :]], axis=-3)   # [..., a, s, k, m]
+    J_t = np.swapaxes(J, -1, -2)[..., :, None, :, :]
+    pairs = (design @ J_t - J_t @ design).reshape(J.shape[:-3] + (6, d * d))
+    rhs = pairs @ np.swapaxes(gamma, -2, -1).reshape(gamma.shape[:-3] + (d * d, d))
+    rhs = rhs.reshape(rhs.shape[:-2] + (3, 2, d))
+    design = design.reshape(J.shape[:-3] + (3, 2, d * d))
+    if dJ is not None:
+        rhs += design @ np.moveaxis(dJ.reshape(dJ.shape[:-4] + (d, 3, d * d)), -3, -1)
+    coeffs = np.linalg.solve(design @ np.swapaxes(design, -1, -2), rhs)
+    return (coeffs[..., CYC_C, 0, :] + coeffs[..., CYC_B, 1, :]) / 2.0, coeffs
 
 
 # ---------------------------------------------------------------------------

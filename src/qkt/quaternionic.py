@@ -87,8 +87,9 @@ def build_standard_hypercomplex(n: int) -> ConstantHypercomplexField:
     """The constant hypercomplex structure of H^n, block-diagonal per quadruple."""
     if n < 1:
         raise DimensionError(f"need n >= 1, got {n}")
-    return ConstantHypercomplexField(
-        *(np.kron(np.eye(n), block) for block in (_J1_BLOCK, _J2_BLOCK, _J3_BLOCK)))
+    eye = np.eye(n)[:, None, :, None]   # np.kron's products, signed zeros included
+    return ConstantHypercomplexField(*((eye * block[:, None, :]).reshape(4 * n, 4 * n)
+                                       for block in (_J1_BLOCK, _J2_BLOCK, _J3_BLOCK)))
 
 
 def rotated_hypercomplex(n: int, tilt_degrees: float) -> ConstantHypercomplexField:

@@ -385,18 +385,18 @@ def hodge_star_array(arr: np.ndarray, ginv: np.ndarray, vol: np.ndarray) -> np.n
 class ConstantMetric:
     """A metric field that is the same matrix at every point.
 
-    Every point gets a read-only view of one matrix, and the Christoffel
-    symbols vanish exactly, without a stencil.
+    Every point gets a read-only view of one matrix, inverted once into
+    ``inverse``, and the Christoffel symbols vanish exactly, without a stencil.
     """
 
-    __slots__ = ("g",)
+    __slots__ = ("g", "inverse")
 
     def __init__(self, g):
         g = np.array(g, dtype=float)
         if not (np.all(np.isfinite(g)) and np.linalg.eigvalsh(g)[0] >= MIN_METRIC_EIGENVALUE):
             raise DegenerateMetricError("constant metric is not finite and positive definite")
-        g.flags.writeable = False
-        self.g = g
+        self.g, self.inverse = g, np.linalg.inv(g)
+        g.flags.writeable = self.inverse.flags.writeable = False
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.g, np.shape(p)[:-1] + self.g.shape)

@@ -6,7 +6,8 @@ the Lee forms and cross Lee forms from their own stencils, K from them,
 the eq4 existence defect by its own formula, the twisted derivative of one
 2-form, a Gram-Schmidt frame, the step-h2 difference of a context layer,
 the Ricci data of a structure, the Einstein-Weyl deviation of its Weyl
-connection, and thin field wrappers
+connection, the first-order and sp(1) layers of a context from the
+expanded nabla^g F_a and nabla J_a, and thin field wrappers
 around the array kernels (tensor fields, the exterior derivative of a form
 field, the covariant derivative, the Levi-Civita connection field, the
 torsion and connection of a built structure as fields, the Hodge star at
@@ -26,6 +27,8 @@ from qkt.curvature import curvature_tensor, ricci_tensor
 from qkt.errors import DegenerateMetricError, DegreeError, DimensionError
 from qkt.qkt_connection import QKTStructure, qkt_structure
 from qkt.quaternionic import (
+    CYC_B,
+    CYC_C,
     CYCLIC,
     frame_trace_pair,
     j_apply_form,
@@ -307,11 +310,65 @@ def einstein_weyl_deviation(ctx) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the first-order and sp(1) layers of a context by their expanded formulas
+# ---------------------------------------------------------------------------
+
+def expanded_first_order(ctx) -> tuple:
+    """(theta, theta_cross, dcF_plus) of the context ``ctx`` from dF[..., a, alpha]
+    with the derivative axis first, theta traced from nabla^g F_a built in full."""
+    J, g = ctx.J, ctx.g
+    ginv = np.linalg.inv(g)
+    dF = ctx.dg[..., :, None, :, :] @ J[..., None, :, :, :]
+    if not ctx.struct.constant_layer("J"):
+        dF += g[..., None, None, :, :] @ ctx.dJ
+    nabla_f = covariant_derivative_array(ctx.gamma_g, "dd", g[..., None, :, :] @ J, dF)
+    theta = -j_apply_oneform(J, trace_codifferential(nabla_f, ginv, degree=2))
+    dF_plus = project_plus_3form(antisymmetrized_gradient(np.moveaxis(dF, -4, -3), degree=2), J)
+    theta_cross = -0.5 * frame_trace_pair(dF_plus[..., None, :, :, :], ginv, J[..., None, :, :, :])
+    return theta, theta_cross, j_apply_form(J, dF_plus)
+
+
+def extract_sp1(J: np.ndarray, nabla_j: np.ndarray) -> tuple:
+    """(omega[..., alpha], eq1 residual): nabla J_a = -omega_b (x) J_c + omega_c (x) J_b
+    solved by least squares on the expanded nabla_j[..., a, i, k, j] = (nabla_i J_a)[k, j],
+    each omega from both equations that contain it; the residual is the worst
+    defect of the fit and the worst disagreement of the two recoveries."""
+    dim, points = J.shape[-1], J.shape[:-3]
+    flat = J.reshape(points + (3, dim * dim))
+    design = np.stack([-flat[..., CYC_C, :], flat[..., CYC_B, :]], axis=-1)
+    rhs = np.swapaxes(nabla_j.reshape(points + (3, dim, dim * dim)), -2, -1)  # [..., a, kj, i]
+    design_t = np.swapaxes(design, -1, -2)
+    coeffs = np.linalg.solve(design_t @ design, design_t @ rhs)  # [..., a, 2, i]
+    residual = np.max(np.abs(design @ coeffs - rhs), axis=(-3, -2, -1))
+    from_b, from_c = coeffs[..., CYC_C, 0, :], coeffs[..., CYC_B, 1, :]
+    residual = np.maximum(residual, np.max(np.abs(from_b - from_c), axis=(-2, -1)))
+    return (from_b + from_c) / 2.0, residual
+
+
+def expanded_sp1(ctx) -> tuple:
+    """(omega, eq1) of the context ``ctx`` from nabla J_a built in full."""
+    return extract_sp1(ctx.J, covariant_derivative_array(ctx.Gamma, "ud", ctx.J, ctx.dJ))
+
+
+def expanded_d_omega(ctx) -> np.ndarray:
+    """d omega[..., a, alpha] of ``ctx``: for a constant triple the solve of the
+    expanded [d Gamma, J_a], for a varying one the step-h2 difference of
+    :func:`expanded_sp1` on fresh stencil contexts."""
+    if not ctx.struct.constant_layer("J"):
+        return gradient(lambda q: expanded_sp1(ctx.struct.at(q))[0], ctx.x, ctx.struct.scheme,
+                        True)
+    grad = ctx.derivative("Gamma")
+    J = np.broadcast_to(ctx.J[..., None, :, :, :], grad.shape[:-3] + ctx.J.shape[-3:])
+    zero = np.broadcast_to(0.0, J.shape[:-3] + J.shape[-1:] + J.shape[-3:])
+    return extract_sp1(J, covariant_derivative_array(grad, "ud", J, zero))[0]
+
+
+# ---------------------------------------------------------------------------
 # first derivatives of g and F from their products, and Halton points
 # ---------------------------------------------------------------------------
 
 def g_and_F_difference(struct, x: np.ndarray) -> tuple:
-    """(dg[..., a, i, j], dF[..., a, alpha, i, j]) at the points ``x``: one
+    """(dg[..., a, i, j], dF[..., alpha, a, i, j]) at the points ``x``: one
     step-h stencil of g and the three F_a = g J_a, stacked and differenced."""
 
     def g_and_F(q):
@@ -319,7 +376,7 @@ def g_and_F_difference(struct, x: np.ndarray) -> tuple:
         return np.concatenate([ctx.g[..., None, :, :], ctx.F], axis=-3)
 
     both = gradient(g_and_F, x, struct.scheme)
-    return both[..., 0, :, :], both[..., 1:, :, :]
+    return both[..., 0, :, :], np.swapaxes(both[..., 1:, :, :], -4, -3)
 
 
 def radical_inverse(index: int, base: int) -> float:

@@ -104,6 +104,16 @@ def test_constant_triple_shares_one_read_only_stack():
     assert "_stencil_h" not in vars(ctx)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_standard_triple_has_the_bits_of_kron(n):
+    # the same products as np.kron(eye(n), block), so -0.0 off the blocks too
+    stack = build_standard_hypercomplex(n).stack
+    block = build_standard_hypercomplex(1).stack
+    kron = np.stack([np.kron(np.eye(n), J) for J in block])
+    assert np.array_equal(stack, kron) and np.array_equal(np.signbit(stack), np.signbit(kron))
+    assert np.signbit(stack).any()
+
+
 def test_j3_action_on_first_vector():
     H = build_standard_hypercomplex(1)
     J1, J2, J3 = H.matrices(np.zeros(4))

@@ -490,7 +490,7 @@ def test_memoized_metric_evaluates_each_point_once():
     ctx = _conformal_struct(calls).at(P8)
     assert ctx.g is ctx.g
     for layer in ("theta", "theta_cross", "dcF_plus", "K", "existence",
-                  "curv", "curv_g", "rho", "nabla_T", "dt", "sp1"):
+                  "curv", "curv_g", "rho", "nabla_T", "dt", "omega", "eq1"):
         getattr(ctx, layer)
     shapes = [call for call in calls if isinstance(call, tuple)]
     rows = [call for call in calls if isinstance(call, bytes)]

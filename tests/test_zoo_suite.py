@@ -875,9 +875,11 @@ def test_hodge_stars_reuse_the_context_inverse_and_volume(monkeypatch):
     # context's ginv and vol layers: a 20-point hopf_local run made 16 inv and
     # 10 det calls while every star inverted g and took its determinant again,
     # 8 and 6 while every chunk and its h2 stencil opened a base context, and
-    # 5 and 3 with two 10-point chunks.  Now the constant base, the one sample
-    # context and its three stencil slices invert g, and the base and the
-    # sample context take the determinant
+    # 5 and 3 with two 10-point chunks, and 5 and 2 while the constant base,
+    # the one sample context and its three stencil slices inverted g.  Now
+    # the flat metric g_0 is inverted once, when it is built, every context
+    # divides that inverse by f, and the base and the sample context take the
+    # determinant
     calls = {"inv": 0, "det": 0}
     for name in calls:
         def counting(*args, _name=name, _original=getattr(np.linalg, name)):
@@ -885,4 +887,4 @@ def test_hodge_stars_reuse_the_context_inverse_and_volume(monkeypatch):
             return _original(*args)
         monkeypatch.setattr(np.linalg, name, counting)
     assert run_suite(ManifoldSpec(kind="hopf_local", n=1, point_count=20, seed=5), "all").all_pass
-    assert calls == {"inv": 5, "det": 2}
+    assert calls == {"inv": 1, "det": 2}
