@@ -28,7 +28,6 @@ from .qkt_connection import (
     QKTContext,
     QKTStructure,
     build_qkt,
-    build_qkt_dim4,
     c7_residual,
     classify,
     existence_residual,

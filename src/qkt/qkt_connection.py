@@ -206,11 +206,11 @@ class QKTContext:
         conformal laws read.  A constant base's sits at one point, its layers
         broadcast against x, and the stencil contexts share it; any other
         base's sits at x, and its first step-h2 read (the conformal laws' dt)
-        differences every step-h2 layer of the base."""
+        differences every step-h2 layer of the base, on points already checked."""
         base = self.struct.base
         if base.constant:
             return base.at(self.x.reshape(-1, self.x.shape[-1])[0])
-        return base.at(self.x)
+        return QKTContext(base, self.x)
 
     def residual(self, *arrays) -> np.ndarray:
         """Per point of x, the largest |entry| of ``arrays`` beyond the point axes; NaN wins."""
@@ -753,12 +753,13 @@ class QKTStructure:
     def at(self, x: np.ndarray, base: QKTContext | None = None) -> QKTContext:
         """The lazy evaluation context of this structure on the point array ``x``;
         ``base``: a context of a constant ``self.base`` to share, as ``run_suite``
-        passes it.  Points whose last axis is not the patch dimension are a
-        :class:`DimensionError`."""
+        passes it.  The one check of the points a caller opens: none is an
+        :class:`InputError`, a wrong last axis a :class:`DimensionError`, a point
+        not inside the box shrunk by the scheme's margin a :class:`BoundaryError`."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.patch.dim,):
-            raise DimensionError(f"points of shape {x.shape} on a "
-                                 f"{self.patch.dim}-dimensional patch")
+        if x.size == 0:
+            raise InputError(f"no points (shape {x.shape})")
+        self.patch.require_interior(x, self.scheme.margin)
         return QKTContext(self, x, base)
 
     # an alias of at() that only perfbench/layertrace.py names; ROADMAP item 1
@@ -789,11 +790,11 @@ def existence_residual(patch: CoordinatePatch,
                        hyper: HypercomplexField,
                        p: np.ndarray,
                        scheme: FDScheme) -> float:
-    """Worst defect of the pairwise compatibility condition at the points ``p``; n >= 2."""
+    """Worst defect of the pairwise compatibility condition at the points ``p``, checked
+    by :meth:`QKTStructure.at`, one context per chunk of points; n >= 2."""
     if patch.n < 2:
         raise DimensionError("the existence condition needs n >= 2")
     struct = qkt_structure(patch, hyper, scheme)
-    patch.require_interior(p, scheme.margin)
     return worst(*(struct.at(chunk).existence for chunk in point_chunks(p)))
 
 
@@ -828,19 +829,19 @@ def _check(*contexts: QKTContext, count: int | None = None) -> QKTStructure:
 
 def check_at(struct: QKTStructure, check_points=None) -> QKTStructure:
     """``struct`` if it passes :func:`_check` in one context on ``check_points``
-    (the patch center by default), one (d,) point as one row."""
-    points = np.asarray(struct.patch.center() if check_points is None else check_points, float)
-    if points.size == 0:
-        raise InputError(f"no check points (shape {points.shape})")
-    struct.patch.require_interior(points, struct.scheme.margin)
+    (the patch center by default, one (d,) point as one row), which ``at`` checks."""
+    points = struct.patch.center() if check_points is None else check_points
     return _check(struct.at(np.atleast_2d(points)))
 
 
 def qkt_structure(patch: CoordinatePatch, hyper: HypercomplexField, scheme: FDScheme,
                   t_form: FormField | None = None) -> QKTStructure:
     """The structure on ``patch`` and ``hyper``, unchecked: with the torsion of its
-    bundle data for n >= 2, with the Hodge dual of ``t_form`` (zero by default) for n = 1."""
+    bundle data for n >= 2, with the Hodge dual of ``t_form`` (zero by default) for
+    n = 1.  A ``t_form`` for n >= 2 is a :class:`DimensionError`."""
     if patch.n >= 2:
+        if t_form is not None:
+            raise DimensionError(f"a torsion 1-form is for n = 1 only, not n = {patch.n}")
         return QKTStructure(patch, hyper, scheme, _bundle_torsion)
     t_form = ConstantForm(1, np.zeros(4)) if t_form is None else t_form
     return QKTStructure(patch, hyper, scheme, _dual_torsion, t_form=t_form)
@@ -849,21 +850,12 @@ def qkt_structure(patch: CoordinatePatch, hyper: HypercomplexField, scheme: FDSc
 def build_qkt(patch: CoordinatePatch,
               hyper: HypercomplexField,
               scheme: FDScheme,
+              t_form: FormField | None = None,
               check_points: Sequence[np.ndarray] | None = None) -> QKTStructure:
-    """Build the unique torsion connection on a 4n-dimensional patch, n >= 2."""
-    if patch.n < 2:
-        raise DimensionError("the bundle torsion needs n >= 2; use build_qkt_dim4 for n = 1")
-    return check_at(qkt_structure(patch, hyper, scheme), check_points)
-
-
-def build_qkt_dim4(patch: CoordinatePatch,
-                   hyper: HypercomplexField,
-                   t_form: FormField,
-                   scheme: FDScheme) -> QKTStructure:
-    """Build the dimension-4 structure with torsion the Hodge dual of ``t_form``."""
-    if patch.n != 1:
-        raise DimensionError("build_qkt_dim4 needs n = 1")
-    return check_at(qkt_structure(patch, hyper, scheme, t_form))
+    """Build the torsion connection on a 4n-dimensional patch, for every n: the
+    unchecked :func:`qkt_structure` (with the dual of ``t_form`` as the torsion
+    for n = 1), checked by :func:`check_at` on ``check_points``."""
+    return check_at(qkt_structure(patch, hyper, scheme, t_form), check_points)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Source guard: one build check, run in one way for every n.
+"""Source guard: one build check and one point check, each run in one way for every n.
 
 The conditions for a torsion connection (a valid metric, the quaternionic
 identities and, for n >= 2, the existence defect) are checked by one
@@ -6,9 +6,17 @@ function of ``qkt.qkt_connection``, ``_check``.  ``NotQKTError`` is
 constructed there and nowhere else, so a second copy of the check cannot
 grow beside it.  Structures are built unchecked and checked once: ``_check``
 runs through ``check_at`` (a context of its own on the check points, for the
-public builders ``build_qkt``, ``build_qkt_dim4``, ``build_manifold`` and
+public builders ``build_qkt`` (every n), ``build_manifold`` and
 ``conformal_ingredients``) or in ``run_suite``'s own chunk contexts, and no
 other function calls either, so no constructor checks on its own.
+
+Points are checked where a context opens: ``QKTStructure.at`` is the one
+caller of ``require_interior`` and opens every context a caller asks for.
+The only other constructions of ``QKTContext`` are the contexts the library
+opens on points it has already checked: a stencil context
+(``QKTContext._on_stencil``) and a varying base's context at the same points
+(``QKTContext.base``).  So no reader checks points on its own, and none
+skips the check.  A method is named by its class, ``Class.method``.
 """
 
 import ast
@@ -20,24 +28,30 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qkt"
 ALLOWED_CALLERS = {
     "NotQKTError": {"_check"},
     "_check": {"check_at", "_run_suite"},
-    "check_at": {"build_qkt", "build_qkt_dim4", "build_manifold", "conformal_ingredients"},
+    "check_at": {"build_qkt", "build_manifold", "conformal_ingredients"},
+    "require_interior": {"QKTStructure.at"},
+    "QKTContext": {"QKTStructure.at", "QKTContext._on_stencil", "QKTContext.base"},
 }
 
 
 def calls(source: str, filename: str) -> list:
     """(file, enclosing function, callee, line) of every call, by bare name or
-    attribute, to a callee of ALLOWED_CALLERS."""
+    attribute, to a callee of ALLOWED_CALLERS; a method as ``Class.method``."""
     found = []
 
-    def visit(node, function):
+    def visit(node, function, cls=None):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 callee = child.func
                 name = getattr(callee, "id", None) or getattr(callee, "attr", None)
                 if name in ALLOWED_CALLERS:
                     found.append((filename, function, name, child.lineno))
-            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if is_function else function)
+            if isinstance(child, ast.ClassDef):
+                visit(child, function, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{cls}.{child.name}" if cls else child.name)
+            else:
+                visit(child, function, cls)
 
     visit(ast.parse(source, filename), None)
     return found
@@ -77,6 +91,23 @@ def test_guard_detects_a_builder_that_checks_on_its_own():
             "    return check_at(build_structure(spec), check_points)\n")
     assert misplaced(calls(code, "zoo.py")) == [("zoo.py", "build_structure", "check_at", 3),
                                                ("zoo.py", "_flat", "_check", 5)]
+
+
+def test_guard_detects_a_reader_that_checks_points_on_its_own():
+    code = ("class QKTStructure:\n"
+            "    def at(self, x, base=None):\n"
+            "        self.patch.require_interior(x, self.scheme.margin)\n"
+            "        return QKTContext(self, x, base)\n"
+            "class Patch:\n"
+            "    def at(self, x):\n"
+            "        return QKTContext(self.struct, x)\n"
+            "def existence_residual(patch, hyper, p, scheme):\n"
+            "    patch.require_interior(p, scheme.margin)\n"
+            "    return QKTContext(qkt_structure(patch, hyper, scheme), p).existence\n")
+    assert misplaced(calls(code, "probe.py")) == [
+        ("probe.py", "Patch.at", "QKTContext", 7),
+        ("probe.py", "existence_residual", "require_interior", 9),
+        ("probe.py", "existence_residual", "QKTContext", 10)]
 
 
 def test_checks_run_only_from_their_allowed_callers():

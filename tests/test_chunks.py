@@ -10,8 +10,10 @@ base context that the rescaled torsion rule opened.  They pin that a
 context differences the step-h2 layers of its structure in at most one
 pass, that no stencil context runs one, and that a context keeps no
 stencil of them; two tests bound the traced peak memory of a curvature
-run and of a dimension-4 all-suite run.  Empty point sets are input
-errors.
+run and of a dimension-4 all-suite run.  Every public reader that takes
+points rejects bad ones alike, through the one check where a context
+opens: no points are an input error, a wrong dimension a dimension error,
+and a point not inside the margin-shrunk box a boundary error.
 """
 
 import collections
@@ -32,21 +34,23 @@ import qkt.qkt_connection as qkt_connection
 import qkt.suite as suite_module
 import reference
 from qkt.conformal import ConformalFactor, conformal_rescale
-from qkt.errors import DimensionError, InputError, NotQKTError
+from qkt.errors import BoundaryError, DimensionError, GeometryError, InputError, NotQKTError
 from qkt.qkt_connection import (
     NESTED_LAYERS,
     QKTContext,
-    build_qkt_dim4,
+    build_qkt,
+    check_at,
     chunk_length,
     classify,
     existence_residual,
     point_chunks,
     slice_length,
+    torsion_one_forms,
 )
 from qkt.quaternionic import build_standard_hypercomplex
 from qkt.suite import run_suite
 from qkt.tensor_core import ConformalMetric, ConstantForm, ConstantMetric, CoordinatePatch
-from qkt.zoo import ManifoldSpec, build_manifold, sample_points
+from qkt.zoo import KINDS, ManifoldSpec, build_manifold, sample_points
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 _spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
@@ -230,14 +234,14 @@ def test_dim4_build_error_reports_the_worst_quaternionic_residual(monkeypatch):
     lo, hi = -0.4 * np.ones(4), 0.4 * np.ones(4)
     patch = CoordinatePatch(n=1, lo=lo, hi=hi, metric=ConstantMetric(np.diag([1.0, 2.0, 1.0, 1.0])))
     with pytest.raises(NotQKTError) as err:
-        build_qkt_dim4(patch, build_standard_hypercomplex(1), ConstantForm(1, np.zeros(4)),
-                       ManifoldSpec(kind="flat", n=1).scheme())
+        build_qkt(patch, build_standard_hypercomplex(1), ManifoldSpec(kind="flat", n=1).scheme(),
+                  ConstantForm(1, np.zeros(4)))
     assert err.value.details["algebra"] == pytest.approx(1.0)
     assert "1.000e+00" in str(err.value)
 
     def build(spec):
-        return build_qkt_dim4(patch, build_standard_hypercomplex(1),
-                              ConstantForm(1, np.zeros(4)), spec.scheme())
+        return build_qkt(patch, build_standard_hypercomplex(1),
+                         spec.scheme(), ConstantForm(1, np.zeros(4)))
 
     monkeypatch.setattr(suite_module, "build_structure", build)
     report = run_suite(ManifoldSpec(kind="flat", n=1, point_count=4), "all")
@@ -422,7 +426,7 @@ def test_existence_residual_rejects_an_empty_point_set():
 
 def test_build_manifold_rejects_an_empty_check_point_set():
     spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1)
-    with pytest.raises(InputError, match="no check points"):
+    with pytest.raises(InputError, match="no points"):
         build_manifold(spec, check_points=[])
 
 
@@ -438,7 +442,7 @@ def test_build_manifold_takes_one_point_as_one_row():
             build_manifold(tilted, check_points=points)
         errors.append(err.value)
     assert errors[0].details == errors[1].details and str(errors[0]) == str(errors[1])
-    with pytest.raises(DimensionError, match=r"shape \(4,\)"):
+    with pytest.raises(DimensionError, match=r"shape \(1, 4\)"):
         build_manifold(spec, check_points=np.full(4, 0.1))
 
 
@@ -462,3 +466,58 @@ def test_existence_residual_rejects_points_of_another_dimension():
     struct = build_manifold(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1))
     with pytest.raises(DimensionError, match=r"shape \(2, 3\)"):
         existence_residual(struct.patch, struct.hyper, np.full((2, 3), 0.1), struct.scheme)
+
+
+# ---------------------------------------------------------------------------
+# points off the interior: one check where a context opens
+# ---------------------------------------------------------------------------
+
+KIND_SPECS = (ManifoldSpec(kind="flat", n=2, point_count=1),
+              ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1),
+              ManifoldSpec(kind="dim4_torsion", n=1, t_components=("sin(x2)", "0", "0.3*x1", "0"),
+                           point_count=1),
+              ManifoldSpec(kind="hopf_local", n=1, point_count=1))
+
+
+@pytest.mark.parametrize("spec", KIND_SPECS, ids=lambda spec: spec.kind)
+def test_readers_reject_points_on_and_outside_the_box(spec):
+    # before, struct.at, classify and torsion_one_forms evaluated anywhere,
+    # hopf_local's (box [0.7, 1.3]^4) even at the origin side of it
+    struct = build_manifold(spec)
+    hi = spec.box()[1]
+    edge, outside = struct.patch.center(), struct.patch.center()
+    edge[0], outside[0] = hi[0], hi[0] + 0.5
+    readers = (struct.at, lambda p: classify(struct, p), lambda p: torsion_one_forms(struct, p))
+    for p in (edge, outside):
+        for read in readers:
+            with pytest.raises(BoundaryError):
+                read(p)
+
+
+def test_kind_specs_cover_every_kind():
+    assert sorted(spec.kind for spec in KIND_SPECS) == sorted(KINDS)
+
+
+def test_every_reader_rejects_bad_points_alike():
+    spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1)
+    struct = build_manifold(spec)
+    near = struct.patch.center()
+    near[0] = spec.box()[1][0] - 0.5 * struct.scheme.margin
+    readers = {
+        "at": struct.at,
+        "classify": lambda p: classify(struct, p),
+        "torsion_one_forms": lambda p: torsion_one_forms(struct, p),
+        "existence_residual": lambda p: existence_residual(struct.patch, struct.hyper, p,
+                                                           struct.scheme),
+        "check_at": lambda p: check_at(struct, p),
+        "build_qkt": lambda p: build_qkt(struct.patch, struct.hyper, struct.scheme,
+                                         check_points=p),
+        "build_manifold": lambda p: build_manifold(spec, check_points=p),
+    }
+    cases = ((np.empty((0, 8)), InputError), (np.full(4, 0.1), DimensionError),
+             (near, BoundaryError), ([struct.patch.center(), near], BoundaryError))
+    for points, error in cases:
+        for name, read in readers.items():
+            with pytest.raises(GeometryError) as err:
+                read(points)
+            assert type(err.value) is error, (name, error)

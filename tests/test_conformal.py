@@ -12,7 +12,6 @@ from qkt.errors import GeometryError
 from qkt.expressions import parse_expression
 from qkt.qkt_connection import (
     build_qkt,
-    build_qkt_dim4,
     structure_invariant_residuals,
     torsion_one_forms,
 )
@@ -36,8 +35,8 @@ def flat_struct(n, lo=-0.6, hi=0.6):
     patch = CoordinatePatch(n=n, lo=lo * np.ones(dim), hi=hi * np.ones(dim),
                             metric=ConstantMetric(eye))
     if n == 1:
-        return build_qkt_dim4(patch, build_standard_hypercomplex(1),
-                              ConstantForm(1, np.zeros(4)), SCHEME)
+        return build_qkt(patch, build_standard_hypercomplex(1),
+                         SCHEME, ConstantForm(1, np.zeros(4)))
     return build_qkt(patch, build_standard_hypercomplex(n), SCHEME)
 
 
@@ -116,8 +115,8 @@ def test_hopf_one_form_value():
     dim = 4
     patch = CoordinatePatch(n=1, lo=0.7 * np.ones(dim), hi=1.3 * np.ones(dim),
                             metric=ConstantMetric(np.eye(dim)))
-    base = build_qkt_dim4(patch, build_standard_hypercomplex(1),
-                          ConstantForm(1, np.zeros(4)), SCHEME)
+    base = build_qkt(patch, build_standard_hypercomplex(1),
+                     SCHEME, ConstantForm(1, np.zeros(4)))
     factor = ConformalFactor(parse_expression("1/(x1^2+x2^2+x3^2+x4^2)"))
     rescaled = conformal_rescale(base, factor)
     p = np.array([1.0, 0.9, 1.1, 0.8])
@@ -135,8 +134,8 @@ def test_lcqk_residual_cases():
 
 def test_lcqk_shape_trivial_in_dim4():
     t_form = FormField(1, lambda q: np.sin(q[..., 1, None]) * np.eye(4)[0])
-    dim4 = build_qkt_dim4(flat_struct(1).patch, build_standard_hypercomplex(1),
-                          t_form, SCHEME)
+    dim4 = build_qkt(flat_struct(1).patch, build_standard_hypercomplex(1),
+                     SCHEME, t_form)
     # torsion-shape part vanishes identically; the residual is |dt|
     residual = lcqk_residual(dim4.at(POINT4))
     assert residual == pytest.approx(abs(np.cos(POINT4[1])), abs=1e-5)

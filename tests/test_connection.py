@@ -9,13 +9,15 @@ from qkt.errors import DimensionError, NotQKTError
 from qkt.conformal import ConformalFactor
 from qkt.qkt_connection import (
     QKTContext,
+    QKTStructure,
     _alpha_versions,
+    _dual_torsion,
     build_qkt,
-    build_qkt_dim4,
     c7_residual,
     classify,
     existence_residual,
     nijenhuis_via_connection,
+    qkt_structure,
     structure_invariant_residuals,
     torsion_one_form_spread,
     torsion_one_forms,
@@ -98,7 +100,7 @@ def flat_struct_n2():
 @pytest.fixture(scope="module")
 def sine_dim4():
     t_form = FormField(1, lambda q: np.sin(q[..., 1, None]) * np.eye(4)[0])
-    return build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1), t_form, SCHEME)
+    return build_qkt(flat_patch(1), build_standard_hypercomplex(1), SCHEME, t_form)
 
 
 POINT8 = np.array([0.05, -0.1, 0.2, 0.0, 0.11, -0.02, 0.3, -0.2])
@@ -365,13 +367,13 @@ def test_constant_structure_takes_no_stencil(monkeypatch, flat_struct_n2):
     # constant 1-form: every derivative is exactly zero without a stencil,
     # equal to what the stencils of the same geometry give
     t_form = ConstantForm(1, np.array([0.5, 0.0, 0.0, 0.0]))
-    const_dim4 = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1), t_form, SCHEME)
+    const_dim4 = build_qkt(flat_patch(1), build_standard_hypercomplex(1), SCHEME, t_form)
     cases = (
         (flat_struct_n2, build_qkt(flat_struct_n2.patch,
                                    HypercomplexField(flat_struct_n2.hyper.funcs), SCHEME),
          POINT8),
-        (const_dim4, build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                                    FormField(1, t_form.func), SCHEME), POINT4),
+        (const_dim4, build_qkt(flat_patch(1), build_standard_hypercomplex(1),
+                               SCHEME, FormField(1, t_form.func)), POINT4),
     )
     layers = (*FIRST_ORDER, "curv", "curv_g", "dT", "nabla_T", "dt", "nabla_g_t", "gamma_w")
     for constant, stenciled, p in cases:
@@ -421,9 +423,23 @@ def test_build_rejects_tilted_structure():
     assert err.value.details["eq4"] > 1e-2
 
 
-def test_build_needs_n_at_least_two():
-    with pytest.raises(DimensionError):
-        build_qkt(flat_patch(1), build_standard_hypercomplex(1), SCHEME)
+def test_unchecked_structure_takes_no_torsion_form_for_n_two():
+    # the torsion of n >= 2 is the bundle torsion; a 1-form would be dropped
+    with pytest.raises(DimensionError, match="n = 2"):
+        qkt_structure(flat_patch(2), build_standard_hypercomplex(2), SCHEME,
+                      ConstantForm(1, np.zeros(8)))
+
+
+def test_build_at_n_one_is_the_checked_dual_torsion_structure():
+    # one builder for every n: at n = 1 build_qkt checks the structure whose
+    # torsion is the dual of t_form, and changes nothing in it
+    data = conformal_data(1)
+    t_form = FormField(1, lambda q: np.sin(q[..., 1, None]) * np.eye(4)[0])
+    built = build_qkt(data.patch, data.hyper, SCHEME, t_form)
+    bare = QKTStructure(data.patch, data.hyper, SCHEME, _dual_torsion, t_form=t_form)
+    x = np.stack([POINT4, -0.5 * POINT4])
+    for layer in ("T", "Gamma"):
+        assert np.array_equal(getattr(built.at(x), layer), getattr(bare.at(x), layer)), layer
 
 
 def test_conformal_torsion_matches_transport_formula(conformal_struct):
@@ -490,15 +506,15 @@ def test_dim4_lee_identities_with_nonzero_theta():
 # ---------------------------------------------------------------------------
 
 def test_dim4_zero_torsion_is_levi_civita():
-    struct = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                            ConstantForm(1, np.zeros(4)), SCHEME)
+    struct = build_qkt(flat_patch(1), build_standard_hypercomplex(1),
+                       SCHEME, ConstantForm(1, np.zeros(4)))
     assert np.max(np.abs(struct.at(POINT4).T)) == 0.0
     assert np.max(np.abs(struct.at(POINT4).Gamma)) == 0.0
 
 
 def test_dim4_constant_torsion_star():
-    struct = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                            ConstantForm(1, np.array([0.5, 0, 0, 0])), SCHEME)
+    struct = build_qkt(flat_patch(1), build_standard_hypercomplex(1),
+                       SCHEME, ConstantForm(1, np.array([0.5, 0, 0, 0])))
     dx = np.eye(4)
     expected = 0.5 * wedge_arrays(wedge_arrays(dx[1], dx[2]), dx[3])
     assert np.max(np.abs(struct.at(POINT4).T - expected)) <= 1e-14
@@ -526,8 +542,8 @@ def test_dim4_torsion_step_follows_the_one_form(nested):
         zero = np.zeros(np.shape(q)[:-1])
         return np.stack([np.sin(q[..., 1]), zero, q[..., 0] * q[..., 2], zero], axis=-1)
 
-    struct = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                            FormField(1, t_at, nested=nested), SCHEME)
+    struct = build_qkt(flat_patch(1), build_standard_hypercomplex(1),
+                       SCHEME, FormField(1, t_at, nested=nested))
     assert struct.nested_torsion is nested
     at_h, at_h2 = (tensor_core.gradient(lambda q: struct.at(q).T, POINT4, SCHEME, step)
                    for step in (False, True))
@@ -537,16 +553,16 @@ def test_dim4_torsion_step_follows_the_one_form(nested):
 
 def test_dim4_requires_n_one():
     with pytest.raises(DimensionError):
-        build_qkt_dim4(flat_patch(2), build_standard_hypercomplex(2),
-                       ConstantForm(1, np.zeros(8)), SCHEME)
+        build_qkt(flat_patch(2), build_standard_hypercomplex(2),
+                  SCHEME, ConstantForm(1, np.zeros(8)))
 
 
 def test_dim4_star_dT_equals_minus_delta_t(sine_dim4):
     struct = sine_dim4
     # t = sin(x1) dx1 makes both sides nonzero; rebuild with that form
     t_form = FormField(1, lambda q: np.sin(q[..., 0, None]) * np.eye(4)[0])
-    nontrivial = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                                t_form, SCHEME)
+    nontrivial = build_qkt(flat_patch(1), build_standard_hypercomplex(1),
+                           SCHEME, t_form)
     for built, form in ((struct, t_field(struct)), (nontrivial, t_form)):
         p = POINT4
         dT = exterior_derivative(torsion_field(built), SCHEME)(p)
@@ -668,8 +684,8 @@ def test_classify_conformal(conformal_struct):
 
 
 def test_classify_dim4_constant_torsion():
-    struct = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                            ConstantForm(1, np.array([0.5, 0, 0, 0])), SCHEME)
+    struct = build_qkt(flat_patch(1), build_standard_hypercomplex(1),
+                       SCHEME, ConstantForm(1, np.array([0.5, 0, 0, 0])))
     record = classify(struct, [POINT4])
     assert record.is_parallel_torsion and record.is_strong
     assert record.is_hkt is None

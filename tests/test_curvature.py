@@ -14,7 +14,7 @@ from qkt.curvature import (
 )
 from qkt.errors import DimensionError
 from qkt.expressions import parse_expression
-from qkt.qkt_connection import QKTContext, build_qkt, build_qkt_dim4, classify
+from qkt.qkt_connection import QKTContext, build_qkt, classify
 from qkt.quaternionic import build_standard_hypercomplex
 from qkt.tensor_core import (
     ConstantForm,
@@ -55,15 +55,15 @@ def conformal_struct():
 
 @pytest.fixture(scope="module")
 def const_dim4():
-    return build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                          ConstantForm(1, np.array([0.5, 0.0, 0.0, 0.0])), SCHEME)
+    return build_qkt(flat_patch(1), build_standard_hypercomplex(1),
+                     SCHEME, ConstantForm(1, np.array([0.5, 0.0, 0.0, 0.0])))
 
 
 @pytest.fixture(scope="module")
 def sine_dim4():
     t_form = FormField(1, lambda q: np.sin(q[..., 1, None]) * np.eye(4)[0])
-    return build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                          t_form, SCHEME)
+    return build_qkt(flat_patch(1), build_standard_hypercomplex(1),
+                     SCHEME, t_form)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +130,8 @@ def test_structures_freed_without_gc(monkeypatch):
     import weakref
     gc.disable()
     try:
-        base = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                              ConstantForm(1, np.array([0.5, 0.0, 0.0, 0.0])), SCHEME)
+        base = build_qkt(flat_patch(1), build_standard_hypercomplex(1),
+                         SCHEME, ConstantForm(1, np.array([0.5, 0.0, 0.0, 0.0])))
         struct = conformal_rescale(base, ConformalFactor(lambda p: np.exp(p[..., 0])))
         made = []
         on_stencil = QKTContext._on_stencil
@@ -228,8 +228,8 @@ def test_dT_trace_equalities_closed_torsion(const_dim4):
 # ---------------------------------------------------------------------------
 
 def test_dim4_suite_flat():
-    struct = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                            ConstantForm(1, np.zeros(4)), SCHEME)
+    struct = build_qkt(flat_patch(1), build_standard_hypercomplex(1),
+                       SCHEME, ConstantForm(1, np.zeros(4)))
     out = dim4_einstein_suite(struct.at(POINT4))
     for key in ("eq5.67", "eq5.68", "eq5.69",
                 "einstein_deviation", "sp1_einstein_deviation"):
@@ -265,8 +265,8 @@ def test_ricci_data_shapes(sine_dim4):
 # ---------------------------------------------------------------------------
 
 def test_weyl_trivial_for_zero_torsion():
-    struct = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                            ConstantForm(1, np.zeros(4)), SCHEME)
+    struct = build_qkt(flat_patch(1), build_standard_hypercomplex(1),
+                       SCHEME, ConstantForm(1, np.zeros(4)))
     ctx = struct.at(POINT4)
     assert np.max(np.abs(ctx.gamma_w - ctx.Gamma)) <= 1e-12
     out = weyl_correspondence(ctx)
@@ -288,14 +288,14 @@ def test_hkt_dim4_is_sp1_einstein():
     # and the associated Weyl structure is Einstein-Weyl
     dim = 4
     factor = ConformalFactor(parse_expression("exp(x1)"))
-    base = build_qkt_dim4(flat_patch(1), build_standard_hypercomplex(1),
-                          ConstantForm(1, np.zeros(4)), SCHEME)
+    base = build_qkt(flat_patch(1), build_standard_hypercomplex(1),
+                     SCHEME, ConstantForm(1, np.zeros(4)))
     rescaled = conformal_rescale(base, factor)
     # common Lee form of the rescaled metric is d ln f = dx1
     theta = np.zeros(dim)
     theta[0] = 1.0
-    hkt = build_qkt_dim4(rescaled.patch, build_standard_hypercomplex(1),
-                         ConstantForm(1, -theta), SCHEME)
+    hkt = build_qkt(rescaled.patch, build_standard_hypercomplex(1),
+                    SCHEME, ConstantForm(1, -theta))
     ctx = hkt.at(POINT4)
     K = ctx.P.sum(axis=0)
     assert np.max(np.abs(K)) <= 1e-3

@@ -12,8 +12,6 @@ import functools
 from collections.abc import Mapping
 from pathlib import Path
 
-import numpy as np
-
 from qkt.qkt_connection import QKTContext, QKTStructure
 from qkt.zoo import ManifoldSpec, build_manifold
 
@@ -58,7 +56,8 @@ def test_no_context_layer_is_a_mapping():
              and not name.startswith("_stencil") and name != "base"]
     for spec in (ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1),
                  ManifoldSpec(kind="hopf_local", n=1, point_count=1)):
-        ctx = build_manifold(spec).at(np.full(4 * spec.n, 0.1))
+        struct = build_manifold(spec)
+        ctx = struct.at(struct.patch.center())
         for name in names:
             assert not isinstance(getattr(ctx, name), Mapping), name
     assert {"theta", "theta_cross", "dcF_plus", "K", "existence"} <= set(names)

@@ -598,12 +598,12 @@ def test_stacked_kernels_match_per_structure_loop(n, tilt):
 
 def test_dT_type22_residual_takes_precomputed_dT():
     # the context's dT, read off its stencil sub-context, is the standalone d(T)
-    from qkt.qkt_connection import build_qkt_dim4
+    from qkt.qkt_connection import build_qkt
 
     data = conformal_data(1)
     t_form = FormField(1, lambda q: (np.exp(q[..., 0]) * np.sin(q[..., 3]))[..., None]
                        * np.eye(4)[1])
-    struct = build_qkt_dim4(data.patch, data.hyper, t_form, SCHEME)
+    struct = build_qkt(data.patch, data.hyper, SCHEME, t_form)
     p = np.array([0.1, -0.2, 0.3, 0.05])
     ctx = struct.at(p)
     dT = exterior_derivative(torsion_field(struct), SCHEME)(p)

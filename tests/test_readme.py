@@ -15,3 +15,5 @@ def test_readme_api_tour_runs():
     exec(compile(blocks[0], str(README), "exec"), namespace)
     # the value its comment states: t = -5 dx1
     assert np.max(np.abs(namespace["t"] + 5.0 * np.eye(8)[0])) <= 1e-5
+    assert namespace["dim4"].n == 1
+    assert isinstance(namespace["edge_error"], namespace["BoundaryError"])

@@ -736,7 +736,7 @@ def test_input_errors_are_classified():
                  lambda: run_suite(ManifoldSpec(kind="flat", n=1, point_count=1,
                                                 tol_overrides={"first_bianchi": -1.0})),
                  # steps that leave the largest coordinate of the box unmoved,
-                 # through build_qkt and through build_qkt_dim4 + conformal_rescale
+                 # through the n = 2 structure and through conformal_rescale at n = 1
                  lambda: build_manifold(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)",
                                                      h=1e-200)),
                  lambda: build_manifold(ManifoldSpec(kind="hopf_local", n=1, h2=1e-17))):
