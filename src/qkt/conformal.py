@@ -10,7 +10,10 @@ by theta_bar_{a,c} = theta_{a,c} - J_b d(ln f), the compatibility forms by
 K_bar = K - 2 J_b d(ln f), the sp(1) forms by omega_bar_a = omega_a
 - J_a d(ln f), and the torsion 1-form by t_bar = t - (2n+1) d(ln f); the
 difference 1-forms A_a are invariant.  All of these are verified here as
-residuals rather than assumed.
+residuals rather than assumed.  For n >= 2 the rescaled structure's torsion
+comes from its own compatibility data, so every law is a genuine test; for
+n = 1 the torsion is the transport itself, so the T law (z4) holds by
+construction there.
 """
 
 from __future__ import annotations
@@ -45,14 +48,11 @@ class ConformalFactor:
 
 
 def conformal_rescale(struct: QKTStructure, factor: ConformalFactor) -> QKTStructure:
-    """Transport ``struct`` to the metric f*g on the same hypercomplex triple and scheme."""
+    """``struct`` on the metric f*g, with the same triple and scheme and ``struct``
+    as its ``base``: the torsion follows from f*g for n >= 2, and from the base's
+    transported for n = 1 (:attr:`QKTContext.T`)."""
     patch = replace(struct.patch, metric=ConformalMetric(factor, struct.patch.metric))
-    return QKTStructure(patch, struct.hyper, struct.scheme, _rescaled_torsion, base=struct)
-
-
-def _rescaled_torsion(ctx: QKTContext) -> np.ndarray:
-    """T_bar = f T + sum_a (J_a df) ^ F_a, with T read off the base context ``ctx.base``."""
-    return ctx.f[..., None, None, None] * ctx.base.T + ctx.df_wedge_F.sum(axis=-4)
+    return replace(struct, patch=patch, t_form=None, base=struct)
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +64,11 @@ def conformal_law_residuals(base: QKTContext, barred: QKTContext) -> dict:
 
     ``base`` and ``barred`` are contexts on the same points of a structure
     and of one on the metric f*g, a :class:`ConformalMetric`; f, df and
-    (J_a df) ^ F_a are layers of ``barred``.  The barred structure is the
-    :func:`conformal_rescale` of the base, or an independently built
-    structure (for example one assembled from its own compatibility data),
-    in which case the laws genuinely test that conformal transport lands on
-    the same connection.
+    (J_a df) ^ F_a are layers of ``barred``.  For n >= 2 the barred
+    structure, a :func:`conformal_rescale` of the base included, is built
+    from its own compatibility data, so the laws genuinely test that
+    conformal transport lands on the same connection; for n = 1 its torsion
+    is the transported one, and z4 holds by construction.
     """
     n = base.struct.n
     fval, df, wedges = barred.f, barred.df, barred.df_wedge_F

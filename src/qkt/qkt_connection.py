@@ -8,28 +8,29 @@ data of the three Kaehler forms: the candidate torsion is
 with K_a = (J_b theta_a + theta_{a,c}) / (1 - n), and the construction is
 accepted only if the three alpha-versions agree; expanded, their
 disagreement is the existence condition relating the (1,2)+(2,1) parts
-of the twisted derivatives.  In dimension 4 the torsion is instead the
-Hodge dual of a freely chosen 1-form, the structure's ``t_form``.  Either
-way the connection is nabla^g + T/2 and the sp(1) connection 1-forms are
-recovered by solving nabla J_a = -omega_b (x) J_c + omega_c (x) J_b
-pointwise, from normal equations contracted before nabla J_a is expanded;
-the Lee forms are likewise traced from dF_a, without nabla^g F_a.
+of the twisted derivatives, so the torsion is fixed by (g, Q).  In
+dimension 4 it is the Hodge dual of a freely chosen 1-form, the
+structure's ``t_form``, or a ``base`` structure's torsion transported to
+f g.  Either way the connection is nabla^g + T/2 and the sp(1) connection
+1-forms are recovered by solving nabla J_a = -omega_b (x) J_c + omega_c
+(x) J_b pointwise, from normal equations contracted before nabla J_a is
+expanded; the Lee forms are likewise traced from dF_a, without nabla^g F_a.
 
 A :class:`QKTStructure` is the one record of a structure: the patch with
-its metric, the triple, the scheme, the torsion rule and, in dimension 4,
-the 1-form.  Every quantity of a built structure is a layer of a :class:`QKTContext`,
-the lazy evaluation context that ``QKTStructure.at(x)`` returns for one
-point array ``x``.  Sample points are evaluated in chunks
-(:func:`point_chunks`), one context per chunk, and each context differences
-its step-h2 layers in one pass over stencil slices of its points
-(:func:`slice_length`).
+its metric, the triple, the scheme and, in dimension 4, the 1-form or the
+conformal base that fix the torsion.  Every quantity of a built structure
+is a layer of a :class:`QKTContext`, the lazy evaluation context that
+``QKTStructure.at(x)`` returns for one point array ``x``.  Sample points
+are evaluated in chunks (:func:`point_chunks`), one context per chunk, and
+each context differences its step-h2 layers in one pass over stencil
+slices of its points (:func:`slice_length`).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -202,8 +203,8 @@ class QKTContext:
 
     @functools.cached_property
     def base(self) -> "QKTContext":
-        """The context of ``struct.base`` that the rescaled torsion rule and the
-        conformal laws read.  A constant base's sits at one point, its layers
+        """The context of ``struct.base`` that the rescaled torsion (n = 1) and
+        the conformal laws read.  A constant base's sits at one point, its layers
         broadcast against x, and the stencil contexts share it; any other
         base's sits at x, and its first step-h2 read (the conformal laws' dt)
         differences every step-h2 layer of the base, on points already checked."""
@@ -426,8 +427,11 @@ class QKTContext:
 
     @_layer
     def T(self):
-        """The torsion 3-form, from the structure's torsion rule."""
-        return self.struct.torsion_rule(self)
+        """The torsion 3-form, as the record fixes it: the bundle torsion for n >= 2;
+        for n = 1 the rescaled torsion of a ``base``, else the dual of ``t_form``."""
+        if self.struct.n >= 2:
+            return _bundle_torsion(self)
+        return _dual_torsion(self) if self.struct.base is None else _rescaled_torsion(self)
 
     @_layer
     def T12(self):
@@ -676,24 +680,30 @@ def _sp1_solve(J: np.ndarray, gamma: np.ndarray, dJ: np.ndarray | None = None):
 @dataclass(frozen=True)
 class QKTStructure:
     """A torsion connection, in one record: the metric on its patch, the
-    quaternionic triple, the scheme, the rule that computes the torsion from
-    a context and, in dimension 4, the 1-form ``t_form``.  Every quantity is
-    evaluated through :meth:`at`; nothing is cached on the structure.  A
-    step of the scheme that does not move the patch box's largest coordinate
-    is an :class:`InputError`."""
+    quaternionic triple, the scheme and, in dimension 4, the 1-form ``t_form``
+    or the ``base`` whose torsion is transported (:attr:`QKTContext.T`).  For
+    n >= 2 the torsion follows from (g, Q) alone, so a ``t_form`` there, or
+    beside a ``base``, is a :class:`DimensionError`; n = 1 with neither gets
+    the zero 1-form.  Every quantity is evaluated through :meth:`at`; nothing
+    is cached on the structure.  A step of the scheme that does not move the
+    patch box's largest coordinate is an :class:`InputError`."""
 
     patch: CoordinatePatch
     hyper: HypercomplexField
     scheme: FDScheme
-    torsion_rule: Callable[[QKTContext], np.ndarray]
     # dimension 4: the freely chosen 1-form whose Hodge dual is the torsion
     t_form: FormField | None = None
     # the structure on the base metric g_0 of a conformal metric f g_0, on the
-    # same triple: what the conformal laws compare against, and what a
-    # rescaled structure's torsion rule transports
+    # same triple: what the conformal laws compare against, and, for n = 1,
+    # whose torsion the rescaled structure's transports
     base: QKTStructure | None = None
 
     def __post_init__(self):
+        if self.t_form is not None and (self.n >= 2 or self.base is not None):
+            where = f"n = {self.n}" if self.n >= 2 else "a structure with a conformal base"
+            raise DimensionError(f"a torsion 1-form is for n = 1 without a base only, not {where}")
+        if self.t_form is None and self.base is None and self.n == 1:
+            object.__setattr__(self, "t_form", ConstantForm(1, np.zeros(4)))
         # a step that leaves the largest coordinate unmoved makes every
         # difference exactly 0, and every row would pass
         top = float(np.max(np.abs([self.patch.lo, self.patch.hi])))
@@ -714,14 +724,12 @@ class QKTStructure:
 
     @property
     def constant(self) -> bool:
-        """Constant metric and triple, and the torsion built from them (and a
-        constant 1-form in dimension 4) alone: every layer is the same at
-        every point."""
+        """Constant metric and triple, no 1-form or a constant one, and no base or
+        a constant one: every layer is the same at every point."""
         return (isinstance(self.patch.metric, ConstantMetric)
                 and isinstance(self.hyper, ConstantHypercomplexField)
-                and (self.torsion_rule is _bundle_torsion
-                     or (self.torsion_rule is _dual_torsion
-                         and isinstance(self.t_form, ConstantForm))))
+                and (self.t_form is None or isinstance(self.t_form, ConstantForm))
+                and (self.base is None or self.base.constant))
 
     def constant_layer(self, layer: str) -> bool:
         """Whether the context layer ``layer`` is the same at every point: f of a
@@ -786,6 +794,11 @@ def _dual_torsion(ctx: QKTContext) -> np.ndarray:
     return hodge_star_array(ctx.struct.t_form(ctx.x), ctx.ginv, ctx.vol)
 
 
+def _rescaled_torsion(ctx: QKTContext) -> np.ndarray:
+    """T_bar = f T + sum_a (J_a df) ^ F_a, with T read off the base context ``ctx.base``."""
+    return ctx.f[..., None, None, None] * ctx.base.T + ctx.df_wedge_F.sum(axis=-4)
+
+
 def existence_residual(patch: CoordinatePatch,
                        hyper: HypercomplexField,
                        p: np.ndarray,
@@ -794,7 +807,7 @@ def existence_residual(patch: CoordinatePatch,
     by :meth:`QKTStructure.at`, one context per chunk of points; n >= 2."""
     if patch.n < 2:
         raise DimensionError("the existence condition needs n >= 2")
-    struct = qkt_structure(patch, hyper, scheme)
+    struct = QKTStructure(patch, hyper, scheme)
     return worst(*(struct.at(chunk).existence for chunk in point_chunks(p)))
 
 
@@ -834,28 +847,15 @@ def check_at(struct: QKTStructure, check_points=None) -> QKTStructure:
     return _check(struct.at(np.atleast_2d(points)))
 
 
-def qkt_structure(patch: CoordinatePatch, hyper: HypercomplexField, scheme: FDScheme,
-                  t_form: FormField | None = None) -> QKTStructure:
-    """The structure on ``patch`` and ``hyper``, unchecked: with the torsion of its
-    bundle data for n >= 2, with the Hodge dual of ``t_form`` (zero by default) for
-    n = 1.  A ``t_form`` for n >= 2 is a :class:`DimensionError`."""
-    if patch.n >= 2:
-        if t_form is not None:
-            raise DimensionError(f"a torsion 1-form is for n = 1 only, not n = {patch.n}")
-        return QKTStructure(patch, hyper, scheme, _bundle_torsion)
-    t_form = ConstantForm(1, np.zeros(4)) if t_form is None else t_form
-    return QKTStructure(patch, hyper, scheme, _dual_torsion, t_form=t_form)
-
-
 def build_qkt(patch: CoordinatePatch,
               hyper: HypercomplexField,
               scheme: FDScheme,
               t_form: FormField | None = None,
               check_points: Sequence[np.ndarray] | None = None) -> QKTStructure:
     """Build the torsion connection on a 4n-dimensional patch, for every n: the
-    unchecked :func:`qkt_structure` (with the dual of ``t_form`` as the torsion
-    for n = 1), checked by :func:`check_at` on ``check_points``."""
-    return check_at(qkt_structure(patch, hyper, scheme, t_form), check_points)
+    :class:`QKTStructure` (whose torsion is the dual of ``t_form``, zero by
+    default, for n = 1), checked by :func:`check_at` on ``check_points``."""
+    return check_at(QKTStructure(patch, hyper, scheme, t_form), check_points)
 
 
 # ---------------------------------------------------------------------------

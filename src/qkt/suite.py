@@ -232,7 +232,7 @@ def _eval_lc(ctx: QKTContext) -> dict:
 
 
 def _eval_conformal(ctx: QKTContext) -> dict:
-    # the base context is the one the rescaled torsion rule reads
+    # the base context is the one the rescaled torsion (n = 1) reads
     return conformal_law_residuals(ctx.base, ctx)
 
 

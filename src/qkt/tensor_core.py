@@ -57,6 +57,7 @@ from .errors import (
 )
 
 MIN_METRIC_EIGENVALUE = 1e-8
+SYMMETRY_TOL = 1e-12   # largest |g_ij - g_ji| of a valid metric
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +128,9 @@ class CoordinatePatch:
         if np.shape(p)[-1:] != (self.dim,):
             raise DimensionError(f"points of shape {np.shape(p)} on a "
                                  f"{self.dim}-dimensional patch")
+        bad = ~np.all(np.isfinite(p), axis=-1)
+        if np.any(bad):
+            raise InputError(f"point {first_point(bad, p)} is not finite")
         if not self.contains(p, margin):
             raise BoundaryError(
                 f"point {np.asarray(p)} is within {margin} of the domain boundary"
@@ -143,7 +147,7 @@ def validate_metric(g: np.ndarray, p: np.ndarray) -> None:
     """Raise DegenerateMetricError unless g (..., d, d) at the points ``p`` is
     finite, symmetric and positive definite."""
     require_nondegenerate(g, p)
-    skew = np.max(np.abs(g - np.swapaxes(g, -1, -2)), axis=(-2, -1)) > 1e-12
+    skew = np.max(np.abs(g - np.swapaxes(g, -1, -2)), axis=(-2, -1)) > SYMMETRY_TOL
     if np.any(skew):
         raise DegenerateMetricError(f"metric not symmetric at {first_point(skew, p)}")
 
@@ -395,6 +399,8 @@ class ConstantMetric:
         g = np.array(g, dtype=float)
         if not (np.all(np.isfinite(g)) and np.linalg.eigvalsh(g)[0] >= MIN_METRIC_EIGENVALUE):
             raise DegenerateMetricError("constant metric is not finite and positive definite")
+        if np.max(np.abs(g - g.T)) > SYMMETRY_TOL:
+            raise DegenerateMetricError("constant metric is not symmetric")
         self.g, self.inverse = g, np.linalg.inv(g)
         g.flags.writeable = self.inverse.flags.writeable = False
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -11,15 +11,9 @@ import numpy as np
 from .conformal import ConformalFactor, conformal_rescale
 from .errors import DimensionError, GeometryError, InputError
 from .expressions import parse_expression
-from .qkt_connection import CHECK_POINTS, QKTStructure, check_at, qkt_structure
+from .qkt_connection import CHECK_POINTS, QKTStructure, check_at
 from .quaternionic import build_standard_hypercomplex, rotated_hypercomplex
-from .tensor_core import (
-    ConformalMetric,
-    ConstantMetric,
-    CoordinatePatch,
-    FDScheme,
-    FormField,
-)
+from .tensor_core import ConstantMetric, CoordinatePatch, FDScheme, FormField
 
 KINDS = ("flat", "conformal_flat", "dim4_torsion", "hopf_local")
 
@@ -176,7 +170,7 @@ def _flat(spec: ManifoldSpec, t_form: FormField | None = None) -> QKTStructure:
     n = 1 with torsion the dual of ``t_form`` (zero by default)."""
     lo, hi = spec.box()
     patch = CoordinatePatch(n=spec.n, lo=lo, hi=hi, metric=ConstantMetric(np.eye(spec.dim)))
-    return qkt_structure(patch, _hypercomplex(spec), spec.scheme(), t_form)
+    return QKTStructure(patch, _hypercomplex(spec), spec.scheme(), t_form)
 
 
 def build_structure(spec: ManifoldSpec) -> QKTStructure:
@@ -187,13 +181,7 @@ def build_structure(spec: ManifoldSpec) -> QKTStructure:
     # conformal kinds: the metric f g_0 over the flat patch, with the flat
     # structure on g_0 as the base that the conformal laws compare against
     f_text = HOPF_FACTOR if spec.kind == "hopf_local" else spec.f
-    factor, flat = ConformalFactor(parse_expression(f_text)), _flat(spec)
-    if spec.n == 1:
-        return conformal_rescale(flat, factor)
-    # the same triple, scheme and rule on f g_0, whose check covers the zoo's
-    # orthogonal triples; a constant structure's existence defect is 0
-    metric = ConformalMetric(factor, flat.patch.metric)
-    return replace(flat, patch=replace(flat.patch, metric=metric), base=flat)
+    return conformal_rescale(_flat(spec), ConformalFactor(parse_expression(f_text)))
 
 
 def build_manifold(spec: ManifoldSpec,

@@ -7,7 +7,8 @@ the eq4 existence defect by its own formula, the twisted derivative of one
 2-form, a Gram-Schmidt frame, the step-h2 difference of a context layer,
 the Ricci data of a structure, the Einstein-Weyl deviation of its Weyl
 connection, the first-order and sp(1) layers of a context from the
-expanded nabla^g F_a and nabla J_a, and thin field wrappers
+expanded nabla^g F_a and nabla J_a, the torsion and sp(1) forms as one
+least-squares solve of their defining linear system, and thin field wrappers
 around the array kernels (tensor fields, the exterior derivative of a form
 field, the covariant derivative, the Levi-Civita connection field, the
 torsion and connection of a built structure as fields, the Hodge star at
@@ -18,6 +19,7 @@ projector, and the einsum formulas of the contractions that the library
 makes as batched matmuls.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from qkt.curvature import curvature_tensor, ricci_tensor
 from qkt.errors import DegenerateMetricError, DegreeError, DimensionError
-from qkt.qkt_connection import QKTStructure, qkt_structure
+from qkt.qkt_connection import QKTStructure
 from qkt.quaternionic import (
     CYC_B,
     CYC_C,
@@ -45,6 +47,7 @@ from qkt.tensor_core import (
     gradient,
     hodge_star_array,
     levi_civita,
+    raise_last,
     trace_codifferential,
     wedge_arrays,
 )
@@ -182,10 +185,10 @@ def orthonormal_frame(g: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
 
 
 def unchecked(patch, hyper) -> QKTStructure:
-    """The structure on ``patch`` and ``hyper`` from the library's unchecked
-    constructor (zero torsion 1-form for n = 1): the patch and triple that the
-    helpers below read, and a fresh context on every ``at``."""
-    return qkt_structure(patch, hyper, FDScheme())
+    """The structure on ``patch`` and ``hyper``, unchecked (zero torsion 1-form
+    for n = 1): the patch and triple that the helpers below read, and a fresh
+    context on every ``at``."""
+    return QKTStructure(patch, hyper, FDScheme())
 
 
 def nested_difference(struct, x: np.ndarray, layer: str) -> np.ndarray:
@@ -361,6 +364,71 @@ def expanded_d_omega(ctx) -> np.ndarray:
     J = np.broadcast_to(ctx.J[..., None, :, :, :], grad.shape[:-3] + ctx.J.shape[-3:])
     zero = np.broadcast_to(0.0, J.shape[:-3] + J.shape[-1:] + J.shape[-3:])
     return extract_sp1(J, covariant_derivative_array(grad, "ud", J, zero))[0]
+
+
+# ---------------------------------------------------------------------------
+# the torsion and the sp(1) forms as one linear least-squares solve
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TorsionSolve:
+    """The least-squares solution of the torsion system at each point of a context."""
+
+    T: np.ndarray            # (..., d, d, d) the solved 3-form
+    omega: np.ndarray        # (..., 3, d) the solved sp(1) forms
+    residual: np.ndarray     # (...) the worst |defect| of the solution
+    kernel: np.ndarray       # (...) the dimension of the system's null space
+    own_defect: np.ndarray   # (...) the worst |defect| of the context's own (T, omega)
+
+
+def three_form_basis(d: int) -> tuple:
+    """(E, index): E[e, i, j, k] the 3-forms e^i ^ e^j ^ e^k over the triples
+    i < j < k as skew arrays, and the index arrays (i, j, k) of those triples,
+    which read a 3-form's coordinates in that basis."""
+    triples = list(itertools.combinations(range(d), 3))
+    basis = np.zeros((len(triples), d, d, d))
+    # the permutations of three slots in itertools order, with their signs
+    for perm, sign in zip(itertools.permutations(range(3)), (1, -1, -1, 1, 1, -1)):
+        for e, triple in enumerate(triples):
+            basis[(e,) + tuple(triple[i] for i in perm)] = sign
+    return basis, tuple(np.array(triples).T)
+
+
+def solve_torsion(ctx) -> TorsionSolve:
+    """Solve nabla^g J_a + [T12/2, J_a] = -omega_b (x) J_c + omega_c (x) J_b for
+    (T in Lambda^3, omega) by lstsq at each point of ``ctx``, with nabla^g J and
+    the T columns from the library's covariant_derivative_array and raise_last.
+
+    The paper's uniqueness theorem says the null space is 0 for n >= 2, so the
+    solution is the context's T and omega; in dimension 4 it is 4 (the free
+    1-form t), and only the defect of the context's own pair says anything."""
+    d, points = ctx.x.shape[-1], ctx.x.shape[:-1]
+    basis, index = three_form_basis(d)
+    m = len(basis)
+    unit_omega = np.eye(3 * d).reshape(3 * d, 3, d)
+    ginv, gamma = ctx.ginv.reshape(-1, d, d), ctx.gamma_g.reshape(-1, d, d, d)
+    J = np.broadcast_to(ctx.J, points + (3, d, d)).reshape(-1, 3, d, d)
+    dJ = np.broadcast_to(ctx.dJ, points + (d, 3, d, d)).reshape(-1, d, 3, d, d)
+    own_T, own_omega = ctx.T.reshape(-1, d, d, d), ctx.omega.reshape(-1, 3 * d)
+    out = {key: [] for key in ("T", "omega", "residual", "kernel", "own_defect")}
+    for p in range(len(J)):
+        # column e: the Gamma-terms of nabla J_a under the connection T12_e / 2
+        T12 = raise_last(np.broadcast_to(ginv[p].T, (m, d, d)), basis)
+        T_cols = covariant_derivative_array(0.5 * T12, "ud", np.broadcast_to(J[p], (m, 3, d, d)),
+                                            np.zeros((m, d, 3, d, d)))
+        omega_cols = (unit_omega[:, CYC_C, :, None, None] * J[p][CYC_B][None, :, None]
+                      - unit_omega[:, CYC_B, :, None, None] * J[p][CYC_C][None, :, None])
+        A = np.concatenate([T_cols.reshape(m, -1), -omega_cols.reshape(3 * d, -1)]).T
+        b = -covariant_derivative_array(gamma[p:p + 1], "ud", J[p:p + 1], dJ[p:p + 1]).ravel()
+        x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+        own = np.concatenate([own_T[p][index], own_omega[p]])
+        out["T"].append(np.tensordot(x[:m], basis, axes=1))
+        out["omega"].append(x[m:].reshape(3, d))
+        out["residual"].append(np.max(np.abs(A @ x - b)))
+        out["kernel"].append(A.shape[1] - rank)
+        out["own_defect"].append(np.max(np.abs(A @ own - b)))
+    return TorsionSolve(**{key: np.reshape(value, points + np.shape(value[0]))
+                           for key, value in out.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Source guard: one build check and one point check, each run in one way for every n.
+"""Source guard: one build check, one point check and one torsion choice, each
+run in one way for every n.
 
 The conditions for a torsion connection (a valid metric, the quaternionic
 identities and, for n >= 2, the existence defect) are checked by one
@@ -16,7 +17,13 @@ The only other constructions of ``QKTContext`` are the contexts the library
 opens on points it has already checked: a stencil context
 (``QKTContext._on_stencil``) and a varying base's context at the same points
 (``QKTContext.base``).  So no reader checks points on its own, and none
-skips the check.  A method is named by its class, ``Class.method``.
+skips the check.
+
+The torsion follows from the structure's record: ``QKTContext.T`` is the
+one caller of the three torsion functions (``_bundle_torsion`` for n >= 2,
+``_rescaled_torsion`` for n = 1 with a conformal base, ``_dual_torsion``
+otherwise), so no second dispatcher can choose a torsion apart from it.
+A method is named by its class, ``Class.method``.
 """
 
 import ast
@@ -31,6 +38,9 @@ ALLOWED_CALLERS = {
     "check_at": {"build_qkt", "build_manifold", "conformal_ingredients"},
     "require_interior": {"QKTStructure.at"},
     "QKTContext": {"QKTStructure.at", "QKTContext._on_stencil", "QKTContext.base"},
+    "_bundle_torsion": {"QKTContext.T"},
+    "_rescaled_torsion": {"QKTContext.T"},
+    "_dual_torsion": {"QKTContext.T"},
 }
 
 
@@ -86,7 +96,7 @@ def test_guard_detects_a_builder_that_checks_on_its_own():
             "    struct = _flat(spec)\n"
             "    return check_at(struct) if spec.n == 1 else struct\n"
             "def _flat(spec):\n"
-            "    return qkt_connection._check(qkt_structure(spec).at(center))\n"
+            "    return qkt_connection._check(QKTStructure(spec).at(center))\n"
             "def build_manifold(spec, check_points=None):\n"
             "    return check_at(build_structure(spec), check_points)\n")
     assert misplaced(calls(code, "zoo.py")) == [("zoo.py", "build_structure", "check_at", 3),
@@ -103,11 +113,27 @@ def test_guard_detects_a_reader_that_checks_points_on_its_own():
             "        return QKTContext(self.struct, x)\n"
             "def existence_residual(patch, hyper, p, scheme):\n"
             "    patch.require_interior(p, scheme.margin)\n"
-            "    return QKTContext(qkt_structure(patch, hyper, scheme), p).existence\n")
+            "    return QKTContext(QKTStructure(patch, hyper, scheme), p).existence\n")
     assert misplaced(calls(code, "probe.py")) == [
         ("probe.py", "Patch.at", "QKTContext", 7),
         ("probe.py", "existence_residual", "require_interior", 9),
         ("probe.py", "existence_residual", "QKTContext", 10)]
+
+
+def test_guard_detects_a_second_torsion_dispatcher():
+    code = ("class QKTContext:\n"
+            "    def T(self):\n"
+            "        if self.struct.n >= 2:\n"
+            "            return _bundle_torsion(self)\n"
+            "        return _dual_torsion(self) if self.struct.base is None else _rescaled_torsion(self)\n"
+            "def conformal_rescale(struct, factor):\n"
+            "    return replace(struct, torsion=lambda ctx: _rescaled_torsion(ctx))\n"
+            "def torsion_of(ctx):\n"
+            "    return _bundle_torsion(ctx) if ctx.struct.n >= 2 else qkt_connection._dual_torsion(ctx)\n")
+    assert misplaced(calls(code, "probe.py")) == [
+        ("probe.py", "conformal_rescale", "_rescaled_torsion", 7),
+        ("probe.py", "torsion_of", "_bundle_torsion", 9),
+        ("probe.py", "torsion_of", "_dual_torsion", 9)]
 
 
 def test_checks_run_only_from_their_allowed_callers():

@@ -6,14 +6,15 @@ step-h2 layers in one pass over stencil slices of its points.  The two
 lengths only trade memory for speed: these tests pin that the report
 depends on neither, that a non-finite residual at any one point, chunk
 boundaries included, fails its row, and that the conformal laws share the
-base context that the rescaled torsion rule opened.  They pin that a
+base context that the rescaled torsion opened.  They pin that a
 context differences the step-h2 layers of its structure in at most one
 pass, that no stencil context runs one, and that a context keeps no
 stencil of them; two tests bound the traced peak memory of a curvature
 run and of a dimension-4 all-suite run.  Every public reader that takes
 points rejects bad ones alike, through the one check where a context
 opens: no points are an input error, a wrong dimension a dimension error,
-and a point not inside the margin-shrunk box a boundary error.
+a NaN or infinite coordinate an input error, and a point not inside
+the margin-shrunk box a boundary error.
 """
 
 import collections
@@ -21,6 +22,7 @@ import dataclasses
 import gc
 import importlib.util
 import itertools
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -161,16 +163,15 @@ def test_classify_matches_per_point_contexts(monkeypatch):
             assert value == single, field.name
 
 
-def _poisoned(struct, target: np.ndarray):
-    """``struct`` with a NaN torsion at the point ``target`` and nowhere else."""
-    rule = struct.torsion_rule
+def _poisoned(dual, target: np.ndarray):
+    """The torsion ``dual`` gives, with NaN at the point ``target`` and nowhere else."""
 
     def torsion(ctx):
-        T = np.array(rule(ctx))
+        T = np.array(dual(ctx))
         T[np.all(ctx.x == target, axis=-1)] = np.nan
         return T
 
-    return dataclasses.replace(struct, torsion_rule=torsion)
+    return torsion
 
 
 @settings(max_examples=8, deadline=None)
@@ -182,14 +183,13 @@ def test_nan_at_one_sample_point_fails_its_rows(count, index, length):
     index %= count
     spec = ManifoldSpec(kind="flat", n=1, point_count=count, seed=1)
     target = sample_points(spec)[index]
-    build = suite_module.build_structure
-    chunk_rule = qkt_connection.chunk_length
+    dual, chunk_rule = qkt_connection._dual_torsion, qkt_connection.chunk_length
     try:
-        suite_module.build_structure = lambda *a, **k: _poisoned(build(*a, **k), target)
+        qkt_connection._dual_torsion = _poisoned(dual, target)
         qkt_connection.chunk_length = lambda dim: length
         rows = {row.identity_id: row for row in run_suite(spec, "connection").results}
     finally:
-        suite_module.build_structure = build
+        qkt_connection._dual_torsion = dual
         qkt_connection.chunk_length = chunk_rule
     # the rows that read T at the sample point itself
     for name in ("torsion_skew_symmetry", "torsion_type_purity", "torsion_is_star_of_t"):
@@ -199,7 +199,7 @@ def test_nan_at_one_sample_point_fails_its_rows(count, index, length):
 def test_conformal_laws_share_the_rescaled_base_context(monkeypatch):
     # the flat base is constant: the run opens one context of it, at one
     # point, and the sample context and every stencil context reads that one,
-    # for the conformal laws and for the rescaled torsion rule alike.
+    # for the conformal laws and for the rescaled torsion alike.
     # Before, each chunk opened one base context at its sample points and one
     # on their h2 stencil, where the torsion is differenced
     built = []
@@ -514,10 +514,24 @@ def test_every_reader_rejects_bad_points_alike():
                                          check_points=p),
         "build_manifold": lambda p: build_manifold(spec, check_points=p),
     }
+    nan, inf = struct.patch.center(), struct.patch.center()
+    nan[:], inf[3] = np.nan, np.inf
     cases = ((np.empty((0, 8)), InputError), (np.full(4, 0.1), DimensionError),
-             (near, BoundaryError), ([struct.patch.center(), near], BoundaryError))
+             (near, BoundaryError), ([struct.patch.center(), near], BoundaryError),
+             (nan, InputError), ([struct.patch.center(), inf], InputError))
     for points, error in cases:
         for name, read in readers.items():
             with pytest.raises(GeometryError) as err:
                 read(points)
             assert type(err.value) is error, (name, error)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_point_is_an_input_error(bad):
+    # a non-finite point is bad input, not a point near the boundary
+    struct = build_manifold(ManifoldSpec(kind="hopf_local", n=1, point_count=1))
+    point = struct.patch.center()
+    point[1] = bad
+    # the first non-finite point is named
+    with pytest.raises(InputError, match=re.escape(f"point {point} is not finite")):
+        struct.at(np.stack([struct.patch.center(), point, point]))

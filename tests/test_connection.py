@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import sys
 
@@ -6,18 +7,16 @@ import pytest
 
 import qkt.tensor_core as tensor_core
 from qkt.errors import DimensionError, NotQKTError
-from qkt.conformal import ConformalFactor
+from qkt.conformal import ConformalFactor, conformal_rescale
 from qkt.qkt_connection import (
     QKTContext,
     QKTStructure,
     _alpha_versions,
-    _dual_torsion,
     build_qkt,
     c7_residual,
     classify,
     existence_residual,
     nijenhuis_via_connection,
-    qkt_structure,
     structure_invariant_residuals,
     torsion_one_form_spread,
     torsion_one_forms,
@@ -424,10 +423,44 @@ def test_build_rejects_tilted_structure():
 
 
 def test_unchecked_structure_takes_no_torsion_form_for_n_two():
-    # the torsion of n >= 2 is the bundle torsion; a 1-form would be dropped
-    with pytest.raises(DimensionError, match="n = 2"):
-        qkt_structure(flat_patch(2), build_standard_hypercomplex(2), SCHEME,
-                      ConstantForm(1, np.zeros(8)))
+    # the torsion of n >= 2 follows from (g, Q), so a 1-form has no place there
+    with pytest.raises(DimensionError, match="for n = 1 without a base only, not n = 2"):
+        QKTStructure(flat_patch(2), build_standard_hypercomplex(2), SCHEME,
+                     ConstantForm(1, np.zeros(8)))
+
+
+def test_no_record_takes_a_torsion_form_beside_its_torsion():
+    # a 1-form at n >= 2 or beside a conformal base, by any construction path,
+    # would sit beside the torsion that the record already fixes
+    flat1 = QKTStructure(flat_patch(1), build_standard_hypercomplex(1), SCHEME)
+    flat2 = QKTStructure(flat_patch(2), build_standard_hypercomplex(2), SCHEME)
+    with pytest.raises(DimensionError, match="not a structure with a conformal base"):
+        QKTStructure(flat1.patch, flat1.hyper, SCHEME, flat1.t_form, base=flat1)
+    with pytest.raises(DimensionError, match="not n = 2"):
+        dataclasses.replace(flat2, t_form=ConstantForm(1, np.zeros(8)))
+    with pytest.raises(DimensionError, match="conformal base"):
+        dataclasses.replace(conformal_rescale(flat1, ConformalFactor(lambda p: 2.0)),
+                            t_form=flat1.t_form)
+
+
+def test_n_one_without_a_form_has_the_zero_form():
+    hyper = build_standard_hypercomplex(1)
+    bare = QKTStructure(flat_patch(1), hyper, SCHEME)
+    zero = QKTStructure(flat_patch(1), hyper, SCHEME, ConstantForm(1, np.zeros(4)))
+    assert isinstance(bare.t_form, ConstantForm) and bare.constant
+    x = np.stack([POINT4, -0.5 * POINT4])
+    assert np.array_equal(bare.at(x).T, zero.at(x).T)
+    assert not np.any(bare.at(x).T)
+
+
+def test_a_structure_on_a_varying_base_is_not_constant():
+    # at n = 1 the torsion is read off the base, so a varying base makes it vary
+    # even on a constant metric
+    flat1 = QKTStructure(flat_patch(1), build_standard_hypercomplex(1), SCHEME)
+    varying = conformal_rescale(flat1, ConformalFactor(lambda p: np.exp(p[..., 0])))
+    on_flat = dataclasses.replace(varying, patch=flat1.patch, base=varying)
+    assert flat1.constant and not varying.constant and not on_flat.constant
+    assert np.array_equal(on_flat.at(POINT4).T, varying.at(POINT4).T)
 
 
 def test_build_at_n_one_is_the_checked_dual_torsion_structure():
@@ -436,7 +469,7 @@ def test_build_at_n_one_is_the_checked_dual_torsion_structure():
     data = conformal_data(1)
     t_form = FormField(1, lambda q: np.sin(q[..., 1, None]) * np.eye(4)[0])
     built = build_qkt(data.patch, data.hyper, SCHEME, t_form)
-    bare = QKTStructure(data.patch, data.hyper, SCHEME, _dual_torsion, t_form=t_form)
+    bare = QKTStructure(data.patch, data.hyper, SCHEME, t_form)
     x = np.stack([POINT4, -0.5 * POINT4])
     for layer in ("T", "Gamma"):
         assert np.array_equal(getattr(built.at(x), layer), getattr(bare.at(x), layer)), layer

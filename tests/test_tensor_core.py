@@ -578,6 +578,16 @@ def test_constant_metric_has_no_stencil():
         ConstantMetric(np.diag([1.0, 1.0, 1.0, 0.0]))
 
 
+def test_constant_metric_must_be_symmetric():
+    # eigvalsh reads one triangle, so symmetry needs a check of its own
+    skew = np.eye(4)
+    skew[0, 1] = 0.5
+    with pytest.raises(DegenerateMetricError, match="constant metric is not symmetric"):
+        ConstantMetric(skew)
+    skew[0, 1] = 1e-13   # within validate_metric's bound
+    assert ConstantMetric(skew).g[0, 1] == 1e-13
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_metric_is_degenerate(bad):
     # the first offending point of the batch is named, and eigvalsh never sees it

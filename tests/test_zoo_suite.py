@@ -9,12 +9,13 @@ import qkt.cli as cli
 import qkt.qkt_connection as qkt_connection
 import qkt.suite as suite_module
 import qkt.tensor_core as tensor_core
+from qkt.conformal import ConformalFactor, conformal_rescale
 from qkt.errors import DimensionError, InputError, NotQKTError
-from qkt.expressions import Expression
-from qkt.qkt_connection import EXISTENCE_TOL, QKTContext
+from qkt.expressions import Expression, parse_expression
+from qkt.qkt_connection import EXISTENCE_TOL, QKTContext, QKTStructure
 from qkt.quaternionic import build_standard_hypercomplex, quaternionic_residuals
 from qkt.suite import CATALOGUE, IdentityResult, VerificationReport, run_suite
-from qkt.tensor_core import ConstantMetric, worst
+from qkt.tensor_core import ConstantMetric, CoordinatePatch, worst
 from qkt.zoo import (
     ManifoldSpec,
     build_manifold,
@@ -145,9 +146,22 @@ def test_conformal_base_is_the_flat_structure(n, f):
     assert np.array_equal(base.patch.metric.g, flat.patch.metric.g)
     assert np.array_equal(base.hyper.stack, flat.hyper.stack)
     assert base.scheme == flat.scheme
-    assert base.torsion_rule is flat.torsion_rule
     assert base.t_form is None and flat.t_form is None
     assert base.base is None and base.constant
+
+
+def test_conformal_rescale_is_the_zoo_structure_at_n_two():
+    # one path for every n: at n = 2 the rescale of the flat structure builds
+    # its torsion from f g_0's own data, bit for bit as the zoo's conformal_flat
+    spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=3)
+    lo, hi = spec.box()
+    flat = QKTStructure(CoordinatePatch(n=2, lo=lo, hi=hi, metric=ConstantMetric(np.eye(8))),
+                        build_standard_hypercomplex(2), spec.scheme())
+    rescaled = conformal_rescale(flat, ConformalFactor(parse_expression("exp(x1)")))
+    x = np.stack(sample_points(spec))
+    ours, zoo = rescaled.at(x), build_structure(spec).at(x)
+    for layer in ("T", "Gamma", "omega"):
+        assert np.array_equal(getattr(ours, layer), getattr(zoo, layer)), layer
 
 
 @pytest.mark.parametrize("tilt", [0.0, 5.0], ids=["standard", "tilted"])
@@ -722,7 +736,7 @@ def test_cli_lets_unclassified_errors_propagate(monkeypatch, capsys):
 
 def test_input_errors_are_classified():
     from qkt.errors import GeometryError, InputError
-    from qkt.tensor_core import CoordinatePatch, FDScheme
+    from qkt.tensor_core import FDScheme
 
     for make in (lambda: FDScheme(h=0.0),
                  lambda: FDScheme(h=float("nan")),
@@ -736,7 +750,7 @@ def test_input_errors_are_classified():
                  lambda: run_suite(ManifoldSpec(kind="flat", n=1, point_count=1,
                                                 tol_overrides={"first_bianchi": -1.0})),
                  # steps that leave the largest coordinate of the box unmoved,
-                 # through the n = 2 structure and through conformal_rescale at n = 1
+                 # through conformal_rescale at n = 2 and at n = 1
                  lambda: build_manifold(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)",
                                                      h=1e-200)),
                  lambda: build_manifold(ManifoldSpec(kind="hopf_local", n=1, h2=1e-17))):
