@@ -17,6 +17,7 @@ from qkt.qkt_connection import (
 )
 from qkt.quaternionic import build_standard_hypercomplex
 from qkt.tensor_core import (
+    ConformalMetric,
     ConstantForm,
     ConstantMetric,
     CoordinatePatch,
@@ -79,12 +80,22 @@ def test_laws_trivial_for_constant_factor():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_laws_exponential_factor(n):
-    # for n = 2 the rescale is built from its own compatibility data, so every
-    # law, z4 included, tests that transport lands on the same connection
     base = flat_struct(n)
-    points = [np.full(4 * n, 0.1), np.full(4 * n, -0.15)] + ([POINT8] if n == 2 else [])
+    points = [np.full(4 * n, 0.1), np.full(4 * n, -0.15)]
     out = law_residuals(base, conformal_rescale(base, EXP_FACTOR), points)
     assert ("z3_K" in out) == (n >= 2)
+    for key, value in out.items():
+        assert value <= 1e-5, key
+
+
+def test_laws_against_independently_built_structure():
+    # the rescaled metric structure built from its own compatibility data
+    # by build_qkt on a conformal patch satisfies the same transport laws
+    base = flat_struct(2)
+    patch = CoordinatePatch(n=2, lo=base.patch.lo, hi=base.patch.hi,
+                            metric=ConformalMetric(EXP_FACTOR, base.patch.metric))
+    independent = build_qkt(patch, build_standard_hypercomplex(2), SCHEME)
+    out = law_residuals(base, independent, [POINT8])
     for key, value in out.items():
         assert value <= 1e-5, key
 
