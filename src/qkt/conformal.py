@@ -26,7 +26,13 @@ import numpy as np
 from .errors import GeometryError
 from .qkt_connection import QKTContext, QKTStructure
 from .quaternionic import CYC_A, CYC_B, CYC_C, j_apply_oneform
-from .tensor_core import ConformalMetric, antisymmetrized_gradient, first_point, lower_first
+from .tensor_core import (
+    ConformalMetric,
+    antisymmetrized_gradient,
+    first_point,
+    lower_first,
+    unpack_3form,
+)
 
 MIN_FACTOR = 1e-8
 
@@ -76,7 +82,7 @@ def conformal_law_residuals(base: QKTContext, barred: QKTContext) -> dict:
     dlnf_a = dlnf[..., None, :]    # against the quaternionic stack
     J, g = base.J, base.g
     f3 = fval[..., None, None, None]
-    wedge_sum = wedges.sum(axis=-4)
+    wedge_sum = unpack_3form(wedges.sum(axis=-2), g.shape[-1])
     residual = barred.residual
 
     # connection transport law
@@ -90,8 +96,8 @@ def conformal_law_residuals(base: QKTContext, barred: QKTContext) -> dict:
     predicted = f3 * lowered0 + sym + 0.5 * wedge_sum
 
     return {
-        # d_a F_a^+ law
-        "z2_dcf": residual(barred.dcF_plus - (wedges + f3[..., None] * base.dcF_plus)),
+        # d_a F_a^+ law, on packed 3-forms: unpacking only copies entries with signs
+        "z2_dcf": residual(barred.dcF_plus - (wedges + fval[..., None, None] * base.dcF_plus)),
         # Lee forms and cross Lee forms
         "z2_theta": residual(barred.theta - base.theta - (2 * n - 1) * dlnf_a),
         "z2_cross": residual(barred.theta_cross[..., CYC_A, CYC_C, :]

@@ -15,6 +15,10 @@ f g.  Either way the connection is nabla^g + T/2 and the sp(1) connection
 1-forms are recovered by solving nabla J_a = -omega_b (x) J_c + omega_c
 (x) J_b pointwise, from normal equations contracted before nabla J_a is
 expanded; the Lee forms are likewise traced from dF_a, without nabla^g F_a.
+The 3-forms of the first-order layer, d_a F_a^+ and the wedges of the
+torsion formula, are kept as packed components over the sorted triples
+(``tensor_core.lambda3``) and projected and twisted by the triple's packed
+maps (``quaternionic.packed_maps``); the torsion is unpacked once.
 
 A :class:`QKTStructure` is the one record of a structure: the patch with
 its metric, the triple, the scheme and, in dimension 4, the 1-form or the
@@ -44,9 +48,8 @@ from .quaternionic import (
     HypercomplexField,
     dT_type22_residual,
     frame_trace_pair,
-    j_apply_form,
     j_apply_oneform,
-    project_plus_3form,
+    packed_maps,
     quaternionic_residuals,
     skew_bracket,
     torsion_02_part,
@@ -64,13 +67,16 @@ from .tensor_core import (
     fold,
     gradient,
     hodge_star_array,
+    lambda3,
     raise_last,
     require_nondegenerate,
-    shuffle_sum,
+    shuffle_sum_packed,
     stencil,
     trace_codifferential,
+    unpack_3form,
     validate_metric,
     wedge_arrays,
+    wedge_packed,
     worst,
 )
 
@@ -90,10 +96,13 @@ CURVATURE_TOL = 1e-4
 #     kept step-h2 gradients (of T, Gamma, Gamma^g and, in dimension 4,
 #     Gamma^W); 13-15 d^4 at d = 8 and 20 d^4 at d = 4, where the rank-3 layers
 #     weigh more.  So a context takes 40 points at d = 4 and 2 at d = 8;
-#   * a stencil slice of its step-h2 pass holds at most 64 d^4 elements per
-#     point: a stencil context on 2d points, each keeping 9-16 d^3 elements
-#     (d_aF_a^+, (J_a df) ^ F_a, Gamma, ...) and building transients (dF and
-#     its projections; there is no nabla F_a, and no nabla J_a), 22-25 d^3 at d = 4.
+#   * a stencil slice of its step-h2 pass is budgeted at 64 d^4 elements per
+#     point: a stencil context on 2d points, each with the transient dF (3 d^3),
+#     Gamma, T and its other rank-3 layers; d_aF_a^+ and the wedges are packed,
+#     and there is no nabla F_a and no nabla J_a.  Measured, a slice's traced
+#     peak is 18 d^4 per point at d = 8 and 27 d^4 at d = 4 (31 and 46 while
+#     the first-order layer built dense 3-form stacks), so 64 d^4 is a bound
+#     with room, kept so that slice lengths stay as they are.
 # The pass runs before the context's rank-4 layers exist, beside its
 # first-order layers and the gradients it keeps, about 8 d^4 per point, so
 # its slices take what those leave: 7 points beside a 20-point context at
@@ -340,19 +349,23 @@ class QKTContext:
     def _dF(self) -> np.ndarray:
         """dF[..., alpha, a, i, j] = d_a (F_alpha)_ij, by the product rule
         (d_a g) J_alpha + g d_a J_alpha, the second term for a varying triple
-        only.  Not a layer: each call computes it afresh."""
-        dF = self.dg[..., None, :, :, :] @ self.J[..., :, None, :, :]
+        only: one matmul of dg against the three J side by side, whose
+        [..., a, i, alpha, j] product this views.  Not a layer: each call
+        computes it afresh."""
+        J, d, points = self.J, self.x.shape[-1], self.x.shape[:-1]
+        dF = (self.dg.reshape(points + (d * d, d))
+              @ np.moveaxis(J, -3, -2).reshape(points + (d, 3 * d))).reshape(points + (d, d, 3, d))
         if not self.struct.constant_layer("J"):
-            dF += self.g[..., None, None, :, :] @ np.swapaxes(self.dJ, -4, -3)
-        return dF
+            dF += np.swapaxes(self.g[..., None, None, :, :] @ self.dJ, -3, -2)
+        return np.moveaxis(dF, -2, -4)
 
     @_layer
     def df_wedge_F(self):
-        """(J_a df) ^ F_a[..., a] with the Kaehler forms F_a = g_0 J_a of the base
-        metric; their sum is what the torsion gains under g_0 -> f g_0."""
+        """(J_a df) ^ F_a[..., a], packed (:func:`wedge_packed`), with the Kaehler
+        forms F_a = g_0 J_a of the base metric; their sum is what the torsion
+        gains under g_0 -> f g_0."""
         J = self.J
-        return wedge_arrays(j_apply_oneform(J, self.df[..., None, :]),
-                            self.g0[..., None, :, :] @ J, stack=J.ndim - 2)
+        return wedge_packed(j_apply_oneform(J, self.df[..., None, :]), self.g0[..., None, :, :] @ J)
 
     @_layer
     def gamma_g(self):
@@ -366,25 +379,36 @@ class QKTContext:
 
     @_layer
     def _dF_parts(self):
-        """(theta, theta_cross, dcF_plus) from one dF, dropped when done."""
+        """(theta, theta_cross, dcF_plus) from one dF, dropped when done: the
+        3-forms are packed (:func:`lambda3`), projected and twisted by the
+        triple's :func:`packed_maps`, a constant triple's built once."""
         J, ginv, gamma, F = self.J, self.ginv, self.gamma_g, self.F
         d, points = J.shape[-1], J.shape[:-3]
-        dF = self._dF()
+        dF = np.moveaxis(self._dF(), -4, -2).reshape(points + (d * d, 3 * d))   # a view
         # delta F_a = -(g^ij d_i F_a(e_j) - F_a(v) - Gamma^m_ik (g^-1 F_a)^i_m), v^m = g^ij Gamma^m_ij
         weights = ginv.reshape(points + (d * d, 1))
         delta = np.swapaxes(gamma.reshape(points + (d, d * d)) @ weights, -1, -2)[..., None, :, :] @ F
         delta += np.swapaxes(ginv[..., None, :, :] @ F, -1, -2).reshape(points + (3, 1, d * d)) \
             @ gamma.reshape(points + (1, d * d, d))
-        delta -= np.swapaxes(weights, -1, -2)[..., None, :, :] @ dF.reshape(points + (3, d * d, d))
+        delta -= (np.swapaxes(weights, -1, -2) @ dF).reshape(points + (3, 1, d))
         theta = (delta @ J)[..., 0, :]
-        dF = antisymmetrized_gradient(dF, degree=2)
-        # one projection: J commutes with it, so dcF_plus is the twist of dF_plus.
-        # The 3-form arrays of a stencil batch are the largest temporaries: drop each when done
-        dF_plus = project_plus_3form(dF, J)
+        cyclic, traced = _gathers(d)
+        # the packed cyclic sums d F_a, each sorted entry as antisymmetrized_gradient forms it
+        terms = np.take(dF.reshape(points + (-1,)), cyclic, axis=-1)
         del dF
-        theta_cross = -0.5 * frame_trace_pair(dF_plus[..., None, :, :, :], ginv,
-                                              J[..., None, :, :, :])
-        return theta, theta_cross, j_apply_form(J, dF_plus)
+        psi = terms[..., 0, :, :] - terms[..., 1, :, :] + terms[..., 2, :, :]
+        plus, twisted = (self.struct.hyper.maps if self.struct.constant_layer("J")
+                         else packed_maps(J))
+        dF_plus = _apply_packed(psi, plus)
+        # theta_cross[a, b](X) = -1/2 sum_{i<j} dF_a^+(X, e_i, e_j) (W_b - W_b^T)_ij with
+        # W_b = g^-1 J_b^T: W[..., i, b, j] from one matmul, signed entries gathered per (t, b, X)
+        weights = (ginv @ np.moveaxis(np.swapaxes(J, -1, -2), -3, -2).reshape(points + (d, 3 * d))
+                   ).reshape(points + (d, 3, d))
+        weights -= np.swapaxes(weights, -3, -1)
+        weights = np.concatenate([-0.5 * weights, 0.5 * weights], axis=-1).reshape(points + (-1,))
+        weights = np.take(weights, traced, axis=-1).reshape(points + (-1, 3 * d))
+        theta_cross = (dF_plus @ weights).reshape(points + (3, 3, d))
+        return theta, theta_cross, _apply_packed(psi, twisted)
 
     @property
     def theta(self):
@@ -398,7 +422,8 @@ class QKTContext:
 
     @property
     def dcF_plus(self):
-        """The (1,2)+(2,1) parts of the twisted derivatives d_a F_a."""
+        """The (1,2)+(2,1) parts of the twisted derivatives d_a F_a, packed:
+        dcF_plus[..., a, t] over the sorted triples t of :func:`lambda3`."""
         return self._dF_parts[2]
 
     @_layer
@@ -422,8 +447,20 @@ class QKTContext:
         """
         if self.struct.n < 2:
             return None
+        # packed: a dense 3-form holds the same entries, with signs, and zeros
         versions = _alpha_versions(self)
-        return np.max(np.abs(versions - versions[..., CYC_B, :, :, :]), axis=(-4, -3, -2, -1))
+        return np.max(np.abs(versions - versions[..., CYC_B, :]), axis=(-2, -1))
+
+    @_layer
+    def _torsion_pairs(self):
+        """The six (1-form, 2-form) pairs of the torsion formula, stacked as
+        (ones[..., p, :], twos[..., p, :, :]): J_a K_a with F_c (p = a) and K_a
+        with F_b (p = 3 + a); None for n = 1."""
+        K, F = self.K, self.F
+        if K is None:
+            return None
+        return (np.concatenate([j_apply_oneform(self.J, K), K], axis=-2),
+                np.concatenate([F[..., CYC_C, :, :], F[..., CYC_B, :, :]], axis=-3))
 
     @_layer
     def T(self):
@@ -642,13 +679,39 @@ class QKTContext:
 
 def _alpha_versions(ctx: QKTContext) -> np.ndarray:
     """The three alpha-versions d_a F_a^+ - (J_a K_a ^ F_c + K_a ^ F_b) / 2 of
-    the torsion, stacked after the point axes; n >= 2.  Only the existence
-    defect reads them apart."""
-    K, F = ctx.K, ctx.F
-    stack = K.ndim - 1
-    return ctx.dcF_plus - 0.5 * (
-        wedge_arrays(j_apply_oneform(ctx.J, K), F[..., CYC_C, :, :], stack=stack)
-        + wedge_arrays(K, F[..., CYC_B, :, :], stack=stack))
+    the torsion, packed [..., a, t], from the pairs that the torsion sums;
+    n >= 2.  Only the existence defect reads them apart."""
+    wedges = wedge_packed(*ctx._torsion_pairs)
+    return ctx.dcF_plus - 0.5 * (wedges[..., :3, :] + wedges[..., 3:, :])
+
+
+@functools.cache
+def _gathers(d: int) -> tuple:
+    """The d-only gathers of :meth:`QKTContext._dF_parts`, from the :func:`lambda3`
+    tables: (cyclic [s, alpha, t], traced [t, b, X]).  ``cyclic`` reads dF[..., a,
+    i, alpha, j] at (first_s, rest_s), whose signed sum is the packed d F_alpha;
+    ``traced`` reads the rest_s = (i, j) entry of W[..., i, b, j] at X = first_s
+    from [-W/2, W/2], the half picked by the sign (+, -, +)_s, and the first
+    half's exact zero W[0, b, 0] where X is not in t."""
+    tables = lambda3(d)
+    i, j = np.divmod(tables.rest, d)
+    cyclic = (tables.first * d + i) * 3 * d + j
+    cyclic = cyclic[:, None, :] + d * np.arange(3)[:, None]
+    b = np.arange(3)
+    traced = np.zeros((tables.size, 3, d), dtype=np.intp) + b[:, None] * 2 * d
+    traced[np.arange(tables.size)[:, None], b, tables.first[..., None]] = (
+        (i[..., None] * 3 + b) * 2 * d + j[..., None] + d * (np.arange(3) == 1)[:, None, None])
+    return cyclic, traced
+
+
+def _apply_packed(packed: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """packed[..., a, t] @ maps[..., a, :, :]: maps shared by every point (a
+    constant triple's) as three matmuls over all the points, else one per point."""
+    if maps.ndim > 3:
+        return (packed[..., None, :] @ maps)[..., 0, :]
+    lead = packed.shape[:-2]
+    out = np.moveaxis(packed, -2, 0).reshape(3, -1, packed.shape[-1]) @ maps
+    return np.moveaxis(out.reshape((3,) + lead + out.shape[-1:]), 0, -2)
 
 
 def _sp1_solve(J: np.ndarray, gamma: np.ndarray, dJ: np.ndarray | None = None):
@@ -777,16 +840,15 @@ class QKTStructure:
 
 
 def _bundle_torsion(ctx: QKTContext) -> np.ndarray:
-    """The torsion for n >= 2, the mean of the three alpha-versions in one sum:
-    (sum_a d_aF_a^+ - Alt sum_a [(J_a K_a) (x) F_c + K_a (x) F_b] / 2) / 3."""
-    K, F = ctx.K, ctx.F
-    d, points = K.shape[-1], K.shape[:-2]
-    # the six (1-form, 2-form) pairs on one stacked axis, contracted by one matmul
-    ones = np.concatenate([j_apply_oneform(ctx.J, K), K], axis=-2)
-    twos = np.concatenate([F[..., CYC_C, :, :], F[..., CYC_B, :, :]], axis=-3)
+    """The torsion for n >= 2, the mean of the three alpha-versions in one sum,
+    (sum_a d_aF_a^+ - Alt sum_a [(J_a K_a) (x) F_c + K_a (x) F_b] / 2) / 3,
+    formed packed and unpacked once."""
+    ones, twos = ctx._torsion_pairs
+    d, points = ones.shape[-1], ones.shape[:-2]
+    # the six pairs contracted by one matmul, their wedge packed by three gathers
     outer = np.swapaxes(ones, -1, -2) @ twos.reshape(points + (6, d * d))
-    wedges = shuffle_sum(outer.reshape(points + (d,) * 3), 1, 2)
-    return (ctx.dcF_plus.sum(axis=-4) - 0.5 * wedges) / 3.0
+    wedges = shuffle_sum_packed(outer.reshape(points + (d,) * 3))
+    return unpack_3form((ctx.dcF_plus.sum(axis=-2) - 0.5 * wedges) / 3.0, d)
 
 
 def _dual_torsion(ctx: QKTContext) -> np.ndarray:
@@ -796,7 +858,8 @@ def _dual_torsion(ctx: QKTContext) -> np.ndarray:
 
 def _rescaled_torsion(ctx: QKTContext) -> np.ndarray:
     """T_bar = f T + sum_a (J_a df) ^ F_a, with T read off the base context ``ctx.base``."""
-    return ctx.f[..., None, None, None] * ctx.base.T + ctx.df_wedge_F.sum(axis=-4)
+    return ctx.f[..., None, None, None] * ctx.base.T + unpack_3form(ctx.df_wedge_F.sum(axis=-2),
+                                                                    ctx.x.shape[-1])
 
 
 def existence_residual(patch: CoordinatePatch,

@@ -3,7 +3,11 @@
 Carries the triple of anticommuting almost complex structures, the
 kernels that apply them to forms and tensors, type projectors for 3-forms
 and torsion tensors, and the Nijenhuis tensor computed from coordinate Lie
-brackets.  The Kaehler 2-forms F_a(X, Y) = g(X, J_a Y), their Lee and
+brackets.  The evaluation context projects and twists 3-forms in packed
+components (``tensor_core.lambda3``) by the maps of :func:`packed_maps`,
+exact for any J, which a constant triple builds once; the dense
+:func:`project_plus_3form` and :func:`j_apply_form` are the reference
+kernels those maps are tested against.  The Kaehler 2-forms F_a(X, Y) = g(X, J_a Y), their Lee and
 cross Lee forms and K_a are layers of the evaluation context in
 ``qkt_connection`` (``F``, ``theta``, ``theta_cross``, ``K``), and a triple
 meets its patch only in ``qkt_connection.QKTStructure``.
@@ -22,11 +26,13 @@ Point axes, when present, lead the stack: ``J[..., alpha, k, j]``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError
+from .tensor_core import derivation_3form
 
 # cyclic permutations (alpha, beta, gamma) of (1, 2, 3), 0-indexed
 CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -66,15 +72,21 @@ class ConstantHypercomplexField(HypercomplexField):
     """Three constant structures, held as one read-only stack.
 
     Every point gets the same stack, and an evaluation context
-    differentiates it to exact zeros, without a stencil.
+    differentiates it to exact zeros, without a stencil.  The stack's
+    :func:`packed_maps` are built once, here, as a constant metric's inverse is.
     """
 
     stack: np.ndarray = field(default=None, repr=False, compare=False)
+    maps: tuple = field(default=None, repr=False, compare=False)
 
     def __init__(self, j1, j2, j3):
         stack = np.array([j1, j2, j3], dtype=float)
         stack.flags.writeable = False
+        maps = packed_maps(stack)
+        for m in maps:
+            m.flags.writeable = False
         object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "funcs", tuple(
             lambda p, _m=m: np.broadcast_to(_m, np.shape(p)[:-1] + _m.shape) for m in stack))
 
@@ -83,8 +95,10 @@ class ConstantHypercomplexField(HypercomplexField):
         return np.broadcast_to(self.stack, points + self.stack.shape) if points else self.stack
 
 
+@functools.cache
 def build_standard_hypercomplex(n: int) -> ConstantHypercomplexField:
-    """The constant hypercomplex structure of H^n, block-diagonal per quadruple."""
+    """The constant hypercomplex structure of H^n, block-diagonal per quadruple:
+    one read-only object per n and process, its maps built once."""
     if n < 1:
         raise DimensionError(f"need n >= 1, got {n}")
     eye = np.eye(n)[:, None, :, None]   # np.kron's products, signed zeros included
@@ -180,6 +194,28 @@ def frame_trace_pair(arr: np.ndarray, ginv: np.ndarray, J: np.ndarray) -> np.nda
     lead, middle = arr.shape[:len(stack)], arr.shape[len(stack):-2]
     traced = arr.reshape(lead + (-1, d * d)) @ weights
     return traced.reshape(np.broadcast_shapes(lead, stack) + middle)
+
+
+def packed_maps(J: np.ndarray) -> tuple:
+    """(plus, twisted)[..., C, C]: :func:`project_plus_3form` and
+    :func:`j_apply_form` after it, for J[..., d, d], as matrices on packed
+    3-forms applied from the right (``packed @ plus``).
+
+    With D_k the derivation of J^k on 3-forms (:func:`derivation_3form`), the
+    projector is (3 + e_2)/4 and J on all three slots is -e_3, e_2 and e_3
+    being the elementary symmetric sums of J on the three slots, which commute;
+    Newton's identities give e_2 = (D_1^2 - D_2)/2 and e_3 = (D_1^3 - 3 D_1 D_2
+    + 2 D_3)/6.  Exact for any J: neither J^2 = -1 nor compatibility is used.
+    """
+    J2 = J @ J
+    D1, D2, D3 = derivation_3form(np.stack([J, J2, J2 @ J]))
+    square = D1 @ D1
+    plus = 0.125 * (square - D2)
+    diagonal = plus.reshape(plus.shape[:-2] + (-1,))[..., ::plus.shape[-1] + 1]
+    diagonal += 0.75
+    twisted = (D1 @ (square - 3.0 * D2) + 2.0 * D3) @ plus
+    twisted *= -1.0 / 6.0
+    return plus, twisted
 
 
 def project_plus_3form(psi: np.ndarray, J: np.ndarray) -> np.ndarray:

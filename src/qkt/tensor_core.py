@@ -27,6 +27,8 @@ Conventions used throughout the package:
   component of the derivative of the j-th coordinate field along the i-th
   direction;
 * a k-form is the dense antisymmetric array of its covariant components;
+  a packed 3-form is the array of its C(d, 3) components over the sorted
+  triples i < j < k (:func:`lambda3`), which the first-order layers keep;
 * the wedge carries no 1/k! prefactor: ``(a ^ b)(X,Y,Z) = a(X)b(Y,Z) +
   a(Y)b(Z,X) + a(Z)b(X,Y)`` for a 1-form against a 2-form, and
   ``dx1 ^ dx2`` evaluates to 1 on ``(e1, e2)``;
@@ -343,6 +345,120 @@ def shuffle_sum(outer: np.ndarray, p: int, q: int) -> np.ndarray:
         else:
             result -= term
     return result
+
+
+# ---------------------------------------------------------------------------
+# packed 3-forms: the C(d, 3) components psi[t] = psi[i, j, k] over the sorted
+# triples t = (i < j < k), in lexicographic order
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Lambda3:
+    """The index tables of packed 3-forms in dimension ``d``, every one a gather.
+
+    ``unpack`` (d^3): for each flat position, its entry of [packed, 0,
+    -packed], so the position of triple t and of its even permutations holds
+    t, an odd permutation C(d,3) + 1 + t and a repeated index C(d,3).
+    ``first``, ``rest`` (3, C(d,3)): the s-th entry of each triple (``first``
+    lists the triples) and the flat (d^2) position of the pair left without
+    it, so that the sorted entry of G[x, i, j] - G[i, x, j] + G[j, x, i] is
+    sum_s (+, -, +)_s G[first_s, rest_s]: the exterior derivative of a 2-form
+    from its gradient, and the wedge of a 1-form with a 2-form.
+    ``derivation``: (positions, sources, signs) of the off-diagonal entries of
+    :func:`derivation_3form`, and ``diagonal`` the sources of its diagonal.
+    """
+
+    unpack: np.ndarray
+    first: np.ndarray
+    rest: np.ndarray
+    derivation: tuple
+    diagonal: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.first.shape[-1]
+
+
+@functools.cache
+def lambda3(d: int) -> Lambda3:
+    """The :class:`Lambda3` tables of dimension ``d``, built once per process."""
+    r = np.arange(d)
+    first = np.stack(np.nonzero((r[:, None, None] < r[None, :, None]) & (r[None, :, None] < r)))
+    size = first.shape[1]
+    rows = np.arange(size)
+    i, j, k = first
+    rest = np.stack([j * d + k, i * d + k, i * d + j])
+    second, third = np.roll(first, -1, axis=0), np.roll(first, -2, axis=0)
+
+    def flat(a, b, c):
+        return (a * d + b) * d + c
+
+    unpack = np.full(d ** 3, size)
+    unpack[flat(first, second, third)] = rows                   # the even permutations
+    unpack[flat(second, first, third)] = size + 1 + rows        # the odd ones
+    # the derivation: entry s of triple t replaced by m, landing at place p
+    # among the two entries (x < y) left, a cycle of sign (-1)^(s - p)
+    x, y = np.divmod(rest, d)
+    s, t, m = np.nonzero((r != x[..., None]) & (r != y[..., None]) & (r != first[..., None]))
+    x, y = x[s, t], y[s, t]
+    p = (m > x).astype(int) + (m > y)
+    u = unpack[flat(np.where(p == 0, m, x), np.where(p == 0, x, np.where(p == 1, m, y)),
+                    np.where(p == 2, m, y))]
+    signs = np.where((s - p) % 2, -1.0, 1.0)
+    # transposed, so that packed @ matrix applies it: entry [u, t] holds A[m, t_s]
+    derivation = (u * size + t, m * d + first[s, t], signs)
+    diagonal = first * (d + 1)                                  # A[t_s, t_s]
+    tables = Lambda3(unpack, first, rest, derivation, diagonal)
+    for value in (*vars(tables).values(), *derivation):
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return tables
+
+
+def unpack_3form(packed: np.ndarray, d: int) -> np.ndarray:
+    """The dense antisymmetric arrays [..., d, d, d] of packed 3-forms
+    [..., C(d, 3)]: entries copied with their signs, exact zeros on repeated
+    indices; one gather."""
+    lead = packed.shape[:-1]
+    padded = np.concatenate([packed, np.zeros(lead + (1,)), -packed], axis=-1)
+    return np.take(padded, lambda3(d).unpack, axis=-1).reshape(lead + (d,) * 3)
+
+
+def shuffle_sum_packed(outer: np.ndarray) -> np.ndarray:
+    """The packed :func:`shuffle_sum` [..., C(d, 3)] of (1, 2) outer products
+    outer[..., x, i, j], or of a sum of them: three gathers of its entries."""
+    d = outer.shape[-1]
+    tables = lambda3(d)
+    terms = np.take(outer.reshape(outer.shape[:-3] + (d ** 3,)), tables.first * d * d + tables.rest,
+                    axis=-1)
+    return terms[..., 0, :] - terms[..., 1, :] + terms[..., 2, :]
+
+
+def wedge_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The packed wedge [..., C(d, 3)] of 1-forms a[..., d] and 2-forms
+    b[..., d, d], the sorted entries of :func:`wedge_arrays`, without its
+    (..., d, d, d) outer product."""
+    d = a.shape[-1]
+    tables = lambda3(d)
+    terms = np.take(a, tables.first, axis=-1)
+    terms *= np.take(b.reshape(b.shape[:-2] + (d * d,)), tables.rest, axis=-1)
+    return terms[..., 0, :] - terms[..., 1, :] + terms[..., 2, :]
+
+
+def derivation_3form(A: np.ndarray) -> np.ndarray:
+    """The derivation of the matrices A[..., d, d] on packed 3-forms, as
+    matrices [..., C, C] applied from the right: ``packed @ derivation_3form(A)``
+    packs psi(A X, Y, Z) + psi(X, A Y, Z) + psi(X, Y, A Z).  A scatter of A's
+    entries, exact for any A."""
+    d = A.shape[-1]
+    tables = lambda3(d)
+    positions, sources, signs = tables.derivation
+    size = tables.size
+    flat = A.reshape(A.shape[:-2] + (d * d,))
+    out = np.zeros(A.shape[:-2] + (size * size,))
+    out[..., positions] = np.take(flat, sources, axis=-1) * signs
+    out[..., np.arange(size) * (size + 1)] = np.take(flat, tables.diagonal, axis=-1).sum(axis=-2)
+    return out.reshape(A.shape[:-2] + (size, size))
 
 
 def _levi_civita_symbol_4() -> np.ndarray:

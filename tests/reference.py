@@ -46,6 +46,7 @@ from qkt.tensor_core import (
     covariant_derivative_array,
     gradient,
     hodge_star_array,
+    lambda3,
     levi_civita,
     raise_last,
     trace_codifferential,
@@ -253,16 +254,25 @@ def compute_K(struct,
     return (jb_theta + cross_lee_form(struct, alpha, c, p, scheme)) / (1.0 - struct.n)
 
 
+def pack_3form(arr: np.ndarray) -> np.ndarray:
+    """The components [..., C(d, 3)] of arr[..., d, d, d] over the sorted
+    triples i < j < k, in the order of ``tensor_core.lambda3``."""
+    i, j, k = lambda3(arr.shape[-1]).first
+    return arr[..., i, j, k]
+
+
 def existence_defect(ctx) -> float:
     """The eq4 existence defect at the single-point context ``ctx`` (n >= 2),
     by its own formula: the worst entry of d_a F_a^+ - d_b F_b^+ - (K_a ^ F_b
-    - J_b K_b ^ F_a - K_b ^ F_c + J_a K_a ^ F_c) / 2 over the cyclic triples."""
+    - J_b K_b ^ F_a - K_b ^ F_c + J_a K_a ^ F_c) / 2 over the cyclic triples,
+    on its sorted components (:func:`pack_3form`), which hold every entry up to
+    sign when the F_a are 2-forms, that is for a hermitian metric."""
     K, J, F, dcF_plus = ctx.K, ctx.J, ctx.F, ctx.dcF_plus
     defect = 0.0
     for a, b, c in CYCLIC:
         rhs = (wedge_arrays(K[a], F[b]) - wedge_arrays(j_apply_oneform(J[b], K[b]), F[a])
                - wedge_arrays(K[b], F[c]) + wedge_arrays(j_apply_oneform(J[a], K[a]), F[c]))
-        defect = max(defect, np.max(np.abs(dcF_plus[a] - dcF_plus[b] - 0.5 * rhs)))
+        defect = max(defect, np.max(np.abs(dcF_plus[a] - dcF_plus[b] - 0.5 * pack_3form(rhs))))
     return float(defect)
 
 
@@ -318,7 +328,8 @@ def einstein_weyl_deviation(ctx) -> float:
 
 def expanded_first_order(ctx) -> tuple:
     """(theta, theta_cross, dcF_plus) of the context ``ctx`` from dF[..., a, alpha]
-    with the derivative axis first, theta traced from nabla^g F_a built in full."""
+    with the derivative axis first, theta traced from nabla^g F_a built in full;
+    dcF_plus is the dense (..., 3, d, d, d) stack, by the full-array kernels."""
     J, g = ctx.J, ctx.g
     ginv = np.linalg.inv(g)
     dF = ctx.dg[..., :, None, :, :] @ J[..., None, :, :, :]

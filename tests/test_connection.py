@@ -39,6 +39,7 @@ from qkt.tensor_core import (
     FDScheme,
     FormField,
     levi_civita,
+    unpack_3form,
     wedge_arrays,
 )
 from qkt.zoo import ManifoldSpec, build_manifold
@@ -166,6 +167,8 @@ def test_bundle_matches_standalone_formulas_exactly(batched):
     ctx = data.at(np.stack([-POINT8, POINT8]) if batched else POINT8)
     J, theta, cross, dcF_plus = (value[1] if batched else value for value in
                                  (ctx.J, ctx.theta, ctx.theta_cross, ctx.dcF_plus))
+    # packed by the triple's maps, unpacked: bit-equal to the full-array kernels
+    dcF_plus = unpack_3form(dcF_plus, 8)
     for a in range(3):
         dF = exterior_derivative(kaehler_field(data, a), SCHEME)(POINT8)
         assert np.array_equal(dcF_plus[a], j_apply_form(J[a], project_plus_3form(dF, J[a])))
@@ -176,15 +179,15 @@ def test_bundle_matches_standalone_formulas_exactly(batched):
 
 
 def test_first_order_layers_exist_for_their_n(conformal_struct, sine_dim4):
-    # theta, theta_cross and dcF_plus for every n; K and the eq4/eq5 defect
-    # for n >= 2 only
-    shapes = {"theta": (3, 8), "theta_cross": (3, 3, 8), "dcF_plus": (3, 8, 8, 8),
+    # theta, theta_cross and dcF_plus (packed: C(d, 3) components) for every n;
+    # K and the eq4/eq5 defect for n >= 2 only
+    shapes = {"theta": (3, 8), "theta_cross": (3, 3, 8), "dcF_plus": (3, 56),
               "K": (3, 8), "existence": ()}
     ctx = conformal_struct.at(POINT8)
     assert {name: np.shape(getattr(ctx, name)) for name in FIRST_ORDER} == shapes
     ctx = sine_dim4.at(POINT4)
     assert [np.shape(getattr(ctx, name)) for name in FIRST_ORDER[:3]] == [
-        (3, 4), (3, 3, 4), (3, 4, 4, 4)]
+        (3, 4), (3, 3, 4), (3, 4)]
     assert [getattr(ctx, name) for name in FIRST_ORDER[3:]] == [None, None]
 
 
@@ -223,14 +226,14 @@ TORSION_CASES = {
 
 @pytest.mark.parametrize("case", sorted(TORSION_CASES))
 def test_torsion_is_the_mean_of_the_alpha_versions(case):
-    # T comes from one summed wedge of the six (1-form, 2-form) pairs; it is
-    # the mean of the three alpha-versions up to rounding (measured at most
-    # 2.9e-16 relative), on a triple that misses the existence condition too
+    # T comes from one sum of the six packed (1-form, 2-form) pair wedges; it
+    # is the mean of the three alpha-versions up to rounding, on a triple that
+    # misses the existence condition too
     struct = TORSION_CASES[case]()
     dim = struct.patch.dim
     x = np.stack([POINT8, -POINT8, 0.5 * POINT8])[:, np.arange(dim) % 8]
     ctx = struct.at(x)
-    mean = _alpha_versions(ctx).sum(axis=-4) / 3.0
+    mean = unpack_3form(_alpha_versions(ctx).sum(axis=-2) / 3.0, dim)
     assert np.max(np.abs(ctx.T - mean)) <= 1e-14 * np.max(np.abs(mean))
     assert (np.max(np.abs(mean)) == 0.0) == (case == "flat-2")
 

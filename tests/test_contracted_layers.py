@@ -21,7 +21,7 @@ import reference
 from qkt.qkt_connection import QKTContext, point_chunks
 from qkt.quaternionic import rotated_hypercomplex
 from qkt.suite import run_suite
-from qkt.tensor_core import ConformalMetric, ConstantMetric, CoordinatePatch
+from qkt.tensor_core import ConformalMetric, ConstantMetric, CoordinatePatch, unpack_3form
 from qkt.zoo import ManifoldSpec, build_structure, sample_points
 from test_product_rule import EXP_X1, _rotated_triple
 
@@ -67,12 +67,13 @@ CASES = sorted(ZOO) + ["rotated", "tilted"]
 @pytest.mark.parametrize("name", CASES)
 def test_first_order_layers_match_the_expanded_formulas(name):
     # on the sample points and on a step-h2 stencil of them, as a slice of the
-    # pass opens it: theta within rounding, theta_cross and dcF_plus from the
-    # same kernels on dF in its new layout
+    # pass opens it: theta within rounding, theta_cross and dcF_plus (packed,
+    # here unpacked) from the triple's packed maps against the full kernels
     struct, x = _structure(name)
     ctx = struct.at(x)
     for context in (ctx, ctx._on_stencil(ctx.x, struct.scheme.h2)):
-        for new, ref in zip((context.theta, context.theta_cross, context.dcF_plus),
+        dcF_plus = unpack_3form(context.dcF_plus, context.x.shape[-1])
+        for new, ref in zip((context.theta, context.theta_cross, dcF_plus),
                             reference.expanded_first_order(context)):
             _assert_close(new, ref)
     if name in ("conformal-2", "rotated", "tilted"):
