@@ -15,10 +15,11 @@ f g.  Either way the connection is nabla^g + T/2 and the sp(1) connection
 1-forms are recovered by solving nabla J_a = -omega_b (x) J_c + omega_c
 (x) J_b pointwise, from normal equations contracted before nabla J_a is
 expanded; the Lee forms are likewise traced from dF_a, without nabla^g F_a.
-The 3-forms of the first-order layer, d_a F_a^+ and the wedges of the
-torsion formula, are kept as packed components over the sorted triples
-(``tensor_core.lambda3``) and projected and twisted by the triple's packed
-maps (``quaternionic.packed_maps``); the torsion is unpacked once.
+The 3-forms of the first-order layer, d_a F_a^+ and the three
+alpha-versions, are packed over the sorted triples by one kernel
+(``tensor_core.shuffle_sum_packed``) and projected and twisted by the
+triple's packed maps (``quaternionic.packed_maps``); the torsion is the
+versions' mean, unpacked once.
 
 A :class:`QKTStructure` is the one record of a structure: the patch with
 its metric, the triple, the scheme and, in dimension 4, the 1-form or the
@@ -76,7 +77,6 @@ from .tensor_core import (
     unpack_3form,
     validate_metric,
     wedge_arrays,
-    wedge_packed,
     worst,
 )
 
@@ -98,11 +98,10 @@ CURVATURE_TOL = 1e-4
 #     weigh more.  So a context takes 40 points at d = 4 and 2 at d = 8;
 #   * a stencil slice of its step-h2 pass is budgeted at 64 d^4 elements per
 #     point: a stencil context on 2d points, each with the transient dF (3 d^3),
-#     Gamma, T and its other rank-3 layers; d_aF_a^+ and the wedges are packed,
-#     and there is no nabla F_a and no nabla J_a.  Measured, a slice's traced
-#     peak is 18 d^4 per point at d = 8 and 27 d^4 at d = 4 (31 and 46 while
-#     the first-order layer built dense 3-form stacks), so 64 d^4 is a bound
-#     with room, kept so that slice lengths stay as they are.
+#     Gamma, T and its other rank-3 layers; d_aF_a^+ and the alpha-versions are
+#     packed, and there is no nabla F_a and no nabla J_a.  A slice's traced peak
+#     is 19 d^4 per point at d = 8 and 27 d^4 at d = 4; the budget is a bound
+#     with more than twice that room, and it sets the slice lengths below.
 # The pass runs before the context's rank-4 layers exist, beside its
 # first-order layers and the gradients it keeps, about 8 d^4 per point, so
 # its slices take what those leave: 7 points beside a 20-point context at
@@ -178,8 +177,9 @@ class QKTContext:
     and for any other metric f = 1 and g_0 = g.  Every derivative is a
     :meth:`derivative`.  The first-order data of the torsion formula are
     separate layers: theta, theta_cross and dcF_plus (one layer, from one dF
-    that it drops), K, and the one eq4/eq5 defect ``existence``, so a
-    stencil context that reads T never computes the defect.
+    that it drops), K, the alpha-versions that T averages and the one eq4/eq5
+    defect ``existence`` that compares them, so a stencil context that reads
+    T never computes the defect.
 
     The step-h2 layers (:attr:`QKTStructure.nested_layers`) come from one
     pass over the points in stencil slices (:attr:`_nested_gradients`), so a
@@ -348,24 +348,22 @@ class QKTContext:
 
     def _dF(self) -> np.ndarray:
         """dF[..., alpha, a, i, j] = d_a (F_alpha)_ij, by the product rule
-        (d_a g) J_alpha + g d_a J_alpha, the second term for a varying triple
-        only: one matmul of dg against the three J side by side, whose
-        [..., a, i, alpha, j] product this views.  Not a layer: each call
+        (d_a g) J_alpha + g d_a J_alpha: one matmul of dg against each J, and
+        the second term for a varying triple only.  Not a layer: each call
         computes it afresh."""
         J, d, points = self.J, self.x.shape[-1], self.x.shape[:-1]
-        dF = (self.dg.reshape(points + (d * d, d))
-              @ np.moveaxis(J, -3, -2).reshape(points + (d, 3 * d))).reshape(points + (d, d, 3, d))
+        dF = (self.dg.reshape(points + (1, d * d, d)) @ J).reshape(points + (3, d, d, d))
         if not self.struct.constant_layer("J"):
-            dF += np.swapaxes(self.g[..., None, None, :, :] @ self.dJ, -3, -2)
-        return np.moveaxis(dF, -2, -4)
+            dF += np.swapaxes(self.g[..., None, None, :, :] @ self.dJ, -4, -3)
+        return dF
 
     @_layer
     def df_wedge_F(self):
-        """(J_a df) ^ F_a[..., a], packed (:func:`wedge_packed`), with the Kaehler
-        forms F_a = g_0 J_a of the base metric; their sum is what the torsion
-        gains under g_0 -> f g_0."""
-        J = self.J
-        return wedge_packed(j_apply_oneform(J, self.df[..., None, :]), self.g0[..., None, :, :] @ J)
+        """(J_a df) ^ F_a[..., a], packed (:func:`shuffle_sum_packed` of their outer
+        product), with the Kaehler forms F_a = g_0 J_a of the base metric; their
+        sum is what the torsion gains under g_0 -> f g_0."""
+        ones = j_apply_oneform(self.J, self.df[..., None, :])[..., :, None, None]
+        return shuffle_sum_packed(ones * (self.g0[..., None, :, :] @ self.J)[..., None, :, :])
 
     @_layer
     def gamma_g(self):
@@ -379,24 +377,22 @@ class QKTContext:
 
     @_layer
     def _dF_parts(self):
-        """(theta, theta_cross, dcF_plus) from one dF, dropped when done: the
-        3-forms are packed (:func:`lambda3`), projected and twisted by the
-        triple's :func:`packed_maps`, a constant triple's built once."""
+        """(theta, theta_cross, dcF_plus) from one dF, dropped when done: the Lee
+        forms are traced from it, and the d F_a packed (:func:`shuffle_sum_packed`),
+        projected and twisted by the triple's :func:`packed_maps`, a constant
+        triple's built once."""
         J, ginv, gamma, F = self.J, self.ginv, self.gamma_g, self.F
         d, points = J.shape[-1], J.shape[:-3]
-        dF = np.moveaxis(self._dF(), -4, -2).reshape(points + (d * d, 3 * d))   # a view
+        dF = self._dF()
         # delta F_a = -(g^ij d_i F_a(e_j) - F_a(v) - Gamma^m_ik (g^-1 F_a)^i_m), v^m = g^ij Gamma^m_ij
         weights = ginv.reshape(points + (d * d, 1))
         delta = np.swapaxes(gamma.reshape(points + (d, d * d)) @ weights, -1, -2)[..., None, :, :] @ F
         delta += np.swapaxes(ginv[..., None, :, :] @ F, -1, -2).reshape(points + (3, 1, d * d)) \
             @ gamma.reshape(points + (1, d * d, d))
-        delta -= (np.swapaxes(weights, -1, -2) @ dF).reshape(points + (3, 1, d))
+        delta -= ginv.reshape(points + (1, 1, d * d)) @ dF.reshape(points + (3, d * d, d))
         theta = (delta @ J)[..., 0, :]
-        cyclic, traced = _gathers(d)
-        # the packed cyclic sums d F_a, each sorted entry as antisymmetrized_gradient forms it
-        terms = np.take(dF.reshape(points + (-1,)), cyclic, axis=-1)
+        psi = shuffle_sum_packed(dF)   # the packed d F_a, from the gradients of the F_a
         del dF
-        psi = terms[..., 0, :, :] - terms[..., 1, :, :] + terms[..., 2, :, :]
         plus, twisted = (self.struct.hyper.maps if self.struct.constant_layer("J")
                          else packed_maps(J))
         dF_plus = _apply_packed(psi, plus)
@@ -406,7 +402,7 @@ class QKTContext:
                    ).reshape(points + (d, 3, d))
         weights -= np.swapaxes(weights, -3, -1)
         weights = np.concatenate([-0.5 * weights, 0.5 * weights], axis=-1).reshape(points + (-1,))
-        weights = np.take(weights, traced, axis=-1).reshape(points + (-1, 3 * d))
+        weights = np.take(weights, _cross_trace_table(d), axis=-1).reshape(points + (-1, 3 * d))
         theta_cross = (dF_plus @ weights).reshape(points + (3, 3, d))
         return theta, theta_cross, _apply_packed(psi, twisted)
 
@@ -437,30 +433,33 @@ class QKTContext:
                 + self.theta_cross[..., CYC_A, CYC_C, :]) / (1.0 - n)
 
     @_layer
+    def _alpha_versions(self):
+        """The alpha-versions V_a = d_aF_a^+ - (J_a K_a ^ F_c + K_a ^ F_b) / 2 of
+        the torsion, packed [..., a, t]; None for n = 1.  One matmul sums each
+        version's two outer products, and :func:`shuffle_sum_packed` packs them."""
+        K, F = self.K, self.F
+        if K is None:
+            return None
+        d, points = K.shape[-1], K.shape[:-2]
+        ones = np.stack([j_apply_oneform(self.J, K), K], axis=-1)               # [..., a, x, 2]
+        twos = np.stack([F[..., CYC_C, :, :], F[..., CYC_B, :, :]], axis=-3)   # [..., a, 2, i, j]
+        outer = ones @ twos.reshape(points + (3, 2, d * d))
+        return self.dcF_plus - 0.5 * shuffle_sum_packed(outer.reshape(points + (3, d, d, d)))
+
+    @_layer
     def existence(self):
         """Per point, the worst disagreement V_a - V_b of the three
         alpha-versions of the torsion; None for n = 1.
 
         It is the eq5 agreement and, expanded term by term, the defect of the
         existence condition (eq4) relating the d_a F_a^+: the connection
-        exists exactly when the versions agree.
+        exists exactly when the versions agree, and T is then their common value.
         """
         if self.struct.n < 2:
             return None
         # packed: a dense 3-form holds the same entries, with signs, and zeros
-        versions = _alpha_versions(self)
+        versions = self._alpha_versions
         return np.max(np.abs(versions - versions[..., CYC_B, :]), axis=(-2, -1))
-
-    @_layer
-    def _torsion_pairs(self):
-        """The six (1-form, 2-form) pairs of the torsion formula, stacked as
-        (ones[..., p, :], twos[..., p, :, :]): J_a K_a with F_c (p = a) and K_a
-        with F_b (p = 3 + a); None for n = 1."""
-        K, F = self.K, self.F
-        if K is None:
-            return None
-        return (np.concatenate([j_apply_oneform(self.J, K), K], axis=-2),
-                np.concatenate([F[..., CYC_C, :, :], F[..., CYC_B, :, :]], axis=-3))
 
     @_layer
     def T(self):
@@ -677,31 +676,18 @@ class QKTContext:
 # pointwise first-order quantities
 # ---------------------------------------------------------------------------
 
-def _alpha_versions(ctx: QKTContext) -> np.ndarray:
-    """The three alpha-versions d_a F_a^+ - (J_a K_a ^ F_c + K_a ^ F_b) / 2 of
-    the torsion, packed [..., a, t], from the pairs that the torsion sums;
-    n >= 2.  Only the existence defect reads them apart."""
-    wedges = wedge_packed(*ctx._torsion_pairs)
-    return ctx.dcF_plus - 0.5 * (wedges[..., :3, :] + wedges[..., 3:, :])
-
-
 @functools.cache
-def _gathers(d: int) -> tuple:
-    """The d-only gathers of :meth:`QKTContext._dF_parts`, from the :func:`lambda3`
-    tables: (cyclic [s, alpha, t], traced [t, b, X]).  ``cyclic`` reads dF[..., a,
-    i, alpha, j] at (first_s, rest_s), whose signed sum is the packed d F_alpha;
-    ``traced`` reads the rest_s = (i, j) entry of W[..., i, b, j] at X = first_s
-    from [-W/2, W/2], the half picked by the sign (+, -, +)_s, and the first
-    half's exact zero W[0, b, 0] where X is not in t."""
+def _cross_trace_table(d: int) -> np.ndarray:
+    """The d-only gather [t, b, X] of theta_{a,b} (:meth:`QKTContext._dF_parts`): the
+    rest_s = (i, j) entry of W[..., i, b, j] at X = first_s (:func:`lambda3`) from [-W/2, W/2],
+    the half picked by the sign (+, -, +)_s, and the exact zero W[0, b, 0] where X is not in t."""
     tables = lambda3(d)
     i, j = np.divmod(tables.rest, d)
-    cyclic = (tables.first * d + i) * 3 * d + j
-    cyclic = cyclic[:, None, :] + d * np.arange(3)[:, None]
     b = np.arange(3)
     traced = np.zeros((tables.size, 3, d), dtype=np.intp) + b[:, None] * 2 * d
     traced[np.arange(tables.size)[:, None], b, tables.first[..., None]] = (
         (i[..., None] * 3 + b) * 2 * d + j[..., None] + d * (np.arange(3) == 1)[:, None, None])
-    return cyclic, traced
+    return traced
 
 
 def _apply_packed(packed: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -840,15 +826,8 @@ class QKTStructure:
 
 
 def _bundle_torsion(ctx: QKTContext) -> np.ndarray:
-    """The torsion for n >= 2, the mean of the three alpha-versions in one sum,
-    (sum_a d_aF_a^+ - Alt sum_a [(J_a K_a) (x) F_c + K_a (x) F_b] / 2) / 3,
-    formed packed and unpacked once."""
-    ones, twos = ctx._torsion_pairs
-    d, points = ones.shape[-1], ones.shape[:-2]
-    # the six pairs contracted by one matmul, their wedge packed by three gathers
-    outer = np.swapaxes(ones, -1, -2) @ twos.reshape(points + (6, d * d))
-    wedges = shuffle_sum_packed(outer.reshape(points + (d,) * 3))
-    return unpack_3form((ctx.dcF_plus.sum(axis=-2) - 0.5 * wedges) / 3.0, d)
+    """The torsion for n >= 2: the mean of the packed alpha-versions, unpacked once."""
+    return unpack_3form(ctx._alpha_versions.sum(axis=-2) / 3.0, ctx.x.shape[-1])
 
 
 def _dual_torsion(ctx: QKTContext) -> np.ndarray:

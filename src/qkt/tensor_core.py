@@ -425,23 +425,14 @@ def unpack_3form(packed: np.ndarray, d: int) -> np.ndarray:
 
 
 def shuffle_sum_packed(outer: np.ndarray) -> np.ndarray:
-    """The packed :func:`shuffle_sum` [..., C(d, 3)] of (1, 2) outer products
-    outer[..., x, i, j], or of a sum of them: three gathers of its entries."""
+    """G[x, i, j] - G[i, x, j] + G[j, x, i] packed [..., C(d, 3)], for G = outer[..., x, i, j]
+    antisymmetric in (i, j), by three gathers.  Its two jobs: the wedge (:func:`shuffle_sum`)
+    of 1-forms and 2-forms from their outer products, or a sum of them, and d of 2-forms
+    from their gradients G[..., x, i, j] = d_x omega_ij (:func:`antisymmetrized_gradient`)."""
     d = outer.shape[-1]
     tables = lambda3(d)
     terms = np.take(outer.reshape(outer.shape[:-3] + (d ** 3,)), tables.first * d * d + tables.rest,
                     axis=-1)
-    return terms[..., 0, :] - terms[..., 1, :] + terms[..., 2, :]
-
-
-def wedge_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The packed wedge [..., C(d, 3)] of 1-forms a[..., d] and 2-forms
-    b[..., d, d], the sorted entries of :func:`wedge_arrays`, without its
-    (..., d, d, d) outer product."""
-    d = a.shape[-1]
-    tables = lambda3(d)
-    terms = np.take(a, tables.first, axis=-1)
-    terms *= np.take(b.reshape(b.shape[:-2] + (d * d,)), tables.rest, axis=-1)
     return terms[..., 0, :] - terms[..., 1, :] + terms[..., 2, :]
 
 

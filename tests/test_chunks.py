@@ -74,20 +74,16 @@ SPECS = {
 }
 
 # One conformal_flat n = 2 exp(x1) curvature run at 2 points (the conf8_curv
-# workload) peaks at 1.15 MB of traced allocations (Python 3.11, numpy 2.4)
-# with the first-order layer in packed 3-forms, 1.22 MB while it built dense
-# 3-form stacks, with theta traced from dF and omega solved without nabla J_a
-# (1.216 MB while both were expanded first).  It did at 1.34 MB while the build checked in a
-# context of its own and each stencil slice solved for omega, at 1.50 MB with
-# one context per sample point, and at 2.27 MB when every nested stencil point
-# evaluated g and the three F_a.  The bound leaves under 10 % headroom over 1.22 MB
+# workload) peaks at 1.15 MB of traced allocations (Python 3.11, numpy 2.4),
+# in one 2-point context whose step-h2 pass runs in one-point slices.  The
+# bound is that peak plus about 16 %, room for allocation differences between
+# numpy and Python versions.  It guards what a run keeps, not the slice length
+# (two-point slices read 1.31 MB), which the chunk-length test pins
 CURVATURE_PEAK_BYTES_MAX = 1_330_000
 # One hopf_local all-suite run at 20 points (the hopf4_all workload) peaks at
-# 1.09 MB in one sample context with stencil slices of 7, 7 and 6 points (1.14
-# MB with dense 3-form stacks, as while theta and omega were expanded first);
-# it did at 1.44 MB in two 10-point contexts that each kept their step-h2
-# stencil, and at 1.50 MB in slices of 10.  The bound, set over a 1.16 MB
-# peak, leaves about 10 % headroom
+# 1.09 MB in one sample context with stencil slices of 7, 7 and 6 points.  The
+# bound is that peak plus about 16 %, with the same reason; one slice over all
+# 20 points, the whole step-h2 stencil at once, reads 1.35 MB and fails it
 HOPF_ALL_PEAK_BYTES_MAX = 1_270_000
 
 

@@ -11,7 +11,6 @@ from qkt.conformal import ConformalFactor, conformal_rescale
 from qkt.qkt_connection import (
     QKTContext,
     QKTStructure,
-    _alpha_versions,
     build_qkt,
     c7_residual,
     classify,
@@ -226,15 +225,14 @@ TORSION_CASES = {
 
 @pytest.mark.parametrize("case", sorted(TORSION_CASES))
 def test_torsion_is_the_mean_of_the_alpha_versions(case):
-    # T comes from one sum of the six packed (1-form, 2-form) pair wedges; it
-    # is the mean of the three alpha-versions up to rounding, on a triple that
-    # misses the existence condition too
+    # the alpha-versions are the one torsion formula: T is exactly their
+    # unpacked mean, on a triple that misses the existence condition too
     struct = TORSION_CASES[case]()
     dim = struct.patch.dim
     x = np.stack([POINT8, -POINT8, 0.5 * POINT8])[:, np.arange(dim) % 8]
     ctx = struct.at(x)
-    mean = unpack_3form(_alpha_versions(ctx).sum(axis=-2) / 3.0, dim)
-    assert np.max(np.abs(ctx.T - mean)) <= 1e-14 * np.max(np.abs(mean))
+    mean = unpack_3form(ctx._alpha_versions.sum(axis=-2) / 3.0, dim)
+    assert np.array_equal(ctx.T, mean)
     assert (np.max(np.abs(mean)) == 0.0) == (case == "flat-2")
 
 

@@ -1,13 +1,19 @@
 """Packed 3-forms: the C(d, 3) components of the first-order layer.
 
-The first-order layer keeps d_a F_a^+ as its components over the sorted
-triples i < j < k and applies the type projector and J by the triple's
-packed maps (``quaternionic.packed_maps``), built from Newton's identities
-on the derivations of J, J^2 and J^3.  The tests check the tables against
-the dense kernels, the maps against ``project_plus_3form`` and
-``j_apply_form`` for any J, complex or not, that the standard triple is one
-read-only constant per n, and that no library function outside
-``qkt.quaternionic`` calls the dense kernels any more.
+The first-order layer keeps d_a F_a^+ and the alpha-versions of the torsion
+as their components over the sorted triples i < j < k.  One kernel,
+``tensor_core.shuffle_sum_packed``, packs both the d F_a (from their
+gradients) and the wedges of 1-forms with 2-forms (from their outer
+products); the type projector and J act by the triple's packed maps
+(``quaternionic.packed_maps``), built from Newton's identities on the
+derivations of J, J^2 and J^3.  The tests check the tables and the kernel
+against the dense ones (``antisymmetrized_gradient``, ``shuffle_sum``), the
+maps against ``project_plus_3form`` and ``j_apply_form`` for any J, complex
+or not, and that the standard triple is one read-only constant per n.  Two
+source guards keep the layout behind ``tensor_core``: no library function
+outside ``qkt.quaternionic`` calls the dense kernels, and outside
+``tensor_core`` only the theta_{a,b} trace table reads the ``lambda3``
+index tables, so no private copy of the signed gather grows beside the kernel.
 """
 
 import ast
@@ -27,13 +33,12 @@ from qkt.quaternionic import (
     rotated_hypercomplex,
 )
 from qkt.tensor_core import (
+    antisymmetrized_gradient,
     derivation_3form,
     lambda3,
     shuffle_sum,
     shuffle_sum_packed,
     unpack_3form,
-    wedge_arrays,
-    wedge_packed,
 )
 from reference import pack_3form
 from test_product_rule import _rotated_triple
@@ -82,9 +87,16 @@ def test_packed_wedges_are_the_sorted_entries_of_the_dense_ones(d):
     a = RNG.normal(size=(2, 6, d))
     b = RNG.normal(size=(2, 6, d, d))
     b -= np.swapaxes(b, -1, -2)
-    assert np.array_equal(wedge_packed(a, b), pack_3form(wedge_arrays(a, b, stack=2)))
     outer = a[..., :, None, None] * b[..., None, :, :]
     assert np.array_equal(shuffle_sum_packed(outer), pack_3form(shuffle_sum(outer, 1, 2)))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_packed_d_of_two_forms_is_the_sorted_entries_of_the_dense_one(d):
+    # the kernel's second job: d F_a from the gradients dF[..., a, x, i, j]
+    G = RNG.normal(size=(2, 3, d, d, d))
+    G -= np.swapaxes(G, -1, -2)
+    assert np.array_equal(shuffle_sum_packed(G), pack_3form(antisymmetrized_gradient(G, degree=2)))
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -150,22 +162,41 @@ def test_standard_triple_is_one_read_only_constant_per_n():
 
 
 # ---------------------------------------------------------------------------
-# guard: the dense kernels are reference kernels only
+# guards: the dense kernels are reference kernels only, and the packed index
+# tables stay behind tensor_core
 # ---------------------------------------------------------------------------
 
 DENSE_KERNELS = ("project_plus_3form", "j_apply_form")
+# the theta_{a,b} trace table gathers W's entries, not a 3-form's, so it is
+# the one reader of the tables outside tensor_core
+TABLE_READERS = [("qkt_connection.py", "_cross_trace_table")]
 
 
-def dense_kernel_calls(source: str, filename: str) -> list:
-    """(file, line) of every call of a dense 3-form kernel, by name or attribute."""
+def calls_of(names, source: str, filename: str) -> list:
+    """(file, enclosing function or None, line) of every call of one of
+    ``names``, by name or attribute; a method is named by itself."""
     found = []
-    for node in ast.walk(ast.parse(source, filename)):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in DENSE_KERNELS:
-                found.append((filename, node.lineno))
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in names:
+                    found.append((filename, function, child.lineno))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else function)
+
+    visit(ast.parse(source, filename), None)
     return found
+
+
+def library_calls(names, outside: str) -> list:
+    """:func:`calls_of` over the modules of ``src/qkt`` other than ``outside``."""
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) > 5
+    return [call for path in files if path.name != outside
+            for call in calls_of(names, path.read_text(encoding="utf-8"), path.name)]
 
 
 def test_guard_detects_a_dense_kernel_call():
@@ -173,17 +204,29 @@ def test_guard_detects_a_dense_kernel_call():
             "a = project_plus_3form(psi, J)\n"
             "b = quaternionic.j_apply_form(J, a)\n"
             "c = j_apply_oneform(J, t)\n")
-    assert dense_kernel_calls(code, "probe.py") == [("probe.py", 2), ("probe.py", 3)]
+    assert calls_of(DENSE_KERNELS, code, "probe.py") == [("probe.py", None, 2),
+                                                         ("probe.py", None, 3)]
 
 
 def test_no_context_layer_calls_a_dense_kernel():
     # the kernels stay in qkt.quaternionic as the reference the packed maps
     # are tested against; no other module, the evaluation context included,
     # calls them
-    files = sorted(SRC.glob("*.py"))
-    assert len(files) > 5
-    found = []
-    for path in files:
-        if path.name != "quaternionic.py":
-            found += dense_kernel_calls(path.read_text(encoding="utf-8"), path.name)
-    assert found == []
+    assert library_calls(DENSE_KERNELS, "quaternionic.py") == []
+
+
+def test_guard_detects_a_private_signed_gather():
+    code = ("from qkt.tensor_core import lambda3\n"
+            "def _cross_trace_table(d):\n"
+            "    return lambda3(d).rest\n"
+            "def _cyclic(d):\n"
+            "    tables = tensor_core.lambda3(d)\n"
+            "    return tables.first * d * d + tables.rest\n"
+            "size = lambda3(8).size\n")
+    found = calls_of(("lambda3",), code, "qkt_connection.py")
+    assert [call for call in found if call[:2] not in TABLE_READERS] == [
+        ("qkt_connection.py", "_cyclic", 5), ("qkt_connection.py", None, 7)]
+
+
+def test_only_the_trace_table_reads_the_index_tables_outside_tensor_core():
+    assert [call[:2] for call in library_calls(("lambda3",), "tensor_core.py")] == TABLE_READERS
