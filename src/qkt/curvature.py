@@ -80,8 +80,18 @@ def curvature_commutator(R13: np.ndarray, J: np.ndarray) -> np.ndarray:
     """[R(X, Y), J_a][..., a, l, k, i, j] of R13[..., l, k, i, j] and J[..., a, k, j]."""
     d, points, shape = J.shape[-1], R13.shape[:-4], J.shape[:-1] + R13.shape[-3:]
     # R J_a: J_a^T against the k slot of R[l, k, (ij)]; J_a R: J_a against R[l, (kij)]
-    RJ = np.swapaxes(J, -1, -2)[..., None, :, :] @ R13.reshape(points + (1, d, d, d * d))
-    return RJ.reshape(shape) - (J @ R13.reshape(points + (1, d, d ** 3))).reshape(shape)
+    out = np.swapaxes(J, -1, -2)[..., None, :, :] @ R13.reshape(points + (1, d, d, d * d))
+    out = out.reshape(shape)
+    out -= (J @ R13.reshape(points + (1, d, d ** 3))).reshape(shape)
+    return out
+
+
+def ricci_form_commutator(rho: np.ndarray, J: np.ndarray, n: int) -> np.ndarray:
+    """eq11's right side (rho_c(X, Y) J_b - rho_b(X, Y) J_c)[..., a, l, k, i, j] / n, one matmul."""
+    twists = np.stack([J[..., CYC_B, :, :], -J[..., CYC_C, :, :]], axis=-1) / n
+    forms = np.stack([rho[..., CYC_C, :, :], rho[..., CYC_B, :, :]], axis=-3)
+    out = twists.reshape(J.shape[:-3] + (3, -1, 2)) @ forms.reshape(rho.shape[:-3] + (3, 2, -1))
+    return out.reshape(out.shape[:-2] + J.shape[-2:] + rho.shape[-2:])
 
 
 def _cyclic3(arr: np.ndarray) -> np.ndarray:
@@ -106,23 +116,16 @@ def sp1_curvature_residuals(ctx) -> dict:
     ``eq12``: rho_a = n (d omega_a + omega_b ^ omega_c); the factor n
     makes the relation consistent with eq11 for every n.
     """
-    n = ctx.struct.n
-    J, rho = ctx.J, ctx.rho
-    # lie and rhs, a (3, d, d, d, d) stack per point, are the largest arrays
-    # of a sample context: combined in place, and dropped before eq12
-    lie = curvature_commutator(ctx.curv.R13, J)
-    rhs = np.einsum("...aij,...alk->...alkij", rho[..., CYC_C, :, :], J[..., CYC_B, :, :])
-    rhs -= np.einsum("...aij,...alk->...alkij", rho[..., CYC_B, :, :], J[..., CYC_C, :, :])
-    rhs /= n
-    lie -= rhs
-    del rhs
-    eq11 = ctx.residual(lie)
-    del lie
+    n, rho = ctx.struct.n, ctx.rho
+    # the largest array of a sample context, (3, d, d, d, d) per point, one buffer
+    defect = curvature_commutator(ctx.curv.R13, ctx.J)
+    defect -= ricci_form_commutator(rho, ctx.J, n)
+    eq11 = ctx.residual(defect)
+    del defect
 
     omegas = ctx.omega
-    # one stencil of the three sp(1) forms
-    d_omega = antisymmetrized_gradient(
-        np.moveaxis(ctx.derivative("omega"), -3, -2), degree=1)
+    # W . d Gamma for a constant triple, else differenced at step h2
+    d_omega = antisymmetrized_gradient(np.moveaxis(ctx.derivative("omega"), -3, -2), degree=1)
     wedge_bc = wedge_arrays(omegas[..., CYC_B, :], omegas[..., CYC_C, :], stack=omegas.ndim - 1)
     return {"eq11": eq11, "eq12": ctx.residual(rho - n * (d_omega + wedge_bc))}
 

@@ -17,11 +17,14 @@ text whose re-parse yields an equal AST.
 An expression evaluates a whole point array ``(..., d)`` at once with
 numpy ufuncs.  A point fails where the scalar tree walk would raise:
 division by zero, a power or function with no finite real value, or a
-non-finite result; the error names the first failing point.
+non-finite result; the error names the first failing point.  On finite
+input each failure raises a flag, and only a flag reruns the walk checked.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import re
 from dataclasses import dataclass
 
@@ -100,12 +103,8 @@ def _tokenize(text: str):
                 break
             bad = len(text) - len(stripped)
             raise ExpressionError(f"unexpected character {text[bad]!r}", bad)
-        if m.lastgroup == "num":
-            tokens.append(Token("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(Token("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(Token("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup   # the one group that matched names the token kind
+        tokens.append(Token(kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(Token("end", "", len(text)))
     return tokens
@@ -214,8 +213,10 @@ class _Failures:
             self.ok &= ~new
 
 
-def _eval(node, x, fails: _Failures):
+def _eval(node, x, fails: _Failures | None):
     if isinstance(node, Num):
+        if fails is None and not math.isfinite(node.value):   # see Expression.__call__
+            raise FloatingPointError(node.value)
         return np.float64(node.value)
     if isinstance(node, Var):
         if node.index > x.shape[-1]:
@@ -232,21 +233,24 @@ def _eval(node, x, fails: _Failures):
             return a - b
         if node.op == "*":
             return a * b
-        fails.record(b == 0.0, "division by zero")
+        if fails is not None:
+            fails.record(b == 0.0, "division by zero")
         return a / b
     if isinstance(node, Pow):
         v = _eval(node.base, x, fails)
         out = v ** node.exponent
-        fails.record(np.isfinite(v) & ~np.isfinite(out),
-                     "{!r}^" + f"{node.exponent} is not a finite number", v)
+        if fails is not None:
+            fails.record(np.isfinite(v) & ~np.isfinite(out),
+                         "{!r}^" + f"{node.exponent} is not a finite number", v)
         return out
     if isinstance(node, Call):
         v = _eval(node.arg, x, fails)
         out = FUNCTIONS[node.name](v)
         # math raises on a domain error (NaN from a non-NaN argument) and on
         # an overflow or pole (infinity from a finite argument)
-        fails.record(~np.isnan(v) & (np.isnan(out) | (np.isinf(out) & np.isfinite(v))),
-                     f"{node.name}" + "({!r}) has no finite real value", v)
+        if fails is not None:
+            fails.record(~np.isnan(v) & (np.isnan(out) | (np.isinf(out) & np.isfinite(v))),
+                         f"{node.name}" + "({!r}) has no finite real value", v)
         return out
     raise TypeError(f"not an AST node: {node!r}")
 
@@ -260,8 +264,7 @@ def _to_text(node, parent_prec: int = 0) -> str:
     if isinstance(node, Var):
         return f"x{node.index}"
     if isinstance(node, Neg):
-        inner = _to_text(node.arg, 9)
-        return f"-{inner}"
+        return f"-{_to_text(node.arg, 9)}"
     if isinstance(node, BinOp):
         prec = _PRECEDENCE[node.op]
         left = _to_text(node.left, prec)
@@ -270,8 +273,7 @@ def _to_text(node, parent_prec: int = 0) -> str:
         text = f"{left} {node.op} {right}"
         return f"({text})" if prec < parent_prec else text
     if isinstance(node, Pow):
-        base = _to_text(node.base, 9)
-        return f"{base}^{node.exponent}"
+        return f"{_to_text(node.base, 9)}^{node.exponent}"
     if isinstance(node, Call):
         return f"{node.name}({_to_text(node.arg)})"
     raise TypeError(f"not an AST node: {node!r}")
@@ -285,8 +287,13 @@ class Expression:
     source: str
 
     def __call__(self, points) -> np.ndarray:
-        """Values at the points ``points`` (..., d): an array of shape (...)."""
+        """Values at the points ``points`` (..., d): an array of shape (...).  One walk without
+        bookkeeping; a divide, overflow or invalid flag or a non-finite value reruns it checked."""
         x = np.asarray(points, dtype=float)
+        with contextlib.suppress(FloatingPointError), np.errstate(all="raise", under="ignore"):
+            value = _eval(self.ast, x, None)
+            if np.isfinite(value).all() and np.isfinite(x).all():
+                return np.array(np.broadcast_to(value, x.shape[:-1]))[()]
         fails = _Failures(x.shape[:-1])
         with np.errstate(all="ignore"):
             value = np.broadcast_to(_eval(self.ast, x, fails), x.shape[:-1])

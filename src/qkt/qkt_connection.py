@@ -53,6 +53,7 @@ from .quaternionic import (
     packed_maps,
     quaternionic_residuals,
     skew_bracket,
+    sp1_maps,
     torsion_02_part,
 )
 from .tensor_core import (
@@ -225,8 +226,8 @@ class QKTContext:
     def residual(self, *arrays) -> np.ndarray:
         """Per point of x, the largest |entry| of ``arrays`` beyond the point axes; NaN wins."""
         points = self.x.shape[:-1]
-        return functools.reduce(np.maximum, (
-            np.max(np.abs(arr).reshape(points + (-1,)), axis=-1) for arr in arrays))
+        return functools.reduce(np.maximum, [np.abs(arr).reshape(points + (-1,)).max(axis=-1)
+                                             for arr in arrays])
 
     def derivative(self, layer: str) -> np.ndarray:
         """The gradient of ``layer`` at x, [..., a, *value] = d_a layer.
@@ -237,8 +238,8 @@ class QKTContext:
         ``J`` (and ``T`` when it is the dual of a ``t_form`` evaluated without
         finite differences: :attr:`QKTStructure.nested_torsion`) take one
         :func:`gradient` call at step h, on the kept step-h stencil context.
-        For a constant triple, d omega is :func:`_sp1_solve` of d Gamma, since
-        the solve is linear in Gamma there.  Every other layer of
+        For a constant triple, d omega is W . d Gamma, W of the triple's
+        :func:`sp1_maps` being the same at every point.  Every other layer of
         :data:`NESTED_LAYERS` is differenced at step h2 in the context's one
         pass, together with the structure's other step-h2 layers
         (:attr:`QKTStructure.nested_layers`); any other layer, or one that the
@@ -254,7 +255,7 @@ class QKTContext:
             return gradient(lambda _: getattr(sub, layer), self.x, self.struct.scheme)
         if layer == "omega" and self.struct.constant_layer("J"):
             # the derivative axis as one more point axis
-            return _sp1_solve(self.J[..., None, :, :, :], self.derivative("Gamma"))[0]
+            return _sp1_forms(self.struct.hyper.sp1, self.derivative("Gamma"))[0]
         layers = self.struct.nested_layers
         if layer not in layers:
             raise LookupError(f"layer {layer!r} is not among the step-h2 layers {layers} "
@@ -367,10 +368,14 @@ class QKTContext:
 
     @_layer
     def gamma_g(self):
-        """Christoffel symbols of g; exact zeros for a constant metric."""
-        if isinstance(self.struct.patch.metric, ConstantMetric):
+        """Christoffel symbols of g; exact zeros for a constant metric.  Over a
+        constant g_0 the least eigenvalues of g = f g_0 are f g_0.lowest."""
+        metric = self.struct.patch.metric
+        if isinstance(metric, ConstantMetric):
             return np.zeros(self.g.shape[:-2] + self.g.shape[-1:] * 3)
-        require_nondegenerate(self.g, self.x)
+        base = metric.base if isinstance(metric, ConformalMetric) else None
+        lowest = self.f * base.lowest if isinstance(base, ConstantMetric) else None
+        require_nondegenerate(self.g, self.x, lowest)
         return christoffel(self.ginv, self.dg)
 
     # -- first order ------------------------------------------------------
@@ -492,8 +497,10 @@ class QKTContext:
 
     @_layer
     def _sp1(self):
-        """(omega, coefficients) of :func:`_sp1_solve`, without nabla J."""
-        return _sp1_solve(self.J, self.Gamma, None if self.struct.constant_layer("J") else self.dJ)
+        """(omega, coefficients) of :func:`_sp1_forms`, by a constant triple's one set of maps."""
+        if self.struct.constant_layer("J"):
+            return _sp1_forms(self.struct.hyper.sp1, self.Gamma)
+        return _sp1_forms(sp1_maps(self.J), self.Gamma, self.dJ)
 
     @property
     def omega(self):
@@ -662,14 +669,11 @@ class QKTContext:
     @_layer
     def gamma_w(self):
         """The torsion-free Weyl connection with nabla g = -t (x) g."""
-        t_up = (self.ginv @ self.t[..., None])[..., 0]
-        eye = np.eye(self.x.shape[-1])
-        return (
-            self.gamma_g
-            + 0.5 * np.einsum("...i,lj->...lij", self.t, eye)
-            + 0.5 * np.einsum("...j,li->...lij", self.t, eye)
-            - 0.5 * np.einsum("...ij,...l->...lij", self.g, t_up)
-        )
+        t, eye = self.t, np.eye(self.x.shape[-1])
+        t_up = (self.ginv @ t[..., None])[..., 0]
+        return (self.gamma_g + 0.5 * (t[..., None, :, None] * eye[:, None, :])
+                + 0.5 * (t[..., None, None, :] * eye[:, :, None])
+                - 0.5 * (self.g[..., None, :, :] * t_up[..., :, None, None]))
 
 
 # ---------------------------------------------------------------------------
@@ -700,25 +704,17 @@ def _apply_packed(packed: np.ndarray, maps: np.ndarray) -> np.ndarray:
     return np.moveaxis(out.reshape((3,) + lead + out.shape[-1:]), 0, -2)
 
 
-def _sp1_solve(J: np.ndarray, gamma: np.ndarray, dJ: np.ndarray | None = None):
-    """The one sp(1) solve: (omega[..., alpha], coefficients[..., a, 2, i]) of
-    nabla_i J_a = d_i J_a + [Gamma_i, J_a], (Gamma_i)^k_m = gamma[..., k, i, m],
-    fitted by least squares on D = (-J_c, J_b) per cyclic (a, b, c); without
-    the dJ term when ``dJ`` is None.  The normal equations are
-    contracted before expanding: D^T nabla J_a = D^T dJ_a + <Gamma, D J_a^T -
-    J_a^T D>, a general 2x2 system (the columns are orthogonal only for a
-    compatible triple).  omega_k is the mean of its recoveries from b = k and
-    c = k.  Axes of ``gamma`` ahead of J's broadcast."""
-    d = J.shape[-1]
-    design = np.stack([-J[..., CYC_C, :, :], J[..., CYC_B, :, :]], axis=-3)   # [..., a, s, k, m]
-    J_t = np.swapaxes(J, -1, -2)[..., :, None, :, :]
-    pairs = (design @ J_t - J_t @ design).reshape(J.shape[:-3] + (6, d * d))
-    rhs = pairs @ np.swapaxes(gamma, -2, -1).reshape(gamma.shape[:-3] + (d * d, d))
-    rhs = rhs.reshape(rhs.shape[:-2] + (3, 2, d))
-    design = design.reshape(J.shape[:-3] + (3, 2, d * d))
+def _sp1_forms(maps: tuple, gamma: np.ndarray, dJ: np.ndarray | None = None):
+    """(omega[..., alpha], coefficients[..., a, 2, i]) of :func:`sp1_maps` (W, V): W . Gamma,
+    (Gamma_i)^k_m = gamma[..., k, i, m], one matmul, plus V . dJ if given.  omega_k is the
+    mean of its recoveries from b = k and c = k.  Axes of ``gamma`` ahead of W's broadcast."""
+    W, V = maps
+    d = gamma.shape[-1]
+    coeffs = W.reshape(W.shape[:-3] + (6, d * d)) \
+        @ np.swapaxes(gamma, -2, -1).reshape(gamma.shape[:-3] + (d * d, d))
+    coeffs = coeffs.reshape(coeffs.shape[:-2] + (3, 2, d))
     if dJ is not None:
-        rhs += design @ np.moveaxis(dJ.reshape(dJ.shape[:-4] + (d, 3, d * d)), -3, -1)
-    coeffs = np.linalg.solve(design @ np.swapaxes(design, -1, -2), rhs)
+        coeffs += V @ np.moveaxis(dJ.reshape(dJ.shape[:-4] + (d, 3, d * d)), -3, -1)
     return (coeffs[..., CYC_C, 0, :] + coeffs[..., CYC_B, 1, :]) / 2.0, coeffs
 
 
@@ -819,8 +815,8 @@ class QKTStructure:
         self.patch.require_interior(x, self.scheme.margin)
         return QKTContext(self, x, base)
 
-    # an alias of at() that only perfbench/layertrace.py names; ROADMAP item 1
-    # deletes it together with the tracer's wrappers
+    # an alias of at() that only perfbench/layertrace.py names; it goes with
+    # the tracer's wrappers (ROADMAP items 14 and 17)
     def bundle_at(self, p: np.ndarray) -> QKTContext:
         return self.at(p)
 

@@ -73,7 +73,8 @@ class ConstantHypercomplexField(HypercomplexField):
 
     Every point gets the same stack, and an evaluation context
     differentiates it to exact zeros, without a stencil.  The stack's
-    :func:`packed_maps` are built once, here, as a constant metric's inverse is.
+    :func:`packed_maps` are built once, here, as a constant metric's inverse is,
+    and its :func:`sp1_maps` once, on first read.
     """
 
     stack: np.ndarray = field(default=None, repr=False, compare=False)
@@ -93,6 +94,11 @@ class ConstantHypercomplexField(HypercomplexField):
     def matrices(self, p: np.ndarray) -> np.ndarray:
         points = np.shape(p)[:-1]
         return np.broadcast_to(self.stack, points + self.stack.shape) if points else self.stack
+
+    @functools.cached_property
+    def sp1(self) -> tuple:
+        """The stack's :func:`sp1_maps`, built on first read: a singular triple fails only there."""
+        return sp1_maps(self.stack)
 
 
 @functools.cache
@@ -216,6 +222,20 @@ def packed_maps(J: np.ndarray) -> tuple:
     twisted = (D1 @ (square - 3.0 * D2) + 2.0 * D3) @ plus
     twisted *= -1.0 / 6.0
     return plus, twisted
+
+
+def sp1_maps(J: np.ndarray) -> tuple:
+    """The one sp(1) solve, read-only (W, V)[..., a, 2, d*d]: fitting nabla_i J_a =
+    d_i J_a + [Gamma_i, J_a] on D = (-J_c, J_b) per cyclic (a, b, c) by least squares
+    gives W . Gamma + V . dJ_a, from the normal equations D^T nabla J_a = D^T dJ_a +
+    <Gamma, D J_a^T - J_a^T D>, a general 2x2 system (orthogonal only for a compatible triple)."""
+    design = np.stack([-J[..., CYC_C, :, :], J[..., CYC_B, :, :]], axis=-3)   # [..., a, s, k, m]
+    J_t = np.swapaxes(J, -1, -2)[..., :, None, :, :]
+    pairs = (design @ J_t - J_t @ design).reshape(J.shape[:-3] + (3, 2, -1))
+    design = design.reshape(pairs.shape)
+    maps = np.linalg.solve(design @ np.swapaxes(design, -1, -2), np.concatenate([pairs, design], -1))
+    maps.flags.writeable = False
+    return tuple(np.split(maps, 2, axis=-1))
 
 
 def project_plus_3form(psi: np.ndarray, J: np.ndarray) -> np.ndarray:

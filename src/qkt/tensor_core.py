@@ -160,13 +160,15 @@ def first_point(mask: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p.reshape(-1, p.shape[-1])[np.flatnonzero(mask)[0]]
 
 
-def require_nondegenerate(g: np.ndarray, p: np.ndarray) -> None:
-    """Raise DegenerateMetricError at the first point where g is not finite or
-    its smallest eigenvalue is below MIN_METRIC_EIGENVALUE."""
+def require_nondegenerate(g: np.ndarray, p: np.ndarray, lowest: np.ndarray | None = None) -> None:
+    """Raise DegenerateMetricError at the first point where g is not finite or its smallest
+    eigenvalue (``lowest``, if given and none of it is) is below MIN_METRIC_EIGENVALUE."""
     bad = ~np.all(np.isfinite(g), axis=(-2, -1))
     if np.any(bad):
         raise DegenerateMetricError(f"metric not finite at {first_point(bad, p)}")
-    bad = np.linalg.eigvalsh(g)[..., 0] < MIN_METRIC_EIGENVALUE
+    if lowest is None or not np.all(lowest >= MIN_METRIC_EIGENVALUE):
+        lowest = np.linalg.eigvalsh(g)[..., 0]
+    bad = lowest < MIN_METRIC_EIGENVALUE
     if np.any(bad):
         raise DegenerateMetricError(
             f"metric closer than {MIN_METRIC_EIGENVALUE} to degenerate at {first_point(bad, p)}")
@@ -498,13 +500,15 @@ class ConstantMetric:
 
     Every point gets a read-only view of one matrix, inverted once into
     ``inverse``, and the Christoffel symbols vanish exactly, without a stencil.
+    ``lowest`` keeps the least eigenvalue, which is f * lowest for f g.
     """
 
-    __slots__ = ("g", "inverse")
+    __slots__ = ("g", "inverse", "lowest")
 
     def __init__(self, g):
         g = np.array(g, dtype=float)
-        if not (np.all(np.isfinite(g)) and np.linalg.eigvalsh(g)[0] >= MIN_METRIC_EIGENVALUE):
+        self.lowest = np.linalg.eigvalsh(g)[0] if np.all(np.isfinite(g)) else np.nan
+        if not self.lowest >= MIN_METRIC_EIGENVALUE:
             raise DegenerateMetricError("constant metric is not finite and positive definite")
         if np.max(np.abs(g - g.T)) > SYMMETRY_TOL:
             raise DegenerateMetricError("constant metric is not symmetric")

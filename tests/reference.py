@@ -540,6 +540,22 @@ def curvature_commutator_einsum(R13: np.ndarray, J: np.ndarray) -> np.ndarray:
             - np.einsum("...alm,...mkij->...alkij", J, R13))
 
 
+def ricci_form_commutator_einsum(rho: np.ndarray, J: np.ndarray, n: int) -> np.ndarray:
+    """(rho_c(X, Y) J_b - rho_b(X, Y) J_c)[..., a, l, k, i, j] / n, eq11's right side."""
+    b, c = [1, 2, 0], [2, 0, 1]
+    return (np.einsum("...aij,...alk->...alkij", rho[..., c, :, :], J[..., b, :, :])
+            - np.einsum("...aij,...alk->...alkij", rho[..., b, :, :], J[..., c, :, :])) / n
+
+
+def weyl_connection_einsum(gamma_g: np.ndarray, t: np.ndarray, g: np.ndarray,
+                           ginv: np.ndarray) -> np.ndarray:
+    """The torsion-free Weyl connection Gamma^W[..., l, i, j] with nabla g = -t (x) g."""
+    t_up, eye = np.einsum("...lm,...m->...l", ginv, t), np.eye(t.shape[-1])
+    return (gamma_g + 0.5 * np.einsum("...i,lj->...lij", t, eye)
+            + 0.5 * np.einsum("...j,li->...lij", t, eye)
+            - 0.5 * np.einsum("...ij,...l->...lij", g, t_up))
+
+
 def hodge_star_einsum(arr: np.ndarray, ginv: np.ndarray, vol: np.ndarray, k: int) -> np.ndarray:
     """The dimension-4 star of k-forms: each slot raised, then epsilon contracted."""
     slots = "abcd"[:k]

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import qkt.tensor_core as tensor_core
-from qkt.errors import DimensionError, NotQKTError
+from qkt.errors import DegenerateMetricError, DimensionError, NotQKTError
 from qkt.conformal import ConformalFactor, conformal_rescale
+from qkt.expressions import parse_expression
 from qkt.qkt_connection import (
     QKTContext,
     QKTStructure,
@@ -37,7 +38,9 @@ from qkt.tensor_core import (
     CoordinatePatch,
     FDScheme,
     FormField,
+    christoffel,
     levi_civita,
+    require_nondegenerate,
     unpack_3form,
     wedge_arrays,
 )
@@ -311,6 +314,7 @@ def test_sp1_one_solve_and_no_stencil(monkeypatch):
     contexts = [[struct.at(p) for p in points] for struct in structs]
     for ctx in contexts[0] + contexts[1]:
         ctx.Gamma
+    data.hyper.sp1   # the constant triple's maps, built once per triple
     grads = count_calls(monkeypatch, tensor_core.gradient)
     solves = []
     solve = np.linalg.solve
@@ -321,13 +325,46 @@ def test_sp1_one_solve_and_no_stencil(monkeypatch):
     # the varying triple's dJ was read when Gamma built dF, so the solve takes none
     assert all("dJ" in vars(ctx) for ctx in contexts[1])
     assert len(grads) == 0
-    # omega and eq1 share one batched solve of the stacked 2x2 normal equations
-    # per context, all three triples
-    assert len(solves) == 2 * len(points)
+    # the constant triple's contexts solve nothing; omega and eq1 of a varying
+    # triple's context share one batched solve of the stacked 2x2 normal
+    # equations, all three triples
+    assert len(solves) == len(points)
     assert all(normal.shape == (3, 2, 2) for normal, _ in solves)
     for (omegas_c, residual_c), (omegas_s, residual_s) in zip(constant, sampled):
         assert np.array_equal(omegas_c, omegas_s)
         assert residual_c == residual_s
+
+
+def test_gamma_g_checks_f_g0_by_the_least_eigenvalue_of_g0(monkeypatch):
+    # over the constant g_0 = 1e-4 I the least eigenvalue of f g_0 is 1e-4 f =
+    # 1e-9 + 1e-4 x1^2, below MIN_METRIC_EIGENVALUE = 1e-8 where |x1| < 0.0095
+    factor = ConformalFactor(parse_expression("1e-5 + x1^2"))
+    metric = ConformalMetric(factor, ConstantMetric(1e-4 * np.eye(4)))
+    struct = unchecked(CoordinatePatch(n=1, lo=-0.6 * np.ones(4), hi=0.6 * np.ones(4),
+                                       metric=metric), build_standard_hypercomplex(1))
+    assert metric.base.lowest == 1e-4
+
+    def contexts(x):
+        ctx = struct.at(x)
+        return ctx, ctx._stencil_h, ctx._on_stencil(ctx.x, SCHEME.h2)
+
+    # the sample points, then their stencils at h and h2, fail where the
+    # eigensolver finds the first failing point, with its message
+    for ctx in contexts(np.array([[0.3, 0.1, 0.0, 0.0], [0.0094, 0.2, 0.0, 0.0],
+                                  [0.0, -0.1, 0.0, 0.0]])):
+        with pytest.raises(DegenerateMetricError) as want:
+            require_nondegenerate(ctx.g, ctx.x)
+        with pytest.raises(DegenerateMetricError) as got:
+            ctx.gamma_g
+        assert str(got.value) == str(want.value)
+        assert ctx.x.ndim > 2 or str(got.value).endswith("at [0.0094 0.2    0.     0.    ]")
+    # and where f lambda_min >= 1e-8 they pass without an eigensolver
+    eigensolves = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: eigensolves.append(a))
+    for ctx in contexts(np.array([[0.3, 0.1, 0.0, 0.0], [0.0115, 0.2, 0.0, 0.0],
+                                  [-0.2, 0.0, 0.0, 0.0]])):
+        assert np.array_equal(ctx.gamma_g, christoffel(ctx.ginv, ctx.dg))
+    assert eigensolves == []
 
 
 def test_point_and_one_point_batch_do_not_share_layers(conformal_struct, sine_dim4):

@@ -175,7 +175,7 @@ def test_one_sp1_solve_in_library():
     assert solve_calls("def f(a, b):\n    return np.linalg.solve(a, b)\n") == ["f"]
     found = [(path.name, name) for path in sorted(SRC.glob("*.py"))
              for name in solve_calls(path.read_text(encoding="utf-8"))]
-    assert found == [("qkt_connection.py", "_sp1_solve")]
+    assert found == [("quaternionic.py", "sp1_maps")]
 
 
 def _record_nabla_J(monkeypatch):

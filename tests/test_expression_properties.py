@@ -3,17 +3,23 @@
 The oracle below is the scalar tree walk over ``math`` that point-array
 evaluation replaced: it raises exactly where a single point has no finite
 value.  Batched evaluation must agree with it row by row, and must fail
-exactly when some row fails, naming the first such row.
+exactly when some row fails, naming the first such row.  An expression
+first walks its tree without bookkeeping and reruns the checked walk only
+on a floating-point flag: the two must give the same bits and the same
+errors, and a flag that a later node hides must still reach the checked walk.
 """
 
 import contextlib
 import io
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import qkt.cli as cli
+import qkt.expressions as expressions
 from qkt.errors import ExpressionError
 from qkt.expressions import BinOp, Call, Neg, Num, Pow, Var, parse_expression
 
@@ -122,6 +128,74 @@ def test_batched_evaluation_matches_scalar_oracle(text, rows):
     # a single point is the empty batch
     single = expr(points[0])
     assert np.shape(single) == () and math.isclose(single, values[0], rel_tol=1e-12, abs_tol=1e-12)
+
+
+def checked_walk(expr, points):
+    """``expr(points)`` with the first walk skipped, as after a flag: the
+    value, or the text of the :class:`ExpressionError`."""
+    walk = expressions._eval
+
+    def only_checked(node, x, fails):
+        if fails is None:
+            raise FloatingPointError("skipped")
+        return walk(node, x, fails)
+
+    with mock.patch.object(expressions, "_eval", only_checked):
+        return evaluate(expr, points)
+
+
+def evaluate(expr, points):
+    try:
+        return expr(points)
+    except ExpressionError as err:
+        return str(err)
+
+
+def assert_same_bits(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) == isinstance(want, np.ndarray)
+        assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# literals that overflow to infinity, and NaN or infinite coordinates, make a
+# NaN or an infinity without a flag: the checked walk must take them
+WIDE = st.recursive(st.one_of(LEAVES, st.just("1e400")), _grow, max_leaves=8)
+WIDE_POINTS = st.integers(min_value=1, max_value=4).flatmap(
+    lambda rows: st.lists(st.lists(st.one_of(COORDINATES, st.sampled_from([math.inf, -math.inf, math.nan])),
+                                   min_size=4, max_size=4), min_size=rows, max_size=rows))
+
+
+@SETTINGS
+@given(WIDE, WIDE_POINTS)
+def test_first_walk_matches_the_checked_walk(text, rows):
+    expr = parse_expression(text)
+    for points in (np.array(rows, dtype=float), np.array(rows[0], dtype=float)):
+        assert_same_bits(evaluate(expr, points), checked_walk(expr, points))
+
+
+@pytest.mark.parametrize("text, x1, message", [
+    ("1/(1/x1)", 0.0, "division by zero"),
+    ("0*ln(x1)", 0.0, "ln(0.0) has no finite real value"),
+    ("1/exp(800*x1)", 1.0, "exp(800.0) has no finite real value"),
+    ("1/(1e400/x1)", 0.0, "division by zero"),
+])
+def test_a_flag_that_a_later_node_hides_reaches_the_checked_walk(text, x1, message):
+    # each inner failure ends in a finite value: only its flag shows it
+    expr = parse_expression(text)
+    points = np.array([[0.5, 0.1, 0.0, 0.0], [x1, 0.2, 0.0, 0.0]])
+    got = evaluate(expr, points)
+    assert got == checked_walk(expr, points)
+    assert got == f"{message} at point {[x1, 0.2, 0.0, 0.0]} (row 1)"
+
+
+def test_underflow_alone_stays_on_the_first_walk():
+    expr = parse_expression("exp(-800*x1)")
+    with mock.patch.object(expressions, "_Failures", None):   # no checked walk
+        assert expr(np.array([1.0, 0.0])) == 0.0
+        assert np.array_equal(expr(np.array([[1.0, 0.0], [0.0, 0.0]])), [0.0, 1.0])
 
 
 def _verify(args) -> int:
