@@ -15,7 +15,10 @@ contraction goes through the kernels in ``qkt.quaternionic``
 (``curvature_commutator``, ``ricci_form_commutator``) or through pairwise
 products, and an outer product is a matmul or a broadcast product.  The
 einsum formulas live in ``reference.py``, and the tests below check each
-kernel against its formula.
+kernel against its formula.  The finer scans for multi-operand and
+contracting einsums stay beside the scan for any einsum: a failure of the
+last alone means an outer-product einsum came back, a failure of the others
+one of the costlier kinds.
 """
 
 import ast
@@ -46,6 +49,75 @@ def _is_einsum(func) -> bool:
     if isinstance(func, ast.Attribute):
         return func.attr == "einsum"
     return isinstance(func, ast.Name) and func.id == "einsum"
+
+
+def multi_operand_einsums(source: str, filename: str) -> list:
+    """(file, line) of every einsum call with three or more operands or a starred argument."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not (isinstance(node, ast.Call) and _is_einsum(node.func)):
+            continue
+        operands = node.args[1:]
+        if len(operands) >= 3 or any(isinstance(arg, ast.Starred) for arg in node.args):
+            found.append((filename, node.lineno))
+    return found
+
+
+def contracting_einsums(source: str, filename: str) -> list:
+    """(file, line) of every einsum call that may contract an index: an input
+    letter missing from the output, or subscripts that are not a literal
+    string with an explicit output."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not (isinstance(node, ast.Call) and _is_einsum(node.func)):
+            continue
+        spec = node.args[0] if node.args else None
+        if not (isinstance(spec, ast.Constant) and isinstance(spec.value, str)
+                and "->" in spec.value):
+            found.append((filename, node.lineno))
+            continue
+        inputs, output = spec.value.replace("...", "").split("->")
+        if set(inputs.replace(",", "")) - set(output):
+            found.append((filename, node.lineno))
+    return found
+
+
+def test_guard_detects_multi_operand_einsum():
+    code = ('import numpy as np\n'
+            'np.einsum("ij,jk->ik", a, b)\n'
+            'np.einsum("ai,bj,ab->ij", J, J, x)\n'
+            'np.einsum(*args)\n')
+    assert multi_operand_einsums(code, "probe.py") == [("probe.py", 3), ("probe.py", 4)]
+
+
+def test_no_multi_operand_einsum_in_library():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = []
+    for path in files:
+        found += multi_operand_einsums(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
+
+
+def test_guard_detects_contracting_einsum():
+    code = ('import numpy as np\n'
+            'np.einsum("...i,lj->...lij", t, eye)\n'
+            'np.einsum("ij,jk->ik", a, b)\n'
+            'np.einsum("ai,bj,ab->ij", J, J, x)\n'
+            'np.einsum("...akaj->...jk", R)\n'
+            'np.einsum("ij,ij", a, b)\n'
+            'np.einsum(*args)\n'
+            'np.einsum(spec, a)\n')
+    assert contracting_einsums(code, "probe.py") == [("probe.py", line) for line in range(3, 9)]
+
+
+def test_no_contracting_einsum_in_library():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = []
+    for path in files:
+        found += contracting_einsums(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
 
 
 def einsum_calls(source: str, filename: str) -> list:
