@@ -80,8 +80,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    for line in report.summary_lines():
-        print(line)
+    print("\n".join(report.summary_lines()))
     failed = [r for r in report.results if not r.passed]
     build_error = report.meta.get("build_error")
     if build_error:

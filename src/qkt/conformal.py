@@ -46,10 +46,10 @@ class ConformalFactor:
     def value(self, p: np.ndarray) -> np.ndarray:
         """f at the points ``p`` (..., d), shape (...)."""
         v = np.broadcast_to(np.asarray(self.func(p), dtype=float), np.shape(p)[:-1])
-        bad = ~(np.isfinite(v) & (v >= MIN_FACTOR))
-        if np.any(bad):
-            raise GeometryError(f"conformal factor {float(v[bad].flat[0])!r} not finite "
-                                f"and positive at {first_point(bad, p)}")
+        good = (v >= MIN_FACTOR) & (v < np.inf)    # False where v is NaN
+        if not good.all():
+            raise GeometryError(f"conformal factor {float(v[~good].flat[0])!r} not finite "
+                                f"and positive at {first_point(~good, p)}")
         return v
 
 

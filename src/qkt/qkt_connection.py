@@ -27,8 +27,8 @@ conformal base that fix the torsion.  Every quantity of a built structure
 is a layer of a :class:`QKTContext`, the lazy evaluation context that
 ``QKTStructure.at(x)`` returns for one point array ``x``.  Sample points
 are evaluated in chunks (:func:`point_chunks`), one context per chunk, and
-each context differences its step-h2 layers in one pass over stencil
-slices of its points (:func:`slice_length`).
+each context differences the step-h2 layers that its caller reads in one
+pass over stencil slices of its points (:func:`slice_length`).
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ from .tensor_core import (
     raise_last,
     require_nondegenerate,
     shuffle_sum_packed,
-    stencil,
     trace_codifferential,
     unpack_3form,
     validate_metric,
@@ -162,7 +161,8 @@ def _layer(compute):
 
 # The layers a context may difference at step h2, on stencils of its points
 # (Gamma^W is read in dimension 4 only); :attr:`QKTStructure.nested_layers`
-# drops those differenced at h, constant ones and a constant triple's omega.
+# drops those differenced at h, constant ones and a constant triple's omega;
+# :attr:`QKTContext.nested_layers` also those that its caller does not read.
 NESTED_LAYERS = ("T", "t", "Gamma", "gamma_g", "omega", "lchkt_candidates", "gamma_w")
 
 
@@ -182,34 +182,38 @@ class QKTContext:
     defect ``existence`` that compares them, so a stencil context that reads
     T never computes the defect.
 
-    The step-h2 layers (:attr:`QKTStructure.nested_layers`) come from one
-    pass over the points in stencil slices (:attr:`_nested_gradients`), so a
-    context keeps their gradients and no step-h2 stencil; no stencil context
-    makes a step-h2 read, so none runs a pass.  The step-h stencil context
-    of the pointwise layers is kept.  Every layer
+    The step-h2 layers (:attr:`nested_layers`) come from one pass over the
+    points in stencil slices (:attr:`_nested_gradients`), so a context keeps
+    their gradients and no step-h2 stencil; no stencil context makes a
+    step-h2 read, so none runs a pass.  Every stencil context is opened on
+    the points that :func:`gradient` hands its field.  Every layer
     takes leading point axes, and so does every identity record: the suite
     opens one context per chunk of sample points, all of them reading one
     :attr:`base` context of a constant base, and a record returns one
     residual per point (:meth:`residual`).
     """
 
-    def __init__(self, struct: QKTStructure, x: np.ndarray, base: QKTContext | None = None):
+    def __init__(self, struct: QKTStructure, x: np.ndarray, base: QKTContext | None = None,
+                 reads=None):
         x = np.asarray(x, dtype=float).view()
         x.flags.writeable = False
-        vars(self).update(struct=struct, x=x)
+        vars(self).update(struct=struct, x=x, reads=reads)
         if base is not None:
             vars(self)["base"] = base
 
     def __setattr__(self, name, value):
         raise AttributeError(f"context layer {name!r} is read-only")
 
-    def _on_stencil(self, points: np.ndarray, h: float) -> "QKTContext":
+    def _on_stencil(self, q: np.ndarray) -> "QKTContext":
+        """The context on the stencil points ``q`` that :func:`gradient` hands a field."""
         shared = self.struct.base is not None and self.struct.base.constant
-        return QKTContext(self.struct, stencil(points, h), self.base if shared else None)
+        return QKTContext(self.struct, q, self.base if shared else None)
 
     @functools.cached_property
-    def _stencil_h(self) -> "QKTContext":
-        return self._on_stencil(self.x, self.struct.scheme.h)
+    def nested_layers(self) -> tuple:
+        """The structure's step-h2 layers among the ``reads`` the context was opened on, or all."""
+        layers, reads = self.struct.nested_layers, self.reads
+        return layers if reads is None else tuple(layer for layer in layers if layer in reads)
 
     @functools.cached_property
     def base(self) -> "QKTContext":
@@ -217,11 +221,12 @@ class QKTContext:
         the conformal laws read.  A constant base's sits at one point, its layers
         broadcast against x, and the stencil contexts share it; any other
         base's sits at x, and its first step-h2 read (the conformal laws' dt)
-        differences every step-h2 layer of the base, on points already checked."""
+        differences the step-h2 layers of the base that this context's reader
+        reads, on points already checked."""
         base = self.struct.base
         if base.constant:
             return base.at(self.x.reshape(-1, self.x.shape[-1])[0])
-        return QKTContext(base, self.x)
+        return QKTContext(base, self.x, reads=self.reads)
 
     def residual(self, *arrays) -> np.ndarray:
         """Per point of x, the largest |entry| of ``arrays`` beyond the point axes; NaN wins."""
@@ -237,13 +242,14 @@ class QKTContext:
         broadcast, without a stencil.  The pointwise layers ``f``, ``g0`` and
         ``J`` (and ``T`` when it is the dual of a ``t_form`` evaluated without
         finite differences: :attr:`QKTStructure.nested_torsion`) take one
-        :func:`gradient` call at step h, on the kept step-h stencil context.
+        :func:`gradient` call at step h, whose field reads the layer off a
+        context on the stencil points.
         For a constant triple, d omega is W . d Gamma, W of the triple's
         :func:`sp1_maps` being the same at every point.  Every other layer of
         :data:`NESTED_LAYERS` is differenced at step h2 in the context's one
-        pass, together with the structure's other step-h2 layers
-        (:attr:`QKTStructure.nested_layers`); any other layer, or one that the
-        structure does not difference at h2, is a ``LookupError``, never a
+        pass, together with its other step-h2 layers (:attr:`nested_layers`);
+        any other layer, or one that the structure does not difference at h2
+        or the context's reader does not read, is a ``LookupError``, never a
         stencil of its own.  dg and dF follow from the pointwise layers by the
         product rule, so a nested stencil evaluates nothing else.
         """
@@ -251,34 +257,34 @@ class QKTContext:
             shape, points = np.shape(getattr(self, layer)), self.x.ndim - 1
             return np.broadcast_to(0.0, shape[:points] + self.x.shape[-1:] + shape[points:])
         if layer in ("f", "g0", "J") or (layer == "T" and not self.struct.nested_torsion):
-            sub = self._stencil_h
-            return gradient(lambda _: getattr(sub, layer), self.x, self.struct.scheme)
+            return gradient(lambda q: getattr(self._on_stencil(q), layer), self.x,
+                            self.struct.scheme)
         if layer == "omega" and self.struct.constant_layer("J"):
             # the derivative axis as one more point axis
             return _sp1_forms(self.struct.hyper.sp1, self.derivative("Gamma"))[0]
-        layers = self.struct.nested_layers
+        layers = self.nested_layers
         if layer not in layers:
             raise LookupError(f"layer {layer!r} is not among the step-h2 layers {layers} "
-                              f"of this structure")
+                              f"of this context")
         return self._nested_gradients[layers.index(layer)]
 
     @_layer
     def _nested_gradients(self):
-        """The step-h2 gradients of :attr:`QKTStructure.nested_layers`, in that
-        order, from one pass over the points in stencil slices of
-        :func:`slice_length` points: one :func:`gradient` call per slice, whose
-        field reads every step-h2 layer off the slice's stencil context, which
-        is dropped before the next slice."""
-        layers, scheme, d = self.struct.nested_layers, self.struct.scheme, self.x.shape[-1]
+        """The step-h2 gradients of :attr:`nested_layers`, in that order, from
+        one pass over the points in stencil slices of :func:`slice_length`
+        points: one :func:`gradient` call per slice, whose field reads every
+        step-h2 layer off a context on the slice's stencil points, dropped as
+        the field returns."""
+        layers, scheme, d = self.nested_layers, self.struct.scheme, self.x.shape[-1]
         points = self.x.reshape(-1, d)
         step = slice_length(d, len(points))
-        slices = []
-        for start in range(0, len(points), step):
-            p = points[start:start + step]
-            sub = self._on_stencil(p, scheme.h2)
-            slices.append(gradient(lambda _: tuple(getattr(sub, layer) for layer in layers),
-                                   p, scheme, True))
-            del sub
+
+        def field(q):
+            sub = self._on_stencil(q)
+            return tuple(getattr(sub, layer) for layer in layers)
+
+        slices = [gradient(field, points[start:start + step], scheme, True)
+                  for start in range(0, len(points), step)]
         return tuple((parts[0] if len(parts) == 1 else np.concatenate(parts))
                      .reshape(self.x.shape[:-1] + parts[0].shape[1:]) for parts in zip(*slices))
 
@@ -789,8 +795,8 @@ class QKTStructure:
 
     @property
     def nested_layers(self) -> tuple:
-        """The layers that every context of this structure differences at step
-        h2, in one pass, whatever reads them: :data:`NESTED_LAYERS` without
+        """The layers that a context of this structure may difference at step
+        h2, in its one pass: :data:`NESTED_LAYERS` without
         Gamma^W when n >= 2, without the torsion when it is differenced at h
         (:attr:`nested_torsion`), without omega for a constant triple (see
         :meth:`QKTContext.derivative`), and without the layers that are the
@@ -803,17 +809,19 @@ class QKTStructure:
                       and (layer != "gamma_w" or self.n == 1)
                       and (layer != "omega" or not self.constant_layer("J"))])
 
-    def at(self, x: np.ndarray, base: QKTContext | None = None) -> QKTContext:
+    def at(self, x: np.ndarray, base: QKTContext | None = None, reads=None) -> QKTContext:
         """The lazy evaluation context of this structure on the point array ``x``;
         ``base``: a context of a constant ``self.base`` to share, as ``run_suite``
-        passes it.  The one check of the points a caller opens: none is an
-        :class:`InputError`, a wrong last axis a :class:`DimensionError`, a point
-        not inside the box shrunk by the scheme's margin a :class:`BoundaryError`."""
+        passes it; ``reads``: the step-h2 layers that the caller reads, the only
+        ones of :attr:`nested_layers` that the context differences.  The one
+        check of the points a caller opens: none is an :class:`InputError`, a
+        wrong last axis a :class:`DimensionError`, a point not inside the box
+        shrunk by the scheme's margin a :class:`BoundaryError`."""
         x = np.asarray(x, dtype=float)
         if x.size == 0:
             raise InputError(f"no points (shape {x.shape})")
         self.patch.require_interior(x, self.scheme.margin)
-        return QKTContext(self, x, base)
+        return QKTContext(self, x, base, reads)
 
     # an alias of at() that only perfbench/layertrace.py names; it goes with
     # the tracer's wrappers (ROADMAP items 14 and 17)

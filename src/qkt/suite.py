@@ -6,25 +6,24 @@ group and key that compute it.  ``run_suite`` splits the seeded
 quasi-random interior points into chunks
 (``qkt_connection.point_chunks``), opens one context per chunk, and runs
 the selected groups' identity records and the diagnostics once per chunk
-on it.  On its first step-h2 read the context differences, in one pass,
-the step-h2 layers of the structure, whichever records read them.  Each
-record returns one residual per point, and only the runner reduces them
-to the max residual per identity (NaN wins).  Whether a row
-exists is decided once: by the kind/n rule of its group (``lc``,
-``conformal``, ``dim4``), and by its record, which omits (or returns None
-for) a key that does not exist for the structure's n.  Quantities that
-are classifiers rather than identities (type of dT, Einstein deviations,
-the proportionality probe) come from the same pass and are reported as
+on it.  On its first step-h2 read the context differences, in one pass, the
+step-h2 layers that the run's groups and diagnostics read (``_GROUP_READS``).
+Each record returns one residual per point, and only the runner reduces
+them to the max residual per identity (NaN wins).  Whether a row exists is
+decided once: by the kind/n rule of its group (``lc``, ``conformal``,
+``dim4``), and by its record, which omits (or returns None for) a key that
+does not exist for the structure's n.  Quantities that are classifiers
+rather than identities (type of dT, Einstein deviations, the
+proportionality probe) come from the same pass and are reported as
 diagnostics in the metadata instead of as pass/fail rows.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import datetime
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -254,6 +253,16 @@ _GROUP_EVALUATORS = {
     "dim4": _eval_dim4,
 }
 
+# The step-h2 layers (NESTED_LAYERS) that each group's records read, directly or through
+# dT, nabla T, dt, nabla t, delta t or a curvature; a constant triple's d omega is d Gamma's
+_GROUP_READS = {
+    "structural": ("T", "t"),                          # dimension 4: *dT, nabla T, nabla t
+    "lc": ("t", "lchkt_candidates"),
+    "conformal": ("t",),                               # dt, also of a varying base
+    "curvature": ("T", "Gamma", "gamma_g", "omega"),
+    "dim4": ("t", "Gamma", "gamma_g", "gamma_w"),
+}
+
 # The kind/n rule of each group that holds for some structures only; within
 # a group the records decide which keys exist for the structure's n.
 _GROUP_APPLIES = {
@@ -272,6 +281,8 @@ def _diagnostics(ctx: QKTContext, classified: dict) -> None:
     ``classified``."""
     fold(classified, classification_residuals(ctx))
 
+
+_DIAGNOSTICS_READS = ("T",)   # the step-h2 layers of the classification: dT and nabla T
 
 # diagnostic -> (group, key) of the folded group values it reports; the
 # groups' identity records compute them in the same pass as the rows
@@ -323,9 +334,9 @@ class VerificationReport:
             "results": [r.to_dict() for r in self.results],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        """Strict JSON; a non-finite number is written as "nan", "inf" or "-inf"."""
-        return json.dumps(_finite_json(self.to_dict()), indent=indent, allow_nan=False)
+    def to_json(self) -> str:
+        """Strict JSON, indented by two; a non-finite number as "nan", "inf" or "-inf"."""
+        return _json(self.to_dict())
 
     def summary_lines(self) -> list:
         width = max((len(r.identity_id) for r in self.results), default=10)
@@ -342,27 +353,37 @@ class VerificationReport:
         return lines
 
 
-def _finite_json(value):
-    if isinstance(value, dict):
-        return {key: _finite_json(item) for key, item in value.items()}
+def _json(value, pad: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, a non-finite float as "nan",
+    "inf" or "-inf", ``pad`` opening its lines; a non-str key or non-JSON type is a TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else f'"{float.__repr__(value)}"'
+    inner = pad + "  "
     if isinstance(value, (list, tuple)):
-        return [_finite_json(item) for item in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
-    return value
+        items, ends = [_json(item, inner) for item in value], "[]"
+    elif isinstance(value, dict):
+        items, ends = [f"{encode_basestring_ascii(key)}: {_json(item, inner)}"
+                       for key, item in value.items()], "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
 
 
-def _meta(spec: ManifoldSpec, suite: str, extra: dict | None = None) -> dict:
-    meta = {
+def _meta(spec: ManifoldSpec, suite: str, extra: dict) -> dict:
+    return {
         "spec": spec.to_dict(),
         "suite": suite,
         "seed": spec.seed,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "version": __version__,
+        **extra,
     }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def run_suite(spec: ManifoldSpec, suite: str = "all") -> VerificationReport:
@@ -397,10 +418,15 @@ def _run_suite(spec: ManifoldSpec, suite: str) -> VerificationReport:
 
     try:
         struct = build_structure(spec)
+        groups = {name: {} for name, group_suite in _GROUP_SUITES.items()
+                  if suite in ("all", group_suite)
+                  and _GROUP_APPLIES.get(name, lambda spec, struct: True)(spec, struct)}
+        # the step-h2 layers that the run reads, the only ones its contexts difference
+        reads = set(_DIAGNOSTICS_READS).union(*(_GROUP_READS[name] for name in groups))
         # a constant base is the same at every point: one context of it serves every chunk
         base = struct.base.at(points[0]) if struct.base and struct.base.constant else None
         # the build check reads the first CHECK_POINTS points in the run's own contexts
-        checked = [struct.at(chunk, base)
+        checked = [struct.at(chunk, base, reads)
                    for chunk in chunks[:math.ceil(CHECK_POINTS / len(chunks[0]))]]
         _check(*checked, count=CHECK_POINTS)
     except NotQKTError as err:
@@ -414,21 +440,18 @@ def _run_suite(spec: ManifoldSpec, suite: str) -> VerificationReport:
             results=tuple(results),
         )
 
-    groups = {name: {} for name, group_suite in _GROUP_SUITES.items()
-              if suite in ("all", group_suite)
-              and _GROUP_APPLIES.get(name, lambda spec, struct: True)(spec, struct)}
     classified: dict = {}
     # one context per chunk of sample points, read by every group and the
     # classification; the next chunk's context replaces it before computing
     # any layer
     for chunk in chunks:
-        ctx = checked.pop(0) if checked else struct.at(chunk, base)
+        ctx = checked.pop(0) if checked else struct.at(chunk, base, reads)
         last = {name: _GROUP_EVALUATORS[name](ctx) for name in groups}
         for name, values in last.items():
             fold(groups[name], values)
         _diagnostics(ctx, classified)
 
-    diagnostics = {"classification": dataclasses.asdict(Classification.of(classified))}
+    diagnostics = {"classification": dict(vars(Classification.of(classified)))}  # no deep copy
     if "curvature" in groups:
         # the proportionality factor at the last sample point, not a maximum
         diagnostics["eq27_lambda_last"] = float(last["curvature"]["eq27_lambda"][-1])

@@ -18,8 +18,8 @@ Conventions used throughout the package:
   Lee and cross Lee forms, K, T, Gamma, the sp(1) forms, the torsion traces,
   the curvature) through ``QKTStructure.at(x)``, one lazy context per point
   array, each layer computed at most once and read-only; a derivative reads
-  the layer off :func:`stencil` contexts: the one kept at step h, or the
-  slices of the context's one pass at step h2, each dropped after use.
+  the layer off contexts on the :func:`stencil` points of a :func:`gradient`
+  call, at step h or in the one pass at step h2, each dropped after use.
   Nothing is cached on a structure: dropping a context frees its arrays,
   and ``run_suite`` opens a constant base's context once per call, at one
   point, for every chunk.  A contraction is a reshape and a batched matmul;
@@ -216,7 +216,7 @@ def fold(out: dict, values: dict) -> dict:
     (NaN wins); None values are skipped.  One reduction per key, compared as floats."""
     for key, value in values.items():
         if value is not None:
-            new, old = float(np.max(value)), out.get(key, 0.0)
+            new, old = float(np.asarray(value).max()), out.get(key, 0.0)
             out[key] = new if new > old or new != new else old
     return out
 
@@ -243,8 +243,15 @@ def partial_derivative(field: Callable[[np.ndarray], np.ndarray],
 def stencil(p: np.ndarray, h: float) -> np.ndarray:
     """The (..., 2d, d) central-difference points of ``p`` (..., d): p + h e_i, then p - h e_i."""
     p = np.asarray(p, dtype=float)
-    step = h * np.eye(p.shape[-1])
-    return p[..., None, :] + np.concatenate([step, -step])
+    return p[..., None, :] + _stencil_offsets(p.shape[-1], h)
+
+
+@functools.cache
+def _stencil_offsets(d: int, h: float) -> np.ndarray:
+    """The read-only (2d, d) offsets of :func:`stencil`, built once per (d, h)."""
+    offsets = np.concatenate([h * np.eye(d), -h * np.eye(d)])
+    offsets.flags.writeable = False
+    return offsets
 
 
 def gradient(field: Callable[[np.ndarray], np.ndarray],

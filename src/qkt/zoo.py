@@ -108,16 +108,13 @@ def _first_primes(count: int) -> list:
     return primes
 
 
-def _radical_inverses(indices: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """The van der Corput radical inverses (count, dim) of the integer ``indices``
-    (count, 1) in the ``bases`` (dim,), digits added lowest first as in a loop
-    over one index; an exhausted index adds zero digits, leaving its sum as is."""
-    result = np.zeros(np.broadcast_shapes(indices.shape, bases.shape))
-    scale = 1.0 / bases
-    while indices.any():
-        indices, digits = np.divmod(indices, bases)
-        result += digits * scale
-        scale /= bases
+def _radical_inverse(index: int, base: int) -> float:
+    """The van der Corput radical inverse of one index in one base, its digits lowest first."""
+    result, scale = 0.0, 1.0 / base
+    while index > 0:
+        index, digit = divmod(index, base)
+        result += digit * scale
+        scale /= base
     return result
 
 
@@ -134,11 +131,12 @@ def halton_points(lo: np.ndarray,
         raise GeometryError("sampling margin leaves an empty interior")
     start = 100 * (seed + 1)
     if start + count - 1 > np.iinfo(np.int64).max:
-        # a wrapped, negative index would never run out of digits
+        # a run's indices stay in int64, so any 64-bit implementation of the sequence replays it
         raise InputError(f"seed {seed} puts the Halton indices past the 64-bit range")
-    indices = np.arange(start, start + count, dtype=np.int64)[:, None]
-    u = _radical_inverses(indices, np.array(_first_primes(len(lo))))
-    return list(lo + u * (hi - lo))
+    # a few points of a few coordinates each: a plain loop beats array calls
+    bases = _first_primes(len(lo))
+    return [lo + np.array([_radical_inverse(index, base) for base in bases]) * (hi - lo)
+            for index in range(start, start + count)]
 
 
 def sample_points(spec: ManifoldSpec) -> list:

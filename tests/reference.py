@@ -14,12 +14,16 @@ field, the covariant derivative, the Levi-Civita connection field, the
 torsion and connection of a built structure as fields, the Hodge star at
 a metric), and an unchecked structure of a patch and a triple for the
 helpers to read.  The library computes the same objects stacked and over
-point arrays.  At the end: J on pairs of slots with the six-pass type
+point arrays.  Then the Halton points, by one index at a time and by
+whole-array digit passes, and a report's JSON by the standard library's
+encoder.  At the end: J on pairs of slots with the six-pass type
 projector, and the einsum formulas of the contractions that the library
 makes as batched matmuls.
 """
 
 import itertools
+import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -443,7 +447,7 @@ def solve_torsion(ctx) -> TorsionSolve:
 
 
 # ---------------------------------------------------------------------------
-# first derivatives of g and F from their products, and Halton points
+# first derivatives of g and F from their products, Halton points, report JSON
 # ---------------------------------------------------------------------------
 
 def g_and_F_difference(struct, x: np.ndarray) -> tuple:
@@ -456,6 +460,13 @@ def g_and_F_difference(struct, x: np.ndarray) -> tuple:
 
     both = gradient(g_and_F, x, struct.scheme)
     return both[..., 0, :, :], np.swapaxes(both[..., 1:, :, :], -4, -3)
+
+
+def stencil_step(q: np.ndarray) -> float:
+    """The step h of the innermost stencil of the points ``q`` (..., 2d, d) that
+    ``gradient`` hands a field: p + h e_1 sits d rows before p - h e_1."""
+    d = q.shape[-1]
+    return float((q[..., 0, 0] - q[..., d, 0]).flat[0]) / 2.0
 
 
 def radical_inverse(index: int, base: int) -> float:
@@ -478,6 +489,47 @@ def halton_points_loop(lo: np.ndarray, hi: np.ndarray, count: int, seed: int,
     start = 100 * (seed + 1)
     return [lo + np.array([radical_inverse(start + k, base) for base in bases]) * (hi - lo)
             for k in range(count)]
+
+
+def radical_inverses_vectorised(indices: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """The van der Corput radical inverses (count, dim) of the integer ``indices``
+    (count, 1) in the ``bases`` (dim,), digits added lowest first as in a loop
+    over one index; an exhausted index adds zero digits, leaving its sum as is."""
+    result = np.zeros(np.broadcast_shapes(indices.shape, bases.shape))
+    scale = 1.0 / bases
+    while indices.any():
+        indices, digits = np.divmod(indices, bases)
+        result += digits * scale
+        scale /= bases
+    return result
+
+
+def halton_points_vectorised(lo: np.ndarray, hi: np.ndarray, count: int, seed: int,
+                             margin: float) -> list:
+    """``zoo.halton_points`` by digit passes over every index and coordinate at once."""
+    lo = np.asarray(lo, dtype=float) + margin
+    hi = np.asarray(hi, dtype=float) - margin
+    start = 100 * (seed + 1)
+    indices = np.arange(start, start + count, dtype=np.int64)[:, None]
+    u = radical_inverses_vectorised(indices, np.array(_first_primes(len(lo))))
+    return list(lo + u * (hi - lo))
+
+
+def finite_json(value):
+    """``value`` with every non-finite float replaced by "nan", "inf" or "-inf"."""
+    if isinstance(value, dict):
+        return {key: finite_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [finite_json(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    return value
+
+
+def report_json(value) -> str:
+    """``VerificationReport.to_json`` of a report whose ``to_dict`` is ``value``,
+    by the standard library's encoder."""
+    return json.dumps(finite_json(value), indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from qkt.qkt_connection import (
 from qkt.quaternionic import build_standard_hypercomplex
 from qkt.suite import run_suite
 from qkt.tensor_core import ConformalMetric, ConstantForm, ConstantMetric, CoordinatePatch
-from qkt.zoo import KINDS, ManifoldSpec, build_manifold, sample_points
+from qkt.zoo import KINDS, ManifoldSpec, build_manifold, build_structure, sample_points
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 _spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
@@ -207,10 +207,10 @@ def test_conformal_laws_share_the_rescaled_base_context(monkeypatch):
     opened = []
     init = QKTContext.__init__
 
-    def recording(ctx, struct, x, base=None):
+    def recording(ctx, struct, x, base=None, reads=None):
         if built:
             opened.append((struct, np.shape(x), base, ctx))
-        init(ctx, struct, x, base)
+        init(ctx, struct, x, base, reads)
 
     monkeypatch.setattr(QKTContext, "__init__", recording)
     spec = ManifoldSpec(kind="hopf_local", n=1, point_count=20, seed=5)
@@ -286,9 +286,9 @@ def test_no_context_keeps_a_step_h2_stencil(monkeypatch, name):
     monkeypatch.setattr(qkt_connection.QKTStructure, "at",
                         lambda *args, **kwargs: opened.append(at(*args, **kwargs)) or opened[-1])
 
-    def recording(ctx, points, h):
-        sub = on_stencil(ctx, points, h)
-        if h == spec.h2:
+    def recording(ctx, q):
+        sub = on_stencil(ctx, q)
+        if np.isclose(reference.stencil_step(q), spec.h2):
             stencils.append(weakref.ref(sub))
         return sub
 
@@ -303,7 +303,7 @@ def test_no_context_keeps_a_step_h2_stencil(monkeypatch, name):
     assert bool(stencils) == (name not in ("flat-1", "flat-2"))
     for ctx in opened:
         held = {key for key, value in vars(ctx).items() if isinstance(value, QKTContext)}
-        assert held <= {"base", "_stencil_h"}, held
+        assert held <= {"base"}, held
 
 
 def _record_passes(monkeypatch, h2: float):
@@ -312,11 +312,11 @@ def _record_passes(monkeypatch, h2: float):
     stencils, covered, requested = [], collections.Counter(), collections.defaultdict(set)
     on_stencil, derivative = QKTContext._on_stencil, QKTContext.derivative
 
-    def recording(ctx, points, h):
-        sub = on_stencil(ctx, points, h)
+    def recording(ctx, q):
+        sub = on_stencil(ctx, q)
         stencils.append(sub)
-        if h == h2:
-            covered[ctx] += len(points)
+        if np.isclose(reference.stencil_step(q), h2):
+            covered[ctx] += len(q)
         return sub
 
     def requesting(ctx, layer):
@@ -333,33 +333,134 @@ def _assert_one_pass_each(stencils, covered, requested):
     # no stencil context, at step h or h2, holds step-h2 gradients or opens a
     # step-h2 slice; a context runs a pass if and only if it makes a step-h2
     # request, and then one, which covers each of its points once and
-    # differences every step-h2 layer of its structure
+    # differences every step-h2 layer of the context
     assert not any("_nested_gradients" in vars(sub) for sub in stencils)
     assert not any(ctx is sub for ctx in covered for sub in stencils)
     assert set(requested) == set(covered)
     for ctx, count in covered.items():
         assert count == ctx.x.size // ctx.x.shape[-1]
-        assert len(ctx._nested_gradients) == len(ctx.struct.nested_layers)
-        assert requested[ctx] <= set(ctx.struct.nested_layers)
+        assert len(ctx._nested_gradients) == len(ctx.nested_layers)
+        assert requested[ctx] <= set(ctx.nested_layers)
+
+
+# The layers that the sample contexts of a run difference at step h2, per
+# structure and suite: those of the structure (none on the flat kinds, no T
+# where the torsion is differenced at h, no Gamma^W for n >= 2) that the
+# run's groups and the diagnostics read (suite._GROUP_READS).  The
+# classification reads T on every suite; the conformal suite of dim4_torsion,
+# which has no conformal group, differences nothing
+_CONNECTION = ("T", "t", "lchkt_candidates")
+_DIM4 = ("T", "t", "Gamma", "gamma_g", "gamma_w")
+_FOUR = {"all": ("T", "t", "Gamma", "gamma_g", "lchkt_candidates", "gamma_w"),
+         "connection": _CONNECTION, "conformal": ("T", "t"),
+         "curvature": ("T", "Gamma", "gamma_g"), "dim4": _DIM4}
+PASS_LAYERS = {
+    "conformal-1": _FOUR,
+    "hopf": _FOUR,
+    "conformal-2": {"all": ("T", "t", "Gamma", "gamma_g", "lchkt_candidates"),
+                    "connection": _CONNECTION, "conformal": ("T", "t"),
+                    "curvature": ("T", "Gamma", "gamma_g"), "dim4": ("T",)},
+    "dim4": {"all": _DIM4[1:], "connection": ("t",), "curvature": ("Gamma", "gamma_g"),
+             "dim4": _DIM4[1:]},
+}
 
 
 @pytest.mark.parametrize("suite", SUITES)
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_each_suite_differences_the_nested_layers_it_reads(monkeypatch, name, suite):
     # whatever a suite reads at step h2 comes from one pass per sample
-    # context over the structure's step-h2 layers; a stencil context never
-    # runs one, so no stencil of a stencil is built
+    # context over the step-h2 layers that the suite reads; a stencil context
+    # never runs one, so no stencil of a stencil is built
     spec = ManifoldSpec(seed=3, **SPECS[name])
     recorded = _record_passes(monkeypatch, spec.h2)
     run_suite(spec, suite)
     _assert_one_pass_each(*recorded)
-    # the classification diagnostics read dT on every suite, at step h2
-    # unless the structure is constant or its torsion is differenced at h;
-    # then only the records that read t (none in the conformal suite) do
-    if name in ("flat-1", "flat-2"):
-        assert not recorded[1]
+    layers = PASS_LAYERS.get(name, {}).get(suite)
+    assert {ctx.nested_layers for ctx in recorded[1]} == ({layers} if layers else set())
+
+
+@pytest.mark.parametrize("group", [*sorted(suite_module._GROUP_READS), "diagnostics"])
+def test_each_group_declares_the_step_h2_layers_its_records_read(monkeypatch, group):
+    # the declared set of a group is what its records request through
+    # ctx.derivative, on fresh contexts of every structure that it applies
+    # to: a record that reads one more layer fails here, not only in a run
+    assert set(suite_module._GROUP_READS) == set(suite_module._GROUP_EVALUATORS)
+    requested = set()
+    derivative = QKTContext.derivative
+
+    def requesting(ctx, layer):
+        if layer in NESTED_LAYERS:
+            requested.add(layer)
+        return derivative(ctx, layer)
+
+    monkeypatch.setattr(QKTContext, "derivative", requesting)
+    if group == "diagnostics":
+        evaluate, applies, declared = (lambda ctx: suite_module._diagnostics(ctx, {}),
+                                       lambda spec, struct: True, suite_module._DIAGNOSTICS_READS)
     else:
-        assert bool(recorded[1]) == (name != "dim4" or suite != "conformal")
+        evaluate, declared = suite_module._GROUP_EVALUATORS[group], suite_module._GROUP_READS[group]
+        applies = suite_module._GROUP_APPLIES.get(group, lambda spec, struct: True)
+    for name in sorted(SPECS):
+        spec = ManifoldSpec(seed=3, **SPECS[name])
+        struct = build_structure(spec)
+        if applies(spec, struct):
+            with np.errstate(all="ignore"):
+                evaluate(struct.at(np.array(sample_points(spec))))
+    assert requested == set(declared)
+
+
+def test_a_record_that_reads_an_undeclared_step_h2_layer_raises(monkeypatch):
+    # a curvature record that reads d of the lchkt candidates, which only the
+    # lc group declares, finds no pass over them in a curvature run
+    curvature = suite_module._GROUP_EVALUATORS["curvature"]
+
+    def probe(ctx):
+        ctx.derivative("lchkt_candidates")
+        return curvature(ctx)
+
+    monkeypatch.setitem(suite_module._GROUP_EVALUATORS, "curvature", probe)
+    spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=2)
+    with pytest.raises(LookupError, match=re.escape(
+            "'lchkt_candidates' is not among the step-h2 layers ('T', 'Gamma', 'gamma_g')")):
+        run_suite(spec, "curvature")
+    assert run_suite(spec, "all").all_pass
+
+
+def test_a_context_opened_without_reads_differences_every_nested_layer():
+    # struct.at(x) differences every step-h2 layer of the structure; with
+    # reads, only those, to the same bits
+    spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=2)
+    struct = build_manifold(spec)
+    x = np.array(sample_points(spec))
+    full, trimmed = struct.at(x), struct.at(x, reads=("Gamma", "T", "omega"))
+    assert full.nested_layers == struct.nested_layers == (
+        "T", "t", "Gamma", "gamma_g", "lchkt_candidates")
+    assert trimmed.nested_layers == ("T", "Gamma")
+    for layer in trimmed.nested_layers:
+        assert full.derivative(layer).tobytes() == trimmed.derivative(layer).tobytes()
+    assert len(full._nested_gradients) == 5 and len(trimmed._nested_gradients) == 2
+    assert full.derivative("t").shape == (2, 8, 8)
+    with pytest.raises(LookupError, match=re.escape("('T', 'Gamma')")):
+        trimmed.derivative("t")
+
+
+@pytest.mark.parametrize("suite, layers", [
+    ("curvature", ("T", "Gamma", "gamma_g")),
+    ("all", ("T", "t", "Gamma", "gamma_g", "lchkt_candidates")),
+])
+def test_the_check_contexts_carry_the_runs_step_h2_layers(monkeypatch, suite, layers):
+    # the build check reads the run's first chunk contexts, which the groups
+    # then read: they are opened on the run's layers, and run its passes
+    checked = []
+    check = suite_module._check
+    monkeypatch.setattr(suite_module, "_check",
+                        lambda *contexts, **kwargs: checked.extend(contexts)
+                        or check(*contexts, **kwargs))
+    run_suite(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=4), suite)
+    assert len(checked) == 2
+    for ctx in checked:
+        assert ctx.nested_layers == layers
+        assert len(vars(ctx)["_nested_gradients"]) == len(layers)
 
 
 def test_a_varying_base_differences_what_the_conformal_laws_read(monkeypatch):

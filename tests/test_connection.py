@@ -41,6 +41,7 @@ from qkt.tensor_core import (
     christoffel,
     levi_civita,
     require_nondegenerate,
+    stencil,
     unpack_3form,
     wedge_arrays,
 )
@@ -270,7 +271,7 @@ def test_stencil_contexts_skip_the_eq4_and_eq5_defects(monkeypatch):
     made = []
     on_stencil = QKTContext._on_stencil
     monkeypatch.setattr(QKTContext, "_on_stencil",
-                        lambda ctx, points, h: made.append(on_stencil(ctx, points, h)) or made[-1])
+                        lambda ctx, q: made.append(on_stencil(ctx, q)) or made[-1])
     ctx = struct.at(POINT8)
     ctx.curv
     (sub,) = [sub for sub in made if sub.x.shape == (1, 16, 8)]   # the one step-h2 slice
@@ -346,7 +347,7 @@ def test_gamma_g_checks_f_g0_by_the_least_eigenvalue_of_g0(monkeypatch):
 
     def contexts(x):
         ctx = struct.at(x)
-        return ctx, ctx._stencil_h, ctx._on_stencil(ctx.x, SCHEME.h2)
+        return (ctx, *(ctx._on_stencil(stencil(ctx.x, h)) for h in (SCHEME.h, SCHEME.h2)))
 
     # the sample points, then their stencils at h and h2, fail where the
     # eigensolver finds the first failing point, with its message
@@ -375,7 +376,7 @@ def test_point_and_one_point_batch_do_not_share_layers(conformal_struct, sine_di
     assert conformal_struct.at(POINT8[None]).T.shape == (1, 8, 8, 8)
     names = [name for name, attr in vars(QKTContext).items()
              if isinstance(attr, (functools.cached_property, property))
-             and not name.startswith("_stencil") and name != "base"]   # sub-contexts
+             and name not in ("base", "nested_layers")]   # a sub-context, the pass's names
     assert {"g", *FIRST_ORDER, "T", "Gamma", "omega", "eq1", "t", "curv", "curv_g", "rho", "dt"} \
         <= set(names)
 

@@ -21,7 +21,13 @@ import reference
 from qkt.qkt_connection import QKTContext, point_chunks
 from qkt.quaternionic import rotated_hypercomplex
 from qkt.suite import run_suite
-from qkt.tensor_core import ConformalMetric, ConstantMetric, CoordinatePatch, unpack_3form
+from qkt.tensor_core import (
+    ConformalMetric,
+    ConstantMetric,
+    CoordinatePatch,
+    stencil,
+    unpack_3form,
+)
 from qkt.zoo import ManifoldSpec, build_structure, sample_points
 from test_product_rule import EXP_X1, _rotated_triple
 
@@ -71,7 +77,7 @@ def test_first_order_layers_match_the_expanded_formulas(name):
     # here unpacked) from the triple's packed maps against the full kernels
     struct, x = _structure(name)
     ctx = struct.at(x)
-    for context in (ctx, ctx._on_stencil(ctx.x, struct.scheme.h2)):
+    for context in (ctx, ctx._on_stencil(stencil(ctx.x, struct.scheme.h2))):
         dcF_plus = unpack_3form(context.dcF_plus, context.x.shape[-1])
         for new, ref in zip((context.theta, context.theta_cross, dcF_plus),
                             reference.expanded_first_order(context)):
@@ -88,7 +94,7 @@ def test_sp1_layers_match_the_least_squares_solve_on_nabla_J(name):
     # of the nabla J_a that it fits
     struct, x = _structure(name)
     ctx = struct.at(x)
-    for context in (ctx, ctx._on_stencil(ctx.x, struct.scheme.h2)):
+    for context in (ctx, ctx._on_stencil(stencil(ctx.x, struct.scheme.h2))):
         omega, eq1 = reference.expanded_sp1(context)
         _assert_close(context.omega, omega)
         _assert_close(context.eq1, eq1, max(np.max(eq1), np.max(np.abs(context.nabla_J))))

@@ -136,8 +136,8 @@ def test_structures_freed_without_gc(monkeypatch):
         made = []
         on_stencil = QKTContext._on_stencil
 
-        def recording(ctx, points, h):
-            sub = on_stencil(ctx, points, h)
+        def recording(ctx, q):
+            sub = on_stencil(ctx, q)
             made.append(weakref.ref(sub))
             return sub
 

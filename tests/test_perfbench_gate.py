@@ -9,6 +9,8 @@ pins what one warm operation of each workload pays for outside its arrays.
 import collections
 import importlib.util
 import json
+import json.encoder
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,8 @@ import pytest
 
 import qkt.cli as cli
 import qkt.expressions as expressions
+import qkt.qkt_connection as qkt_connection
+import qkt.tensor_core as tensor_core
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 _spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
@@ -48,16 +52,49 @@ def test_negative_control_fails(workload, tmp_path, capsys):
 # constructor and in the build check, since f g_0 is checked by f times g_0's
 # least eigenvalue; and no expression walk takes the checked path.  Before,
 # conf8_curv / conf8_all / hopf4_all made 2 / 5 / 3 solve calls, 5 / 8 / 6
-# eigvalsh calls and 6 / 12 / 8 checked walks of the conformal factor
+# eigvalsh calls and 6 / 12 / 8 checked walks of the conformal factor.
+# It builds stencil points once per gradient call, 5 / 10 / 7 times: each
+# differenced context once for f at step h, and each slice of a step-h2
+# pass once, and the slice's context once for its f.  Before, each of them
+# built its points a second time beside the gradient call's, 10 / 20 / 14.
+# The report writer enters no pure-Python JSON encoder (before, json.dumps
+# with an indent entered json.encoder._make_iterencode once).  Each stencil
+# slice differences the step-h2 layers that the run reads: 3 per conf8_curv
+# slice (T, Gamma, Gamma^g), where it differenced t and the lchkt candidates
+# too, 5; 5 per conf8_all slice and 6 per hopf4_all slice, as before
+WARM_COUNTS = {"conf8_curv": {"eigvalsh": 2, "stencil": 5},
+               "conf8_all": {"eigvalsh": 2, "stencil": 10},
+               "hopf4_all": {"eigvalsh": 2, "stencil": 7}}
+SLICE_LAYERS = {"conf8_curv": [3, 3], "conf8_all": [5, 5, 5, 5], "hopf4_all": [6, 6, 6]}
+
+
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_a_warm_operation_solves_nothing_and_walks_no_expression_checked(
         workload, tmp_path, monkeypatch, capsys):
     path = tmp_path / "report.json"
     assert cli.main(workloads.verify_argv(workload, SEED, path)) == 0
     counts = collections.Counter()
-    for owner, name in ((np.linalg, "solve"), (np.linalg, "eigvalsh"), (expressions, "_Failures")):
+    for owner, name in ((np.linalg, "solve"), (np.linalg, "eigvalsh"), (expressions, "_Failures"),
+                        (tensor_core, "stencil"), (json.encoder, "_make_iterencode")):
         original = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *args, _original=original, _name=name, **kwargs:
-                            counts.update([_name]) or _original(*args, **kwargs))
+        # in every qkt namespace that imported it, too
+        holders = [owner] + [module for key, module in sys.modules.items()
+                             if key.startswith("qkt.") and vars(module).get(name) is original]
+        for holder in dict.fromkeys(holders):
+            monkeypatch.setattr(holder, name, lambda *args, _original=original, _name=name,
+                                **kwargs: counts.update([_name]) or _original(*args, **kwargs))
+    slice_layers, gradient = [], qkt_connection.gradient
+
+    def recording(field, p, scheme, nested=False):
+        def recorded(q):
+            values = field(q)
+            if nested:
+                slice_layers.append(len(values))
+            return values
+        return gradient(recorded, p, scheme, nested)
+
+    monkeypatch.setattr(qkt_connection, "gradient", recording)
     assert cli.main(workloads.verify_argv(workload, SEED + 1, path)) == 0
-    assert counts == {"eigvalsh": 2}
+    assert counts == WARM_COUNTS[workload]
+    assert counts["_make_iterencode"] == 0
+    assert slice_layers == SLICE_LAYERS[workload]

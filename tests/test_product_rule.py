@@ -18,7 +18,7 @@ from qkt.conformal import ConformalFactor
 from qkt.qkt_connection import QKTContext
 from qkt.quaternionic import HypercomplexField, build_standard_hypercomplex
 from qkt.suite import run_suite
-from qkt.tensor_core import ConformalMetric, ConstantMetric, CoordinatePatch
+from qkt.tensor_core import ConformalMetric, ConstantMetric, CoordinatePatch, stencil
 from qkt.zoo import ManifoldSpec, build_manifold, sample_points
 
 ZOO = {
@@ -37,7 +37,7 @@ def _contexts(struct, x):
     stencil, as a slice of its step-h2 pass opens it: the points whose own
     stencils are the nested ones."""
     ctx = struct.at(x)
-    return ctx, ctx._on_stencil(ctx.x, struct.scheme.h2)
+    return ctx, ctx._on_stencil(stencil(ctx.x, struct.scheme.h2))
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
@@ -100,20 +100,20 @@ def test_step_h_stencils_of_the_conformal_kinds_evaluate_f_alone(monkeypatch, na
     made = []
     original = QKTContext._on_stencil
 
-    def recording(ctx, points, h):
-        sub = original(ctx, points, h)
-        made.append((ctx, h, sub))
+    def recording(ctx, q):
+        sub = original(ctx, q)
+        made.append((ctx, reference.stencil_step(q), sub))
         return sub
 
     monkeypatch.setattr(QKTContext, "_on_stencil", recording)
     spec = ManifoldSpec(**ZOO[name], point_count=2)
     run_suite(spec, "all")
-    at_h2 = [sub for _, h, sub in made if h == spec.h2]
-    at_h = [sub for _, h, sub in made if h == spec.h]
-    nested = [sub for ctx, h, sub in made if h == spec.h and any(ctx is s for s in at_h2)]
+    at_h2 = [sub for _, h, sub in made if np.isclose(h, spec.h2)]
+    at_h = [sub for _, h, sub in made if np.isclose(h, spec.h)]
+    nested = [sub for ctx, _, sub in made if any(ctx is s for s in at_h2)]
     assert at_h2 and nested
     for sub in at_h:
-        assert set(vars(sub)) - {"struct", "x", "base"} == {"f"}
+        assert set(vars(sub)) - {"struct", "x", "reads", "base"} == {"f"}
     assert all("_nested_gradients" not in vars(sub) for _, _, sub in made)
 
 

@@ -1,8 +1,11 @@
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference
 import qkt.cli as cli
@@ -80,6 +83,19 @@ def test_halton_points_equal_the_one_index_loop_bitwise(dim):
         points = halton_points(lo, hi, 20, seed, margin=3e-3)
         loop = reference.halton_points_loop(lo, hi, 20, seed, margin=3e-3)
         assert np.array(points).tobytes() == np.array(loop).tobytes()
+        passes = reference.halton_points_vectorised(lo, hi, 20, seed, margin=3e-3)
+        assert np.array(points).tobytes() == np.array(passes).tobytes()
+
+
+def test_halton_points_equal_both_references_at_d16_and_200_points():
+    # the sampler walks one index and one base at a time; the digit passes over
+    # every index and coordinate at once add the same digits in the same order
+    lo, hi = -0.4 * np.ones(16), 0.4 * np.ones(16)
+    for seed in (0, 41, 127, 10 ** 6):
+        points = np.array(halton_points(lo, hi, 200, seed, margin=3e-3))
+        assert points.shape == (200, 16)
+        for ref in (reference.halton_points_loop, reference.halton_points_vectorised):
+            assert points.tobytes() == np.array(ref(lo, hi, 200, seed, margin=3e-3)).tobytes()
 
 
 def test_halton_indices_past_64_bits_are_an_input_error():
@@ -203,9 +219,9 @@ def test_a_run_checks_its_structure_once(monkeypatch, spec, suite, contexts):
     opened = []
     init = QKTContext.__init__
 
-    def recording(ctx, struct, x, base=None):
+    def recording(ctx, struct, x, base=None, reads=None):
         opened.append((struct, np.shape(x)))
-        init(ctx, struct, x, base)
+        init(ctx, struct, x, base, reads)
 
     monkeypatch.setattr(QKTContext, "__init__", recording)
     assert run_suite(spec, suite).all_pass
@@ -654,6 +670,71 @@ def test_report_json_spells_out_non_finite_numbers():
     payload = json.loads(report.to_json(), parse_constant=reject_constant)
     assert payload["meta"] == {"lam": "-inf", "nested": {"fit": "nan"}}
     assert payload["results"][0]["max_residual"] == "inf"
+
+
+# the benchmark's three workloads, the negative control, a run with tolerance
+# overrides and a run whose residuals and diagnostics overflow
+WRITER_RUNS = {
+    "conf8_curv": (dict(kind="conformal_flat", n=2, f="exp(x1)", point_count=2), "curvature"),
+    "conf8_all": (dict(kind="conformal_flat", n=2, f="exp(x1)", point_count=4), "all"),
+    "hopf4_all": (dict(kind="hopf_local", n=1, point_count=20), "all"),
+    "tilted": (dict(kind="conformal_flat", n=2, f="exp(x1)", point_count=4,
+                    j2_tilt_degrees=5.0), "all"),
+    "overrides": (dict(kind="hopf_local", n=1, point_count=3,
+                       tol_overrides={"first_bianchi": 1e-12, "existence_condition": 0.5}), "all"),
+    "overflow": (dict(kind="dim4_torsion", n=1, t_components=("exp(709)*x1", "0", "0", "0"),
+                      point_count=2), "all"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_RUNS))
+def test_report_json_equals_the_standard_library_encoder(name):
+    # the one report writer emits the bytes of json.dumps(indent=2) with the
+    # non-finite numbers spelled out
+    fields, suite = WRITER_RUNS[name]
+    report = run_suite(ManifoldSpec(**fields), suite)
+    text = report.to_json()
+    assert text == reference.report_json(report.to_dict())
+    assert ("build_error" in report.meta) == (name == "tilted")
+    if name == "overflow":
+        assert '"max_residual": "nan"' in text and '"max_residual": "inf"' in text
+        assert '"einstein_deviation": "nan"' in text
+        diagnostics = dict(report.meta["diagnostics"], eq27_lambda_last=-math.inf,
+                           eq27_fit=math.inf)
+        changed = VerificationReport(dict(report.meta, diagnostics=diagnostics), report.results)
+        assert '"eq27_lambda_last": "-inf"' in changed.to_json()
+        assert changed.to_json() == reference.report_json(changed.to_dict())
+
+
+JSON_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1.7976931348623157e308])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_FLOATS | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(JSON_VALUES)
+@example({"quote\"": ['back\\slash', "\u00e9\u2028\x00\ud800", "\U0001f600"], "": {}})
+@example([[], {}, (), [[]], float("nan"), -float("inf"), -0.0, 5e-324, True, 0, -2 ** 70])
+def test_report_json_equals_the_standard_library_on_any_json_value(value):
+    report = VerificationReport(meta=value, results=())
+    assert report.to_json() == reference.report_json(report.to_dict())
+
+
+@pytest.mark.parametrize("bad", [object(), np.int64(1), np.bool_(True), {1, 2}, 1j, b"raw"],
+                         ids=["object", "int64", "bool_", "set", "complex", "bytes"])
+def test_report_json_rejects_what_json_rejects(bad):
+    for value in (bad, [bad], {"key": bad}):
+        with pytest.raises(TypeError):
+            reference.report_json(value)
+        with pytest.raises(TypeError):
+            VerificationReport(meta=value, results=()).to_json()
+    # json writes a non-str key as a string; a report's keys are all str
+    with pytest.raises(TypeError):
+        VerificationReport(meta={1: 0.5}, results=()).to_json()
 
 
 def test_torsion_differentiated_once_per_point(monkeypatch):
