@@ -19,7 +19,9 @@ The 3-forms of the first-order layer, d_a F_a^+ and the three
 alpha-versions, are packed over the sorted triples by one kernel
 (``tensor_core.shuffle_sum_packed``) and projected and twisted by the
 triple's packed maps (``quaternionic.packed_maps``); the torsion is the
-versions' mean, unpacked once.
+versions' mean, unpacked once.  Over a constant g_0 and triple (every zoo
+kind) that chain runs once per process on the unit 1-forms, and a context
+reads each first-order layer of f g_0, linear in d ln f or df, as one matmul.
 
 A :class:`QKTStructure` is the one record of a structure: the patch with
 its metric, the triple, the scheme and, in dimension 4, the 1-form or the
@@ -97,11 +99,12 @@ CURVATURE_TOL = 1e-4
 #     Gamma^W); 13-15 d^4 at d = 8 and 20 d^4 at d = 4, where the rank-3 layers
 #     weigh more.  So a context takes 40 points at d = 4 and 2 at d = 8;
 #   * a stencil slice of its step-h2 pass is budgeted at 64 d^4 elements per
-#     point: a stencil context on 2d points, each with the transient dF (3 d^3),
-#     Gamma, T and its other rank-3 layers; d_aF_a^+ and the alpha-versions are
-#     packed, and there is no nabla F_a and no nabla J_a.  A slice's traced peak
-#     is 19 d^4 per point at d = 8 and 27 d^4 at d = 4; the budget is a bound
-#     with more than twice that room, and it sets the slice lengths below.
+#     point: a stencil context on 2d points with Gamma, T and its other rank-3
+#     layers; d_aF_a^+ and the alpha-versions are packed matmuls of df, and there
+#     is no dF (but for a varying g_0 or triple), nabla F_a or nabla J_a.  A slice
+#     of every step-h2 layer peaks at 14 d^4 traced per point at d = 8 and 24 d^4
+#     at d = 4 (19 and 25 with dF); the budget is a bound with more than twice
+#     that room, and it sets the slice lengths below.
 # The pass runs before the context's rank-4 layers exist, beside its
 # first-order layers and the gradients it keeps, about 8 d^4 per point, so
 # its slices take what those leave: 7 points beside a 20-point context at
@@ -177,10 +180,11 @@ class QKTContext:
     :class:`ConformalMetric` the factor f is evaluated once per point array,
     and for any other metric f = 1 and g_0 = g.  Every derivative is a
     :meth:`derivative`.  The first-order data of the torsion formula are
-    separate layers: theta, theta_cross and dcF_plus (one layer, from one dF
-    that it drops), K, the alpha-versions that T averages and the one eq4/eq5
-    defect ``existence`` that compares them, so a stencil context that reads
-    T never computes the defect.
+    separate layers: theta, theta_cross and dcF_plus (one layer), K, the
+    alpha-versions that T averages and the one eq4/eq5 defect ``existence``
+    that compares them, so a stencil context that reads T never computes it.
+    Each is a matmul of d ln f or df by :attr:`QKTStructure.first_order_maps`
+    or, where g_0 or the triple varies, the chain of array functions from dF.
 
     The step-h2 layers (:attr:`nested_layers`) come from one pass over the
     points in stencil slices (:attr:`_nested_gradients`), so a context keeps
@@ -217,12 +221,11 @@ class QKTContext:
 
     @functools.cached_property
     def base(self) -> "QKTContext":
-        """The context of ``struct.base`` that the rescaled torsion (n = 1) and
-        the conformal laws read.  A constant base's sits at one point, its layers
-        broadcast against x, and the stencil contexts share it; any other
-        base's sits at x, and its first step-h2 read (the conformal laws' dt)
-        differences the step-h2 layers of the base that this context's reader
-        reads, on points already checked."""
+        """The context of ``struct.base`` that the rescaled torsion (n = 1) and the
+        conformal laws read.  A constant base's sits at one point, its layers broadcast
+        against x, and the stencil contexts share it; any other base's sits at x, and
+        its first step-h2 read (the conformal laws' dt) differences the step-h2 layers
+        of the base that this context's reader reads, on points already checked."""
         base = self.struct.base
         if base.constant:
             return base.at(self.x.reshape(-1, self.x.shape[-1])[0])
@@ -237,21 +240,17 @@ class QKTContext:
     def derivative(self, layer: str) -> np.ndarray:
         """The gradient of ``layer`` at x, [..., a, *value] = d_a layer.
 
-        A layer that is the same at every point
-        (:meth:`QKTStructure.constant_layer`) gives exact zeros, one read-only
-        broadcast, without a stencil.  The pointwise layers ``f``, ``g0`` and
-        ``J`` (and ``T`` when it is the dual of a ``t_form`` evaluated without
-        finite differences: :attr:`QKTStructure.nested_torsion`) take one
-        :func:`gradient` call at step h, whose field reads the layer off a
-        context on the stencil points.
-        For a constant triple, d omega is W . d Gamma, W of the triple's
-        :func:`sp1_maps` being the same at every point.  Every other layer of
-        :data:`NESTED_LAYERS` is differenced at step h2 in the context's one
-        pass, together with its other step-h2 layers (:attr:`nested_layers`);
-        any other layer, or one that the structure does not difference at h2
-        or the context's reader does not read, is a ``LookupError``, never a
-        stencil of its own.  dg and dF follow from the pointwise layers by the
-        product rule, so a nested stencil evaluates nothing else.
+        A layer that is the same at every point (:meth:`QKTStructure.constant_layer`)
+        gives exact zeros, one read-only broadcast, without a stencil.  The pointwise
+        layers ``f``, ``g0`` and ``J`` (and ``T`` when it is the dual of a ``t_form``
+        evaluated without finite differences: :attr:`QKTStructure.nested_torsion`)
+        take one :func:`gradient` call at step h, whose field reads the layer off a
+        context on the stencil points.  For a constant triple, d omega is W . d Gamma
+        by the triple's :func:`sp1_maps`.  Every other layer of :data:`NESTED_LAYERS`
+        is differenced at step h2 in the context's one pass (:attr:`nested_layers`);
+        any other, or one that the structure does not difference at h2 or the
+        reader does not read, is a ``LookupError``, never a stencil of its own.  dg
+        and dF follow from the pointwise layers by the product rule.
         """
         if self.struct.constant_layer(layer):
             shape, points = np.shape(getattr(self, layer)), self.x.ndim - 1
@@ -270,11 +269,10 @@ class QKTContext:
 
     @_layer
     def _nested_gradients(self):
-        """The step-h2 gradients of :attr:`nested_layers`, in that order, from
-        one pass over the points in stencil slices of :func:`slice_length`
-        points: one :func:`gradient` call per slice, whose field reads every
-        step-h2 layer off a context on the slice's stencil points, dropped as
-        the field returns."""
+        """The step-h2 gradients of :attr:`nested_layers`, in that order, from one pass
+        over the points in stencil slices of :func:`slice_length` points: one
+        :func:`gradient` call per slice, whose field reads every step-h2 layer off a
+        context on the slice's stencil points, dropped as the field returns."""
         layers, scheme, d = self.nested_layers, self.struct.scheme, self.x.shape[-1]
         points = self.x.reshape(-1, d)
         step = slice_length(d, len(points))
@@ -354,23 +352,15 @@ class QKTContext:
         return self.derivative("J")
 
     def _dF(self) -> np.ndarray:
-        """dF[..., alpha, a, i, j] = d_a (F_alpha)_ij, by the product rule
-        (d_a g) J_alpha + g d_a J_alpha: one matmul of dg against each J, and
-        the second term for a varying triple only.  Not a layer: each call
-        computes it afresh."""
-        J, d, points = self.J, self.x.shape[-1], self.x.shape[:-1]
-        dF = (self.dg.reshape(points + (1, d * d, d)) @ J).reshape(points + (3, d, d, d))
-        if not self.struct.constant_layer("J"):
-            dF += np.swapaxes(self.g[..., None, None, :, :] @ self.dJ, -4, -3)
-        return dF
+        """dF (:func:`_product_dF`); not a layer: each call computes it afresh."""
+        return _product_dF(self.dg, self.J, *(() if self.struct.constant_layer("J")
+                                               else (self.g, self.dJ)))
 
     @_layer
     def df_wedge_F(self):
-        """(J_a df) ^ F_a[..., a], packed (:func:`shuffle_sum_packed` of their outer
-        product), with the Kaehler forms F_a = g_0 J_a of the base metric; their
-        sum is what the torsion gains under g_0 -> f g_0."""
-        ones = j_apply_oneform(self.J, self.df[..., None, :])[..., :, None, None]
-        return shuffle_sum_packed(ones * (self.g0[..., None, :, :] @ self.J)[..., None, :, :])
+        """(J_a df) ^ (g_0 J_a)[..., a], packed: their sum is what T gains under g_0 -> f g_0."""
+        maps = self.struct.first_order_maps
+        return _df_wedges(self.J, self.g0, self.df) if maps is None else _apply_map(self.df, maps[4])
 
     @_layer
     def gamma_g(self):
@@ -388,34 +378,14 @@ class QKTContext:
 
     @_layer
     def _dF_parts(self):
-        """(theta, theta_cross, dcF_plus) from one dF, dropped when done: the Lee
-        forms are traced from it, and the d F_a packed (:func:`shuffle_sum_packed`),
-        projected and twisted by the triple's :func:`packed_maps`, a constant
-        triple's built once."""
-        J, ginv, gamma, F = self.J, self.ginv, self.gamma_g, self.F
-        d, points = J.shape[-1], J.shape[:-3]
-        dF = self._dF()
-        # delta F_a = -(g^ij d_i F_a(e_j) - F_a(v) - Gamma^m_ik (g^-1 F_a)^i_m), v^m = g^ij Gamma^m_ij
-        weights = ginv.reshape(points + (d * d, 1))
-        delta = np.swapaxes(gamma.reshape(points + (d, d * d)) @ weights, -1, -2)[..., None, :, :] @ F
-        delta += np.swapaxes(ginv[..., None, :, :] @ F, -1, -2).reshape(points + (3, 1, d * d)) \
-            @ gamma.reshape(points + (1, d * d, d))
-        delta -= ginv.reshape(points + (1, 1, d * d)) @ dF.reshape(points + (3, d * d, d))
-        theta = (delta @ J)[..., 0, :]
-        psi = shuffle_sum_packed(dF)   # the packed d F_a, from the gradients of the F_a
-        del dF
-        plus, twisted = (self.struct.hyper.maps if self.struct.constant_layer("J")
-                         else packed_maps(J))
-        dF_plus = _apply_packed(psi, plus)
-        # theta_cross[a, b](X) = -1/2 sum_{i<j} dF_a^+(X, e_i, e_j) (W_b - W_b^T)_ij with
-        # W_b = g^-1 J_b^T: W[..., i, b, j] from one matmul, signed entries gathered per (t, b, X)
-        weights = (ginv @ np.moveaxis(np.swapaxes(J, -1, -2), -3, -2).reshape(points + (d, 3 * d))
-                   ).reshape(points + (d, 3, d))
-        weights -= np.swapaxes(weights, -3, -1)
-        weights = np.concatenate([-0.5 * weights, 0.5 * weights], axis=-1).reshape(points + (-1,))
-        weights = np.take(weights, _cross_trace_table(d), axis=-1).reshape(points + (-1, 3 * d))
-        theta_cross = (dF_plus @ weights).reshape(points + (3, 3, d))
-        return theta, theta_cross, _apply_packed(psi, twisted)
+        """(theta, theta_cross, dcF_plus) by :func:`_lee_parts` of one dF and the triple's
+        :func:`packed_maps`; by the maps, of u = d ln f, u and df, where there are."""
+        maps, J = self.struct.first_order_maps, self.J
+        if maps is not None:
+            u = self.df / self.f[..., None]
+            return _apply_map(u, maps[0]), _apply_map(u, maps[1]), _apply_map(self.df, maps[2])
+        plus_twisted = self.struct.hyper.maps if self.struct.constant_layer("J") else packed_maps(J)
+        return _lee_parts(J, self.ginv, self.gamma_g, self.F, self._dF(), plus_twisted)
 
     @property
     def theta(self):
@@ -435,37 +405,23 @@ class QKTContext:
 
     @_layer
     def K(self):
-        """The compatibility 1-forms K[..., a] = (J_b theta_a + theta_{a,c}) / (1 - n);
-        None for n = 1."""
-        n = self.struct.n
-        if n < 2:
-            return None
-        return (j_apply_oneform(self.J[..., CYC_B, :, :], self.theta)
-                + self.theta_cross[..., CYC_A, CYC_C, :]) / (1.0 - n)
+        """The compatibility 1-forms K[..., a] (:func:`_compatibility_forms`); None for n = 1."""
+        return _compatibility_forms(self.J, self.theta, self.theta_cross, self.struct.n)
 
     @_layer
     def _alpha_versions(self):
-        """The alpha-versions V_a = d_aF_a^+ - (J_a K_a ^ F_c + K_a ^ F_b) / 2 of
-        the torsion, packed [..., a, t]; None for n = 1.  One matmul sums each
-        version's two outer products, and :func:`shuffle_sum_packed` packs them."""
-        K, F = self.K, self.F
-        if K is None:
-            return None
-        d, points = K.shape[-1], K.shape[:-2]
-        ones = np.stack([j_apply_oneform(self.J, K), K], axis=-1)               # [..., a, x, 2]
-        twos = np.stack([F[..., CYC_C, :, :], F[..., CYC_B, :, :]], axis=-3)   # [..., a, 2, i, j]
-        outer = ones @ twos.reshape(points + (3, 2, d * d))
-        return self.dcF_plus - 0.5 * shuffle_sum_packed(outer.reshape(points + (3, d, d, d)))
+        """The alpha-versions of the torsion, packed [..., a, t] (:func:`_torsion_versions`);
+        None for n = 1.  By the map of df where there are maps."""
+        maps = self.struct.first_order_maps
+        if maps is None:
+            return _torsion_versions(self.J, self.F, self.K, self.dcF_plus)
+        return None if maps[3] is None else _apply_map(self.df, maps[3])
 
     @_layer
     def existence(self):
-        """Per point, the worst disagreement V_a - V_b of the three
-        alpha-versions of the torsion; None for n = 1.
-
-        It is the eq5 agreement and, expanded term by term, the defect of the
-        existence condition (eq4) relating the d_a F_a^+: the connection
-        exists exactly when the versions agree, and T is then their common value.
-        """
+        """Per point, the worst disagreement V_a - V_b of the three alpha-versions of the
+        torsion, None for n = 1: the eq5 agreement and, expanded, the defect of the
+        existence condition (eq4); the connection exists exactly where they agree."""
         if self.struct.n < 2:
             return None
         # packed: a dense 3-form holds the same entries, with signs, and zeros
@@ -683,12 +639,93 @@ class QKTContext:
 
 
 # ---------------------------------------------------------------------------
-# pointwise first-order quantities
+# pointwise first-order quantities, of the context's arrays or the unit 1-forms
 # ---------------------------------------------------------------------------
+
+def _product_dF(dg, J, g=None, dJ=None) -> np.ndarray:
+    """dF[..., alpha, a, i, j] = d_a (F_alpha)_ij = (d_a g) J_alpha + g d_a J_alpha: one
+    matmul of dg against each J, and the second term for a varying triple only."""
+    d, points = J.shape[-1], J.shape[:-3]
+    dF = (dg.reshape(points + (1, d * d, d)) @ J).reshape(points + (3, d, d, d))
+    if dJ is not None:
+        dF += np.swapaxes(g[..., None, None, :, :] @ dJ, -4, -3)
+    return dF
+
+
+def _lee_parts(J, ginv, gamma, F, dF, maps) -> tuple:
+    """(theta, theta_cross, dcF_plus): the Lee forms traced from dF, and the d F_a packed
+    (:func:`shuffle_sum_packed`), projected and twisted by :func:`packed_maps` ``maps``."""
+    d, points = J.shape[-1], J.shape[:-3]
+    # delta F_a = -(g^ij d_i F_a(e_j) - F_a(v) - Gamma^m_ik (g^-1 F_a)^i_m), v^m = g^ij Gamma^m_ij
+    weights = ginv.reshape(points + (d * d, 1))
+    delta = np.swapaxes(gamma.reshape(points + (d, d * d)) @ weights, -1, -2)[..., None, :, :] @ F
+    delta += np.swapaxes(ginv[..., None, :, :] @ F, -1, -2).reshape(points + (3, 1, d * d)) \
+        @ gamma.reshape(points + (1, d * d, d))
+    delta -= ginv.reshape(points + (1, 1, d * d)) @ dF.reshape(points + (3, d * d, d))
+    theta = (delta @ J)[..., 0, :]
+    psi = shuffle_sum_packed(dF)   # the packed d F_a, from the gradients of the F_a
+    del dF
+    dF_plus = (psi[..., None, :] @ maps[0])[..., 0, :]   # maps shared by every point, or per point
+    # theta_cross[a, b](X) = -1/2 sum_{i<j} dF_a^+(X, e_i, e_j) (W_b - W_b^T)_ij with
+    # W_b = g^-1 J_b^T: W[..., i, b, j] from one matmul, signed entries gathered per (t, b, X)
+    weights = (ginv @ np.moveaxis(np.swapaxes(J, -1, -2), -3, -2).reshape(points + (d, 3 * d))
+               ).reshape(points + (d, 3, d))
+    weights -= np.swapaxes(weights, -3, -1)
+    weights = np.concatenate([-0.5 * weights, 0.5 * weights], axis=-1).reshape(points + (-1,))
+    weights = np.take(weights, _cross_trace_table(d), axis=-1).reshape(points + (-1, 3 * d))
+    theta_cross = (dF_plus @ weights).reshape(points + (3, 3, d))
+    return theta, theta_cross, (psi[..., None, :] @ maps[1])[..., 0, :]
+
+
+def _compatibility_forms(J, theta, theta_cross, n: int):
+    """K[..., a] = (J_b theta_a + theta_{a,c}) / (1 - n); None for n = 1."""
+    return None if n < 2 else (j_apply_oneform(J[..., CYC_B, :, :], theta)
+                               + theta_cross[..., CYC_A, CYC_C, :]) / (1.0 - n)
+
+
+def _torsion_versions(J, F, K, dcF_plus):
+    """The alpha-versions V_a = d_aF_a^+ - (J_a K_a ^ F_c + K_a ^ F_b) / 2, packed [..., a, t],
+    None without K: one matmul sums their outer products, :func:`shuffle_sum_packed` packs."""
+    if K is None:
+        return None
+    d, points = K.shape[-1], K.shape[:-2]
+    ones = np.stack([j_apply_oneform(J, K), K], axis=-1)                    # [..., a, x, 2]
+    twos = np.stack([F[..., CYC_C, :, :], F[..., CYC_B, :, :]], axis=-3)   # [..., a, 2, i, j]
+    outer = ones @ twos.reshape(points + (3, 2, d * d))
+    return dcF_plus - 0.5 * shuffle_sum_packed(outer.reshape(points + (3, d, d, d)))
+
+
+def _df_wedges(J, g0, df) -> np.ndarray:
+    """(J_a df) ^ (g_0 J_a)[..., a]: :func:`shuffle_sum_packed` of their outer product."""
+    ones = j_apply_oneform(J, df[..., None, :])[..., :, None, None]
+    return shuffle_sum_packed(ones * (g0[..., None, :, :] @ J)[..., None, :, :])
+
+
+@functools.lru_cache(maxsize=8)
+def _first_order_maps(metric: ConstantMetric, hyper: ConstantHypercomplexField) -> tuple:
+    """Read-only maps M[i, ...] of theta, theta_cross (u @ M, u = d ln f), dcF_plus, the
+    alpha-versions (None for n = 1) and (J_a df) ^ F_a (df @ M) of f g_0 over a constant
+    g_0 and triple: exact, as g^-1 = g_0^-1 / f, dF_a = df (x) g_0 J_a and Gamma^g is linear
+    in d ln f.  The chain above at f = 1 and df = e_1 ... e_d, once per (metric, hyper)."""
+    d = len(metric.g)
+    eye = np.eye(d)
+    J, ginv = hyper.matrices(eye), np.broadcast_to(metric.inverse, (d, d, d))
+    dg, F = eye[:, :, None, None] * metric.g, metric.g @ J   # df (x) g_0 at df = e_i
+    theta, cross, dcF_plus = _lee_parts(J, ginv, christoffel(ginv, dg), F, _product_dF(dg, J),
+                                        hyper.maps)
+    versions = _torsion_versions(J, F, _compatibility_forms(J, theta, cross, d // 4), dcF_plus)
+    return tuple(None if m is None else _read_only(np.ascontiguousarray(m))
+                 for m in (theta, cross, dcF_plus, versions, _df_wedges(J, metric.g, eye)))
+
+
+def _apply_map(oneform: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """oneform[..., i] M[i, ...]: one matmul by a map of :func:`_first_order_maps`."""
+    return (oneform @ M.reshape(M.shape[0], -1)).reshape(oneform.shape[:-1] + M.shape[1:])
+
 
 @functools.cache
 def _cross_trace_table(d: int) -> np.ndarray:
-    """The d-only gather [t, b, X] of theta_{a,b} (:meth:`QKTContext._dF_parts`): the
+    """The d-only gather [t, b, X] of theta_{a,b} (:func:`_lee_parts`): the
     rest_s = (i, j) entry of W[..., i, b, j] at X = first_s (:func:`lambda3`) from [-W/2, W/2],
     the half picked by the sign (+, -, +)_s, and the exact zero W[0, b, 0] where X is not in t."""
     tables = lambda3(d)
@@ -698,16 +735,6 @@ def _cross_trace_table(d: int) -> np.ndarray:
     traced[np.arange(tables.size)[:, None], b, tables.first[..., None]] = (
         (i[..., None] * 3 + b) * 2 * d + j[..., None] + d * (np.arange(3) == 1)[:, None, None])
     return traced
-
-
-def _apply_packed(packed: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """packed[..., a, t] @ maps[..., a, :, :]: maps shared by every point (a
-    constant triple's) as three matmuls over all the points, else one per point."""
-    if maps.ndim > 3:
-        return (packed[..., None, :] @ maps)[..., 0, :]
-    lead = packed.shape[:-2]
-    out = np.moveaxis(packed, -2, 0).reshape(3, -1, packed.shape[-1]) @ maps
-    return np.moveaxis(out.reshape((3,) + lead + out.shape[-1:]), 0, -2)
 
 
 def _sp1_forms(maps: tuple, gamma: np.ndarray, dJ: np.ndarray | None = None):
@@ -794,13 +821,19 @@ class QKTStructure:
         return self.constant or pointwise.get(layer, False)
 
     @property
+    def first_order_maps(self) -> tuple | None:
+        """The :func:`_first_order_maps` of a constant g_0 and triple; None if either varies."""
+        if not (self.constant_layer("g0") and self.constant_layer("J")):
+            return None
+        return _first_order_maps(getattr(self.patch.metric, "base", self.patch.metric), self.hyper)
+
+    @property
     def nested_layers(self) -> tuple:
-        """The layers that a context of this structure may difference at step
-        h2, in its one pass: :data:`NESTED_LAYERS` without
-        Gamma^W when n >= 2, without the torsion when it is differenced at h
-        (:attr:`nested_torsion`), without omega for a constant triple (see
-        :meth:`QKTContext.derivative`), and without the layers that are the
-        same at every point (all of them on a constant structure)."""
+        """The layers that a context of this structure may difference at step h2, in
+        its one pass: :data:`NESTED_LAYERS` without Gamma^W when n >= 2, without the
+        torsion when it is differenced at h (:attr:`nested_torsion`), without omega for
+        a constant triple (see :meth:`QKTContext.derivative`), and without the layers
+        that are the same at every point (all of them on a constant structure)."""
         if self.constant:
             return ()
         # a list, not a generator: every step-h2 request reads this

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -167,8 +168,14 @@ def _flat(spec: ManifoldSpec, t_form: FormField | None = None) -> QKTStructure:
     """The unchecked structure on the flat metric over the box of ``spec``; for
     n = 1 with torsion the dual of ``t_form`` (zero by default)."""
     lo, hi = spec.box()
-    patch = CoordinatePatch(n=spec.n, lo=lo, hi=hi, metric=ConstantMetric(np.eye(spec.dim)))
+    patch = CoordinatePatch(n=spec.n, lo=lo, hi=hi, metric=_flat_metric(spec.dim))
     return QKTStructure(patch, _hypercomplex(spec), spec.scheme(), t_form)
+
+
+@functools.cache
+def _flat_metric(dim: int) -> ConstantMetric:
+    """The flat g_0, one per dimension and process, whose first-order maps are built once."""
+    return ConstantMetric(np.eye(dim))
 
 
 def build_structure(spec: ManifoldSpec) -> QKTStructure:

@@ -62,6 +62,7 @@ from reference import (
     unchecked,
     varying_base,
 )
+from test_product_rule import EXP_X1, _rotated_triple
 
 SCHEME = FDScheme()
 
@@ -264,20 +265,32 @@ def test_build_checks_all_check_points_in_one_context(monkeypatch):
 
 
 def test_stencil_contexts_skip_the_eq4_and_eq5_defects(monkeypatch):
-    # the torsion of a stencil context reads theta, theta_cross (one layer
-    # with dcF_plus) and K, never the eq4/eq5 defect that only sample-point
-    # contexts read
-    struct = build_manifold(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)", point_count=1))
-    made = []
-    on_stencil = QKTContext._on_stencil
+    # the torsion of a stencil context never reads the eq4/eq5 defect that only
+    # sample-point contexts read.  Over a constant g_0 and triple its
+    # alpha-versions are one matmul of df by the structure's first-order maps,
+    # so a slice builds no K and no dF; a varying triple's slice reads theta,
+    # theta_cross (one layer with dcF_plus, from one dF) and K
+    made, built = [], []
+    on_stencil, dF = QKTContext._on_stencil, QKTContext._dF
     monkeypatch.setattr(QKTContext, "_on_stencil",
                         lambda ctx, q: made.append(on_stencil(ctx, q)) or made[-1])
-    ctx = struct.at(POINT8)
-    ctx.curv
-    (sub,) = [sub for sub in made if sub.x.shape == (1, 16, 8)]   # the one step-h2 slice
-    assert {"T", "_dF_parts", "K"} <= set(vars(sub))
-    assert "existence" not in vars(sub)
-    assert ctx.existence <= 1e-5
+    monkeypatch.setattr(QKTContext, "_dF", lambda ctx: built.append(ctx.x.shape) or dF(ctx))
+    patch = dataclasses.replace(flat_patch(2),
+                                metric=ConformalMetric(EXP_X1, ConstantMetric(np.eye(8))))
+    for struct in (build_manifold(ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)",
+                                               point_count=1)),
+                   unchecked(patch, _rotated_triple(2))):
+        made.clear()
+        built.clear()
+        ctx = struct.at(POINT8)
+        ctx.curv
+        (sub,) = [sub for sub in made if sub.x.shape == (1, 16, 8)]   # the one step-h2 slice
+        assert "T" in vars(sub) and "existence" not in vars(sub)
+        if struct.first_order_maps is not None:
+            assert "K" not in vars(sub) and built == []
+            assert ctx.existence <= 1e-5
+        else:
+            assert {"_dF_parts", "K"} <= set(vars(sub)) and (1, 16, 8) in built
 
 
 def count_calls(monkeypatch, original):

@@ -48,11 +48,13 @@ def test_negative_control_fails(workload, tmp_path, capsys):
 
 # One warm operation (the standard triple's maps already built in the
 # process) solves no linear system: omega and d omega are matmuls by the
-# triple's sp(1) maps.  It runs the eigensolver twice, in the ConstantMetric
-# constructor and in the build check, since f g_0 is checked by f times g_0's
-# least eigenvalue; and no expression walk takes the checked path.  Before,
-# conf8_curv / conf8_all / hopf4_all made 2 / 5 / 3 solve calls, 5 / 8 / 6
-# eigvalsh calls and 6 / 12 / 8 checked walks of the conformal factor.
+# triple's sp(1) maps.  It runs the eigensolver once, in the build check,
+# since f g_0 is checked by f times g_0's least eigenvalue, and the flat
+# metric g_0 is one object per dimension and process (before, each operation
+# built its own, with one more eigvalsh call); and no expression walk takes
+# the checked path.  Before, conf8_curv / conf8_all / hopf4_all made 2 / 5 / 3
+# solve calls, 5 / 8 / 6 eigvalsh calls and 6 / 12 / 8 checked walks of the
+# conformal factor.
 # It builds stencil points once per gradient call, 5 / 10 / 7 times: each
 # differenced context once for f at step h, and each slice of a step-h2
 # pass once, and the slice's context once for its f.  Before, each of them
@@ -61,10 +63,13 @@ def test_negative_control_fails(workload, tmp_path, capsys):
 # with an indent entered json.encoder._make_iterencode once).  Each stencil
 # slice differences the step-h2 layers that the run reads: 3 per conf8_curv
 # slice (T, Gamma, Gamma^g), where it differenced t and the lchkt candidates
-# too, 5; 5 per conf8_all slice and 6 per hopf4_all slice, as before
-WARM_COUNTS = {"conf8_curv": {"eigvalsh": 2, "stencil": 5},
-               "conf8_all": {"eigvalsh": 2, "stencil": 10},
-               "hopf4_all": {"eigvalsh": 2, "stencil": 7}}
+# too, 5; 5 per conf8_all slice and 6 per hopf4_all slice, as before.
+# Every context reads its first-order layers as matmuls by the first-order
+# maps of (g_0, triple), built once per process: no context builds dF
+# (QKTContext._dF, before 3 / 7 / 5 calls), and no operation builds the maps
+WARM_COUNTS = {"conf8_curv": {"eigvalsh": 1, "stencil": 5, "_dF": 0, "maps": 0},
+               "conf8_all": {"eigvalsh": 1, "stencil": 10, "_dF": 0, "maps": 0},
+               "hopf4_all": {"eigvalsh": 1, "stencil": 7, "_dF": 0, "maps": 0}}
 SLICE_LAYERS = {"conf8_curv": [3, 3], "conf8_all": [5, 5, 5, 5], "hopf4_all": [6, 6, 6]}
 
 
@@ -94,7 +99,13 @@ def test_a_warm_operation_solves_nothing_and_walks_no_expression_checked(
         return gradient(recorded, p, scheme, nested)
 
     monkeypatch.setattr(qkt_connection, "gradient", recording)
+    counts.update(_dF=0)
+    dF = qkt_connection.QKTContext._dF
+    monkeypatch.setattr(qkt_connection.QKTContext, "_dF",
+                        lambda ctx: counts.update(["_dF"]) or dF(ctx))
+    builds = qkt_connection._first_order_maps.cache_info().misses
     assert cli.main(workloads.verify_argv(workload, SEED + 1, path)) == 0
+    counts["maps"] = qkt_connection._first_order_maps.cache_info().misses - builds
     assert counts == WARM_COUNTS[workload]
     assert counts["_make_iterencode"] == 0
     assert slice_layers == SLICE_LAYERS[workload]

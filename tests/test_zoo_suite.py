@@ -421,13 +421,15 @@ def test_run_suite_deterministic():
 
 
 def test_tol_override_flips_result():
+    # a row whose residual sits at machine epsilon: existence_condition reads
+    # exactly 0.0 on the standard triple, whose alpha-versions come from one map
     spec = ManifoldSpec(kind="conformal_flat", n=2, f="exp(x1)",
-                        tol_overrides={"existence_condition": 1e-30}, **FAST)
+                        tol_overrides={"lcqk_torsion_shape": 1e-30}, **FAST)
     report = run_suite(spec, suite="connection")
-    row = {r.identity_id: r for r in report.results}["existence_condition"]
+    row = {r.identity_id: r for r in report.results}["lcqk_torsion_shape"]
     assert row.tolerance == 1e-30
     # machine-epsilon residuals exceed an impossible tolerance
-    assert not row.passed
+    assert 0.0 < row.max_residual and not row.passed
 
 
 def test_unknown_tol_override_ids_rejected():
@@ -759,7 +761,7 @@ def test_cli_tol_override(capsys):
     code = cli.main([
         "verify", "--manifold", "conformal_flat", "--n", "2", "--f", "exp(x1)",
         "--points", "4", "--suite", "connection",
-        "--tol-override", "existence_condition=1e-30",
+        "--tol-override", "lcqk_torsion_shape=1e-30",
     ])
     assert code == 1
 
@@ -971,15 +973,18 @@ def test_hodge_stars_reuse_the_context_inverse_and_volume(monkeypatch):
     # 10 det calls while every star inverted g and took its determinant again,
     # 8 and 6 while every chunk and its h2 stencil opened a base context, and
     # 5 and 3 with two 10-point chunks, and 5 and 2 while the constant base,
-    # the one sample context and its three stencil slices inverted g.  Now
-    # the flat metric g_0 is inverted once, when it is built, every context
-    # divides that inverse by f, and the base and the sample context take the
-    # determinant
+    # the one sample context and its three stencil slices inverted g, and 1
+    # and 2 while each run built and inverted its flat metric g_0.  Now g_0 is
+    # one object per dimension and process, inverted when it is built, so a
+    # run after the first inverts nothing; every context divides that inverse
+    # by f, and the base and the sample context take the determinant
+    spec = ManifoldSpec(kind="hopf_local", n=1, point_count=20, seed=5)
+    assert run_suite(spec, "all").all_pass
     calls = {"inv": 0, "det": 0}
     for name in calls:
         def counting(*args, _name=name, _original=getattr(np.linalg, name)):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(np.linalg, name, counting)
-    assert run_suite(ManifoldSpec(kind="hopf_local", n=1, point_count=20, seed=5), "all").all_pass
-    assert calls == {"inv": 1, "det": 2}
+    assert run_suite(spec, "all").all_pass
+    assert calls == {"inv": 0, "det": 2}
